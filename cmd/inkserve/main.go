@@ -53,7 +53,7 @@ func main() {
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight queries")
 
 		planCache      = flag.Int("plan-cache", 0, "plan/artifact cache entries for SQL queries (0 = default 64, negative = disabled)")
-		planCacheBytes = flag.Int64("plan-cache-bytes", 0, "cap on cached compiled-artifact bytes (0 = mem-limit/8 when mem-limit is set, else default)")
+		planCacheBytes = flag.Int64("plan-cache-bytes", 0, "cap on the plan cache's memory: compiled artifacts plus the execution state idle instances keep (0 = mem-limit/8 when mem-limit is set, else 256 MiB)")
 		maxPrepared    = flag.Int("max-prepared", 0, "max registered prepared statements (0 = 4096)")
 
 		mutexFraction = flag.Int("mutex-profile-fraction", 0,

@@ -234,47 +234,3 @@ func FingerprintPlan(p *Plan) (Fingerprint, error) {
 	}
 	return h.Sum(), nil
 }
-
-// ResetPlanState clears the per-execution mutable state baked into a lowered
-// plan — sealed join tables, merged aggregate results, cardinality hints — so
-// the plan (and any compiled artifacts referencing these state objects) can
-// run again. Safe only once no execution references the plan.
-func ResetPlanState(p *Plan) {
-	seen := make(map[any]bool)
-	resetOne := func(st any) {
-		if st == nil || seen[st] {
-			return
-		}
-		seen[st] = true
-		switch s := st.(type) {
-		case *rt.JoinTableState:
-			s.Reset()
-		case *rt.AggTableState:
-			s.Reset()
-		case *rt.ExchangeState:
-			s.Reset()
-		}
-	}
-	for _, pipe := range p.Pipelines {
-		switch src := pipe.Source.(type) {
-		case *AggRead:
-			resetOne(src.State)
-		case *ExchangeRead:
-			resetOne(src.State)
-		}
-		for _, op := range pipe.Ops {
-			for _, st := range op.States() {
-				resetOne(st)
-			}
-		}
-		for _, jt := range pipe.SealJoins {
-			resetOne(jt)
-		}
-		for _, fin := range pipe.MergeAggs {
-			resetOne(fin.State)
-		}
-		for _, ex := range pipe.SealExchanges {
-			resetOne(ex)
-		}
-	}
-}

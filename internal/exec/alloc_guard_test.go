@@ -1,32 +1,46 @@
-package exec
+package exec_test
 
-// Alloc guard for the observability layer: with the flight recorder always
-// on, the per-morsel execution path must not allocate. Flight events are
-// recorded at query and pipeline granularity (morsel batches, not morsels),
-// and the one morsel-granular event (first JIT routing) uses a pre-interned
-// label behind a per-worker latch — so growing the data (more morsels, same
-// plan) must not grow the allocation count.
+// Alloc guards. (The package is exec_test because the warm-execution guard
+// leases through plancache, which imports exec.)
+//
+// Observability layer: with the flight recorder always on, the per-morsel
+// execution path must not allocate. Flight events are recorded at query and
+// pipeline granularity (morsel batches, not morsels), and the one
+// morsel-granular event (first JIT routing) uses a pre-interned label behind a
+// per-worker latch — so growing the data (more morsels, same plan) must not
+// grow the allocation count.
+//
+// Execution-state lifecycle (DESIGN.md §16): a plan-cache hit re-executes on
+// the worker contexts, scratch rows, frames and hash-table memory of the
+// instance's previous run, so it allocates a small fraction of what the cold
+// run did.
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 
 	"inkfuse/internal/algebra"
+	"inkfuse/internal/exec"
+	"inkfuse/internal/plancache"
+	"inkfuse/internal/sql"
+	"inkfuse/internal/tpch"
 )
 
 // queryAllocs measures the average whole-query allocation count at one data
 // size: lowering, execution, result — everything but table generation.
 func queryAllocs(t *testing.T, rows int) float64 {
 	t.Helper()
-	tbl := benchTable(rows)
-	node := benchNode(tbl)
-	lat := LatencyNone
-	opts := Options{Backend: BackendVectorized, Workers: 1, Latency: &lat}
+	tbl := exec.BenchTable(rows)
+	node := exec.BenchNode(tbl)
+	lat := exec.LatencyNone
+	opts := exec.Options{Backend: exec.BackendVectorized, Workers: 1, Latency: &lat}
 	return testing.AllocsPerRun(5, func() {
 		plan, err := algebra.Lower(node, "allocguard")
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Execute(plan, opts)
+		res, err := exec.Execute(plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,5 +65,88 @@ func TestMorselLoopZeroAllocsPerChunkWithRecorder(t *testing.T) {
 	perChunk := (b - a) / extraChunks
 	if perChunk > 0.5 {
 		t.Fatalf("per-chunk allocations with recorder on = %.3f (total %g -> %g): morsel loop no longer alloc-free", perChunk, a, b)
+	}
+}
+
+// TestWarmExecutionAllocBudget: each of the eight TPC-H SQL shapes at SF 0.01
+// on the hybrid backend, leased through a plan cache. The first execution is
+// the miss (cold; its state is dropped, the shape may never come back), the
+// second the first hit (cold again, state kept from here on), the third runs
+// warm: it must allocate at most a tenth of the first's bytes.
+func TestWarmExecutionAllocBudget(t *testing.T) {
+	// One worker slot (Options.Workers defaults to GOMAXPROCS): with several,
+	// which slot first runs which pipeline — and builds its frames — depends
+	// on morsel scheduling, and so would the execution that does it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cat := tpch.Generate(0.01, 42)
+	cache := plancache.New(plancache.Config{})
+	lat := exec.LatencyNone
+	names := make([]string, 0, len(tpch.SQL))
+	for name := range tpch.SQL {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		stmt, err := sql.Compile(cat, tpch.SQL[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// execute leases, runs and returns one instance. It reports the bytes
+		// allocated from the start of the execution to the end of Put, and
+		// whether every pipeline's fused artifact had landed before it began
+		// (until then a run may still build the fused programs' frames).
+		execute := func() (bytes uint64, settled bool) {
+			prep := cache.Acquire(stmt.Fingerprint)
+			if prep == nil {
+				plan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prep = plancache.NewPrepared(stmt.Fingerprint, plan, params)
+			}
+			if err := stmt.BindArgs(prep.Params(), nil); err != nil {
+				t.Fatal(err)
+			}
+			settled = prep.Artifacts().FusedPipelines() == len(prep.Plan().Pipelines)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := exec.Execute(prep.Plan(), exec.Options{
+				Backend: exec.BackendHybrid, Latency: &lat, Artifacts: prep.Artifacts(),
+			})
+			cache.Put(prep)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, settled
+		}
+		first, _ := execute()
+		// The second execution is the first hit: it builds the state that is
+		// kept from then on, so the third is the first warm one. Two things can
+		// make a later one the first to run entirely on kept memory, and the
+		// guard waits for them (bounded): a background compile that lost the
+		// race against a short query lands its artifact an execution late and
+		// the fused program's frames are built the execution after; and a
+		// register that meets a slightly fuller morsel than any before regrows
+		// once. What must not happen is a warm execution that keeps allocating.
+		var warm uint64
+		met, settledRuns := 0, 0
+		for n := 2; n <= 10 && met == 0; n++ {
+			bytes, settled := execute()
+			if !settled {
+				settledRuns = 0
+				continue
+			}
+			if settledRuns++; settledRuns >= 2 {
+				if warm = bytes; warm*10 <= first {
+					met = n
+				}
+			}
+		}
+		if met == 0 {
+			t.Errorf("%s: warm executions keep allocating: %d bytes in the last, %d in the cold first: over the 10%% budget", name, warm, first)
+		} else if met > 3 {
+			t.Logf("%s: execution %d was the first within budget", name, met)
+		}
 	}
 }

@@ -4,29 +4,203 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"inkfuse/internal/core"
+	"inkfuse/internal/interp"
 	"inkfuse/internal/ir"
+	"inkfuse/internal/storage"
+	"inkfuse/internal/vm"
 )
 
-// ArtifactSet collects the compiled artifacts of one lowered plan instance so
-// repeated executions skip recompilation (and its modeled latency): the
-// compiling and hybrid backends share whole-pipeline fused steps, the ROF
-// backend keeps its per-split step chains. Artifacts close over the plan's
-// runtime state objects, so a set is only valid for executions of the exact
-// plan instance it was built from — the plancache leases plan and set
-// together and never runs two executions over them concurrently.
+// ArtifactSet is what one lowered plan instance keeps between executions so
+// that repeated executions skip work: the compiled artifacts (the compiling
+// and hybrid backends share whole-pipeline fused steps, the ROF backend keeps
+// its per-split step chains), which save recompilation and its modeled
+// latency, and the execution state (worker contexts, per-pipeline buffers, and
+// through core.PlanState the plan's tables), which saves rebuilding and
+// regrowing every buffer (DESIGN.md §16). Artifacts and execution state close
+// over the plan's runtime state objects, so a set is only valid for
+// executions of the exact plan instance it was built from — the plancache
+// leases plan and set together and never runs two executions over them
+// concurrently.
 //
-// All methods are nil-receiver safe: callers without a cache simply leave
-// Options.Artifacts nil.
+// The methods the executor calls are nil-receiver safe: callers without a
+// cache simply leave Options.Artifacts nil and run on state they drop.
 type ArtifactSet struct {
 	mu       sync.Mutex
 	fused    map[int]*fusedStep   // pipeline index → whole-pipeline artifact
 	rof      map[int][]*fusedStep // pipeline index → ROF step chain
+	nodes    int64                // IR nodes of all stored artifacts (ArtifactBytes)
 	compiles atomic.Int64
+
+	// Execution state. Only the one execution the lease admits and the cache's
+	// Rewind after it touch these fields, so they take no lock.
+	plan  *core.PlanState
+	state *execState // nil before the first execution and after DropState
+	// dirty is set when an execution begins and cleared only when it completes
+	// OK: Rewind discards whatever a failed execution left behind.
+	dirty bool
 }
 
-// NewArtifactSet creates an empty set.
-func NewArtifactSet() *ArtifactSet {
-	return &ArtifactSet{fused: make(map[int]*fusedStep), rof: make(map[int][]*fusedStep)}
+// NewArtifactSet creates an empty set for the plan instance.
+func NewArtifactSet(plan *core.Plan) *ArtifactSet {
+	return &ArtifactSet{
+		fused: make(map[int]*fusedStep), rof: make(map[int][]*fusedStep),
+		plan: core.CollectPlanState(plan),
+	}
+}
+
+// execState is what an execution builds besides the plan's tables: the worker
+// contexts and each pipeline's per-worker buffers.
+type execState struct {
+	backend Backend
+	ctxs    []*vm.Ctx
+	pipes   []pipeBuffers // parallel to the plan's pipelines
+}
+
+// pipeBuffers holds one pipeline's buffers, each indexed by worker slot. src
+// and outs exist from the start; the backend's runner fills in the rest on
+// its first execution.
+type pipeBuffers struct {
+	src     [][]*storage.Vector // morsel views into the pipeline source
+	outs    []*storage.Chunk    // result rows (nil for a pure sink pipeline)
+	runs    []*interp.Run       // vectorized interpreter: tuple buffers
+	chunks  [][]*storage.Vector // chunk views into the morsel
+	staging [][]*storage.Chunk  // ROF: the staged chunk between two steps
+}
+
+func newExecState(plan *core.Plan, opts Options) *execState {
+	es := &execState{
+		backend: opts.Backend,
+		ctxs:    make([]*vm.Ctx, opts.Workers),
+		pipes:   make([]pipeBuffers, len(plan.Pipelines)),
+	}
+	for i := range es.ctxs {
+		es.ctxs[i] = vm.NewCtx()
+	}
+	for i, pipe := range plan.Pipelines {
+		pb := &es.pipes[i]
+		pb.src = newVectorViews(opts.Workers, len(pipe.Source.SourceIUs()))
+		if pipe.Result != nil {
+			pb.outs = make([]*storage.Chunk, opts.Workers)
+			for w := range pb.outs {
+				pb.outs[w] = storage.NewChunk(pipe.ResultKinds())
+			}
+		}
+	}
+	return es
+}
+
+// newVectorViews allocates the per-worker vector headers the morsel loops
+// re-point in place (Vector.SliceInto).
+func newVectorViews(workers, cols int) [][]*storage.Vector {
+	out := make([][]*storage.Vector, workers)
+	for w := range out {
+		out[w] = make([]*storage.Vector, cols)
+		for i := range out[w] {
+			out[w][i] = &storage.Vector{}
+		}
+	}
+	return out
+}
+
+func (es *execState) retainedBytes() int64 {
+	var n int64
+	for _, c := range es.ctxs {
+		n += c.RetainedBytes()
+	}
+	for i := range es.pipes {
+		pb := &es.pipes[i]
+		for _, run := range pb.runs {
+			n += run.RetainedBytes()
+		}
+		n += chunksBytes(pb.outs)
+		for _, chunks := range pb.staging {
+			n += chunksBytes(chunks)
+		}
+	}
+	return n
+}
+
+func chunksBytes(chunks []*storage.Chunk) int64 {
+	var n int64
+	for _, c := range chunks {
+		for _, col := range c.Cols {
+			n += col.RetainedBytes()
+		}
+	}
+	return n
+}
+
+// begin marks an execution as started. Until done, the instance's execution
+// state counts as spoiled.
+func (a *ArtifactSet) begin() {
+	if a != nil {
+		a.dirty = true
+	}
+}
+
+// done marks the execution begun last as completed OK.
+func (a *ArtifactSet) done() {
+	if a != nil {
+		a.dirty = false
+	}
+}
+
+// execState returns the state to execute on: the one kept from the instance's
+// previous execution when it was built for the same backend and worker count
+// (chunk and morsel sizes shape nothing ahead of time: buffers grow to what a
+// run asks of them), else a new one — and then whatever was kept is dropped
+// whole, tables included, so nothing of another shape is ever read. Without a
+// set the state is new and the caller's to drop.
+func (a *ArtifactSet) execState(plan *core.Plan, opts Options) *execState {
+	if a == nil {
+		return newExecState(plan, opts)
+	}
+	if es := a.state; es != nil {
+		if es.backend == opts.Backend && len(es.ctxs) == opts.Workers {
+			return es
+		}
+		a.plan.Drop()
+	}
+	a.state = newExecState(plan, opts)
+	return a.state
+}
+
+// Rewind readies the plan instance for its next execution, once no execution
+// references it. After an execution that completed OK the state is rewound in
+// place — lengths to zero, bucket arrays cleared, arenas back at their first
+// block — so the next execution allocates (almost) nothing. After anything
+// else (cancel, deadline, budget, panic, injected fault, admission reject)
+// it is dropped: one rule, no reasoning about what a failure left behind.
+func (a *ArtifactSet) Rewind() {
+	if a.dirty {
+		a.DropState()
+		return
+	}
+	a.plan.Reset()
+	if a.state != nil {
+		for _, c := range a.state.ctxs {
+			c.Reset()
+		}
+	}
+}
+
+// DropState releases the execution state, keeping the compiled artifacts: the
+// next execution builds its buffers and tables anew, as a cold one does.
+func (a *ArtifactSet) DropState() {
+	a.dirty = false
+	a.state = nil
+	a.plan.Drop()
+}
+
+// StateBytes estimates the memory of the execution state kept for the next
+// execution: worker contexts, pipeline buffers and the plan's tables.
+func (a *ArtifactSet) StateBytes() int64 {
+	n := a.plan.RetainedBytes()
+	if a.state != nil {
+		n += a.state.retainedBytes()
+	}
+	return n
 }
 
 // Compiles reports how many compilation runs deposited into the set — the
@@ -49,25 +223,22 @@ func (a *ArtifactSet) FusedPipelines() int {
 	return len(a.fused)
 }
 
-// CostBytes estimates the set's memory footprint for cache accounting: the
-// IR node count of every stored artifact, scaled by a nominal bytes-per-node.
-func (a *ArtifactSet) CostBytes() int64 {
-	if a == nil {
-		return 0
-	}
+// ArtifactBytes estimates the compiled artifacts' footprint: the IR node count
+// of every stored artifact, scaled by a nominal bytes-per-node.
+func (a *ArtifactSet) ArtifactBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	const bytesPerNode = 64
-	var nodes int64
-	for _, s := range a.fused {
-		nodes += int64(ir.Size(s.fn))
+	return a.nodes * bytesPerNode
+}
+
+// irNodes counts the IR nodes of a step chain.
+func irNodes(steps ...*fusedStep) int64 {
+	var n int64
+	for _, s := range steps {
+		n += int64(ir.Size(s.fn))
 	}
-	for _, chain := range a.rof {
-		for _, s := range chain {
-			nodes += int64(ir.Size(s.fn))
-		}
-	}
-	return nodes * bytesPerNode
+	return n
 }
 
 func (a *ArtifactSet) loadFused(pi int) *fusedStep {
@@ -85,6 +256,10 @@ func (a *ArtifactSet) storeFused(pi int, s *fusedStep) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if old := a.fused[pi]; old != nil {
+		a.nodes -= irNodes(old)
+	}
+	a.nodes += irNodes(s)
 	a.fused[pi] = s
 }
 
@@ -103,6 +278,7 @@ func (a *ArtifactSet) storeROF(pi int, steps []*fusedStep) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.nodes += irNodes(steps...) - irNodes(a.rof[pi]...)
 	a.rof[pi] = steps
 }
 

@@ -69,12 +69,15 @@ type Options struct {
 	// worker state is built. Off by default (lowering is trusted in
 	// production); tests and the serving layer's strict mode turn it on.
 	VerifyIR bool
-	// Artifacts, when non-nil, caches compiled pipeline artifacts across
-	// executions of the same plan instance: the compiling/ROF/hybrid backends
-	// consult it before compiling and deposit what they compile. Artifacts
-	// close over the plan's runtime state, so the set must only ever be used
-	// with the plan it was built from (the plancache enforces this by leasing
-	// plan and set together).
+	// Artifacts, when non-nil, carries what the plan instance keeps across its
+	// executions: compiled pipeline artifacts (the compiling/ROF/hybrid
+	// backends consult the set before compiling and deposit what they compile)
+	// and the execution state of the previous run — worker contexts, pipeline
+	// buffers, table memory — which this run then executes on instead of
+	// building its own. Both close over the plan's runtime state, so the set
+	// must only ever be used with the plan it was built from, by one execution
+	// at a time, with ArtifactSet.Rewind in between (the plancache enforces all
+	// three by leasing plan and set together).
 	Artifacts *ArtifactSet
 	// QueryID is the engine-wide query id keying flight-recorder events and
 	// trace/span correlation. 0 = allocate one (NextQueryID); servers assign
@@ -232,6 +235,10 @@ func Execute(plan *core.Plan, opts Options) (*Result, error) {
 // *Result is non-nil with Stats (no Chunk) for diagnostics.
 func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	// From here until the OK return the instance's kept execution state counts
+	// as spoiled: every error path below leaves it for ArtifactSet.Rewind to
+	// drop.
+	opts.Artifacts.begin()
 	if opts.VerifyIR {
 		if err := core.VerifyPlan(plan); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
@@ -325,10 +332,13 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		}
 	}
 
-	ctxs := make([]*vm.Ctx, opts.Workers)
-	for i := range ctxs {
-		ctxs[i] = vm.NewCtx()
-		ctxs[i].Budget = budget
+	// Worker contexts and pipeline buffers: the ones this plan instance's last
+	// execution left behind, rewound (Options.Artifacts), or new empty ones —
+	// the code below cannot tell which.
+	es := opts.Artifacts.execState(plan, opts)
+	ctxs := es.ctxs
+	for _, c := range ctxs {
+		c.Budget = budget
 	}
 
 	var res stats.Counters
@@ -376,6 +386,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			return failed(qs.failure())
 		}
 		pipeStart := time.Now()
+		pb := &es.pipes[pi]
 		binder, err := bindSource(pipe)
 		if err != nil {
 			return failed(fmt.Errorf("exec: %s/%s: %w", plan.Name, pipe.Name, err))
@@ -407,17 +418,14 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		if bgs != nil {
 			bg = bgs[pi]
 		}
-		r, err := newRunner(ctx, pi, pipe, opts, reg, bg, pt)
+		r, err := newRunner(ctx, pi, pipe, opts, reg, bg, pt, pb)
 		if err != nil {
 			return failed(fmt.Errorf("exec: %s/%s: %w", plan.Name, pipe.Name, err))
 		}
 
-		var outs []*storage.Chunk
-		if pipe.Result != nil {
-			outs = make([]*storage.Chunk, opts.Workers)
-			for i := range outs {
-				outs[i] = storage.NewChunk(pipe.ResultKinds())
-			}
+		outs := pb.outs
+		for _, out := range outs {
+			out.Reset()
 		}
 
 		// One flight event per pipeline dispatch — morsel-batch granularity,
@@ -428,9 +436,9 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		// Morsels dispatch into the shared pool instead of per-query worker
 		// goroutines. slot is the query-local worker slot in
 		// [0, opts.Workers): the scheduler guarantees at most one in-flight
-		// task per slot, so ctxs[slot] / outs[slot] / pt.Workers[slot] keep
-		// their single-writer discipline even though different pool workers
-		// serve the slot over the pipeline's lifetime.
+		// task per slot, so ctxs[slot] / outs[slot] / pb.src[slot] /
+		// pt.Workers[slot] keep their single-writer discipline even though
+		// different pool workers serve the slot over the pipeline's lifetime.
 		runErr := adm.Run(ctx, len(morsels), func(slot, i int) error {
 			if qs.stopped() {
 				return errQueryStopped
@@ -456,7 +464,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 				rt0 = wctx.Counters.PartRoutedRows
 			}
 			t0 := time.Now()
-			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], out)
+			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], pb.src[slot], out)
 			elapsed := time.Since(t0)
 			morselHist.ObserveDuration(elapsed)
 			if pt != nil {
@@ -579,6 +587,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	metrics.Default.QueryDone(&res, wall, nil, false, len(warnings) > 0)
 	obs.Default.ObserveQuery(backend, wall, res.Tuples)
 	flight.Default.Record(flight.KindQueryDone, qid, qlabel, int64(wall), int64(out.Rows()))
+	opts.Artifacts.done()
 	return &Result{
 		Cols: plan.ColNames, Chunk: out, Stats: res, QueryID: qid, QueueWait: queueWait,
 		Wall: wall, Warnings: warnings, Trace: qt,
@@ -589,7 +598,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 // below (generated code, primitives, hash tables, the budget) is converted
 // into a located *QueryError instead of taking the process down.
 func runMorselSafe(query, pipeName string, backend Backend, r runner, w, mi int,
-	wctx *vm.Ctx, binder sourceBinder, m storage.Morsel, out *storage.Chunk) (err error) {
+	wctx *vm.Ctx, binder sourceBinder, m storage.Morsel, src []*storage.Vector, out *storage.Chunk) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			wctx.Counters.PanicsRecovered++
@@ -606,7 +615,7 @@ func runMorselSafe(query, pipeName string, backend Backend, r runner, w, mi int,
 	if err := faultinject.Inject(faultinject.ExecMorsel); err != nil {
 		panic(err)
 	}
-	src, n := binder.bind(m)
+	n := binder.bind(m, src)
 	r.runMorsel(w, wctx, src, n, out)
 	// Morsel boundary: spill the worker's thread-local pre-aggregation into
 	// its shard table (group rows must not live across morsels). Pipelines
@@ -647,24 +656,21 @@ type sourceBinder struct {
 	// discipline of the partitioned tables), with Morsel.Start carrying the
 	// partition index.
 	morsels []storage.Morsel
-	bind    func(m storage.Morsel) ([]*storage.Vector, int)
+	// bind points views — the calling worker slot's own headers, one per
+	// source IU — at the morsel's rows and returns the row count.
+	bind func(m storage.Morsel, views []*storage.Vector) int
 }
 
 func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 	switch s := pipe.Source.(type) {
 	case *core.TableScan:
-		cols := make([]*storage.Vector, len(s.Cols))
-		for i, ci := range s.Cols {
-			cols[i] = s.Table.Cols[ci]
-		}
 		return sourceBinder{
 			total: s.Table.Rows(),
-			bind: func(m storage.Morsel) ([]*storage.Vector, int) {
-				vs := make([]*storage.Vector, len(cols))
-				for i, c := range cols {
-					vs[i] = c.Slice(m.Start, m.End)
+			bind: func(m storage.Morsel, views []*storage.Vector) int {
+				for i, ci := range s.Cols {
+					s.Table.Cols[ci].SliceInto(views[i], m.Start, m.End)
 				}
-				return vs, m.Rows()
+				return m.Rows()
 			},
 		}, nil
 	case *core.AggRead:
@@ -674,9 +680,9 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 		snap := s.State.Snapshot()
 		return sourceBinder{
 			total: len(snap),
-			bind: func(m storage.Morsel) ([]*storage.Vector, int) {
-				v := &storage.Vector{Kind: types.Ptr, Ptr: snap[m.Start:m.End]}
-				return []*storage.Vector{v}, m.Rows()
+			bind: func(m storage.Morsel, views []*storage.Vector) int {
+				views[0].Kind, views[0].Ptr = types.Ptr, snap[m.Start:m.End]
+				return m.Rows()
 			},
 		}, nil
 	case *core.ExchangeRead:
@@ -693,10 +699,10 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 		return sourceBinder{
 			total:   total,
 			morsels: ms,
-			bind: func(m storage.Morsel) ([]*storage.Vector, int) {
+			bind: func(m storage.Morsel, views []*storage.Vector) int {
 				rows := s.State.PartitionRows(m.Start)
-				v := &storage.Vector{Kind: types.Ptr, Ptr: rows}
-				return []*storage.Vector{v}, len(rows)
+				views[0].Kind, views[0].Ptr = types.Ptr, rows
+				return len(rows)
 			},
 		}, nil
 	default:
@@ -715,59 +721,43 @@ func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx, budget *rt.MemBudget)
 		c := &ctxs[0].Counters
 		c.PartMaxPartRows = max(c.PartMaxPartRows, ex.MaxPartRows())
 	}
-	if len(pipe.MergeAggs) == 0 {
-		return nil
-	}
-	taken := make([]map[*rt.AggTableState]*rt.AggTable, len(ctxs))
-	for i, ctx := range ctxs {
-		taken[i] = ctx.TakeAggTables()
-	}
 	for _, fin := range pipe.MergeAggs {
 		if fin.State.Partitions > 0 {
 			// Exchange-partitioned build: the workers wrote straight into the
 			// shared partitioned table — there is nothing to merge. Only the
-			// keyless forced group (SQL: aggregates without GROUP BY produce
-			// one row even on empty input) needs the same treatment as below.
+			// keyless forced group needs the same treatment as below.
 			if fin.Keyless && fin.State.Parted.Groups() == 0 {
-				row := fin.State.Parted.FindOrCreate(nil, rt.Hash64(nil))
-				payload := row[rt.RowPayloadOff(row):]
-				for i := range payload {
-					payload[i] = 0
-				}
+				forceGroup(fin.State.Parted.FindOrCreate(nil, rt.Hash64(nil)))
 			}
 			continue
 		}
-		var parts []*rt.AggTable
-		for _, m := range taken {
-			if t, ok := m[fin.State]; ok {
-				parts = append(parts, t)
+		// The first worker table that was built becomes the global one and the
+		// others merge into it; the tables stay the worker contexts' to reset.
+		var global *rt.AggTable
+		for _, ctx := range ctxs {
+			switch part := ctx.BuiltAggTable(fin.State); {
+			case part == nil:
+			case global == nil:
+				global = part
+			default:
+				fin.State.MergeInto(global, part)
 			}
 		}
-		var global *rt.AggTable
-		switch len(parts) {
-		case 0:
+		if global == nil {
 			global = fin.State.NewInstance()
 			global.SetBudget(budget)
-		case 1:
-			global = parts[0]
-		default:
-			global = fin.State.NewInstance()
-			global.SetBudget(budget)
-			for _, p := range parts {
-				fin.State.MergeInto(global, p)
-			}
 		}
 		if fin.Keyless && global.Groups() == 0 {
-			// SQL semantics: aggregates without GROUP BY produce one row
-			// even on empty input. The forced group reads as zeros (stand-in
-			// for SQL NULL; MIN/MAX init sentinels must not leak out).
-			row := global.FindOrCreate(nil, rt.Hash64(nil))
-			payload := row[rt.RowPayloadOff(row):]
-			for i := range payload {
-				payload[i] = 0
-			}
+			forceGroup(global.FindOrCreate(nil, rt.Hash64(nil)))
 		}
 		fin.State.Global = global
 	}
 	return nil
+}
+
+// forceGroup zeroes the payload of the one group a keyless aggregation (SQL:
+// aggregates without GROUP BY) produces even on empty input: it reads as
+// zeros, the stand-in for SQL NULL — MIN/MAX init sentinels must not leak out.
+func forceGroup(row []byte) {
+	clear(row[rt.RowPayloadOff(row):])
 }

@@ -16,19 +16,21 @@ import (
 	"inkfuse/internal/vm"
 )
 
-// newRunner builds the backend runner for pipeline pi. pt is the pipeline's
-// execution trace (nil when tracing is off); only the hybrid runner records
-// into it directly, for the routing decisions the scheduler cannot observe.
-func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, reg *interp.Registry, bg *hybridCompile, pt *trace.Pipeline) (runner, error) {
+// newRunner builds the backend runner for pipeline pi over the pipeline's
+// buffers pb, which it fills in on the instance's first execution and finds
+// ready on later ones. pt is the pipeline's execution trace (nil when tracing
+// is off); only the hybrid runner records into it directly, for the routing
+// decisions the scheduler cannot observe.
+func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, reg *interp.Registry, bg *hybridCompile, pt *trace.Pipeline, pb *pipeBuffers) (runner, error) {
 	switch opts.Backend {
 	case BackendVectorized:
-		return newVectorizedRunner(pipe, opts, reg)
+		return newVectorizedRunner(pipe, opts, reg, pb)
 	case BackendCompiling:
 		return newCompilingRunner(ctx, pi, pipe, opts)
 	case BackendROF:
-		return newROFRunner(ctx, pi, pipe, opts)
+		return newROFRunner(ctx, pi, pipe, opts, pb)
 	case BackendHybrid:
-		return newHybridRunner(pipe, opts, reg, bg, pt)
+		return newHybridRunner(pipe, opts, reg, bg, pt, pb)
 	default:
 		return nil, fmt.Errorf("%w %v", ErrUnknownBackend, opts.Backend)
 	}
@@ -39,7 +41,6 @@ func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, r
 
 type vectorizedRunner struct {
 	runs      []*interp.Run
-	source    []*core.IU
 	chunkSize int
 	// scratch holds per-worker chunk views ([worker][col]), reused across
 	// chunks and morsels so the inner loop allocates nothing: consumers bind
@@ -50,19 +51,27 @@ type vectorizedRunner struct {
 	profs []*interp.Profile
 }
 
-func newVectorizedRunner(pipe *core.Pipeline, opts Options, reg *interp.Registry) (*vectorizedRunner, error) {
-	r := &vectorizedRunner{source: pipe.Source.SourceIUs(), chunkSize: opts.ChunkSize}
-	for w := 0; w < opts.Workers; w++ {
-		run, err := interp.NewRun(reg, r.source, pipe.Ops, pipe.Result)
-		if err != nil {
-			return nil, err
+func newVectorizedRunner(pipe *core.Pipeline, opts Options, reg *interp.Registry, pb *pipeBuffers) (*vectorizedRunner, error) {
+	source := pipe.Source.SourceIUs()
+	if pb.runs == nil {
+		runs := make([]*interp.Run, opts.Workers)
+		for w := range runs {
+			run, err := interp.NewRun(reg, source, pipe.Ops, pipe.Result)
+			if err != nil {
+				return nil, err
+			}
+			runs[w] = run
 		}
+		pb.runs = runs
+		pb.chunks = newVectorViews(opts.Workers, len(source))
+	}
+	r := &vectorizedRunner{runs: pb.runs, chunkSize: opts.ChunkSize, scratch: pb.chunks}
+	for _, run := range r.runs {
+		run.DisableProfile()
 		if opts.Profile {
 			r.profs = append(r.profs, run.EnableProfile(opts.ProfileEvery))
 		}
-		r.runs = append(r.runs, run)
 	}
-	r.scratch = newChunkScratch(opts.Workers, len(r.source))
 	return r, nil
 }
 
@@ -76,19 +85,6 @@ func (r *vectorizedRunner) profileInfo(fi *finishInfo) {
 	for _, p := range r.profs {
 		fi.profiledChunks += p.Sampled
 	}
-}
-
-// newChunkScratch pre-allocates the per-worker chunk-view headers the morsel
-// loops reslice in place.
-func newChunkScratch(workers, cols int) [][]*storage.Vector {
-	out := make([][]*storage.Vector, workers)
-	for w := range out {
-		out[w] = make([]*storage.Vector, cols)
-		for i := range out[w] {
-			out[w][i] = &storage.Vector{}
-		}
-	}
-	return out
 }
 
 //inkfuse:hotpath
@@ -162,7 +158,7 @@ type rofRunner struct {
 	scratch [][]*storage.Vector
 }
 
-func newROFRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options) (*rofRunner, error) {
+func newROFRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, pb *pipeBuffers) (*rofRunner, error) {
 	// Insert a prefetch suboperator before every probe and split there.
 	var ops []core.SubOp
 	for _, op := range pipe.Ops {
@@ -200,13 +196,16 @@ func newROFRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options
 		opts.Artifacts.noteCompile()
 		opts.Artifacts.storeROF(pi, r.steps)
 	}
-	r.bufs = make([][]*storage.Chunk, opts.Workers)
-	for w := range r.bufs {
-		for si := 0; si+1 < len(steps); si++ {
-			r.bufs[w] = append(r.bufs[w], storage.NewChunk(iuKinds(steps[si].emit)))
+	if pb.staging == nil {
+		pb.staging = make([][]*storage.Chunk, opts.Workers)
+		for w := range pb.staging {
+			for si := 0; si+1 < len(steps); si++ {
+				pb.staging[w] = append(pb.staging[w], storage.NewChunk(iuKinds(steps[si].emit)))
+			}
 		}
+		pb.chunks = newVectorViews(opts.Workers, len(pipe.Source.SourceIUs()))
 	}
-	r.scratch = newChunkScratch(opts.Workers, len(pipe.Source.SourceIUs()))
+	r.bufs, r.scratch = pb.staging, pb.chunks
 	return r, nil
 }
 
@@ -410,8 +409,8 @@ const hybridDecay = 0.3 // EWMA weight of the newest morsel
 // variable for the exploration-rate ablation.
 var HybridExploreEvery = 20
 
-func newHybridRunner(pipe *core.Pipeline, opts Options, reg *interp.Registry, bg *hybridCompile, pt *trace.Pipeline) (*hybridRunner, error) {
-	vec, err := newVectorizedRunner(pipe, opts, reg)
+func newHybridRunner(pipe *core.Pipeline, opts Options, reg *interp.Registry, bg *hybridCompile, pt *trace.Pipeline, pb *pipeBuffers) (*hybridRunner, error) {
+	vec, err := newVectorizedRunner(pipe, opts, reg, pb)
 	if err != nil {
 		return nil, err
 	}

@@ -224,7 +224,8 @@ type Run struct {
 	ops    []compiledOp
 	emit   []*core.IU
 
-	ws map[int]*storage.Vector // IU ID -> tuple-buffer column
+	ws   map[int]*storage.Vector // IU ID -> tuple-buffer column
+	cols []*storage.Vector       // the values of ws, for RetainedBytes to walk
 
 	outChunks []*storage.Chunk // per op, wrapping its outs' vectors
 	inVecs    [][]*storage.Vector
@@ -252,6 +253,19 @@ func (r *Run) EnableProfile(every int) *Profile {
 	}
 	r.prof = p
 	return p
+}
+
+// DisableProfile detaches the profiler: a Run kept for the next execution of
+// its plan instance must not carry the last one's.
+func (r *Run) DisableProfile() { r.prof = nil }
+
+// RetainedBytes returns the memory of the Run's tuple-buffer columns.
+func (r *Run) RetainedBytes() int64 {
+	var n int64
+	for _, v := range r.cols {
+		n += v.RetainedBytes()
+	}
+	return n
 }
 
 // DefaultProfileEvery is the default suboperator-profiler sampling period:
@@ -323,6 +337,9 @@ func NewRun(reg *Registry, source []*core.IU, ops []core.SubOp, emit []*core.IU)
 		r.emitVecs[i] = r.ws[iu.ID]
 	}
 	r.scanIn = make([]*storage.Vector, 1)
+	for _, v := range r.ws {
+		r.cols = append(r.cols, v)
+	}
 	return r, nil
 }
 

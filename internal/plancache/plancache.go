@@ -10,9 +10,14 @@
 // set). Plans embed per-run mutable state (join tables sealed per execution,
 // merged aggregate results) and artifacts close over exactly those state
 // objects, so instances are leased exclusively: Acquire pops an idle
-// instance, the caller patches parameters and executes, Put resets the run
+// instance, the caller patches parameters and executes, Put rewinds the run
 // state and returns it. Concurrent requests for the same fingerprint beyond
 // the pooled instances fall back to a fresh build and count as misses.
+//
+// The exclusive lease is also what lets an instance keep its execution state
+// — worker contexts, scratch rows, frames, hash-table memory — for its next
+// execution (exec.ArtifactSet, DESIGN.md §16): a hit re-executes on the
+// memory of the previous run.
 package plancache
 
 import (
@@ -34,12 +39,17 @@ type Prepared struct {
 	plan   *core.Plan
 	params *algebra.Params
 	arts   *exec.ArtifactSet
-	cost   int64
+	// reused records that the instance came out of the cache at least once:
+	// its shape recurs, so its execution state is worth keeping.
+	reused bool
+	// Cost of the idle instance as the cache accounts it: compiled artifacts
+	// and kept execution state, in bytes.
+	artCost, stateCost int64
 }
 
 // NewPrepared wraps a freshly built plan for insertion into a cache.
 func NewPrepared(fp core.Fingerprint, plan *core.Plan, params *algebra.Params) *Prepared {
-	return &Prepared{fp: fp, plan: plan, params: params, arts: exec.NewArtifactSet()}
+	return &Prepared{fp: fp, plan: plan, params: params, arts: exec.NewArtifactSet(plan)}
 }
 
 // Fingerprint returns the instance's cache key.
@@ -65,10 +75,14 @@ func (p *Prepared) Artifacts() *exec.ArtifactSet {
 type Config struct {
 	// MaxEntries bounds distinct fingerprints (LRU evicted). <= 0 means 64.
 	MaxEntries int
-	// MaxBytes bounds the summed artifact cost estimate across all cached
-	// instances; entries are LRU-evicted past it. Servers size this from the
-	// engine memory limit so the cache never crowds out query memory
-	// reservations. <= 0 means 64 MiB.
+	// MaxBytes bounds the cache's memory estimate: the compiled artifacts plus
+	// the execution state of all idle instances. Past it in artifacts alone,
+	// entries are LRU-evicted; an instance whose kept execution state would
+	// cross it is pooled without that state (its next execution runs cold, but
+	// still hits). Servers size this from the engine memory limit so the cache
+	// never crowds out query memory reservations. <= 0 means 256 MiB: an
+	// instance of a TPC-H shape keeps 3-14 MB of execution state, most of it
+	// the morsel-sized registers of its fused programs.
 	MaxBytes int64
 	// MaxInstances bounds pooled instances per fingerprint (concurrent
 	// same-shape executions beyond it build fresh and are dropped on Put).
@@ -82,7 +96,9 @@ type Stats struct {
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
+	// Bytes is the memory estimate of all idle instances: compiled artifacts
+	// plus kept execution state.
+	Bytes int64 `json:"bytes"`
 }
 
 type entry struct {
@@ -100,7 +116,10 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[core.Fingerprint]*entry
 	lru     *list.List // front = most recently used; values are *entry
-	bytes   int64
+	// Summed costs of the idle instances. LRU eviction looks at artBytes only:
+	// kept execution state is trimmed per instance in Put and never costs a
+	// shape its entry.
+	artBytes, stateBytes int64
 
 	hits, misses, evictions int64
 }
@@ -111,7 +130,7 @@ func New(cfg Config) *Cache {
 		cfg.MaxEntries = 64
 	}
 	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 64 << 20
+		cfg.MaxBytes = 256 << 20
 	}
 	if cfg.MaxInstances <= 0 {
 		cfg.MaxInstances = 4
@@ -134,23 +153,32 @@ func (c *Cache) Acquire(fp core.Fingerprint) *Prepared {
 	}
 	p := e.idle[len(e.idle)-1]
 	e.idle = e.idle[:len(e.idle)-1]
-	c.bytes -= p.cost
+	p.reused = true
+	c.artBytes -= p.artCost
+	c.stateBytes -= p.stateCost
 	c.lru.MoveToFront(e.lruElem)
 	c.hits++
 	metrics.Default.PlanCacheHit()
-	flight.Default.RecordStr(flight.KindPlanCacheHit, 0, fp.Hex(), p.cost, 0)
+	flight.Default.RecordStr(flight.KindPlanCacheHit, 0, fp.Hex(), p.artCost, 0)
 	return p
 }
 
 // Put returns an instance to the cache — both releasing a leased hit and
-// inserting a fresh miss build go through here. The instance's run state is
-// reset, its cost re-estimated (background compiles may have landed new
-// artifacts), and it is pooled unless its entry was evicted meanwhile or the
-// per-entry pool is full. Must only be called once no execution references
-// the instance.
+// inserting a fresh miss build go through here. The execution state of a
+// released hit is rewound in place (dropped after a failed execution, see
+// exec.ArtifactSet.Rewind); that of a miss build is dropped — most shapes of
+// ad-hoc traffic never come back, and one that does keeps its state from its
+// first hit on. The instance's cost is re-estimated (background compiles may
+// have landed new artifacts, buffers may have grown), and it is pooled unless
+// its entry was evicted meanwhile or the per-entry pool is full. Must only be
+// called once no execution references the instance.
 func (c *Cache) Put(p *Prepared) {
-	core.ResetPlanState(p.plan)
-	p.cost = p.arts.CostBytes()
+	if p.reused {
+		p.arts.Rewind()
+	} else {
+		p.arts.DropState()
+	}
+	p.artCost, p.stateCost = p.arts.ArtifactBytes(), p.arts.StateBytes()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,8 +190,15 @@ func (c *Cache) Put(p *Prepared) {
 	} else if e.evicted || len(e.idle) >= c.cfg.MaxInstances {
 		return
 	}
+	if c.artBytes+c.stateBytes+p.artCost+p.stateCost > c.cfg.MaxBytes {
+		// Over the bound with this instance's execution state: pool it
+		// without. The shape keeps hitting, on a cold instance.
+		p.arts.DropState()
+		p.stateCost = 0
+	}
 	e.idle = append(e.idle, p)
-	c.bytes += p.cost
+	c.artBytes += p.artCost
+	c.stateBytes += p.stateCost
 	c.lru.MoveToFront(e.lruElem)
 	c.evict()
 }
@@ -172,13 +207,14 @@ func (c *Cache) Put(p *Prepared) {
 // instances are untracked while out; an evicted entry's stragglers are
 // dropped at Put via the evicted flag.
 func (c *Cache) evict() {
-	for (len(c.entries) > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) && c.lru.Len() > 1 {
+	for (len(c.entries) > c.cfg.MaxEntries || c.artBytes > c.cfg.MaxBytes) && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		e := back.Value.(*entry)
 		var freed int64
 		for _, p := range e.idle {
-			c.bytes -= p.cost
-			freed += p.cost
+			c.artBytes -= p.artCost
+			c.stateBytes -= p.stateCost
+			freed += p.artCost + p.stateCost
 		}
 		flight.Default.RecordStr(flight.KindPlanCacheEvict, 0, e.fp.Hex(), freed, 0)
 		e.idle = nil
@@ -196,6 +232,6 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.entries), Bytes: c.bytes,
+		Entries: len(c.entries), Bytes: c.artBytes + c.stateBytes,
 	}
 }

@@ -51,12 +51,59 @@ func NewAggTable(payloadInit []byte, shardCount int) *AggTable {
 		shardMask:   uint64(sc - 1),
 	}
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.buckets = make([]int32, 64)
-		s.mask = 63
-		s.arena = NewArena(0)
+		t.shards[i].init()
 	}
 	return t
+}
+
+// aggInitBuckets is a shard's bucket count before its first growth; the
+// initial array is not charged to a budget.
+const aggInitBuckets = 64
+
+func (s *aggShard) init() {
+	s.buckets = make([]int32, aggInitBuckets)
+	s.mask = aggInitBuckets - 1
+	s.arena = NewArena(0)
+}
+
+// reset empties the shard in place: entry lists truncated, the arena rewound,
+// the budget detached, and the bucket array back at its initial *logical*
+// size with its capacity kept — growTo re-extends into that capacity and
+// charges the same deltas a fresh shard would, so a reused table meets a
+// memory budget at the same insert a new one does. Groups re-inserted in the
+// same order land in the same entry order: Snapshot walks entries, not
+// buckets.
+func (s *aggShard) reset() {
+	s.buckets = s.buckets[:aggInitBuckets]
+	clear(s.buckets)
+	s.mask = aggInitBuckets - 1
+	s.hashes = s.hashes[:0]
+	s.rows = s.rows[:0]
+	s.arena.Reset()
+	s.budget = nil
+	s.resizes = 0
+}
+
+func (s *aggShard) retainedBytes() int64 {
+	return s.arena.RetainedBytes() + int64(cap(s.buckets))*4 +
+		int64(cap(s.hashes))*8 + int64(cap(s.rows))*sliceHeaderBytes
+}
+
+// Reset empties the table in place, keeping its memory for the next execution
+// of the owning plan instance. Not safe for concurrent use.
+func (t *AggTable) Reset() {
+	for i := range t.shards {
+		t.shards[i].reset()
+	}
+}
+
+// RetainedBytes returns the memory the table holds on to across Reset.
+func (t *AggTable) RetainedBytes() int64 {
+	var n int64
+	for i := range t.shards {
+		n += t.shards[i].retainedBytes()
+	}
+	return n
 }
 
 // FindOrCreate returns the packed row for the key, creating and initializing
@@ -87,9 +134,6 @@ func (t *AggTable) FindOrCreateSeed(key []byte, h uint64, seed []byte) []byte {
 // SetBudget charges this table's future allocations (arena blocks, entry and
 // bucket bookkeeping) to the query budget. Call before inserting.
 func (t *AggTable) SetBudget(b *MemBudget) {
-	if b == nil {
-		return
-	}
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.budget = b
@@ -128,7 +172,9 @@ func (s *aggShard) grow() { s.growTo(uint64(2 * len(s.buckets))) }
 func (s *aggShard) growTo(size uint64) {
 	s.resizes++
 	s.budget.Charge((int64(size) - int64(len(s.buckets))) * 4) // charge the delta
-	nb := make([]int32, size)
+	// Rehashing reads s.hashes, not the old buckets, so the array may grow in
+	// place into capacity an earlier execution left behind.
+	nb := zeroed(s.buckets, int(size))
 	mask := size - 1
 	for e, h := range s.hashes {
 		i := h & mask
@@ -206,9 +252,25 @@ func (t *AggTable) Resizes() int64 {
 // Snapshot returns all group rows. Called once the build pipeline finished;
 // the result backs the morsels of the aggregate-reading pipeline.
 func (t *AggTable) Snapshot() [][]byte {
-	out := make([][]byte, 0, t.Groups())
+	return t.AppendRows(make([][]byte, 0, t.Groups()))
+}
+
+// AppendRows appends all group rows to dst, shard by shard in entry
+// (insertion) order, and returns it.
+func (t *AggTable) AppendRows(dst [][]byte) [][]byte {
 	for i := range t.shards {
-		out = append(out, t.shards[i].rows...)
+		dst = append(dst, t.shards[i].rows...)
 	}
-	return out
+	return dst
+}
+
+// zeroed returns a zeroed slice of length n, reusing s's capacity when it
+// suffices.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -64,9 +64,6 @@ func (t *JoinTable) ShardCount() int { return len(t.shards) }
 // bookkeeping, seal-time bucket arrays) to the query budget. Call before the
 // build pipeline inserts.
 func (t *JoinTable) SetBudget(b *MemBudget) {
-	if b == nil {
-		return
-	}
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.budget = b
@@ -97,9 +94,18 @@ func (t *JoinTable) Insert(key, payload []byte, h uint64) {
 // filter. Must be called after the build pipeline completes and before any
 // Lookup.
 func (t *JoinTable) Seal() {
+	t.filter, t.fmask = sealShards(t.shards, t.filter)
+	t.sealed = true
+}
+
+// sealShards chains every shard's entries into buckets and builds the shared
+// bloom/tag filter over all of them — the seal step of the sharded and the
+// partitioned join table alike. Bucket, chain and filter arrays reuse the
+// capacity an earlier execution left behind and are charged as if new.
+func sealShards(shards []joinShard, filter []byte) ([]byte, uint64) {
 	total := 0
-	for i := range t.shards {
-		s := &t.shards[i]
+	for i := range shards {
+		s := &shards[i]
 		n := len(s.rows)
 		total += n
 		cap := uint64(16)
@@ -107,8 +113,8 @@ func (t *JoinTable) Seal() {
 			cap <<= 1
 		}
 		s.budget.Charge(int64(cap)*4 + int64(n)*4)
-		s.buckets = make([]int32, cap)
-		s.next = make([]int32, n)
+		s.buckets = zeroed(s.buckets, int(cap))
+		s.next = zeroed(s.next, n)
 		s.mask = cap - 1
 		for e := 0; e < n; e++ {
 			i := s.hashes[e] & s.mask
@@ -120,15 +126,51 @@ func (t *JoinTable) Seal() {
 	for fcap < uint64(2*total) && fcap < maxBloomBytes {
 		fcap <<= 1
 	}
-	t.shards[0].budget.Charge(int64(fcap))
-	t.filter = make([]byte, fcap)
-	t.fmask = fcap - 1
-	for i := range t.shards {
-		for _, h := range t.shards[i].hashes {
-			t.filter[(h>>16)&t.fmask] |= bloomTag(h)
+	shards[0].budget.Charge(int64(fcap))
+	filter = zeroed(filter, int(fcap))
+	fmask := fcap - 1
+	for i := range shards {
+		for _, h := range shards[i].hashes {
+			filter[(h>>16)&fmask] |= bloomTag(h)
 		}
 	}
-	t.sealed = true
+	return filter, fmask
+}
+
+// reset empties the shard in place, keeping entry, bucket and chain capacity
+// and the arena's blocks; the budget is detached.
+func (s *joinShard) reset() {
+	s.rows = s.rows[:0]
+	s.hashes = s.hashes[:0]
+	s.buckets = s.buckets[:0]
+	s.next = s.next[:0]
+	s.mask = 0
+	s.arena.Reset()
+	s.budget = nil
+}
+
+func (s *joinShard) retainedBytes() int64 {
+	return s.arena.RetainedBytes() + int64(cap(s.rows))*sliceHeaderBytes +
+		int64(cap(s.hashes))*8 + int64(cap(s.buckets)+cap(s.next))*4
+}
+
+// Reset empties the table in place, unsealed, keeping its memory for the next
+// execution of the owning plan instance. Not safe for concurrent use.
+func (t *JoinTable) Reset() {
+	for i := range t.shards {
+		t.shards[i].reset()
+	}
+	t.filter = t.filter[:0]
+	t.sealed = false
+}
+
+// RetainedBytes returns the memory the table holds on to across Reset.
+func (t *JoinTable) RetainedBytes() int64 {
+	n := int64(cap(t.filter))
+	for i := range t.shards {
+		n += t.shards[i].retainedBytes()
+	}
+	return n
 }
 
 // maxBloomBytes caps the filter at 64 MiB; past that the tag density is low

@@ -72,6 +72,26 @@ func NewLocalAggTable(st *AggTableState, backing *AggTable) *LocalAggTable {
 	}
 }
 
+// Reset readies the table for another pipeline run over the same backing
+// table: any resident groups are dropped unmerged (a completed run has
+// flushed them already) and the adaptive policy starts over, as it does for a
+// newly created table.
+func (l *LocalAggTable) Reset() {
+	if len(l.rows) > 0 {
+		clear(l.buckets)
+	}
+	*l = LocalAggTable{
+		st: l.st, backing: l.backing,
+		buckets: l.buckets, hashes: l.hashes[:0], rows: l.rows[:0], buf: l.buf[:0],
+	}
+}
+
+// RetainedBytes returns the table's (fixed) buffer memory.
+func (l *LocalAggTable) RetainedBytes() int64 {
+	return int64(cap(l.buckets))*4 + int64(cap(l.hashes))*8 +
+		int64(cap(l.rows))*sliceHeaderBytes + int64(cap(l.buf))
+}
+
 // Disabled reports whether the adaptive policy has turned the table off;
 // callers then route whole chunks straight to the backing batched path.
 func (l *LocalAggTable) Disabled() bool { return l.disabled }
@@ -175,9 +195,7 @@ func (l *LocalAggTable) drain() int64 {
 			drow := l.backing.FindOrCreateSeed(key, l.hashes[ri], seed)
 			l.st.mergePayload(drow, row)
 		}
-		for i := range l.buckets {
-			l.buckets[i] = 0
-		}
+		clear(l.buckets)
 		l.hashes = l.hashes[:0]
 		l.rows = l.rows[:0]
 		l.buf = l.buf[:0]

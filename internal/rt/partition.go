@@ -68,11 +68,9 @@ type ExchangeWriter struct {
 
 // SetBudget charges all future routing-buffer allocations to the query
 // budget. Call before the routing pipeline runs; writers created afterwards
-// inherit it.
+// inherit it, and writers retained from an earlier execution pay for their
+// arena blocks again as they refill them.
 func (s *ExchangeState) SetBudget(b *MemBudget) {
-	if b == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.budget = b
@@ -94,9 +92,7 @@ func (s *ExchangeState) NewWriter() *ExchangeWriter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w.arena.SetBudget(s.budget)
-	if s.budget != nil {
-		s.budget.Charge(int64(p) * 24) // per-partition slice headers
-	}
+	s.budget.Charge(int64(p) * sliceHeaderBytes) // per-partition slice headers
 	s.writers = append(s.writers, w)
 	return w
 }
@@ -118,7 +114,8 @@ func (w *ExchangeWriter) Route(row []byte, h uint64) {
 // routing pipeline finalizes; within a partition rows keep worker order, and
 // worker registration order is scheduler-determined but irrelevant to the
 // downstream build (partitioned table contents are order-insensitive for
-// aggregation and sealed per-partition for joins).
+// aggregation and sealed per-partition for joins). The row lists reuse the
+// capacity an earlier execution left behind and are charged as if new.
 func (s *ExchangeState) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -126,8 +123,10 @@ func (s *ExchangeState) Seal() {
 		return
 	}
 	p := NormalizePartitions(s.Partitions)
-	s.parts = make([][][]byte, p)
-	s.partRows = make([]int64, p)
+	if len(s.parts) != p {
+		s.parts = make([][][]byte, p)
+		s.partRows = make([]int64, p)
+	}
 	s.routed = 0
 	for pi := 0; pi < p; pi++ {
 		n := 0
@@ -136,10 +135,11 @@ func (s *ExchangeState) Seal() {
 				n += len(w.rows[pi])
 			}
 		}
-		if s.budget != nil {
-			s.budget.Charge(int64(n) * 24)
+		s.budget.Charge(int64(n) * sliceHeaderBytes)
+		part := s.parts[pi][:0]
+		if cap(part) < n {
+			part = make([][]byte, 0, n)
 		}
-		part := make([][]byte, 0, n)
 		for _, w := range s.writers {
 			if pi < len(w.rows) {
 				part = append(part, w.rows[pi]...)
@@ -178,9 +178,32 @@ func (s *ExchangeState) MaxPartRows() int64 {
 	return m
 }
 
-// Reset drops all routed rows and writers, making the owning plan reusable
-// for another execution.
+// Reset empties the exchange in place, unsealed, making the owning plan
+// reusable for another execution: the registered writers stay (the worker
+// contexts that own them are kept alongside, DESIGN.md §16) with their arenas
+// rewound, and the per-partition row lists keep their capacity.
 func (s *ExchangeState) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.budget = nil
+	s.sealed = false
+	s.routed = 0
+	for _, w := range s.writers {
+		for i := range w.rows {
+			w.rows[i] = w.rows[i][:0]
+		}
+		w.arena.Reset()
+	}
+	for i := range s.parts {
+		s.parts[i] = s.parts[i][:0]
+	}
+	clear(s.partRows)
+}
+
+// Drop releases all routed rows, writers and their memory; the next execution
+// starts from an empty exchange. The worker contexts holding the old writers
+// must be dropped with it.
+func (s *ExchangeState) Drop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.budget = nil
@@ -189,6 +212,23 @@ func (s *ExchangeState) Reset() {
 	s.parts = nil
 	s.partRows = nil
 	s.routed = 0
+}
+
+// RetainedBytes returns the memory the exchange holds on to across Reset.
+func (s *ExchangeState) RetainedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, w := range s.writers {
+		n += w.arena.RetainedBytes()
+		for _, rows := range w.rows {
+			n += int64(cap(rows)) * sliceHeaderBytes
+		}
+	}
+	for _, part := range s.parts {
+		n += int64(cap(part)) * sliceHeaderBytes
+	}
+	return n
 }
 
 // PartitionedAggTable is the exchange-side aggregation table: one unsharded,
@@ -212,10 +252,7 @@ func NewPartitionedAggTable(payloadInit []byte, partitions int) *PartitionedAggT
 		pmask:       uint64(p - 1),
 	}
 	for i := range t.parts {
-		s := &t.parts[i]
-		s.buckets = make([]int32, 64)
-		s.mask = 63
-		s.arena = NewArena(0)
+		t.parts[i].init()
 	}
 	return t
 }
@@ -223,11 +260,25 @@ func NewPartitionedAggTable(payloadInit []byte, partitions int) *PartitionedAggT
 // Partitions returns the partition count (power of two).
 func (t *PartitionedAggTable) Partitions() int { return len(t.parts) }
 
+// Reset empties the table in place, keeping its memory for the next execution
+// of the owning plan instance.
+func (t *PartitionedAggTable) Reset() {
+	for i := range t.parts {
+		t.parts[i].reset()
+	}
+}
+
+// RetainedBytes returns the memory the table holds on to across Reset.
+func (t *PartitionedAggTable) RetainedBytes() int64 {
+	var n int64
+	for i := range t.parts {
+		n += t.parts[i].retainedBytes()
+	}
+	return n
+}
+
 // SetBudget charges this table's future allocations to the query budget.
 func (t *PartitionedAggTable) SetBudget(b *MemBudget) {
-	if b == nil {
-		return
-	}
 	for i := range t.parts {
 		s := &t.parts[i]
 		s.budget = b
@@ -289,15 +340,14 @@ func (t *PartitionedAggTable) Resizes() int64 {
 	return n
 }
 
-// Snapshot returns all group rows in partition order. Called once the build
-// pipeline finished; the result backs the morsels of the aggregate-reading
-// pipeline.
-func (t *PartitionedAggTable) Snapshot() [][]byte {
-	out := make([][]byte, 0, t.Groups())
+// AppendRows appends all group rows to dst, partition by partition in entry
+// (insertion) order, and returns it. Called once the build pipeline finished;
+// the result backs the morsels of the aggregate-reading pipeline.
+func (t *PartitionedAggTable) AppendRows(dst [][]byte) [][]byte {
 	for i := range t.parts {
-		out = append(out, t.parts[i].rows...)
+		dst = append(dst, t.parts[i].rows...)
 	}
-	return out
+	return dst
 }
 
 // PartitionedJoinTable is the exchange-side join table: one unsharded part
@@ -329,9 +379,6 @@ func (t *PartitionedJoinTable) Partitions() int { return len(t.parts) }
 
 // SetBudget charges this table's future allocations to the query budget.
 func (t *PartitionedJoinTable) SetBudget(b *MemBudget) {
-	if b == nil {
-		return
-	}
 	for i := range t.parts {
 		s := &t.parts[i]
 		s.budget = b
@@ -369,38 +416,27 @@ func (t *PartitionedJoinTable) InsertBatch(keys, payloads [][]byte, hashes []uin
 // Seal builds per-partition bucket arrays and the shared bloom/tag filter.
 // Must be called after the build pipeline completes and before any Lookup.
 func (t *PartitionedJoinTable) Seal() {
-	total := 0
-	for i := range t.parts {
-		s := &t.parts[i]
-		n := len(s.rows)
-		total += n
-		cap := uint64(16)
-		for cap < uint64(2*n) {
-			cap <<= 1
-		}
-		s.budget.Charge(int64(cap)*4 + int64(n)*4)
-		s.buckets = make([]int32, cap)
-		s.next = make([]int32, n)
-		s.mask = cap - 1
-		for e := 0; e < n; e++ {
-			i := s.hashes[e] & s.mask
-			s.next[e] = s.buckets[i]
-			s.buckets[i] = int32(e + 1)
-		}
-	}
-	fcap := uint64(64)
-	for fcap < uint64(2*total) && fcap < maxBloomBytes {
-		fcap <<= 1
-	}
-	t.parts[0].budget.Charge(int64(fcap))
-	t.filter = make([]byte, fcap)
-	t.fmask = fcap - 1
-	for i := range t.parts {
-		for _, h := range t.parts[i].hashes {
-			t.filter[(h>>16)&t.fmask] |= bloomTag(h)
-		}
-	}
+	t.filter, t.fmask = sealShards(t.parts, t.filter)
 	t.sealed = true
+}
+
+// Reset empties the table in place, unsealed, keeping its memory for the next
+// execution of the owning plan instance.
+func (t *PartitionedJoinTable) Reset() {
+	for i := range t.parts {
+		t.parts[i].reset()
+	}
+	t.filter = t.filter[:0]
+	t.sealed = false
+}
+
+// RetainedBytes returns the memory the table holds on to across Reset.
+func (t *PartitionedJoinTable) RetainedBytes() int64 {
+	n := int64(cap(t.filter))
+	for i := range t.parts {
+		n += t.parts[i].retainedBytes()
+	}
+	return n
 }
 
 // MayContain consults the shared bloom/tag filter. The table must be sealed.

@@ -1,0 +1,232 @@
+package rt
+
+// Reset-in-place (DESIGN.md §16): a table emptied with Reset must be
+// indistinguishable from a new one — same rows in the same order, same budget
+// charges — while holding on to its memory.
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
+
+func TestArenaResetReusesBlocksAndRecharges(t *testing.T) {
+	a := NewArena(128)
+	fill := func() int64 {
+		b := NewMemBudget(0)
+		a.SetBudget(b)
+		for i := 0; i < 50; i++ {
+			copy(a.Alloc(10), "0123456789")
+		}
+		return b.Used()
+	}
+	cold := fill()
+	kept := a.RetainedBytes()
+	if cold != kept || kept == 0 {
+		t.Fatalf("cold fill charged %d, arena holds %d", cold, kept)
+	}
+	a.Reset()
+	if a.Used() != 0 {
+		t.Fatalf("used = %d after Reset", a.Used())
+	}
+	if warm := fill(); warm != cold {
+		t.Fatalf("warm fill charged %d, cold %d", warm, cold)
+	}
+	if a.RetainedBytes() != kept {
+		t.Fatalf("warm fill grew the arena: %d -> %d", kept, a.RetainedBytes())
+	}
+}
+
+// buildAgg inserts n keys (every third one twice) and returns the budget
+// charge of the build.
+func buildAgg(tbl *AggTable, n int) int64 {
+	b := NewMemBudget(0)
+	tbl.SetBudget(b)
+	for i := 0; i < n; i++ {
+		k := i64Key(int64(i * 7919 % n))
+		row := tbl.FindOrCreate(k, Hash64(k))
+		off := RowPayloadOff(row)
+		PutI64(row, off, GetI64(row, off)+1)
+	}
+	return b.Used()
+}
+
+func TestAggTableResetMatchesFresh(t *testing.T) {
+	init := make([]byte, 8)
+	warm := NewAggTable(init, 4)
+	buildAgg(warm, 5000)
+	kept := warm.RetainedBytes()
+	// Smaller, equal and larger than what the kept capacity was built for.
+	for _, n := range []int{300, 5000, 9000} {
+		warm.Reset()
+		if warm.Groups() != 0 {
+			t.Fatalf("n=%d: %d groups after Reset", n, warm.Groups())
+		}
+		fresh := NewAggTable(init, 4)
+		wantCharge := buildAgg(fresh, n)
+		if got := buildAgg(warm, n); got != wantCharge {
+			t.Fatalf("n=%d: reset table charged %d, fresh %d", n, got, wantCharge)
+		}
+		// Snapshots walk entries in insertion order, not buckets, so the two
+		// agree row for row even though the bucket arrays differ in capacity.
+		got, want := warm.Snapshot(), fresh.Snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d groups, fresh %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("n=%d: group %d differs from a fresh table's", n, i)
+			}
+		}
+		if n <= 5000 && warm.RetainedBytes() != kept {
+			t.Fatalf("n=%d: rebuild within capacity changed kept memory %d -> %d", n, kept, warm.RetainedBytes())
+		}
+	}
+}
+
+// buildJoin inserts n rows (keys repeat every n/2), seals, and returns the
+// budget charge.
+func buildJoin(tbl *JoinTable, n int) int64 {
+	b := NewMemBudget(0)
+	tbl.SetBudget(b)
+	for i := 0; i < n; i++ {
+		k := i64Key(int64(i % (n/2 + 1)))
+		tbl.Insert(k, []byte(fmt.Sprintf("p%d", i)), Hash64(k))
+	}
+	tbl.Seal()
+	return b.Used()
+}
+
+func TestJoinTableResetMatchesFresh(t *testing.T) {
+	warm := NewJoinTable(4)
+	buildJoin(warm, 4000)
+	kept := warm.RetainedBytes()
+	for _, n := range []int{100, 4000, 7000} {
+		warm.Reset()
+		if warm.Rows() != 0 {
+			t.Fatalf("n=%d: %d rows after Reset", n, warm.Rows())
+		}
+		fresh := NewJoinTable(4)
+		wantCharge := buildJoin(fresh, n)
+		if got := buildJoin(warm, n); got != wantCharge {
+			t.Fatalf("n=%d: reset table charged %d, fresh %d", n, got, wantCharge)
+		}
+		for key := int64(-1); key <= int64(n/2+1); key++ {
+			k := i64Key(key)
+			h := Hash64(k)
+			if warm.MayContain(h) != fresh.MayContain(h) {
+				t.Fatalf("n=%d key %d: filters disagree", n, key)
+			}
+			wi, fi := warm.Lookup(k, h), fresh.Lookup(k, h)
+			for {
+				w, f := wi.Next(), fi.Next()
+				if !bytes.Equal(w, f) {
+					t.Fatalf("n=%d key %d: match %q, fresh %q", n, key, w, f)
+				}
+				if f == nil {
+					break
+				}
+			}
+		}
+		if n <= 4000 && warm.RetainedBytes() != kept {
+			t.Fatalf("n=%d: rebuild within capacity changed kept memory %d -> %d", n, kept, warm.RetainedBytes())
+		}
+	}
+}
+
+func TestLocalAggResetStartsOver(t *testing.T) {
+	st := &AggTableState{Init: make([]byte, 8), Shards: 4, Merge: []AggMerge{{Op: MergeSumI64}}}
+	l := NewLocalAggTable(st, st.NewInstance())
+	// Non-repeating keys past the warm-up: the adaptive policy turns it off.
+	for i := 0; i < 2*localAggMinProbes; i++ {
+		k := i64Key(int64(i))
+		l.FindOrCreate(k, Hash64(k), nil)
+	}
+	l.Flush()
+	if !l.Disabled() {
+		t.Fatal("non-repeating keys should disable the table")
+	}
+	l.Reset()
+	if l.Disabled() || l.Hits() != 0 {
+		t.Fatal("Reset must restart the adaptive policy")
+	}
+	k := i64Key(1)
+	if _, hit, ok := l.FindOrCreate(k, Hash64(k), nil); !ok || hit {
+		t.Fatalf("first lookup after Reset: hit=%v ok=%v", hit, ok)
+	}
+	if _, hit, ok := l.FindOrCreate(k, Hash64(k), nil); !ok || !hit {
+		t.Fatalf("second lookup after Reset: hit=%v ok=%v", hit, ok)
+	}
+}
+
+func TestExchangeResetKeepsWritersAndCharges(t *testing.T) {
+	st := &ExchangeState{Partitions: 4}
+	route := func(w *ExchangeWriter) int64 {
+		b := NewMemBudget(0)
+		st.SetBudget(b)
+		if w == nil {
+			w = st.NewWriter()
+		}
+		for i := 0; i < 3000; i++ {
+			row := i64Key(int64(i))
+			w.Route(row, Hash64(row))
+		}
+		st.Seal()
+		return b.Used()
+	}
+	cold := route(nil)
+	rows := func() (n int) {
+		for p := 0; p < 4; p++ {
+			n += len(st.PartitionRows(p))
+		}
+		return n
+	}
+	if rows() != 3000 || st.Routed() != 3000 {
+		t.Fatalf("routed %d rows, sealed %d", st.Routed(), rows())
+	}
+	kept := st.RetainedBytes()
+	w := st.writers[0]
+	st.Reset()
+	if st.Sealed() || rows() != 0 {
+		t.Fatal("Reset must unseal and empty the exchange")
+	}
+	// The writer's registration (cold: a charge of its slice headers) stays.
+	if warm := route(w); warm != cold-4*sliceHeaderBytes {
+		t.Fatalf("warm routing charged %d, cold %d", warm, cold)
+	}
+	if rows() != 3000 || st.RetainedBytes() != kept {
+		t.Fatalf("warm routing: %d rows, kept memory %d -> %d", rows(), kept, st.RetainedBytes())
+	}
+}
+
+func TestRowScratchStrideFollowsStrings(t *testing.T) {
+	s := NewRowScratch(8, 8)
+	check := func(n int, str string) {
+		t.Helper()
+		s.Prepare(n)
+		for i := 0; i < n; i++ {
+			PutI64(s.Row(i), 4, int64(i))
+			s.AppendKeyString(i, str)
+			s.SealKey(i)
+			PutI64(s.Row(i), s.PayloadOff(i), int64(-i))
+		}
+		for i := 0; i < n; i++ {
+			r := s.Row(i)
+			if GetI64(r, 4) != int64(i) || GetString(r, 12) != str || GetI64(r, RowPayloadOff(r)) != int64(-i) {
+				t.Fatalf("n=%d row %d corrupted: %x", n, i, r)
+			}
+		}
+	}
+	check(100, "spills past the fixed-width stride")
+	slab := cap(s.slab)
+	check(100, "spills past the fixed-width stride")
+	if cap(s.slab) <= slab {
+		t.Fatal("the stride did not widen after rows spilled")
+	}
+	slab = cap(s.slab)
+	check(100, "fits")
+	check(100, "spills past the fixed-width stride")
+	if cap(s.slab) != slab {
+		t.Fatal("rows that fit the widened stride regrew the slab")
+	}
+}

@@ -101,20 +101,42 @@ type AggTableState struct {
 
 	Global *AggTable            // set by the scheduler after merging
 	Parted *PartitionedAggTable // set by the scheduler before a partitioned build
+
+	snap [][]byte // Snapshot's row list, reused across executions
 }
 
-// Reset drops the merged result and the per-run size hint, making the owning
-// plan reusable for another execution. Partitioned states get a fresh empty
-// partitioned table (mirroring JoinTableState.Reset): the table instance is
-// wired into the plan before execution, not created by the scheduler.
+// Reset makes the owning plan reusable for another execution: the merged
+// result pointer and the per-run size hint are cleared, and a partitioned
+// table — wired into the plan before execution, not created by the scheduler
+// — is emptied in place, keeping its memory (DESIGN.md §16). Per-worker
+// instances, one of which Global points at, belong to the worker contexts and
+// are reset with them.
 func (s *AggTableState) Reset() {
 	s.Global = nil
+	s.SizeHint = 0
+	if s.Parted != nil {
+		s.Parted.Reset()
+	}
+}
+
+// Drop is Reset without keeping memory: a partitioned state gets a fresh empty
+// table.
+func (s *AggTableState) Drop() {
+	s.Global = nil
+	s.SizeHint = 0
+	s.snap = nil
 	if s.Partitions > 0 {
 		s.Parted = NewPartitionedAggTable(s.Init, s.Partitions)
-	} else {
-		s.Parted = nil
 	}
-	s.SizeHint = 0
+}
+
+// RetainedBytes returns the memory the state holds on to across Reset.
+func (s *AggTableState) RetainedBytes() int64 {
+	n := int64(cap(s.snap)) * sliceHeaderBytes
+	if s.Parted != nil {
+		n += s.Parted.RetainedBytes()
+	}
+	return n
 }
 
 // Ready reports whether the build produced a readable table (the AggRead
@@ -122,12 +144,15 @@ func (s *AggTableState) Reset() {
 func (s *AggTableState) Ready() bool { return s.Global != nil || s.Parted != nil }
 
 // Snapshot returns all group rows of the built table, whichever variant the
-// execution produced.
+// execution produced, in entry (insertion) order per shard. The list is valid
+// until the state is reset.
 func (s *AggTableState) Snapshot() [][]byte {
 	if s.Parted != nil {
-		return s.Parted.Snapshot()
+		s.snap = s.Parted.AppendRows(s.snap[:0])
+	} else {
+		s.snap = s.Global.AppendRows(s.snap[:0])
 	}
-	return s.Global.Snapshot()
+	return s.snap
 }
 
 // Groups returns the number of groups in the built table.
@@ -151,11 +176,13 @@ func (s *AggTableState) NewInstance() *AggTable {
 // extras beyond the init template (preserved original key strings, §IV-D
 // collations) are carried over from the source group.
 func (s *AggTableState) MergeInto(dst, src *AggTable) {
-	for _, row := range src.Snapshot() {
-		key := RowKey(row)
-		seed := row[RowPayloadOff(row)+len(s.Init):]
-		drow := dst.FindOrCreateSeed(key, Hash64(key), seed)
-		s.mergePayload(drow, row)
+	for i := range src.shards {
+		for _, row := range src.shards[i].rows {
+			key := RowKey(row)
+			seed := row[RowPayloadOff(row)+len(s.Init):]
+			drow := dst.FindOrCreateSeed(key, Hash64(key), seed)
+			s.mergePayload(drow, row)
+		}
 	}
 }
 
@@ -197,14 +224,32 @@ type JoinTableState struct {
 	Parted     *PartitionedJoinTable
 }
 
-// Reset replaces the sealed table with a fresh empty one of the same layout,
-// making the owning plan reusable for another execution.
+// Reset empties the active table variant in place, unsealed, keeping its
+// memory: the owning plan is reusable for another execution (DESIGN.md §16).
 func (s *JoinTableState) Reset() {
+	if s.Parted != nil {
+		s.Parted.Reset()
+		return
+	}
+	s.Table.Reset()
+}
+
+// Drop replaces the table with a fresh empty one of the same layout,
+// releasing the old one's memory.
+func (s *JoinTableState) Drop() {
 	if s.Partitions > 0 {
 		s.Parted = NewPartitionedJoinTable(s.Partitions)
 		return
 	}
 	s.Table = NewJoinTable(s.Table.ShardCount())
+}
+
+// RetainedBytes returns the memory the state holds on to across Reset.
+func (s *JoinTableState) RetainedBytes() int64 {
+	if s.Parted != nil {
+		return s.Parted.RetainedBytes()
+	}
+	return s.Table.RetainedBytes()
 }
 
 // Index returns the probe-side surface of whichever table variant this state

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -83,9 +85,10 @@ type Config struct {
 	// PlanCacheEntries bounds distinct query shapes in the plan/artifact
 	// cache (0 = 64; negative disables caching entirely).
 	PlanCacheEntries int
-	// PlanCacheBytes bounds the cache's summed artifact cost. 0 derives the
-	// bound from MemLimit (MemLimit/8, so cached artifacts never crowd out
-	// query memory reservations) or falls back to the plancache default.
+	// PlanCacheBytes bounds the cache's memory estimate: compiled artifacts
+	// plus the execution state idle instances keep. 0 derives the bound from
+	// MemLimit (MemLimit/8, so the cache never crowds out query memory
+	// reservations) or falls back to the plancache default.
 	PlanCacheBytes int64
 	// MaxPrepared caps registered prepared statements (0 = 4096).
 	MaxPrepared int
@@ -658,8 +661,15 @@ func (s *Server) handleClosePrepared(w http.ResponseWriter, r *http.Request) {
 func renderRow(c *storage.Chunk, i int) []any {
 	row := c.Row(i)
 	for j, col := range c.Cols {
-		if col.Kind == types.Date {
+		switch col.Kind {
+		case types.Date:
 			row[j] = types.DateString(col.I32[i])
+		case types.Float64:
+			// JSON has no NaN or ±Inf (a global avg/min/max over zero rows
+			// computes them); null is SQL's answer there anyway.
+			if v := col.F64[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+				row[j] = nil
+			}
 		}
 	}
 	return row
@@ -730,7 +740,7 @@ func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
 		arts := prep.Artifacts()
 		e.Compiles = arts.Compiles()
 		e.ArtifactsReused = int64(arts.FusedPipelines())
-		e.ArtifactBytes = arts.CostBytes()
+		e.ArtifactBytes = arts.ArtifactBytes()
 	}
 	return e
 }
@@ -916,10 +926,21 @@ func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// writeJSON encodes v before it commits to the status line: a value the
+// encoder rejects becomes a typed 500 instead of the promised status over an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// An ErrorResponse of two strings always encodes.
+		_ = enc.Encode(ErrorResponse{Error: "encoding response: " + err.Error(), Kind: "encode"})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
 }

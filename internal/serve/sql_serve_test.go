@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -250,5 +251,39 @@ func TestMemoryBudgetIs413(t *testing.T) {
 	er := decodeError(t, body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Kind != "memory_budget" {
 		t.Fatalf("want 413 memory_budget, got %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestNonFiniteAggregateEncodes pins the fix for the empty 200: a global
+// avg/min/max over zero rows computes NaN/±Inf, which JSON cannot carry. The
+// response must be a complete body with null in that cell.
+func TestNonFiniteAggregateEncodes(t *testing.T) {
+	ts := httptest.NewServer(testServer().Handler())
+	defer ts.Close()
+
+	resp, body := postQuery(t, ts,
+		`{"sql":"select avg(l_quantity) as a from lineitem where l_quantity < 0"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	qr := decodeQuery(t, body)
+	if qr.Rows != 1 || len(qr.Data) != 1 || len(qr.Data[0]) != 1 {
+		t.Fatalf("want one row of one cell, got %s", body)
+	}
+	if qr.Data[0][0] != nil {
+		t.Fatalf("avg over zero rows = %v, want null", qr.Data[0][0])
+	}
+}
+
+// TestWriteJSONEncodeFailureIsTyped500 covers the writer itself: whatever the
+// encoder rejects must not go out as the promised status over an empty body.
+func TestWriteJSONEncodeFailureIsTyped500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"v": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if er := decodeError(t, rec.Body.Bytes()); er.Kind != "encode" || er.Error == "" {
+		t.Fatalf("want typed encode error, got %s", rec.Body.Bytes())
 	}
 }

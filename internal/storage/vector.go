@@ -236,6 +236,13 @@ func (v *Vector) SetValue(i int, val any) {
 	}
 }
 
+// RetainedBytes returns the capacity of the vector's backing arrays in bytes
+// (string headers, not string contents).
+func (v *Vector) RetainedBytes() int64 {
+	return int64(cap(v.B)) + 4*int64(cap(v.I32)) + 8*int64(cap(v.I64)) +
+		8*int64(cap(v.F64)) + 16*int64(cap(v.Str)) + 24*int64(cap(v.Ptr))
+}
+
 // Bytes returns an approximate memory footprint of row i's value; used by
 // materialization accounting (Table I proxies).
 func (v *Vector) RowBytes(i int) int {

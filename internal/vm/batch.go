@@ -28,6 +28,12 @@ type tableBatch struct {
 	sc     rt.BatchScratch
 }
 
+func (tb *tableBatch) retainedBytes() int64 {
+	rows := cap(tb.keys) + cap(tb.seeds) + cap(tb.pkeys) + cap(tb.pseeds) + cap(tb.pout)
+	return int64(rows)*24 + int64(cap(tb.hashes)+cap(tb.phash))*8 +
+		int64(cap(tb.keybuf)) + int64(cap(tb.pend))*4
+}
+
 func auxBatch(fr *frame, k int) *tableBatch {
 	if fr.aux[k] == nil {
 		fr.aux[k] = new(tableBatch)

@@ -21,29 +21,61 @@ import (
 
 // Ctx is one worker's execution context: per-worker scratch space, frames,
 // pre-aggregation tables and counters. A Ctx is not safe for concurrent use;
-// the scheduler gives each worker its own.
+// the scheduler gives each worker its own. Everything a Ctx builds is keyed by
+// the plan's state objects and compiled programs, so a Ctx kept with its plan
+// instance serves the instance's next execution from the same memory
+// (Reset, DESIGN.md §16).
 type Ctx struct {
 	// Counters accumulates this worker's statistics.
 	Counters stats.Counters
 	// Budget, when non-nil, caps the runtime-state bytes this query may
-	// allocate; worker-private tables created through this Ctx charge to it.
+	// allocate; worker-private tables used through this Ctx charge to it.
 	Budget *rt.MemBudget
 
 	scratch   map[*rt.RowLayoutState]*rt.RowScratch
-	aggs      map[*rt.AggTableState]*rt.AggTable
-	locals    map[*rt.AggTableState]*rt.LocalAggTable
+	aggs      map[*rt.AggTableState]*workerAgg
 	exchanges map[*rt.ExchangeState]*rt.ExchangeWriter
 	frames    map[*Program]*frame
+	frameList []*frame // the values of frames, for RetainedBytes to walk
+}
+
+// workerAgg is one worker's share of an aggregation: its sharded
+// pre-aggregation table (morsel-driven parallel aggregation; merged by the
+// scheduler) and the bounded thread-local table in front of it. built marks
+// that the current execution has written into them.
+type workerAgg struct {
+	table *rt.AggTable
+	local *rt.LocalAggTable
+	built bool
 }
 
 // NewCtx creates an execution context.
 func NewCtx() *Ctx {
 	return &Ctx{
 		scratch:   make(map[*rt.RowLayoutState]*rt.RowScratch),
-		aggs:      make(map[*rt.AggTableState]*rt.AggTable),
-		locals:    make(map[*rt.AggTableState]*rt.LocalAggTable),
+		aggs:      make(map[*rt.AggTableState]*workerAgg),
 		exchanges: make(map[*rt.ExchangeState]*rt.ExchangeWriter),
 		frames:    make(map[*Program]*frame),
+	}
+}
+
+// Reset readies the context for another execution of the same plan instance:
+// counters and budget are cleared and the tables the last execution built are
+// emptied in place. Scratch rows, frames and exchange writers (emptied by
+// their rt.ExchangeState) are kept as they are — every use re-initializes what
+// it reads.
+func (c *Ctx) Reset() {
+	c.Counters = stats.Counters{}
+	c.Budget = nil
+	for _, a := range c.aggs {
+		if !a.built {
+			continue
+		}
+		a.built = false
+		a.table.Reset()
+		if a.local != nil {
+			a.local.Reset()
+		}
 	}
 }
 
@@ -57,27 +89,36 @@ func (c *Ctx) Scratch(st *rt.RowLayoutState) *rt.RowScratch {
 	return s
 }
 
+func (c *Ctx) agg(st *rt.AggTableState) *workerAgg {
+	a, ok := c.aggs[st]
+	if !ok {
+		a = &workerAgg{table: rt.NewAggTable(st.Init, st.Shards)}
+		c.aggs[st] = a
+	}
+	if !a.built {
+		// First use in this execution, of a new and of a reset table alike:
+		// pre-size from the pipeline's cardinality hint while no budget is
+		// attached (like the initial bucket arrays, the estimate-driven
+		// capacity is uncharged; only demand growth is), then attach it.
+		a.built = true
+		a.table.Reserve(st.SizeHint)
+		a.table.SetBudget(c.Budget)
+	}
+	return a
+}
+
 // AggTable returns this worker's pre-aggregation table for an aggregation
 // state (morsel-driven parallel aggregation; merged by the scheduler).
-func (c *Ctx) AggTable(st *rt.AggTableState) *rt.AggTable {
-	t, ok := c.aggs[st]
-	if !ok {
-		t = st.NewInstance()
-		t.SetBudget(c.Budget)
-		c.aggs[st] = t
-	}
-	return t
-}
+func (c *Ctx) AggTable(st *rt.AggTableState) *rt.AggTable { return c.agg(st).table }
 
 // LocalAgg returns this worker's bounded thread-local pre-aggregation table
 // for an aggregation state, backed by the worker's sharded table.
 func (c *Ctx) LocalAgg(st *rt.AggTableState) *rt.LocalAggTable {
-	l, ok := c.locals[st]
-	if !ok {
-		l = rt.NewLocalAggTable(st, c.AggTable(st))
-		c.locals[st] = l
+	a := c.agg(st)
+	if a.local == nil {
+		a.local = rt.NewLocalAggTable(st, a.table)
 	}
-	return l
+	return a.local
 }
 
 // Exchange returns this worker's private routing writer for an exchange
@@ -95,29 +136,51 @@ func (c *Ctx) Exchange(st *rt.ExchangeState) *rt.ExchangeWriter {
 
 // FlushLocalAggs spills every thread-local pre-aggregation table into its
 // backing sharded table. The scheduler calls it at every morsel boundary —
-// local group rows must not live across morsels — so the off path (pipelines
+// local group rows must not live across morsels — so the off path (plans
 // without aggregation) is a single empty-map check.
 func (c *Ctx) FlushLocalAggs() {
-	if len(c.locals) == 0 {
+	if len(c.aggs) == 0 {
 		return
 	}
-	for _, l := range c.locals {
-		c.Counters.HTSpills += l.Flush()
+	for _, a := range c.aggs {
+		if a.built && a.local != nil {
+			c.Counters.HTSpills += a.local.Flush()
+		}
 	}
 }
 
-// TakeAggTables hands the worker's pre-aggregation tables to the scheduler
-// for merging and resets them for the next pipeline. Thread-local tables are
-// flushed first so no group is left behind, and dropped with the tables they
-// back.
-func (c *Ctx) TakeAggTables() map[*rt.AggTableState]*rt.AggTable {
-	c.FlushLocalAggs()
-	if len(c.locals) > 0 {
-		c.locals = make(map[*rt.AggTableState]*rt.LocalAggTable)
+// BuiltAggTable returns the pre-aggregation table this worker built for st in
+// the current execution, for the scheduler to merge, or nil if the worker
+// never touched the aggregation. The table stays owned by the Ctx: it is
+// valid until Reset.
+func (c *Ctx) BuiltAggTable(st *rt.AggTableState) *rt.AggTable {
+	a := c.aggs[st]
+	if a == nil || !a.built {
+		return nil
 	}
-	out := c.aggs
-	c.aggs = make(map[*rt.AggTableState]*rt.AggTable)
-	return out
+	if a.local != nil {
+		c.Counters.HTSpills += a.local.Flush()
+	}
+	return a.table
+}
+
+// RetainedBytes estimates the memory the context holds on to across Reset:
+// scratch slabs, pre-aggregation tables and frame registers.
+func (c *Ctx) RetainedBytes() int64 {
+	var n int64
+	for _, s := range c.scratch {
+		n += s.RetainedBytes()
+	}
+	for _, a := range c.aggs {
+		n += a.table.RetainedBytes()
+		if a.local != nil {
+			n += a.local.RetainedBytes()
+		}
+	}
+	for _, fr := range c.frameList {
+		n += fr.retainedBytes()
+	}
+	return n
 }
 
 // exec is one compiled operation, executed at the current scope cardinality.
@@ -136,6 +199,7 @@ type Program struct {
 // frame is the per-worker register file for one program.
 type frame struct {
 	ctx     *Ctx
+	prog    *Program
 	state   []any
 	vecs    []*storage.Vector
 	aux     []any
@@ -150,13 +214,37 @@ type frame struct {
 func (c *Ctx) frame(p *Program) *frame {
 	fr, ok := c.frames[p] //inklint:allow map — per-(ctx,program) frame memo — one lookup per morsel call, not per row
 	if !ok {
-		fr = &frame{ctx: c, vecs: make([]*storage.Vector, len(p.slotKinds)), aux: make([]any, p.numAux)} //inklint:allow alloc — first-use frame construction; memoized in c.frames thereafter
+		fr = &frame{ctx: c, prog: p, vecs: make([]*storage.Vector, len(p.slotKinds)), aux: make([]any, p.numAux)} //inklint:allow alloc — first-use frame construction; memoized in c.frames thereafter
 		for i, k := range p.slotKinds {
 			fr.vecs[i] = storage.NewVector(k, 0) //inklint:allow call — first-use slot vector construction; memoized with the frame
 		}
-		c.frames[p] = fr //inklint:allow map — memoization write on first use only
+		c.frames[p] = fr                      //inklint:allow map — memoization write on first use only
+		c.frameList = append(c.frameList, fr) //inklint:allow alloc — first use only, with the frame itself
 	}
 	return fr
+}
+
+// retainedBytes estimates the frame's register and auxiliary buffer memory.
+// Input slots do not count: they alias the caller's vectors.
+func (fr *frame) retainedBytes() int64 {
+	var n int64
+	for _, v := range fr.vecs {
+		n += v.RetainedBytes()
+	}
+	for _, s := range fr.prog.insSlots {
+		n -= fr.vecs[s].RetainedBytes()
+	}
+	for _, a := range fr.aux {
+		switch a := a.(type) {
+		case *[]int32:
+			n += int64(cap(*a)) * 4
+		case *[][]byte:
+			n += int64(cap(*a)) * 24
+		case *tableBatch:
+			n += a.retainedBytes()
+		}
+	}
+	return n
 }
 
 // Run executes the program over n source rows bound to the input vectors,

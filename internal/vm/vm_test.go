@@ -322,6 +322,21 @@ func TestAggPipelineEndToEnd(t *testing.T) {
 			t.Fatalf("unexpected key %d", k)
 		}
 	}
+
+	// Reset keeps the table for the plan instance's next execution, emptied:
+	// until that execution touches the aggregation the worker has built
+	// nothing, and then it builds into the same table.
+	if ctx.BuiltAggTable(agg) != tbl {
+		t.Fatal("the scheduler must be handed the table the worker built")
+	}
+	ctx.Reset()
+	if ctx.BuiltAggTable(agg) != nil || ctx.Counters.HTSpills != 0 {
+		t.Fatal("after Reset the worker has built nothing")
+	}
+	p.Run(ctx, state, []*storage.Vector{ivec(7), fvec(1)}, 1, nil)
+	if got := ctx.BuiltAggTable(agg); got != tbl || got.Groups() != 1 {
+		t.Fatalf("second execution must rebuild in the kept table, emptied: %d groups", got.Groups())
+	}
 }
 
 func buildJoinTable(keys []int64) *rt.JoinTableState {

@@ -23,6 +23,13 @@ echo "inklint OK"
 
 go test -race ./...
 
+# The benchmark harness is a module of its own (bench/go.mod), so `./...`
+# above does not reach it: vet and test it here, so that a change to an
+# internal API it calls fails this gate and not the next benchmark run.
+echo "bench module..."
+(cd bench && GOFLAGS=-mod=mod go vet ./... && GOFLAGS=-mod=mod go test ./...)
+echo "bench module OK"
+
 # Tied-key ordering depends on parallel scheduling; hammer the determinism
 # tests a few extra times so a flaky tie-break cannot slip through one run.
 for _ in 1 2 3; do
@@ -42,9 +49,11 @@ go test -run XXX -bench 'AggBuild|JoinProbe' -benchtime 1x ./internal/rt/ >/dev/
 echo "bench smoke OK"
 
 # Alloc guard: the morsel loop must stay allocation-free per chunk with the
-# flight recorder on (the observability layer's zero-cost contract).
+# flight recorder on (the observability layer's zero-cost contract), and a
+# plan-cache hit must run on its instance's kept execution state (a warm
+# execution allocates at most a tenth of a cold one's bytes, DESIGN.md §16).
 echo "alloc guard..."
-go test -count=1 -run 'MorselLoopZeroAllocs|RecordNoAllocs' ./internal/exec/ ./internal/flight/ >/dev/null
+go test -count=1 -run 'MorselLoopZeroAllocs|RecordNoAllocs|WarmExecutionAllocBudget' ./internal/exec/ ./internal/flight/ >/dev/null
 echo "alloc guard OK"
 
 # inkserve smoke test: start the server on a random port with a tiny catalog,
