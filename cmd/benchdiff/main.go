@@ -1,9 +1,11 @@
 // benchdiff compares two inkbench JSON artifacts cell by cell and prints the
 // per-query/backend wall-time delta. Cells slower than the baseline by more
 // than the regression threshold are flagged, and with -fail the exit status
-// reflects them so scripts/bench.sh can gate on trajectory.
+// reflects them so a script can gate on it. It is the in-process, per-cell
+// companion of the repository's benchmark (`bash bench/run.sh`); the
+// BENCH_PR<n>.json artifacts it was written for are in git history only.
 //
-//	go run ./cmd/benchdiff BENCH_PR4.json BENCH_PR5.json
+//	go run ./cmd/inkbench -json > new.json
 //	go run ./cmd/benchdiff -threshold 0.10 -fail old.json new.json
 package main
 

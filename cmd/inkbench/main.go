@@ -20,7 +20,7 @@
 //	    after whatever else ran
 //	inkbench -json [-sf 0.1]          — machine-readable benchmark: every
 //	    -queries query on all four backends, median wall ms / rows/sec per
-//	    cell as JSON on stdout (scripts/bench.sh commits this as BENCH_*.json)
+//	    cell as JSON on stdout (cmd/benchdiff compares two of these)
 //
 // The -exchange flag (off | on | both) lowers plans with the hash-partitioned
 // exchange: group-by and join builds route rows into per-partition buffers so

@@ -281,7 +281,9 @@ func (l *lowerer) lowerMap(n *Map, required []string) error {
 	return nil
 }
 
-// aggSlot records where one ir-level aggregate lives in the payload.
+// aggSlot records where one ir-level aggregate lives in the payload. Logical
+// aggregates that reduce to the same (fn, col) share one slot — one
+// AggUpdate suboperator, one merge — and read it back independently.
 type aggSlot struct {
 	fn  ir.AggFunc
 	off int
@@ -322,7 +324,7 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 
 	// Aggregate slots: map logical aggregates onto ir-level update functions.
 	var slots []aggSlot
-	resultSlots := make(map[string][]int)     // agg name -> slot indexes (avg has 2)
+	resultSlots := make(map[string][]int)     // agg name -> slot indexes (avg: sum, count)
 	resultKind := make(map[string]types.Kind) // agg name -> declared result kind
 	for _, a := range n.Aggs {
 		k, err := aggResultKind(a, inSchema)
@@ -331,8 +333,18 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 		}
 		resultKind[a.As] = k
 	}
+	// One slot per distinct (function, input column): sum(x) and avg(x) fold
+	// the same values in the same order into what would be two equal slots,
+	// and every avg and count(*) would keep a row count of its own — TPC-H
+	// Q1's eight aggregates need 6 slots, not 11. Sharing changes no result
+	// bit: a shared slot sees exactly the update sequence each copy saw.
 	off := 0
 	addSlot := func(fn ir.AggFunc, col string) int {
+		for i, s := range slots {
+			if s.fn == fn && s.col == col {
+				return i
+			}
+		}
 		slots = append(slots, aggSlot{fn: fn, off: off, col: col})
 		off += 8 // all slots padded to 8 bytes
 		return len(slots) - 1

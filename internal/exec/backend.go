@@ -8,6 +8,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"inkfuse/internal/core"
@@ -105,6 +106,16 @@ type fusedStep struct {
 	prog   *vm.Program
 	states []any
 	fn     *ir.Func
+}
+
+// describeFused renders what the closure compiler made of a step chain (one
+// step for a whole-pipeline artifact, several for ROF), for the trace.
+func describeFused(steps []*fusedStep) string {
+	parts := make([]string, len(steps))
+	for i, s := range steps {
+		parts[i] = s.prog.Rewrites().String()
+	}
+	return strings.Join(parts, " | ")
 }
 
 // compileStep runs the compilation stack over a suboperator sequence and

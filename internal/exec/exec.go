@@ -159,6 +159,9 @@ type finishInfo struct {
 	// artifactReady is when the hybrid background artifact landed (zero if
 	// never); recorded into the pipeline trace.
 	artifactReady time.Time
+	// fused is the compiled code the pipeline ran on (nil if none), for the
+	// trace to describe.
+	fused []*fusedStep
 	// subops is the merged per-suboperator profile (Options.Profile, backends
 	// serving through the vectorized interpreter), with its sampling period
 	// and the total number of chunks timed across workers.
@@ -513,6 +516,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			pt.CompileWait = fi.compileWait
 			pt.CompileErrors = fi.compileErrors
 			pt.Degraded = fi.degraded != nil
+			pt.Fused = describeFused(fi.fused)
 			if !fi.artifactReady.IsZero() {
 				pt.ArtifactReady = fi.artifactReady.Sub(start)
 			}

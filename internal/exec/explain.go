@@ -73,10 +73,13 @@ func writePipelineAnalysis(b *strings.Builder, pt *trace.Pipeline, workers int) 
 			lo.Round(time.Microsecond), med.Round(time.Microsecond), hi.Round(time.Microsecond))
 	}
 	b.WriteByte('\n')
-	if pt.CompileTime > 0 || pt.CompileWait > 0 || pt.CompileErrors > 0 || pt.Degraded {
+	if pt.CompileTime > 0 || pt.CompileWait > 0 || pt.CompileErrors > 0 || pt.Degraded || pt.Fused != "" {
 		fmt.Fprintf(b, "  -- compile: %v", pt.CompileTime.Round(time.Microsecond))
 		if pt.CompileWait > 0 {
 			fmt.Fprintf(b, " (dead wait %v)", pt.CompileWait.Round(time.Microsecond))
+		}
+		if pt.Fused != "" {
+			fmt.Fprintf(b, ", fused: %s", pt.Fused)
 		}
 		if pt.ArtifactReady > 0 {
 			fmt.Fprintf(b, ", artifact ready at +%v", pt.ArtifactReady.Round(time.Microsecond))

@@ -260,10 +260,17 @@ func TestHybridDegradesOnBackgroundCompileFailure(t *testing.T) {
 	faultinject.Arm(faultinject.ExecHybridCompile, faultinject.Fault{})
 	tbl := makeTable()
 	lat := LatencyNone
-	plan := lowerOrDie(t, groupByNode(tbl), "degraded")
-	res, err := Execute(plan, Options{Backend: BackendHybrid, Workers: 2, Latency: &lat})
-	if err != nil {
-		t.Fatalf("degraded hybrid query failed outright: %v", err)
+	// The background compile races the (tiny) query: a pipeline that finishes
+	// before its job is scheduled cancels it, and then nothing failed. The
+	// fault fires on every passage, so retry until a failure lands.
+	var res *Result
+	for attempt := 0; attempt < 50 && (res == nil || res.Stats.CompileErrors == 0); attempt++ {
+		plan := lowerOrDie(t, groupByNode(tbl), "degraded")
+		var err error
+		res, err = Execute(plan, Options{Backend: BackendHybrid, Workers: 2, Latency: &lat})
+		if err != nil {
+			t.Fatalf("degraded hybrid query failed outright: %v", err)
+		}
 	}
 	if res.Stats.CompileErrors == 0 {
 		t.Fatalf("compile failures not counted: %+v", res.Stats)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"inkfuse/internal/algebra"
@@ -14,46 +15,53 @@ import (
 )
 
 // TestRandomPlansDifferential builds random (type-correct) plans over random
-// data and checks that every backend agrees with the Volcano oracle — the
-// broad-coverage property test of DESIGN.md §6.
+// data and checks that every backend agrees with the Volcano oracle, lowered
+// with the local exchange off and on, with the plan verifier on — the
+// broad-coverage property test of DESIGN.md §6. The generator leans on the
+// shapes the closure compiler rewrites (DESIGN.md §17): deep conjunctions of
+// comparisons in every operand arrangement, conjuncts that must stay
+// materialized, disjunctions of conjunctions, empty first selections, duplicate
+// aggregates, compound and collated keys.
 func TestRandomPlansDifferential(t *testing.T) {
-	iters := 40
+	iters := 60
 	if testing.Short() {
-		iters = 8
+		iters = 12
 	}
 	for seed := 0; seed < iters; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
-			node := randomPlan(r)
+			node, collated := randomPlan(r)
 			want, err := volcano.Run(node)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
-			wantRows := rowsAsStrings(want)
-			sort.Strings(wantRows)
-			for _, backend := range allBackends() {
-				plan, err := algebra.Lower(node, "random")
-				if err != nil {
-					t.Fatalf("lower: %v", err)
-				}
-				lat := LatencyNone
-				res, err := Execute(plan, Options{
-					Backend: backend, Workers: 1 + r.Intn(3),
-					ChunkSize: 1 << (3 + r.Intn(6)), MorselSize: 1 << (6 + r.Intn(6)),
-					Latency: &lat,
-				})
-				if err != nil {
-					t.Fatalf("%v: %v", backend, err)
-				}
-				gotRows := rowsAsStrings(res.Chunk)
-				sort.Strings(gotRows)
-				if len(gotRows) != len(wantRows) {
-					t.Fatalf("%v: %d rows vs oracle %d", backend, len(gotRows), len(wantRows))
-				}
-				for i := range gotRows {
-					if gotRows[i] != wantRows[i] {
-						t.Fatalf("%v: row %d\n got  %s\n want %s", backend, i, gotRows[i], wantRows[i])
+			wantRows := comparableRows(want, collated)
+			for _, exchange := range []bool{false, true} {
+				for _, backend := range allBackends() {
+					tag := fmt.Sprintf("%v/exchange=%v", backend, exchange)
+					plan, err := algebra.LowerOpts(node, "random",
+						algebra.LowerOptions{Exchange: exchange, Partitions: 1 << r.Intn(3)})
+					if err != nil {
+						t.Fatalf("lower: %v", err)
+					}
+					lat := LatencyNone
+					res, err := Execute(plan, Options{
+						Backend: backend, Workers: 1 + r.Intn(3),
+						ChunkSize: 1 << (3 + r.Intn(6)), MorselSize: 1 << (6 + r.Intn(6)),
+						Latency: &lat, VerifyIR: true,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					gotRows := comparableRows(res.Chunk, collated)
+					if len(gotRows) != len(wantRows) {
+						t.Fatalf("%s: %d rows vs oracle %d", tag, len(gotRows), len(wantRows))
+					}
+					for i := range gotRows {
+						if gotRows[i] != wantRows[i] {
+							t.Fatalf("%s: row %d\n got  %s\n want %s", tag, i, gotRows[i], wantRows[i])
+						}
 					}
 				}
 			}
@@ -61,70 +69,150 @@ func TestRandomPlansDifferential(t *testing.T) {
 	}
 }
 
-// randomTable builds a table with int64/float64/string/date columns.
+// comparableRows renders a result as sorted row strings. A collated key shows
+// whichever original of its group a worker met first, so with collated set the
+// string columns are compared by their lowercase representative.
+func comparableRows(c *storage.Chunk, collated bool) []string {
+	out := make([]string, c.Rows())
+	for i := range out {
+		row := c.Row(i)
+		if collated {
+			for j, v := range row {
+				if s, ok := v.(string); ok {
+					row[j] = strings.ToLower(s)
+				}
+			}
+		}
+		out[i] = fmt.Sprintf("%.6v", row)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// randomTable builds a table with two columns of every comparable kind, so
+// predicates can compare column against column.
 func randomTable(r *rand.Rand, name string, rows int) *storage.Table {
 	t := storage.NewTable(name, types.Schema{
 		{Name: name + "_k", Kind: types.Int64},
+		{Name: name + "_j", Kind: types.Int64},
 		{Name: name + "_f", Kind: types.Float64},
+		{Name: name + "_g", Kind: types.Float64},
 		{Name: name + "_s", Kind: types.String},
+		{Name: name + "_c", Kind: types.String},
 		{Name: name + "_d", Kind: types.Date},
+		{Name: name + "_e", Kind: types.Date},
 	})
 	labels := []string{"alpha", "beta", "gamma", "delta", "PROMO X", "PROMO Y"}
+	cased := []string{"alpha", "ALPHA", "Alpha", "beta", "BETA", "gamma", "delta", "DeLtA"}
 	t.SetRows(rows)
 	for i := 0; i < rows; i++ {
 		t.Col(name + "_k").I64[i] = int64(r.Intn(50))
+		t.Col(name + "_j").I64[i] = int64(r.Intn(50))
 		// Halves keep float sums exact across summation orders.
 		t.Col(name + "_f").F64[i] = float64(r.Intn(100)) / 2
+		t.Col(name + "_g").F64[i] = float64(r.Intn(100)) / 2
 		t.Col(name + "_s").Str[i] = labels[r.Intn(len(labels))]
+		t.Col(name + "_c").Str[i] = cased[r.Intn(len(cased))]
 		t.Col(name + "_d").I32[i] = types.MkDate(1995, 1, 1) + int32(r.Intn(300))
+		t.Col(name + "_e").I32[i] = types.MkDate(1995, 1, 1) + int32(r.Intn(300))
 	}
 	return t
 }
 
-// randomPred builds a random boolean expression over table tbl's columns.
-func randomPred(r *rand.Rand, p string) algebra.Expr {
-	preds := []func() algebra.Expr{
-		func() algebra.Expr {
-			return algebra.Gt(algebra.Col(p+"_k"), algebra.I64(int64(r.Intn(40))))
-		},
-		func() algebra.Expr {
-			return algebra.Le(algebra.Col(p+"_f"), algebra.F64(float64(r.Intn(80))))
-		},
-		func() algebra.Expr {
-			return algebra.Eq(algebra.Col(p+"_s"), algebra.Str("beta"))
-		},
-		func() algebra.Expr {
-			return algebra.Like(algebra.Col(p+"_s"), "PROMO%")
-		},
-		func() algebra.Expr {
-			return algebra.In(algebra.Col(p+"_s"), "alpha", "gamma")
-		},
-		func() algebra.Expr {
-			lo := types.MkDate(1995, 1, 1) + int32(r.Intn(100))
-			return algebra.Ge(algebra.Col(p+"_d"), algebra.Const{K: types.Date, I32: lo})
-		},
+// randomCmp builds a random comparison over table p's columns: column against
+// constant, constant against column, or column against column, any operator.
+func randomCmp(r *rand.Rand, p string) algebra.Expr {
+	var col, other, lit algebra.Expr
+	switch r.Intn(4) {
+	case 0:
+		col, other, lit = algebra.Col(p+"_k"), algebra.Col(p+"_j"), algebra.I64(int64(r.Intn(50)))
+	case 1:
+		col, other, lit = algebra.Col(p+"_f"), algebra.Col(p+"_g"), algebra.F64(float64(r.Intn(100))/2)
+	case 2:
+		col, other, lit = algebra.Col(p+"_s"), algebra.Col(p+"_c"),
+			algebra.Str([]string{"beta", "gamma", "PROMO X"}[r.Intn(3)])
+	default:
+		col, other = algebra.Col(p+"_d"), algebra.Col(p+"_e")
+		lit = algebra.Const{K: types.Date, I32: types.MkDate(1995, 1, 1) + int32(r.Intn(300))}
 	}
-	e := preds[r.Intn(len(preds))]()
-	if r.Intn(2) == 0 {
-		f := preds[r.Intn(len(preds))]()
+	op := ir.CmpOp(r.Intn(6))
+	switch r.Intn(4) {
+	case 0:
+		return algebra.CmpE{Op: op, L: lit, R: col}
+	case 1:
+		return algebra.CmpE{Op: op, L: col, R: other}
+	default:
+		return algebra.CmpE{Op: op, L: col, R: lit}
+	}
+}
+
+// randomAtom is a conjunct: mostly comparisons, sometimes a predicate the
+// selection cascade has to take as a materialized bool.
+func randomAtom(r *rand.Rand, p string) algebra.Expr {
+	switch r.Intn(8) {
+	case 0:
+		return algebra.Like(algebra.Col(p+"_s"), "PROMO%")
+	case 1:
+		return algebra.In(algebra.Col(p+"_s"), "alpha", "gamma")
+	case 2:
+		return algebra.Not(randomCmp(r, p))
+	default:
+		return randomCmp(r, p)
+	}
+}
+
+func randomConj(r *rand.Rand, p string, n int) algebra.Expr {
+	es := make([]algebra.Expr, n)
+	for i := range es {
+		es[i] = randomAtom(r, p)
+	}
+	return algebra.And(es...)
+}
+
+// randomPred builds a random boolean expression over table p's columns. flag,
+// when non-empty, names a bool column that may appear as a conjunct.
+func randomPred(r *rand.Rand, p, flag string) algebra.Expr {
+	var e algebra.Expr
+	switch r.Intn(7) {
+	case 0:
+		e = randomAtom(r, p)
+	case 1:
+		e = algebra.Or(randomAtom(r, p), randomAtom(r, p))
+	case 2:
+		// The q19 shape: the disjunction is one conjunct, its arms are not.
+		e = algebra.And(randomAtom(r, p), algebra.Or(randomConj(r, p, 2+r.Intn(2)), randomConj(r, p, 2+r.Intn(2))))
+	case 3:
+		// A first conjunct no row survives.
+		e = algebra.And(algebra.Gt(algebra.Col(p+"_k"), algebra.I64(1000)), randomConj(r, p, 1+r.Intn(3)))
+	default:
+		e = randomConj(r, p, 2+r.Intn(4))
+	}
+	if flag != "" && r.Intn(2) == 0 {
 		if r.Intn(2) == 0 {
-			return algebra.And(e, f)
+			return algebra.And(algebra.Col(flag), e)
 		}
-		return algebra.Or(e, f)
-	}
-	if r.Intn(4) == 0 {
-		return algebra.Not(e)
+		return algebra.And(e, algebra.Col(flag))
 	}
 	return e
 }
 
-func randomPlan(r *rand.Rand) algebra.Node {
+// randomPlan returns a random plan and whether its group keys are collated.
+func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 	probe := randomTable(r, "t", 200+r.Intn(2000))
-	var node algebra.Node = algebra.NewScan(probe, "t_k", "t_f", "t_s", "t_d")
+	var node algebra.Node = algebra.NewScan(probe, "t_k", "t_j", "t_f", "t_g", "t_s", "t_c", "t_d", "t_e")
+
+	// Optionally a computed bool ahead of the filters: as a conjunct it is a
+	// comparison with one consumer, unless an aggregate below counts it too —
+	// then the filter must read it as a column.
+	flag, countFlag := "", false
+	if r.Intn(3) == 0 {
+		flag, countFlag = "flag", r.Intn(2) == 0
+		node = algebra.NewMap(node, algebra.NamedExpr{As: flag, E: randomCmp(r, "t")})
+	}
 
 	// Optional filter(s) on the probe side.
 	for i := 0; i < r.Intn(3); i++ {
-		node = algebra.NewFilter(node, randomPred(r, "t"))
+		node = algebra.NewFilter(node, randomPred(r, "t", flag))
 	}
 
 	// Optional computed columns.
@@ -149,9 +237,9 @@ func randomPlan(r *rand.Rand) algebra.Node {
 	matched := ""
 	if withJoin {
 		dim := randomTable(r, "d", 30+r.Intn(100))
-		var build algebra.Node = algebra.NewScan(dim, "d_k", "d_f", "d_s", "d_d")
+		var build algebra.Node = algebra.NewScan(dim, "d_k", "d_j", "d_f", "d_g", "d_s", "d_c", "d_d", "d_e")
 		if r.Intn(2) == 0 {
-			build = algebra.NewFilter(build, randomPred(r, "d"))
+			build = algebra.NewFilter(build, randomPred(r, "d", ""))
 		}
 		j := &algebra.HashJoin{
 			Build: build, Probe: node,
@@ -171,14 +259,24 @@ func randomPlan(r *rand.Rand) algebra.Node {
 		node = j
 	}
 
-	// Aggregate.
-	var keys []string
-	switch r.Intn(3) {
+	// Aggregate: keyless, one fixed key (the direct lookup), one string key,
+	// compound fixed, compound fixed+string, or a collated string key alone or
+	// behind a fixed one (its groups are seeded with an original).
+	var keys, noCase []string
+	switch r.Intn(7) {
 	case 0: // keyless
 	case 1:
+		keys = []string{"t_k"}
+	case 2:
 		keys = []string{"t_s"}
+	case 3:
+		keys = []string{"t_d", "t_k"}
+	case 4:
+		keys = []string{"t_k", "t_s", "t_d"}
+	case 5:
+		keys, noCase = []string{"t_c"}, []string{"t_c"}
 	default:
-		keys = []string{"t_k", "t_s"}
+		keys, noCase = []string{"t_k", "t_c"}, []string{"t_c"}
 	}
 	aggs := []algebra.AggSpec{
 		algebra.Sum("m1", "s1"),
@@ -190,8 +288,17 @@ func randomPlan(r *rand.Rand) algebra.Node {
 	if r.Intn(2) == 0 {
 		aggs = append(aggs, algebra.Avg("m2", "a2"))
 	}
+	if r.Intn(2) == 0 {
+		// Duplicates: every one of these shares a slot with an aggregate above
+		// or with its neighbour.
+		aggs = append(aggs, algebra.Sum("m1", "s1_again"), algebra.Avg("m1", "a1"),
+			algebra.Count("n_again"), algebra.Sum("m2", "s2"))
+	}
 	if matched != "" {
 		aggs = append(aggs, algebra.CountIf(matched, "hits"))
 	}
-	return algebra.NewGroupBy(node, keys, aggs...)
+	if countFlag {
+		aggs = append(aggs, algebra.CountIf(flag, "flagged"))
+	}
+	return &algebra.GroupBy{In: node, Keys: keys, Aggs: aggs, NoCase: noCase}, len(noCase) > 0
 }

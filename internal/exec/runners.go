@@ -142,7 +142,7 @@ func (r *compilingRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n
 }
 
 func (r *compilingRunner) finish() finishInfo {
-	return finishInfo{compileTime: r.wait, compileWait: r.wait}
+	return finishInfo{compileTime: r.wait, compileWait: r.wait, fused: []*fusedStep{r.art}}
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ func (r *rofRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, 
 }
 
 func (r *rofRunner) finish() finishInfo {
-	return finishInfo{compileTime: r.wait, compileWait: r.wait}
+	return finishInfo{compileTime: r.wait, compileWait: r.wait, fused: r.steps}
 }
 
 // iuKinds projects the kinds of a staging buffer's columns.
@@ -510,7 +510,7 @@ func (h *hybridRunner) finish() finishInfo {
 	case h.bg.failed.Load():
 		fi = finishInfo{compileErrors: 1, degraded: h.bg.err}
 	case h.bg.art.Load() != nil:
-		fi = finishInfo{compileTime: h.bg.compile, artifactReady: h.bg.ready}
+		fi = finishInfo{compileTime: h.bg.compile, artifactReady: h.bg.ready, fused: []*fusedStep{h.bg.art.Load()}}
 	}
 	// The interpreter half of the hybrid carries the suboperator profile; the
 	// fused artifact is opaque to per-suboperator attribution by construction.

@@ -202,6 +202,40 @@ func TestExplainAnalyzeAllBackends(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeReportsRewrites: the compile annotation says what the
+// closure compiler made of the fused code (DESIGN.md §17) on every backend that
+// runs it — the hybrid one here through a cached artifact, as a plan-cache hit
+// does, so that its code is certain to have landed.
+func TestExplainAnalyzeReportsRewrites(t *testing.T) {
+	tbl := makeTable()
+	node := algebra.NewGroupBy(
+		algebra.NewFilter(algebra.NewScan(tbl, "a", "b", "s"), algebra.And(
+			algebra.Gt(algebra.Col("a"), algebra.I64(3)),
+			algebra.Lt(algebra.F64(1), algebra.Col("b")),
+			algebra.Ne(algebra.Col("s"), algebra.Str("red")))),
+		[]string{"a", "s"}, algebra.Sum("b", "sum_b"), algebra.Avg("b", "avg_b"), algebra.Count("n"))
+	lat := LatencyNone
+	plan := lowerOrDie(t, node, "rewrites")
+	arts := NewArtifactSet(plan)
+	for _, backend := range []Backend{BackendCompiling, BackendHybrid, BackendROF} {
+		out, res, err := ExplainAnalyze(context.Background(), plan, Options{
+			Backend: backend, Workers: 2, Latency: &lat, Artifacts: arts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts.Rewind()
+		for _, want := range []string{"fused: ", " stmts -> ", "cascades [3]", "1 fused key build(s)"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v: explain output missing %q:\n%s", backend, want, out)
+			}
+		}
+		if !strings.Contains(res.Trace.Dump(), "fused=[") {
+			t.Errorf("%v: trace dump missing the fused entry:\n%s", backend, res.Trace.Dump())
+		}
+	}
+}
+
 func TestExplainAnalyzeDegradedHybrid(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Arm(faultinject.ExecHybridCompile, faultinject.Fault{Err: errors.New("injected compile failure")})

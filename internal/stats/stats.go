@@ -15,8 +15,12 @@ import (
 type Counters struct {
 	// Tuples is the number of tuples entering pipelines (source rows).
 	Tuples int64
-	// VMOps counts value-level operations executed by compiled programs and
-	// primitives (one per row per operator) — the instruction proxy.
+	// VMOps counts the rows compiled programs and primitives actually visit:
+	// every emitted operation adds the length of the loop it runs — the
+	// instruction proxy. It is not rows × IR statements: each selector of a
+	// filter's cascade counts only the survivors it is handed, and a
+	// statement run fused into one operation (the key build) counts its rows
+	// once (DESIGN.md §17). Gathers through a selection are not counted.
 	VMOps int64
 	// MaterializedBytes counts bytes written into tuple buffers between
 	// steps — the vectorized interpreter's extra memory traffic.

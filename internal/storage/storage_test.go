@@ -21,6 +21,29 @@ func TestVectorResizeKeepsData(t *testing.T) {
 	}
 }
 
+// TestVectorFirstAllocationRoundsUp: a register sized by its first morsel must
+// take the next, slightly fuller one without reallocating.
+func TestVectorFirstAllocationRoundsUp(t *testing.T) {
+	for _, c := range []struct{ first, capacity int }{
+		{1, 1}, {5, 8}, {1000, 1024}, {1024, 1024}, {16100, DefaultMorselRows},
+		// Past a morsel (a join's expansion) the first allocation is exact.
+		{DefaultMorselRows + 1, DefaultMorselRows + 1}, {20000, 20000},
+	} {
+		v := NewVector(types.Float64, 0)
+		v.Resize(c.first)
+		if v.Len() != c.first || cap(v.F64) != c.capacity {
+			t.Fatalf("first Resize(%d): len %d cap %d, want cap %d", c.first, v.Len(), cap(v.F64), c.capacity)
+		}
+	}
+	v := NewVector(types.Int32, 0)
+	v.Resize(16100)
+	before := &v.I32[0]
+	v.Resize(16384)
+	if &v.I32[0] != before {
+		t.Fatal("a fuller morsel reallocated the register")
+	}
+}
+
 func TestVectorAllKinds(t *testing.T) {
 	for _, k := range []types.Kind{types.Bool, types.Int32, types.Int64, types.Float64, types.Date, types.String, types.Ptr} {
 		v := NewVector(k, 4)

@@ -5,6 +5,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 
 	"inkfuse/internal/types"
 )
@@ -82,7 +83,14 @@ func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	ns := make([]T, n, max(n, 2*cap(s))) //inklint:allow alloc — capacity doubling; amortized O(1) per appended row
+	// A first allocation rounds up to a power of two (within a morsel): a
+	// register sized by its first morsel's survivors would otherwise regrow
+	// for the next, slightly fuller one. Later growth doubles.
+	c := 2 * cap(s)
+	if c == 0 && n <= DefaultMorselRows {
+		c = 1 << bits.Len(uint(n-1))
+	}
+	ns := make([]T, n, max(n, c)) //inklint:allow alloc — capacity doubling; amortized O(1) per appended row
 	copy(ns, s[:cap(s)])
 	return ns
 }

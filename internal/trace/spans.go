@@ -204,6 +204,7 @@ func (q *Query) Spans() ([]byte, error) {
 					intAttr("inkfuse.compile_ns", int64(p.CompileTime)),
 					intAttr("inkfuse.compile_wait_ns", int64(p.CompileWait)),
 					intAttr("inkfuse.compile_errors", p.CompileErrors),
+					strAttr("inkfuse.fused", p.Fused),
 				},
 			}
 			if p.Degraded {

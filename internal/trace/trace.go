@@ -72,6 +72,12 @@ type Pipeline struct {
 	CompileTime   time.Duration
 	CompileWait   time.Duration
 	CompileErrors int64
+	// Fused is what the closure compiler made of the pipeline's fused code
+	// (vm.Rewrites: IR statements vs closures emitted, selection cascades,
+	// fused key builds), one entry per compiled step; empty when the pipeline
+	// had no compiled code (vectorized backend, hybrid before the artifact
+	// landed). Present on plan-cache hits too, where nothing was compiled.
+	Fused string
 	// Degraded marks a hybrid pipeline whose background compile failed
 	// permanently: it was served by the vectorized interpreter alone.
 	Degraded bool
@@ -315,9 +321,12 @@ func (q *Query) Dump() string {
 		fmt.Fprintf(&b, "pipeline %s: %d rows, %d/%d morsels run, wall=%v busy=%v finalize=%v\n",
 			p.Name, p.Rows, p.MorselsRun(), p.Morsels,
 			p.Wall.Round(time.Microsecond), p.Busy().Round(time.Microsecond), p.Finalize.Round(time.Microsecond))
-		if p.CompileTime > 0 || p.CompileWait > 0 || p.CompileErrors > 0 {
+		if p.CompileTime > 0 || p.CompileWait > 0 || p.CompileErrors > 0 || p.Fused != "" {
 			fmt.Fprintf(&b, "  compile: time=%v wait=%v errors=%d",
 				p.CompileTime.Round(time.Microsecond), p.CompileWait.Round(time.Microsecond), p.CompileErrors)
+			if p.Fused != "" {
+				fmt.Fprintf(&b, " fused=[%s]", p.Fused)
+			}
 			if p.ArtifactReady > 0 {
 				fmt.Fprintf(&b, " artifact-ready=+%v", p.ArtifactReady.Round(time.Microsecond))
 			}

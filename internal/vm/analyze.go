@@ -1,0 +1,260 @@
+package vm
+
+import (
+	"fmt"
+	"strings"
+
+	"inkfuse/internal/ir"
+)
+
+// The closure compiler's pre-pass (DESIGN.md §17). Compile translates the IR
+// statement by statement except where a value has exactly one consumer inside
+// the function: then producer and consumer compile into one operation and the
+// value never becomes an n-element register. Two patterns qualify —
+//
+//   - a filter condition: the single-use bool temporaries of a conjunction of
+//     comparisons become the selectors of a cascade (selector.go);
+//   - a key build: the run MakeRow → Pack*(key)* → SealKey → AggLookup whose row
+//     handles feed only the next statement becomes one pack-hash-probe
+//     operation (keybuild.go).
+//
+// A value with a second consumer anywhere in the function (a filter copy, an
+// emit, another expression) stays a register and its consumers read it as
+// before, so single-statement primitives — which have nothing to fuse —
+// compile exactly as they always did, through the same code.
+
+// countUses returns, per IR variable, how many reads of it the function
+// contains (all scopes).
+func countUses(f *ir.Func) map[int]int {
+	uses := make(map[int]int)
+	useStmts(f.Body, uses)
+	return uses
+}
+
+func useStmts(list []ir.Stmt, uses map[int]int) {
+	for _, s := range list {
+		useStmt(s, uses)
+	}
+}
+
+// useStmt counts the variable reads of one statement.
+//
+//inklint:dispatch ir.Stmt
+func useStmt(s ir.Stmt, uses map[int]int) {
+	switch s := s.(type) {
+	case ir.Assign:
+		useExpr(s.E, uses)
+	case ir.Copy:
+		uses[s.Src.ID]++
+	case ir.FilterStmt:
+		uses[s.Cond.ID]++
+		for _, cp := range s.Copies {
+			uses[cp.Src.ID]++
+		}
+		useStmts(s.Body, uses)
+	case ir.MakeRow:
+	case ir.PackFixed:
+		uses[s.Row.ID]++
+		useExpr(s.Val, uses)
+	case ir.PackStr:
+		uses[s.Row.ID]++
+		useExpr(s.Val, uses)
+	case ir.SealKey:
+		uses[s.Row.ID]++
+	case ir.AggLookup:
+		uses[s.Row.ID]++
+	case ir.AggLookupFixed:
+		uses[s.Key.ID]++
+	case ir.AggUpdate:
+		uses[s.Group.ID]++
+		if s.Val != nil {
+			useExpr(s.Val, uses)
+		}
+	case ir.JoinInsert:
+		uses[s.Row.ID]++
+	case ir.Partition:
+		uses[s.Row.ID]++
+	case ir.Prefetch:
+		uses[s.Row.ID]++
+	case ir.ProbeStmt:
+		uses[s.ProbeRow.ID]++
+		useStmts(s.Body, uses)
+	case ir.EmitStmt:
+		for _, v := range s.Cols {
+			uses[v.ID]++
+		}
+	}
+}
+
+// useExpr counts the variable reads of one expression.
+//
+//inklint:dispatch ir.Expr
+func useExpr(e ir.Expr, uses map[int]int) {
+	switch x := e.(type) {
+	case ir.VarRef:
+		uses[x.V.ID]++
+	case ir.ConstRef:
+	case ir.BinExpr:
+		useExpr(x.L, uses)
+		useExpr(x.R, uses)
+	case ir.CmpExpr:
+		useExpr(x.L, uses)
+		useExpr(x.R, uses)
+	case ir.LogicExpr:
+		useExpr(x.L, uses)
+		useExpr(x.R, uses)
+	case ir.NotExpr:
+		useExpr(x.E, uses)
+	case ir.CastExpr:
+		useExpr(x.E, uses)
+	case ir.LikeExpr:
+		useExpr(x.S, uses)
+	case ir.InListExpr:
+		useExpr(x.S, uses)
+	case ir.StrLower:
+		useExpr(x.E, uses)
+	case ir.CondExpr:
+		useExpr(x.Cond, uses)
+		useExpr(x.Then, uses)
+		useExpr(x.Else, uses)
+	case ir.UnpackFixed:
+		useExpr(x.Row, uses)
+	case ir.UnpackStr:
+		useExpr(x.Row, uses)
+	}
+}
+
+// blockPlan is what the pre-pass decided for one statement list.
+type blockPlan struct {
+	// absorbed maps a bool variable to its defining expression when the
+	// Assign compiles to nothing because the block's filter evaluates the
+	// expression as part of its selection cascade.
+	absorbed map[int]ir.Expr
+	// keyBuilds maps the index of a MakeRow statement to the index of the
+	// AggLookup ending the run that compiles to one fused key build.
+	keyBuilds map[int]int
+}
+
+// planBlock finds the block's fusable patterns. A block with neither a filter
+// nor a MakeRow — every expression primitive — gets the zero plan.
+func (c *compiler) planBlock(stmts []ir.Stmt) blockPlan {
+	var p blockPlan
+	for i, s := range stmts {
+		switch s := s.(type) {
+		case ir.FilterStmt:
+			// Only a definition in this very block qualifies: its operands
+			// are registers of the cardinality the filter runs at.
+			defs := make(map[int]ir.Expr)
+			for _, d := range stmts[:i] {
+				if a, ok := d.(ir.Assign); ok {
+					defs[a.Dst.ID] = a.E
+				}
+			}
+			if p.absorbed == nil {
+				p.absorbed = make(map[int]ir.Expr)
+			}
+			c.absorb(ir.Ref(s.Cond), defs, p.absorbed)
+		case ir.MakeRow:
+			if end, ok := c.keyBuildRun(stmts, i); ok {
+				if p.keyBuilds == nil {
+					p.keyBuilds = make(map[int]int)
+				}
+				p.keyBuilds[i] = end
+			}
+		}
+	}
+	return p
+}
+
+// absorb walks a filter condition top-down through conjunctions and marks
+// every single-use bool temporary on the way whose definition the cascade can
+// evaluate itself: a conjunction (its two sides become consecutive selectors)
+// or a comparison (one selector). Anything else — a disjunction, LIKE, a bool
+// column, a temporary with a second consumer — stays a materialized bool and
+// enters the cascade as the trivial selector.
+func (c *compiler) absorb(e ir.Expr, defs, absorbed map[int]ir.Expr) {
+	switch x := e.(type) {
+	case ir.VarRef:
+		def, ok := defs[x.V.ID]
+		if !ok || c.uses[x.V.ID] != 1 {
+			return
+		}
+		switch d := def.(type) {
+		case ir.CmpExpr:
+			absorbed[x.V.ID] = def
+		case ir.LogicExpr:
+			if d.Op == ir.And {
+				absorbed[x.V.ID] = def
+				c.absorb(def, defs, absorbed)
+			}
+		}
+	case ir.LogicExpr:
+		if x.Op == ir.And {
+			c.absorb(x.L, defs, absorbed)
+			c.absorb(x.R, defs, absorbed)
+		}
+	}
+}
+
+// keyBuildRun matches the statement run starting at the MakeRow stmts[at]:
+// key-region packs, SealKey, AggLookup, back to back, each consuming the row
+// handle the previous statement defined and nothing else consuming any of
+// them. It returns the index of the AggLookup. A run that also packs payload
+// (the seed of a collated key, the routed row of an exchange) does not match:
+// its lookup follows the payload packs, not the seal.
+func (c *compiler) keyBuildRun(stmts []ir.Stmt, at int) (int, bool) {
+	row := stmts[at].(ir.MakeRow).Dst
+	for i := at + 1; i < len(stmts); i++ {
+		if c.uses[row.ID] != 1 {
+			return 0, false
+		}
+		switch s := stmts[i].(type) {
+		case ir.PackFixed:
+			if s.Row.ID != row.ID || s.Region != ir.KeyRegion {
+				return 0, false
+			}
+			row = s.Dst
+		case ir.PackStr:
+			if s.Row.ID != row.ID || s.Region != ir.KeyRegion {
+				return 0, false
+			}
+			row = s.Dst
+		case ir.SealKey:
+			if s.Row.ID != row.ID || i+1 >= len(stmts) || c.uses[s.Dst.ID] != 1 {
+				return 0, false
+			}
+			look, ok := stmts[i+1].(ir.AggLookup)
+			if !ok || look.Row.ID != s.Dst.ID {
+				return 0, false
+			}
+			return i + 1, true
+		default:
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
+// Rewrites reports what the closure compiler made of a function: how many IR
+// statements it read and how many closures it emitted for them, and which of
+// the §17 patterns fired.
+type Rewrites struct {
+	Stmts    int // IR statements, all scopes
+	Closures int // executable operations emitted (selectors included)
+	// Cascades holds the selector count of every filter that compiled to
+	// more than the trivial selector over a materialized bool.
+	Cascades  []int
+	KeyBuilds int // MakeRow…AggLookup runs compiled to one operation
+}
+
+func (r Rewrites) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d stmts -> %d closures", r.Stmts, r.Closures)
+	if len(r.Cascades) > 0 {
+		fmt.Fprintf(&b, ", cascades %v", r.Cascades)
+	}
+	if r.KeyBuilds > 0 {
+		fmt.Fprintf(&b, ", %d fused key build(s)", r.KeyBuilds)
+	}
+	return b.String()
+}

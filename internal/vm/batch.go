@@ -26,12 +26,16 @@ type tableBatch struct {
 	phash  []uint64
 	pout   [][]byte
 	sc     rt.BatchScratch
+	// The fused key build (keybuild.go): the key columns bound to the current
+	// execution, and a never-written (all-zero) byte run.
+	cols  []keyCol
+	zeros []byte
 }
 
 func (tb *tableBatch) retainedBytes() int64 {
 	rows := cap(tb.keys) + cap(tb.seeds) + cap(tb.pkeys) + cap(tb.pseeds) + cap(tb.pout)
 	return int64(rows)*24 + int64(cap(tb.hashes)+cap(tb.phash))*8 +
-		int64(cap(tb.keybuf)) + int64(cap(tb.pend))*4
+		int64(cap(tb.keybuf)+cap(tb.zeros)) + int64(cap(tb.pend))*4
 }
 
 func auxBatch(fr *frame, k int) *tableBatch {

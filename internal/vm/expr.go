@@ -45,163 +45,322 @@ type ordered interface {
 	~int32 | ~int64 | ~float64 | ~string
 }
 
-func arithKernel[T number](op ir.BinOp) func(d, a, b []T) {
-	switch op {
-	case ir.Add:
-		return func(d, a, b []T) {
-			for i := range d {
-				d[i] = a[i] + b[i]
-			}
-		}
-	case ir.Sub:
-		return func(d, a, b []T) {
-			for i := range d {
-				d[i] = a[i] - b[i]
-			}
-		}
-	case ir.Mul:
-		return func(d, a, b []T) {
-			for i := range d {
-				d[i] = a[i] * b[i]
-			}
-		}
-	default: // Div
-		return func(d, a, b []T) {
-			for i := range d {
-				d[i] = a[i] / b[i]
-			}
-		}
-	}
-}
-
-func cmpKernel[T ordered](op ir.CmpOp) func(d []bool, a, b []T) {
-	switch op {
-	case ir.Lt:
-		return func(d []bool, a, b []T) {
-			for i := range d {
-				d[i] = a[i] < b[i]
-			}
-		}
-	case ir.Le:
-		return func(d []bool, a, b []T) {
-			for i := range d {
-				d[i] = a[i] <= b[i]
-			}
-		}
-	case ir.Eq:
-		return func(d []bool, a, b []T) {
-			for i := range d {
-				d[i] = a[i] == b[i]
-			}
-		}
-	case ir.Ne:
-		return func(d []bool, a, b []T) {
-			for i := range d {
-				d[i] = a[i] != b[i]
-			}
-		}
-	case ir.Ge:
-		return func(d []bool, a, b []T) {
-			for i := range d {
-				d[i] = a[i] >= b[i]
-			}
-		}
-	default: // Gt
-		return func(d []bool, a, b []T) {
-			for i := range d {
-				d[i] = a[i] > b[i]
-			}
-		}
-	}
-}
-
-// operand is a compiled expression operand: either a slot or a runtime
-// constant. Having both lets one kernel cover the column/column and
-// column/constant primitive variants. Constant operands broadcast into a
-// per-frame auxiliary buffer, so a Program stays safe to share across
-// workers.
+// operand is a compiled expression operand: a register, or a runtime constant
+// read from state once per kernel call and held in a machine register for the
+// loop. One kernel family thereby covers the column/column, column/constant
+// and constant/column primitive variants without ever broadcasting a constant
+// into an n-element buffer (DESIGN.md §17).
 type operand[T any] struct {
-	slot  int
-	get   func(*storage.Vector) []T
-	cget  func([]any) T
-	aux   int
-	isCol bool
+	slot int
+	get  func(*storage.Vector) []T
+	cget func([]any) T // nil for a register operand
 }
 
-func (o operand[T]) load(fr *frame, n int) []T {
-	if o.isCol {
-		return o.get(fr.vecs[o.slot])[:n]
-	}
-	// Broadcast the constant into this frame's reusable buffer (pointer-boxed
-	// in aux so refilling it never re-boxes, see auxSlice).
-	c := o.cget(fr.state)
-	bp := auxSlice[T](fr, o.aux)
-	b := *bp
-	if cap(b) < n {
-		b = make([]T, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = c
-	}
-	*bp = b
-	return b
-}
+func (o operand[T]) isConst() bool { return o.cget != nil }
 
-// compileOperand compiles e either to a column slot or a constant accessor.
+func (o operand[T]) col(fr *frame, n int) []T { return o.get(fr.vecs[o.slot])[:n] }
+
+// compileOperand compiles e either to a register or a constant accessor.
 func compileOperand[T any](c *compiler, blk *[]exec, e ir.Expr,
 	get func(*storage.Vector) []T, cget func(int) func([]any) T) (operand[T], error) {
 	if cr, ok := e.(ir.ConstRef); ok {
-		return operand[T]{cget: cget(cr.StateID), aux: c.newAux()}, nil
+		return operand[T]{cget: cget(cr.StateID)}, nil
 	}
 	s, err := c.expr(e, blk)
 	if err != nil {
 		return operand[T]{}, err
 	}
-	return operand[T]{slot: s, get: get, isCol: true}, nil
+	return operand[T]{slot: s, get: get}, nil
 }
 
-// binOp emits a kernel over two operands into a fresh slot of kind k. The
-// destination element type D may differ from the operand type T
-// (comparisons produce bools).
-func binOp[T, D any](c *compiler, blk *[]exec, k types.Kind, l, r operand[T],
-	kern func(d []D, a, b []T), getD func(*storage.Vector) []D) int {
-	ds := c.newSlot(k)
-	*blk = append(*blk, func(fr *frame, n int) {
-		dv := fr.vecs[ds]
-		dv.Resize(n)
-		a := l.load(fr, n)
-		b := r.load(fr, n)
-		kern(getD(dv)[:n], a, b)
-		fr.ctx.Counters.VMOps += int64(n)
-	})
-	return ds
+// binOperands compiles the two sides of a binary expression. At most one side
+// stays a constant: with constants on both sides (no lowering produces that)
+// the left one is materialized into a register.
+func binOperands[T any](c *compiler, blk *[]exec, le, re ir.Expr,
+	get func(*storage.Vector) []T, cget func(int) func([]any) T) (l, r operand[T], err error) {
+	if l, err = compileOperand(c, blk, le, get, cget); err != nil {
+		return
+	}
+	if r, err = compileOperand(c, blk, re, get, cget); err != nil {
+		return
+	}
+	if l.isConst() && r.isConst() {
+		var s int
+		s, err = c.expr(le, blk)
+		l = operand[T]{slot: s, get: get}
+	}
+	return
+}
+
+// Arithmetic kernels, one per operand shape. The operator switch runs once
+// per call; every loop is monomorphic.
+
+//inkfuse:hotpath
+func arithCC[T number](op ir.BinOp, d, a, b []T) {
+	a, b = a[:len(d)], b[:len(d)]
+	switch op {
+	case ir.Add:
+		for i := range d {
+			d[i] = a[i] + b[i]
+		}
+	case ir.Sub:
+		for i := range d {
+			d[i] = a[i] - b[i]
+		}
+	case ir.Mul:
+		for i := range d {
+			d[i] = a[i] * b[i]
+		}
+	default: // Div
+		for i := range d {
+			d[i] = a[i] / b[i]
+		}
+	}
+}
+
+//inkfuse:hotpath
+func arithCK[T number](op ir.BinOp, d, a []T, k T) {
+	a = a[:len(d)]
+	switch op {
+	case ir.Add:
+		for i := range d {
+			d[i] = a[i] + k
+		}
+	case ir.Sub:
+		for i := range d {
+			d[i] = a[i] - k
+		}
+	case ir.Mul:
+		for i := range d {
+			d[i] = a[i] * k
+		}
+	default: // Div
+		for i := range d {
+			d[i] = a[i] / k
+		}
+	}
+}
+
+//inkfuse:hotpath
+func arithKC[T number](op ir.BinOp, d []T, k T, b []T) {
+	b = b[:len(d)]
+	switch op {
+	case ir.Add:
+		for i := range d {
+			d[i] = k + b[i]
+		}
+	case ir.Sub:
+		for i := range d {
+			d[i] = k - b[i]
+		}
+	case ir.Mul:
+		for i := range d {
+			d[i] = k * b[i]
+		}
+	default: // Div
+		for i := range d {
+			d[i] = k / b[i]
+		}
+	}
+}
+
+// Comparison kernels producing a bool column. constant∘column is the mirrored
+// operator over column∘constant (mirror).
+
+//inkfuse:hotpath
+func cmpCC[T ordered](op ir.CmpOp, d []bool, a, b []T) {
+	a, b = a[:len(d)], b[:len(d)]
+	switch op {
+	case ir.Lt:
+		for i := range d {
+			d[i] = a[i] < b[i]
+		}
+	case ir.Le:
+		for i := range d {
+			d[i] = a[i] <= b[i]
+		}
+	case ir.Eq:
+		for i := range d {
+			d[i] = a[i] == b[i]
+		}
+	case ir.Ne:
+		for i := range d {
+			d[i] = a[i] != b[i]
+		}
+	case ir.Ge:
+		for i := range d {
+			d[i] = a[i] >= b[i]
+		}
+	default: // Gt
+		for i := range d {
+			d[i] = a[i] > b[i]
+		}
+	}
+}
+
+//inkfuse:hotpath
+func cmpCK[T ordered](op ir.CmpOp, d []bool, a []T, k T) {
+	a = a[:len(d)]
+	switch op {
+	case ir.Lt:
+		for i := range d {
+			d[i] = a[i] < k
+		}
+	case ir.Le:
+		for i := range d {
+			d[i] = a[i] <= k
+		}
+	case ir.Eq:
+		for i := range d {
+			d[i] = a[i] == k
+		}
+	case ir.Ne:
+		for i := range d {
+			d[i] = a[i] != k
+		}
+	case ir.Ge:
+		for i := range d {
+			d[i] = a[i] >= k
+		}
+	default: // Gt
+		for i := range d {
+			d[i] = a[i] > k
+		}
+	}
+}
+
+// mirror returns the operator that holds for (b, a) exactly when op holds for
+// (a, b): k < col is col > k.
+func mirror(op ir.CmpOp) ir.CmpOp {
+	switch op {
+	case ir.Lt:
+		return ir.Gt
+	case ir.Le:
+		return ir.Ge
+	case ir.Ge:
+		return ir.Le
+	case ir.Gt:
+		return ir.Lt
+	default: // Eq, Ne
+		return op
+	}
+}
+
+// dst readies register ds for n values and returns them.
+func dst[D any](fr *frame, ds, n int, get func(*storage.Vector) []D) []D {
+	dv := fr.vecs[ds]
+	dv.Resize(n)
+	return get(dv)[:n]
 }
 
 func buildArith[T number](c *compiler, blk *[]exec, x ir.BinExpr, k types.Kind,
 	get func(*storage.Vector) []T, cget func(int) func([]any) T) (int, error) {
-	l, err := compileOperand(c, blk, x.L, get, cget)
+	l, r, err := binOperands(c, blk, x.L, x.R, get, cget)
 	if err != nil {
 		return 0, err
 	}
-	r, err := compileOperand(c, blk, x.R, get, cget)
-	if err != nil {
-		return 0, err
+	ds, op := c.newSlot(k), x.Op
+	switch {
+	case l.isConst():
+		*blk = append(*blk, func(fr *frame, n int) {
+			arithKC(op, dst(fr, ds, n, get), l.cget(fr.state), r.col(fr, n))
+			fr.ctx.Counters.VMOps += int64(n)
+		})
+	case r.isConst():
+		*blk = append(*blk, func(fr *frame, n int) {
+			arithCK(op, dst(fr, ds, n, get), l.col(fr, n), r.cget(fr.state))
+			fr.ctx.Counters.VMOps += int64(n)
+		})
+	default:
+		*blk = append(*blk, func(fr *frame, n int) {
+			arithCC(op, dst(fr, ds, n, get), l.col(fr, n), r.col(fr, n))
+			fr.ctx.Counters.VMOps += int64(n)
+		})
 	}
-	return binOp(c, blk, k, l, r, arithKernel[T](x.Op), get), nil
+	return ds, nil
+}
+
+// cmpOperands compiles the two sides of a comparison into column∘column or
+// column∘constant form, mirroring the operator when the constant is on the
+// left.
+func cmpOperands[T ordered](c *compiler, blk *[]exec, x ir.CmpExpr,
+	get func(*storage.Vector) []T, cget func(int) func([]any) T) (ir.CmpOp, operand[T], operand[T], error) {
+	l, r, err := binOperands(c, blk, x.L, x.R, get, cget)
+	if l.isConst() {
+		return mirror(x.Op), r, l, err
+	}
+	return x.Op, l, r, err
 }
 
 func buildCmp[T ordered](c *compiler, blk *[]exec, x ir.CmpExpr,
 	get func(*storage.Vector) []T, cget func(int) func([]any) T) (int, error) {
-	l, err := compileOperand(c, blk, x.L, get, cget)
+	op, l, r, err := cmpOperands(c, blk, x, get, cget)
 	if err != nil {
 		return 0, err
 	}
-	r, err := compileOperand(c, blk, x.R, get, cget)
-	if err != nil {
-		return 0, err
+	ds := c.newSlot(types.Bool)
+	if r.isConst() {
+		*blk = append(*blk, func(fr *frame, n int) {
+			cmpCK(op, dst(fr, ds, n, getB), l.col(fr, n), r.cget(fr.state))
+			fr.ctx.Counters.VMOps += int64(n)
+		})
+	} else {
+		*blk = append(*blk, func(fr *frame, n int) {
+			cmpCC(op, dst(fr, ds, n, getB), l.col(fr, n), r.col(fr, n))
+			fr.ctx.Counters.VMOps += int64(n)
+		})
 	}
-	return binOp(c, blk, types.Bool, l, r, cmpKernel[T](x.Op), getB), nil
+	return ds, nil
+}
+
+// CASE WHEN kernels, one per shape of the two arms.
+
+//inkfuse:hotpath
+func selectCC[T any](d []T, cond []bool, t, e []T) {
+	cond, t, e = cond[:len(d)], t[:len(d)], e[:len(d)]
+	for i := range d {
+		if cond[i] {
+			d[i] = t[i]
+		} else {
+			d[i] = e[i]
+		}
+	}
+}
+
+//inkfuse:hotpath
+func selectCK[T any](d []T, cond []bool, t []T, ek T) {
+	cond, t = cond[:len(d)], t[:len(d)]
+	for i := range d {
+		if cond[i] {
+			d[i] = t[i]
+		} else {
+			d[i] = ek
+		}
+	}
+}
+
+//inkfuse:hotpath
+func selectKC[T any](d []T, cond []bool, tk T, e []T) {
+	cond, e = cond[:len(d)], e[:len(d)]
+	for i := range d {
+		if cond[i] {
+			d[i] = tk
+		} else {
+			d[i] = e[i]
+		}
+	}
+}
+
+//inkfuse:hotpath
+func selectKK[T any](d []T, cond []bool, tk, ek T) {
+	cond = cond[:len(d)]
+	for i := range d {
+		if cond[i] {
+			d[i] = tk
+		} else {
+			d[i] = ek
+		}
+	}
 }
 
 func buildSelect[T any](c *compiler, blk *[]exec, x ir.CondExpr, k types.Kind,
@@ -219,20 +378,19 @@ func buildSelect[T any](c *compiler, blk *[]exec, x ir.CondExpr, k types.Kind,
 		return 0, err
 	}
 	ds := c.newSlot(k)
+	var kern func(fr *frame, d []T, cond []bool, n int)
+	switch {
+	case t.isConst() && e.isConst():
+		kern = func(fr *frame, d []T, cond []bool, n int) { selectKK(d, cond, t.cget(fr.state), e.cget(fr.state)) }
+	case t.isConst():
+		kern = func(fr *frame, d []T, cond []bool, n int) { selectKC(d, cond, t.cget(fr.state), e.col(fr, n)) }
+	case e.isConst():
+		kern = func(fr *frame, d []T, cond []bool, n int) { selectCK(d, cond, t.col(fr, n), e.cget(fr.state)) }
+	default:
+		kern = func(fr *frame, d []T, cond []bool, n int) { selectCC(d, cond, t.col(fr, n), e.col(fr, n)) }
+	}
 	*blk = append(*blk, func(fr *frame, n int) {
-		dv := fr.vecs[ds]
-		dv.Resize(n)
-		d := get(dv)[:n]
-		cond := fr.vecs[cs].B[:n]
-		tv := t.load(fr, n)
-		ev := e.load(fr, n)
-		for i := range d {
-			if cond[i] {
-				d[i] = tv[i]
-			} else {
-				d[i] = ev[i]
-			}
-		}
+		kern(fr, dst(fr, ds, n, get), fr.vecs[cs].B[:n], n)
 		fr.ctx.Counters.VMOps += int64(n)
 	})
 	return ds, nil

@@ -1,0 +1,252 @@
+package vm
+
+// The closure compiler's rewrites (DESIGN.md §17), each pinned against the
+// statement-by-statement compilation of the same IR: a second consumer of the
+// value a pattern would fuse away — here a free ir.Copy — makes the compiler
+// fall back, which gives every test its reference program.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"inkfuse/internal/ir"
+	"inkfuse/internal/rt"
+	"inkfuse/internal/storage"
+	"inkfuse/internal/types"
+)
+
+// cascadeFunc filters on a ≥ k0 AND k1 > b AND a < b AND like(s) and emits the
+// surviving a. With keep, the middle comparison's bool is emitted too, so it
+// has two consumers.
+func cascadeFunc(keep bool) *ir.Func {
+	a := ir.Var{ID: 1, K: types.Int64, Name: "a"}
+	b := ir.Var{ID: 2, K: types.Int64, Name: "b"}
+	s := ir.Var{ID: 3, K: types.String, Name: "s"}
+	c1 := ir.Var{ID: 4, K: types.Bool, Name: "c1"}
+	c2 := ir.Var{ID: 5, K: types.Bool, Name: "c2"}
+	c3 := ir.Var{ID: 6, K: types.Bool, Name: "c3"}
+	c4 := ir.Var{ID: 7, K: types.Bool, Name: "c4"}
+	and1 := ir.Var{ID: 8, K: types.Bool, Name: "and1"}
+	and2 := ir.Var{ID: 9, K: types.Bool, Name: "and2"}
+	and3 := ir.Var{ID: 10, K: types.Bool, Name: "and3"}
+	a2 := ir.Var{ID: 11, K: types.Int64, Name: "a2"}
+	c2in := ir.Var{ID: 12, K: types.Bool, Name: "c2in"}
+	filter := ir.FilterStmt{
+		Cond:   and3,
+		Copies: []ir.Copy{{Dst: a2, Src: a}},
+		Body:   []ir.Stmt{ir.EmitStmt{Cols: []ir.Var{a2}}},
+	}
+	out := []types.Kind{types.Int64}
+	if keep {
+		filter.Copies = append(filter.Copies, ir.Copy{Dst: c2in, Src: c2})
+		filter.Body = []ir.Stmt{ir.EmitStmt{Cols: []ir.Var{a2, c2in}}}
+		out = append(out, types.Bool)
+	}
+	return &ir.Func{
+		Name: "cascade",
+		Ins:  []ir.Var{a, b, s},
+		Body: []ir.Stmt{
+			ir.Assign{Dst: c1, E: ir.CmpExpr{Op: ir.Ge, L: ir.Ref(a), R: ir.ConstRef{StateID: 0, K: types.Int64}}},
+			ir.Assign{Dst: c2, E: ir.CmpExpr{Op: ir.Gt, L: ir.ConstRef{StateID: 1, K: types.Int64}, R: ir.Ref(b)}},
+			ir.Assign{Dst: and1, E: ir.LogicExpr{Op: ir.And, L: ir.Ref(c1), R: ir.Ref(c2)}},
+			ir.Assign{Dst: c3, E: ir.CmpExpr{Op: ir.Lt, L: ir.Ref(a), R: ir.Ref(b)}},
+			ir.Assign{Dst: and2, E: ir.LogicExpr{Op: ir.And, L: ir.Ref(and1), R: ir.Ref(c3)}},
+			ir.Assign{Dst: c4, E: ir.LikeExpr{S: ir.Ref(s), StateID: 2}},
+			ir.Assign{Dst: and3, E: ir.LogicExpr{Op: ir.And, L: ir.Ref(and2), R: ir.Ref(c4)}},
+			filter,
+		},
+		OutKinds:  out,
+		NumStates: 3,
+	}
+}
+
+func TestSelectionCascade(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	const n = 3000
+	av, bv, sv := storage.NewVector(types.Int64, n), storage.NewVector(types.Int64, n), storage.NewVector(types.String, n)
+	for i := 0; i < n; i++ {
+		av.I64[i], bv.I64[i] = int64(r.Intn(100)), int64(r.Intn(100))
+		sv.Str[i] = []string{"PROMO A", "plain"}[r.Intn(2)]
+	}
+	like := &rt.LikeState{M: rt.NewLikeMatcher("PROMO%")}
+	for _, k := range []struct{ k0, k1 int64 }{{20, 70}, {0, 100}, {1000, 70} /* first conjunct: no survivor */} {
+		state := []any{rt.ConstI64(k.k0), rt.ConstI64(k.k1), like}
+		var want []int64
+		for i := 0; i < n; i++ {
+			if av.I64[i] >= k.k0 && k.k1 > bv.I64[i] && av.I64[i] < bv.I64[i] && sv.Str[i] == "PROMO A" {
+				want = append(want, av.I64[i])
+			}
+		}
+		for _, keep := range []bool{false, true} {
+			p := MustCompile(cascadeFunc(keep))
+			// Four selectors either way: three comparisons and LIKE as a
+			// materialized bool when every temporary has one consumer; with
+			// the second comparison's bool also copied into the scope, that
+			// conjunct is the materialized one.
+			if got := p.Rewrites().Cascades; !reflect.DeepEqual(got, []int{4}) {
+				t.Fatalf("keep=%v: cascades %v, want [4]", keep, got)
+			}
+			out := storage.NewChunk(p.Fn.OutKinds)
+			ctx := NewCtx()
+			p.Run(ctx, state, []*storage.Vector{av, bv, sv}, n, out)
+			if got := out.Cols[0].I64; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%v keep=%v: %d rows, want %d", k, keep, out.Rows(), len(want))
+			}
+			if keep {
+				for _, c2 := range out.Cols[1].B {
+					if !c2 {
+						t.Fatalf("k=%v: a surviving row carries a false conjunct", k)
+					}
+				}
+			}
+		}
+	}
+
+	// The cascade visits fewer rows than conjuncts × n; VMOps counts visits.
+	p := MustCompile(cascadeFunc(false))
+	ctx := NewCtx()
+	p.Run(ctx, []any{rt.ConstI64(1000), rt.ConstI64(70), like}, []*storage.Vector{av, bv, sv}, n, storage.NewChunk(p.Fn.OutKinds))
+	// LIKE is materialized over all n rows, the first selector visits n and
+	// leaves nothing for the other three.
+	if ctx.Counters.VMOps != 2*n {
+		t.Fatalf("VMOps = %d with an empty first selection, want %d", ctx.Counters.VMOps, 2*n)
+	}
+}
+
+// TestCascadeUseCountGuard: a conjunction whose own bool has a second consumer
+// is not a cascade at all — it and its operands stay registers.
+func TestCascadeUseCountGuard(t *testing.T) {
+	a := ir.Var{ID: 1, K: types.Int64, Name: "a"}
+	c1 := ir.Var{ID: 2, K: types.Bool, Name: "c1"}
+	c2 := ir.Var{ID: 3, K: types.Bool, Name: "c2"}
+	and := ir.Var{ID: 4, K: types.Bool, Name: "and"}
+	a2 := ir.Var{ID: 5, K: types.Int64, Name: "a2"}
+	and2 := ir.Var{ID: 6, K: types.Bool, Name: "and2"}
+	f := &ir.Func{
+		Ins: []ir.Var{a},
+		Body: []ir.Stmt{
+			ir.Assign{Dst: c1, E: ir.CmpExpr{Op: ir.Gt, L: ir.Ref(a), R: ir.ConstRef{StateID: 0, K: types.Int64}}},
+			ir.Assign{Dst: c2, E: ir.CmpExpr{Op: ir.Lt, L: ir.Ref(a), R: ir.ConstRef{StateID: 1, K: types.Int64}}},
+			ir.Assign{Dst: and, E: ir.LogicExpr{Op: ir.And, L: ir.Ref(c1), R: ir.Ref(c2)}},
+			ir.FilterStmt{
+				Cond:   and,
+				Copies: []ir.Copy{{Dst: a2, Src: a}, {Dst: and2, Src: and}},
+				Body:   []ir.Stmt{ir.EmitStmt{Cols: []ir.Var{a2, and2}}},
+			},
+		},
+		OutKinds:  []types.Kind{types.Int64, types.Bool},
+		NumStates: 2,
+	}
+	p := MustCompile(f)
+	if rw := p.Rewrites(); len(rw.Cascades) != 0 {
+		t.Fatalf("a condition with two consumers compiled to a cascade: %v", rw)
+	}
+	out := storage.NewChunk(f.OutKinds)
+	p.Run(NewCtx(), []any{rt.ConstI64(3), rt.ConstI64(8)}, []*storage.Vector{ivec(1, 5, 9, 7, 3)}, 5, out)
+	if !reflect.DeepEqual(out.Cols[0].I64, []int64{5, 7}) || !reflect.DeepEqual(out.Cols[1].B, []bool{true, true}) {
+		t.Fatalf("got %v %v", out.Cols[0].I64, out.Cols[1].B)
+	}
+}
+
+// keyBuildFunc groups by (date, string, int64) and sums; with fuse=false a
+// Copy of the sealed row handle gives it a second consumer.
+func keyBuildFunc(fuse bool) *ir.Func {
+	d := ir.Var{ID: 1, K: types.Date, Name: "d"}
+	s := ir.Var{ID: 2, K: types.String, Name: "s"}
+	k := ir.Var{ID: 3, K: types.Int64, Name: "k"}
+	v := ir.Var{ID: 4, K: types.Float64, Name: "v"}
+	row := func(i int) ir.Var { return ir.Var{ID: 10 + i, K: types.Ptr, Name: "row"} }
+	grp := ir.Var{ID: 20, K: types.Ptr, Name: "g"}
+	body := []ir.Stmt{
+		ir.MakeRow{Dst: row(0), StateID: 0},
+		ir.PackFixed{Dst: row(1), Row: row(0), Region: ir.KeyRegion, StateID: 1, Val: ir.Ref(d)},
+		ir.PackFixed{Dst: row(2), Row: row(1), Region: ir.KeyRegion, StateID: 2, Val: ir.Ref(k)},
+		ir.PackStr{Dst: row(3), Row: row(2), Region: ir.KeyRegion, StateID: 3, Val: ir.Ref(s)},
+		ir.SealKey{Dst: row(4), Row: row(3), StateID: 0},
+		ir.AggLookup{Dst: grp, Row: row(4), StateID: 4},
+	}
+	if !fuse {
+		body = append(body, ir.Copy{Dst: row(5), Src: row(4)})
+	}
+	body = append(body,
+		ir.AggUpdate{Group: grp, Fn: ir.AggSumF64, StateID: 5, Val: ir.Ref(v)},
+		ir.AggUpdate{Group: grp, Fn: ir.AggCount, StateID: 6})
+	return &ir.Func{Name: "keybuild", Ins: []ir.Var{d, s, k, v}, Body: body, NumStates: 7}
+}
+
+// TestKeyBuildFusion runs the fused and the statement-by-statement key build
+// over the same chunks and requires the worker tables to come out identical —
+// same group rows, same bytes, same order — in all three regimes of the local
+// table: absorbing everything, overflowing into the sharded table, and
+// disabled by the adaptive policy.
+func TestKeyBuildFusion(t *testing.T) {
+	for _, distinct := range []int{7, 6000, 1 << 30} {
+		t.Run(fmt.Sprint(distinct), func(t *testing.T) {
+			var tables [2][][]byte
+			var counters [2][3]int64
+			for pi, fuse := range []bool{true, false} {
+				p := MustCompile(keyBuildFunc(fuse))
+				if got := p.Rewrites().KeyBuilds; (got == 1) != fuse {
+					t.Fatalf("fuse=%v: %d fused key builds", fuse, got)
+				}
+				layout := &rt.RowLayoutState{KeyFixed: 12}
+				agg := &rt.AggTableState{Init: make([]byte, 16), Shards: 4, Merge: []rt.AggMerge{
+					{Op: rt.MergeSumF64, Off: 0}, {Op: rt.MergeSumI64, Off: 8}}}
+				state := []any{layout, &rt.OffsetState{Off: 0, Layout: layout}, &rt.OffsetState{Off: 4, Layout: layout},
+					&rt.OffsetState{Layout: layout}, agg, &rt.OffsetState{Off: 0}, &rt.OffsetState{Off: 8}}
+				ctx := NewCtx()
+				r := rand.New(rand.NewSource(9))
+				next := 0
+				for chunk := 0; chunk < 6; chunk++ {
+					const n = 5000
+					dv, sv := storage.NewVector(types.Date, n), storage.NewVector(types.String, n)
+					kv, vv := storage.NewVector(types.Int64, n), storage.NewVector(types.Float64, n)
+					for i := 0; i < n; i++ {
+						g := r.Intn(distinct)
+						if distinct == 1<<30 {
+							g, next = next, next+1 // never repeats
+						}
+						dv.I32[i], kv.I64[i] = int32(g%97), int64(g)
+						sv.Str[i] = fmt.Sprintf("s%d", g%13)
+						vv.F64[i] = float64(r.Intn(1000)) / 8
+					}
+					p.Run(ctx, state, []*storage.Vector{dv, sv, kv, vv}, n, nil)
+					ctx.FlushLocalAggs()
+				}
+				tables[pi] = ctx.AggTable(agg).Snapshot()
+				c := &ctx.Counters
+				counters[pi] = [3]int64{c.HTLocalHits, c.HTSpills, c.HTProbes}
+			}
+			if counters[0] != counters[1] {
+				t.Fatalf("local hits / spills / probes: fused %v, unfused %v", counters[0], counters[1])
+			}
+			if len(tables[0]) != len(tables[1]) {
+				t.Fatalf("fused built %d groups, unfused %d", len(tables[0]), len(tables[1]))
+			}
+			for i := range tables[0] {
+				if !bytes.Equal(tables[0][i], tables[1][i]) {
+					t.Fatalf("group %d differs:\n fused   %x\n unfused %x", i, tables[0][i], tables[1][i])
+				}
+			}
+		})
+	}
+}
+
+// TestKeyBuildNotFusedAcrossPayload: a run that packs payload after the seal
+// (a collated key's original, an exchange's routed columns) is left alone.
+func TestKeyBuildNotFusedAcrossPayload(t *testing.T) {
+	f := keyBuildFunc(true)
+	seal := f.Body[4].(ir.SealKey)
+	look := f.Body[5].(ir.AggLookup)
+	seeded := ir.Var{ID: 30, K: types.Ptr, Name: "row"}
+	look.Row = seeded
+	body := append([]ir.Stmt{}, f.Body[:5]...)
+	body = append(body, ir.PackStr{Dst: seeded, Row: seal.Dst, Region: ir.PayloadRegion, StateID: 3, Val: ir.Ref(f.Ins[1])}, look)
+	f.Body = append(body, f.Body[6:]...)
+	if got := MustCompile(f).Rewrites().KeyBuilds; got != 0 {
+		t.Fatalf("%d fused key builds across a payload pack", got)
+	}
+}

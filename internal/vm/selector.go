@@ -1,0 +1,249 @@
+package vm
+
+import (
+	"fmt"
+
+	"inkfuse/internal/ir"
+	"inkfuse/internal/storage"
+	"inkfuse/internal/types"
+)
+
+// A filter compiles to a list of selectors (DESIGN.md §17). A selector narrows
+// a selection vector: it reads the row indices in `in`, writes those whose row
+// satisfies its predicate to the front of `out` (len(out) ≥ len(in); out may
+// be the array in lives in — the write index never passes the read index) and
+// returns how many it kept. The first selector of a filter reads the identity
+// selection [0,n), every later one the survivors of its predecessor, so a
+// conjunction costs Σ survivors instead of conjuncts × n, with no bool vector
+// and no AND pass in between.
+type selector func(fr *frame, in, out []int32) int
+
+// Selection kernels: an unconditional store and a conditional increment per
+// row, no data-dependent branch around the store.
+
+//inkfuse:hotpath
+func selectBool(in, out []int32, b []bool) int {
+	j := 0
+	for _, s := range in {
+		out[j] = s
+		if b[s] {
+			j++
+		}
+	}
+	return j
+}
+
+//inkfuse:hotpath
+func selectCmpCC[T ordered](op ir.CmpOp, in, out []int32, a, b []T) int {
+	j := 0
+	switch op {
+	case ir.Lt:
+		for _, s := range in {
+			out[j] = s
+			if a[s] < b[s] {
+				j++
+			}
+		}
+	case ir.Le:
+		for _, s := range in {
+			out[j] = s
+			if a[s] <= b[s] {
+				j++
+			}
+		}
+	case ir.Eq:
+		for _, s := range in {
+			out[j] = s
+			if a[s] == b[s] {
+				j++
+			}
+		}
+	case ir.Ne:
+		for _, s := range in {
+			out[j] = s
+			if a[s] != b[s] {
+				j++
+			}
+		}
+	case ir.Ge:
+		for _, s := range in {
+			out[j] = s
+			if a[s] >= b[s] {
+				j++
+			}
+		}
+	default: // Gt
+		for _, s := range in {
+			out[j] = s
+			if a[s] > b[s] {
+				j++
+			}
+		}
+	}
+	return j
+}
+
+//inkfuse:hotpath
+func selectCmpCK[T ordered](op ir.CmpOp, in, out []int32, a []T, k T) int {
+	j := 0
+	switch op {
+	case ir.Lt:
+		for _, s := range in {
+			out[j] = s
+			if a[s] < k {
+				j++
+			}
+		}
+	case ir.Le:
+		for _, s := range in {
+			out[j] = s
+			if a[s] <= k {
+				j++
+			}
+		}
+	case ir.Eq:
+		for _, s := range in {
+			out[j] = s
+			if a[s] == k {
+				j++
+			}
+		}
+	case ir.Ne:
+		for _, s := range in {
+			out[j] = s
+			if a[s] != k {
+				j++
+			}
+		}
+	case ir.Ge:
+		for _, s := range in {
+			out[j] = s
+			if a[s] >= k {
+				j++
+			}
+		}
+	default: // Gt
+		for _, s := range in {
+			out[j] = s
+			if a[s] > k {
+				j++
+			}
+		}
+	}
+	return j
+}
+
+// selectors compiles a filter condition into its selector list, appending to
+// blk whatever has to be materialized first (operands that are expressions,
+// conjuncts that are not comparisons). plan.absorbed names the temporaries
+// whose definitions are compiled here, in place of their Assign.
+func (c *compiler) selectors(e ir.Expr, plan blockPlan, blk *[]exec, sels []selector) ([]selector, error) {
+	if ref, ok := e.(ir.VarRef); ok {
+		if def, ok := plan.absorbed[ref.V.ID]; ok {
+			e = def
+		}
+	}
+	switch x := e.(type) {
+	case ir.LogicExpr:
+		if x.Op == ir.And {
+			sels, err := c.selectors(x.L, plan, blk, sels)
+			if err != nil {
+				return nil, err
+			}
+			return c.selectors(x.R, plan, blk, sels)
+		}
+	case ir.CmpExpr:
+		var sel selector
+		var err error
+		switch k := x.L.Kind(); k {
+		case types.Int32, types.Date:
+			sel, err = cmpSelector(c, blk, x, getI32, constI32)
+		case types.Int64:
+			sel, err = cmpSelector(c, blk, x, getI64, constI64)
+		case types.Float64:
+			sel, err = cmpSelector(c, blk, x, getF64, constF64)
+		case types.String:
+			sel, err = cmpSelector(c, blk, x, getStr, constStr)
+		default:
+			err = fmt.Errorf("compare on kind %v", k)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return append(sels, sel), nil
+	}
+	// Anything else is a bool register: the trivial selector.
+	bs, err := c.expr(e, blk)
+	if err != nil {
+		return nil, err
+	}
+	if c.p.slotKinds[bs] != types.Bool {
+		return nil, fmt.Errorf("filter on %v condition", c.p.slotKinds[bs])
+	}
+	return append(sels, func(fr *frame, in, out []int32) int {
+		fr.ctx.Counters.VMOps += int64(len(in))
+		return selectBool(in, out, fr.vecs[bs].B)
+	}), nil
+}
+
+func cmpSelector[T ordered](c *compiler, blk *[]exec, x ir.CmpExpr,
+	get func(*storage.Vector) []T, cget func(int) func([]any) T) (selector, error) {
+	op, l, r, err := cmpOperands(c, blk, x, get, cget)
+	if err != nil {
+		return nil, err
+	}
+	if r.isConst() {
+		return func(fr *frame, in, out []int32) int {
+			fr.ctx.Counters.VMOps += int64(len(in))
+			return selectCmpCK(op, in, out, l.get(fr.vecs[l.slot]), r.cget(fr.state))
+		}, nil
+	}
+	return func(fr *frame, in, out []int32) int {
+		fr.ctx.Counters.VMOps += int64(len(in))
+		return selectCmpCC(op, in, out, l.get(fr.vecs[l.slot]), r.get(fr.vecs[r.slot]))
+	}, nil
+}
+
+// filter compiles a FilterStmt: run the condition's selectors over the scope,
+// gather the carried columns once through the final selection, run the body
+// at the survivors' cardinality.
+func (c *compiler) filter(s ir.FilterStmt, plan blockPlan, blk *[]exec) error {
+	sels, err := c.selectors(ir.Ref(s.Cond), plan, blk, nil)
+	if err != nil {
+		return err
+	}
+	if _, fused := plan.absorbed[s.Cond.ID]; fused {
+		c.p.rewrites.Cascades = append(c.p.rewrites.Cascades, len(sels))
+	}
+	c.p.rewrites.Closures += len(sels)
+	type gpair struct{ src, dst int }
+	pairs := make([]gpair, 0, len(s.Copies))
+	for _, cp := range s.Copies {
+		src, err := c.slot(cp.Src)
+		if err != nil {
+			return err
+		}
+		pairs = append(pairs, gpair{src: src, dst: c.bind(cp.Dst)})
+	}
+	body, err := c.block(s.Body)
+	if err != nil {
+		return err
+	}
+	selAux := c.newAux()
+	*blk = append(*blk, func(fr *frame, n int) {
+		bp := auxSlice[int32](fr, selAux)
+		if cap(*bp) < n {
+			*bp = make([]int32, n)
+		}
+		buf := (*bp)[:n]
+		sel := fr.ctx.identity(n)
+		for _, s := range sels {
+			sel = buf[:s(fr, sel, buf)]
+		}
+		for _, p := range pairs {
+			fr.vecs[p.src].Gather(fr.vecs[p.dst], sel)
+		}
+		runBlock(body, fr, len(sel))
+	})
+	return nil
+}

@@ -9,22 +9,40 @@ import (
 	"inkfuse/internal/types"
 )
 
+// block compiles a statement list. The pre-pass (analyze.go) names the
+// statements that compile together with their single consumer; everything
+// else compiles one statement at a time.
 func (c *compiler) block(stmts []ir.Stmt) ([]exec, error) {
+	plan := c.planBlock(stmts)
 	var blk []exec
-	for _, s := range stmts {
-		if err := c.stmt(s, &blk); err != nil {
+	for i := 0; i < len(stmts); i++ {
+		var err error
+		if end, ok := plan.keyBuilds[i]; ok {
+			err = c.keyBuild(stmts[i:end+1], &blk)
+			c.p.rewrites.KeyBuilds++
+			i = end
+		} else {
+			err = c.stmt(stmts[i], plan, &blk)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
+	c.p.rewrites.Stmts += len(stmts)
+	c.p.rewrites.Closures += len(blk)
 	return blk, nil
 }
 
 // stmt compiles one IR statement into closures appended to blk.
 //
 //inklint:dispatch ir.Stmt
-func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
+func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 	switch s := s.(type) {
 	case ir.Assign:
+		if _, ok := plan.absorbed[s.Dst.ID]; ok {
+			// Evaluated by the block's filter, as a selector of its cascade.
+			return nil
+		}
 		slot, err := c.expr(s.E, blk)
 		if err != nil {
 			return err
@@ -44,40 +62,7 @@ func (c *compiler) stmt(s ir.Stmt, blk *[]exec) error {
 		return nil
 
 	case ir.FilterStmt:
-		cs, err := c.slot(s.Cond)
-		if err != nil {
-			return err
-		}
-		type gpair struct{ src, dst int }
-		pairs := make([]gpair, 0, len(s.Copies))
-		for _, cp := range s.Copies {
-			src, err := c.slot(cp.Src)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, gpair{src: src, dst: c.bind(cp.Dst)})
-		}
-		body, err := c.block(s.Body)
-		if err != nil {
-			return err
-		}
-		selAux := c.newAux()
-		*blk = append(*blk, func(fr *frame, n int) {
-			cond := fr.vecs[cs].B[:n]
-			sel := fr.auxSel(selAux)
-			for i, ok := range cond {
-				if ok {
-					sel = append(sel, int32(i))
-				}
-			}
-			fr.putAuxSel(selAux, sel)
-			for _, p := range pairs {
-				fr.vecs[p.src].Gather(fr.vecs[p.dst], sel)
-			}
-			fr.ctx.Counters.VMOps += int64(n)
-			runBlock(body, fr, len(sel))
-		})
-		return nil
+		return c.filter(s, plan, blk)
 
 	case ir.MakeRow:
 		ds := c.bind(s.Dst)
@@ -420,71 +405,105 @@ func aggLookupFixedOp[T any](ks, ds, stateID, ax, width int,
 	}
 }
 
+// aggUpdateOp compiles one aggregate update: per row, fold the value into the
+// slot at the group row's payload offset + the slot's runtime offset. One
+// monomorphic loop per aggregate function, no per-row call.
 func aggUpdateOp(fn ir.AggFunc, gs, vs, stateID int) (exec, error) {
-	switch fn {
-	case ir.AggSumI64:
-		return aggFold(gs, vs, stateID, getI64, func(g []byte, o int, v int64) {
-			rt.PutI64(g, o, rt.GetI64(g, o)+v)
-		}), nil
-	case ir.AggSumF64:
-		return aggFold(gs, vs, stateID, getF64, func(g []byte, o int, v float64) {
-			rt.PutF64(g, o, rt.GetF64(g, o)+v)
-		}), nil
-	case ir.AggCount:
-		return func(fr *frame, n int) {
-			off := fr.state[stateID].(*rt.OffsetState).Off
-			rows := fr.vecs[gs].Ptr[:n]
-			for _, g := range rows {
-				o := rt.RowPayloadOff(g) + off
-				rt.PutI64(g, o, rt.GetI64(g, o)+1)
-			}
-			fr.ctx.Counters.VMOps += int64(n)
-		}, nil
-	case ir.AggCountIf:
-		return aggFold(gs, vs, stateID, getB, func(g []byte, o int, v bool) {
-			if v {
-				rt.PutI64(g, o, rt.GetI64(g, o)+1)
-			}
-		}), nil
-	case ir.AggMinF64:
-		return aggFold(gs, vs, stateID, getF64, func(g []byte, o int, v float64) {
-			if v < rt.GetF64(g, o) {
-				rt.PutF64(g, o, v)
-			}
-		}), nil
-	case ir.AggMaxF64:
-		return aggFold(gs, vs, stateID, getF64, func(g []byte, o int, v float64) {
-			if v > rt.GetF64(g, o) {
-				rt.PutF64(g, o, v)
-			}
-		}), nil
-	case ir.AggMinI32:
-		return aggFold(gs, vs, stateID, getI32, func(g []byte, o int, v int32) {
-			if v < rt.GetI32(g, o) {
-				rt.PutI32(g, o, v)
-			}
-		}), nil
-	case ir.AggMaxI32:
-		return aggFold(gs, vs, stateID, getI32, func(g []byte, o int, v int32) {
-			if v > rt.GetI32(g, o) {
-				rt.PutI32(g, o, v)
-			}
-		}), nil
-	default:
+	if fn > ir.AggMaxI32 {
 		return nil, fmt.Errorf("unknown aggregate %v", fn)
+	}
+	return func(fr *frame, n int) {
+		off := fr.state[stateID].(*rt.OffsetState).Off
+		groups := fr.vecs[gs].Ptr[:n]
+		switch fn {
+		case ir.AggSumI64:
+			aggSumI64(groups, off, fr.vecs[vs].I64[:n])
+		case ir.AggSumF64:
+			aggSumF64(groups, off, fr.vecs[vs].F64[:n])
+		case ir.AggCount:
+			aggCount(groups, off)
+		case ir.AggCountIf:
+			aggCountIf(groups, off, fr.vecs[vs].B[:n])
+		case ir.AggMinF64:
+			aggMinF64(groups, off, fr.vecs[vs].F64[:n])
+		case ir.AggMaxF64:
+			aggMaxF64(groups, off, fr.vecs[vs].F64[:n])
+		case ir.AggMinI32:
+			aggMinI32(groups, off, fr.vecs[vs].I32[:n])
+		case ir.AggMaxI32:
+			aggMaxI32(groups, off, fr.vecs[vs].I32[:n])
+		}
+		fr.ctx.Counters.VMOps += int64(n)
+	}, nil
+}
+
+//inkfuse:hotpath
+func aggSumI64(groups [][]byte, off int, v []int64) {
+	for i, g := range groups {
+		o := rt.RowPayloadOff(g) + off
+		rt.PutI64(g, o, rt.GetI64(g, o)+v[i])
 	}
 }
 
-func aggFold[T any](gs, vs, stateID int, get func(*storage.Vector) []T,
-	fold func(g []byte, off int, v T)) exec {
-	return func(fr *frame, n int) {
-		off := fr.state[stateID].(*rt.OffsetState).Off
-		rows := fr.vecs[gs].Ptr[:n]
-		v := get(fr.vecs[vs])[:n]
-		for i, g := range rows {
-			fold(g, rt.RowPayloadOff(g)+off, v[i])
+//inkfuse:hotpath
+func aggSumF64(groups [][]byte, off int, v []float64) {
+	for i, g := range groups {
+		o := rt.RowPayloadOff(g) + off
+		rt.PutF64(g, o, rt.GetF64(g, o)+v[i])
+	}
+}
+
+//inkfuse:hotpath
+func aggCount(groups [][]byte, off int) {
+	for _, g := range groups {
+		o := rt.RowPayloadOff(g) + off
+		rt.PutI64(g, o, rt.GetI64(g, o)+1)
+	}
+}
+
+//inkfuse:hotpath
+func aggCountIf(groups [][]byte, off int, v []bool) {
+	for i, g := range groups {
+		if v[i] {
+			o := rt.RowPayloadOff(g) + off
+			rt.PutI64(g, o, rt.GetI64(g, o)+1)
 		}
-		fr.ctx.Counters.VMOps += int64(n)
+	}
+}
+
+//inkfuse:hotpath
+func aggMinF64(groups [][]byte, off int, v []float64) {
+	for i, g := range groups {
+		if o := rt.RowPayloadOff(g) + off; v[i] < rt.GetF64(g, o) {
+			rt.PutF64(g, o, v[i])
+		}
+	}
+}
+
+//inkfuse:hotpath
+func aggMaxF64(groups [][]byte, off int, v []float64) {
+	for i, g := range groups {
+		if o := rt.RowPayloadOff(g) + off; v[i] > rt.GetF64(g, o) {
+			rt.PutF64(g, o, v[i])
+		}
+	}
+}
+
+//inkfuse:hotpath
+func aggMinI32(groups [][]byte, off int, v []int32) {
+	for i, g := range groups {
+		if o := rt.RowPayloadOff(g) + off; v[i] < rt.GetI32(g, o) {
+			rt.PutI32(g, o, v[i])
+		}
+	}
+}
+
+//inkfuse:hotpath
+func aggMaxI32(groups [][]byte, off int, v []int32) {
+	for i, g := range groups {
+		if o := rt.RowPayloadOff(g) + off; v[i] > rt.GetI32(g, o) {
+			rt.PutI32(g, o, v[i])
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ type Ctx struct {
 	exchanges map[*rt.ExchangeState]*rt.ExchangeWriter
 	frames    map[*Program]*frame
 	frameList []*frame // the values of frames, for RetainedBytes to walk
+	ident     []int32  // the identity selection 0,1,2,…: every filter's input
 }
 
 // workerAgg is one worker's share of an aggregation: its sharded
@@ -121,6 +122,15 @@ func (c *Ctx) LocalAgg(st *rt.AggTableState) *rt.LocalAggTable {
 	return a.local
 }
 
+// identity returns the selection [0,n). It is grown, never rewritten, so
+// every filter of every program this worker runs reads the same array.
+func (c *Ctx) identity(n int) []int32 {
+	for i := len(c.ident); i < n; i++ {
+		c.ident = append(c.ident, int32(i))
+	}
+	return c.ident[:n]
+}
+
 // Exchange returns this worker's private routing writer for an exchange
 // (local hash-partitioned exchange, DESIGN.md §15). Registration with the
 // shared state happens once per (worker, exchange); routing through the
@@ -180,7 +190,7 @@ func (c *Ctx) RetainedBytes() int64 {
 	for _, fr := range c.frameList {
 		n += fr.retainedBytes()
 	}
-	return n
+	return n + int64(cap(c.ident))*4
 }
 
 // exec is one compiled operation, executed at the current scope cardinality.
@@ -194,7 +204,11 @@ type Program struct {
 	slotKinds []types.Kind
 	insSlots  []int
 	numAux    int
+	rewrites  Rewrites
 }
+
+// Rewrites reports what the compiler made of the function (DESIGN.md §17).
+func (p *Program) Rewrites() Rewrites { return p.rewrites }
 
 // frame is the per-worker register file for one program.
 type frame struct {
@@ -306,6 +320,7 @@ func Compile(f *ir.Func) (*Program, error) {
 	c := &compiler{
 		p:      &Program{Fn: f},
 		slotOf: make(map[int]int),
+		uses:   countUses(f),
 	}
 	for _, v := range f.Ins {
 		c.p.insSlots = append(c.p.insSlots, c.bind(v))
@@ -331,6 +346,7 @@ func MustCompile(f *ir.Func) *Program {
 type compiler struct {
 	p      *Program
 	slotOf map[int]int // ir var ID -> slot
+	uses   map[int]int // ir var ID -> reads of it in the function
 }
 
 // bind allocates (or returns) the slot for an IR variable.

@@ -41,19 +41,23 @@ done
 # bug shows up here first.
 go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 
-# Benchmark smoke: one iteration of the morsel-loop and table-kernel benches
-# so a compile error or panic in benchmark-only code cannot land unnoticed.
+# Benchmark smoke: one iteration of the morsel-loop, table-kernel and
+# fused-program benches so a compile error or panic in benchmark-only code
+# cannot land unnoticed.
 echo "bench smoke..."
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
 go test -run XXX -bench 'AggBuild|JoinProbe' -benchtime 1x ./internal/rt/ >/dev/null
+go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null
 echo "bench smoke OK"
 
 # Alloc guard: the morsel loop must stay allocation-free per chunk with the
 # flight recorder on (the observability layer's zero-cost contract), and a
 # plan-cache hit must run on its instance's kept execution state (a warm
-# execution allocates at most a tenth of a cold one's bytes, DESIGN.md §16).
+# execution allocates at most a tenth of a cold one's bytes, DESIGN.md §16),
+# and a steady-state morsel through a fused program's selection cascade and
+# key build allocates nothing (DESIGN.md §17).
 echo "alloc guard..."
-go test -count=1 -run 'MorselLoopZeroAllocs|RecordNoAllocs|WarmExecutionAllocBudget' ./internal/exec/ ./internal/flight/ >/dev/null
+go test -count=1 -run 'MorselLoopZeroAllocs|RecordNoAllocs|WarmExecutionAllocBudget|FusedProgramZeroAllocs' ./internal/exec/ ./internal/flight/ ./internal/vm/ >/dev/null
 echo "alloc guard OK"
 
 # inkserve smoke test: start the server on a random port with a tiny catalog,
