@@ -1,8 +1,10 @@
 // benchdiff compares two inkbench JSON artifacts cell by cell and prints the
 // per-query/backend wall-time delta. Cells slower than the baseline by more
 // than the regression threshold are flagged, and with -fail the exit status
-// reflects them so a script can gate on it. It is the in-process, per-cell
-// companion of the repository's benchmark (`bash bench/run.sh`); the
+// reflects them so a script can gate on it. Artifacts measured at a different
+// scale factor, worker count or run count are refused (exit 2): their deltas
+// would reflect the configuration, not the code. It is the in-process,
+// per-cell companion of the repository's benchmark (`bash bench/run.sh`); the
 // BENCH_PR<n>.json artifacts it was written for are in git history only.
 //
 //	go run ./cmd/inkbench -json > new.json
@@ -11,59 +13,115 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+
+	"inkfuse/internal/benchkit"
+	"inkfuse/internal/stats"
 )
 
-type cell struct {
-	Query    string  `json:"query"`
-	Backend  string  `json:"backend"`
-	WallMS   float64 `json:"wall_ms"`
-	Rows     int64   `json:"rows"`
-	Exchange bool    `json:"exchange"`
-
-	HTLocalHits     int64 `json:"ht_local_hits"`
-	HTSpills        int64 `json:"ht_spills"`
-	HTBloomSkips    int64 `json:"ht_bloom_skips"`
-	PartRoutedRows  int64 `json:"part_routed_rows"`
-	PartMaxPartRows int64 `json:"part_max_part_rows"`
-}
+// errIncomparable marks two artifacts measured under different configurations.
+var errIncomparable = errors.New("artifacts are not comparable")
 
 // key identifies a cell across artifacts; the exchange axis is part of the
 // identity so on/off cells of the same query/backend never diff against each
 // other.
-func (c cell) key() string {
-	k := c.Query + "/" + c.Backend
+type key struct {
+	query, backend string
+	exchange       bool
+}
+
+func keyOf(c *benchkit.JSONCell) key { return key{c.Query, c.Backend, c.Exchange} }
+
+// system is the cell's backend as the table names it.
+func system(c *benchkit.JSONCell) string {
 	if c.Exchange {
-		k += "/exchange"
+		return c.Backend + "+ex"
 	}
-	return k
+	return c.Backend
 }
 
-// counters reports whether the cell carries any behaviour counters worth
-// diffing (older artifacts predate them and decode as all-zero).
-func (c cell) counters() bool {
-	return c.HTLocalHits != 0 || c.HTSpills != 0 || c.HTBloomSkips != 0 || c.PartRoutedRows != 0
-}
-
-type report struct {
-	SF      float64 `json:"sf"`
-	Workers int     `json:"workers"`
-	Runs    int     `json:"runs"`
-	Cells   []cell  `json:"cells"`
-}
-
-func load(path string) (*report, error) {
+func load(path string) (*benchkit.JSONReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var r report
+	var r benchkit.JSONReport
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &r, nil
+}
+
+// diff prints the wall-time table and, below it, every behaviour counter of
+// the telemetry schema that differs between matched cells. It returns the
+// number of cells that regressed past threshold; a baseline wall of 0 has no
+// relative delta and is never flagged.
+func diff(w io.Writer, base, next *benchkit.JSONReport, threshold float64) (int, error) {
+	if base.SF != next.SF || base.Workers != next.Workers || base.Runs != next.Runs {
+		return 0, fmt.Errorf("%w: baseline sf=%g workers=%d runs=%d, new sf=%g workers=%d runs=%d", errIncomparable,
+			base.SF, base.Workers, base.Runs, next.SF, next.Workers, next.Runs)
+	}
+	old := make(map[key]*benchkit.JSONCell, len(base.Cells))
+	for i := range base.Cells {
+		old[keyOf(&base.Cells[i])] = &base.Cells[i]
+	}
+
+	fmt.Fprintf(w, "%-6s %-15s %10s %10s %9s\n", "query", "backend", "base ms", "new ms", "delta")
+	regressions := 0
+	seen := make(map[key]bool, len(next.Cells))
+	for i := range next.Cells {
+		c := &next.Cells[i]
+		seen[keyOf(c)] = true
+		b := old[keyOf(c)]
+		switch {
+		case b == nil:
+			fmt.Fprintf(w, "%-6s %-15s %10s %10.2f %9s\n", c.Query, system(c), "-", c.WallMS, "new")
+		case b.WallMS == 0:
+			fmt.Fprintf(w, "%-6s %-15s %10.2f %10.2f %9s\n", c.Query, system(c), b.WallMS, c.WallMS, "n/a")
+		default:
+			delta := c.WallMS/b.WallMS - 1
+			mark := ""
+			if delta > threshold {
+				mark = "  REGRESSION"
+				regressions++
+			}
+			fmt.Fprintf(w, "%-6s %-15s %10.2f %10.2f %+8.1f%%%s\n", c.Query, system(c), b.WallMS, c.WallMS, 100*delta, mark)
+		}
+	}
+	for i := range base.Cells {
+		if b := &base.Cells[i]; !seen[keyOf(b)] {
+			fmt.Fprintf(w, "%-6s %-15s %10.2f %10s %9s\n", b.Query, system(b), b.WallMS, "-", "missing")
+		}
+	}
+
+	// Durations are timings, which the table above covers; everything else in
+	// the schema is behaviour and should only move when the code did.
+	header := false
+	for i := range next.Cells {
+		c := &next.Cells[i]
+		b := old[keyOf(c)]
+		if b == nil {
+			continue
+		}
+		for j := range stats.Schema {
+			r := &stats.Schema[j]
+			if bv, cv := *r.Of(&b.Counters), *r.Of(&c.Counters); bv != cv && !r.Dur {
+				if !header {
+					fmt.Fprintf(w, "\ncounter deltas (base -> new):\n")
+					header = true
+				}
+				fmt.Fprintf(w, "%-6s %-15s %s %d -> %d\n", c.Query, system(c), r.Name, bv, cv)
+			}
+		}
+	}
+	if regressions > 0 {
+		fmt.Fprintf(w, "%d cell(s) regressed more than %.0f%%\n", regressions, 100*threshold)
+	}
+	return regressions, nil
 }
 
 func main() {
@@ -78,71 +136,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	base, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
-	}
-	next, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
-	}
-	if base.SF != next.SF {
-		fmt.Printf("note: scale factors differ (baseline SF %g, new SF %g) — deltas are not comparable\n", base.SF, next.SF)
-	}
-	if base.Workers != next.Workers {
-		fmt.Printf("note: worker counts differ (baseline %d, new %d) — wall-time deltas reflect parallelism, not code\n",
-			base.Workers, next.Workers)
-	}
-
-	old := make(map[string]cell, len(base.Cells))
-	for _, c := range base.Cells {
-		old[c.key()] = c
-	}
-
-	fmt.Printf("%-6s %-15s %10s %10s %9s\n", "query", "backend", "base ms", "new ms", "delta")
-	regressions := 0
-	anyCounters := false
-	for _, c := range next.Cells {
-		name := c.Backend
-		if c.Exchange {
-			name += "+ex"
-		}
-		b, ok := old[c.key()]
-		if !ok {
-			fmt.Printf("%-6s %-15s %10s %10.2f %9s\n", c.Query, name, "-", c.WallMS, "new")
-			continue
-		}
-		anyCounters = anyCounters || b.counters() || c.counters()
-		delta := c.WallMS/b.WallMS - 1
-		mark := ""
-		if delta > *threshold {
-			mark = "  REGRESSION"
-			regressions++
-		}
-		fmt.Printf("%-6s %-15s %10.2f %10.2f %+8.1f%%%s\n", c.Query, name, b.WallMS, c.WallMS, 100*delta, mark)
-	}
-	if anyCounters {
-		fmt.Printf("\ncounter deltas (local_hits/spills/bloom_skips/routed, base -> new):\n")
-		for _, c := range next.Cells {
-			b, ok := old[c.key()]
-			if !ok || (!b.counters() && !c.counters()) {
-				continue
-			}
-			name := c.Backend
-			if c.Exchange {
-				name += "+ex"
-			}
-			fmt.Printf("%-6s %-15s %d/%d/%d/%d -> %d/%d/%d/%d\n", c.Query, name,
-				b.HTLocalHits, b.HTSpills, b.HTBloomSkips, b.PartRoutedRows,
-				c.HTLocalHits, c.HTSpills, c.HTBloomSkips, c.PartRoutedRows)
-		}
-	}
-	if regressions > 0 {
-		fmt.Printf("%d cell(s) regressed more than %.0f%%\n", regressions, 100**threshold)
-		if *failOnRegress {
+	var reports [2]*benchkit.JSONReport
+	for i := range reports {
+		var err error
+		if reports[i], err = load(flag.Arg(i)); err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(1)
 		}
+	}
+	regressions, err := diff(os.Stdout, reports[0], reports[1], *threshold)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(2)
+	}
+	if regressions > 0 && *failOnRegress {
+		os.Exit(1)
 	}
 }

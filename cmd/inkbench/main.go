@@ -270,19 +270,7 @@ func emitQueryEvent(logger *slog.Logger, query, source, backend, fingerprint str
 		e.Error = err.Error()
 	}
 	if res != nil {
-		e.ID = res.QueryID
-		e.Rows = res.Rows()
-		e.Tuples = res.Stats.Tuples
-		e.Wall = res.Wall
-		e.QueueWait = res.QueueWait
-		e.CompileTime = res.Stats.CompileTime
-		e.CompileWait = res.Stats.CompileWait
-		e.HTLocalHits = res.Stats.HTLocalHits
-		e.HTSpills = res.Stats.HTSpills
-		e.HTBloomSkips = res.Stats.HTBloomSkips
-		e.MorselsCompiled = res.Stats.MorselsCompiled
-		e.MorselsVectorized = res.Stats.MorselsVectorized
-		e.Degraded = len(res.Warnings) > 0 || res.Stats.CompileErrors > 0
+		res.Describe(e)
 	}
 	e.Emit(logger)
 }

@@ -30,7 +30,6 @@ import (
 	"inkfuse/internal/exec"
 	"inkfuse/internal/interp"
 	"inkfuse/internal/ir"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/sql"
 	"inkfuse/internal/storage"
@@ -214,18 +213,19 @@ func ExplainAnalyzeOpts(ctx context.Context, node Node, name string, lopts Lower
 }
 
 // MetricsText renders the engine-wide metrics registry (queries started /
-// succeeded / failed / canceled, tuples, panics recovered, compile errors,
-// memory peaks, ...) as "name value" lines. The same registry is exported
-// via expvar under the key "inkfuse" for any HTTP server that mounts
-// /debug/vars. Metrics are fed once per query at query end — they cost the
-// hot path nothing.
+// succeeded / failed / canceled, scheduler and plan-cache events, and every
+// per-query counter of the telemetry schema) as "name value" lines. The same
+// registry is exported via expvar under the key "inkfuse" for any HTTP server
+// that mounts /debug/vars. Metrics are fed once per query at query end — they
+// cost the hot path nothing.
 func MetricsText() string {
-	return metrics.Default.Dump()
+	return obs.Default.Dump()
 }
 
-// MetricsSnapshot returns a point-in-time copy of the engine-wide metrics.
+// MetricsSnapshot returns a point-in-time copy of the engine-wide metrics,
+// keyed by series name as MetricsText prints it, minus the "inkfuse_" prefix.
 func MetricsSnapshot() MetricsValues {
-	return metrics.Default.Snapshot()
+	return obs.Default.Values()
 }
 
 // PrometheusText renders the engine's observability state — the flat metrics

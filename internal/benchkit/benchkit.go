@@ -281,15 +281,39 @@ type JSONCell struct {
 	// Exchange marks cells measured with the hash-partitioned exchange
 	// lowering (DESIGN.md §15) — the on/off axis of the committed artifacts.
 	Exchange bool `json:"exchange,omitempty"`
-	// Hash-table behaviour counters: trend tooling watches these alongside
-	// wall time (e.g. spills must stay 0 on partitioned paths).
-	HTLocalHits  int64 `json:"ht_local_hits,omitempty"`
-	HTSpills     int64 `json:"ht_spills,omitempty"`
-	HTBloomSkips int64 `json:"ht_bloom_skips,omitempty"`
-	// Exchange routing counters: total routed rows and the largest single
-	// partition (the skew signal).
-	PartRoutedRows  int64 `json:"part_routed_rows,omitempty"`
-	PartMaxPartRows int64 `json:"part_max_part_rows,omitempty"`
+	// Counters are the measurement's execution counters. Each one that is set
+	// is a top-level key of the cell, named by its stats.Schema row (durations
+	// in nanoseconds, "_ns"-suffixed): trend tooling watches them alongside
+	// wall time (e.g. ht_spills must stay 0 on partitioned paths).
+	Counters stats.Counters `json:"-"`
+}
+
+// MarshalJSON renders the fixed fields followed by the set counters.
+func (c JSONCell) MarshalJSON() ([]byte, error) {
+	type fixed JSONCell // the fields above, without this method
+	b, err := json.Marshal(fixed(c))
+	if err != nil {
+		return nil, err
+	}
+	for r, v := range c.Counters.Nonzero() {
+		b = fmt.Appendf(b[:len(b)-1], ",%q:%d}", r.NumName(), v)
+	}
+	return b, nil
+}
+
+// UnmarshalJSON is MarshalJSON's inverse; keys no schema row names are ignored.
+func (c *JSONCell) UnmarshalJSON(data []byte) error {
+	type fixed JSONCell
+	var keys map[string]any
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return err
+	}
+	for i := range stats.Schema {
+		if v, ok := keys[stats.Schema[i].NumName()].(float64); ok {
+			*stats.Schema[i].Of(&c.Counters) = int64(v)
+		}
+	}
+	return json.Unmarshal(data, (*fixed)(c))
 }
 
 // JSONReport is a full benchmark grid with its configuration.
@@ -320,12 +344,7 @@ func JSONBench(cfg Config, systems []System) (*JSONReport, error) {
 				WallMS:        float64(c.Wall) / float64(time.Millisecond),
 				CompileWaitMS: float64(c.CompileWait) / float64(time.Millisecond),
 				Rows:          c.Rows, Degraded: c.Degraded,
-				Exchange:        cfg.Exchange,
-				HTLocalHits:     c.Stats.HTLocalHits,
-				HTSpills:        c.Stats.HTSpills,
-				HTBloomSkips:    c.Stats.HTBloomSkips,
-				PartRoutedRows:  c.Stats.PartRoutedRows,
-				PartMaxPartRows: c.Stats.PartMaxPartRows,
+				Exchange: cfg.Exchange, Counters: c.Stats,
 			}
 			if secs := c.Wall.Seconds(); secs > 0 {
 				jc.RowsPerSec = float64(c.Stats.Tuples) / secs

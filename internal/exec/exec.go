@@ -14,7 +14,6 @@ import (
 	"inkfuse/internal/faultinject"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/interp"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/rt"
 	"inkfuse/internal/sched"
@@ -141,6 +140,18 @@ func (r *Result) Rows() int {
 	return r.Chunk.Rows()
 }
 
+// Describe fills the canonical query-log event's execution half — id, volume,
+// durations, counters, degradation — from the result; the caller owns the
+// event's identity and outcome.
+func (r *Result) Describe(e *obs.QueryEvent) {
+	e.ID = r.QueryID
+	e.Rows = r.Rows()
+	e.Wall = r.Wall
+	e.QueueWait = r.QueueWait
+	e.Counters = r.Stats
+	e.Degraded = len(r.Warnings) > 0 || r.Stats.CompileErrors > 0
+}
+
 // runner executes one pipeline's morsels for one backend.
 type runner interface {
 	runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk)
@@ -151,8 +162,9 @@ type runner interface {
 
 // finishInfo is the per-pipeline accounting a runner hands back.
 type finishInfo struct {
-	compileTime, compileWait time.Duration
-	compileErrors            int64
+	// counters is the pipeline's compile accounting: time, dead wait
+	// (foreground backends) and failed jobs.
+	counters stats.Counters
 	// degraded is the permanent background-compile failure of a hybrid
 	// pipeline (nil otherwise); surfaced as a Result warning.
 	degraded error
@@ -242,30 +254,64 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	// as spoiled: every error path below leaves it for ArtifactSet.Rewind to
 	// drop.
 	opts.Artifacts.begin()
-	if opts.VerifyIR {
-		if err := core.VerifyPlan(plan); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
-		}
-	}
 	start := time.Now()
-	qs := &queryState{ctx: ctx}
-	metrics.Default.QueryStarted()
-	backend := opts.Backend.String()
-	// The per-morsel latency histogram child is resolved once per query; the
-	// morsel loop observes through the pointer (two atomic adds per morsel).
-	morselHist := obs.Default.MorselLatency.With(backend)
+	obs.Default.Add(obs.QueriesStarted, 1)
 
 	// Every execution runs under an engine-wide query id: the key its flight
 	// events, scheduler QueryInfos row, and exported spans share. The query
 	// label is interned once here so no later recording site touches the
 	// intern table.
-	qid := opts.QueryID
-	if qid == 0 {
-		qid = NextQueryID()
+	if opts.QueryID == 0 {
+		opts.QueryID = NextQueryID()
 	}
-	opts.QueryID = qid // runners key their compile events on it
 	qlabel := flight.Default.Intern(plan.Name)
-	flight.Default.Record(flight.KindQueryStart, qid, qlabel, int64(opts.Backend), 0)
+	flight.Default.Record(flight.KindQueryStart, opts.QueryID, qlabel, int64(opts.Backend), 0)
+
+	res, err := execute(ctx, plan, opts, start)
+
+	// Completion: however the query ended — plan rejected, admission refused,
+	// failed, canceled, succeeded — it is reported here and nowhere else, once
+	// to the engine registry (outcome, counters, histograms) and once to the
+	// flight recorder.
+	wall := time.Since(start)
+	c, kind, rows := &noCounters, flight.KindQueryError, 0
+	if res != nil {
+		res.Wall, c, rows = wall, &res.Stats, res.Rows()
+		if qt := res.Trace; qt != nil {
+			qt.Wall = wall
+			if err != nil {
+				qt.Err = err.Error()
+			}
+		}
+	}
+	if err == nil {
+		kind = flight.KindQueryDone
+		opts.Artifacts.done()
+	}
+	canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
+	obs.Default.QueryDone(opts.Backend.String(), c, wall, err, canceled, err == nil && len(res.Warnings) > 0)
+	flight.Default.Record(kind, opts.QueryID, qlabel, int64(wall), int64(rows))
+	return res, err
+}
+
+// noCounters is what a query that never ran reports at completion.
+var noCounters stats.Counters
+
+// execute is ExecuteContext between its start and completion reports. On
+// failure the Result is nil when the query never ran (rejected plan, refused
+// admission), otherwise the diagnostic one.
+func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time) (*Result, error) {
+	if opts.VerifyIR {
+		if err := core.VerifyPlan(plan); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
+		}
+	}
+	qs := &queryState{ctx: ctx}
+	qid := opts.QueryID
+	backend := opts.Backend.String()
+	// The per-morsel latency histogram child is resolved once per query; the
+	// morsel loop observes through the pointer (two atomic adds per morsel).
+	morselHist := obs.Default.MorselLatency.With(backend)
 
 	// Admission: the query enters the engine-wide scheduler before it builds
 	// any state. A rejected query (queue full, draining, over-capacity, or a
@@ -280,13 +326,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		Mem: opts.MemoryBudget, Parallelism: opts.Workers,
 	})
 	if err != nil {
-		err = admissionError(err)
-		wall := time.Since(start)
-		canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
-		metrics.Default.QueryDone(nil, wall, err, canceled, false)
-		obs.Default.ObserveQuery(backend, wall, 0)
-		flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
-		return nil, err
+		return nil, admissionError(err)
 	}
 	defer adm.Release()
 	queueWait := adm.QueueWait()
@@ -304,12 +344,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 
 	var reg *interp.Registry
 	if opts.Backend != BackendCompiling && opts.Backend != BackendROF {
-		var err error
 		if reg, err = interp.Default(); err != nil {
-			wall := time.Since(start)
-			metrics.Default.QueryDone(nil, wall, err, false, false)
-			obs.Default.ObserveQuery(backend, wall, 0)
-			flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
 			return nil, err
 		}
 	}
@@ -356,18 +391,9 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			res.Add(&c.Counters)
 		}
 		res.MemPeakBytes = budget.Peak()
-		wall := time.Since(start)
-		if qt != nil {
-			qt.Wall = wall
-			qt.Err = err.Error()
-		}
-		canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
-		metrics.Default.QueryDone(&res, wall, err, canceled, false)
-		obs.Default.ObserveQuery(backend, wall, res.Tuples)
-		flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
 		return &Result{
 			Cols: plan.ColNames, Stats: res, QueryID: qid, QueueWait: queueWait,
-			Wall: wall, Warnings: warnings, Trace: qt,
+			Warnings: warnings, Trace: qt,
 		}, err
 	}
 
@@ -452,35 +478,19 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 				out = outs[slot]
 			}
 			// Trace recording works by deltas over the slot's own counters,
-			// so the runner's per-morsel accounting (tuples, hybrid routing)
-			// is captured without touching hot paths. The morsel is always
-			// timed: the duration feeds the process-wide latency histogram
-			// even when tracing is off.
-			var tup0, jit0, vec0, lh0, sp0, bs0, rt0 int64
+			// so the runner's per-morsel accounting is captured without
+			// touching hot paths. The morsel is always timed: the duration
+			// feeds the process-wide latency histogram even when tracing is
+			// off.
 			if pt != nil {
-				tup0 = wctx.Counters.Tuples
-				jit0 = wctx.Counters.MorselsCompiled
-				vec0 = wctx.Counters.MorselsVectorized
-				lh0 = wctx.Counters.HTLocalHits
-				sp0 = wctx.Counters.HTSpills
-				bs0 = wctx.Counters.HTBloomSkips
-				rt0 = wctx.Counters.PartRoutedRows
+				pt.Workers[slot].BeginMorsel(&wctx.Counters)
 			}
 			t0 := time.Now()
 			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], pb.src[slot], out)
 			elapsed := time.Since(t0)
 			morselHist.ObserveDuration(elapsed)
 			if pt != nil {
-				wt := &pt.Workers[slot]
-				wt.Busy += elapsed
-				wt.Morsels++
-				wt.Tuples += wctx.Counters.Tuples - tup0
-				wt.JIT += int(wctx.Counters.MorselsCompiled - jit0)
-				wt.Vectorized += int(wctx.Counters.MorselsVectorized - vec0)
-				wt.LocalHits += wctx.Counters.HTLocalHits - lh0
-				wt.Spills += wctx.Counters.HTSpills - sp0
-				wt.BloomSkips += wctx.Counters.HTBloomSkips - bs0
-				wt.Routed += wctx.Counters.PartRoutedRows - rt0
+				pt.Workers[slot].EndMorsel(&wctx.Counters, elapsed)
 			}
 			if err != nil {
 				qs.fail(err)
@@ -502,9 +512,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 		}
 
 		fi := r.finish()
-		res.CompileTime += fi.compileTime
-		res.CompileWait += fi.compileWait
-		res.CompileErrors += fi.compileErrors
+		res.Add(&fi.counters)
 		if fi.degraded != nil {
 			warnings = append(warnings, fmt.Errorf(
 				"exec: %s/%s: background compile failed, pipeline served by the vectorized interpreter: %w",
@@ -512,9 +520,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			flight.Default.RecordStr(flight.KindDegraded, qid, pipe.Name, 0, 0)
 		}
 		if pt != nil {
-			pt.CompileTime = fi.compileTime
-			pt.CompileWait = fi.compileWait
-			pt.CompileErrors = fi.compileErrors
+			pt.Counters = fi.counters
 			pt.Degraded = fi.degraded != nil
 			pt.Fused = describeFused(fi.fused)
 			if !fi.artifactReady.IsZero() {
@@ -553,6 +559,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 			// entry).
 			for _, ex := range pipe.SealExchanges {
 				pt.PartRows = append(pt.PartRows, ex.PartRows()...)
+				pt.Counters.PartMaxPartRows = max(pt.Counters.PartMaxPartRows, ex.MaxPartRows())
 			}
 		}
 		if pipe.Result != nil {
@@ -571,11 +578,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 
 	kinds, err := plan.FinalKinds()
 	if err != nil {
-		wall := time.Since(start)
-		metrics.Default.QueryDone(&res, wall, err, false, false)
-		obs.Default.ObserveQuery(backend, wall, res.Tuples)
-		flight.Default.Record(flight.KindQueryError, qid, qlabel, int64(wall), 0)
-		return nil, err
+		return failed(err)
 	}
 	out := storage.NewChunk(kinds)
 	for _, c := range finalChunks {
@@ -584,17 +587,9 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	if plan.Sort != nil {
 		out = sortChunk(out, plan.Sort)
 	}
-	wall := time.Since(start)
-	if qt != nil {
-		qt.Wall = wall
-	}
-	metrics.Default.QueryDone(&res, wall, nil, false, len(warnings) > 0)
-	obs.Default.ObserveQuery(backend, wall, res.Tuples)
-	flight.Default.Record(flight.KindQueryDone, qid, qlabel, int64(wall), int64(out.Rows()))
-	opts.Artifacts.done()
 	return &Result{
 		Cols: plan.ColNames, Chunk: out, Stats: res, QueryID: qid, QueueWait: queueWait,
-		Wall: wall, Warnings: warnings, Trace: qt,
+		Warnings: warnings, Trace: qt,
 	}, nil
 }
 

@@ -16,6 +16,9 @@ import (
 	"inkfuse/internal/algebra"
 	"inkfuse/internal/core"
 	"inkfuse/internal/faultinject"
+	"inkfuse/internal/flight"
+	"inkfuse/internal/obs"
+	"inkfuse/internal/sched"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/tpch"
 	"inkfuse/internal/types"
@@ -357,5 +360,120 @@ func TestFinalizeFaultIsIsolated(t *testing.T) {
 	}
 	if res.Stats.PanicsRecovered == 0 {
 		t.Fatal("finalization recovery not counted")
+	}
+}
+
+// TestEveryOutcomeCompletesOnce: however a query ends — including the ways
+// that never reach a worker: a plan the verifier rejects, a shed or
+// over-capacity admission — ExecuteContext's single completion path counts it
+// as started, advances exactly one of queries_succeeded / failed / canceled,
+// feeds the latency histogram once and records exactly one terminal flight
+// event (query_done or query_error) under its query id.
+func TestEveryOutcomeCompletesOnce(t *testing.T) {
+	defer faultinject.Reset()
+	tbl := makeTable()
+	lat := LatencyNone
+	good := func() algebra.Node { return groupByNode(tbl) }
+
+	full := sched.NewPool(sched.Config{Workers: 1, MaxConcurrent: 1, QueueDepth: -1})
+	defer full.Close(context.Background())
+	hold, err := full.Admit(context.Background(), "hold", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Release()
+	small := sched.NewPool(sched.Config{Workers: 1, MemLimit: 1 << 10})
+	defer small.Close(context.Background())
+
+	canceledCtx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cases := []struct {
+		name    string
+		opts    Options
+		ctx     context.Context
+		arm     func(plan *core.Plan) // breaks the plan or arms a fault
+		timeout time.Duration
+		want    error // nil = success
+		series  string
+		kind    flight.Kind
+	}{
+		{name: "ok", series: "queries_succeeded", kind: flight.KindQueryDone},
+		{name: "invalid_plan", opts: Options{VerifyIR: true}, want: ErrInvalidPlan, series: "queries_failed", kind: flight.KindQueryError,
+			arm: func(plan *core.Plan) {
+				for _, op := range plan.Pipelines[0].Ops {
+					if mr, ok := op.(*core.MakeRow); ok {
+						mr.Out = core.NewIU(mr.Out.K, "ghost")
+						return
+					}
+				}
+				t.Fatal("no op to break")
+			}},
+		{name: "shed", opts: Options{Pool: full}, want: sched.ErrQueueFull, series: "queries_failed", kind: flight.KindQueryError},
+		{name: "over_capacity", opts: Options{Pool: small, MemoryBudget: 1 << 20}, want: sched.ErrOverCapacity, series: "queries_failed", kind: flight.KindQueryError},
+		{name: "cancel", ctx: canceledCtx, want: ErrCanceled, series: "queries_canceled", kind: flight.KindQueryError},
+		{name: "deadline", timeout: 15 * time.Millisecond, opts: Options{MorselSize: 64}, want: ErrDeadlineExceeded, series: "queries_canceled", kind: flight.KindQueryError,
+			arm: func(*core.Plan) {
+				faultinject.Arm(faultinject.ExecMorsel, faultinject.Fault{Delay: 5 * time.Millisecond})
+			}},
+		{name: "budget", opts: Options{MemoryBudget: 64}, want: ErrMemoryBudget, series: "queries_failed", kind: flight.KindQueryError},
+		{name: "panic", want: ErrPanic, series: "queries_failed", kind: flight.KindQueryError,
+			arm: func(*core.Plan) {
+				faultinject.Arm(faultinject.ExecMorsel, faultinject.Fault{Nth: 2, Panic: "boom"})
+			}},
+	}
+	outcomes := []string{"queries_succeeded", "queries_failed", "queries_canceled"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			plan := lowerOrDie(t, good(), "outcome_"+tc.name)
+			if tc.arm != nil {
+				tc.arm(plan)
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			if tc.timeout > 0 {
+				var stop context.CancelFunc
+				ctx, stop = context.WithTimeout(ctx, tc.timeout)
+				defer stop()
+			}
+			opts := tc.opts
+			opts.Backend, opts.Workers, opts.Latency, opts.QueryID = BackendVectorized, 2, &lat, NextQueryID()
+
+			before := obs.Default.Values()
+			latency := obs.Default.QueryLatency.With("vectorized").Count()
+			_, err := ExecuteContext(ctx, plan, opts)
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("error = %v, want %v", err, tc.want)
+			}
+			after := obs.Default.Values()
+
+			if d := after["queries_started"] - before["queries_started"]; d != 1 {
+				t.Errorf("queries_started advanced by %d, want 1", d)
+			}
+			for _, s := range outcomes {
+				want := int64(0)
+				if s == tc.series {
+					want = 1
+				}
+				if d := after[s] - before[s]; d != want {
+					t.Errorf("%s advanced by %d, want %d", s, d, want)
+				}
+			}
+			if d := obs.Default.QueryLatency.With("vectorized").Count() - latency; d != 1 {
+				t.Errorf("latency histogram observed the query %d times, want 1", d)
+			}
+			var terminal []flight.Kind
+			for _, ev := range flight.Default.Recent(0, opts.QueryID) {
+				if ev.Query == opts.QueryID && (ev.Kind == flight.KindQueryDone || ev.Kind == flight.KindQueryError) {
+					terminal = append(terminal, ev.Kind)
+				}
+			}
+			if len(terminal) != 1 || terminal[0] != tc.kind {
+				t.Errorf("terminal flight events = %v, want exactly one %v", terminal, tc.kind)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"inkfuse/internal/faultinject"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/interp"
+	"inkfuse/internal/stats"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/trace"
 	"inkfuse/internal/types"
@@ -142,7 +143,7 @@ func (r *compilingRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n
 }
 
 func (r *compilingRunner) finish() finishInfo {
-	return finishInfo{compileTime: r.wait, compileWait: r.wait, fused: []*fusedStep{r.art}}
+	return finishInfo{counters: stats.Counters{CompileTime: r.wait, CompileWait: r.wait}, fused: []*fusedStep{r.art}}
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ func (r *rofRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, 
 }
 
 func (r *rofRunner) finish() finishInfo {
-	return finishInfo{compileTime: r.wait, compileWait: r.wait, fused: r.steps}
+	return finishInfo{counters: stats.Counters{CompileTime: r.wait, CompileWait: r.wait}, fused: r.steps}
 }
 
 // iuKinds projects the kinds of a staging buffer's columns.
@@ -508,9 +509,9 @@ func (h *hybridRunner) finish() finishInfo {
 	var fi finishInfo
 	switch {
 	case h.bg.failed.Load():
-		fi = finishInfo{compileErrors: 1, degraded: h.bg.err}
+		fi = finishInfo{counters: stats.Counters{CompileErrors: 1}, degraded: h.bg.err}
 	case h.bg.art.Load() != nil:
-		fi = finishInfo{compileTime: h.bg.compile, artifactReady: h.bg.ready, fused: []*fusedStep{h.bg.art.Load()}}
+		fi = finishInfo{counters: stats.Counters{CompileTime: h.bg.compile}, artifactReady: h.bg.ready, fused: []*fusedStep{h.bg.art.Load()}}
 	}
 	// The interpreter half of the hybrid carries the suboperator profile; the
 	// fused artifact is opaque to per-suboperator attribution by construction.

@@ -42,12 +42,12 @@ func TestAggLocalHitsReported(t *testing.T) {
 			if res.Stats.HTSpills == 0 {
 				t.Fatal("q1 reported no flush spills despite local hits")
 			}
-			for _, want := range []string{"local_hits=", "== tables:"} {
+			for _, want := range []string{"-- counters: ", " ht_local_hits=", "== counters: "} {
 				if !strings.Contains(out, want) {
 					t.Errorf("explain output missing %q:\n%s", want, out)
 				}
 			}
-			if tr := res.Trace; tr.Pipelines[0].LocalHits() == 0 {
+			if tr := res.Trace; tr.Pipelines[0].Total().HTLocalHits == 0 {
 				t.Error("trace pipeline 0 lost the local-hit counts")
 			}
 		})
@@ -63,7 +63,7 @@ func TestJoinBloomSkipsReported(t *testing.T) {
 			if res.Stats.HTBloomSkips == 0 {
 				t.Fatal("q3 reported no bloom-filter skips")
 			}
-			if !strings.Contains(out, "bloom_skips=") {
+			if !strings.Contains(out, " ht_bloom_skips=") {
 				t.Errorf("explain output missing bloom_skips:\n%s", out)
 			}
 		})

@@ -45,18 +45,11 @@ func TestTraceMatchesStatsAllBackends(t *testing.T) {
 					t.Fatalf("%s: %d/%d morsels run on a successful query", pt.Name, pt.MorselsRun(), pt.Morsels)
 				}
 			}
-			// The trace's independent accounting equals the stats counters.
-			if got, want := tr.Tuples(), res.Stats.Tuples; got != want {
-				t.Fatalf("trace tuples %d != stats tuples %d", got, want)
-			}
-			if got, want := int64(tr.RoutedJIT()), res.Stats.MorselsCompiled; got != want {
-				t.Fatalf("trace jit %d != stats MorselsCompiled %d", got, want)
-			}
-			if got, want := int64(tr.RoutedVectorized()), res.Stats.MorselsVectorized; got != want {
-				t.Fatalf("trace vectorized %d != stats MorselsVectorized %d", got, want)
-			}
-			if got, want := int64(tr.RoutedJIT()+tr.RoutedVectorized()), res.Stats.MorselsCompiled+res.Stats.MorselsVectorized; got != want {
-				t.Fatalf("trace routing sum %d != stats routing sum %d", got, want)
+			// The trace's independent accounting — per-morsel deltas plus the
+			// pipelines' own compile counters — equals the stats counters, on
+			// every row of the schema.
+			if got := tr.Total(); got != res.Stats {
+				t.Fatalf("trace total != stats:\n trace %s\n stats %s", &got, &res.Stats)
 			}
 			// Workers recorded busy time for the work they did.
 			for _, pt := range tr.Pipelines {
@@ -84,7 +77,7 @@ func TestTraceHybridRoutingSeries(t *testing.T) {
 	// With zero compile latency the artifact lands almost immediately: the
 	// trace must show JIT morsels, EWMA samples, and the artifact timestamp.
 	tr := res.Trace
-	if tr.RoutedJIT() == 0 {
+	if tr.Total().MorselsCompiled == 0 {
 		t.Fatal("hybrid trace recorded no JIT-routed morsels")
 	}
 	var samples int
@@ -151,12 +144,8 @@ func TestCanceledQueryPartialTrace(t *testing.T) {
 			t.Fatalf("%s: %d morsels run out of %d scheduled", pt.Name, pt.MorselsRun(), pt.Morsels)
 		}
 	}
-	if tr.Tuples() != res.Stats.Tuples {
-		t.Fatalf("partial trace tuples %d != stats %d", tr.Tuples(), res.Stats.Tuples)
-	}
-	if int64(tr.RoutedJIT()) != res.Stats.MorselsCompiled || int64(tr.RoutedVectorized()) != res.Stats.MorselsVectorized {
-		t.Fatalf("partial trace routing (%d/%d) != stats (%d/%d)",
-			tr.RoutedJIT(), tr.RoutedVectorized(), res.Stats.MorselsCompiled, res.Stats.MorselsVectorized)
+	if tt := tr.Total(); tt.Tuples != res.Stats.Tuples || tt.MorselsCompiled != res.Stats.MorselsCompiled || tt.MorselsVectorized != res.Stats.MorselsVectorized {
+		t.Fatalf("partial trace disagrees with stats:\n trace %s\n stats %s", &tt, &res.Stats)
 	}
 	// The dump of a partial trace renders without panicking.
 	if !strings.Contains(tr.Dump(), "err=") {
@@ -230,7 +219,7 @@ func TestExplainAnalyzeReportsRewrites(t *testing.T) {
 				t.Errorf("%v: explain output missing %q:\n%s", backend, want, out)
 			}
 		}
-		if !strings.Contains(res.Trace.Dump(), "fused=[") {
+		if !strings.Contains(res.Trace.Dump(), "fused: ") {
 			t.Errorf("%v: trace dump missing the fused entry:\n%s", backend, res.Trace.Dump())
 		}
 	}

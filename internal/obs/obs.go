@@ -1,17 +1,20 @@
-// Package obs is the serving-grade observability layer on top of
-// internal/metrics: lock-free fixed-bucket histograms for latency and
-// throughput distributions, grouped into label families (one child per
-// execution backend), with p50/p90/p99 summaries and a Prometheus
-// text-exposition renderer that folds in the flat engine counters.
+// Package obs is the engine-wide observability registry: the flat series
+// (engine events such as queries_started or sched_shed, plus one series per
+// stats.Schema counter, folded in once at query end) and lock-free
+// fixed-bucket histograms for latency and throughput distributions, grouped
+// into label families (one child per execution backend), with p50/p90/p99
+// summaries. One table declares the flat series; the text dump, the expvar
+// value ("inkfuse" on /debug/vars) and the Prometheus exposition render from it.
 //
 // The recording discipline matches the rest of the engine's observability
-// stack: histograms are fed at morsel granularity or coarser (never per row
-// or per chunk), and an observation is two atomic adds plus a binary search
-// over ~25 bucket bounds — no locks, no allocations, safe for every worker
-// concurrently.
+// stack: nothing is fed per row or per chunk. Flat series take one atomic add
+// per event or per counter at query end; a histogram observation (morsel
+// granularity or coarser) is two atomic adds plus a binary search over ~25
+// bucket bounds — no locks, no allocations, safe for every worker concurrently.
 package obs
 
 import (
+	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -20,7 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"inkfuse/internal/metrics"
+	"inkfuse/internal/stats"
 )
 
 // LatencyBounds are the default histogram bounds for durations, in seconds:
@@ -190,9 +193,76 @@ func (f *Family) labels() []string {
 	return out
 }
 
-// Registry groups the engine's histogram families. The exported distributions
-// are labeled by backend only: per-pipeline and per-suboperator breakdowns
-// have unbounded name cardinality and live in the per-query trace /
+// Event names one flat engine-wide series that is not a per-query counter:
+// query outcomes, scheduler admissions and plan-cache lookups. Their owners
+// feed them through Registry.Add.
+type Event int
+
+const (
+	QueriesStarted Event = iota
+	QueriesSucceeded
+	QueriesFailed
+	QueriesCanceled
+	DegradedQueries
+	QueryNanos
+	SchedAdmitted
+	SchedShed
+	SchedQueueTimeouts
+	SchedDrainCanceled
+	SchedRunning
+	SchedQueued
+	PlanCacheHits
+	PlanCacheMisses
+	PlanCacheEvictions
+	numEvents
+)
+
+// series declares one flat series: its name (without the "inkfuse_" prefix),
+// its Prometheus type and its help text.
+type series struct{ name, kind, help string }
+
+// A gauge is a point-in-time value or a high-water mark, a counter monotonic.
+const counter, gauge = "counter", "gauge"
+
+// flat is every flat series: the events, indexed by Event, then one per
+// stats.Schema row in schema order. sorted lists the indexes by name, the
+// order every rendering uses.
+var flat, sorted = func() ([]series, []int) {
+	s := []series{
+		QueriesStarted:     {"queries_started", counter, "Queries that entered the engine."},
+		QueriesSucceeded:   {"queries_succeeded", counter, "Queries that returned a result."},
+		QueriesFailed:      {"queries_failed", counter, "Queries that ended in an error other than cancellation (rejections included)."},
+		QueriesCanceled:    {"queries_canceled", counter, "Queries ended by context cancellation or deadline."},
+		DegradedQueries:    {"degraded_queries", counter, "Successful queries that ran with a failed background compile."},
+		QueryNanos:         {"query_nanos", counter, "Summed end-to-end query wall time."},
+		SchedAdmitted:      {"sched_admitted", counter, "Queries admitted into a worker pool."},
+		SchedShed:          {"sched_shed", counter, "Queries shed because the admission queue was full."},
+		SchedQueueTimeouts: {"sched_queue_timeouts", counter, "Queued admissions abandoned by their context."},
+		SchedDrainCanceled: {"sched_drain_canceled", counter, "Queries canceled by a drain deadline."},
+		SchedRunning:       {"sched_running", gauge, "Admitted queries now."},
+		SchedQueued:        {"sched_queued", gauge, "Admissions waiting in the queue now."},
+		PlanCacheHits:      {"plancache_hits", counter, "Fingerprint lookups served from the plan cache."},
+		PlanCacheMisses:    {"plancache_misses", counter, "Fingerprint lookups that built a fresh plan."},
+		PlanCacheEvictions: {"plancache_evictions", counter, "Plan-cache entries evicted by the LRU bound."},
+	}
+	for _, r := range stats.Schema {
+		kind := counter
+		if r.Max {
+			kind = gauge
+		}
+		s = append(s, series{r.Engine, kind, "Per-query counter " + r.Name + ", folded in at query end."})
+	}
+	order := make([]int, len(s))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return s[order[a]].name < s[order[b]].name })
+	return s, order
+}()
+
+// Registry holds the engine's flat series and histogram families. The exported
+// distributions are labeled by backend only: per-pipeline and per-suboperator
+// breakdowns have unbounded name cardinality and live in the per-query trace /
 // EXPLAIN ANALYZE instead (DESIGN.md §9).
 type Registry struct {
 	// QueryLatency is end-to-end query wall time, per backend.
@@ -203,58 +273,98 @@ type Registry struct {
 	// QueryRows is per-query source-tuple throughput (rows/sec), per backend.
 	QueryRows *Family
 	// QueueWait is the time a query spent in the scheduler's admission queue,
-	// labeled by outcome ("admitted", "shed", "timeout", "draining"). Fed by
-	// internal/sched once per admission attempt.
+	// labeled by outcome ("admitted", "shed", "timeout", "draining",
+	// "over_capacity"). Fed by internal/sched once per admission attempt.
 	QueueWait *Family
+
+	values []atomic.Int64 // one per flat series, same indexes
 }
 
-// NewRegistry creates an empty histogram registry.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		QueryLatency:  NewFamily("inkfuse_query_seconds", "End-to-end query latency by backend.", LatencyBounds),
 		MorselLatency: NewFamily("inkfuse_morsel_seconds", "Per-morsel execution latency by backend.", LatencyBounds),
 		QueryRows:     NewFamily("inkfuse_query_rows_per_second", "Per-query source-row throughput by backend.", ThroughputBounds),
 		QueueWait:     NewLabeledFamily("inkfuse_queue_wait_seconds", "Admission-queue wait by outcome.", "outcome", LatencyBounds),
+		values:        make([]atomic.Int64, len(flat)),
 	}
 }
 
-// Default is the process-wide histogram registry, fed by internal/exec from
-// the same end-of-query hook as the flat metrics counters (plus one
-// per-morsel latency observation from the scheduler).
+// Default is the process-wide registry: internal/exec feeds it once per query
+// at query end (plus one per-morsel latency observation), internal/sched and
+// internal/plancache feed their events. It is exported via expvar as "inkfuse".
 var Default = NewRegistry()
 
-// ObserveQuery folds one finished query into the registry: wall-time latency
-// and source-row throughput. Called once per query, success or failure.
-func (r *Registry) ObserveQuery(backend string, wall time.Duration, tuples int64) {
+func init() {
+	expvar.Publish("inkfuse", expvar.Func(func() any { return Default.Values() }))
+}
+
+// Add moves an event series by delta: +1 per occurrence for counters, ±1 for
+// the running/queued gauges.
+func (r *Registry) Add(e Event, delta int64) { r.values[e].Add(delta) }
+
+// QueryDone folds one finished query into the registry, success or failure:
+// its outcome (err nil, a cancellation/deadline, or any other failure —
+// rejections included), wall time and c, its merged counters (all zero when it
+// died before executing). degraded marks a successful query that ran with a
+// failed background compile.
+func (r *Registry) QueryDone(backend string, c *stats.Counters, wall time.Duration, err error, canceled, degraded bool) {
+	switch {
+	case err == nil:
+		r.Add(QueriesSucceeded, 1)
+	case canceled:
+		r.Add(QueriesCanceled, 1)
+	default:
+		r.Add(QueriesFailed, 1)
+	}
+	if degraded {
+		r.Add(DegradedQueries, 1)
+	}
+	r.Add(QueryNanos, int64(wall))
+	for i := range stats.Schema {
+		row, v := &stats.Schema[i], &r.values[int(numEvents)+i]
+		if n := *row.Of(c); !row.Max {
+			v.Add(n)
+		} else {
+			for cur := v.Load(); n > cur && !v.CompareAndSwap(cur, n); cur = v.Load() {
+			}
+		}
+	}
 	r.QueryLatency.With(backend).ObserveDuration(wall)
-	if s := wall.Seconds(); s > 0 && tuples > 0 {
-		r.QueryRows.With(backend).Observe(float64(tuples) / s)
+	if s := wall.Seconds(); s > 0 && c.Tuples > 0 {
+		r.QueryRows.With(backend).Observe(float64(c.Tuples) / s)
 	}
 }
 
-// gauges names the flat counters that are point-in-time values rather than
-// monotonic counters, for exposition typing.
-var gauges = map[string]bool{
-	"inkfuse_mem_peak_bytes": true,
-	"inkfuse_sched_running":  true,
-	"inkfuse_sched_queued":   true,
+// Values is a point-in-time copy of the flat series, keyed by series name
+// (without the "inkfuse_" prefix) — the expvar value.
+func (r *Registry) Values() map[string]int64 {
+	out := make(map[string]int64, len(flat))
+	for i := range flat {
+		out[flat[i].name] = r.values[i].Load()
+	}
+	return out
 }
 
-// PrometheusText renders the whole observability surface in Prometheus text
-// exposition format: the flat engine counters of internal/metrics followed by
-// this registry's histograms (cumulative buckets, sum, count).
+// Dump renders the flat series as sorted "inkfuse_name value" lines — the
+// text export for logs and CLIs.
+func (r *Registry) Dump() string {
+	var b strings.Builder
+	for _, i := range sorted {
+		fmt.Fprintf(&b, "inkfuse_%s %d\n", flat[i].name, r.values[i].Load())
+	}
+	return b.String()
+}
+
+// PrometheusText renders the whole registry in Prometheus text exposition
+// format: the flat series, typed from their declaration, followed by the
+// histograms (cumulative buckets, sum, count).
 func (r *Registry) PrometheusText() string {
 	var b strings.Builder
-	for _, line := range strings.Split(strings.TrimSpace(metrics.Default.Dump()), "\n") {
-		name, _, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		kind := "counter"
-		if gauges[name] {
-			kind = "gauge"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s\n", name, kind, line)
+	for _, i := range sorted {
+		fmt.Fprintf(&b, "# HELP inkfuse_%[1]s %[2]s\n# TYPE inkfuse_%[1]s %[3]s\ninkfuse_%[1]s %[4]d\n",
+			flat[i].name, flat[i].help, flat[i].kind, r.values[i].Load())
 	}
 	for _, f := range []*Family{r.QueryLatency, r.MorselLatency, r.QueryRows, r.QueueWait} {
 		writeFamily(&b, f)

@@ -1,12 +1,16 @@
 package obs
 
 import (
+	"errors"
+	"expvar"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 func TestDecadesLayout(t *testing.T) {
@@ -153,9 +157,9 @@ func TestFamilyConcurrentMerge(t *testing.T) {
 
 func TestFamilyChildrenAndRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.ObserveQuery("hybrid", 20*time.Millisecond, 1_000_000)
-	r.ObserveQuery("hybrid", 40*time.Millisecond, 2_000_000)
-	r.ObserveQuery("vectorized", 5*time.Millisecond, 500_000)
+	r.QueryDone("hybrid", &stats.Counters{Tuples: 1_000_000}, 20*time.Millisecond, nil, false, false)
+	r.QueryDone("hybrid", &stats.Counters{Tuples: 2_000_000}, 40*time.Millisecond, nil, false, false)
+	r.QueryDone("vectorized", &stats.Counters{Tuples: 500_000}, 5*time.Millisecond, nil, false, false)
 	r.MorselLatency.With("hybrid").ObserveDuration(300 * time.Microsecond)
 
 	if got := r.QueryLatency.With("hybrid").Count(); got != 2 {
@@ -165,7 +169,7 @@ func TestFamilyChildrenAndRegistry(t *testing.T) {
 		t.Fatalf("vectorized throughput count = %d", got)
 	}
 	// Zero-wall / zero-tuple queries must not feed a nonsense rate.
-	r.ObserveQuery("rof", 10*time.Millisecond, 0)
+	r.QueryDone("rof", &stats.Counters{Tuples: 0}, 10*time.Millisecond, nil, false, false)
 	if got := r.QueryRows.With("rof").Count(); got != 0 {
 		t.Fatalf("zero-tuple query fed the throughput histogram: %d", got)
 	}
@@ -176,7 +180,7 @@ func TestFamilyChildrenAndRegistry(t *testing.T) {
 
 func TestPrometheusText(t *testing.T) {
 	r := NewRegistry()
-	r.ObserveQuery("hybrid", 3*time.Millisecond, 100_000)
+	r.QueryDone("hybrid", &stats.Counters{Tuples: 100_000}, 3*time.Millisecond, nil, false, false)
 	out := r.PrometheusText()
 	for _, want := range []string{
 		"# TYPE inkfuse_queries_started counter",
@@ -212,5 +216,75 @@ func TestPrometheusText(t *testing.T) {
 	}
 	if prev != 50 {
 		t.Fatalf("final cumulative bucket = %d, want 50", prev)
+	}
+}
+
+func TestRegistryFolding(t *testing.T) {
+	r := NewRegistry()
+	r.Add(QueriesStarted, 3)
+
+	c1 := &stats.Counters{Tuples: 100, EmittedRows: 10, CompileTime: time.Millisecond, MemPeakBytes: 512}
+	r.QueryDone("hybrid", c1, 2*time.Millisecond, nil, false, false)
+
+	c2 := &stats.Counters{Tuples: 50, PanicsRecovered: 1, MemPeakBytes: 256}
+	r.QueryDone("hybrid", c2, time.Millisecond, errors.New("boom"), false, false)
+
+	c3 := &stats.Counters{Tuples: 7, CompileErrors: 1}
+	r.QueryDone("hybrid", c3, time.Millisecond, errors.New("ctx"), true, true)
+
+	// A query that died before executing carries no counters.
+	r.QueryDone("hybrid", &stats.Counters{}, time.Millisecond, errors.New("early"), false, false)
+
+	want := map[string]int64{
+		"queries_started": 3, "queries_succeeded": 1, "queries_failed": 2, "queries_canceled": 1,
+		"degraded_queries": 1, "tuples": 157, "emitted_rows": 10, "panics_recovered": 1, "compile_errors": 1,
+		"compile_nanos": int64(time.Millisecond), "query_nanos": int64(5 * time.Millisecond),
+		"mem_peak_bytes": 512, // a high-water gauge: the largest per-query peak
+	}
+	got := r.Values()
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %d, want %d", name, got[name], v)
+		}
+	}
+	if n := r.QueryLatency.With("hybrid").Count(); n != 4 {
+		t.Errorf("latency histogram saw %d queries, want 4", n)
+	}
+}
+
+func TestDumpFormat(t *testing.T) {
+	r := NewRegistry()
+	r.Add(QueriesStarted, 1)
+	r.Add(SchedRunning, 1)
+	r.Add(SchedRunning, -1)
+	r.QueryDone("vectorized", &stats.Counters{Tuples: 5}, time.Millisecond, nil, false, false)
+	out := r.Dump()
+	for _, want := range []string{"inkfuse_queries_started 1\n", "inkfuse_queries_succeeded 1\n", "inkfuse_tuples 5\n", "inkfuse_sched_running 0\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump missing %q:\n%s", want, out)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(flat) || !sortedStrings(lines) {
+		t.Errorf("dump must list all %d series in name order:\n%s", len(flat), out)
+	}
+}
+
+func sortedStrings(s []string) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] < s[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestExpvarPublished(t *testing.T) {
+	v := expvar.Get("inkfuse")
+	if v == nil {
+		t.Fatal("default registry not published under expvar key \"inkfuse\"")
+	}
+	if !strings.Contains(v.String(), `"queries_started":`) {
+		t.Fatalf("expvar value is not the name-keyed series map: %s", v)
 	}
 }

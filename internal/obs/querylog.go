@@ -4,8 +4,8 @@
 // query carries the same fields everywhere: identity (engine query id,
 // fingerprint, source), routing (backend, plan-cache outcome, degradations),
 // scheduling (admission queue wait), compilation (compiles run vs artifacts
-// reused, cached bytes), execution counters (rows, tuples, hash-table
-// behaviour), and the duration breakdown.
+// reused, cached bytes), the execution counters (every stats.Schema row that
+// is set), and the duration breakdown.
 //
 // Tail-based sampling: the interesting tail — errors, shed admissions, slow
 // queries, degraded pipelines — is always kept; plain successes are sampled
@@ -17,7 +17,10 @@ package obs
 import (
 	"context"
 	"log/slog"
+	"reflect"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // QueryEvent is the canonical wide event of one query completion.
@@ -40,34 +43,19 @@ type QueryEvent struct {
 	Error   string // terminal error message ("" on success)
 	Slow    bool   // wall exceeded the slow-query threshold
 
-	// Volume.
-	Rows   int   // result rows
-	Tuples int64 // source tuples processed
+	Rows      int           // result rows
+	Wall      time.Duration // end-to-end, admission included
+	QueueWait time.Duration // admission-queue wait inside Wall
 
-	// Duration breakdown.
-	Wall        time.Duration // end-to-end, admission included
-	QueueWait   time.Duration // admission-queue wait inside Wall
-	CompileTime time.Duration // total compile time charged to this execution
-	CompileWait time.Duration // dead wait on foreground compilation
+	// Counters are the query's merged execution counters (source tuples,
+	// compile time and wait, hash-table and exchange behaviour, hybrid morsel
+	// routing, ...); each set one is logged under its stats.Schema name.
+	Counters stats.Counters
 
 	// Compilation amortization (plan/artifact cache).
 	Compiles        int64 // compile jobs this execution ran
 	ArtifactsReused int64 // fused pipelines served from cached artifacts
 	ArtifactBytes   int64 // cached artifact bytes leased with the plan
-
-	// Hash-table counters.
-	HTLocalHits  int64
-	HTSpills     int64
-	HTBloomSkips int64
-
-	// Exchange routing (DESIGN.md §15): rows hash-routed through local
-	// exchanges and the largest single partition (the skew signal).
-	PartRoutedRows  int64
-	PartMaxPartRows int64
-
-	// Morsel routing (hybrid: how incremental fusion split the work).
-	MorselsCompiled   int64
-	MorselsVectorized int64
 }
 
 // Interesting reports whether the event is in the always-keep tail: any
@@ -77,10 +65,10 @@ func (e *QueryEvent) Interesting() bool {
 }
 
 // attrs renders the event as slog attributes. Zero-valued optional fields
-// (fingerprint, trace id, compile times on pure-vectorized runs) are elided
-// so the line stays readable in text handlers.
+// (fingerprint, trace id, counters the query never touched) are elided so the
+// line stays readable in text handlers.
 func (e *QueryEvent) attrs() []slog.Attr {
-	out := make([]slog.Attr, 0, 24)
+	out := make([]slog.Attr, 0, 32)
 	out = append(out,
 		slog.Uint64("id", e.ID),
 		slog.String("query", e.Query),
@@ -90,57 +78,28 @@ func (e *QueryEvent) attrs() []slog.Attr {
 		slog.Duration("wall", e.Wall),
 		slog.Duration("queue_wait", e.QueueWait),
 		slog.Int("rows", e.Rows),
-		slog.Int64("tuples", e.Tuples),
 	)
-	if e.Fingerprint != "" {
-		out = append(out, slog.String("fingerprint", e.Fingerprint))
+	for _, a := range []slog.Attr{
+		slog.String("fingerprint", e.Fingerprint),
+		slog.String("plan_cache", e.PlanCache),
+		slog.String("trace_id", e.TraceID),
+		slog.String("err", e.Error),
+		slog.Bool("slow", e.Slow),
+		slog.Bool("degraded", e.Degraded),
+		slog.Int64("compiles", e.Compiles),
+		slog.Int64("artifacts_reused", e.ArtifactsReused),
+		slog.Int64("artifact_bytes", e.ArtifactBytes),
+	} {
+		if !reflect.ValueOf(a.Value.Any()).IsZero() {
+			out = append(out, a)
+		}
 	}
-	if e.PlanCache != "" {
-		out = append(out, slog.String("plan_cache", e.PlanCache))
-	}
-	if e.TraceID != "" {
-		out = append(out, slog.String("trace_id", e.TraceID))
-	}
-	if e.Error != "" {
-		out = append(out, slog.String("err", e.Error))
-	}
-	if e.Slow {
-		out = append(out, slog.Bool("slow", true))
-	}
-	if e.Degraded {
-		out = append(out, slog.Bool("degraded", true))
-	}
-	if e.CompileTime > 0 || e.CompileWait > 0 || e.Compiles > 0 {
-		out = append(out,
-			slog.Duration("compile_time", e.CompileTime),
-			slog.Duration("compile_wait", e.CompileWait),
-			slog.Int64("compiles", e.Compiles),
-		)
-	}
-	if e.ArtifactsReused > 0 || e.ArtifactBytes > 0 {
-		out = append(out,
-			slog.Int64("artifacts_reused", e.ArtifactsReused),
-			slog.Int64("artifact_bytes", e.ArtifactBytes),
-		)
-	}
-	if e.HTLocalHits > 0 || e.HTSpills > 0 || e.HTBloomSkips > 0 {
-		out = append(out,
-			slog.Int64("ht_local_hits", e.HTLocalHits),
-			slog.Int64("ht_spills", e.HTSpills),
-			slog.Int64("ht_bloom_skips", e.HTBloomSkips),
-		)
-	}
-	if e.PartRoutedRows > 0 {
-		out = append(out,
-			slog.Int64("part_routed_rows", e.PartRoutedRows),
-			slog.Int64("part_max_part_rows", e.PartMaxPartRows),
-		)
-	}
-	if e.MorselsCompiled > 0 || e.MorselsVectorized > 0 {
-		out = append(out,
-			slog.Int64("morsels_jit", e.MorselsCompiled),
-			slog.Int64("morsels_vec", e.MorselsVectorized),
-		)
+	for r, v := range e.Counters.Nonzero() {
+		if r.Dur {
+			out = append(out, slog.Duration(r.Name, time.Duration(v)))
+		} else {
+			out = append(out, slog.Int64(r.Name, v))
+		}
 	}
 	return out
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 func TestQueryEventEmitLevelsAndFields(t *testing.T) {
@@ -16,7 +18,7 @@ func TestQueryEventEmitLevelsAndFields(t *testing.T) {
 
 	ok := &QueryEvent{
 		ID: 7, Query: "q6", Source: "sql", Backend: "hybrid", Outcome: "ok",
-		Fingerprint: "abc123", PlanCache: "hit", Rows: 1, Tuples: 60000,
+		Fingerprint: "abc123", PlanCache: "hit", Rows: 1, Counters: stats.Counters{Tuples: 60000},
 		Wall: 12 * time.Millisecond, QueueWait: 1 * time.Millisecond,
 	}
 	ok.Emit(logger)

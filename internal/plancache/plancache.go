@@ -28,7 +28,7 @@ import (
 	"inkfuse/internal/core"
 	"inkfuse/internal/exec"
 	"inkfuse/internal/flight"
-	"inkfuse/internal/metrics"
+	"inkfuse/internal/obs"
 )
 
 // Prepared is one exclusively-leased executable instance: a lowered plan, the
@@ -147,7 +147,7 @@ func (c *Cache) Acquire(fp core.Fingerprint) *Prepared {
 	e := c.entries[fp]
 	if e == nil || len(e.idle) == 0 {
 		c.misses++
-		metrics.Default.PlanCacheMiss()
+		obs.Default.Add(obs.PlanCacheMisses, 1)
 		flight.Default.RecordStr(flight.KindPlanCacheMiss, 0, fp.Hex(), 0, 0)
 		return nil
 	}
@@ -158,7 +158,7 @@ func (c *Cache) Acquire(fp core.Fingerprint) *Prepared {
 	c.stateBytes -= p.stateCost
 	c.lru.MoveToFront(e.lruElem)
 	c.hits++
-	metrics.Default.PlanCacheHit()
+	obs.Default.Add(obs.PlanCacheHits, 1)
 	flight.Default.RecordStr(flight.KindPlanCacheHit, 0, fp.Hex(), p.artCost, 0)
 	return p
 }
@@ -222,7 +222,7 @@ func (c *Cache) evict() {
 		c.lru.Remove(back)
 		delete(c.entries, e.fp)
 		c.evictions++
-		metrics.Default.PlanCacheEvicted(1)
+		obs.Default.Add(obs.PlanCacheEvictions, 1)
 	}
 }
 

@@ -234,8 +234,8 @@ func (s *ExchangeState) RetainedBytes() int64 {
 // PartitionedAggTable is the exchange-side aggregation table: one unsharded,
 // completely lock-free part per partition. Each part is written by exactly
 // one worker (the partition's single morsel), so FindOrCreate takes no lock
-// and never spills through a thread-local table — with exchange on, HTSpills
-// stays 0 on these paths by construction.
+// and never spills through a thread-local table — with exchange on, the
+// ht_spills counter stays 0 on these paths by construction.
 type PartitionedAggTable struct {
 	payloadInit []byte
 	parts       []aggShard

@@ -46,7 +46,6 @@ import (
 
 	"inkfuse/internal/faultinject"
 	"inkfuse/internal/flight"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 )
 
@@ -333,6 +332,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 	}
 	if p.memLimit > 0 && info.Mem > p.memLimit {
 		p.mu.Unlock()
+		observeQueueWait("over_capacity", 0)
 		flight.Default.RecordStr(flight.KindShed, info.ID, info.Name, info.Mem, p.memLimit)
 		return nil, fmt.Errorf("%w: budget %d > limit %d", ErrOverCapacity, info.Mem, p.memLimit)
 	}
@@ -345,7 +345,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 	if len(p.queue) >= p.queueDepth {
 		p.mu.Unlock()
 		p.shed.Add(1)
-		metrics.Default.SchedShed()
+		obs.Default.Add(obs.SchedShed, 1)
 		observeQueueWait("shed", 0)
 		flight.Default.RecordStr(flight.KindShed, info.ID, info.Name, int64(p.queueDepth), 0)
 		return nil, ErrQueueFull
@@ -353,7 +353,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 	w := &waiter{info: info, enq: start, ready: make(chan struct{})}
 	p.queue = append(p.queue, w)
 	depth := len(p.queue)
-	metrics.Default.SchedQueued(1)
+	obs.Default.Add(obs.SchedQueued, 1)
 	p.mu.Unlock()
 	flight.Default.RecordStr(flight.KindQueued, info.ID, info.Name, int64(depth), 0)
 
@@ -381,7 +381,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 			p.mu.Unlock()
 		}
 		p.queueTimeouts.Add(1)
-		metrics.Default.SchedQueueTimeout()
+		obs.Default.Add(obs.SchedQueueTimeouts, 1)
 		waited := time.Since(start)
 		observeQueueWait("timeout", waited)
 		flight.Default.RecordStr(flight.KindQueueTimeout, info.ID, info.Name, int64(waited), 0)
@@ -416,7 +416,8 @@ func (p *Pool) admitLocked(info AdmitInfo, waited time.Duration) *Query {
 	p.active = append(p.active, q)
 	p.memUsed += q.mem
 	p.admitted.Add(1)
-	metrics.Default.SchedAdmitted()
+	obs.Default.Add(obs.SchedAdmitted, 1)
+	obs.Default.Add(obs.SchedRunning, 1)
 	flight.Default.RecordStr(flight.KindAdmit, info.ID, info.Name, int64(waited), 0)
 	if q.mem > 0 {
 		flight.Default.RecordStr(flight.KindMemReserve, info.ID, info.Name, q.mem, p.memUsed)
@@ -428,7 +429,7 @@ func (p *Pool) removeWaiterLocked(w *waiter) {
 	for i, o := range p.queue {
 		if o == w {
 			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			metrics.Default.SchedQueued(-1)
+			obs.Default.Add(obs.SchedQueued, -1)
 			return
 		}
 	}
@@ -454,14 +455,14 @@ func (p *Pool) releaseLocked(q *Query) {
 		p.rr = 0
 	}
 	p.memUsed -= q.mem
-	metrics.Default.SchedReleased()
+	obs.Default.Add(obs.SchedRunning, -1)
 	if q.mem > 0 {
 		flight.Default.RecordStr(flight.KindMemRelease, q.info.ID, q.name, -q.mem, p.memUsed)
 	}
 	for len(p.queue) > 0 && p.fitsLocked(p.queue[0].info.Mem) {
 		w := p.queue[0]
 		p.queue = p.queue[1:]
-		metrics.Default.SchedQueued(-1)
+		obs.Default.Add(obs.SchedQueued, -1)
 		w.q = p.admitLocked(w.info, time.Since(w.enq))
 		close(w.ready)
 	}
@@ -663,7 +664,7 @@ func (p *Pool) Close(ctx context.Context) CloseStats {
 	for _, w := range p.queue {
 		w.err = ErrDraining
 		close(w.ready)
-		metrics.Default.SchedQueued(-1)
+		obs.Default.Add(obs.SchedQueued, -1)
 	}
 	p.queue = nil
 	atCloseActive := len(p.active)
@@ -705,7 +706,7 @@ func (p *Pool) Close(ctx context.Context) CloseStats {
 		p.mu.Unlock()
 		p.taskCond.Broadcast()
 		p.drainCanceled.Add(int64(cs.Canceled))
-		metrics.Default.SchedDrainCanceled(int64(cs.Canceled))
+		obs.Default.Add(obs.SchedDrainCanceled, int64(cs.Canceled))
 		flight.Default.Record(flight.KindDrainCancel, 0, flight.NoLabel, int64(cs.Canceled), 0)
 		// Canceled queries still unwind through their owners' Release calls.
 		<-done

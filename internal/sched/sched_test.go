@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"inkfuse/internal/faultinject"
+	"inkfuse/internal/obs"
 )
 
 // waitGoroutines waits for the goroutine count to drop back to at most want,
@@ -164,14 +165,40 @@ func TestFairnessShortQueryNotStarved(t *testing.T) {
 	}
 }
 
+// queueWaitCounts reads how often each admission outcome has been observed in
+// the process-wide queue-wait histogram family.
+func queueWaitCounts() map[string]int64 {
+	out := map[string]int64{}
+	for _, o := range []string{"admitted", "shed", "timeout", "draining", "over_capacity"} {
+		out[o] = obs.Default.QueueWait.With(o).Count()
+	}
+	return out
+}
+
+// TestAdmissionQueueFullSheds drives one admission attempt to each of the five
+// outcomes — admitted (directly and from the queue), shed, over-capacity,
+// queue timeout, draining — and checks, beside the pool's own accounting, that
+// every attempt observed inkfuse_queue_wait_seconds exactly once, under its
+// own outcome.
 func TestAdmissionQueueFullSheds(t *testing.T) {
-	p := NewPool(Config{Workers: 1, MaxConcurrent: 1, QueueDepth: 1})
+	p := NewPool(Config{Workers: 1, MaxConcurrent: 1, QueueDepth: 1, MemLimit: 100})
 	defer p.Close(context.Background())
+	before := queueWaitCounts()
+	expect := func(step string, want map[string]int64) {
+		t.Helper()
+		after := queueWaitCounts()
+		for o, n := range after {
+			if d := n - before[o]; d != want[o] {
+				t.Errorf("after %s: outcome %q observed %d times, want %d", step, o, d, want[o])
+			}
+		}
+	}
 
 	q1, err := p.Admit(context.Background(), "q1", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	expect("direct admit", map[string]int64{"admitted": 1})
 
 	// q2 queues; q3 finds the queue full and is shed.
 	var wg sync.WaitGroup
@@ -193,12 +220,39 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	if s := p.Stats(); s.Shed != 1 {
 		t.Fatalf("Stats.Shed = %d, want 1", s.Shed)
 	}
+	expect("shed", map[string]int64{"admitted": 1, "shed": 1})
+
+	// A reservation over the pool's limit can never fit: refused outright.
+	if _, err := p.Admit(context.Background(), "huge", 200, 1); !errors.Is(err, ErrOverCapacity) {
+		t.Fatalf("over-limit admit error = %v, want ErrOverCapacity", err)
+	}
+	expect("over-capacity", map[string]int64{"admitted": 1, "shed": 1, "over_capacity": 1})
 
 	q1.Release()
 	wg.Wait()
 	if err := <-admitted; err != nil {
 		t.Fatalf("queued q2 failed: %v", err)
 	}
+	expect("queued admit", map[string]int64{"admitted": 2, "shed": 1, "over_capacity": 1})
+
+	// q4 holds the slot while q5's context expires in the queue.
+	q4, err := p.Admit(context.Background(), "q4", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := p.Admit(ctx, "q5", 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued admit error = %v, want DeadlineExceeded", err)
+	}
+	expect("queue timeout", map[string]int64{"admitted": 3, "shed": 1, "over_capacity": 1, "timeout": 1})
+
+	q4.Release()
+	p.Close(context.Background())
+	if _, err := p.Admit(context.Background(), "late", 0, 1); !errors.Is(err, ErrDraining) {
+		t.Fatalf("post-close admit error = %v, want ErrDraining", err)
+	}
+	expect("draining", map[string]int64{"admitted": 3, "shed": 1, "over_capacity": 1, "timeout": 1, "draining": 1})
 }
 
 func TestQueuedContextExpiryNeverRuns(t *testing.T) {

@@ -720,20 +720,7 @@ func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
 		e.Error = err.Error()
 	}
 	if res != nil {
-		e.Rows = res.Rows()
-		e.Tuples = res.Stats.Tuples
-		e.Wall = res.Wall
-		e.QueueWait = res.QueueWait
-		e.CompileTime = res.Stats.CompileTime
-		e.CompileWait = res.Stats.CompileWait
-		e.HTLocalHits = res.Stats.HTLocalHits
-		e.HTSpills = res.Stats.HTSpills
-		e.HTBloomSkips = res.Stats.HTBloomSkips
-		e.PartRoutedRows = res.Stats.PartRoutedRows
-		e.PartMaxPartRows = res.Stats.PartMaxPartRows
-		e.MorselsCompiled = res.Stats.MorselsCompiled
-		e.MorselsVectorized = res.Stats.MorselsVectorized
-		e.Degraded = len(res.Warnings) > 0 || res.Stats.CompileErrors > 0
+		res.Describe(e)
 		e.Slow = s.cfg.SlowQuery > 0 && res.Wall >= s.cfg.SlowQuery
 	}
 	if prep != nil {

@@ -7,6 +7,8 @@ package stats
 
 import (
 	"fmt"
+	"iter"
+	"strings"
 	"time"
 )
 
@@ -73,29 +75,114 @@ type Counters struct {
 	MemPeakBytes int64
 }
 
+// Row declares one counter: the name each sink exports it under and how two
+// values of it combine. Schema is the only list of counters in the repository;
+// merging, the engine-wide registry, /metrics, the query log, span attributes,
+// EXPLAIN ANALYZE / trace counter lines and the inkbench JSON cell all loop
+// over it (DESIGN.md §8 "Telemetry schema").
+type Row struct {
+	// Name is the per-query name: query-log key, JSON-cell key, span attribute
+	// ("inkfuse." + Name) and the label on EXPLAIN ANALYZE / trace lines.
+	Name string
+	// Engine is the name of the process-wide series this counter folds into at
+	// query end (/metrics and /debug/vars add the "inkfuse_" prefix).
+	Engine string
+	// Max marks a high-water mark: it merges by max instead of by sum, and the
+	// engine-wide series is a gauge, not a counter.
+	Max bool
+	// Dur marks a time.Duration field: logs and EXPLAIN render it as a
+	// duration, numeric sinks as nanoseconds under NumName.
+	Dur bool
+	// Of locates the counter's field inside a Counters.
+	Of func(*Counters) *int64
+}
+
+// NumName is the name numeric per-query sinks (span attributes, JSON cells)
+// use: durations carry their unit.
+func (r *Row) NumName() string {
+	if r.Dur {
+		return r.Name + "_ns"
+	}
+	return r.Name
+}
+
+// Schema lists every counter, in rendering order. Adding a counter is a field
+// on Counters, a row here and the increment site — nothing else.
+var Schema = []Row{
+	{Name: "tuples", Engine: "tuples", Of: func(c *Counters) *int64 { return &c.Tuples }},
+	{Name: "emitted_rows", Engine: "emitted_rows", Of: func(c *Counters) *int64 { return &c.EmittedRows }},
+	{Name: "vm_ops", Engine: "vm_ops", Of: func(c *Counters) *int64 { return &c.VMOps }},
+	{Name: "materialized_bytes", Engine: "materialized_bytes", Of: func(c *Counters) *int64 { return &c.MaterializedBytes }},
+	{Name: "primitive_calls", Engine: "primitive_calls", Of: func(c *Counters) *int64 { return &c.PrimitiveCalls }},
+	{Name: "fused_calls", Engine: "fused_calls", Of: func(c *Counters) *int64 { return &c.FusedCalls }},
+	{Name: "ht_probes", Engine: "ht_probes_total", Of: func(c *Counters) *int64 { return &c.HTProbes }},
+	{Name: "ht_matches", Engine: "ht_matches_total", Of: func(c *Counters) *int64 { return &c.HTMatches }},
+	{Name: "ht_inserts", Engine: "ht_inserts_total", Of: func(c *Counters) *int64 { return &c.HTInserts }},
+	{Name: "ht_local_hits", Engine: "ht_local_hits_total", Of: func(c *Counters) *int64 { return &c.HTLocalHits }},
+	{Name: "ht_spills", Engine: "ht_spills_total", Of: func(c *Counters) *int64 { return &c.HTSpills }},
+	{Name: "ht_bloom_skips", Engine: "ht_bloom_skips_total", Of: func(c *Counters) *int64 { return &c.HTBloomSkips }},
+	{Name: "part_routed_rows", Engine: "part_routed_rows_total", Of: func(c *Counters) *int64 { return &c.PartRoutedRows }},
+	{Name: "part_max_part_rows", Engine: "part_max_part_rows", Max: true, Of: func(c *Counters) *int64 { return &c.PartMaxPartRows }},
+	{Name: "morsels_jit", Engine: "morsels_jit", Of: func(c *Counters) *int64 { return &c.MorselsCompiled }},
+	{Name: "morsels_vec", Engine: "morsels_vec", Of: func(c *Counters) *int64 { return &c.MorselsVectorized }},
+	{Name: "compile_time", Engine: "compile_nanos", Dur: true, Of: func(c *Counters) *int64 { return (*int64)(&c.CompileTime) }},
+	{Name: "compile_wait", Engine: "compile_wait_nanos", Dur: true, Of: func(c *Counters) *int64 { return (*int64)(&c.CompileWait) }},
+	{Name: "compile_errors", Engine: "compile_errors", Of: func(c *Counters) *int64 { return &c.CompileErrors }},
+	{Name: "panics_recovered", Engine: "panics_recovered", Of: func(c *Counters) *int64 { return &c.PanicsRecovered }},
+	{Name: "mem_peak_bytes", Engine: "mem_peak_bytes", Max: true, Of: func(c *Counters) *int64 { return &c.MemPeakBytes }},
+}
+
+// zero is the reading Add measures from.
+var zero Counters
+
 // Add merges o into c.
-func (c *Counters) Add(o *Counters) {
-	c.Tuples += o.Tuples
-	c.VMOps += o.VMOps
-	c.MaterializedBytes += o.MaterializedBytes
-	c.PrimitiveCalls += o.PrimitiveCalls
-	c.FusedCalls += o.FusedCalls
-	c.HTProbes += o.HTProbes
-	c.HTMatches += o.HTMatches
-	c.HTInserts += o.HTInserts
-	c.HTLocalHits += o.HTLocalHits
-	c.HTSpills += o.HTSpills
-	c.HTBloomSkips += o.HTBloomSkips
-	c.PartRoutedRows += o.PartRoutedRows
-	c.PartMaxPartRows = max(c.PartMaxPartRows, o.PartMaxPartRows)
-	c.EmittedRows += o.EmittedRows
-	c.MorselsVectorized += o.MorselsVectorized
-	c.MorselsCompiled += o.MorselsCompiled
-	c.CompileWait += o.CompileWait
-	c.CompileTime += o.CompileTime
-	c.CompileErrors += o.CompileErrors
-	c.PanicsRecovered += o.PanicsRecovered
-	c.MemPeakBytes = max(c.MemPeakBytes, o.MemPeakBytes)
+func (c *Counters) Add(o *Counters) { c.AddDelta(o, &zero) }
+
+// AddDelta merges what happened between two readings of one accumulating
+// Counters (since, then now) into c: sums grow by the difference; a high-water
+// mark counts only if it rose in between (one that did not says nothing about
+// the interval). The executor takes the readings around a morsel, so a trace
+// attributes counters to pipelines and workers without touching hot paths.
+func (c *Counters) AddDelta(now, since *Counters) {
+	for i := range Schema {
+		r := &Schema[i]
+		v, n, s := r.Of(c), *r.Of(now), *r.Of(since)
+		switch {
+		case !r.Max:
+			*v += n - s
+		case n > s:
+			*v = max(*v, n)
+		}
+	}
+}
+
+// Nonzero yields the counters that are set, in schema order — the elision
+// every per-query sink applies.
+func (c *Counters) Nonzero() iter.Seq2[*Row, int64] {
+	return func(yield func(*Row, int64) bool) {
+		for i := range Schema {
+			if v := *Schema[i].Of(c); v != 0 && !yield(&Schema[i], v) {
+				return
+			}
+		}
+	}
+}
+
+// String renders the set counters as "name=value" pairs, the counter line of
+// EXPLAIN ANALYZE and the trace dump.
+func (c *Counters) String() string {
+	var b strings.Builder
+	for r, v := range c.Nonzero() {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if r.Dur {
+			fmt.Fprintf(&b, "%s=%v", r.Name, time.Duration(v).Round(time.Microsecond))
+		} else {
+			fmt.Fprintf(&b, "%s=%d", r.Name, v)
+		}
+	}
+	return b.String()
 }
 
 // PerTuple formats a counter normalized by processed tuples.

@@ -22,6 +22,8 @@ import (
 	"hash/fnv"
 	"strconv"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // Span ids are derived, not random: FNV-1a over the query id and a span path
@@ -114,6 +116,15 @@ type otlpExport struct {
 	ResourceSpans []otlpResourceSpans `json:"resourceSpans"`
 }
 
+// appendCounters renders every set counter as an "inkfuse.<name>" attribute
+// (durations in nanoseconds, "_ns"-suffixed).
+func appendCounters(attrs []otlpAttr, c stats.Counters) []otlpAttr {
+	for r, v := range c.Nonzero() {
+		attrs = append(attrs, intAttr("inkfuse."+r.NumName(), v))
+	}
+	return attrs
+}
+
 func nanos(t time.Time) string {
 	return strconv.FormatInt(t.UnixNano(), 10)
 }
@@ -146,6 +157,7 @@ func (q *Query) Spans() ([]byte, error) {
 			intAttr("inkfuse.workers", int64(q.Workers)),
 		},
 	}
+	root.Attributes = appendCounters(root.Attributes, q.Total())
 	if q.Err != "" {
 		root.Status = otlpStatus{Code: 2, Message: q.Err}
 	}
@@ -173,39 +185,31 @@ func (q *Query) Spans() ([]byte, error) {
 			Name: "pipeline " + p.Name, Kind: 1,
 			StartTimeUnixNano: nanos(pStart),
 			EndTimeUnixNano:   nanos(pEnd),
-			Attributes: []otlpAttr{
+			Attributes: appendCounters([]otlpAttr{
 				intAttr("inkfuse.rows", int64(p.Rows)),
 				intAttr("inkfuse.morsels", int64(p.Morsels)),
 				intAttr("inkfuse.morsels_run", int64(p.MorselsRun())),
-				intAttr("inkfuse.tuples", p.Tuples()),
-				intAttr("inkfuse.routed_jit", int64(p.RoutedJIT())),
-				intAttr("inkfuse.routed_vectorized", int64(p.RoutedVectorized())),
 				boolAttr("inkfuse.degraded", p.Degraded),
-			},
+			}, p.Total()),
 		}
 		spans = append(spans, ps)
 
-		if p.CompileTime > 0 || p.CompileWait > 0 || p.CompileErrors > 0 {
+		if c := &p.Counters; c.CompileTime > 0 || c.CompileWait > 0 || c.CompileErrors > 0 {
 			// Foreground backends: the compile wait leads the pipeline.
 			// Hybrid: the artifact landed ArtifactReady after query begin,
 			// having compiled for CompileTime in the background.
 			cStart := pStart
-			cEnd := cStart.Add(max(p.CompileTime, p.CompileWait))
+			cEnd := cStart.Add(max(c.CompileTime, c.CompileWait))
 			if p.ArtifactReady > 0 {
 				cEnd = begin.Add(p.ArtifactReady)
-				cStart = cEnd.Add(-p.CompileTime)
+				cStart = cEnd.Add(-c.CompileTime)
 			}
 			cs := otlpSpan{
 				TraceID: traceID, SpanID: spanID(q.ID, pPath+"/compile"), ParentSpanID: pID,
 				Name: "compile " + p.Name, Kind: 1,
 				StartTimeUnixNano: nanos(cStart),
 				EndTimeUnixNano:   nanos(cEnd),
-				Attributes: []otlpAttr{
-					intAttr("inkfuse.compile_ns", int64(p.CompileTime)),
-					intAttr("inkfuse.compile_wait_ns", int64(p.CompileWait)),
-					intAttr("inkfuse.compile_errors", p.CompileErrors),
-					strAttr("inkfuse.fused", p.Fused),
-				},
+				Attributes:        []otlpAttr{strAttr("inkfuse.fused", p.Fused)},
 			}
 			if p.Degraded {
 				cs.Status = otlpStatus{Code: 2, Message: "background compile failed; pipeline degraded to vectorized"}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // buildTestTrace assembles a two-pipeline hybrid-ish trace with queue wait,
@@ -20,19 +22,16 @@ func buildTestTrace() *Query {
 	p1.Start = 5 * time.Millisecond
 	p1.Wall = 70 * time.Millisecond
 	p1.Finalize = 2 * time.Millisecond
-	p1.CompileTime = 30 * time.Millisecond
+	p1.Counters.CompileTime = 30 * time.Millisecond
 	p1.ArtifactReady = 40 * time.Millisecond
 	p1.Workers[0].Morsels = 4
-	p1.Workers[0].Tuples = 60000
-	p1.Workers[0].JIT = 2
-	p1.Workers[0].Vectorized = 2
+	p1.Workers[0].Counters = stats.Counters{Tuples: 60000, MorselsCompiled: 2, MorselsVectorized: 2}
 
 	p2 := q.StartPipeline("p2", 100, 1)
 	p2.Start = 80 * time.Millisecond
 	p2.Wall = 30 * time.Millisecond
 	p2.Degraded = true
-	p2.CompileErrors = 1
-	p2.CompileTime = 1 * time.Millisecond
+	p2.Counters = stats.Counters{CompileErrors: 1, CompileTime: time.Millisecond}
 	return q
 }
 

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 // MaxEWMASamples caps the per-worker EWMA throughput series so long queries
@@ -67,11 +69,11 @@ type Pipeline struct {
 	// through finalization; Finalize is the seal/merge tail alone.
 	Wall     time.Duration
 	Finalize time.Duration
-	// Compile accounting, from the pipeline's runner: total compile time,
-	// dead wait (foreground backends), and failed compile jobs.
-	CompileTime   time.Duration
-	CompileWait   time.Duration
-	CompileErrors int64
+	// Counters holds what the pipeline counted outside its morsels: the
+	// runner's compile accounting (time, dead wait on foreground backends,
+	// failed jobs) and the largest partition of the exchanges it sealed. Total
+	// adds the workers' shares.
+	Counters stats.Counters
 	// Fused is what the closure compiler made of the pipeline's fused code
 	// (vm.Rewrites: IR statements vs closures emitted, selection cascades,
 	// fused key builds), one entry per compiled step; empty when the pipeline
@@ -122,24 +124,28 @@ type Worker struct {
 	// Busy is the time spent running morsels (excludes scheduling gaps).
 	Busy    time.Duration
 	Morsels int
-	Tuples  int64
-	// JIT / Vectorized split the worker's morsels by serving backend, as
-	// routed by the hybrid policy (for the compiling and ROF backends every
-	// morsel is JIT; the pure vectorized backend reports neither).
-	JIT        int
-	Vectorized int
-	// Hash-table kernel counters: aggregation lookups absorbed by the
-	// worker's thread-local pre-aggregation table, local group rows spilled
-	// into the shard table at morsel boundaries, and join probes answered by
-	// the build-side bloom/tag filter without touching bucket memory.
-	LocalHits  int64
-	Spills     int64
-	BloomSkips int64
-	// Routed counts rows this worker hash-routed through local exchanges.
-	Routed int64
+	// Counters is what the worker's morsels counted, every stats.Schema row:
+	// source tuples, the hybrid policy's routing (morsels_jit / morsels_vec;
+	// for the compiling and ROF backends every morsel is JIT, the pure
+	// vectorized backend reports neither), hash-table and exchange behaviour.
+	Counters stats.Counters
+	// mark is the slot's accumulating counters when the running morsel began.
+	mark stats.Counters
 	// EWMA is the hybrid routing-decision series (capped at MaxEWMASamples).
 	EWMA        []EWMASample
 	EWMADropped int
+}
+
+// BeginMorsel reads the worker slot's accumulating counters before a morsel.
+func (w *Worker) BeginMorsel(c *stats.Counters) { w.mark = *c }
+
+// EndMorsel attributes what the slot's counters gained since BeginMorsel, and
+// the morsel's run time, to the worker — so the runner's per-morsel accounting
+// reaches the trace without touching hot paths.
+func (w *Worker) EndMorsel(c *stats.Counters, busy time.Duration) {
+	w.Busy += busy
+	w.Morsels++
+	w.Counters.AddDelta(c, &w.mark)
 }
 
 // EWMASample is one measured morsel of the hybrid backend's throughput
@@ -197,115 +203,97 @@ func (p *Pipeline) MorselsRun() int {
 	return n
 }
 
-// Tuples sums source tuples processed by the pipeline.
-func (p *Pipeline) Tuples() int64 {
-	var n int64
+// Total merges the pipeline's own counters with its workers' shares.
+func (p *Pipeline) Total() stats.Counters {
+	t := p.Counters
 	for i := range p.Workers {
-		n += p.Workers[i].Tuples
+		t.Add(&p.Workers[i].Counters)
 	}
-	return n
+	return t
 }
 
-// RoutedJIT / RoutedVectorized sum the pipeline's routing decisions.
-func (p *Pipeline) RoutedJIT() int {
-	n := 0
-	for i := range p.Workers {
-		n += p.Workers[i].JIT
-	}
-	return n
-}
-
-// RoutedVectorized sums the morsels served by the vectorized interpreter.
-func (p *Pipeline) RoutedVectorized() int {
-	n := 0
-	for i := range p.Workers {
-		n += p.Workers[i].Vectorized
-	}
-	return n
-}
-
-// LocalHits sums aggregation lookups absorbed by thread-local tables.
-func (p *Pipeline) LocalHits() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].LocalHits
-	}
-	return n
-}
-
-// Spills sums local pre-aggregation rows merged into the shard tables.
-func (p *Pipeline) Spills() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Spills
-	}
-	return n
-}
-
-// BloomSkips sums join probes the build-side bloom filter answered.
-func (p *Pipeline) BloomSkips() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].BloomSkips
-	}
-	return n
-}
-
-// Routed sums rows hash-routed through local exchanges by this pipeline.
-func (p *Pipeline) Routed() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Routed
-	}
-	return n
-}
-
-// MaxPartRows returns the largest sealed partition's routed-row count (the
-// skew signal; 0 when the pipeline routed no exchange).
-func (p *Pipeline) MaxPartRows() int64 {
-	var m int64
-	for _, n := range p.PartRows {
-		m = max(m, n)
-	}
-	return m
-}
-
-// Query-level totals (across pipelines).
-
-// Tuples sums source tuples across the query.
-func (q *Query) Tuples() int64 {
-	var n int64
+// Total merges the counters of every pipeline that ran. On a query that
+// completed it equals Result.Stats, except for the memory high-water mark,
+// which is read off the budget at query end.
+func (q *Query) Total() stats.Counters {
+	var t stats.Counters
 	for _, p := range q.Pipelines {
-		n += p.Tuples()
+		pt := p.Total()
+		t.Add(&pt)
 	}
-	return n
+	return t
 }
 
-// MorselsRun sums executed morsels across the query.
-func (q *Query) MorselsRun() int {
-	n := 0
-	for _, p := range q.Pipelines {
-		n += p.MorselsRun()
+// Annotate writes the pipeline's measured numbers, one line each behind
+// prefix: morsels and worker busy time, compile outcome, the sampled
+// suboperator profile, the counters, exchange skew, hybrid routing, and
+// finalization. EXPLAIN ANALYZE and Dump both render pipelines through it.
+func (p *Pipeline) Annotate(b *strings.Builder, prefix string, workers int) {
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	t := p.Total()
+	fmt.Fprintf(b, "%s%d rows in %d morsels", prefix, p.Rows, p.Morsels)
+	if run := p.MorselsRun(); run != p.Morsels {
+		fmt.Fprintf(b, " (%d run before the query stopped)", run)
 	}
-	return n
-}
-
-// RoutedJIT sums morsels served by compiled code across the query.
-func (q *Query) RoutedJIT() int {
-	n := 0
-	for _, p := range q.Pipelines {
-		n += p.RoutedJIT()
+	fmt.Fprintf(b, "; busy %v across %d workers", us(p.Busy()), workers)
+	if lo, med, hi, ok := p.BusyQuantiles(); ok {
+		fmt.Fprintf(b, " (min %v / med %v / max %v)", us(lo), us(med), us(hi))
 	}
-	return n
-}
-
-// RoutedVectorized sums morsels served by the interpreter across the query.
-func (q *Query) RoutedVectorized() int {
-	n := 0
-	for _, p := range q.Pipelines {
-		n += p.RoutedVectorized()
+	b.WriteByte('\n')
+	if t.CompileTime > 0 || t.CompileWait > 0 || t.CompileErrors > 0 || p.Degraded || p.Fused != "" {
+		fmt.Fprintf(b, "%scompile: %v", prefix, us(t.CompileTime))
+		if t.CompileWait > 0 {
+			fmt.Fprintf(b, " (dead wait %v)", us(t.CompileWait))
+		}
+		if p.Fused != "" {
+			fmt.Fprintf(b, ", fused: %s", p.Fused)
+		}
+		if p.ArtifactReady > 0 {
+			fmt.Fprintf(b, ", artifact ready at +%v", us(p.ArtifactReady))
+		}
+		if t.CompileErrors > 0 {
+			fmt.Fprintf(b, ", %d compile error(s)", t.CompileErrors)
+		}
+		if p.Degraded {
+			b.WriteString(" — DEGRADED to vectorized-only")
+		}
+		b.WriteByte('\n')
 	}
-	return n
+	if len(p.SubOps) > 0 {
+		var total int64
+		for _, s := range p.SubOps {
+			total += s.Nanos
+		}
+		fmt.Fprintf(b, "%ssubops: sampled 1/%d chunks (%d profiled)\n", prefix, p.ProfileEvery, p.ProfiledChunks)
+		for _, s := range p.SubOps {
+			share := 0.0
+			if total > 0 {
+				share = 100 * float64(s.Nanos) / float64(total)
+			}
+			fmt.Fprintf(b, "%*s%-44s %5.1f%% %10v  calls=%-6d tuples=%-9d ns/tuple=%.1f\n", len(prefix)+2, "",
+				s.ID, share, us(time.Duration(s.Nanos)), s.Calls, s.Tuples, s.NanosPerTuple())
+		}
+	}
+	fmt.Fprintf(b, "%scounters: %s\n", prefix, &t)
+	if n := len(p.PartRows); n > 0 {
+		fmt.Fprintf(b, "%sexchange: %d partitions", prefix, n)
+		if t.PartRoutedRows > 0 {
+			// Skew factor: max partition vs the perfectly uniform share.
+			fmt.Fprintf(b, ", skew %.2fx", float64(t.PartMaxPartRows)*float64(n)/float64(t.PartRoutedRows))
+		}
+		b.WriteByte('\n')
+	}
+	if jit, vec := t.MorselsCompiled, t.MorselsVectorized; jit+vec > 0 {
+		fmt.Fprintf(b, "%srouting: %d jit / %d vectorized", prefix, jit, vec)
+		if jit+vec == int64(p.MorselsRun()) {
+			fmt.Fprintf(b, " (%.0f%% jit)", 100*float64(jit)/float64(jit+vec))
+		}
+		if ej, ev := p.FinalEWMA(); ej > 0 || ev > 0 {
+			fmt.Fprintf(b, "; ewma jit=%s vec=%s", FormatTput(ej), FormatTput(ev))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(b, "%sfinalize %v; pipeline wall %v\n", prefix, us(p.Finalize), us(p.Wall))
 }
 
 // Dump renders the full trace, one block per pipeline with per-worker lines
@@ -318,54 +306,14 @@ func (q *Query) Dump() string {
 	}
 	b.WriteByte('\n')
 	for _, p := range q.Pipelines {
-		fmt.Fprintf(&b, "pipeline %s: %d rows, %d/%d morsels run, wall=%v busy=%v finalize=%v\n",
-			p.Name, p.Rows, p.MorselsRun(), p.Morsels,
-			p.Wall.Round(time.Microsecond), p.Busy().Round(time.Microsecond), p.Finalize.Round(time.Microsecond))
-		if p.CompileTime > 0 || p.CompileWait > 0 || p.CompileErrors > 0 || p.Fused != "" {
-			fmt.Fprintf(&b, "  compile: time=%v wait=%v errors=%d",
-				p.CompileTime.Round(time.Microsecond), p.CompileWait.Round(time.Microsecond), p.CompileErrors)
-			if p.Fused != "" {
-				fmt.Fprintf(&b, " fused=[%s]", p.Fused)
-			}
-			if p.ArtifactReady > 0 {
-				fmt.Fprintf(&b, " artifact-ready=+%v", p.ArtifactReady.Round(time.Microsecond))
-			}
-			if p.Degraded {
-				b.WriteString(" DEGRADED")
-			}
-			b.WriteByte('\n')
-		}
-		if lh, sp, bs := p.LocalHits(), p.Spills(), p.BloomSkips(); lh+sp+bs > 0 {
-			fmt.Fprintf(&b, "  tables: local_hits=%d spills=%d bloom_skips=%d\n", lh, sp, bs)
-		}
-		if rt := p.Routed(); rt > 0 || len(p.PartRows) > 0 {
-			fmt.Fprintf(&b, "  exchange: routed=%d partitions=%d max_part=%d\n", rt, len(p.PartRows), p.MaxPartRows())
-		}
-		if len(p.SubOps) > 0 {
-			var total int64
-			for _, s := range p.SubOps {
-				total += s.Nanos
-			}
-			fmt.Fprintf(&b, "  subops: sampled 1/%d chunks (%d profiled)\n", p.ProfileEvery, p.ProfiledChunks)
-			for _, s := range p.SubOps {
-				share := 0.0
-				if total > 0 {
-					share = 100 * float64(s.Nanos) / float64(total)
-				}
-				fmt.Fprintf(&b, "    %-44s %5.1f%% %10v  calls=%-6d tuples=%-9d ns/tuple=%.1f\n",
-					s.ID, share, time.Duration(s.Nanos).Round(time.Microsecond), s.Calls, s.Tuples, s.NanosPerTuple())
-			}
-		}
+		fmt.Fprintf(&b, "pipeline %s:\n", p.Name)
+		p.Annotate(&b, "  ", q.Workers)
 		for w := range p.Workers {
 			ws := &p.Workers[w]
 			if ws.Morsels == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  w%d: %d morsels, %d tuples, busy=%v", w, ws.Morsels, ws.Tuples, ws.Busy.Round(time.Microsecond))
-			if ws.JIT+ws.Vectorized > 0 {
-				fmt.Fprintf(&b, ", routed %d jit / %d vectorized", ws.JIT, ws.Vectorized)
-			}
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "  w%d: %d morsels, busy=%v, %s\n", w, ws.Morsels, ws.Busy.Round(time.Microsecond), &ws.Counters)
 			for _, s := range ws.EWMA {
 				fmt.Fprintf(&b, "    m%-4d %-4s %7d tuples in %-10v ewma jit=%s vec=%s\n",
 					s.Morsel, backendTag(s.JIT), s.Tuples, s.Duration.Round(100*time.Nanosecond),

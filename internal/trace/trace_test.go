@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inkfuse/internal/stats"
 )
 
 func TestTotalsAndQuantiles(t *testing.T) {
@@ -12,25 +14,41 @@ func TestTotalsAndQuantiles(t *testing.T) {
 	if len(p.Workers) != 3 {
 		t.Fatalf("workers: got %d, want 3", len(p.Workers))
 	}
-	p.Workers[0] = Worker{Busy: 2 * time.Millisecond, Morsels: 4, Tuples: 400, JIT: 3, Vectorized: 1}
-	p.Workers[1] = Worker{Busy: 1 * time.Millisecond, Morsels: 3, Tuples: 300, JIT: 1, Vectorized: 2}
-	p.Workers[2] = Worker{Busy: 3 * time.Millisecond, Morsels: 3, Tuples: 300, JIT: 2, Vectorized: 1}
+	p.Workers[0] = Worker{Busy: 2 * time.Millisecond, Morsels: 4, Counters: stats.Counters{Tuples: 400, MorselsCompiled: 3, MorselsVectorized: 1}}
+	p.Workers[1] = Worker{Busy: 1 * time.Millisecond, Morsels: 3, Counters: stats.Counters{Tuples: 300, MorselsCompiled: 1, MorselsVectorized: 2}}
+	p.Workers[2] = Worker{Busy: 3 * time.Millisecond, Morsels: 3, Counters: stats.Counters{Tuples: 300, MorselsCompiled: 2, MorselsVectorized: 1}}
+	p.Counters = stats.Counters{CompileTime: time.Millisecond, PartMaxPartRows: 9}
 
 	if got := p.MorselsRun(); got != 10 {
 		t.Errorf("MorselsRun: got %d, want 10", got)
 	}
-	if got := p.Tuples(); got != 1000 {
-		t.Errorf("Tuples: got %d, want 1000", got)
+	want := stats.Counters{Tuples: 1000, MorselsCompiled: 6, MorselsVectorized: 4, CompileTime: time.Millisecond, PartMaxPartRows: 9}
+	if got := p.Total(); got != want {
+		t.Errorf("pipeline total: got %+v, want %+v", got, want)
 	}
-	if p.RoutedJIT() != 6 || p.RoutedVectorized() != 4 {
-		t.Errorf("routing: got %d/%d, want 6/4", p.RoutedJIT(), p.RoutedVectorized())
-	}
-	if q.Tuples() != 1000 || q.MorselsRun() != 10 || q.RoutedJIT() != 6 || q.RoutedVectorized() != 4 {
-		t.Errorf("query totals wrong: %d %d %d %d", q.Tuples(), q.MorselsRun(), q.RoutedJIT(), q.RoutedVectorized())
+	if got := q.Total(); got != want {
+		t.Errorf("query total: got %+v, want %+v", got, want)
 	}
 	lo, med, hi, ok := p.BusyQuantiles()
 	if !ok || lo != time.Millisecond || med != 2*time.Millisecond || hi != 3*time.Millisecond {
 		t.Errorf("quantiles: got %v %v %v %v", lo, med, hi, ok)
+	}
+}
+
+// TestMorselDeltas: a worker's counters are what its slot's accumulating
+// counters gained over its own morsels, whatever other pipelines left there.
+func TestMorselDeltas(t *testing.T) {
+	q := NewQuery("q", "hybrid", 1, time.Now())
+	w := &q.StartPipeline("p1", 0, 0).Workers[0]
+	slot := stats.Counters{Tuples: 500, HTSpills: 3, PartMaxPartRows: 155} // an earlier pipeline's work
+	for i := 0; i < 2; i++ {
+		w.BeginMorsel(&slot)
+		slot.Tuples += 100
+		slot.HTBloomSkips += 7
+		w.EndMorsel(&slot, time.Millisecond)
+	}
+	if want := (stats.Counters{Tuples: 200, HTBloomSkips: 14}); w.Counters != want || w.Morsels != 2 || w.Busy != 2*time.Millisecond {
+		t.Fatalf("worker = %d morsels, busy %v, %+v; want 2, 2ms, %+v", w.Morsels, w.Busy, w.Counters, want)
 	}
 }
 
@@ -56,11 +74,11 @@ func TestEWMACapAndFinal(t *testing.T) {
 func TestDumpPartialTrace(t *testing.T) {
 	q := NewQuery("canceled", "vectorized", 2, time.Now())
 	p := q.StartPipeline("p0", 500, 8)
-	p.Workers[0] = Worker{Busy: time.Millisecond, Morsels: 2, Tuples: 128}
+	p.Workers[0] = Worker{Busy: time.Millisecond, Morsels: 2, Counters: stats.Counters{Tuples: 128}}
 	q.Err = "canceled"
 	q.Wall = 5 * time.Millisecond
 	out := q.Dump()
-	for _, want := range []string{"trace canceled", `err="canceled"`, "2/8 morsels run", "w0: 2 morsels"} {
+	for _, want := range []string{"trace canceled", `err="canceled"`, "500 rows in 8 morsels (2 run before the query stopped)", "counters: tuples=128", "w0: 2 morsels"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}

@@ -8,7 +8,6 @@ import (
 	"inkfuse/internal/exec"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/ir"
-	"inkfuse/internal/metrics"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/plancache"
 	"inkfuse/internal/sql"
@@ -176,8 +175,9 @@ type (
 	// trace (Options.Profile → PipelineTrace.SubOps): calls, tuples and
 	// nanoseconds attributed over the sampled chunks.
 	SubOpProf = trace.SubOpProf
-	// MetricsValues is a snapshot of the engine-wide metrics registry.
-	MetricsValues = metrics.Snapshot
+	// MetricsValues is a snapshot of the engine-wide metrics registry: series
+	// name (e.g. "queries_succeeded", "ht_spills_total") to value.
+	MetricsValues = map[string]int64
 )
 
 // Typed query-failure causes (match with errors.Is). A failing query returns

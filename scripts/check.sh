@@ -109,12 +109,34 @@ echo "$metrics" | grep -q '^inkfuse_plancache_hits [1-9]' \
 
 # Prometheus text-format lint: every exposition line must be a comment or a
 # well-formed `name{labels} value` sample (histogram buckets included), and
-# the histogram families must carry TYPE metadata.
+# every sample's family must be declared by exactly one preceding `# TYPE`
+# line of kind counter, gauge or histogram.
 bad=$(echo "$metrics" | grep -vE '^# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$' \
     | grep -vE '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$' \
     | grep -vE '^$' || true)
 if [ -n "$bad" ]; then
     echo "/metrics lines fail the Prometheus text-format lint:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+bad=$(echo "$metrics" | awk '
+    $1 == "#" && $2 == "TYPE" {
+        if ($3 in kind) print "more than one TYPE line for " $3
+        if ($4 != "counter" && $4 != "gauge" && $4 != "histogram") print "unknown type " $4 " for " $3
+        kind[$3] = $4
+        next
+    }
+    /^#/ || /^$/ { next }
+    {
+        family = $1
+        sub(/\{.*/, "", family)
+        base = family
+        sub(/_(bucket|sum|count)$/, "", base)
+        if (kind[base] == "histogram") family = base
+        if (!(family in kind)) print "no TYPE line before sample: " $0
+    }')
+if [ -n "$bad" ]; then
+    echo "/metrics families fail the TYPE lint:" >&2
     echo "$bad" >&2
     exit 1
 fi
