@@ -84,12 +84,8 @@ func (p *Params) SetInList(ref int, members []string) error {
 	if !ok {
 		return fmt.Errorf("algebra: no IN-list parameter with ref %d", ref)
 	}
-	set := make(map[string]bool, len(members))
-	for _, m := range members {
-		set[m] = true
-	}
 	for _, st := range states {
-		st.Set = set
+		st.SetMembers(members)
 	}
 	return nil
 }

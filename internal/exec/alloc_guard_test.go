@@ -151,3 +151,69 @@ func TestWarmExecutionAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// coldBudget is what one never-seen execution of a TPC-H SQL shape may
+// allocate at SF 0.01 on one worker slot: 1.5 × what it did when DESIGN.md §18
+// was written (bytes / objects measured then, and before that change, behind
+// each row).
+var coldBudget = map[string]struct{ bytes, objects uint64 }{
+	"q1":  {1_260_000, 5_400},  //   836 KB / 3 563, was  1 820 KB / 3 617
+	"q13": {9_750_000, 3_000},  // 6 499 KB / 1 946, was 10 351 KB / 2 042
+	"q14": {1_500_000, 6_600},  //   999 KB / 4 388, was  2 827 KB / 4 727
+	"q19": {1_800_000, 13_300}, // 1 197 KB / 8 853, was  3 074 KB / 9 149
+	"q3":  {2_820_000, 4_300},  // 1 880 KB / 2 852, was  5 557 KB / 3 026
+	"q4":  {6_760_000, 3_500},  // 4 503 KB / 2 308, was  7 830 KB / 2 329
+	"q5":  {2_260_000, 10_000}, // 1 504 KB / 6 658, was  5 903 KB / 7 057
+	"q6":  {390_000, 1_300},    //   260 KB /   858, was  1 061 KB /   772
+}
+
+// TestColdExecutionAllocBudget: the miss path of the eight TPC-H SQL shapes
+// at SF 0.01 — lower the bound statement, execute it on the hybrid backend
+// with the default compile latency (at this size no artifact lands: the query
+// runs on the interpreter and abandons its compile jobs, as most never-seen
+// queries of the benchmark do), drop the state. A never-seen query pays for
+// every byte it allocates twice, once to clear it and once to collect it, so
+// the budget pins both bytes and objects.
+func TestColdExecutionAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cat := tpch.Generate(0.01, 42)
+	names := make([]string, 0, len(tpch.SQL))
+	for name := range tpch.SQL {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		stmt, err := sql.Compile(cat, tpch.SQL[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := func() (bytes, objects uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			plan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep := plancache.NewPrepared(stmt.Fingerprint, plan, params)
+			if err := stmt.BindArgs(prep.Params(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := exec.Execute(prep.Plan(), exec.Options{Backend: exec.BackendHybrid, Artifacts: prep.Artifacts()}); err != nil {
+				t.Fatal(err)
+			}
+			prep.Artifacts().DropState()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		}
+		cold() // the first run of a shape also builds process-wide one-offs (interned labels, metric children)
+		bytes, objects := cold()
+		budget, ok := coldBudget[name]
+		if !ok {
+			t.Errorf("%s: no cold budget recorded (measured %d bytes, %d objects)", name, bytes, objects)
+			continue
+		}
+		if bytes > budget.bytes || objects > budget.objects {
+			t.Errorf("%s: a cold execution allocated %d bytes in %d objects, budget %d / %d", name, bytes, objects, budget.bytes, budget.objects)
+		}
+	}
+}

@@ -118,13 +118,25 @@ func describeFused(steps []*fusedStep) string {
 	return strings.Join(parts, " | ")
 }
 
-// compileStep runs the compilation stack over a suboperator sequence and
-// closure-compiles the result, waiting out the simulated machine-code
-// latency. The wait is interruptible: a canceled or expired context aborts
+// compileFaults names the fault-injection points of one compile site: the
+// foreground backends and the hybrid backend's background jobs are armed
+// apart.
+type compileFaults struct{ fail, delay string }
+
+var (
+	foregroundFaults = compileFaults{fail: faultinject.ExecCompile, delay: faultinject.ExecCompileDelay}
+	backgroundFaults = compileFaults{fail: faultinject.ExecHybridCompile, delay: faultinject.ExecHybridCompileDelay}
+)
+
+// compileStep is the one compile sequence of every backend: it runs the
+// compilation stack over a suboperator sequence, verifies the generated IR,
+// closure-compiles it and waits out the simulated machine-code latency. The
+// wait is one timer wake-up (repeated short sleeps starve under a busy
+// single-P scheduler) and interruptible: a canceled or expired context aborts
 // it with the typed cancellation error.
-func compileStep(ctx context.Context, name string, source []*core.IU, ops []core.SubOp, emit []*core.IU, lat LatencyModel) (*fusedStep, time.Duration, error) {
+func compileStep(ctx context.Context, name string, source []*core.IU, ops []core.SubOp, emit []*core.IU, lat LatencyModel, faults compileFaults) (*fusedStep, time.Duration, error) {
 	start := time.Now()
-	if err := faultinject.Inject(faultinject.ExecCompile); err != nil {
+	if err := faultinject.Inject(faults.fail); err != nil {
 		return nil, 0, fmt.Errorf("compile %s: %w", name, err)
 	}
 	fn, states, err := core.GenStep(name, source, ops, emit)
@@ -138,7 +150,7 @@ func compileStep(ctx context.Context, name string, source []*core.IU, ops []core
 	if err != nil {
 		return nil, 0, err
 	}
-	if d := lat.Delay(fn) + faultinject.Delay(faultinject.ExecCompileDelay); d > 0 {
+	if d := lat.Delay(fn) + faultinject.Delay(faults.delay); d > 0 {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		select {

@@ -383,10 +383,35 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	var finalChunks []*storage.Chunk
 	var warnings []error
 
+	// The hybrid backend starts background compilation for every pipeline as
+	// soon as the query enters the system (paper §V-B): by the time a later
+	// pipeline runs, its fused code is usually already waiting. Whatever has
+	// not landed when the query ends is abandoned — counted, per pipeline, as
+	// compile effort that came too late — before the result is put together;
+	// the deferred call covers the exits that build none.
+	var bgs []*hybridCompile
+	abandonCompiles := func() {
+		for i, h := range bgs {
+			if !h.abandon() {
+				continue
+			}
+			res.CompilesAbandoned++
+			if qt != nil && i < len(qt.Pipelines) {
+				qt.Pipelines[i].Counters.CompilesAbandoned++
+			}
+		}
+		bgs = nil
+	}
+	if opts.Backend == BackendHybrid {
+		bgs = startHybridCompiles(ctx, qid, plan.Pipelines, *opts.Latency, opts.CompileJobs, opts.Artifacts)
+		defer abandonCompiles()
+	}
+
 	// failed builds the diagnostic result returned alongside a query error:
 	// stats are merged so recovered-panic and compile-error counts survive,
 	// and the partial trace (pipelines that ran) stays attached.
 	failed := func(err error) (*Result, error) {
+		abandonCompiles()
 		for _, c := range ctxs {
 			res.Add(&c.Counters)
 		}
@@ -395,19 +420,6 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			Cols: plan.ColNames, Stats: res, QueryID: qid, QueueWait: queueWait,
 			Warnings: warnings, Trace: qt,
 		}, err
-	}
-
-	// The hybrid backend starts background compilation for every pipeline as
-	// soon as the query enters the system (paper §V-B): by the time a later
-	// pipeline runs, its fused code is usually already waiting.
-	var bgs []*hybridCompile
-	if opts.Backend == BackendHybrid {
-		bgs = startHybridCompiles(ctx, qid, plan.Pipelines, *opts.Latency, opts.CompileJobs, opts.Artifacts)
-		defer func() {
-			for _, h := range bgs {
-				h.abandon()
-			}
-		}()
 	}
 
 	for pi, pipe := range plan.Pipelines {
@@ -457,6 +469,14 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			out.Reset()
 		}
 
+		// A pipeline that builds join tables sizes them from its first morsel:
+		// the rows that morsel inserted, scaled from its share of the source
+		// to the whole, estimate the build (one filter selectivity over the
+		// scan), and the tables reserve their entry arrays for it in one step
+		// instead of growing them under every chunk.
+		var joinsSized atomic.Bool
+		joinsSized.Store(len(pipe.SealJoins) == 0 || len(morsels) < 2)
+
 		// One flight event per pipeline dispatch — morsel-batch granularity,
 		// never per morsel.
 		flight.Default.RecordStr(flight.KindMorselBatch, qid, pipe.Name,
@@ -485,9 +505,17 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			if pt != nil {
 				pt.Workers[slot].BeginMorsel(&wctx.Counters)
 			}
+			sizing := !joinsSized.Load()
+			rows0, inserts0 := wctx.Counters.Tuples, wctx.Counters.HTInserts
 			t0 := time.Now()
 			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], pb.src[slot], out)
 			elapsed := time.Since(t0)
+			if rows := wctx.Counters.Tuples - rows0; sizing && err == nil && rows > 0 && joinsSized.CompareAndSwap(false, true) {
+				est := float64(wctx.Counters.HTInserts-inserts0) / float64(rows) * float64(binder.total)
+				for _, js := range pipe.SealJoins {
+					js.Reserve(int(est))
+				}
+			}
 			morselHist.ObserveDuration(elapsed)
 			if pt != nil {
 				pt.Workers[slot].EndMorsel(&wctx.Counters, elapsed)
@@ -571,6 +599,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		return failed(qs.failure())
 	}
 
+	abandonCompiles()
 	for _, ctx := range ctxs {
 		res.Add(&ctx.Counters)
 	}

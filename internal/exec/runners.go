@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"inkfuse/internal/core"
-	"inkfuse/internal/faultinject"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/interp"
 	"inkfuse/internal/stats"
@@ -27,7 +26,7 @@ func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, r
 	case BackendVectorized:
 		return newVectorizedRunner(pipe, opts, reg, pb)
 	case BackendCompiling:
-		return newCompilingRunner(ctx, pi, pipe, opts)
+		return newCompilingRunner(ctx, pi, pipe, opts, pb)
 	case BackendROF:
 		return newROFRunner(ctx, pi, pipe, opts, pb)
 	case BackendHybrid:
@@ -113,16 +112,22 @@ func (r *vectorizedRunner) finish() finishInfo {
 type compilingRunner struct {
 	art  *fusedStep
 	wait time.Duration
+	// scratch holds per-worker views into the morsel, one batch at a time
+	// (runFused).
+	scratch [][]*storage.Vector
 }
 
-func newCompilingRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options) (*compilingRunner, error) {
+func newCompilingRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, pb *pipeBuffers) (*compilingRunner, error) {
+	if pb.chunks == nil {
+		pb.chunks = newVectorViews(opts.Workers, len(pipe.Source.SourceIUs()))
+	}
 	// A cached artifact skips compilation and its dead wait entirely — the
 	// plancache reuse path pays no compile latency on a hit.
 	if art := opts.Artifacts.loadFused(pi); art != nil {
-		return &compilingRunner{art: art}, nil
+		return &compilingRunner{art: art, scratch: pb.chunks}, nil
 	}
 	flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, pipe.Name, 0, 0)
-	art, dur, err := compileStep(ctx, "pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result, *opts.Latency)
+	art, dur, err := compileStep(ctx, "pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result, *opts.Latency, foregroundFaults)
 	if err != nil {
 		flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, pipe.Name, 0, 0)
 		return nil, err
@@ -132,13 +137,42 @@ func newCompilingRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts O
 	opts.Artifacts.storeFused(pi, art)
 	// The compiling backend cannot process tuples until compilation is done:
 	// the whole compile time is dead wait (the dashed bars of Fig 10).
-	return &compilingRunner{art: art, wait: dur}, nil
+	return &compilingRunner{art: art, wait: dur, scratch: pb.chunks}, nil
+}
+
+// fusedBatchRows bounds the rows a whole-pipeline program is handed per call.
+// A fused program carries every value of its pipeline in an n-row register
+// and builds its keys in n-row scratch slabs, so n sizes its working set and
+// everything its frame keeps — on a never-seen query, memory allocated for a
+// program that serves a fifth of the morsels. An eighth of the default morsel
+// keeps the q1 build pipeline's registers in the L2 cache (74 against 78
+// ns/row at any larger batch) and costs the q6 cascade, at 2.4 ns/row, about a
+// tenth of a nanosecond per row in per-call overhead (DESIGN.md §18).
+const fusedBatchRows = 2048
+
+// runFused runs a whole-pipeline program over a morsel, fusedBatchRows rows
+// at a time; sub is the calling worker's view scratch.
+//
+//inkfuse:hotpath
+func runFused(art *fusedStep, ctx *vm.Ctx, src, sub []*storage.Vector, n int, out *storage.Chunk) {
+	if n <= fusedBatchRows {
+		art.prog.Run(ctx, art.states, src, n, out)
+		ctx.Counters.FusedCalls++
+		return
+	}
+	for lo := 0; lo < n; lo += fusedBatchRows {
+		hi := min(lo+fusedBatchRows, n)
+		for i, v := range src {
+			v.SliceInto(sub[i], lo, hi)
+		}
+		art.prog.Run(ctx, art.states, sub, hi-lo, out)
+		ctx.Counters.FusedCalls++
+	}
 }
 
 //inkfuse:hotpath
 func (r *compilingRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
-	r.art.prog.Run(ctx, r.art.states, src, n, out)
-	ctx.Counters.FusedCalls++
+	runFused(r.art, ctx, src, r.scratch[w], n, out)
 	ctx.Counters.MorselsCompiled++
 }
 
@@ -184,7 +218,7 @@ func newROFRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options
 		var wait time.Duration
 		flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, pipe.Name, int64(len(steps)), 0)
 		for si, st := range steps {
-			art, dur, err := compileStep(ctx, fmt.Sprintf("rof_%s_s%d", pipe.Name, si), st.source, st.ops, st.emit, *opts.Latency)
+			art, dur, err := compileStep(ctx, fmt.Sprintf("rof_%s_s%d", pipe.Name, si), st.source, st.ops, st.emit, *opts.Latency, foregroundFaults)
 			if err != nil {
 				flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, pipe.Name, int64(si), 0)
 				return nil, err
@@ -271,18 +305,12 @@ type hybridCompile struct {
 	// the hybrid design's always-available fallback path.
 	failed  atomic.Bool
 	err     error
-	cancel  chan struct{}
+	cancel  context.CancelFunc // ends the job's context, derived from the query's
 	done    chan struct{}
 	compile time.Duration
 	// ready is when the artifact landed (written before the art store,
 	// read after a successful load — same happens-before as compile).
 	ready time.Time
-}
-
-// fail records a permanent compile failure on the job.
-func (h *hybridCompile) fail(err error) {
-	h.err = err
-	h.failed.Store(true)
 }
 
 // startHybridCompiles launches the background compilation jobs for every
@@ -296,7 +324,8 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 	sem := make(chan struct{}, jobs)
 	out := make([]*hybridCompile, len(pipes))
 	for i, pipe := range pipes {
-		h := &hybridCompile{cancel: make(chan struct{}), done: make(chan struct{})}
+		jobCtx, cancel := context.WithCancel(ctx)
+		h := &hybridCompile{cancel: cancel, done: make(chan struct{})}
 		out[i] = h
 		if art := arts.loadFused(i); art != nil {
 			// Cached artifact from an earlier execution of this plan instance:
@@ -304,6 +333,7 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 			// the first morsel, no compile latency is charged, and abandon()
 			// finds the pre-closed done channel.
 			h.art.Store(art)
+			cancel()
 			close(h.done)
 			continue
 		}
@@ -312,49 +342,25 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
-			case <-h.cancel:
-				return
-			case <-ctx.Done():
+			case <-jobCtx.Done():
 				return
 			}
 			flight.Default.RecordStr(flight.KindCompileStart, qid, pipe.Name, 0, 0)
-			start := time.Now()
-			if err := faultinject.Inject(faultinject.ExecHybridCompile); err != nil {
-				h.fail(err)
-				flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
-				return
-			}
-			fn, states, err := core.GenStep("pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result)
+			// The wait inside is abandoned if the query finishes first (paper
+			// §V-B) or its context dies: either ends jobCtx.
+			step, dur, err := compileStep(jobCtx, "pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result, lat, backgroundFaults)
 			if err != nil {
-				h.fail(err)
-				flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
-				return
-			}
-			prog, err := vm.Compile(fn)
-			if err != nil {
-				h.fail(err)
-				flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
-				return
-			}
-			// Interruptible machine-code latency: one timer wake-up (repeated
-			// short sleeps starve under a busy single-P scheduler), abandoned
-			// if the query finishes first (paper §V-B) or its context dies.
-			if d := lat.Delay(fn) + faultinject.Delay(faultinject.ExecHybridCompileDelay); d > 0 {
-				timer := time.NewTimer(d)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-				case <-h.cancel:
-					return
-				case <-ctx.Done():
-					return
+				if jobCtx.Err() == nil {
+					h.err = err
+					h.failed.Store(true)
+					flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
 				}
+				return
 			}
-			h.compile = time.Since(start)
+			h.compile = dur
 			h.ready = time.Now()
-			step := &fusedStep{prog: prog, states: states, fn: fn}
-			// Deposit before publishing: the deferred abandon() in
-			// ExecuteContext waits on done, so the store is never racing a
+			// Deposit before publishing: ExecuteContext abandons every job and
+			// waits on done before it returns, so the store is never racing a
 			// caller that already released the plan back to the cache.
 			arts.noteCompile()
 			arts.storeFused(i, step)
@@ -365,10 +371,13 @@ func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline
 	return out
 }
 
-// abandon cancels the job if it has not completed; safe to call once.
-func (h *hybridCompile) abandon() {
-	close(h.cancel)
+// abandon cancels the job if it has not completed, waits for it to end, and
+// reports whether that cut it short: the job neither landed its artifact nor
+// failed on its own.
+func (h *hybridCompile) abandon() bool {
+	h.cancel()
 	<-h.done
+	return h.art.Load() == nil && !h.failed.Load()
 }
 
 type hybridRunner struct {
@@ -460,8 +469,9 @@ func (h *hybridRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n in
 	ws.morsels++
 	start := time.Now()
 	if useJIT {
-		art.prog.Run(ctx, art.states, src, n, out)
-		ctx.Counters.FusedCalls++
+		// The interpreter half's chunk views serve the fused half's batches:
+		// a worker runs one or the other.
+		runFused(art, ctx, src, h.vec.scratch[w], n, out)
 		ctx.Counters.MorselsCompiled++
 	} else {
 		h.vec.runMorsel(w, ctx, src, n, out)

@@ -217,20 +217,34 @@ func MergeProfiles(profs []*Profile) []SubOpSample {
 // Run interprets one step (a suboperator sequence) for a single worker. It
 // owns the per-IU tuple-buffer columns, so each worker builds its own Run
 // from the shared registry.
+//
+// Two rules keep the tuple buffers free of copies. The source is not
+// materialized: RunChunk points the source IUs' columns at the caller's
+// vectors (views, as the morsel loops make them with SliceInto), and since a
+// view's array belongs to a base table or a hash table, nothing may ever
+// write through one — views are only ever primitive *inputs*, and a
+// primitive never hands an input's array on (vm's sink copies inputs). And a
+// primitive's result is not copied into its tuple buffer: the buffer is empty
+// when the primitive runs, so the sink hands the result registers over to it
+// (storage.Chunk.TakeFromVectors).
 type Run struct {
 	reg    *Registry
 	source []*core.IU
-	scan   []compiledOp // tscan primitives materializing the source
-	ops    []compiledOp
-	emit   []*core.IU
+	// scanIDs names the tscan primitive of each source column. The scan
+	// primitives are generated like every other (the enumeration invariant
+	// covers the source) and the profile lists them as the pipeline's first
+	// steps, but binding a view is all a scan takes: they are not executed.
+	scanIDs []string
+	ops     []compiledOp
+	emit    []*core.IU
 
-	ws   map[int]*storage.Vector // IU ID -> tuple-buffer column
-	cols []*storage.Vector       // the values of ws, for RetainedBytes to walk
+	ws      map[int]*storage.Vector // IU ID -> tuple-buffer column
+	srcCols []*storage.Vector       // the source IUs' columns: views, re-pointed per chunk
+	cols    []*storage.Vector       // the columns this Run owns, for RetainedBytes to walk
 
 	outChunks []*storage.Chunk // per op, wrapping its outs' vectors
 	inVecs    [][]*storage.Vector
 	emitVecs  []*storage.Vector // pre-wired emit columns (no per-chunk alloc)
-	scanIn    []*storage.Vector // reusable 1-element scan input binding
 
 	// prof is the optional sampling profiler (EnableProfile); nil costs one
 	// branch per chunk.
@@ -244,12 +258,12 @@ func (r *Run) EnableProfile(every int) *Profile {
 	if every <= 0 {
 		every = DefaultProfileEvery
 	}
-	p := &Profile{Every: every, samples: make([]SubOpSample, len(r.scan)+len(r.ops))}
-	for i, co := range r.scan {
-		p.samples[i].ID = co.id
+	p := &Profile{Every: every, samples: make([]SubOpSample, len(r.scanIDs)+len(r.ops))}
+	for i, id := range r.scanIDs {
+		p.samples[i].ID = id
 	}
 	for i, co := range r.ops {
-		p.samples[len(r.scan)+i].ID = co.id
+		p.samples[len(r.scanIDs)+i].ID = co.id
 	}
 	r.prof = p
 	return p
@@ -259,7 +273,8 @@ func (r *Run) EnableProfile(every int) *Profile {
 // its plan instance must not carry the last one's.
 func (r *Run) DisableProfile() { r.prof = nil }
 
-// RetainedBytes returns the memory of the Run's tuple-buffer columns.
+// RetainedBytes returns the memory of the Run's tuple-buffer columns (the
+// source views hold none of their own).
 func (r *Run) RetainedBytes() int64 {
 	var n int64
 	for _, v := range r.cols {
@@ -279,13 +294,14 @@ const DefaultProfileEvery = 8
 func NewRun(reg *Registry, source []*core.IU, ops []core.SubOp, emit []*core.IU) (*Run, error) {
 	r := &Run{reg: reg, source: source, emit: emit, ws: make(map[int]*storage.Vector)}
 	for _, iu := range source {
-		r.ws[iu.ID] = storage.NewVector(iu.K, 0)
 		scan := &core.ScanCol{Src: iu, Dst: iu}
-		p, ok := reg.Get(scan.PrimitiveID())
-		if !ok {
+		if _, ok := reg.Get(scan.PrimitiveID()); !ok {
 			return nil, fmt.Errorf("interp: no scan primitive for kind %v", iu.K)
 		}
-		r.scan = append(r.scan, compiledOp{id: scan.PrimitiveID(), prog: p, ins: []*core.IU{iu}, outs: []*core.IU{iu}})
+		r.scanIDs = append(r.scanIDs, scan.PrimitiveID())
+		view := &storage.Vector{Kind: iu.K}
+		r.ws[iu.ID] = view
+		r.srcCols = append(r.srcCols, view)
 	}
 	for _, op := range ops {
 		if _, isScope := op.(*core.FilterScope); isScope {
@@ -299,16 +315,20 @@ func NewRun(reg *Registry, source []*core.IU, ops []core.SubOp, emit []*core.IU)
 		}
 		co := compiledOp{id: id, prog: p, states: op.States(), ins: op.Inputs(), outs: op.Outputs(), sink: len(op.Outputs()) == 0}
 		for _, iu := range co.outs {
-			if _, ok := r.ws[iu.ID]; !ok {
-				r.ws[iu.ID] = storage.NewVector(iu.K, 0)
+			if _, ok := r.ws[iu.ID]; ok {
+				// One producer per IU (core.VerifyPlan's rule): a second one
+				// would write into the first one's column — or through a view.
+				return nil, fmt.Errorf("interp: %s produces IU %s a second time", id, iu)
 			}
+			v := storage.NewVector(iu.K, 0)
+			r.ws[iu.ID] = v
+			r.cols = append(r.cols, v)
 		}
 		r.ops = append(r.ops, co)
 	}
 	// Pre-wire input/output vector lists and output chunks.
-	all := append(append([]compiledOp{}, r.scan...), r.ops...)
-	for i := range all {
-		co := &all[i]
+	for i := range r.ops {
+		co := &r.ops[i]
 		var ins []*storage.Vector
 		for _, iu := range co.ins {
 			v, ok := r.ws[iu.ID]
@@ -328,17 +348,15 @@ func NewRun(reg *Registry, source []*core.IU, ops []core.SubOp, emit []*core.IU)
 		}
 		r.outChunks = append(r.outChunks, chunk)
 	}
-	r.scan = all[:len(r.scan)]
-	r.ops = all[len(r.scan):]
 	// Pre-wire the emit column list: the ws vectors are stable pointers, so
 	// the per-chunk emit tail reads them without allocating.
 	r.emitVecs = make([]*storage.Vector, len(r.emit))
 	for i, iu := range r.emit {
-		r.emitVecs[i] = r.ws[iu.ID]
-	}
-	r.scanIn = make([]*storage.Vector, 1)
-	for _, v := range r.ws {
-		r.cols = append(r.cols, v)
+		v, ok := r.ws[iu.ID]
+		if !ok {
+			return nil, fmt.Errorf("interp: result IU %s is never materialized", iu)
+		}
+		r.emitVecs[i] = v
 	}
 	return r, nil
 }
@@ -370,29 +388,31 @@ func (r *Run) RunChunk(ctx *vm.Ctx, srcVecs []*storage.Vector, n int, out *stora
 	return en
 }
 
-// runSteps pushes the chunk through the scan and suboperator primitives —
-// the untimed hot path.
+// bindSource points the source columns at the caller's vectors — the whole
+// of the scan step (paper Fig 3, step 1), with nothing materialized.
+//
+//inkfuse:hotpath
+func (r *Run) bindSource(srcVecs []*storage.Vector, n int) {
+	for i, v := range srcVecs {
+		v.SliceInto(r.srcCols[i], 0, n)
+	}
+}
+
+// runSteps pushes the chunk through the suboperator primitives — the untimed
+// hot path.
 //
 //inkfuse:hotpath
 func (r *Run) runSteps(ctx *vm.Ctx, srcVecs []*storage.Vector, n int) {
-	// Materialize the source into the first tuple buffer via the generated
-	// scan primitives (paper Fig 3, step 1).
-	for i, co := range r.scan {
-		r.outChunks[i].Reset()
-		r.scanIn[0] = srcVecs[i]
-		co.prog.Run(ctx, co.states, r.scanIn, n, r.outChunks[i])
-		ctx.Counters.PrimitiveCalls++
-	}
-	base := len(r.scan)
+	r.bindSource(srcVecs, n)
 	for i, co := range r.ops {
-		ins := r.inVecs[base+i]
+		ins := r.inVecs[i]
 		// The chunk's current cardinality is carried by the primitive's
 		// first input column (dense-chunk model).
 		cn := n
 		if len(ins) > 0 {
 			cn = ins[0].Len()
 		}
-		chunk := r.outChunks[base+i]
+		chunk := r.outChunks[i]
 		if chunk != nil {
 			chunk.Reset()
 		}
@@ -402,30 +422,27 @@ func (r *Run) runSteps(ctx *vm.Ctx, srcVecs []*storage.Vector, n int) {
 }
 
 // runStepsProfiled is runSteps with per-primitive timing, attributing
-// nanoseconds and input tuples to each suboperator's sample slot.
+// nanoseconds and input tuples to each suboperator's sample slot. The scan
+// steps are attributed their calls and tuples and no time: a bound view costs
+// none worth a clock reading.
 //
 //inkfuse:hotpath
 func (r *Run) runStepsProfiled(ctx *vm.Ctx, srcVecs []*storage.Vector, n int) {
 	p := r.prof
-	for i, co := range r.scan {
-		r.outChunks[i].Reset()
-		r.scanIn[0] = srcVecs[i]
-		t0 := time.Now()
-		co.prog.Run(ctx, co.states, r.scanIn, n, r.outChunks[i])
+	r.bindSource(srcVecs, n)
+	for i := range r.scanIDs {
 		s := &p.samples[i]
-		s.Nanos += time.Since(t0).Nanoseconds()
 		s.Calls++
 		s.Tuples += int64(n)
-		ctx.Counters.PrimitiveCalls++
 	}
-	base := len(r.scan)
+	base := len(r.scanIDs)
 	for i, co := range r.ops {
-		ins := r.inVecs[base+i]
+		ins := r.inVecs[i]
 		cn := n
 		if len(ins) > 0 {
 			cn = ins[0].Len()
 		}
-		chunk := r.outChunks[base+i]
+		chunk := r.outChunks[i]
 		if chunk != nil {
 			chunk.Reset()
 		}

@@ -5,6 +5,10 @@ package rt
 // allocations. Arenas are not safe for concurrent use; each hash-table shard
 // owns one.
 //
+// Blocks start small and double up to the block size: a sharded table has
+// sixteen arenas, and the shard of a four-group aggregation that receives one
+// row should not pay 64 KiB for it.
+//
 // An arena keeps every regular block it ever allocated: Reset rewinds it to
 // its first block, and the next execution of the owning plan instance is
 // handed the same memory again (DESIGN.md §16).
@@ -12,12 +16,15 @@ type Arena struct {
 	blocks    [][]byte // regular blocks, in hand-out order; blocks[:next] are in use
 	next      int
 	block     []byte // unused tail of blocks[next-1]
-	blockSize int
+	blockSize int    // size of a full-grown block; larger requests get their own
 	used      int64
 	budget    *MemBudget
 }
 
-const defaultArenaBlock = 1 << 16
+const (
+	defaultArenaBlock = 1 << 16
+	arenaFirstBlock   = 1 << 10 // doubled per block until blockSize is reached
+)
 
 // NewArena creates an arena with the given block size (0 = default 64 KiB).
 func NewArena(blockSize int) *Arena {
@@ -45,16 +52,31 @@ func (a *Arena) Alloc(n int) []byte {
 		return make([]byte, n) //inklint:allow alloc — oversized request falls back to a dedicated block
 	}
 	if len(a.block) < n {
-		a.budget.Charge(int64(a.blockSize))
-		if a.next == len(a.blocks) {
-			a.blocks = append(a.blocks, make([]byte, a.blockSize)) //inklint:allow alloc — arena block refill — one make per blockSize bytes of rows, kept across Reset
-		}
-		a.block = a.blocks[a.next]
-		a.next++
+		a.refill(n) //inklint:allow call — one refill per block of rows
 	}
 	out := a.block[:n:n]
 	a.block = a.block[n:]
 	return out
+}
+
+// refill moves on to the next block, which must hold n ≤ blockSize bytes: the
+// one kept from before the last Reset, or a new one twice the size of the
+// previous (a kept block too small for the request — the rows differ from the
+// last execution's — is replaced).
+func (a *Arena) refill(n int) {
+	size := min(a.blockSize, arenaFirstBlock<<min(a.next, 16))
+	for size < n {
+		size <<= 1
+	}
+	switch {
+	case a.next == len(a.blocks):
+		a.blocks = append(a.blocks, make([]byte, size))
+	case len(a.blocks[a.next]) < n:
+		a.blocks[a.next] = make([]byte, size)
+	}
+	a.block = a.blocks[a.next]
+	a.next++
+	a.budget.Charge(int64(len(a.block)))
 }
 
 // Used returns the total bytes handed out.
@@ -68,4 +90,10 @@ func (a *Arena) Reset() {
 }
 
 // RetainedBytes returns the block memory the arena holds on to across Reset.
-func (a *Arena) RetainedBytes() int64 { return int64(len(a.blocks)) * int64(a.blockSize) }
+func (a *Arena) RetainedBytes() int64 {
+	var n int64
+	for _, b := range a.blocks {
+		n += int64(len(b))
+	}
+	return n
+}

@@ -1,6 +1,9 @@
 package rt
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Chunk-batched hash-table kernels. The scalar entry points (FindOrCreate,
 // Insert, Lookup) pay one hash, one shard dispatch and one mutex acquire per
@@ -136,6 +139,14 @@ func (t *JoinTable) InsertBatch(keys, payloads [][]byte, hashes []uint64, sc *Ba
 func (s *joinShard) insertBatch(idxs []int32, keys, payloads [][]byte, hashes []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if need := len(s.rows) + len(idxs); need > cap(s.rows) {
+		// Until JoinTable.Reserve has an estimate (and where a build outgrows
+		// it), the entry arrays double: append alone grows a large slice by a
+		// quarter, copying it four times over on the way to its final size.
+		extra := max(need, 2*cap(s.rows)) - len(s.rows)
+		s.rows = slices.Grow(s.rows, extra)     //inklint:allow call — amortized — shard entry arrays double
+		s.hashes = slices.Grow(s.hashes, extra) //inklint:allow call — amortized — shard entry arrays double
+	}
 	for _, i := range idxs {
 		s.budget.Charge(entryOverhead)
 		key, payload := keys[i], payloads[i]
@@ -143,8 +154,8 @@ func (s *joinShard) insertBatch(idxs []int32, keys, payloads [][]byte, hashes []
 		binary.LittleEndian.PutUint32(row, uint32(len(key)))
 		copy(row[4:], key)
 		copy(row[4+len(key):], payload)
-		s.rows = append(s.rows, row)           //inklint:allow alloc — amortized — shard entry arrays double
-		s.hashes = append(s.hashes, hashes[i]) //inklint:allow alloc — amortized — shard entry arrays double
+		s.rows = append(s.rows, row)           //inklint:allow alloc — within the capacity ensured above
+		s.hashes = append(s.hashes, hashes[i]) //inklint:allow alloc — within the capacity ensured above
 	}
 }
 

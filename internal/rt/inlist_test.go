@@ -1,0 +1,125 @@
+package rt
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// inListCorpus is the probe/member vocabulary of the property test: the empty
+// string, shared prefixes, shared lengths, and strings that differ only in
+// their last byte.
+var inListCorpus = []string{
+	"", "A", "B", "AIR", "AIS", "AIR REG", "AIR REH", "REG AIR", "MAIL", "SHIP", "RAIL",
+	"TRUCK", "FOB", "SM CASE", "SM BOX", "SM PACK", "SM PKG", "MED BAG", "MED BOX",
+	"Brand#12", "Brand#13", "Brand#23", "a", "aa", "aaa", "aaaa", "aaab", "\x00", "\x00\x00",
+}
+
+// TestInListMatchesMapMembership pins the IN kernel, on both representations
+// and through Contains and Match alike, to plain map membership.
+func TestInListMatchesMapMembership(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sizes := []int{0, 1, 2, 3, 7, inListSmallMax - 1, inListSmallMax, inListSmallMax + 1, 3 * inListSmallMax}
+	for _, size := range sizes {
+		for round := 0; round < 20; round++ {
+			// Members are drawn with replacement (duplicates) and padded with
+			// generated strings once the corpus is exhausted.
+			members := make([]string, size)
+			want := make(map[string]bool)
+			for i := range members {
+				if rng.Intn(4) == 0 {
+					members[i] = fmt.Sprintf("gen-%d", rng.Intn(2*size+1))
+				} else {
+					members[i] = inListCorpus[rng.Intn(len(inListCorpus))]
+				}
+				want[members[i]] = true
+			}
+			s := NewInList(members...)
+			if long := s.set != nil; long != (len(want) > inListSmallMax) {
+				t.Fatalf("%d distinct members: hashed=%v, threshold %d", len(want), long, inListSmallMax)
+			}
+			probes := append([]string{}, inListCorpus...)
+			probes = append(probes, members...)
+			for i := 0; i < 2*size+1; i++ {
+				probes = append(probes, fmt.Sprintf("gen-%d", i))
+			}
+			got := make([]bool, len(probes))
+			s.Match(got, probes)
+			for i, p := range probes {
+				if got[i] != want[p] || s.Contains(p) != want[p] {
+					t.Fatalf("members %q: %q in-list = %v (Match) / %v (Contains), want %v",
+						members, p, got[i], s.Contains(p), want[p])
+				}
+				// NOT IN is the negation the lowering wraps around the kernel.
+				if !got[i] != !want[p] {
+					t.Fatalf("members %q: %q NOT IN wrong", members, p)
+				}
+			}
+		}
+	}
+}
+
+// TestInListRebind: SetMembers replaces the list, across the threshold in both
+// directions (a cached plan's parameters are rebound between executions).
+func TestInListRebind(t *testing.T) {
+	s := NewInList("MAIL", "SHIP")
+	var long []string
+	for i := 0; i <= inListSmallMax; i++ {
+		long = append(long, fmt.Sprintf("m%02d", i))
+	}
+	s.SetMembers(long)
+	if s.Contains("MAIL") || !s.Contains("m00") || !s.Contains(long[len(long)-1]) {
+		t.Fatal("rebinding to a long list kept old members or lost new ones")
+	}
+	s.SetMembers([]string{"RAIL"})
+	if s.Contains("m00") || !s.Contains("RAIL") || s.set != nil {
+		t.Fatal("rebinding to a short list kept the hash set")
+	}
+}
+
+// BenchmarkInList times both representations at every list size around the
+// threshold over a TPC-H-like column (l_shipmode's seven values, so most
+// probes miss a short list) — the measurement inListSmallMax is chosen from.
+func BenchmarkInList(b *testing.B) {
+	modes := []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]string, 1024)
+	for i := range vals {
+		vals[i] = modes[rng.Intn(len(modes))]
+	}
+	dst := make([]bool, len(vals))
+	for _, size := range []int{1, 2, 4, 7, 8, 16, 24, 32, 64} {
+		members := append([]string{}, modes[:min(size, len(modes))]...)
+		for i := len(members); i < size; i++ {
+			// Pad with non-matching members of the column's lengths.
+			members = append(members, fmt.Sprintf("%0*d", 3+i%5, i))
+		}
+		sorted := NewInList(members[:min(size, inListSmallMax)]...)
+		for _, m := range members[min(size, inListSmallMax):] {
+			// Past the threshold the sorted form has to be put together by hand.
+			at, _ := slices.BinarySearchFunc(sorted.small, m, func(a, b string) int {
+				return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+			})
+			sorted.small = slices.Insert(sorted.small, at, m)
+			sorted.keys = slices.Insert(sorted.keys, at, inListKey(m))
+		}
+		hashed := &InListState{set: make(map[string]bool)}
+		for _, m := range members {
+			hashed.set[m] = true
+		}
+		for _, rep := range []struct {
+			name string
+			s    *InListState
+		}{{"sorted", sorted}, {"map", hashed}} {
+			b.Run(fmt.Sprintf("%s/members=%d", rep.name, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rep.s.Match(dst, vals)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
+			})
+		}
+	}
+}

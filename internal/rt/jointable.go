@@ -3,6 +3,7 @@ package rt
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sync"
 )
 
@@ -88,6 +89,26 @@ func (t *JoinTable) Insert(key, payload []byte, h uint64) {
 	copy(row[4+len(key):], payload)
 	s.rows = append(s.rows, row)   //inklint:allow alloc — amortized — shard entry arrays double
 	s.hashes = append(s.hashes, h) //inklint:allow alloc — amortized — shard entry arrays double
+}
+
+// Reserve readies the table for about n build rows in all: every shard's
+// entry arrays grow, once, to an even share of n plus an eighth for hash skew,
+// where appending row by row would have reallocated and copied them a dozen
+// times on the way (the runtime grows a large slice by a quarter at a time,
+// so the copies add up to four times the final size). Safe for concurrent use
+// with inserts; a table that already has the capacity is left alone.
+func (t *JoinTable) Reserve(n int) {
+	per := n / len(t.shards)
+	per += per/8 + 8
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		if extra := per - len(s.rows); extra > 0 {
+			s.rows = slices.Grow(s.rows, extra)
+			s.hashes = slices.Grow(s.hashes, extra)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Seal builds the probe-side bucket arrays and the build-side bloom/tag

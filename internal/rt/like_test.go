@@ -101,7 +101,7 @@ func TestLikePatternAccessor(t *testing.T) {
 
 func TestInListState(t *testing.T) {
 	s := NewInList("AIR", "AIR REG")
-	if !s.Set["AIR"] || !s.Set["AIR REG"] || s.Set["TRUCK"] {
+	if !s.Contains("AIR") || !s.Contains("AIR REG") || s.Contains("TRUCK") {
 		t.Fatal("in-list membership wrong")
 	}
 }

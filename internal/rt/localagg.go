@@ -11,13 +11,20 @@ import (
 // contention — and the accumulated groups are flushed (merged) into the
 // worker's backing sharded AggTable at morsel boundaries or on overflow.
 //
-// Group rows are packed into one fixed-capacity flat buffer that is never
-// reallocated: rows handed out by FindOrCreate stay valid for the rest of the
-// chunk (the aggregate-update primitives write into them in place), so the
-// buffer must not move under them. When the buffer or the group budget is
+// Group rows are packed into one flat buffer that is never reallocated while
+// it holds rows: rows handed out by FindOrCreate stay valid for the rest of
+// the chunk (the aggregate-update primitives write into them in place), so
+// the buffer must not move under them. When the buffer or the group budget is
 // exhausted, FindOrCreate reports a miss and the caller routes the key to the
 // backing table's batched path instead; flushes happen between chunks at the
 // earliest (MaybeFlush) and at every morsel boundary (Flush), never mid-chunk.
+//
+// The table starts small (localAggMinGroups groups, ~11 KiB) and grows only
+// where it is empty anyway: a drain that follows an overflow quadruples the
+// capacity, up to localAggGroups groups and localAggBytes of row storage
+// (704 KiB all told). A four-group aggregation therefore never pays for —
+// or walks — more than the first size, and a never-seen query does not
+// allocate and clear 704 KiB per worker and aggregation up front.
 //
 // The table is adaptive: if after a warm-up the hit ratio stays low (a
 // high-cardinality key like Q13's custkey, where pre-aggregation only doubles
@@ -26,10 +33,11 @@ type LocalAggTable struct {
 	st      *AggTableState
 	backing *AggTable
 
-	buckets []int32 // entry index + 1; 0 = empty
+	buckets []int32 // entry index + 1; 0 = empty; 4 slots per group of capacity
 	hashes  []uint64
 	rows    [][]byte
-	buf     []byte // fixed-capacity row storage; never reallocated
+	buf     []byte // row storage; reallocated only while empty (grow)
+	groups  int    // current capacity in groups: cap(rows), cap(hashes), len(buckets)/4
 
 	probes   int64
 	hits     int64
@@ -50,9 +58,12 @@ type LocalAggTable struct {
 }
 
 const (
-	localAggBuckets = 16384   // bucket slots; ≥4x max groups keeps probes short
-	localAggGroups  = 4096    // max resident groups before lookups overflow
-	localAggBytes   = 1 << 19 // row storage; bounded per worker, outside MemBudget
+	localAggMinGroups     = 64      // groups a new table can hold
+	localAggGroups        = 4096    // groups a fully grown one can hold before lookups overflow
+	localAggBytes         = 1 << 19 // its row storage; bounded per worker, outside MemBudget
+	localAggBucketsPerGrp = 4       // bucket slots per group of capacity: keeps probes short
+	localAggGrowth        = 4       // capacity factor of one growth step
+	localAggBytesPerGroup = localAggBytes / localAggGroups
 	// Adaptive disable: after this many probes, a hit ratio below the
 	// threshold means the keys don't repeat within a morsel and local
 	// pre-aggregation is pure overhead.
@@ -62,31 +73,36 @@ const (
 
 // NewLocalAggTable creates a local table that flushes into backing.
 func NewLocalAggTable(st *AggTableState, backing *AggTable) *LocalAggTable {
-	return &LocalAggTable{
-		st:      st,
-		backing: backing,
-		buckets: make([]int32, localAggBuckets),
-		hashes:  make([]uint64, 0, localAggGroups),
-		rows:    make([][]byte, 0, localAggGroups),
-		buf:     make([]byte, 0, localAggBytes),
-	}
+	l := &LocalAggTable{st: st, backing: backing}
+	l.resize(localAggMinGroups)
+	return l
+}
+
+// resize gives the (empty) table new arrays for the given group capacity.
+func (l *LocalAggTable) resize(groups int) {
+	l.groups = groups
+	l.buckets = make([]int32, groups*localAggBucketsPerGrp)
+	l.hashes = make([]uint64, 0, groups)
+	l.rows = make([][]byte, 0, groups)
+	l.buf = make([]byte, 0, groups*localAggBytesPerGroup)
 }
 
 // Reset readies the table for another pipeline run over the same backing
 // table: any resident groups are dropped unmerged (a completed run has
 // flushed them already) and the adaptive policy starts over, as it does for a
-// newly created table.
+// newly created table. The capacity the last run grew to is kept.
 func (l *LocalAggTable) Reset() {
 	if len(l.rows) > 0 {
 		clear(l.buckets)
 	}
 	*l = LocalAggTable{
-		st: l.st, backing: l.backing,
+		st: l.st, backing: l.backing, groups: l.groups,
 		buckets: l.buckets, hashes: l.hashes[:0], rows: l.rows[:0], buf: l.buf[:0],
 	}
 }
 
-// RetainedBytes returns the table's (fixed) buffer memory.
+// RetainedBytes returns the memory of the table's buffers at their current
+// capacity.
 func (l *LocalAggTable) RetainedBytes() int64 {
 	return int64(cap(l.buckets))*4 + int64(cap(l.hashes))*8 +
 		int64(cap(l.rows))*sliceHeaderBytes + int64(cap(l.buf))
@@ -116,7 +132,7 @@ func (l *LocalAggTable) FindOrCreate(key []byte, h uint64, seed []byte) (row []b
 		b := l.buckets[i]
 		if b == 0 {
 			size := 4 + len(key) + len(l.st.Init) + len(seed)
-			if len(l.rows) >= localAggGroups || len(l.buf)+size > cap(l.buf) {
+			if len(l.rows) >= l.groups || len(l.buf)+size > cap(l.buf) {
 				if !l.overflow {
 					l.overflow = true
 					l.ovProbes, l.ovHits = l.probes, l.hits
@@ -130,8 +146,8 @@ func (l *LocalAggTable) FindOrCreate(key []byte, h uint64, seed []byte) (row []b
 			copy(r[4:], key)
 			copy(r[4+len(key):], l.st.Init)
 			copy(r[4+len(key)+len(l.st.Init):], seed)
-			l.hashes = append(l.hashes, h) //inklint:allow alloc — flat local buffers capped at maxLocalGroups, reused across morsels
-			l.rows = append(l.rows, r)     //inklint:allow alloc — flat local buffers capped at maxLocalGroups, reused across morsels
+			l.hashes = append(l.hashes, h) //inklint:allow alloc — within the capacity checked above; never grows here
+			l.rows = append(l.rows, r)     //inklint:allow alloc — within the capacity checked above; never grows here
 			l.buckets[i] = int32(len(l.rows))
 			return r, false, true
 		}
@@ -151,12 +167,11 @@ func (l *LocalAggTable) FindOrCreate(key []byte, h uint64, seed []byte) (row []b
 //
 //inkfuse:hotpath
 func (l *LocalAggTable) Flush() int64 {
-	n := l.drain()
 	if !l.disabled && l.probes >= localAggMinProbes &&
 		float64(l.hits) < localAggHitRatio*float64(l.probes) {
 		l.disabled = true
 	}
-	return n
+	return l.drain()
 }
 
 // MaybeFlush runs the between-chunk adaptive policy. A no-op until a lookup
@@ -182,7 +197,9 @@ func (l *LocalAggTable) MaybeFlush() int64 {
 }
 
 // drain merges every local group into the backing shard table and resets the
-// row storage, leaving the adaptive counters' interval snapshot behind.
+// row storage, leaving the adaptive counters' interval snapshot behind. This
+// is the one place the table is empty with no row handed out, so it is where
+// a table that overflowed (and has not turned itself off) grows.
 //
 //inkfuse:hotpath
 func (l *LocalAggTable) drain() int64 {
@@ -199,6 +216,9 @@ func (l *LocalAggTable) drain() int64 {
 		l.hashes = l.hashes[:0]
 		l.rows = l.rows[:0]
 		l.buf = l.buf[:0]
+	}
+	if l.overflow && !l.disabled && l.groups < localAggGroups {
+		l.resize(min(l.groups*localAggGrowth, localAggGroups)) //inklint:allow call — at most three growth steps per table, each at a flush boundary
 	}
 	l.overflow = false
 	l.flushProbes, l.flushHits = l.probes, l.hits

@@ -230,3 +230,91 @@ func TestRowScratchStrideFollowsStrings(t *testing.T) {
 		t.Fatal("rows that fit the widened stride regrew the slab")
 	}
 }
+
+// Arena blocks double from arenaFirstBlock up to the block size, so a shard
+// that receives a few rows pays for a small block; a kept block too small for
+// the request it meets after Reset is replaced.
+func TestArenaBlocksGrowToTheBlockSize(t *testing.T) {
+	a := NewArena(0)
+	a.Alloc(16)
+	if got := a.RetainedBytes(); got != arenaFirstBlock {
+		t.Fatalf("one small row retained %d bytes, want the first block's %d", got, arenaFirstBlock)
+	}
+	for a.Used() < 1<<20 {
+		a.Alloc(100)
+	}
+	sizes := map[int]int{}
+	for _, b := range a.blocks {
+		sizes[len(b)]++
+	}
+	for size := arenaFirstBlock; size < defaultArenaBlock; size <<= 1 {
+		if sizes[size] != 1 {
+			t.Fatalf("%d blocks of %d bytes, want one on the way up: %v", sizes[size], size, sizes)
+		}
+	}
+	if len(sizes) != 7 || sizes[defaultArenaBlock] < 10 {
+		t.Fatalf("block sizes %v: want 1 KiB doubling to many 64 KiB blocks", sizes)
+	}
+	// After Reset the first (1 KiB) block meets a 10 KiB request.
+	a.Reset()
+	kept := a.RetainedBytes()
+	big := a.Alloc(10 << 10)
+	if len(big) != 10<<10 || a.RetainedBytes() != kept-arenaFirstBlock+16<<10 {
+		t.Fatalf("a request larger than the kept block: got %d bytes, arena %d -> %d", len(big), kept, a.RetainedBytes())
+	}
+}
+
+// Reserve sizes the entry arrays once: the inserts that follow reallocate
+// nothing, a second Reserve within capacity changes nothing, and it may run
+// next to inserts.
+func TestJoinTableReserve(t *testing.T) {
+	const n = 20000
+	tbl := NewJoinTable(4)
+	tbl.Reserve(n)
+	caps := func() (out [4]int) {
+		for i := range tbl.shards {
+			out[i] = cap(tbl.shards[i].rows)
+		}
+		return out
+	}
+	reserved := caps()
+	keys, hashes := make([][]byte, n), make([]uint64, n)
+	for i := range keys {
+		keys[i] = i64Key(int64(i))
+		hashes[i] = Hash64(keys[i])
+	}
+	var sc BatchScratch
+	for lo := 0; lo < n; lo += 1024 {
+		hi := min(lo+1024, n)
+		tbl.InsertBatch(keys[lo:hi], make([][]byte, hi-lo), hashes[lo:hi], &sc)
+	}
+	if got := caps(); got != reserved {
+		t.Fatalf("inserting the reserved %d rows regrew the entry arrays: %v -> %v", n, reserved, got)
+	}
+	tbl.Reserve(n / 2)
+	if got := caps(); got != reserved {
+		t.Fatalf("a smaller Reserve changed capacities: %v -> %v", reserved, got)
+	}
+	tbl.Seal()
+	if tbl.Rows() != n || !tbl.Exists(keys[n-1], hashes[n-1]) {
+		t.Fatalf("table holds %d rows after a reserved build", tbl.Rows())
+	}
+
+	// Concurrent with a build (the executor reserves from the first finished
+	// morsel while other workers insert): same rows either way.
+	par := NewJoinTable(4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var sc BatchScratch
+		for lo := 0; lo < n; lo += 1024 {
+			hi := min(lo+1024, n)
+			par.InsertBatch(keys[lo:hi], make([][]byte, hi-lo), hashes[lo:hi], &sc)
+		}
+	}()
+	par.Reserve(n)
+	<-done
+	if par.Rows() != n {
+		t.Fatalf("a build reserved mid-way holds %d rows, want %d", par.Rows(), n)
+	}
+}

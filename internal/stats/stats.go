@@ -29,7 +29,8 @@ type Counters struct {
 	MaterializedBytes int64
 	// PrimitiveCalls counts vectorized-primitive invocations.
 	PrimitiveCalls int64
-	// FusedCalls counts fused-program invocations (one per morsel).
+	// FusedCalls counts fused-program invocations (whole-pipeline programs run
+	// a morsel in batches, ROF steps chunk by chunk).
 	FusedCalls int64
 	// HTProbes / HTMatches count hash-table lookups and produced matches.
 	HTProbes  int64
@@ -67,6 +68,11 @@ type Counters struct {
 	// failing the query, so a nonzero count with a successful result means
 	// the engine ran degraded.
 	CompileErrors int64
+	// CompilesAbandoned counts background (hybrid) compilation jobs cancelled
+	// unfinished because their query ended first: compile effort that landed
+	// too late to serve a single morsel, or to be kept for the plan's next
+	// execution.
+	CompilesAbandoned int64
 	// PanicsRecovered counts panics the lifecycle layer caught and converted
 	// into per-query errors (one per failed morsel or finalization).
 	PanicsRecovered int64
@@ -128,6 +134,7 @@ var Schema = []Row{
 	{Name: "compile_time", Engine: "compile_nanos", Dur: true, Of: func(c *Counters) *int64 { return (*int64)(&c.CompileTime) }},
 	{Name: "compile_wait", Engine: "compile_wait_nanos", Dur: true, Of: func(c *Counters) *int64 { return (*int64)(&c.CompileWait) }},
 	{Name: "compile_errors", Engine: "compile_errors", Of: func(c *Counters) *int64 { return &c.CompileErrors }},
+	{Name: "compiles_abandoned", Engine: "compiles_abandoned", Of: func(c *Counters) *int64 { return &c.CompilesAbandoned }},
 	{Name: "panics_recovered", Engine: "panics_recovered", Of: func(c *Counters) *int64 { return &c.PanicsRecovered }},
 	{Name: "mem_peak_bytes", Engine: "mem_peak_bytes", Max: true, Of: func(c *Counters) *int64 { return &c.MemPeakBytes }},
 }

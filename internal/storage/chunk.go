@@ -83,12 +83,31 @@ func (c *Chunk) Row(i int) []any {
 //
 //inkfuse:hotpath
 func (c *Chunk) AppendFromVectors(vs []*Vector, n int) int64 {
+	return c.TakeFromVectors(vs, nil, n)
+}
+
+// TakeFromVectors is AppendFromVectors for a producer that is done with its
+// vectors: while the chunk is empty, a column i with own[i] set takes over
+// vs[i]'s backing array (Vector.TakeFrom) instead of copying its rows. own[i]
+// promises that vs[i] owns its array and that no other column with own set
+// lists the same vector; everything else is appended as before — first, so a
+// vector listed again without own is still whole when it is copied — as is
+// every column once the chunk holds rows. The bytes returned are the same
+// either way: the rows land in the tuple buffer.
+//
+//inkfuse:hotpath
+func (c *Chunk) TakeFromVectors(vs []*Vector, own []bool, n int) int64 {
 	if len(vs) != len(c.Cols) {
 		panic("storage: AppendFromVectors column count mismatch")
 	}
+	if c.rows > 0 {
+		own = nil
+	}
 	var bytes int64
 	for i, col := range c.Cols {
-		col.AppendFrom(vs[i], 0, n)
+		if own == nil || !own[i] {
+			col.AppendFrom(vs[i], 0, n)
+		}
 		w := col.Kind.Width()
 		if w <= 0 {
 			// Variable-size columns: string headers / packed-row handles.
@@ -99,6 +118,11 @@ func (c *Chunk) AppendFromVectors(vs []*Vector, n int) int64 {
 			}
 		}
 		bytes += int64(w) * int64(n)
+	}
+	for i, take := range own {
+		if take {
+			c.Cols[i].TakeFrom(vs[i], n)
+		}
 	}
 	c.rows += n
 	return bytes

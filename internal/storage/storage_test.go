@@ -219,3 +219,74 @@ func TestMorselsCoverProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TakeFrom exchanges backing arrays for every kind: the taker holds the rows,
+// the giver is empty with the taker's old capacity, and neither sees the
+// other's later writes.
+func TestVectorTakeFrom(t *testing.T) {
+	kinds := append(append([]types.Kind{}, types.ScalarKinds...), types.Ptr)
+	for _, k := range kinds {
+		src, dst := NewVector(k, 5), NewVector(k, 0)
+		dst.Resize(9)
+		dst.Resize(0)
+		dstCap := dst.RetainedBytes()
+		sample := NewVector(k, 5)
+		switch k {
+		case types.Bool:
+			src.B[4], sample.B[4] = true, true
+		case types.Int32, types.Date:
+			src.I32[4], sample.I32[4] = 7, 7
+		case types.Int64:
+			src.I64[4], sample.I64[4] = 7, 7
+		case types.Float64:
+			src.F64[4], sample.F64[4] = 7, 7
+		case types.String:
+			src.Str[4], sample.Str[4] = "x", "x"
+		case types.Ptr:
+			src.Ptr[4], sample.Ptr[4] = []byte{1}, []byte{1}
+		}
+		dst.TakeFrom(src, 5)
+		if dst.Len() != 5 || src.Len() != 0 || src.RetainedBytes() != dstCap {
+			t.Fatalf("%v: taker %d rows, giver %d rows with %d bytes (want %d)", k, dst.Len(), src.Len(), src.RetainedBytes(), dstCap)
+		}
+		if k != types.Ptr && dst.Value(4) != sample.Value(4) {
+			t.Fatalf("%v: row 4 = %v", k, dst.Value(4))
+		}
+		src.Resize(5) // refilling the giver must not touch what was taken
+		if k != types.Ptr && dst.Value(4) != sample.Value(4) {
+			t.Fatalf("%v: the giver's refill reached the taken rows", k)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("take across kinds did not panic")
+		}
+	}()
+	NewVector(types.Int64, 0).TakeFrom(NewVector(types.Int32, 1), 1)
+}
+
+func TestChunkTakeFromVectors(t *testing.T) {
+	kinds := []types.Kind{types.Int64, types.Int64, types.String}
+	reg, str := NewVector(types.Int64, 3), NewVector(types.String, 3)
+	copy(reg.I64, []int64{1, 2, 3})
+	copy(str.Str, []string{"a", "b", "c"})
+	// The register is listed twice, owned once; the string column is not owned.
+	vs, own := []*Vector{reg, reg, str}, []bool{false, true, false}
+	c := NewChunk(kinds)
+	if bytes := c.TakeFromVectors(vs, own, 3); bytes != 3*(8+8+16) || c.Rows() != 3 {
+		t.Fatalf("took %d bytes, %d rows", bytes, c.Rows())
+	}
+	if c.Cols[0].I64[2] != 3 || c.Cols[1].I64[2] != 3 || c.Cols[2].Str[2] != "c" {
+		t.Fatalf("rows wrong: %v %v %v", c.Cols[0].I64, c.Cols[1].I64, c.Cols[2].Str)
+	}
+	if reg.Len() != 0 || str.Len() != 3 {
+		t.Fatalf("owned vector keeps %d rows, borrowed one %d", reg.Len(), str.Len())
+	}
+	// A chunk that holds rows appends, whatever is owned.
+	reg.Resize(2)
+	reg.I64[0], reg.I64[1] = 4, 5
+	c.TakeFromVectors([]*Vector{reg, reg, str}, own, 2)
+	if c.Rows() != 5 || reg.Len() != 2 || c.Cols[1].I64[4] != 5 || c.Cols[2].Str[4] != "b" {
+		t.Fatalf("append into a non-empty chunk: %d rows, register %d, %v", c.Rows(), reg.Len(), c.Cols[1].I64)
+	}
+}

@@ -197,6 +197,33 @@ func (v *Vector) AppendFrom(src *Vector, lo, hi int) {
 	}
 }
 
+// TakeFrom makes v, which must be empty, hold the first n rows of src without
+// copying them: the two vectors exchange backing arrays, so src is left empty
+// with v's old capacity to fill next time. Both must own their arrays — a
+// view (SliceInto) given away would later be appended into, through to the
+// rows behind it. Kinds must match.
+//
+//inkfuse:hotpath
+func (v *Vector) TakeFrom(src *Vector, n int) {
+	if v.Kind != src.Kind {
+		panic(fmt.Sprintf("storage: take kind mismatch %v vs %v", v.Kind, src.Kind))
+	}
+	switch v.Kind {
+	case types.Bool:
+		v.B, src.B = src.B[:n], v.B[:0]
+	case types.Int32, types.Date:
+		v.I32, src.I32 = src.I32[:n], v.I32[:0]
+	case types.Int64:
+		v.I64, src.I64 = src.I64[:n], v.I64[:0]
+	case types.Float64:
+		v.F64, src.F64 = src.F64[:n], v.F64[:0]
+	case types.String:
+		v.Str, src.Str = src.Str[:n], v.Str[:0]
+	case types.Ptr:
+		v.Ptr, src.Ptr = src.Ptr[:n], v.Ptr[:0]
+	}
+}
+
 // CopyFrom overwrites v with rows [lo, hi) of src.
 func (v *Vector) CopyFrom(src *Vector, lo, hi int) {
 	v.Resize(0)

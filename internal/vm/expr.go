@@ -473,13 +473,18 @@ func (c *compiler) expr(e ir.Expr, blk *[]exec) (int, error) {
 			d := dv.B[:n]
 			a := fr.vecs[ls].B[:n]
 			b := fr.vecs[rs].B[:n]
+			// Both sides are loaded before they are combined: on loaded values
+			// the connective compiles to one AND/OR instruction, where
+			// a[i] && b[i] is a data-dependent branch around the second load.
 			if and {
 				for i := range d {
-					d[i] = a[i] && b[i]
+					x, y := a[i], b[i]
+					d[i] = x && y
 				}
 			} else {
 				for i := range d {
-					d[i] = a[i] || b[i]
+					x, y := a[i], b[i]
+					d[i] = x || y
 				}
 			}
 			fr.ctx.Counters.VMOps += int64(n)
@@ -591,14 +596,7 @@ func (c *compiler) expr(e ir.Expr, blk *[]exec) (int, error) {
 		ds := c.newSlot(types.Bool)
 		id := x.StateID
 		*blk = append(*blk, func(fr *frame, n int) {
-			set := fr.state[id].(*rt.InListState).Set
-			dv := fr.vecs[ds]
-			dv.Resize(n)
-			d := dv.B[:n]
-			s := fr.vecs[ss].Str[:n]
-			for i := range d {
-				d[i] = set[s[i]]
-			}
+			fr.state[id].(*rt.InListState).Match(dst(fr, ds, n, getB), fr.vecs[ss].Str[:n])
 			fr.ctx.Counters.VMOps += int64(n)
 		})
 		return ds, nil

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
@@ -15,8 +16,13 @@ import (
 func (c *compiler) block(stmts []ir.Stmt) ([]exec, error) {
 	plan := c.planBlock(stmts)
 	var blk []exec
+	// Only the last statement of a block in tail position is itself in tail
+	// position (a scope's body inherits its statement's).
+	tail := c.tail
+	defer func() { c.tail = tail }()
 	for i := 0; i < len(stmts); i++ {
 		var err error
+		c.tail = tail && i == len(stmts)-1
 		if end, ok := plan.keyBuilds[i]; ok {
 			err = c.keyBuild(stmts[i:end+1], &blk)
 			c.p.rewrites.KeyBuilds++
@@ -332,13 +338,22 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		return c.probe(s, blk)
 
 	case ir.EmitStmt:
+		// The sink. Appending copies every emitted register into the tuple
+		// buffer; a register this program owns and is done with is handed over
+		// instead (storage.Chunk.TakeFromVectors — into an empty buffer, which
+		// a primitive's always is and a fused program's accumulating one is
+		// once). Done with: nothing executes after this emit. Owns: not an
+		// input, whose array is the caller's (a view of a base-table column,
+		// another tuple buffer), and not listed a second time.
 		slots := make([]int, len(s.Cols))
+		own := make([]bool, len(s.Cols))
 		for i, v := range s.Cols {
 			sl, err := c.slot(v)
 			if err != nil {
 				return err
 			}
 			slots[i] = sl
+			own[i] = c.tail && !slices.Contains(c.p.insSlots, sl) && !slices.Contains(slots[:i], sl)
 		}
 		vecAux := c.newAux()
 		*blk = append(*blk, func(fr *frame, n int) {
@@ -348,7 +363,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 				vs = append(vs, fr.vecs[sl])
 			}
 			*vsp = vs
-			bytes := fr.out.AppendFromVectors(vs, n)
+			bytes := fr.out.TakeFromVectors(vs, own, n)
 			fr.emitted += n
 			fr.ctx.Counters.EmittedRows += int64(n)
 			fr.ctx.Counters.MaterializedBytes += bytes
@@ -526,7 +541,6 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 		return err
 	}
 	selAux := c.newAux()
-	rowAux := c.newAux()
 	batchAux := c.newAux()
 	id := s.StateID
 	mode := s.Mode
@@ -541,9 +555,12 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 		tb.hashes = rt.HashBatch(keys, tb.hashes)
 		hashes := tb.hashes
 		sel := fr.auxSel(selAux)
+		// The matched build rows are collected in the build register's own
+		// array (as matched is): a register the sink may hand over must not
+		// share its array with a buffer this frame fills again.
 		var build [][]byte
 		if buildDst >= 0 {
-			build = fr.auxRows(rowAux)
+			build = fr.vecs[buildDst].Ptr[:0]
 		}
 		var matched []bool
 		if matchedDst >= 0 {
@@ -618,9 +635,7 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 		fr.putAuxSel(selAux, sel)
 		out := len(sel)
 		if buildDst >= 0 {
-			fr.putAuxRows(rowAux, build)
-			bv := fr.vecs[buildDst]
-			bv.Ptr = build
+			fr.vecs[buildDst].Ptr = build
 		}
 		if matchedDst >= 0 {
 			fr.vecs[matchedDst].B = matched

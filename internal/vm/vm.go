@@ -252,8 +252,6 @@ func (fr *frame) retainedBytes() int64 {
 		switch a := a.(type) {
 		case *[]int32:
 			n += int64(cap(*a)) * 4
-		case *[][]byte:
-			n += int64(cap(*a)) * 24
 		case *tableBatch:
 			n += a.retainedBytes()
 		}
@@ -308,19 +306,13 @@ func (fr *frame) auxSel(k int) []int32 {
 
 func (fr *frame) putAuxSel(k int, s []int32) { *auxSlice[int32](fr, k) = s }
 
-// auxRows returns the k-th auxiliary row buffer, reset to length zero.
-func (fr *frame) auxRows(k int) [][]byte {
-	return (*auxSlice[[]byte](fr, k))[:0]
-}
-
-func (fr *frame) putAuxRows(k int, s [][]byte) { *auxSlice[[]byte](fr, k) = s }
-
 // Compile translates an IR function into an executable program.
 func Compile(f *ir.Func) (*Program, error) {
 	c := &compiler{
 		p:      &Program{Fn: f},
 		slotOf: make(map[int]int),
 		uses:   countUses(f),
+		tail:   true,
 	}
 	for _, v := range f.Ins {
 		c.p.insSlots = append(c.p.insSlots, c.bind(v))
@@ -347,6 +339,10 @@ type compiler struct {
 	p      *Program
 	slotOf map[int]int // ir var ID -> slot
 	uses   map[int]int // ir var ID -> reads of it in the function
+	// tail is true while compiling a statement nothing executes after: the
+	// last statement of the function body, or of the body of a scope that is
+	// itself in tail position.
+	tail bool
 }
 
 // bind allocates (or returns) the slot for an IR variable.

@@ -46,7 +46,7 @@ go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 # cannot land unnoticed.
 echo "bench smoke..."
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
-go test -run XXX -bench 'AggBuild|JoinProbe' -benchtime 1x ./internal/rt/ >/dev/null
+go test -run XXX -bench 'AggBuild|JoinProbe|InList' -benchtime 1x ./internal/rt/ >/dev/null
 go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null
 echo "bench smoke OK"
 
@@ -55,9 +55,11 @@ echo "bench smoke OK"
 # plan-cache hit must run on its instance's kept execution state (a warm
 # execution allocates at most a tenth of a cold one's bytes, DESIGN.md §16),
 # and a steady-state morsel through a fused program's selection cascade and
-# key build allocates nothing (DESIGN.md §17).
+# key build allocates nothing (DESIGN.md §17), and a never-seen execution stays
+# within 1.5 × the bytes and objects it allocated when its path was slimmed
+# (DESIGN.md §18).
 echo "alloc guard..."
-go test -count=1 -run 'MorselLoopZeroAllocs|RecordNoAllocs|WarmExecutionAllocBudget|FusedProgramZeroAllocs' ./internal/exec/ ./internal/flight/ ./internal/vm/ >/dev/null
+go test -count=1 -run 'MorselLoopZeroAllocs|RecordNoAllocs|WarmExecutionAllocBudget|ColdExecutionAllocBudget|FusedProgramZeroAllocs' ./internal/exec/ ./internal/flight/ ./internal/vm/ >/dev/null
 echo "alloc guard OK"
 
 # inkserve smoke test: start the server on a random port with a tiny catalog,
