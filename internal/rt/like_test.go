@@ -101,7 +101,7 @@ func TestLikePatternAccessor(t *testing.T) {
 
 func TestInListState(t *testing.T) {
 	s := NewInList("AIR", "AIR REG")
-	if !s.Contains("AIR") || !s.Contains("AIR REG") || s.Contains("TRUCK") {
+	if !contains(s, "AIR") || !contains(s, "AIR REG") || contains(s, "TRUCK") {
 		t.Fatal("in-list membership wrong")
 	}
 }

@@ -374,16 +374,6 @@ func inListKey(v string) uint32 {
 	return k
 }
 
-// Contains reports whether v is a member.
-//
-//inkfuse:hotpath
-func (s *InListState) Contains(v string) bool {
-	if s.set != nil {
-		return s.set[v] //inklint:allow map — long IN lists only; short ones take the comparison scan
-	}
-	return containsSorted(s.keys, s.small, v)
-}
-
 // containsSorted scans the sorted member list: a member whose key is below
 // v's is skipped on the integer alone, the first one above it ends the scan.
 //

@@ -79,7 +79,6 @@ grep -E "^$workload +(query_ms_p50_gmean|cpu_s_per_query|queries_per_s)" "$out/b
 jq -rn --slurpfile a "$out/vars0.json" --slurpfile b "$out/vars1.json" --argjson secs "$secs" '
     ($a[0]) as $a | ($b[0]) as $b
     | ($b.inkfuse.queries_succeeded - $a.inkfuse.queries_succeeded) as $q
-    | ($b.inkfuse.tuples // 0) as $_ignored
     | def per(x): if $q > 0 then x / $q else 0 end;
     "queries in profile      \($q)",
     "bytes/query             \(per($b.memstats.TotalAlloc - $a.memstats.TotalAlloc) | floor)",
@@ -89,7 +88,7 @@ jq -rn --slurpfile a "$out/vars0.json" --slurpfile b "$out/vars1.json" --argjson
     "materialized B/query    \(per($b.inkfuse.materialized_bytes - $a.inkfuse.materialized_bytes) | floor)"'
 
 # CPU by layer: every sample is attributed to the layer of the function it was
-# taken in (flat), so the rows add up to 100 %.
+# taken in (flat), so the rows add up to the profile's total.
 echo
 echo "CPU share by layer (flat):"
 go tool pprof -top -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
@@ -104,18 +103,19 @@ go tool pprof -top -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
         else if (sym ~ /^inkfuse\/internal\/rt/) layer = "rt"
         else if (sym ~ /^inkfuse\/internal\/storage/) layer = "storage"
         else if (sym ~ /^inkfuse\//) layer = "engine-other"
-        else if (sym ~ /^runtime\.(memmove|memequal)/) layer = "runtime-memmove"
-        else if (sym ~ /^runtime\.(gc|scan|grey|mark|sweep|wbBuf|findObject|spanOf|bgsweep|(\(\*(gcWork|gcBits|mspan|sweepLocked|gcControllerState|lfstack|activeSweep|limiterEvent)\)))/ || sym ~ /^runtime\.(\(\*mheap\)\.(reclaim|nextSpanForSweep))|^runtime\.(typePointers|\(\*gcCPULimiterState\)|tryDeferToSpanScan|bulkBarrierPreWrite|heapBits)/) layer = "runtime-gc"
-        else if (sym ~ /^runtime\.(malloc|memclr|nextFree|growslice|makeslice|newobject|\(\*mcache\)|\(\*mcentral\)|\(\*mheap\)\.alloc|\(\*mspan\)\.init|profilealloc|deductAssistCredit|publicationBarrier|newarray|concatstring|rawstring|slicebytetostring)/) layer = "runtime-alloc"
+        else if (sym ~ /^(runtime\.(memmove|memequal)|memeqbody|indexbody|cmpbody)/) layer = "runtime-mem"
+        else if (sym ~ /^(internal\/runtime\/maps|runtime\.map|aeshash|runtime\.(strhash|memhash))/) layer = "runtime-map"
+        else if (sym ~ /^runtime\.(gc|scan|grey|mark|sweep|wbBuf|findObject|spanOf|bgsweep|typePointers|tryDeferToSpanScan|bulkBarrier|heapBits|pollWork|getempty|putfull|handoff|trygetfull|\(\*(gcWork|gcBits|sweepLocked|gcControllerState|lfstack|limiterEvent|gcCPULimiterState|activeSweep)\)|\(\*mspan\)\.(mark|heapBits|typePointers|sweep)|\(\*mheap\)\.(reclaim|nextSpanForSweep))/) layer = "runtime-gc"
+        else if (sym ~ /^runtime\.(malloc|memclr|nextFree|growslice|makeslice|newobject|newarray|profilealloc|deductAssistCredit|publicationBarrier|slicebytetostring|rawstring|concatstring|\(\*mcache\)|\(\*mcentral\)|\(\*mheap\)\.alloc|\(\*mspan\)\.init)/) layer = "runtime-alloc"
         else if (sym ~ /^runtime\./) layer = "runtime-other"
         share[layer] += pct
     }
     END {
-        n = split("interp vm rt storage engine-other runtime-memmove runtime-gc runtime-alloc runtime-other other", order, " ")
+        n = split("interp vm rt storage engine-other runtime-mem runtime-map runtime-gc runtime-alloc runtime-other other", order, " ")
         for (i = 1; i <= n; i++) printf "  %-16s %6.2f %%\n", order[i], share[order[i]]
     }'
 
-# The cumulative shares the issue tracks, by symbol.
+# The symbols DESIGN.md §18 tracks, by cumulative share.
 echo
 echo "CPU share of tracked symbols (cum):"
 go tool pprof -top -cum -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
@@ -123,7 +123,7 @@ go tool pprof -top -cum -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
     !body { next }
     {
         sym = $6; for (i = 7; i <= NF; i++) sym = sym " " $i
-        if (sym ~ /interp\.\(\*Run\)\.RunChunk$|storage\.\(\*Chunk\)\.AppendFromVectors$|^runtime\.memmove$|^runtime\.gcBgMarkWorker$|^runtime\.gcAssistAlloc$|^runtime\.mallocgc$|rt\.\(\*InListState\)|vm\.\(\*compiler\)\.expr\.func(21|2[0-9])$|^runtime\.mapaccess1_faststr$|vm\.\(\*Program\)\.Run$/)
+        if (sym ~ /interp\.\(\*Run\)\.RunChunk$|vm\.\(\*Program\)\.Run$|storage\.\(\*Chunk\)\.(AppendFromVectors|TakeFromVectors)$|^runtime\.memmove$|rt\.\(\*InListState\)\.Match$|^runtime\.mapaccess1_faststr$|^runtime\.gcBgMarkWorker$|^runtime\.gcAssistAlloc$|^runtime\.mallocgc$|^runtime\.wbBufFlush$|^runtime\.memclrNoHeapPointers$/)
             printf "  %-60s flat %7s  cum %7s\n", sym, $2, $5
     }'
 
@@ -132,6 +132,5 @@ echo "top 25 symbols (flat):"
 go tool pprof -top -nodecount=25 "$out/cpu.pb.gz" 2>/dev/null | sed -n '/flat%/,$p'
 
 echo
-echo "top 15 allocation sites (alloc_space, cum):"
-go tool pprof -sample_index=alloc_space -top -cum -nodecount=40 "$out/allocs.pb.gz" 2>/dev/null \
-    | sed -n '/flat%/,$p' | grep -E 'inkfuse/' | head -15
+echo "top 15 allocation sites (alloc_space, flat; since process start, catalog generation included):"
+go tool pprof -sample_index=alloc_space -top -nodecount=15 "$out/allocs.pb.gz" 2>/dev/null | sed -n '/flat%/,$p'
