@@ -84,27 +84,36 @@ func TestInListRebind(t *testing.T) {
 }
 
 // BenchmarkInList times both representations at every list size around the
-// threshold over a TPC-H-like column (l_shipmode's seven values, so most
-// probes miss a short list) — the measurement inListSmallMax is chosen from.
+// threshold. The column holds 2^18 values drawn at random from twice as many
+// distinct strings as the list has members (TPC-H's p_container vocabulary:
+// 40 strings of 6 to 10 bytes, extended by suffixes), so half the probes hit
+// at every size, and it is long enough that the branch predictor cannot learn
+// the sequence — a loop over one 1 024-row chunk lets it, and then flatters
+// every variant that branches on the data. It is the measurement
+// inListSmallMax is chosen from.
 func BenchmarkInList(b *testing.B) {
-	modes := []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]string, 1024)
-	for i := range vals {
-		vals[i] = modes[rng.Intn(len(modes))]
+	var domain []string
+	for _, suffix := range []string{"", "S", "ES", "2"} {
+		for _, size := range []string{"SM", "LG", "MED", "JUMBO", "WRAP"} {
+			for _, kind := range []string{"CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM"} {
+				domain = append(domain, size+" "+kind+suffix)
+			}
+		}
 	}
-	dst := make([]bool, len(vals))
-	for _, size := range []int{1, 2, 4, 7, 8, 16, 24, 32, 64} {
-		members := append([]string{}, modes[:min(size, len(modes))]...)
-		for i := len(members); i < size; i++ {
-			// Pad with non-matching members of the column's lengths.
-			members = append(members, fmt.Sprintf("%0*d", 3+i%5, i))
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(domain), func(i, j int) { domain[i], domain[j] = domain[j], domain[i] })
+	dst := make([]bool, 1024)
+	for _, size := range []int{1, 2, 4, 7, 8, 12, 16, 24, 32, 64} {
+		members := domain[:size]
+		vals := make([]string, 1<<18)
+		for i := range vals {
+			vals[i] = domain[rng.Intn(2*size)]
 		}
 		sorted := NewInList(members[:min(size, inListSmallMax)]...)
 		for _, m := range members[min(size, inListSmallMax):] {
 			// Past the threshold the sorted form has to be put together by hand.
 			at, _ := slices.BinarySearchFunc(sorted.small, m, func(a, b string) int {
-				return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+				return cmp.Or(cmp.Compare(inListKey(a), inListKey(b)), strings.Compare(a, b))
 			})
 			sorted.small = slices.Insert(sorted.small, at, m)
 			sorted.keys = slices.Insert(sorted.keys, at, inListKey(m))
@@ -119,7 +128,9 @@ func BenchmarkInList(b *testing.B) {
 		}{{"sorted", sorted}, {"map", hashed}} {
 			b.Run(fmt.Sprintf("%s/members=%d", rep.name, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rep.s.Match(dst, vals)
+					for lo := 0; lo < len(vals); lo += len(dst) {
+						rep.s.Match(dst, vals[lo:lo+len(dst)])
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
 			})

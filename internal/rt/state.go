@@ -312,22 +312,26 @@ type LikeState struct {
 
 // InListState wires the member strings of an IN (...) predicate into the
 // generated code. A short list — the common case: TPC-H's lists have 2 to 8
-// members — is kept sorted by length and then bytes, and a lookup compares
-// (length, first byte) as one integer per member and the bytes only where
-// that matches; hashing the probe string costs more than the whole scan until
-// the list outgrows inListSmallMax, from where on a hash set answers.
+// members — is kept sorted by a key of each member's length and three of its
+// bytes, then by its bytes; a lookup compares keys as integers, without
+// branching, and bytes only against the members whose key matches (usually
+// one on a hit, none on a miss). Hashing the probe string costs more than
+// that until the list outgrows inListSmallMax, from where on a hash set
+// answers.
 type InListState struct {
-	small []string        // sorted by (length, bytes), no duplicates; unused when set != nil
-	keys  []uint32        // inListKey of each small member, ascending
+	small []string        // sorted by (inListKey, bytes), no duplicates; unused when set != nil
+	keys  []int64         // inListKey of each small member, ascending
 	set   map[string]bool // lists longer than inListSmallMax
 }
 
 // inListSmallMax is the longest member list answered by comparison instead of
-// by hashing, chosen by BenchmarkInList (2 vCPU Xeon 2.1 GHz, a column of
-// l_shipmode values): the sorted scan costs 2-6 ns/row up to 8 members, where
-// Go's small maps take 10-17, and meets the map at 16 members (8 ns/row both);
-// at 24 it has lost (11 against 8).
-const inListSmallMax = 16
+// by hashing, chosen by BenchmarkInList (2 vCPU Xeon 2.1 GHz; a column of
+// 2^18 random p_container-like strings, half of them members): the sorted
+// scan costs 13 / 16 / 17 / 19 ns/row at 1 / 2 / 4 / 7 members against the
+// map's 18-22 at any size, and has lost at 8 (23 against 20). On such a
+// column a lookup is dominated by the mispredicted branch on its outcome,
+// whatever the structure; the scan saves the hash, not the branch.
+const inListSmallMax = 7
 
 // NewInList builds an InListState from the member strings.
 func NewInList(members ...string) *InListState {
@@ -341,10 +345,7 @@ func NewInList(members ...string) *InListState {
 func (s *InListState) SetMembers(members []string) {
 	small := slices.Clone(members)
 	slices.SortFunc(small, func(a, b string) int {
-		if c := cmp.Compare(len(a), len(b)); c != 0 {
-			return c
-		}
-		return strings.Compare(a, b)
+		return cmp.Or(cmp.Compare(inListKey(a), inListKey(b)), strings.Compare(a, b))
 	})
 	small = slices.Compact(small)
 	*s = InListState{}
@@ -356,39 +357,46 @@ func (s *InListState) SetMembers(members []string) {
 		return
 	}
 	s.small = small
-	s.keys = make([]uint32, len(small))
+	s.keys = make([]int64, len(small))
 	for i, m := range small {
 		s.keys[i] = inListKey(m)
 	}
 }
 
-// inListKey orders strings by length, then first byte: ascending over a
-// (length, bytes)-sorted list.
+// inListKey condenses a string into its length and three of its bytes —
+// first, middle, last — in one non-negative integer: cheap to take (no loop
+// over the bytes), and TPC-H's vocabularies ("SM CASE" / "SM PACK",
+// "Brand#12" / "Brand#13") rarely agree on all four.
 //
 //inkfuse:hotpath
-func inListKey(v string) uint32 {
-	k := uint32(len(v)) << 8
-	if len(v) > 0 {
-		k |= uint32(v[0])
+func inListKey(v string) int64 {
+	n := len(v)
+	if n == 0 {
+		return 0
 	}
-	return k
+	return int64(n)<<24 | int64(v[0])<<16 | int64(v[n/2])<<8 | int64(v[n-1])
 }
 
-// containsSorted scans the sorted member list: a member whose key is below
-// v's is skipped on the integer alone, the first one above it ends the scan.
+// containsSorted looks v up in the sorted member list without branching on
+// the data until the very end. Every member's key is compared arithmetically
+// — an early exit would save a few compares and cost a mispredicted branch
+// per row, and on a column of random values that, not the compares, is the
+// price of a lookup — counting the keys below v's (where its candidates
+// start) and those equal to it (how many there are: members sharing a length
+// and first byte are adjacent). The bytes are compared against the candidates
+// alone, usually one.
 //
 //inkfuse:hotpath
-func containsSorted(keys []uint32, members []string, v string) bool {
+func containsSorted(keys []int64, members []string, v string) bool {
 	k := inListKey(v)
-	members = members[:len(keys)]
-	for j, mk := range keys {
-		if mk < k {
-			continue
-		}
-		if mk > k {
-			return false
-		}
-		if members[j] == v {
+	below, equal := 0, 0
+	for _, mk := range keys {
+		below += int((mk - k) >> 63 & 1)
+		x := mk ^ k
+		equal += int((x|-x)>>63&1) ^ 1
+	}
+	for _, m := range members[below : below+equal] {
+		if m == v {
 			return true
 		}
 	}
