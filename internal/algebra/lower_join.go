@@ -19,7 +19,6 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 		return err
 	}
 	reqSet := toSet(required)
-	probeKeySet := toSet(n.ProbeKeys)
 	buildKeySet := toSet(n.BuildKeys)
 
 	// Build-side columns carried through the hash table.
@@ -91,45 +90,34 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 		l.plan.Pipelines = append(l.plan.Pipelines, lb.pipe)
 	}
 
-	// --- Probe side: continues the current pipeline.
-	var probeCarry []string
+	// --- Probe side: continues the current pipeline. Only the probe key is
+	// packed — the table compares key blobs — and nothing else of the probe
+	// tuple: every probe-side column needed above the join, keys included,
+	// enters the match scope through a ProbeCopy of the column it already is
+	// (paper §IV-E), the way a filter carries its survivors.
+	preq := append([]string{}, n.ProbeKeys...)
 	for _, c := range required {
-		if probeSchema.IndexOf(c) >= 0 && !probeKeySet[c] {
-			probeCarry = append(probeCarry, c)
+		if probeSchema.IndexOf(c) >= 0 {
+			preq = append(preq, c)
 		}
 	}
-	preq := dedupe(append(append([]string{}, n.ProbeKeys...), probeCarry...))
-	if err := l.lower(n.Probe, preq); err != nil {
+	if err := l.lower(n.Probe, dedupe(preq)); err != nil {
 		return err
 	}
-	pFields := make([]rt.Field, 0, len(n.ProbeKeys)+len(probeCarry))
-	for _, k := range n.ProbeKeys {
-		i := probeSchema.IndexOf(k)
-		pFields = append(pFields, rt.Field{Kind: probeSchema[i].Kind, Key: true})
-	}
-	for _, c := range probeCarry {
-		i := probeSchema.IndexOf(c)
-		pFields = append(pFields, rt.Field{Kind: probeSchema[i].Kind})
+	pFields := make([]rt.Field, len(n.ProbeKeys))
+	for i, k := range n.ProbeKeys {
+		pFields[i] = rt.Field{Kind: probeSchema[probeSchema.IndexOf(k)].Kind, Key: true}
 	}
 	pLayout := rt.NewLayout(pFields)
-	pRL := &rt.RowLayoutState{KeyFixed: pLayout.KeyFixedWidth, PayloadFixed: pLayout.PayloadFixedWidth}
+	pRL := &rt.RowLayoutState{KeyFixed: pLayout.KeyFixedWidth}
 
 	panchor, err := l.anyBound(n.ProbeKeys)
 	if err != nil {
 		return err
 	}
-	prow := core.NewIU(types.Ptr, "probe_row")
+	prow := core.NewIU(types.Ptr, "probe_key")
 	l.add(&core.MakeRow{Anchor: panchor, Layout: pRL, Out: prow})
-	pKeyView := &rt.Layout{
-		FixedOff:      pLayout.FixedOff[:len(n.ProbeKeys)],
-		VarIdx:        pLayout.VarIdx[:len(n.ProbeKeys)],
-		KeyFixedWidth: pLayout.KeyFixedWidth,
-	}
-	prow, err = l.packKey(prow, pRL, pKeyView, n.ProbeKeys)
-	if err != nil {
-		return err
-	}
-	prow, err = l.packPayload(prow, pRL, pLayout, len(n.ProbeKeys), probeCarry)
+	prow, err = l.packKey(prow, pRL, pLayout, n.ProbeKeys)
 	if err != nil {
 		return err
 	}
@@ -139,23 +127,26 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 		State:      jt,
 		Mode:       n.Mode,
 		BuildOut:   core.NewIU(types.Ptr, "jbuild"),
-		ProbeOut:   core.NewIU(types.Ptr, "jprobe"),
+		SelOut:     core.NewIU(types.Int32, "jsel"),
 		MatchedOut: core.NewIU(types.Bool, "jmatched"),
 	}
 	l.add(probe)
 
-	// --- Unpack the required columns from the two packed rows.
+	// --- Carry the probe side's columns into the match scope and unpack the
+	// build side's from the matched row.
 	newCols := make(map[string]*core.IU)
 	for _, c := range dedupe(required) {
 		switch {
 		case n.Mode == ir.LeftOuterJoin && c == n.MatchedAs:
 			newCols[c] = probe.MatchedOut
 		case probeSchema.IndexOf(c) >= 0:
-			iu, err := l.unpackJoinCol(probe.ProbeOut, probeSchema, pLayout, n.ProbeKeys, probeCarry, c)
-			if err != nil {
-				return err
+			src, ok := l.cols[c]
+			if !ok {
+				return fmt.Errorf("algebra: join carries unknown probe column %q", c)
 			}
-			newCols[c] = iu
+			dst := core.NewIU(src.K, c)
+			l.add(&core.ProbeCopy{Sel: probe.SelOut, Src: src, Dst: dst})
+			newCols[c] = dst
 		case buildSchema.IndexOf(c) >= 0 && (n.Mode == ir.InnerJoin || n.Mode == ir.LeftOuterJoin):
 			if !buildKeySet[c] && !contains(carry, c) {
 				return fmt.Errorf("algebra: build column %q not carried through join", c)
@@ -207,7 +198,7 @@ func (l *lowerer) packPayload(row *core.IU, rl *rt.RowLayoutState, layout *rt.La
 	return row, nil
 }
 
-// unpackJoinCol recovers one column from a packed row after a probe.
+// unpackJoinCol recovers one build-side column from the matched build row.
 func (l *lowerer) unpackJoinCol(row *core.IU, schema types.Schema, layout *rt.Layout,
 	keys, carry []string, name string) (*core.IU, error) {
 	k := schema[schema.IndexOf(name)].Kind

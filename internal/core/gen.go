@@ -120,6 +120,15 @@ func (g *Gen) OpenProbe(p *ir.ProbeStmt) {
 	g.blocks = append(g.blocks, &p.Body)
 }
 
+// CurrentProbe returns the innermost open scope if it is a join probe's (for
+// probe-copy suboperators attaching their copies), or nil.
+func (g *Gen) CurrentProbe() *ir.ProbeStmt {
+	if len(g.scopes) == 0 {
+		return nil
+	}
+	return g.scopes[len(g.scopes)-1].probe
+}
+
 // Finish emits the step's sink (the listed IUs as output columns; nil for
 // pure sinks like hash-table builds), closes all open scopes, and returns
 // the completed function plus its runtime state array.

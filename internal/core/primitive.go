@@ -170,8 +170,13 @@ func Enumerate() []SubOp {
 	for _, mode := range []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin} {
 		out = append(out, &JoinProbe{
 			Row: iu(types.Ptr), State: jt, Mode: mode,
-			BuildOut: iu(types.Ptr), ProbeOut: iu(types.Ptr), MatchedOut: iu(types.Bool),
+			BuildOut: iu(types.Ptr), SelOut: iu(types.Int32), MatchedOut: iu(types.Bool),
 		})
+	}
+	// Probe copies: one per kind a probe-side column can have (packed rows
+	// never cross a probe: their columns are unpacked first).
+	for _, k := range types.ScalarKinds {
+		out = append(out, &ProbeCopy{Sel: iu(types.Int32), Src: iu(k), Dst: iu(k)})
 	}
 
 	// Unpacking.

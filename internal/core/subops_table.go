@@ -9,6 +9,9 @@ import (
 
 // Suboperators that interact with the runtime system: filters (paper §IV-B),
 // packed-row building and hash tables (paper §IV-D), and joins (paper §IV-E).
+// Filters and join probes change cardinality the same way: a scope-opening
+// suboperator (FilterScope, JoinProbe) and one copy suboperator per column
+// that crosses into the scope (FilterCopy, ProbeCopy).
 
 // FilterScope generates the branch on a boolean column (the first of the
 // n+1 suboperators a relational filter breaks into, paper Fig 4). It has no
@@ -410,16 +413,20 @@ func (p *Prefetch) Consume(g *Gen) error {
 }
 
 // JoinProbe probes a join hash table with the key of a packed probe row and
-// opens a per-match scope. It returns two values in row layout — the matched
-// build row and the probe row — from which downstream unpack suboperators
-// recover columns (paper §IV-E). Because it operates on abstract packed rows
-// it respects the enumeration invariant.
+// opens a per-match scope. It returns the matched build row — in row layout,
+// from which downstream unpack suboperators recover the build side's columns
+// — and the match selection: per emitted row, the position of its probe tuple
+// in the chunk that was probed. The probe side itself is never packed: every
+// probe-side column needed downstream enters the scope through a ProbeCopy
+// (paper §IV-E: "an explicit gather of probe-side columns"), the way a
+// FilterCopy carries a column into a filter's scope. Because it operates on an
+// abstract packed key it respects the enumeration invariant.
 type JoinProbe struct {
 	Row        *IU
 	State      *rt.JoinTableState
 	Mode       ir.JoinMode
-	BuildOut   *IU // Inner/LeftOuter
-	ProbeOut   *IU
+	BuildOut   *IU // Inner/LeftOuter; nil row for an unmatched LeftOuter tuple
+	SelOut     *IU // Int32: the match selection
 	MatchedOut *IU // LeftOuter only
 }
 
@@ -433,11 +440,11 @@ func (j *JoinProbe) Inputs() []*IU { return []*IU{j.Row} }
 func (j *JoinProbe) Outputs() []*IU {
 	switch j.Mode {
 	case ir.SemiJoin, ir.AntiJoin:
-		return []*IU{j.ProbeOut}
+		return []*IU{j.SelOut}
 	case ir.LeftOuterJoin:
-		return []*IU{j.BuildOut, j.ProbeOut, j.MatchedOut}
+		return []*IU{j.BuildOut, j.SelOut, j.MatchedOut}
 	default:
-		return []*IU{j.BuildOut, j.ProbeOut}
+		return []*IU{j.BuildOut, j.SelOut}
 	}
 }
 
@@ -454,7 +461,7 @@ func (j *JoinProbe) Consume(g *Gen) error {
 		StateID:  g.AddState(j.State),
 		Mode:     j.Mode,
 		ProbeRow: row,
-		Probe:    g.Def(j.ProbeOut),
+		Sel:      g.Def(j.SelOut),
 	}
 	if j.Mode == ir.InnerJoin || j.Mode == ir.LeftOuterJoin {
 		p.Build = g.Def(j.BuildOut)
@@ -463,6 +470,55 @@ func (j *JoinProbe) Consume(g *Gen) error {
 		p.Matched = g.Def(j.MatchedOut)
 	}
 	g.OpenProbe(p)
+	return nil
+}
+
+// ProbeCopy carries one probe-side column into a join probe's match scope,
+// through the probe's match selection — the twin of FilterCopy (paper §IV-E,
+// Fig 4): a gather in the vectorized interpreter, a free register rebind in
+// fused code. Its inputs live at two cardinalities: Sel at the scope's (one
+// entry per emitted row; a 1:N probe makes that more rows than were probed),
+// Src at the probed chunk's. Sel comes first, so the dense-chunk rule — the
+// first input carries the cardinality — sizes the primitive's loop by the
+// selection.
+type ProbeCopy struct {
+	Sel      *IU // the probe's SelOut
+	Src, Dst *IU
+}
+
+// PrimitiveID implements SubOp.
+func (p *ProbeCopy) PrimitiveID() string { return "probecopy_" + p.Src.K.String() }
+
+// Inputs implements SubOp.
+func (p *ProbeCopy) Inputs() []*IU { return []*IU{p.Sel, p.Src} }
+
+// Outputs implements SubOp.
+func (p *ProbeCopy) Outputs() []*IU { return []*IU{p.Dst} }
+
+// States implements SubOp.
+func (p *ProbeCopy) States() []any { return nil }
+
+// Consume implements SubOp. Inside the scope its probe opened the copy joins
+// the scope's list, like a filter copy; wrapped on its own between a
+// tuple-buffer source and sink — the primitive — it is a free-standing gather
+// of the Src column through the Sel column.
+func (p *ProbeCopy) Consume(g *Gen) error {
+	sel, err := g.Var(p.Sel)
+	if err != nil {
+		return err
+	}
+	src, err := g.Var(p.Src)
+	if err != nil {
+		return err
+	}
+	switch ps := g.CurrentProbe(); {
+	case ps != nil && ps.Sel.ID == sel.ID:
+		ps.Copies = append(ps.Copies, ir.Copy{Dst: g.Def(p.Dst), Src: src})
+	case len(g.scopes) > 0:
+		return fmt.Errorf("probe copy outside the scope of the probe that produced its selection")
+	default:
+		g.Append(ir.Copy{Dst: g.Def(p.Dst), Src: src, Sel: sel})
+	}
 	return nil
 }
 

@@ -126,6 +126,16 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 	built := map[*rt.JoinTableState]bool{}
 	fedAggs := map[*rt.AggTableState]bool{}
 	routed := map[*rt.ExchangeState]bool{}
+	// definedAt: the op that produces an IU (-1 for the source); probeAt: the
+	// JoinProbe that produces a match selection. A probe copy reads its source
+	// column through the selection, so the column must exist at the
+	// cardinality the probe ran at — produced before the probe, not inside
+	// its scope.
+	definedAt := map[int]int{}
+	for _, iu := range pipe.Source.SourceIUs() {
+		definedAt[iu.ID] = -1
+	}
+	probeAt := map[int]int{}
 	for oi, op := range pipe.Ops {
 		if op == nil {
 			return fmt.Errorf("op %d is nil", oi)
@@ -155,6 +165,15 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 			if err := v.probeOrder(idx, op.State); err != nil {
 				return fmt.Errorf("op %d (%T): %w", oi, op, err)
 			}
+			probeAt[op.SelOut.ID] = oi
+		case *ProbeCopy:
+			at, ok := probeAt[op.Sel.ID]
+			if !ok {
+				return fmt.Errorf("op %d (%T): selection %s is not a join probe's match selection", oi, op, op.Sel)
+			}
+			if definedAt[op.Src.ID] >= at {
+				return fmt.Errorf("op %d (%T): source %s is produced inside the scope of the probe (op %d) whose selection gathers it", oi, op, op.Src, at)
+			}
 		case *AggLookup:
 			fedAggs[op.State] = true
 			if err := partitionAgreement(exSrc, op.State.Partitions, "aggregate build"); err != nil {
@@ -179,6 +198,7 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 				return fmt.Errorf("op %d (%T): IU %s has multiple producers", oi, op, out)
 			}
 			defined[out.ID] = out
+			definedAt[out.ID] = oi
 		}
 	}
 
@@ -382,10 +402,17 @@ func opEdges(op SubOp) error {
 		if err := wantPtr("build match row", op.BuildOut); err != nil {
 			return err
 		}
-		if err := wantPtr("probe match row", op.ProbeOut); err != nil {
-			return err
+		if op.SelOut == nil || op.SelOut.K != types.Int32 {
+			return bad("match selection %v must be an Int32 IU", op.SelOut)
 		}
 		return wantBool("matched marker", op.MatchedOut)
+	case *ProbeCopy:
+		if op.Sel.K != types.Int32 {
+			return bad("match selection %s must be Int32, got %v", op.Sel, op.Sel.K)
+		}
+		if op.Src.K != op.Dst.K {
+			return bad("probe copies %v into %v", op.Src.K, op.Dst.K)
+		}
 	case *UnpackFixed:
 		return wantPtr("row input", op.Row)
 	case *UnpackStr:

@@ -110,7 +110,8 @@ func TestRunFilterCardinality(t *testing.T) {
 
 func TestRunExplodingJoinGrowsOutput(t *testing.T) {
 	// One probe row with many matches: the output chunk must grow past the
-	// input cardinality (the exponentially growing sink, paper §IV-E).
+	// input cardinality (the exponentially growing sink, paper §IV-E), and the
+	// probe copy gathers a 2-row column through a 1000-entry selection.
 	reg := registry(t)
 	jt := &rt.JoinTableState{Table: rt.NewJoinTable(2)}
 	key := make([]byte, 8)
@@ -128,22 +129,24 @@ func TestRunExplodingJoinGrowsOutput(t *testing.T) {
 	r1 := core.NewIU(types.Ptr, "r1")
 	r2 := core.NewIU(types.Ptr, "r2")
 	build := core.NewIU(types.Ptr, "build")
-	probeOut := core.NewIU(types.Ptr, "probe")
+	sel := core.NewIU(types.Int32, "sel")
+	kIn := core.NewIU(types.Int64, "k")
 	val := core.NewIU(types.Int64, "val")
 	ops := []core.SubOp{
 		&core.MakeRow{Anchor: k, Layout: layout, Out: r0},
 		&core.PackFixed{Row: r0, Val: k, Region: ir.KeyRegion, Off: &rt.OffsetState{Layout: layout}, Out: r1},
 		&core.SealKey{Row: r1, Layout: layout, Out: r2},
-		&core.JoinProbe{Row: r2, State: jt, Mode: ir.InnerJoin, BuildOut: build, ProbeOut: probeOut, MatchedOut: core.NewIU(types.Bool, "m")},
+		&core.JoinProbe{Row: r2, State: jt, Mode: ir.InnerJoin, BuildOut: build, SelOut: sel, MatchedOut: core.NewIU(types.Bool, "m")},
+		&core.ProbeCopy{Sel: sel, Src: k, Dst: kIn},
 		&core.UnpackFixed{Row: build, Region: ir.PayloadRegion, Off: &rt.OffsetState{}, Out: val},
 	}
-	run, err := NewRun(reg, []*core.IU{k}, ops, []*core.IU{val})
+	run, err := NewRun(reg, []*core.IU{k}, ops, []*core.IU{val, kIn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kv := storage.NewVector(types.Int64, 2)
-	kv.I64[0], kv.I64[1] = 1, 2 // key 2 has no matches
-	out := storage.NewChunk([]types.Kind{types.Int64})
+	kv.I64[0], kv.I64[1] = 2, 1 // key 2 has no matches
+	out := storage.NewChunk([]types.Kind{types.Int64, types.Int64})
 	n := run.RunChunk(vm.NewCtx(), []*storage.Vector{kv}, 2, out)
 	if n != 1000 {
 		t.Fatalf("exploding join produced %d rows, want 1000", n)
@@ -151,6 +154,9 @@ func TestRunExplodingJoinGrowsOutput(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < n; i++ {
 		seen[out.Cols[0].I64[i]] = true
+		if out.Cols[1].I64[i] != 1 {
+			t.Fatalf("row %d carries probe key %d, want 1", i, out.Cols[1].I64[i])
+		}
 	}
 	if len(seen) != 1000 {
 		t.Fatalf("distinct payloads = %d", len(seen))

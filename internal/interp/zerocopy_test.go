@@ -124,7 +124,7 @@ func TestTwoProbesShareAFrame(t *testing.T) {
 			&core.PackFixed{Row: r0, Val: k, Region: ir.KeyRegion, Off: &rt.OffsetState{Layout: layout}, Out: r1},
 			&core.SealKey{Row: r1, Layout: layout, Out: r2},
 			&core.JoinProbe{Row: r2, State: jt, Mode: ir.InnerJoin, BuildOut: build,
-				ProbeOut: core.NewIU(types.Ptr, "probe"), MatchedOut: core.NewIU(types.Bool, "m")},
+				SelOut: core.NewIU(types.Int32, "sel"), MatchedOut: core.NewIU(types.Bool, "m")},
 		)
 		builds = append(builds, build)
 	}

@@ -58,21 +58,36 @@ func TestEmitCStructure(t *testing.T) {
 func TestEmitCProbeModes(t *testing.T) {
 	row := Var{ID: 1, K: types.Ptr, Name: "row"}
 	build := Var{ID: 2, K: types.Ptr, Name: "b"}
-	probe := Var{ID: 3, K: types.Ptr, Name: "p"}
+	sel := Var{ID: 3, K: types.Int32, Name: "sel"}
 	matched := Var{ID: 4, K: types.Bool, Name: "m"}
-	for _, mode := range []JoinMode{InnerJoin, SemiJoin, LeftOuterJoin} {
-		f := &Func{Name: "probe", Ins: []Var{row}, Body: []Stmt{
-			ProbeStmt{StateID: 0, Mode: mode, ProbeRow: row, Build: build, Probe: probe, Matched: matched,
-				Body: []Stmt{EmitStmt{Cols: []Var{probe}}}},
+	val := Var{ID: 5, K: types.Int64, Name: "v"}
+	carried := Var{ID: 6, K: types.Int64, Name: "cv"}
+	for _, mode := range []JoinMode{InnerJoin, SemiJoin, LeftOuterJoin, AntiJoin} {
+		f := &Func{Name: "probe", Ins: []Var{row, val}, NumStates: 1, Body: []Stmt{
+			ProbeStmt{StateID: 0, Mode: mode, ProbeRow: row, Build: build, Sel: sel, Matched: matched,
+				Copies: []Copy{{Dst: carried, Src: val}},
+				Body:   []Stmt{EmitStmt{Cols: []Var{carried}}}},
 		}}
+		if err := Verify(f); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
 		c := EmitC(f)
 		if strings.Count(c, "{") != strings.Count(c, "}") {
 			t.Fatalf("%v: unbalanced braces:\n%s", mode, c)
 		}
+		// The carried value is a plain assignment inside the match scope — once
+		// per scope body, and the outer join renders its body twice.
+		wantCopies := 1
+		if mode == LeftOuterJoin {
+			wantCopies = 2
+		}
+		if got := strings.Count(c, "int64_t cv_6 = v_5;"); got != wantCopies {
+			t.Fatalf("%v: %d carried-value assignments, want %d:\n%s", mode, got, wantCopies, c)
+		}
 		switch mode {
-		case SemiJoin:
+		case SemiJoin, AntiJoin:
 			if !strings.Contains(c, "ink_join_exists") {
-				t.Fatalf("semi emit:\n%s", c)
+				t.Fatalf("%v emit:\n%s", mode, c)
 			}
 		case LeftOuterJoin:
 			if !strings.Contains(c, "unmatched probe tuple") {

@@ -168,8 +168,15 @@ func (Assign) stmtNode() {}
 
 // Copy rebinds a variable into the current scope. In emitted C this is a
 // plain assignment (free: the value stays in a register); in the VM it is the
-// dense-compaction gather of the filter-copy suboperator (paper Fig 4).
-type Copy struct{ Dst, Src Var }
+// dense-compaction gather of the filter-copy and probe-copy suboperators
+// (paper Fig 4) — through the scope's selection when the Copy is listed by a
+// FilterStmt or a ProbeStmt. A free-standing Copy with a valid Sel is the
+// probe-copy primitive's body: Src is a whole input column at the cardinality
+// the probe ran at, and Dst reads it at the row Sel names.
+type Copy struct {
+	Dst, Src Var
+	Sel      Var // Int32; only on a free-standing gather
+}
 
 func (Copy) stmtNode() {}
 
@@ -282,15 +289,20 @@ func (Partition) stmtNode() {}
 
 // ProbeStmt probes a join hash table with the key of ProbeRow and opens a
 // scope per emitted row. Build is bound to the matching build row
-// (Inner/LeftOuter); Probe rebinds the probe row inside the scope; Matched
-// is bound for LeftOuterJoin. State is rt.JoinTableState.
+// (Inner/LeftOuter; nil for an unmatched LeftOuter row); Sel is the match
+// selection — per emitted row, the position of its probe tuple in the
+// enclosing scope; Matched is bound for LeftOuterJoin. Copies carry the
+// enclosing scope's values into the match scope through Sel, exactly as a
+// FilterStmt's carry them through its condition: the probe side is never
+// packed into a row (paper §IV-E). State is rt.JoinTableState.
 type ProbeStmt struct {
 	StateID  int
 	Mode     JoinMode
-	ProbeRow Var // Ptr, in the enclosing scope
-	Build    Var // Ptr; invalid for SemiJoin
-	Probe    Var // Ptr, scope-local rebind of ProbeRow
+	ProbeRow Var // Ptr, in the enclosing scope: the packed probe key
+	Build    Var // Ptr; invalid for SemiJoin/AntiJoin
+	Sel      Var // Int32
 	Matched  Var // Bool; valid only for LeftOuterJoin
+	Copies   []Copy
 	Body     []Stmt
 }
 

@@ -53,7 +53,7 @@ func sizeStmt(s Stmt) int {
 	case Prefetch:
 		return 1
 	case ProbeStmt:
-		return 3 + sizeStmts(s.Body)
+		return 3 + len(s.Copies) + sizeStmts(s.Body)
 	case EmitStmt:
 		return 1 + len(s.Cols)
 	default:

@@ -69,6 +69,24 @@ func (v *verifier) stmts(list []Stmt) error {
 	return nil
 }
 
+// scopeCopies checks the copies a filter or probe scope lists: each reads a
+// value of the enclosing scope through the scope's own selection, so none
+// names one.
+func (v *verifier) scopeCopies(copies []Copy) error {
+	for _, c := range copies {
+		if c.Sel.Valid() {
+			return fmt.Errorf("scope copy of %s names a selection of its own (%s)", c.Src, c.Sel)
+		}
+		if err := v.use(c.Src, c.Dst.K); err != nil {
+			return err
+		}
+		if err := v.define(c.Dst); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // stmt structurally checks one IR statement.
 //
 //inklint:dispatch ir.Stmt
@@ -83,6 +101,11 @@ func (v *verifier) stmt(s Stmt) error {
 		}
 		return v.define(s.Dst)
 	case Copy:
+		if s.Sel.Valid() {
+			if err := v.use(s.Sel, types.Int32); err != nil {
+				return err
+			}
+		}
 		if err := v.use(s.Src, s.Dst.K); err != nil {
 			return err
 		}
@@ -91,13 +114,8 @@ func (v *verifier) stmt(s Stmt) error {
 		if err := v.use(s.Cond, types.Bool); err != nil {
 			return err
 		}
-		for _, c := range s.Copies {
-			if err := v.use(c.Src, c.Dst.K); err != nil {
-				return err
-			}
-			if err := v.define(c.Dst); err != nil {
-				return err
-			}
+		if err := v.scopeCopies(s.Copies); err != nil {
+			return err
 		}
 		return v.stmts(s.Body)
 	case MakeRow:
@@ -200,7 +218,15 @@ func (v *verifier) stmt(s Stmt) error {
 		if err := v.state(s.StateID); err != nil {
 			return err
 		}
-		if err := v.define(s.Probe); err != nil {
+		// The copies read the enclosing scope: checked before the scope's own
+		// variables exist, so none of those can be a copy's source.
+		if err := v.scopeCopies(s.Copies); err != nil {
+			return err
+		}
+		if s.Sel.K != types.Int32 {
+			return fmt.Errorf("match selection %s has kind %v, needs %v", s.Sel, s.Sel.K, types.Int32)
+		}
+		if err := v.define(s.Sel); err != nil {
 			return err
 		}
 		if s.Mode == InnerJoin || s.Mode == LeftOuterJoin {

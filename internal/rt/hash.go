@@ -38,6 +38,24 @@ func Hash64(key []byte) uint64 {
 	return mix64(h)
 }
 
+// HashWord is Hash64 of the width-byte key (1 ≤ width ≤ 8) whose bytes are the
+// low bytes of w, little-endian, the rest of w zero: the hash of a key blob
+// that fits a machine word, computed from a register without the blob.
+//
+//inkfuse:hotpath
+func HashWord(w uint64, width int) uint64 {
+	const (
+		k0 = 0x9e3779b97f4a7c15
+		k1 = 0xbf58476d1ce4e5b9
+		k2 = 0x94d049bb133111eb
+	)
+	h := uint64(width)*k0 + k2
+	if width == 8 {
+		return mix64(mix64(h^w) * k1)
+	}
+	return mix64(mix64(h^w) * k0)
+}
+
 //inkfuse:hotpath
 func mix64(x uint64) uint64 {
 	x ^= x >> 33

@@ -14,9 +14,9 @@ import (
 //
 //   - a filter condition: the single-use bool temporaries of a conjunction of
 //     comparisons become the selectors of a cascade (selector.go);
-//   - a key build: the run MakeRow → Pack*(key)* → SealKey → AggLookup whose row
-//     handles feed only the next statement becomes one pack-hash-probe
-//     operation (keybuild.go).
+//   - a key build: the run MakeRow → Pack*(key)* → SealKey → AggLookup or
+//     ProbeStmt whose row handles feed only the next statement becomes one
+//     pack-hash-lookup operation (keybuild.go).
 //
 // A value with a second consumer anywhere in the function (a filter copy, an
 // emit, another expression) stays a register and its consumers read it as
@@ -46,6 +46,9 @@ func useStmt(s ir.Stmt, uses map[int]int) {
 		useExpr(s.E, uses)
 	case ir.Copy:
 		uses[s.Src.ID]++
+		if s.Sel.Valid() {
+			uses[s.Sel.ID]++
+		}
 	case ir.FilterStmt:
 		uses[s.Cond.ID]++
 		for _, cp := range s.Copies {
@@ -78,6 +81,9 @@ func useStmt(s ir.Stmt, uses map[int]int) {
 		uses[s.Row.ID]++
 	case ir.ProbeStmt:
 		uses[s.ProbeRow.ID]++
+		for _, cp := range s.Copies {
+			uses[cp.Src.ID]++
+		}
 		useStmts(s.Body, uses)
 	case ir.EmitStmt:
 		for _, v := range s.Cols {
@@ -131,7 +137,8 @@ type blockPlan struct {
 	// expression as part of its selection cascade.
 	absorbed map[int]ir.Expr
 	// keyBuilds maps the index of a MakeRow statement to the index of the
-	// AggLookup ending the run that compiles to one fused key build.
+	// AggLookup or ProbeStmt ending the run that compiles to one fused key
+	// build or key probe.
 	keyBuilds map[int]int
 }
 
@@ -197,11 +204,13 @@ func (c *compiler) absorb(e ir.Expr, defs, absorbed map[int]ir.Expr) {
 }
 
 // keyBuildRun matches the statement run starting at the MakeRow stmts[at]:
-// key-region packs, SealKey, AggLookup, back to back, each consuming the row
-// handle the previous statement defined and nothing else consuming any of
-// them. It returns the index of the AggLookup. A run that also packs payload
-// (the seed of a collated key, the routed row of an exchange) does not match:
-// its lookup follows the payload packs, not the seal.
+// key-region packs, SealKey, then the AggLookup or ProbeStmt that looks the key
+// up, back to back, each consuming the row handle the previous statement
+// defined and nothing else consuming any of them (ROF's Prefetch is a second
+// reader of a probe key: that probe compiles statement by statement). It
+// returns the index of the lookup. A run that also packs payload (the seed of
+// a collated key, the routed row of an exchange, a join's build row) does not
+// match: its consumer follows the payload packs, not the seal.
 func (c *compiler) keyBuildRun(stmts []ir.Stmt, at int) (int, bool) {
 	row := stmts[at].(ir.MakeRow).Dst
 	for i := at + 1; i < len(stmts); i++ {
@@ -223,11 +232,13 @@ func (c *compiler) keyBuildRun(stmts []ir.Stmt, at int) (int, bool) {
 			if s.Row.ID != row.ID || i+1 >= len(stmts) || c.uses[s.Dst.ID] != 1 {
 				return 0, false
 			}
-			look, ok := stmts[i+1].(ir.AggLookup)
-			if !ok || look.Row.ID != s.Dst.ID {
-				return 0, false
+			switch look := stmts[i+1].(type) {
+			case ir.AggLookup:
+				return i + 1, look.Row.ID == s.Dst.ID
+			case ir.ProbeStmt:
+				return i + 1, look.ProbeRow.ID == s.Dst.ID
 			}
-			return i + 1, true
+			return 0, false
 		default:
 			return 0, false
 		}
@@ -245,6 +256,7 @@ type Rewrites struct {
 	// more than the trivial selector over a materialized bool.
 	Cascades  []int
 	KeyBuilds int // MakeRow…AggLookup runs compiled to one operation
+	KeyProbes int // MakeRow…ProbeStmt runs compiled to one operation
 }
 
 func (r Rewrites) String() string {
@@ -255,6 +267,9 @@ func (r Rewrites) String() string {
 	}
 	if r.KeyBuilds > 0 {
 		fmt.Fprintf(&b, ", %d fused key build(s)", r.KeyBuilds)
+	}
+	if r.KeyProbes > 0 {
+		fmt.Fprintf(&b, ", %d fused key probe(s)", r.KeyProbes)
 	}
 	return b.String()
 }

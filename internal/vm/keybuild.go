@@ -10,18 +10,28 @@ import (
 	"inkfuse/internal/types"
 )
 
-// The fused key build (DESIGN.md §17): the statement run
+// The fused key build (DESIGN.md §17, §19): the statement run
 //
-//	MakeRow → PackFixed/PackStr(key)* → SealKey → AggLookup
+//	MakeRow → PackFixed/PackStr(key)* → SealKey → AggLookup | ProbeStmt
 //
 // compiled to one operation. Statement by statement the run makes five passes
 // over an n-row scratch slab and rewrites a 24-byte row handle per tuple in
 // each; fused, every tuple's key is packed into one reusable buffer, hashed
-// and offered to the worker-local table on the spot. Only the keys the local
-// table cannot take are kept (they stay in the buffer) and resolved against
-// the sharded table in one batch per segment — the same local-first,
-// batch-the-rest order aggBatchSegment follows, so the tables receive the
-// same keys in the same order either way.
+// and looked up on the spot.
+//
+// Ahead of an AggLookup the key is offered to the worker-local table. Only the
+// keys the local table cannot take are kept (they stay in the buffer) and
+// resolved against the sharded table in one batch per segment — the same
+// local-first, batch-the-rest order aggBatchSegment follows, so the tables
+// receive the same keys in the same order either way.
+//
+// Ahead of a ProbeStmt only the key's hash is computed per tuple — the key is
+// packed into the buffer, hashed and the buffer rewound — and the chunk's
+// hashes are screened by the join table's bloom filter in one pass. A definite
+// miss — four probes in five on TPC-H's lineitem pipelines — is resolved
+// there: dropped by an inner or semi join, emitted unmatched by an anti or
+// outer join, and nothing was kept for it. A survivor's key is packed once
+// more, to stay, and compared along its bucket chain.
 
 // keyField is one packed key column: its register and, for a fixed-width
 // field, the state slot of its offset inside the key blob.
@@ -46,7 +56,6 @@ type keyCol struct {
 // keyBuild compiles the run stmts (as matched by keyBuildRun).
 func (c *compiler) keyBuild(stmts []ir.Stmt, blk *[]exec) error {
 	layoutID := stmts[0].(ir.MakeRow).StateID
-	look := stmts[len(stmts)-1].(ir.AggLookup)
 	var fields []keyField
 	for _, s := range stmts[1 : len(stmts)-2] {
 		var val ir.Expr
@@ -69,6 +78,33 @@ func (c *compiler) keyBuild(stmts []ir.Stmt, blk *[]exec) error {
 		}
 		fields = append(fields, keyField{slot: vs, kind: val.Kind(), stateID: stateID})
 	}
+	if probe, ok := stmts[len(stmts)-1].(ir.ProbeStmt); ok {
+		c.p.rewrites.KeyProbes++
+		return c.keyProbe(layoutID, fields, probe, blk)
+	}
+	c.p.rewrites.KeyBuilds++
+	c.keyAggLookup(layoutID, fields, stmts[len(stmts)-1].(ir.AggLookup), blk)
+	return nil
+}
+
+// bindKeyCols resolves the key fields against the frame's registers and state
+// for one execution.
+func bindKeyCols(fr *frame, tb *tableBatch, fields []keyField) []keyCol {
+	cols := tb.cols[:0]
+	for _, f := range fields {
+		v := fr.vecs[f.slot]
+		col := keyCol{kind: f.kind, b: v.B, i32: v.I32, i64: v.I64, f64: v.F64, str: v.Str}
+		if f.kind != types.String {
+			col.off = fr.state[f.stateID].(*rt.OffsetState).Off
+		}
+		cols = append(cols, col)
+	}
+	tb.cols = cols
+	return cols
+}
+
+// keyAggLookup emits the fused key build ending in look.
+func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLookup, blk *[]exec) {
 	ds := c.bind(look.Dst)
 	aggID := look.StateID
 	ax := c.newAux()
@@ -76,16 +112,7 @@ func (c *compiler) keyBuild(stmts []ir.Stmt, blk *[]exec) error {
 		st := fr.state[aggID].(*rt.AggTableState)
 		layout := fr.state[layoutID].(*rt.RowLayoutState)
 		tb := auxBatch(fr, ax)
-		cols := tb.cols[:0]
-		for _, f := range fields {
-			v := fr.vecs[f.slot]
-			col := keyCol{kind: f.kind, b: v.B, i32: v.I32, i64: v.I64, f64: v.F64, str: v.Str}
-			if f.kind != types.String {
-				col.off = fr.state[f.stateID].(*rt.OffsetState).Off
-			}
-			cols = append(cols, col)
-		}
-		tb.cols = cols
+		cols := bindKeyCols(fr, tb, fields)
 		// Never written, so all zero: the key's fixed-width prefix before the
 		// field writes fill it, and the payload region a sealed row seeds new
 		// groups with (none for a key-only layout).
@@ -119,7 +146,113 @@ func (c *compiler) keyBuild(stmts []ir.Stmt, blk *[]exec) error {
 		fr.ctx.Counters.VMOps += int64(n)
 		fr.ctx.Counters.HTProbes += int64(n)
 	})
+}
+
+// keyProbe emits the fused key probe ending in s.
+func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk *[]exec) error {
+	ps, err := c.probeScope(s)
+	if err != nil {
+		return err
+	}
+	ax := c.newAux()
+	*blk = append(*blk, func(fr *frame, n int) {
+		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Index()
+		layout := fr.state[layoutID].(*rt.RowLayoutState)
+		tb := auxBatch(fr, ax)
+		cols := bindKeyCols(fr, tb, fields)
+		prefix := sizedBytes(&tb.zeros, layout.KeyFixed)
+		// A key of fixed-width columns that fits a machine word — every TPC-H
+		// join key — is assembled and hashed in a register.
+		width := 0
+		if kf := layout.KeyFixed; kf <= 8 && !hasStringKey(cols) {
+			width = kf
+		}
+		hashes := sizedU64(&tb.hashes, n)
+		buf := tb.keybuf[:0]
+		if width > 0 {
+			hashWordKeys(hashes, cols, width)
+		} else {
+			for i := range hashes {
+				buf = packKey(buf[:0], cols, prefix, i)
+				hashes[i] = rt.Hash64(buf)
+			}
+		}
+		cand, skips := tbl.LookupBatch(hashes, tb.pend[:0])
+		tb.pend = cand
+		// Only the survivors' key bytes are kept, for the chain walk to compare.
+		keys := sizedRows(&tb.keys, n)
+		buf = buf[:0]
+		for _, ci := range cand {
+			start := len(buf)
+			if width > 0 {
+				buf = binary.LittleEndian.AppendUint64(buf, keyWord(cols, int(ci)))[:start+width]
+			} else {
+				buf = packKey(buf, cols, prefix, int(ci))
+			}
+			keys[ci] = buf[start:len(buf):len(buf)]
+		}
+		tb.keybuf = buf
+		ps.run(fr, n, ps.resolve(fr, tbl, n, cand, keys, hashes), skips)
+	})
 	return nil
+}
+
+func hasStringKey(cols []keyCol) bool {
+	for c := range cols {
+		if cols[c].kind == types.String {
+			return true
+		}
+	}
+	return false
+}
+
+// keyWord assembles row i's key blob — fixed-width columns, at most 8 bytes
+// in all — in a register: byte k of the blob is byte k of the word.
+//
+//inkfuse:hotpath
+func keyWord(cols []keyCol, i int) uint64 {
+	var w uint64
+	for c := range cols {
+		col := &cols[c]
+		switch col.kind {
+		case types.Int32, types.Date:
+			w |= uint64(uint32(col.i32[i])) << (8 * col.off)
+		case types.Int64:
+			w |= uint64(col.i64[i])
+		case types.Float64:
+			w |= math.Float64bits(col.f64[i])
+		default: // Bool
+			if col.b[i] {
+				w |= 1 << (8 * col.off)
+			}
+		}
+	}
+	return w
+}
+
+// hashWordKeys hashes every tuple's word key. The one-integer-column key —
+// most joins' — gets a loop of its own: keyWord's walk over the columns costs
+// as much per tuple as the hash.
+//
+//inkfuse:hotpath
+func hashWordKeys(hashes []uint64, cols []keyCol, width int) {
+	if len(cols) == 1 {
+		switch col := &cols[0]; col.kind {
+		case types.Int64:
+			for i, v := range col.i64[:len(hashes)] {
+				hashes[i] = rt.HashWord(uint64(v), 8)
+			}
+			return
+		case types.Int32, types.Date:
+			for i, v := range col.i32[:len(hashes)] {
+				hashes[i] = rt.HashWord(uint64(uint32(v)), 4)
+			}
+			return
+		}
+	}
+	for i := range hashes {
+		hashes[i] = rt.HashWord(keyWord(cols, i), width)
+	}
 }
 
 // packKey appends row i's key blob to buf: the fixed fields at their offsets

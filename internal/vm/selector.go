@@ -216,14 +216,9 @@ func (c *compiler) filter(s ir.FilterStmt, plan blockPlan, blk *[]exec) error {
 		c.p.rewrites.Cascades = append(c.p.rewrites.Cascades, len(sels))
 	}
 	c.p.rewrites.Closures += len(sels)
-	type gpair struct{ src, dst int }
-	pairs := make([]gpair, 0, len(s.Copies))
-	for _, cp := range s.Copies {
-		src, err := c.slot(cp.Src)
-		if err != nil {
-			return err
-		}
-		pairs = append(pairs, gpair{src: src, dst: c.bind(cp.Dst)})
+	pairs, err := c.gathers(s.Copies)
+	if err != nil {
+		return err
 	}
 	body, err := c.block(s.Body)
 	if err != nil {

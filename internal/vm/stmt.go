@@ -25,7 +25,6 @@ func (c *compiler) block(stmts []ir.Stmt) ([]exec, error) {
 		c.tail = tail && i == len(stmts)-1
 		if end, ok := plan.keyBuilds[i]; ok {
 			err = c.keyBuild(stmts[i:end+1], &blk)
-			c.p.rewrites.KeyBuilds++
 			i = end
 		} else {
 			err = c.stmt(stmts[i], plan, &blk)
@@ -64,7 +63,21 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		if err != nil {
 			return err
 		}
-		c.slotOf[s.Dst.ID] = src
+		if !s.Sel.Valid() {
+			c.slotOf[s.Dst.ID] = src
+			return nil
+		}
+		// The probe-copy primitive: n is the selection's length; the source
+		// column is bound whole, at the cardinality the probe ran at.
+		sel, err := c.slot(s.Sel)
+		if err != nil {
+			return err
+		}
+		dst := c.bind(s.Dst)
+		*blk = append(*blk, func(fr *frame, n int) {
+			fr.vecs[src].Gather(fr.vecs[dst], fr.vecs[sel].I32[:n])
+			fr.ctx.Counters.VMOps += int64(n)
+		})
 		return nil
 
 	case ir.FilterStmt:
@@ -522,129 +535,182 @@ func aggMaxI32(groups [][]byte, off int, v []int32) {
 	}
 }
 
+// gather is one column carried into a filter's or a probe's scope: the
+// register it is read from, through the scope's selection, and the scope's
+// register it lands in.
+type gather struct{ src, dst int }
+
+func (c *compiler) gathers(copies []ir.Copy) ([]gather, error) {
+	out := make([]gather, 0, len(copies))
+	for _, cp := range copies {
+		src, err := c.slot(cp.Src)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, gather{src: src, dst: c.bind(cp.Dst)})
+	}
+	return out, nil
+}
+
+// probeScope is the part of a compiled ProbeStmt that does not depend on
+// where the probe keys come from: the scope's registers, the columns carried
+// into it and its body. Both compilations of a probe — from a register of
+// packed key rows, and fused with the run that packs them (keybuild.go) —
+// collect their matches through it.
+type probeScope struct {
+	stateID int
+	mode    ir.JoinMode
+	// sel is the match selection's register; build and matched are -1 for the
+	// modes that do not bind them. The emitted rows are collected in these
+	// registers' own arrays: a register the sink may hand over must not share
+	// its array with a buffer the frame fills again.
+	sel, build, matched int
+	copies              []gather
+	body                []exec
+}
+
+func (c *compiler) probeScope(s ir.ProbeStmt) (*probeScope, error) {
+	ps := &probeScope{stateID: s.StateID, mode: s.Mode, build: -1, matched: -1}
+	var err error
+	if ps.copies, err = c.gathers(s.Copies); err != nil {
+		return nil, err
+	}
+	ps.sel = c.bind(s.Sel)
+	if s.Mode == ir.InnerJoin || s.Mode == ir.LeftOuterJoin {
+		ps.build = c.bind(s.Build)
+	}
+	if s.Mode == ir.LeftOuterJoin {
+		ps.matched = c.bind(s.Matched)
+	}
+	if ps.body, err = c.block(s.Body); err != nil {
+		return nil, err
+	}
+	return ps, nil
+}
+
+// matches is the rows a probe emits, under collection: per row the position
+// of its probe tuple, and where the mode binds them the matched build row
+// (nil for an unmatched outer tuple) and the match marker.
+type matches struct {
+	sel     []int32
+	build   [][]byte
+	matched []bool
+}
+
+// begin empties the scope's registers for collection.
+func (ps *probeScope) begin(fr *frame) matches {
+	m := matches{sel: fr.vecs[ps.sel].I32[:0]}
+	if ps.build >= 0 {
+		m.build = fr.vecs[ps.build].Ptr[:0]
+	}
+	if ps.matched >= 0 {
+		m.matched = fr.vecs[ps.matched].B[:0]
+	}
+	return m
+}
+
+// run publishes the collected rows of n probed tuples to the scope's
+// registers, gathers the carried columns through the selection and executes
+// the body at the scope's cardinality.
+func (ps *probeScope) run(fr *frame, n int, m matches, bloomSkips int) {
+	fr.vecs[ps.sel].I32 = m.sel
+	if ps.build >= 0 {
+		fr.vecs[ps.build].Ptr = m.build
+	}
+	if ps.matched >= 0 {
+		fr.vecs[ps.matched].B = m.matched
+	}
+	for _, g := range ps.copies {
+		fr.vecs[g.src].Gather(fr.vecs[g.dst], m.sel)
+	}
+	out := len(m.sel)
+	fr.ctx.Counters.VMOps += int64(n)
+	fr.ctx.Counters.HTProbes += int64(n)
+	fr.ctx.Counters.HTBloomSkips += int64(bloomSkips)
+	fr.ctx.Counters.HTMatches += int64(out)
+	runBlock(ps.body, fr, out)
+}
+
 func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 	prs, err := c.slot(s.ProbeRow)
 	if err != nil {
 		return err
 	}
-	probeDst := c.bind(s.Probe)
-	buildDst := -1
-	if s.Mode == ir.InnerJoin || s.Mode == ir.LeftOuterJoin {
-		buildDst = c.bind(s.Build)
-	}
-	matchedDst := -1
-	if s.Mode == ir.LeftOuterJoin {
-		matchedDst = c.bind(s.Matched)
-	}
-	body, err := c.block(s.Body)
+	ps, err := c.probeScope(s)
 	if err != nil {
 		return err
 	}
-	selAux := c.newAux()
 	batchAux := c.newAux()
-	id := s.StateID
-	mode := s.Mode
 	*blk = append(*blk, func(fr *frame, n int) {
-		tbl := fr.state[id].(*rt.JoinTableState).Index()
-		probeRows := fr.vecs[prs].Ptr[:n]
+		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Index()
 		tb := auxBatch(fr, batchAux)
 		keys := sizedRows(&tb.keys, n)
-		for i, pr := range probeRows {
+		for i, pr := range fr.vecs[prs].Ptr[:n] {
 			keys[i] = rt.RowKey(pr)
 		}
 		tb.hashes = rt.HashBatch(keys, tb.hashes)
-		hashes := tb.hashes
-		sel := fr.auxSel(selAux)
-		// The matched build rows are collected in the build register's own
-		// array (as matched is): a register the sink may hand over must not
-		// share its array with a buffer this frame fills again.
-		var build [][]byte
-		if buildDst >= 0 {
-			build = fr.vecs[buildDst].Ptr[:0]
-		}
-		var matched []bool
-		if matchedDst >= 0 {
-			mv := fr.vecs[matchedDst]
-			mv.Resize(0)
-			matched = mv.B
-		}
-		// The bloom/tag filter screens the whole chunk first: a definite miss
-		// never walks bucket memory. For anti and outer joins a filter miss is
-		// itself the answer (unmatched), so those rows resolve without any
-		// table access at all.
-		var skips int
-		switch mode {
-		case ir.InnerJoin:
-			cand, sk := tbl.LookupBatch(hashes, tb.pend[:0])
-			tb.pend, skips = cand, sk
-			for _, ci := range cand {
-				i := int(ci)
-				it := tbl.Lookup(keys[i], hashes[i])
-				for r := it.Next(); r != nil; r = it.Next() {
-					sel = append(sel, ci)
-					build = append(build, r)
-				}
-			}
-		case ir.SemiJoin:
-			cand, sk := tbl.LookupBatch(hashes, tb.pend[:0])
-			tb.pend, skips = cand, sk
-			for _, ci := range cand {
-				i := int(ci)
-				it := tbl.Lookup(keys[i], hashes[i])
-				if it.Next() != nil {
-					sel = append(sel, ci)
-				}
-			}
-		case ir.AntiJoin:
-			for i := range probeRows {
-				if !tbl.MayContain(hashes[i]) {
-					skips++
-					sel = append(sel, int32(i))
-					continue
-				}
-				it := tbl.Lookup(keys[i], hashes[i])
-				if it.Next() == nil {
-					sel = append(sel, int32(i))
-				}
-			}
-		case ir.LeftOuterJoin:
-			for i := range probeRows {
-				if !tbl.MayContain(hashes[i]) {
-					skips++
-					sel = append(sel, int32(i))
-					build = append(build, nil)
-					matched = append(matched, false)
-					continue
-				}
-				it := tbl.Lookup(keys[i], hashes[i])
-				any := false
-				for r := it.Next(); r != nil; r = it.Next() {
-					any = true
-					sel = append(sel, int32(i))
-					build = append(build, r)
-					matched = append(matched, true)
-				}
-				if !any {
-					sel = append(sel, int32(i))
-					build = append(build, nil)
-					matched = append(matched, false)
-				}
-			}
-		}
-		fr.ctx.Counters.HTBloomSkips += int64(skips)
-		fr.putAuxSel(selAux, sel)
-		out := len(sel)
-		if buildDst >= 0 {
-			fr.vecs[buildDst].Ptr = build
-		}
-		if matchedDst >= 0 {
-			fr.vecs[matchedDst].B = matched
-		}
-		fr.vecs[prs].Gather(fr.vecs[probeDst], sel)
-		fr.ctx.Counters.VMOps += int64(n)
-		fr.ctx.Counters.HTProbes += int64(n)
-		fr.ctx.Counters.HTMatches += int64(out)
-		runBlock(body, fr, out)
+		cand, skips := tbl.LookupBatch(tb.hashes, tb.pend[:0])
+		tb.pend = cand
+		ps.run(fr, n, ps.resolve(fr, tbl, n, cand, keys, tb.hashes), skips)
 	})
 	return nil
+}
+
+// resolve collects the rows a probe of n tuples emits. The bloom/tag filter
+// has screened the whole chunk: cand lists, ascending, the tuples that may
+// have a match, and only those walk bucket memory, with keys[i] and hashes[i]
+// (keys is read at candidates only). For anti and outer joins a filter miss is
+// itself the answer — unmatched — so the tuples between two candidates are
+// emitted without any table access at all.
+func (ps *probeScope) resolve(fr *frame, tbl rt.JoinIndex, n int, cand []int32, keys [][]byte, hashes []uint64) matches {
+	m := ps.begin(fr)
+	// pairs: the mode emits a row per match and binds its build row;
+	// otherwise (semi, anti) only whether there is one counts.
+	pairs := ps.build >= 0
+	misses := ps.mode == ir.AntiJoin || ps.mode == ir.LeftOuterJoin
+	next := 0 // the first tuple not yet accounted for (misses only)
+	for _, ci := range cand {
+		i := int(ci)
+		if misses {
+			for ; next < i; next++ {
+				m.unmatched(next, pairs)
+			}
+			next = i + 1
+		}
+		hit := false
+		it := tbl.Lookup(keys[i], hashes[i])
+		for r := it.Next(); r != nil; r = it.Next() {
+			hit = true
+			if !pairs {
+				break
+			}
+			m.sel = append(m.sel, ci)
+			m.build = append(m.build, r)
+			if ps.matched >= 0 {
+				m.matched = append(m.matched, true)
+			}
+		}
+		switch {
+		case hit && ps.mode == ir.SemiJoin:
+			m.sel = append(m.sel, ci)
+		case !hit && misses:
+			m.unmatched(i, pairs)
+		}
+	}
+	if misses {
+		for ; next < n; next++ {
+			m.unmatched(next, pairs)
+		}
+	}
+	return m
+}
+
+// unmatched emits tuple i without a match: an anti join's output row, or —
+// outer — an outer join's, with no build row and a false marker.
+func (m *matches) unmatched(i int, outer bool) {
+	m.sel = append(m.sel, int32(i))
+	if outer {
+		m.build = append(m.build, nil)
+		m.matched = append(m.matched, false)
+	}
 }

@@ -352,22 +352,20 @@ func buildJoinTable(keys []int64) *rt.JoinTableState {
 	return jt
 }
 
-// probeFunc builds a probe step: pack probe key, probe, unpack build payload.
+// probeFunc builds a probe step: pack probe key, probe, carry the key column
+// into the match scope, unpack build payload.
 func probeFunc(mode ir.JoinMode, jtState, layoutState, offState, unpackState int) *ir.Func {
 	key := ir.Var{ID: 1, K: types.Int64, Name: "k"}
 	r0 := ir.Var{ID: 2, K: types.Ptr, Name: "r0"}
 	r1 := ir.Var{ID: 3, K: types.Ptr, Name: "r1"}
 	r2 := ir.Var{ID: 4, K: types.Ptr, Name: "r2"}
 	build := ir.Var{ID: 5, K: types.Ptr, Name: "build"}
-	probe := ir.Var{ID: 6, K: types.Ptr, Name: "probe"}
+	sel := ir.Var{ID: 6, K: types.Int32, Name: "sel"}
 	matched := ir.Var{ID: 7, K: types.Bool, Name: "m"}
 	pv := ir.Var{ID: 8, K: types.Int64, Name: "pv"}
 	pk := ir.Var{ID: 9, K: types.Int64, Name: "pk"}
 
-	var body []ir.Stmt
-	probeBody := []ir.Stmt{
-		ir.Assign{Dst: pk, E: ir.UnpackFixed{Row: ir.Ref(probe), Region: ir.KeyRegion, StateID: unpackState, K: types.Int64}},
-	}
+	var body, probeBody []ir.Stmt
 	emit := []ir.Var{pk}
 	if mode != ir.SemiJoin {
 		probeBody = append(probeBody,
@@ -383,7 +381,8 @@ func probeFunc(mode ir.JoinMode, jtState, layoutState, offState, unpackState int
 		ir.PackFixed{Dst: r1, Row: r0, Region: ir.KeyRegion, StateID: offState, Val: ir.Ref(key)},
 		ir.SealKey{Dst: r2, Row: r1, StateID: layoutState},
 		ir.ProbeStmt{StateID: jtState, Mode: mode, ProbeRow: r2,
-			Build: build, Probe: probe, Matched: matched, Body: probeBody},
+			Build: build, Sel: sel, Matched: matched,
+			Copies: []ir.Copy{{Dst: pk, Src: key}}, Body: probeBody},
 	)
 	kinds := []types.Kind{types.Int64}
 	if mode != ir.SemiJoin {
