@@ -236,6 +236,44 @@ func TestHybridRoutesToFasterBackend(t *testing.T) {
 	}
 }
 
+// TestHybridHitExploresInLastSlot: with code available from the first morsel
+// (a cached artifact, as on a plan-cache hit) a worker runs the interpreter on
+// the last morsel of every HybridExploreEvery and on no other — so a pipeline
+// of fewer morsels than a period runs compiled throughout, and a long one
+// spends the paper's 5 % exploring. (Within the first period nothing is routed
+// by measured throughput: the interpreter has none until its slot.)
+func TestHybridHitExploresInLastSlot(t *testing.T) {
+	tbl := storage.NewTable("t", types.Schema{{Name: "a", Kind: types.Int64}})
+	const morselRows = 100
+	for _, morsels := range []int{1, 2, 5, HybridExploreEvery - 1, HybridExploreEvery} {
+		tbl.SetRows(morsels * morselRows)
+		// A projection is a single pipeline: every morsel below is its.
+		node := algebra.NewFilter(algebra.NewScan(tbl, "a"), algebra.Ge(algebra.Col("a"), algebra.I64(0)))
+		plan := lowerOrDie(t, node, "slot")
+		if len(plan.Pipelines) != 1 {
+			t.Fatalf("%d pipelines, want 1", len(plan.Pipelines))
+		}
+		arts := NewArtifactSet(plan)
+		lat := LatencyNone
+		opts := Options{Backend: BackendHybrid, Workers: 1, MorselSize: morselRows, Latency: &lat, Artifacts: arts}
+		// The first execution compiles (on whichever backend's morsels it
+		// lands); the second finds the artifact in place.
+		if _, err := Execute(plan, Options{Backend: BackendCompiling, Workers: 1, Latency: &lat, Artifacts: arts}); err != nil {
+			t.Fatal(err)
+		}
+		arts.Rewind()
+		res, err := Execute(plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantVec := int64(morsels / HybridExploreEvery)
+		if s := res.Stats; s.MorselsVectorized != wantVec || s.MorselsCompiled != int64(morsels)-wantVec {
+			t.Errorf("%d morsels on a hit: %d compiled / %d interpreted, want %d / %d",
+				morsels, s.MorselsCompiled, s.MorselsVectorized, int64(morsels)-wantVec, wantVec)
+		}
+	}
+}
+
 func TestStatsPlausibility(t *testing.T) {
 	tbl := makeTable()
 	node := algebra.NewGroupBy(algebra.NewFilter(algebra.NewScan(tbl, "a", "b", "s"),

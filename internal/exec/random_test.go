@@ -21,12 +21,21 @@ import (
 // shapes the closure compiler rewrites (DESIGN.md §17): deep conjunctions of
 // comparisons in every operand arrangement, conjuncts that must stay
 // materialized, disjunctions of conjunctions, empty first selections, duplicate
-// aggregates, compound and collated keys.
+// aggregates, compound and collated keys — and on the probe path (§19): join
+// keys of every layout (one word, two columns in a word, wider than a word,
+// with a string, a string alone), probe keys and carried probe columns of every
+// kind read above the join, 1:N matches that outgrow a fused batch, build sides
+// the bloom filter mostly or always rejects, and a second probe keyed on what
+// the first one's build side supplied.
 func TestRandomPlansDifferential(t *testing.T) {
 	iters := 60
 	if testing.Short() {
 		iters = 12
 	}
+	// seen records the primitives the generated plans lowered to (and "2
+	// probes" for a pipeline with two), so that the corpus provably covers the
+	// probe path's shapes and not just whatever the seeds happen to draw.
+	seen := map[string]bool{}
 	for seed := 0; seed < iters; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -44,6 +53,16 @@ func TestRandomPlansDifferential(t *testing.T) {
 						algebra.LowerOptions{Exchange: exchange, Partitions: 1 << r.Intn(3)})
 					if err != nil {
 						t.Fatalf("lower: %v", err)
+					}
+					for _, pipe := range plan.Pipelines {
+						probes := 0
+						for _, op := range pipe.Ops {
+							seen[op.PrimitiveID()] = true
+							if strings.HasPrefix(op.PrimitiveID(), "joinprobe_") {
+								probes++
+							}
+						}
+						seen[fmt.Sprintf("%d probes", probes)] = true
 					}
 					lat := LatencyNone
 					res, err := Execute(plan, Options{
@@ -66,6 +85,18 @@ func TestRandomPlansDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+	if testing.Short() {
+		return
+	}
+	for _, want := range []string{
+		"joinprobe_inner", "joinprobe_semi", "joinprobe_leftouter", "joinprobe_anti", "2 probes",
+		"probecopy_bool", "probecopy_date", "probecopy_f64", "probecopy_i64", "probecopy_str",
+		"pack_key_i64", "pack_key_date", "packstr_key", "unpack_payload_i64", "unpackstr_payload",
+	} {
+		if !seen[want] {
+			t.Errorf("no generated plan contains %q: the corpus lost a shape", want)
+		}
 	}
 }
 
@@ -196,6 +227,77 @@ func randomPred(r *rand.Rand, p, flag string) algebra.Expr {
 	return e
 }
 
+// joinKeys lists the key layouts a random join draws from, as column suffixes:
+// one int64 (a word), one date (half a word), two dates (two columns in one
+// word), date + int64 (wider than a word), int64 + string, a string alone.
+var joinKeys = [][]string{{"k"}, {"d"}, {"d", "e"}, {"d", "k"}, {"k", "s"}, {"s"}, {"k"}, {"k"}}
+
+// randomJoin probes a new dimension table named dim with node, keyed on
+// columns of the table named on (the scanned table, or the first join's
+// dimension: its int64 columns then come out of a matched build row). It
+// returns the join and the aggregates that read what it adds.
+func randomJoin(r *rand.Rand, node algebra.Node, dim, on string, mode ir.JoinMode) (algebra.Node, []algebra.AggSpec) {
+	shape := r.Intn(6)
+	rows := 30 + r.Intn(100)
+	if shape == 0 {
+		rows += 120
+	}
+	tbl := randomTable(r, dim, rows)
+	keys := joinKeys[r.Intn(len(joinKeys))]
+	if on != "t" {
+		keys = []string{"j"} // the one column of on every mode of the first join carries
+	}
+	var build algebra.Node = algebra.NewScan(tbl, dim+"_k", dim+"_j", dim+"_f", dim+"_g", dim+"_s", dim+"_c", dim+"_d", dim+"_e")
+	buildKey := func(suffix string) string { return dim + "_" + suffix }
+	if on != "t" {
+		buildKey = func(string) string { return dim + "_k" }
+	}
+	switch shape {
+	case 0:
+		// Few distinct keys in a larger table: a probe tuple matches a fifth
+		// of it, and a batch's matches outgrow the batch many times over.
+		for i := range tbl.Col(dim + "_k").I64 {
+			tbl.Col(dim + "_k").I64[i] = int64(r.Intn(5))
+		}
+	case 1:
+		build = algebra.NewFilter(build, randomPred(r, dim, ""))
+	case 2:
+		// A build side few keys survive into: the bloom filter rejects most
+		// probes.
+		build = algebra.NewFilter(build, algebra.Lt(algebra.Col(dim+"_k"), algebra.I64(int64(1+r.Intn(5)))))
+	case 3:
+		// No build row at all.
+		build = algebra.NewFilter(build, algebra.Gt(algebra.Col(dim+"_k"), algebra.I64(1000)))
+	case 4:
+		// Build keys disjoint from the probe's: every chunk misses whole.
+		for i := range tbl.Col(dim + "_k").I64 {
+			tbl.Col(dim + "_k").I64[i] += 1000
+			tbl.Col(dim + "_d").I32[i] += 1000
+			tbl.Col(dim + "_s").Str[i] += "?"
+		}
+	}
+	j := &algebra.HashJoin{Build: build, Probe: node, Mode: mode}
+	for _, k := range keys {
+		j.BuildKeys = append(j.BuildKeys, buildKey(k))
+		j.ProbeKeys = append(j.ProbeKeys, on+"_"+k)
+	}
+	var aggs []algebra.AggSpec
+	switch mode {
+	case ir.InnerJoin:
+		j.BuildCols = []string{dim + "_s", dim + "_f", dim + "_j", dim + "_e"}
+		aggs = append(aggs, algebra.Sum(dim+"_f", dim+"_sf"), algebra.Sum(dim+"_j", dim+"_sj"), algebra.MaxOf(dim+"_e", dim+"_he"))
+	case ir.LeftOuterJoin:
+		j.MatchedAs = dim + "_matched"
+		aggs = append(aggs, algebra.CountIf(j.MatchedAs, dim+"_hits"))
+		j.BuildCols = []string{dim + "_j"}
+		if r.Intn(2) == 0 {
+			j.BuildCols = append(j.BuildCols, dim+"_f")
+			aggs = append(aggs, algebra.Sum(dim+"_f", dim+"_sf"))
+		}
+	}
+	return j, aggs
+}
+
 // randomPlan returns a random plan and whether its group keys are collated.
 func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 	probe := randomTable(r, "t", 200+r.Intn(2000))
@@ -231,32 +333,20 @@ func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 		)
 	}
 
-	// Optional join against a dimension table.
-	mode := []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin}[r.Intn(4)]
-	withJoin := r.Intn(3) > 0
-	matched := ""
+	// Optional join against a dimension table, and optionally a second one.
+	withJoin := r.Intn(4) > 0
+	var extra []algebra.AggSpec
 	if withJoin {
-		dim := randomTable(r, "d", 30+r.Intn(100))
-		var build algebra.Node = algebra.NewScan(dim, "d_k", "d_j", "d_f", "d_g", "d_s", "d_c", "d_d", "d_e")
-		if r.Intn(2) == 0 {
-			build = algebra.NewFilter(build, randomPred(r, "d", ""))
+		mode := []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin}[r.Intn(4)]
+		node, extra = randomJoin(r, node, "d", "t", mode)
+		if (mode == ir.InnerJoin || mode == ir.LeftOuterJoin) && r.Intn(2) == 0 {
+			// The q5 shape: the second probe's key is a column the first
+			// probe's build side supplied (zero on an unmatched outer row).
+			mode2 := []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin}[r.Intn(4)]
+			var extra2 []algebra.AggSpec
+			node, extra2 = randomJoin(r, node, "e", "d", mode2)
+			extra = append(extra, extra2...)
 		}
-		j := &algebra.HashJoin{
-			Build: build, Probe: node,
-			BuildKeys: []string{"d_k"}, ProbeKeys: []string{"t_k"},
-			Mode: mode,
-		}
-		if mode == ir.InnerJoin {
-			j.BuildCols = []string{"d_s", "d_f"}
-		}
-		if mode == ir.LeftOuterJoin {
-			j.MatchedAs = "matched"
-			matched = "matched"
-			if r.Intn(2) == 0 {
-				j.BuildCols = []string{"d_f"}
-			}
-		}
-		node = j
 	}
 
 	// Aggregate: keyless, one fixed key (the direct lookup), one string key,
@@ -294,9 +384,11 @@ func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 		aggs = append(aggs, algebra.Sum("m1", "s1_again"), algebra.Avg("m1", "a1"),
 			algebra.Count("n_again"), algebra.Sum("m2", "s2"))
 	}
-	if matched != "" {
-		aggs = append(aggs, algebra.CountIf(matched, "hits"))
+	if r.Intn(2) == 0 {
+		// A carried date, read above the join.
+		aggs = append(aggs, algebra.MinOf("t_d", "dlo"), algebra.MaxOf("t_e", "ehi"))
 	}
+	aggs = append(aggs, extra...)
 	if countFlag {
 		aggs = append(aggs, algebra.CountIf(flag, "flagged"))
 	}

@@ -413,9 +413,14 @@ type hybridWorker struct {
 const hybridDecay = 0.3 // EWMA weight of the newest morsel
 
 // HybridExploreEvery is the exploration period of the hybrid backend: out of
-// every HybridExploreEvery morsels, one is forced onto the JIT code and one
-// onto the interpreter to keep the throughput statistics fresh; the paper
-// uses 20 (5% + 5% exploration, 90% exploitation, §V-B). Exposed as a
+// every HybridExploreEvery morsels a worker runs, the first is forced onto the
+// JIT code and the last onto the interpreter to keep the throughput statistics
+// fresh; the paper uses 20 (5% + 5% exploration, 90% exploitation, §V-B). The
+// interpreter's slot closes the period rather than following the JIT's: with
+// code available from the first morsel (a plan-cache hit) a worker that sees
+// fewer morsels than a period — every pipeline of a small query, a five-morsel
+// probe pipeline of a large one — would otherwise run its second on the
+// interpreter, 50 % exploration and not 5 (DESIGN.md §19). Exposed as a
 // variable for the exploration-rate ablation.
 var HybridExploreEvery = 20
 
@@ -453,7 +458,7 @@ func (h *hybridRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n in
 			useJIT = true
 		case ws.morsels%HybridExploreEvery == 0:
 			useJIT = true
-		case ws.morsels%HybridExploreEvery == 1:
+		case ws.morsels%HybridExploreEvery == HybridExploreEvery-1:
 			useJIT = false
 		default:
 			useJIT = ws.jitTput > ws.vecTput

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -199,6 +200,32 @@ func TestRowScratchGrowth(t *testing.T) {
 		for i := 0; i < n; i++ {
 			if GetI64(s.Row(i), 4) != int64(i) {
 				t.Fatalf("n=%d row %d corrupted", n, i)
+			}
+		}
+	}
+}
+
+// HashWord is Hash64 without the blob: for every width a word key can have, a
+// key's hash from a register equals the hash of its bytes — the build side
+// hashes the packed row, the fused probe the register (vm/keybuild.go).
+func TestHashWordEqualsHash64(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var buf [8]byte
+	for width := 1; width <= 8; width++ {
+		for i := 0; i < 1000; i++ {
+			w := r.Uint64()
+			switch i {
+			case 0:
+				w = 0
+			case 1:
+				w = ^uint64(0)
+			}
+			if width < 8 {
+				w &= 1<<(8*width) - 1
+			}
+			binary.LittleEndian.PutUint64(buf[:], w)
+			if got, want := HashWord(w, width), Hash64(buf[:width]); got != want {
+				t.Fatalf("width %d, word %#x: HashWord %#x, Hash64 %#x", width, w, got, want)
 			}
 		}
 	}

@@ -26,12 +26,14 @@ import (
 // receive the same keys in the same order either way.
 //
 // Ahead of a ProbeStmt only the key's hash is computed per tuple — the key is
-// packed into the buffer, hashed and the buffer rewound — and the chunk's
-// hashes are screened by the join table's bloom filter in one pass. A definite
-// miss — four probes in five on TPC-H's lineitem pipelines — is resolved
-// there: dropped by an inner or semi join, emitted unmatched by an anti or
-// outer join, and nothing was kept for it. A survivor's key is packed once
-// more, to stay, and compared along its bucket chain.
+// packed into the buffer, hashed and the buffer rewound; a key of fixed-width
+// columns that fits a machine word is not packed at all but assembled and
+// hashed in a register — and the chunk's hashes are screened by the join
+// table's bloom filter in one pass. A definite miss — four probes in five on
+// TPC-H's lineitem pipelines — is resolved there: dropped by an inner or semi
+// join, emitted unmatched by an anti or outer join, and nothing was kept for
+// it. A survivor's key is packed once more, to stay, and compared along its
+// bucket chain.
 
 // keyField is one packed key column: its register and, for a fixed-width
 // field, the state slot of its offset inside the key blob.

@@ -250,3 +250,210 @@ func TestKeyBuildNotFusedAcrossPayload(t *testing.T) {
 		t.Fatalf("%d fused key builds across a payload pack", got)
 	}
 }
+
+// keyProbeFunc probes a join table with a key of the given kinds packed from
+// the function's first inputs, carries the first key column and a payload
+// column v into the match scope and emits them with, where the mode binds
+// them, the matched row's int64 payload and the match marker. With fuse=false
+// a Copy of the sealed key handle gives it a second consumer, as ROF's
+// Prefetch does.
+func keyProbeFunc(mode ir.JoinMode, kinds []types.Kind, fuse bool) *ir.Func {
+	f := &ir.Func{Name: "keyprobe", NumStates: 2}
+	id := 0
+	newVar := func(k types.Kind, name string) ir.Var { id++; return ir.Var{ID: id, K: k, Name: name} }
+	for _, k := range kinds {
+		f.Ins = append(f.Ins, newVar(k, "k"))
+	}
+	v := newVar(types.Float64, "v")
+	f.Ins = append(f.Ins, v)
+	row := newVar(types.Ptr, "row")
+	f.Body = append(f.Body, ir.MakeRow{Dst: row, StateID: 0})
+	// Fixed fields first, then strings: each PackFixed gets its OffsetState.
+	for pass := 0; pass < 2; pass++ {
+		for i, k := range kinds {
+			if (k == types.String) != (pass == 1) {
+				continue
+			}
+			next := newVar(types.Ptr, "row")
+			if pass == 0 {
+				f.Body = append(f.Body, ir.PackFixed{Dst: next, Row: row, Region: ir.KeyRegion, StateID: f.NumStates, Val: ir.Ref(f.Ins[i])})
+			} else {
+				f.Body = append(f.Body, ir.PackStr{Dst: next, Row: row, Region: ir.KeyRegion, StateID: f.NumStates, Val: ir.Ref(f.Ins[i])})
+			}
+			f.NumStates++
+			row = next
+		}
+	}
+	sealed := newVar(types.Ptr, "row")
+	f.Body = append(f.Body, ir.SealKey{Dst: sealed, Row: row, StateID: 0})
+	if !fuse {
+		f.Body = append(f.Body, ir.Copy{Dst: newVar(types.Ptr, "row"), Src: sealed})
+	}
+	probe := ir.ProbeStmt{StateID: 1, Mode: mode, ProbeRow: sealed, Sel: newVar(types.Int32, "sel")}
+	k0, vIn := newVar(kinds[0], "k0"), newVar(types.Float64, "vin")
+	probe.Copies = []ir.Copy{{Dst: k0, Src: f.Ins[0]}, {Dst: vIn, Src: v}}
+	emit := []ir.Var{k0, vIn}
+	if mode == ir.InnerJoin || mode == ir.LeftOuterJoin {
+		probe.Build = newVar(types.Ptr, "build")
+		pay := newVar(types.Int64, "pay")
+		probe.Body = append(probe.Body, ir.Assign{Dst: pay, E: ir.UnpackFixed{
+			Row: ir.Ref(probe.Build), Region: ir.PayloadRegion, StateID: f.NumStates, K: types.Int64}})
+		f.NumStates++
+		emit = append(emit, pay)
+	}
+	if mode == ir.LeftOuterJoin {
+		probe.Matched = newVar(types.Bool, "m")
+		emit = append(emit, probe.Matched)
+	}
+	probe.Body = append(probe.Body, ir.EmitStmt{Cols: emit})
+	f.Body = append(f.Body, probe)
+	for _, e := range emit {
+		f.OutKinds = append(f.OutKinds, e.K)
+	}
+	return f
+}
+
+// TestKeyProbeFusion runs the fused and the statement-by-statement key probe
+// over the same chunks against the same sealed table and requires identical
+// rows in identical order and identical counters, in all four modes, for a key
+// hashed in a register (one column, two columns in a word) and a key that is
+// packed (wider than a word, with a string) — over chunks that match 1:N, that
+// the bloom filter rejects whole, and that are empty.
+func TestKeyProbeFusion(t *testing.T) {
+	shapes := map[string][]types.Kind{
+		"i64":         {types.Int64},
+		"date+i32":    {types.Date, types.Int32},
+		"date+i64":    {types.Date, types.Int64},
+		"i64+str+i32": {types.Int64, types.String, types.Int32},
+	}
+	for name, kinds := range shapes {
+		// The layout the lowering would compute: fixed fields packed densely
+		// in declaration order.
+		layout := &rt.RowLayoutState{}
+		var offs []any
+		for _, k := range kinds {
+			if k.Fixed() {
+				offs = append(offs, &rt.OffsetState{Off: layout.KeyFixed, Layout: layout})
+				layout.KeyFixed += k.Width()
+			}
+		}
+		for _, k := range kinds {
+			if !k.Fixed() {
+				offs = append(offs, &rt.OffsetState{Layout: layout})
+			}
+		}
+		// Column g of a tuple with key number x: every column a function of x,
+		// so two tuples agree on the key iff they agree on x.
+		fill := func(vecs []*storage.Vector, i int, x int64) {
+			for g, k := range kinds {
+				switch k {
+				case types.Int64:
+					vecs[g].I64[i] = x * 1_000_003
+				case types.Int32, types.Date:
+					vecs[g].I32[i] = int32(x)*7 - int32(g)
+				case types.String:
+					vecs[g].Str[i] = fmt.Sprintf("key-%d", x%11)
+				}
+			}
+		}
+		newVecs := func(n int) []*storage.Vector {
+			vecs := make([]*storage.Vector, len(kinds)+1)
+			for g, k := range kinds {
+				vecs[g] = storage.NewVector(k, n)
+			}
+			vecs[len(kinds)] = storage.NewVector(types.Float64, n)
+			return vecs
+		}
+		// Build side: keys 0..199, key x inserted x%4 times (so 0, 4, … are
+		// absent but inside the range), each with a serial number as payload.
+		jt := &rt.JoinTableState{Table: rt.NewJoinTable(4)}
+		vecs := newVecs(1)
+		var cols []keyCol
+		fixed := 0
+		for g, k := range kinds {
+			v := vecs[g]
+			col := keyCol{kind: k, i32: v.I32, i64: v.I64, str: v.Str}
+			if k.Fixed() {
+				col.off = offs[fixed].(*rt.OffsetState).Off
+				fixed++
+			}
+			cols = append(cols, col)
+		}
+		serial := int64(0)
+		for x := int64(0); x < 200; x++ {
+			fill(vecs, 0, x)
+			key := packKey(nil, cols, make([]byte, layout.KeyFixed), 0)
+			for d := int64(0); d < x%4; d++ {
+				payload := make([]byte, 8)
+				serial++
+				rt.PutI64(payload, 0, serial)
+				jt.Table.Insert(key, payload, rt.Hash64(key))
+			}
+		}
+		jt.Table.Seal()
+		for _, mode := range []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin} {
+			t.Run(fmt.Sprintf("%s/%v", name, mode), func(t *testing.T) {
+				var outs [2]*storage.Chunk
+				var counters [2][4]int64
+				for pi, fuse := range []bool{true, false} {
+					f := keyProbeFunc(mode, kinds, fuse)
+					if err := ir.Verify(f); err != nil {
+						t.Fatal(err)
+					}
+					p := MustCompile(f)
+					if got := p.Rewrites().KeyProbes; (got == 1) != fuse {
+						t.Fatalf("fuse=%v: %d fused key probes", fuse, got)
+					}
+					state := append([]any{layout, jt}, offs...)
+					state = append(state, &rt.OffsetState{Off: 0})
+					ctx := NewCtx()
+					out := storage.NewChunk(f.OutKinds)
+					r := rand.New(rand.NewSource(5))
+					for _, chunk := range []struct{ n, lo, span int }{
+						{3000, 0, 260},  // hits 1:N, absent keys inside and past the range
+						{0, 0, 1},       // empty
+						{700, 5000, 50}, // every key past the build's range
+						{2500, 100, 40}, // all present but the multiples of four
+						{1, 3, 1},       // one tuple, three matches
+					} {
+						vecs := newVecs(chunk.n)
+						for i := 0; i < chunk.n; i++ {
+							fill(vecs, i, int64(chunk.lo+r.Intn(chunk.span)))
+							vecs[len(kinds)].F64[i] = float64(i)
+						}
+						p.Run(ctx, state, vecs, chunk.n, out)
+					}
+					outs[pi] = out
+					c := &ctx.Counters
+					counters[pi] = [4]int64{c.HTProbes, c.HTBloomSkips, c.HTMatches, c.EmittedRows}
+				}
+				if counters[0] != counters[1] {
+					t.Fatalf("probes / bloom skips / matches / emitted: fused %v, unfused %v", counters[0], counters[1])
+				}
+				if counters[0][1] == 0 || counters[0][2] == 0 {
+					t.Fatalf("counters %v: the chunks must exercise both the bloom filter and the table", counters[0])
+				}
+				if outs[0].Rows() != outs[1].Rows() {
+					t.Fatalf("fused emitted %d rows, unfused %d", outs[0].Rows(), outs[1].Rows())
+				}
+				for i := 0; i < outs[0].Rows(); i++ {
+					if got, want := fmt.Sprint(outs[0].Row(i)), fmt.Sprint(outs[1].Row(i)); got != want {
+						t.Fatalf("row %d: fused %s, unfused %s", i, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestKeyProbeNotFusedWithSecondReader: ROF stages a Prefetch of the sealed key
+// ahead of the probe; the handle then has two readers and the run compiles
+// statement by statement.
+func TestKeyProbeNotFusedWithSecondReader(t *testing.T) {
+	f := keyProbeFunc(ir.InnerJoin, []types.Kind{types.Int64}, true)
+	probe := f.Body[len(f.Body)-1].(ir.ProbeStmt)
+	f.Body = append(f.Body[:len(f.Body)-1:len(f.Body)-1], ir.Prefetch{Row: probe.ProbeRow, StateID: 1}, probe)
+	if rw := MustCompile(f).Rewrites(); rw.KeyProbes != 0 {
+		t.Fatalf("fused a key probe whose key a prefetch reads too: %v", rw)
+	}
+}

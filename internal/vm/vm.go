@@ -298,14 +298,6 @@ func auxSlice[T any](fr *frame, k int) *[]T {
 	return fr.aux[k].(*[]T)
 }
 
-// auxSel returns the k-th auxiliary int32 selection buffer, reset to length
-// zero; write the grown slice back through putAuxSel.
-func (fr *frame) auxSel(k int) []int32 {
-	return (*auxSlice[int32](fr, k))[:0]
-}
-
-func (fr *frame) putAuxSel(k int, s []int32) { *auxSlice[int32](fr, k) = s }
-
 // Compile translates an IR function into an executable program.
 func Compile(f *ir.Func) (*Program, error) {
 	c := &compiler{

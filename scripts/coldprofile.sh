@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Profiles the inkserve process the benchmark spawns for one workload and
-# prints where its CPU and its allocations go, grouped by layer — the method
-# behind DESIGN.md §18's before/after table.
+# Profiles the inkserve process the benchmark spawns for one workload — any of
+# BENCHMARK.json's, a miss workload or a hit workload — and prints where its CPU
+# and its allocations go: by layer, then the symbols of the never-seen path
+# (DESIGN.md §18: copies, maps, the collector) and of the join path (§19: row
+# building, key hashing, the bloom pass, the chain walk, probe-side gathers).
+# It is the method behind the before/after tables of both sections: run it on
+# a checkout of each commit.
 #
-#   bash bench/run.sh --workload adhoc_shapes_sf01 --seed 1 --trace 0   # builds bench/out/
-#   scripts/coldprofile.sh adhoc_shapes_sf01 [seed] [profile-seconds]
+#   bash bench/run.sh --workload join_sf05 --seed 1 --trace 0   # builds bench/out/
+#   scripts/coldprofile.sh join_sf05 [seed] [profile-seconds]
 #
 # It runs the already built bench/out/bench, so the binaries are the ones the
 # last bench/run.sh built from this checkout; it reads bench/ and writes only
@@ -115,17 +119,32 @@ go tool pprof -top -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
         for (i = 1; i <= n; i++) printf "  %-16s %6.2f %%\n", order[i], share[order[i]]
     }'
 
-# The symbols DESIGN.md §18 tracks, by cumulative share.
+# tracked prints the symbols matching the awk regex $1, by cumulative share.
+tracked() {
+    go tool pprof -top -cum -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk -v re="$1" '
+        /^ *flat +flat%/ { body = 1; next }
+        !body { next }
+        {
+            sym = $6; for (i = 7; i <= NF; i++) sym = sym " " $i
+            if (sym ~ re) printf "  %-72s flat %7s  cum %7s\n", sym, $2, $5
+        }'
+}
+
+# The symbols DESIGN.md §18 tracks: the two backends' entry points (their cum
+# shares are the interpreted and the compiled side of a workload), sink copies,
+# maps, the collector.
 echo
-echo "CPU share of tracked symbols (cum):"
-go tool pprof -top -cum -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
-    /^ *flat +flat%/ { body = 1; next }
-    !body { next }
-    {
-        sym = $6; for (i = 7; i <= NF; i++) sym = sym " " $i
-        if (sym ~ /interp\.\(\*Run\)\.RunChunk$|vm\.\(\*Program\)\.Run$|storage\.\(\*Chunk\)\.(AppendFromVectors|TakeFromVectors)$|^runtime\.memmove$|rt\.\(\*InListState\)\.Match$|^runtime\.mapaccess1_faststr$|^runtime\.gcBgMarkWorker$|^runtime\.gcAssistAlloc$|^runtime\.mallocgc$|^runtime\.wbBufFlush$|^runtime\.memclrNoHeapPointers$/)
-            printf "  %-60s flat %7s  cum %7s\n", sym, $2, $5
-    }'
+echo "CPU share of tracked symbols, never-seen path (cum):"
+tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\\.\\(\\*Chunk\\)\\.(AppendFromVectors|TakeFromVectors)$|^runtime\\.memmove$|rt\\.\\(\\*InListState\\)\\.Match$|^runtime\\.mapaccess1_faststr$|^runtime\\.gcBgMarkWorker$|^runtime\\.gcAssistAlloc$|^runtime\\.mallocgc$|^runtime\\.wbBufFlush$|^runtime\\.memclrNoHeapPointers$'
+
+# The symbols DESIGN.md §19 tracks. Row building: the statement-by-statement
+# MakeRow / PackStr / SealKey closures (vm.(*compiler).stmt.funcN), packFixedOp
+# and the scratch they drive. Key runs compiled to one operation: keyProbe,
+# keyAggLookup and their kernels. The probe itself: the bloom pass, the chain
+# walk (resolve → MatchIter.Next → RowKey) and the probe-side gathers.
+echo
+echo "CPU share of tracked symbols, join path (cum):"
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*(JoinTable|PartitionedJoinTable)\\)\\.(LookupBatch|Lookup|InsertBatch|insertBatch)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(resolve|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
