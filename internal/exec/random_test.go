@@ -244,14 +244,7 @@ func randomJoin(r *rand.Rand, node algebra.Node, dim, on string, mode ir.JoinMod
 	}
 	tbl := randomTable(r, dim, rows)
 	keys := joinKeys[r.Intn(len(joinKeys))]
-	if on != "t" {
-		keys = []string{"j"} // the one column of on every mode of the first join carries
-	}
 	var build algebra.Node = algebra.NewScan(tbl, dim+"_k", dim+"_j", dim+"_f", dim+"_g", dim+"_s", dim+"_c", dim+"_d", dim+"_e")
-	buildKey := func(suffix string) string { return dim + "_" + suffix }
-	if on != "t" {
-		buildKey = func(string) string { return dim + "_k" }
-	}
 	switch shape {
 	case 0:
 		// Few distinct keys in a larger table: a probe tuple matches a fifth
@@ -277,9 +270,14 @@ func randomJoin(r *rand.Rand, node algebra.Node, dim, on string, mode ir.JoinMod
 		}
 	}
 	j := &algebra.HashJoin{Build: build, Probe: node, Mode: mode}
-	for _, k := range keys {
-		j.BuildKeys = append(j.BuildKeys, buildKey(k))
-		j.ProbeKeys = append(j.ProbeKeys, on+"_"+k)
+	if on != "t" {
+		// on_j is the one column of on that every mode of the first join carries.
+		j.BuildKeys, j.ProbeKeys = []string{dim + "_k"}, []string{on + "_j"}
+	} else {
+		for _, k := range keys {
+			j.BuildKeys = append(j.BuildKeys, dim+"_"+k)
+			j.ProbeKeys = append(j.ProbeKeys, on+"_"+k)
+		}
 	}
 	var aggs []algebra.AggSpec
 	switch mode {

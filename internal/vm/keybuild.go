@@ -194,7 +194,7 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 			keys[ci] = buf[start:len(buf):len(buf)]
 		}
 		tb.keybuf = buf
-		ps.run(fr, n, ps.resolve(fr, tbl, n, cand, keys, hashes), skips)
+		ps.run(fr, tbl, n, cand, skips, keys, hashes)
 	})
 	return nil
 }

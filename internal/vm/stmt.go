@@ -597,22 +597,12 @@ type matches struct {
 	matched []bool
 }
 
-// begin empties the scope's registers for collection.
-func (ps *probeScope) begin(fr *frame) matches {
-	m := matches{sel: fr.vecs[ps.sel].I32[:0]}
-	if ps.build >= 0 {
-		m.build = fr.vecs[ps.build].Ptr[:0]
-	}
-	if ps.matched >= 0 {
-		m.matched = fr.vecs[ps.matched].B[:0]
-	}
-	return m
-}
-
-// run publishes the collected rows of n probed tuples to the scope's
-// registers, gathers the carried columns through the selection and executes
-// the body at the scope's cardinality.
-func (ps *probeScope) run(fr *frame, n int, m matches, bloomSkips int) {
+// run finishes a probe of n tuples whose hashes the bloom filter has screened
+// (cand and bloomSkips are LookupBatch's results): it collects the emitted
+// rows in the scope's registers, gathers the carried columns through the
+// selection and executes the body at the scope's cardinality.
+func (ps *probeScope) run(fr *frame, tbl rt.JoinIndex, n int, cand []int32, bloomSkips int, keys [][]byte, hashes []uint64) {
+	m := ps.collect(fr, tbl, n, cand, keys, hashes)
 	fr.vecs[ps.sel].I32 = m.sel
 	if ps.build >= 0 {
 		fr.vecs[ps.build].Ptr = m.build
@@ -651,19 +641,25 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 		tb.hashes = rt.HashBatch(keys, tb.hashes)
 		cand, skips := tbl.LookupBatch(tb.hashes, tb.pend[:0])
 		tb.pend = cand
-		ps.run(fr, n, ps.resolve(fr, tbl, n, cand, keys, tb.hashes), skips)
+		ps.run(fr, tbl, n, cand, skips, keys, tb.hashes)
 	})
 	return nil
 }
 
-// resolve collects the rows a probe of n tuples emits. The bloom/tag filter
-// has screened the whole chunk: cand lists, ascending, the tuples that may
-// have a match, and only those walk bucket memory, with keys[i] and hashes[i]
-// (keys is read at candidates only). For anti and outer joins a filter miss is
-// itself the answer — unmatched — so the tuples between two candidates are
-// emitted without any table access at all.
-func (ps *probeScope) resolve(fr *frame, tbl rt.JoinIndex, n int, cand []int32, keys [][]byte, hashes []uint64) matches {
-	m := ps.begin(fr)
+// collect gathers the rows a probe of n tuples emits, in the scope's (emptied)
+// registers. The bloom/tag filter has screened the whole chunk: cand lists,
+// ascending, the tuples that may have a match, and only those walk bucket
+// memory, with keys[i] and hashes[i] (keys is read at candidates only). For
+// anti and outer joins a filter miss is itself the answer — unmatched — so the
+// tuples between two candidates are emitted without any table access at all.
+func (ps *probeScope) collect(fr *frame, tbl rt.JoinIndex, n int, cand []int32, keys [][]byte, hashes []uint64) matches {
+	m := matches{sel: fr.vecs[ps.sel].I32[:0]}
+	if ps.build >= 0 {
+		m.build = fr.vecs[ps.build].Ptr[:0]
+	}
+	if ps.matched >= 0 {
+		m.matched = fr.vecs[ps.matched].B[:0]
+	}
 	// pairs: the mode emits a row per match and binds its build row;
 	// otherwise (semi, anti) only whether there is one counts.
 	pairs := ps.build >= 0

@@ -141,10 +141,10 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # MakeRow / PackStr / SealKey closures (vm.(*compiler).stmt.funcN), packFixedOp
 # and the scratch they drive. Key runs compiled to one operation: keyProbe,
 # keyAggLookup and their kernels. The probe itself: the bloom pass, the chain
-# walk (resolve → MatchIter.Next → RowKey) and the probe-side gathers.
+# walk (collect → MatchIter.Next → RowKey) and the probe-side gathers.
 echo
 echo "CPU share of tracked symbols, join path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*(JoinTable|PartitionedJoinTable)\\)\\.(LookupBatch|Lookup|InsertBatch|insertBatch)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(resolve|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*(JoinTable|PartitionedJoinTable)\\)\\.(LookupBatch|Lookup|InsertBatch|insertBatch)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
