@@ -83,3 +83,44 @@ func TestSplitStepsEveryOp(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitStepsStagesCarriedColumns: ROF splits before the prefetch of a probe
+// key. The probe-side columns the join carries are read after the split — by
+// the probe copies, through the match selection — so liveness stages them as
+// the columns they are, next to the packed key; the copies stay in the probe's
+// step, where their sources have the cardinality the probe runs at.
+func TestSplitStepsStagesCarriedColumns(t *testing.T) {
+	k := core.NewIU(types.Int64, "k")
+	v := core.NewIU(types.String, "v")
+	unused := core.NewIU(types.Float64, "unused")
+	layout := &rt.RowLayoutState{KeyFixed: 8}
+	jt := &rt.JoinTableState{Table: rt.NewJoinTable(1)}
+	r0, r1, r2 := core.NewIU(types.Ptr, "r0"), core.NewIU(types.Ptr, "r1"), core.NewIU(types.Ptr, "r2")
+	build, sel := core.NewIU(types.Ptr, "build"), core.NewIU(types.Int32, "sel")
+	kIn, vIn := core.NewIU(types.Int64, "k"), core.NewIU(types.String, "v")
+	prefetch := &core.Prefetch{Row: r2, State: jt}
+	ops := []core.SubOp{
+		&core.MakeRow{Anchor: k, Layout: layout, Out: r0},
+		&core.PackFixed{Row: r0, Val: k, Region: ir.KeyRegion, Off: &rt.OffsetState{Layout: layout}, Out: r1},
+		&core.SealKey{Row: r1, Layout: layout, Out: r2},
+		prefetch,
+		&core.JoinProbe{Row: r2, State: jt, Mode: ir.InnerJoin, BuildOut: build, SelOut: sel},
+		&core.ProbeCopy{Sel: sel, Src: k, Dst: kIn},
+		&core.ProbeCopy{Sel: sel, Src: v, Dst: vIn},
+	}
+	steps := splitSteps([]*core.IU{k, v, unused}, ops, []*core.IU{kIn, vIn, build},
+		func(_ int, op core.SubOp) bool { return op == prefetch })
+	if len(steps) != 2 {
+		t.Fatalf("steps = %d", len(steps))
+	}
+	staged := map[*core.IU]bool{}
+	for _, iu := range steps[0].emit {
+		staged[iu] = true
+	}
+	if len(staged) != 3 || !staged[k] || !staged[v] || !staged[r2] {
+		t.Fatalf("staged %v, want the carried columns k and v and the sealed key", steps[0].emit)
+	}
+	if len(steps[1].ops) != 4 {
+		t.Fatalf("the probe's step has %d ops, want prefetch, probe and both copies", len(steps[1].ops))
+	}
+}
