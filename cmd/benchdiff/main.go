@@ -26,22 +26,25 @@ import (
 // errIncomparable marks two artifacts measured under different configurations.
 var errIncomparable = errors.New("artifacts are not comparable")
 
-// key identifies a cell across artifacts; the exchange axis is part of the
-// identity so on/off cells of the same query/backend never diff against each
-// other.
-type key struct {
-	query, backend string
-	exchange       bool
-}
+// key identifies a cell across artifacts.
+type key struct{ query, backend string }
 
-func keyOf(c *benchkit.JSONCell) key { return key{c.Query, c.Backend, c.Exchange} }
+func keyOf(c *benchkit.JSONCell) key { return key{c.Query, c.Backend} }
 
-// system is the cell's backend as the table names it.
-func system(c *benchkit.JSONCell) string {
-	if c.Exchange {
-		return c.Backend + "+ex"
+// index maps a report's cells by key. Two cells under one key cannot be
+// matched against anything: an artifact recorded with the removed
+// `inkbench -exchange both` axis decodes that way, and the second cell would
+// silently replace the first.
+func index(r *benchkit.JSONReport) (map[key]*benchkit.JSONCell, error) {
+	m := make(map[key]*benchkit.JSONCell, len(r.Cells))
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		if _, dup := m[keyOf(c)]; dup {
+			return nil, fmt.Errorf("%w: duplicate cell %s/%s", errIncomparable, c.Query, c.Backend)
+		}
+		m[keyOf(c)] = c
 	}
-	return c.Backend
+	return m, nil
 }
 
 func load(path string) (*benchkit.JSONReport, error) {
@@ -65,23 +68,25 @@ func diff(w io.Writer, base, next *benchkit.JSONReport, threshold float64) (int,
 		return 0, fmt.Errorf("%w: baseline sf=%g workers=%d runs=%d, new sf=%g workers=%d runs=%d", errIncomparable,
 			base.SF, base.Workers, base.Runs, next.SF, next.Workers, next.Runs)
 	}
-	old := make(map[key]*benchkit.JSONCell, len(base.Cells))
-	for i := range base.Cells {
-		old[keyOf(&base.Cells[i])] = &base.Cells[i]
+	old, err := index(base)
+	if err != nil {
+		return 0, err
+	}
+	cur, err := index(next)
+	if err != nil {
+		return 0, err
 	}
 
 	fmt.Fprintf(w, "%-6s %-15s %10s %10s %9s\n", "query", "backend", "base ms", "new ms", "delta")
 	regressions := 0
-	seen := make(map[key]bool, len(next.Cells))
 	for i := range next.Cells {
 		c := &next.Cells[i]
-		seen[keyOf(c)] = true
 		b := old[keyOf(c)]
 		switch {
 		case b == nil:
-			fmt.Fprintf(w, "%-6s %-15s %10s %10.2f %9s\n", c.Query, system(c), "-", c.WallMS, "new")
+			fmt.Fprintf(w, "%-6s %-15s %10s %10.2f %9s\n", c.Query, c.Backend, "-", c.WallMS, "new")
 		case b.WallMS == 0:
-			fmt.Fprintf(w, "%-6s %-15s %10.2f %10.2f %9s\n", c.Query, system(c), b.WallMS, c.WallMS, "n/a")
+			fmt.Fprintf(w, "%-6s %-15s %10.2f %10.2f %9s\n", c.Query, c.Backend, b.WallMS, c.WallMS, "n/a")
 		default:
 			delta := c.WallMS/b.WallMS - 1
 			mark := ""
@@ -89,12 +94,12 @@ func diff(w io.Writer, base, next *benchkit.JSONReport, threshold float64) (int,
 				mark = "  REGRESSION"
 				regressions++
 			}
-			fmt.Fprintf(w, "%-6s %-15s %10.2f %10.2f %+8.1f%%%s\n", c.Query, system(c), b.WallMS, c.WallMS, 100*delta, mark)
+			fmt.Fprintf(w, "%-6s %-15s %10.2f %10.2f %+8.1f%%%s\n", c.Query, c.Backend, b.WallMS, c.WallMS, 100*delta, mark)
 		}
 	}
 	for i := range base.Cells {
-		if b := &base.Cells[i]; !seen[keyOf(b)] {
-			fmt.Fprintf(w, "%-6s %-15s %10.2f %10s %9s\n", b.Query, system(b), b.WallMS, "-", "missing")
+		if b := &base.Cells[i]; cur[keyOf(b)] == nil {
+			fmt.Fprintf(w, "%-6s %-15s %10.2f %10s %9s\n", b.Query, b.Backend, b.WallMS, "-", "missing")
 		}
 	}
 
@@ -114,7 +119,7 @@ func diff(w io.Writer, base, next *benchkit.JSONReport, threshold float64) (int,
 					fmt.Fprintf(w, "\ncounter deltas (base -> new):\n")
 					header = true
 				}
-				fmt.Fprintf(w, "%-6s %-15s %s %d -> %d\n", c.Query, system(c), r.Name, bv, cv)
+				fmt.Fprintf(w, "%-6s %-15s %s %d -> %d\n", c.Query, c.Backend, r.Name, bv, cv)
 			}
 		}
 	}

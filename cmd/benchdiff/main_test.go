@@ -32,16 +32,34 @@ func TestDiffRefusesIncomparableArtifacts(t *testing.T) {
 	}
 }
 
+// TestDiffRefusesDuplicateCells: an artifact of the removed `-exchange both`
+// axis carries two cells per (query, backend); matching either is a guess.
+func TestDiffRefusesDuplicateCells(t *testing.T) {
+	single := report(benchkit.JSONCell{Query: "q1", Backend: "hybrid", WallMS: 1})
+	double := report(single.Cells[0], benchkit.JSONCell{Query: "q1", Backend: "hybrid", WallMS: 5})
+	for name, pair := range map[string][2]*benchkit.JSONReport{
+		"baseline": {double, single},
+		"new":      {single, double},
+	} {
+		var out strings.Builder
+		_, err := diff(&out, pair[0], pair[1], 0.1)
+		if !errors.Is(err, errIncomparable) || !strings.Contains(err.Error(), "duplicate cell q1/hybrid") {
+			t.Errorf("duplicate in %s: err = %v, want errIncomparable naming q1/hybrid", name, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("duplicate in %s still printed a table:\n%s", name, &out)
+		}
+	}
+}
+
 func TestDiffTableAndCounters(t *testing.T) {
 	base := report(
 		benchkit.JSONCell{Query: "q1", Backend: "hybrid", WallMS: 10, Counters: stats.Counters{HTSpills: 16, VMOps: 500}},
-		benchkit.JSONCell{Query: "q1", Backend: "hybrid", WallMS: 10, Exchange: true},
 		benchkit.JSONCell{Query: "q3", Backend: "rof", WallMS: 0}, // an unmeasured baseline cell
 		benchkit.JSONCell{Query: "q6", Backend: "vectorized", WallMS: 4},
 	)
 	next := report(
 		benchkit.JSONCell{Query: "q1", Backend: "hybrid", WallMS: 12, Counters: stats.Counters{HTSpills: 0, VMOps: 500, CompileTime: 5}},
-		benchkit.JSONCell{Query: "q1", Backend: "hybrid", WallMS: 10.5, Exchange: true},
 		benchkit.JSONCell{Query: "q3", Backend: "rof", WallMS: 7},
 		benchkit.JSONCell{Query: "q5", Backend: "hybrid", WallMS: 3},
 	)
@@ -56,7 +74,6 @@ func TestDiffTableAndCounters(t *testing.T) {
 	}
 	for _, want := range []string{
 		"q1     hybrid               10.00      12.00    +20.0%  REGRESSION",
-		"q1     hybrid+ex            10.00      10.50     +5.0%\n",
 		"q3     rof                   0.00       7.00       n/a\n", // never +Inf%, never flagged
 		"q5     hybrid                   -       3.00       new\n",
 		"q6     vectorized            4.00          -   missing\n",

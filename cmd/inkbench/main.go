@@ -22,10 +22,9 @@
 //	    -queries query on all four backends, median wall ms / rows/sec per
 //	    cell as JSON on stdout (cmd/benchdiff compares two of these)
 //
-// The -exchange flag (off | on | both) lowers plans with the hash-partitioned
-// exchange: group-by and join builds route rows into per-partition buffers so
-// every hash-table partition is single-writer (DESIGN.md §15). "both" doubles
-// the -json cells into an A/B axis; -partitions overrides the fan-out.
+// Every -exp table is preceded by an env line naming the host and the run
+// (CPUs, GOMAXPROCS, Go version, vcs.revision, workers, SF, runs); -json mode
+// prints the same line on stderr.
 //
 // Degraded measurements (a background compile failed mid-run and the
 // pipeline was served vectorized-only) are flagged with '*' in every table
@@ -41,6 +40,8 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 
@@ -70,19 +71,9 @@ func main() {
 	concMax := flag.Int("conc-max", 0, "admitted-query cap per level (0 = half the client count)")
 	concQueue := flag.Int("conc-queue", 0, "admission queue depth (0 = scheduler default, negative = no queue)")
 	concBackend := flag.String("conc-backend", "", "backend for the concurrency series (default vectorized)")
-	exchange := flag.String("exchange", "off", "hash-partitioned exchange lowering: off | on | both (both measures every -json cell with and without the exchange)")
-	partitions := flag.Int("partitions", 0, "exchange fan-out with -exchange (0 = one partition per worker)")
 	flag.Parse()
 
-	switch *exchange {
-	case "off", "on", "both":
-	default:
-		fmt.Fprintf(os.Stderr, "inkbench: -exchange must be off, on or both (got %q)\n", *exchange)
-		os.Exit(2)
-	}
-
-	cfg := benchkit.Config{SF: *sf, Runs: *runs, Workers: *workers, Timeout: *timeout, MemBudget: *memBudget,
-		Exchange: *exchange == "on", Partitions: *partitions}
+	cfg := benchkit.Config{SF: *sf, Runs: *runs, Workers: *workers, Timeout: *timeout, MemBudget: *memBudget}
 	if *queries != "" {
 		cfg.Queries = strings.Split(*queries, ",")
 	}
@@ -97,15 +88,8 @@ func main() {
 	}
 
 	if *jsonFlag {
+		fmt.Fprintln(os.Stderr, envLine(cfg))
 		rep, err := benchkit.JSONBench(cfg, benchkit.Fig9Systems)
-		if err == nil && *exchange == "both" {
-			cfgOn := cfg
-			cfgOn.Exchange = true
-			var repOn *benchkit.JSONReport
-			if repOn, err = benchkit.JSONBench(cfgOn, benchkit.Fig9Systems); err == nil {
-				rep.Cells = append(rep.Cells, repOn.Cells...)
-			}
-		}
 		if err == nil && *concurrency > 0 {
 			rep.Concurrency, err = benchkit.ConcurrentBench(cfg, concCfg)
 		}
@@ -164,6 +148,7 @@ func main() {
 		if *exp != name && *exp != "all" {
 			return
 		}
+		fmt.Println(envLine(cfg))
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "inkbench: %s: %v\n", name, err)
 			os.Exit(1)
@@ -252,6 +237,29 @@ func main() {
 	}
 }
 
+// envLine names the host and the run a table was measured on, so a recorded
+// number can be compared with its predecessor (ROADMAP "measured performance").
+// vcs.revision is stamped by `go build`, not by `go run`.
+func envLine(cfg benchkit.Config) string {
+	rev, dirty := "unknown", ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				rev = s.Value[:min(12, len(s.Value))]
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "+dirty"
+			}
+		}
+	}
+	workers := cfg.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return fmt.Sprintf("# env: cpus=%d gomaxprocs=%d go=%s vcs.revision=%s workers=%d sf=%g runs=%d",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), rev+dirty, workers, cfg.SF, cfg.Runs)
+}
+
 // sqlQueries runs each configured query from its SQL text through the text
 // frontend — the same execution path inkserve's {"sql": ...} requests take —
 // and prints one line per query with the plan-cache fingerprint.
@@ -320,8 +328,7 @@ func explainQueries(cfg benchkit.Config, backendName string, dumpTrace bool, qlo
 		if err != nil {
 			return err
 		}
-		lopts := inkfuse.LowerOptions{Exchange: cfg.Exchange, Partitions: cfg.Partitions}
-		out, res, err := inkfuse.ExplainAnalyzeOpts(context.Background(), node, q, lopts, inkfuse.Options{
+		out, res, err := inkfuse.ExplainAnalyzeContext(context.Background(), node, q, inkfuse.Options{
 			Backend:      be,
 			Workers:      cfg.Workers,
 			MemoryBudget: cfg.MemBudget,

@@ -64,8 +64,8 @@ func main() {
 	flag.Parse()
 
 	// Contention profiling is off by default (it costs a few percent on hot
-	// lock paths); flags arm it for A/B runs like the exchange-on/off
-	// comparison in DESIGN.md §15.
+	// lock paths); flags arm it to measure shard-lock contention of
+	// JoinTable.InsertBatch under parallel builds.
 	if *mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexFraction)
 	}

@@ -67,16 +67,6 @@ func Lower(node Node, name string) (*Plan, error) {
 	return algebra.Lower(node, name)
 }
 
-// LowerOptions configures lowering. Exchange routes aggregation and join
-// builds through a local hash-partitioned exchange with private per-partition
-// tables (DESIGN.md §15); Partitions sets the fan-out (0 = GOMAXPROCS).
-type LowerOptions = algebra.LowerOptions
-
-// LowerOpts is Lower with explicit LowerOptions.
-func LowerOpts(node Node, name string, opts LowerOptions) (*Plan, error) {
-	return algebra.LowerOpts(node, name, opts)
-}
-
 // Execute runs an already-lowered plan. Note that a lowered plan owns its
 // runtime state (hash tables); re-executing the same *Plan is not supported —
 // lower again instead.
@@ -198,14 +188,7 @@ func ExplainAnalyze(node Node, name string, opts Options) (string, *Result, erro
 
 // ExplainAnalyzeContext is ExplainAnalyze under a context (see RunContext).
 func ExplainAnalyzeContext(ctx context.Context, node Node, name string, opts Options) (string, *Result, error) {
-	return ExplainAnalyzeOpts(ctx, node, name, LowerOptions{}, opts)
-}
-
-// ExplainAnalyzeOpts is ExplainAnalyzeContext with lowering options — e.g.
-// the hash-partitioned exchange (DESIGN.md §15), whose routed-row counts and
-// per-partition skew factor appear in the rendering.
-func ExplainAnalyzeOpts(ctx context.Context, node Node, name string, lopts LowerOptions, opts Options) (string, *Result, error) {
-	plan, err := algebra.LowerOpts(node, name, lopts)
+	plan, err := algebra.Lower(node, name)
 	if err != nil {
 		return "", nil, err
 	}

@@ -2,25 +2,12 @@ package algebra
 
 import (
 	"fmt"
-	"runtime"
 
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
 	"inkfuse/internal/types"
 )
-
-// LowerOptions configures how the algebra tree is lowered into suboperators.
-type LowerOptions struct {
-	// Exchange routes every aggregation and join build through a local
-	// hash-partitioned exchange (DESIGN.md §15): the feeding pipeline ends in
-	// a Partition suboperator, and the build runs one morsel per partition
-	// against a private single-writer table part — lock-free, spill-free.
-	Exchange bool
-	// Partitions is the exchange fan-out, rounded up to a power of two ≤
-	// rt.MaxPartitions. 0 = GOMAXPROCS (one partition per worker).
-	Partitions int
-}
 
 // Lower turns a relational plan into the suboperator plan executed by the
 // engine (paper Fig 7, step 2 → 3): one pass over the algebra tree that
@@ -32,22 +19,11 @@ func Lower(root Node, name string) (*core.Plan, error) {
 	return plan, err
 }
 
-// LowerOpts is Lower with explicit LowerOptions.
-func LowerOpts(root Node, name string, opts LowerOptions) (*core.Plan, error) {
-	plan, _, err := LowerWithParamsOpts(root, name, opts)
-	return plan, err
-}
-
 // LowerWithParams lowers like Lower and additionally collects the runtime
 // constant states created for Ref-tagged literals (Const.Ref, LikeE.Ref,
 // InListE.Ref) into a Params map, so callers can rebind parameter values on
 // the lowered plan without re-lowering (the plancache reuse path).
 func LowerWithParams(root Node, name string) (*core.Plan, *Params, error) {
-	return LowerWithParamsOpts(root, name, LowerOptions{})
-}
-
-// LowerWithParamsOpts is LowerWithParams with explicit LowerOptions.
-func LowerWithParamsOpts(root Node, name string, opts LowerOptions) (*core.Plan, *Params, error) {
 	plan := &core.Plan{Name: name}
 
 	node := root
@@ -66,7 +42,7 @@ func LowerWithParamsOpts(root Node, name string, opts LowerOptions) (*core.Plan,
 	}
 
 	params := newParams()
-	l := &lowerer{plan: plan, params: params, opts: opts}
+	l := &lowerer{plan: plan, params: params}
 	if err := l.lower(node, required); err != nil {
 		return nil, nil, err
 	}
@@ -105,25 +81,6 @@ type lowerer struct {
 	cols   map[string]*core.IU
 	npipe  int
 	params *Params
-	opts   LowerOptions
-}
-
-// partitions resolves the exchange fan-out (power of two ≤ MaxPartitions).
-func (l *lowerer) partitions() int {
-	p := l.opts.Partitions
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	return rt.NormalizePartitions(p)
-}
-
-// exchange allocates the shared routing state for one partitioned build, or
-// nil when exchanges are off.
-func (l *lowerer) exchange() *rt.ExchangeState {
-	if !l.opts.Exchange {
-		return nil
-	}
-	return &rt.ExchangeState{Partitions: l.partitions()}
 }
 
 func (l *lowerer) newPipe(src core.Source) {
@@ -396,11 +353,6 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 		merges = append(merges, rt.AggMerge{Op: mergeOp(s.fn), Off: s.off})
 	}
 	st := &rt.AggTableState{Init: init, Shards: 16, Merge: merges}
-	ex := l.exchange()
-	if ex != nil {
-		st.Partitions = ex.Partitions
-		st.Parted = rt.NewPartitionedAggTable(init, ex.Partitions)
-	}
 
 	// Build-side suboperators: pack the compound key, look up the group,
 	// update every aggregate (paper Fig 6). A single fixed-width key skips
@@ -409,44 +361,14 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 	// an original in the group payload (paper §IV-D collations).
 	noCase := toSet(n.NoCase)
 	group := core.NewIU(types.Ptr, "agg_group")
-	exPayFixed := 0
-	if ex == nil && len(n.Keys) == 1 && keyFields[0].Kind.Fixed() {
+	if len(n.Keys) == 1 && keyFields[0].Kind.Fixed() {
 		key, ok := l.cols[n.Keys[0]]
 		if !ok {
 			return fmt.Errorf("algebra: key column %q not bound", n.Keys[0])
 		}
 		l.add(&core.AggLookupFixed{Key: key, State: st, Out: group})
 	} else {
-		// With an exchange the probe row doubles as the routed row: the
-		// distinct aggregate inputs ride in its fixed payload so the build
-		// pipeline, reading the exchange partition-by-partition, can unpack
-		// them without revisiting the scan (DESIGN.md §15).
-		var exCols []string
-		if ex != nil {
-			seen := map[string]bool{}
-			for _, s := range slots {
-				if s.col != "" && !seen[s.col] {
-					seen[s.col] = true
-					exCols = append(exCols, s.col)
-				}
-			}
-		}
-		fields := append([]rt.Field{}, keyFields...)
-		exKinds := make([]types.Kind, len(exCols))
-		for j, c := range exCols {
-			val, ok := l.cols[c]
-			if !ok {
-				return fmt.Errorf("algebra: aggregate column %q not bound", c)
-			}
-			if !val.K.Fixed() {
-				return fmt.Errorf("algebra: aggregate input %q is not fixed-width", c)
-			}
-			exKinds[j] = val.K
-			fields = append(fields, rt.Field{Kind: val.K})
-		}
-		rowLayout := rt.NewLayout(fields)
-		exPayFixed = rowLayout.PayloadFixedWidth
-		layout := &rt.RowLayoutState{KeyFixed: rowLayout.KeyFixedWidth, PayloadFixed: rowLayout.PayloadFixedWidth}
+		layout := &rt.RowLayoutState{KeyFixed: keyLayout.KeyFixedWidth}
 		anchor, err := l.anyBound(inReq)
 		if err != nil {
 			return err
@@ -466,11 +388,7 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 		}
 		row := core.NewIU(types.Ptr, "agg_key")
 		l.add(&core.MakeRow{Anchor: anchor, Layout: layout, Out: row})
-		row, err = l.packKeyIUs(row, layout, rowLayout, keyVals)
-		if err != nil {
-			return err
-		}
-		row, err = l.packPayload(row, layout, rowLayout, len(n.Keys), exCols)
+		row, err = l.packKeyIUs(row, layout, keyLayout, keyVals)
 		if err != nil {
 			return err
 		}
@@ -485,27 +403,7 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 				Off: &rt.OffsetState{Layout: layout}, Out: out})
 			row = out
 		}
-		if ex == nil {
-			l.add(&core.AggLookup{Row: row, State: st, Out: group})
-		} else {
-			// The routing pipeline ends at the Partition sink; a fresh build
-			// pipeline consumes the exchange one partition per morsel, so each
-			// table part has exactly one writer.
-			l.add(&core.Partition{Row: row, State: ex})
-			l.pipe.SealExchanges = append(l.pipe.SealExchanges, ex)
-			l.plan.Pipelines = append(l.plan.Pipelines, l.pipe)
-			exRow := core.NewIU(types.Ptr, "exg_row")
-			l.newPipe(&core.ExchangeRead{State: ex, Out: exRow})
-			for j, c := range exCols {
-				iu, err := l.unpackField(exRow, ir.PayloadRegion, exKinds[j],
-					rowLayout.FixedOff[len(n.Keys)+j], rowLayout.PayloadFixedWidth, -1, c)
-				if err != nil {
-					return err
-				}
-				l.cols[c] = iu
-			}
-			l.add(&core.AggLookup{Row: exRow, State: st, Out: group})
-		}
+		l.add(&core.AggLookup{Row: row, State: st, Out: group})
 	}
 	for _, s := range slots {
 		u := &core.AggUpdate{Group: group, Fn: s.fn, Off: &rt.OffsetState{Off: s.off}}
@@ -537,11 +435,9 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 		var err error
 		if noCase[k] {
 			// The displayed value is the preserved original from the group
-			// payload, after the fixed aggregate slots (and, when the build was
-			// exchanged, after the routed row's fixed aggregate inputs, which
-			// the lookup seed carried into the group payload).
+			// payload, after the fixed aggregate slots.
 			iu, err = l.unpackField(rowIU, ir.PayloadRegion, types.String, -1,
-				len(init)+exPayFixed, collatedSlot[k], k)
+				len(init), collatedSlot[k], k)
 		} else {
 			iu, err = l.unpackField(rowIU, ir.KeyRegion, keyFields[i].Kind, keyLayout.FixedOff[i],
 				keyLayout.KeyFixedWidth, keyLayout.VarIdx[i], k)

@@ -30,7 +30,7 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	}
 
 	// --- Build pipeline: pack key + payload, insert (paper §IV-E).
-	lb := &lowerer{plan: l.plan, params: l.params, opts: l.opts}
+	lb := &lowerer{plan: l.plan, params: l.params}
 	breq := dedupe(append(append([]string{}, n.BuildKeys...), carry...))
 	if err := lb.lower(n.Build, breq); err != nil {
 		return err
@@ -47,10 +47,6 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	bLayout := rt.NewLayout(bFields)
 	bRL := &rt.RowLayoutState{KeyFixed: bLayout.KeyFixedWidth, PayloadFixed: bLayout.PayloadFixedWidth}
 	jt := &rt.JoinTableState{Table: rt.NewJoinTable(16)}
-	ex := lb.exchange()
-	if ex != nil {
-		jt = &rt.JoinTableState{Partitions: ex.Partitions, Parted: rt.NewPartitionedJoinTable(ex.Partitions)}
-	}
 
 	anchor, err := lb.anyBound(n.BuildKeys)
 	if err != nil {
@@ -71,24 +67,9 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	if err != nil {
 		return err
 	}
-	if ex == nil {
-		lb.add(&core.JoinInsert{Row: row, State: jt})
-		lb.pipe.SealJoins = append(lb.pipe.SealJoins, jt)
-		l.plan.Pipelines = append(l.plan.Pipelines, lb.pipe)
-	} else {
-		// Exchanged build (DESIGN.md §15): the build row is hash-routed into
-		// per-partition buffers, and a second pipeline inserts each partition
-		// into its private single-writer table part — no shard locks, no
-		// cross-worker contention.
-		lb.add(&core.Partition{Row: row, State: ex})
-		lb.pipe.SealExchanges = append(lb.pipe.SealExchanges, ex)
-		l.plan.Pipelines = append(l.plan.Pipelines, lb.pipe)
-		bRow := core.NewIU(types.Ptr, "exj_row")
-		lb.newPipe(&core.ExchangeRead{State: ex, Out: bRow})
-		lb.add(&core.JoinInsert{Row: bRow, State: jt})
-		lb.pipe.SealJoins = append(lb.pipe.SealJoins, jt)
-		l.plan.Pipelines = append(l.plan.Pipelines, lb.pipe)
-	}
+	lb.add(&core.JoinInsert{Row: row, State: jt})
+	lb.pipe.SealJoins = append(lb.pipe.SealJoins, jt)
+	l.plan.Pipelines = append(l.plan.Pipelines, lb.pipe)
 
 	// --- Probe side: continues the current pipeline. Only the probe key is
 	// packed — the table compares key blobs — and nothing else of the probe

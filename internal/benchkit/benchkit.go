@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"inkfuse/internal/algebra"
-	"inkfuse/internal/core"
 	"inkfuse/internal/exec"
 	"inkfuse/internal/stats"
 	"inkfuse/internal/storage"
@@ -37,11 +36,6 @@ type Config struct {
 	Timeout time.Duration
 	// MemBudget caps each query's runtime-state bytes (0 = unlimited).
 	MemBudget int64
-	// Exchange lowers plans with the local hash-partitioned exchange
-	// (DESIGN.md §15): partitioned, single-writer aggregation and join builds.
-	Exchange bool
-	// Partitions is the exchange fan-out (0 = one per worker).
-	Partitions int
 }
 
 // WithDefaults fills unset fields.
@@ -122,7 +116,7 @@ func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, 
 		}
 		return Cell{Query: query, System: sys.Name, Wall: time.Since(start), Rows: out.Rows()}, nil
 	}
-	plan, err := lowerCfg(node, query, cfg)
+	plan, err := algebra.Lower(node, query)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -154,16 +148,6 @@ func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, 
 		Rows: res.Rows(), Stats: res.Stats,
 		Degraded: len(res.Warnings) > 0 || res.Stats.CompileErrors > 0,
 	}, nil
-}
-
-// lowerCfg lowers one query honouring the Config's exchange axis: with
-// Exchange on and no explicit fan-out, one partition per worker.
-func lowerCfg(node algebra.Node, name string, cfg Config) (*core.Plan, error) {
-	lopts := algebra.LowerOptions{Exchange: cfg.Exchange, Partitions: cfg.Partitions}
-	if lopts.Exchange && lopts.Partitions == 0 {
-		lopts.Partitions = cfg.Workers
-	}
-	return algebra.LowerOpts(node, name, lopts)
 }
 
 // Measure repeats RunOnce and returns the cell with the median wall time.
@@ -278,13 +262,10 @@ type JSONCell struct {
 	// second of wall time) — the same rate the /metrics histograms track.
 	RowsPerSec float64 `json:"rows_per_sec"`
 	Degraded   bool    `json:"degraded,omitempty"`
-	// Exchange marks cells measured with the hash-partitioned exchange
-	// lowering (DESIGN.md §15) — the on/off axis of the committed artifacts.
-	Exchange bool `json:"exchange,omitempty"`
 	// Counters are the measurement's execution counters. Each one that is set
 	// is a top-level key of the cell, named by its stats.Schema row (durations
 	// in nanoseconds, "_ns"-suffixed): trend tooling watches them alongside
-	// wall time (e.g. ht_spills must stay 0 on partitioned paths).
+	// wall time.
 	Counters stats.Counters `json:"-"`
 }
 
@@ -344,7 +325,7 @@ func JSONBench(cfg Config, systems []System) (*JSONReport, error) {
 				WallMS:        float64(c.Wall) / float64(time.Millisecond),
 				CompileWaitMS: float64(c.CompileWait) / float64(time.Millisecond),
 				Rows:          c.Rows, Degraded: c.Degraded,
-				Exchange: cfg.Exchange, Counters: c.Stats,
+				Counters: c.Stats,
 			}
 			if secs := c.Wall.Seconds(); secs > 0 {
 				jc.RowsPerSec = float64(c.Stats.Tuples) / secs

@@ -135,7 +135,7 @@ func concLevels(top int) []int {
 
 // runCase lowers a fresh plan (plans carry per-execution state) and runs it.
 func runCase(cat *storage.Catalog, qc *queryCase, be exec.Backend, cfg Config, pool *sched.Pool) (string, error) {
-	plan, err := lowerCfg(qc.node, qc.name, cfg)
+	plan, err := algebra.Lower(qc.node, qc.name)
 	if err != nil {
 		return "", err
 	}

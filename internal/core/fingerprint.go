@@ -130,7 +130,6 @@ func (h *planHasher) state(st any) error {
 		h.Int(h.ident(s))
 		h.Int(len(s.Init))
 		h.Int(s.Shards)
-		h.Int(s.Partitions)
 		for _, m := range s.Merge {
 			h.Int(int(m.Op))
 			h.Int(m.Off)
@@ -138,11 +137,6 @@ func (h *planHasher) state(st any) error {
 	case *rt.JoinTableState:
 		h.Str("join")
 		h.Int(h.ident(s))
-		h.Int(s.Partitions)
-	case *rt.ExchangeState:
-		h.Str("exchange")
-		h.Int(h.ident(s))
-		h.Int(s.Partitions)
 	default:
 		return fmt.Errorf("core: cannot fingerprint state %T", st)
 	}
@@ -168,12 +162,6 @@ func FingerprintPlan(p *Plan) (Fingerprint, error) {
 			}
 		case *AggRead:
 			h.Str("aggread")
-			if err := h.state(src.State); err != nil {
-				return Fingerprint{}, err
-			}
-			h.iu(src.Out)
-		case *ExchangeRead:
-			h.Str("exchangeread")
 			if err := h.state(src.State); err != nil {
 				return Fingerprint{}, err
 			}
@@ -212,12 +200,6 @@ func FingerprintPlan(p *Plan) (Fingerprint, error) {
 				return Fingerprint{}, err
 			}
 			h.Bool(fin.Keyless)
-		}
-		h.Str("xseal")
-		for _, ex := range pipe.SealExchanges {
-			if err := h.state(ex); err != nil {
-				return Fingerprint{}, err
-			}
 		}
 	}
 	h.Str("cols")

@@ -43,20 +43,6 @@ func (a *AggRead) SourceIUs() []*IU { return []*IU{a.Out} }
 
 func (*AggRead) sourceMarker() {}
 
-// ExchangeRead scans the sealed per-partition row buffers of a local
-// hash-partitioned exchange (DESIGN.md §15): one morsel per partition, so the
-// downstream build touches each partitioned table part from exactly one
-// worker. Its IU is the packed row the routing pipeline materialized.
-type ExchangeRead struct {
-	State *rt.ExchangeState
-	Out   *IU // Ptr
-}
-
-// SourceIUs implements Source.
-func (e *ExchangeRead) SourceIUs() []*IU { return []*IU{e.Out} }
-
-func (*ExchangeRead) sourceMarker() {}
-
 // AggFinalize tells the scheduler to merge per-worker pre-aggregation tables
 // into the global table when the pipeline completes. Keyless aggregations
 // (no GROUP BY) guarantee one group even on empty input.
@@ -79,9 +65,6 @@ type Pipeline struct {
 	SealJoins []*rt.JoinTableState
 	// MergeAggs lists aggregations this pipeline feeds.
 	MergeAggs []*AggFinalize
-	// SealExchanges lists the exchanges this pipeline routes into; the
-	// scheduler seals their per-partition buffers when the pipeline completes.
-	SealExchanges []*rt.ExchangeState
 }
 
 // ResultKinds returns the kinds of the result columns.

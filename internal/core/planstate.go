@@ -3,7 +3,7 @@ package core
 import "inkfuse/internal/rt"
 
 // runState is a runtime state object that an execution fills and the next
-// one must find empty: rt.JoinTableState, rt.AggTableState, rt.ExchangeState.
+// one must find empty: rt.JoinTableState, rt.AggTableState.
 type runState interface {
 	// Reset empties the state in place, keeping its memory.
 	Reset()
@@ -15,11 +15,10 @@ type runState interface {
 var (
 	_ runState = (*rt.JoinTableState)(nil)
 	_ runState = (*rt.AggTableState)(nil)
-	_ runState = (*rt.ExchangeState)(nil)
 )
 
 // PlanState lists the per-execution mutable state baked into a lowered plan —
-// join tables, aggregation results, exchange buffers — each object once.
+// join tables, aggregation results — each object once.
 // Compiled artifacts reference these same objects, so a plan instance is
 // re-run by resetting them, never by replacing them. Collected once per plan
 // instance (CollectPlanState); the methods are safe only while no execution
@@ -39,10 +38,7 @@ func CollectPlanState(p *Plan) *PlanState {
 		}
 	}
 	for _, pipe := range p.Pipelines {
-		switch src := pipe.Source.(type) {
-		case *AggRead:
-			add(src.State)
-		case *ExchangeRead:
+		if src, ok := pipe.Source.(*AggRead); ok {
 			add(src.State)
 		}
 		for _, op := range pipe.Ops {
@@ -55,9 +51,6 @@ func CollectPlanState(p *Plan) *PlanState {
 		}
 		for _, fin := range pipe.MergeAggs {
 			add(fin.State)
-		}
-		for _, ex := range pipe.SealExchanges {
-			add(ex)
 		}
 	}
 	return ps

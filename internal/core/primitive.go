@@ -158,9 +158,6 @@ func Enumerate() []SubOp {
 		out = append(out, u)
 	}
 
-	// Exchange routing (local hash-partitioned exchange, DESIGN.md §15).
-	out = append(out, &Partition{Row: iu(types.Ptr), State: &rt.ExchangeState{}})
-
 	// Joins.
 	jt := &rt.JoinTableState{}
 	out = append(out,

@@ -350,39 +350,6 @@ func (j *JoinInsert) Consume(g *Gen) error {
 	return nil
 }
 
-// Partition is the local hash-partitioned exchange sink (DESIGN.md §15): at a
-// pipeline break it hash-routes each packed row into one of the exchange's
-// per-partition tuple buffers. The downstream pipeline reads the partitions
-// back through an ExchangeRead source, one morsel per partition, giving every
-// partitioned hash table a single sequential writer. Because it consumes an
-// abstract packed row it respects the enumeration invariant.
-type Partition struct {
-	Row   *IU
-	State *rt.ExchangeState
-}
-
-// PrimitiveID implements SubOp.
-func (p *Partition) PrimitiveID() string { return "partition" }
-
-// Inputs implements SubOp.
-func (p *Partition) Inputs() []*IU { return []*IU{p.Row} }
-
-// Outputs implements SubOp.
-func (p *Partition) Outputs() []*IU { return nil }
-
-// States implements SubOp.
-func (p *Partition) States() []any { return []any{p.State} }
-
-// Consume implements SubOp.
-func (p *Partition) Consume(g *Gen) error {
-	row, err := g.Var(p.Row)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Partition{Row: row, StateID: g.AddState(p.State)})
-	return nil
-}
-
 // Prefetch touches hash-table buckets for a staged chunk of probe keys — the
 // dedicated ROF prefetch step (paper §VII, ROF backend).
 type Prefetch struct {

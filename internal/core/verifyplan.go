@@ -29,7 +29,6 @@ func VerifyPlan(p *Plan) error {
 		plan:       p,
 		sealedAt:   map[*rt.JoinTableState]int{},
 		mergedAt:   map[*rt.AggTableState]int{},
-		routedAt:   map[*rt.ExchangeState]int{},
 		pipeOfName: map[string]int{},
 	}
 	for i, pipe := range p.Pipelines {
@@ -45,12 +44,10 @@ func VerifyPlan(p *Plan) error {
 
 type planVerifier struct {
 	plan *Plan
-	// sealedAt / mergedAt / routedAt record the pipeline index that seals a
-	// join table / merges an aggregation / routes an exchange — the pipeline
-	// breakers of the plan.
+	// sealedAt / mergedAt record the pipeline index that seals a join table /
+	// merges an aggregation — the pipeline breakers of the plan.
 	sealedAt   map[*rt.JoinTableState]int
 	mergedAt   map[*rt.AggTableState]int
-	routedAt   map[*rt.ExchangeState]int
 	pipeOfName map[string]int
 }
 
@@ -80,10 +77,6 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 	if pipe.Source == nil {
 		return fmt.Errorf("pipeline has no source")
 	}
-	// exSrc is set when this pipeline reads a sealed exchange: every table it
-	// builds must then agree with the exchange's partition count (the routing
-	// bits and the partitioned tables' dispatch must address the same parts).
-	var exSrc *rt.ExchangeState
 	switch s := pipe.Source.(type) {
 	case *TableScan:
 		if len(s.Cols) != len(s.IUs) {
@@ -100,18 +93,6 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 		if at >= idx {
 			return fmt.Errorf("reads an aggregate merged by pipeline %d, which does not run earlier", at)
 		}
-	case *ExchangeRead:
-		if s.Out == nil || s.Out.K != types.Ptr {
-			return fmt.Errorf("exchange read must produce a Ptr row IU")
-		}
-		at, ok := v.routedAt[s.State]
-		if !ok {
-			return fmt.Errorf("reads an exchange no earlier pipeline routes")
-		}
-		if at >= idx {
-			return fmt.Errorf("reads an exchange routed by pipeline %d, which does not run earlier", at)
-		}
-		exSrc = s.State
 	}
 	for _, iu := range pipe.Source.SourceIUs() {
 		if iu == nil {
@@ -125,7 +106,6 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 
 	built := map[*rt.JoinTableState]bool{}
 	fedAggs := map[*rt.AggTableState]bool{}
-	routed := map[*rt.ExchangeState]bool{}
 	// definedAt: the op that produces an IU (-1 for the source); probeAt: the
 	// JoinProbe that produces a match selection. A probe copy reads its source
 	// column through the selection, so the column must exist at the
@@ -154,9 +134,6 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 		switch op := op.(type) {
 		case *JoinInsert:
 			built[op.State] = true
-			if err := partitionAgreement(exSrc, op.State.Partitions, "join build"); err != nil {
-				return fmt.Errorf("op %d (%T): %w", oi, op, err)
-			}
 		case *Prefetch:
 			if err := v.probeOrder(idx, op.State); err != nil {
 				return fmt.Errorf("op %d (%T): %w", oi, op, err)
@@ -176,19 +153,8 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 			}
 		case *AggLookup:
 			fedAggs[op.State] = true
-			if err := partitionAgreement(exSrc, op.State.Partitions, "aggregate build"); err != nil {
-				return fmt.Errorf("op %d (%T): %w", oi, op, err)
-			}
 		case *AggLookupFixed:
 			fedAggs[op.State] = true
-			if op.State.Partitions > 0 {
-				return fmt.Errorf("op %d (%T): fixed-key aggregate lookup cannot feed a partitioned table (no packed row to route)", oi, op)
-			}
-		case *Partition:
-			if oi != len(pipe.Ops)-1 {
-				return fmt.Errorf("op %d (%T): partition must be the final suboperator of its pipeline", oi, op)
-			}
-			routed[op.State] = true
 		}
 		for _, out := range op.Outputs() {
 			if out == nil {
@@ -235,31 +201,11 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 			return fmt.Errorf("feeds an aggregate this pipeline never merges")
 		}
 	}
-	for _, ex := range pipe.SealExchanges {
-		if ex == nil {
-			return fmt.Errorf("nil exchange seal")
-		}
-		if !routed[ex] {
-			return fmt.Errorf("seals an exchange no Partition in this pipeline routes")
-		}
-		if ex.Partitions < 1 {
-			return fmt.Errorf("exchange declares %d partitions; need at least 1", ex.Partitions)
-		}
-		if at, dup := v.routedAt[ex]; dup {
-			return fmt.Errorf("exchange already routed by pipeline %d", at)
-		}
-		v.routedAt[ex] = idx
-	}
-	for ex := range routed {
-		if _, ok := v.routedAt[ex]; !ok {
-			return fmt.Errorf("routes an exchange this pipeline never seals")
-		}
-	}
 
 	// Sinks: a pipeline either materializes its Result IUs or exists for its
 	// side effects (hash-table builds).
 	if pipe.Result == nil {
-		if len(pipe.SealJoins)+len(pipe.MergeAggs)+len(pipe.SealExchanges) == 0 {
+		if len(pipe.SealJoins)+len(pipe.MergeAggs) == 0 {
 			return fmt.Errorf("sink pipeline has neither result IUs nor table side effects")
 		}
 	} else {
@@ -274,27 +220,6 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// partitionAgreement checks a table build against its pipeline's source: a
-// partitioned table must be fed from an exchange read of the same partition
-// count (the routing bits address exactly the table's parts), and a pipeline
-// that reads an exchange must build into partitioned tables — otherwise the
-// single-writer-per-partition discipline the exchange establishes is lost.
-func partitionAgreement(ex *rt.ExchangeState, stateParts int, role string) error {
-	if ex == nil {
-		if stateParts > 0 {
-			return fmt.Errorf("%s declares %d partitions but its pipeline source is not an exchange read", role, stateParts)
-		}
-		return nil
-	}
-	if stateParts <= 0 {
-		return fmt.Errorf("%s is unpartitioned but its pipeline reads a %d-partition exchange", role, ex.Partitions)
-	}
-	if rt.NormalizePartitions(stateParts) != rt.NormalizePartitions(ex.Partitions) {
-		return fmt.Errorf("%s partition count %d disagrees with the exchange's %d", role, stateParts, ex.Partitions)
 	}
 	return nil
 }
@@ -391,8 +316,6 @@ func opEdges(op SubOp) error {
 		return wantPtr("group row", op.Group)
 	case *JoinInsert:
 		return wantPtr("build row", op.Row)
-	case *Partition:
-		return wantPtr("routed row", op.Row)
 	case *Prefetch:
 		return wantPtr("probe row", op.Row)
 	case *JoinProbe:

@@ -69,93 +69,6 @@ func TestVerifyPlanValid(t *testing.T) {
 	}
 }
 
-// miniExchangePlan builds a valid three-pipeline exchanged aggregation: scan →
-// pack → Partition route, exchange read → partitioned build, aggregate read.
-func miniExchangePlan() *Plan {
-	tbl := storage.NewTable("t", types.Schema{
-		{Name: "k", Kind: types.Int64},
-	})
-	k := NewIU(types.Int64, "k")
-	key0 := NewIU(types.Ptr, "key")
-	key1 := NewIU(types.Ptr, "key")
-	key2 := NewIU(types.Ptr, "key")
-	exRow := NewIU(types.Ptr, "ex_row")
-	group := NewIU(types.Ptr, "group")
-	ex := &rt.ExchangeState{Partitions: 8}
-	agg := &rt.AggTableState{Partitions: 8}
-	layout := &rt.RowLayoutState{}
-	row := NewIU(types.Ptr, "row")
-	cnt := NewIU(types.Int64, "cnt")
-	return &Plan{
-		Name: "miniex",
-		Pipelines: []*Pipeline{
-			{
-				Name:   "route",
-				Source: &TableScan{Table: tbl, Cols: []int{0}, IUs: []*IU{k}},
-				Ops: []SubOp{
-					&MakeRow{Anchor: k, Layout: layout, Out: key0},
-					&PackFixed{Row: key0, Val: k, Off: &rt.OffsetState{}, Out: key1},
-					&SealKey{Row: key1, Layout: layout, Out: key2},
-					&Partition{Row: key2, State: ex},
-				},
-				SealExchanges: []*rt.ExchangeState{ex},
-			},
-			{
-				Name:   "build",
-				Source: &ExchangeRead{State: ex, Out: exRow},
-				Ops: []SubOp{
-					&AggLookup{Row: exRow, State: agg, Out: group},
-					&AggUpdate{Group: group, Fn: ir.AggCount, Off: &rt.OffsetState{}},
-				},
-				MergeAggs: []*AggFinalize{{State: agg}},
-			},
-			{
-				Name:   "read",
-				Source: &AggRead{State: agg, Out: row},
-				Ops: []SubOp{
-					&UnpackFixed{Row: row, Off: &rt.OffsetState{}, Out: cnt},
-				},
-				Result: []*IU{cnt},
-			},
-		},
-		ColNames: []string{"cnt"},
-	}
-}
-
-func TestVerifyPlanExchange(t *testing.T) {
-	if err := VerifyPlan(miniExchangePlan()); err != nil {
-		t.Fatalf("valid exchanged plan rejected: %v", err)
-	}
-	mutateEx := func(t *testing.T, want string, f func(p *Plan)) {
-		t.Helper()
-		p := miniExchangePlan()
-		f(p)
-		err := VerifyPlan(p)
-		if err == nil {
-			t.Fatalf("mutated plan (want %q) verified clean", want)
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
-		}
-	}
-	t.Run("agg partition mismatch", func(t *testing.T) {
-		mutateEx(t, "disagrees with the exchange's 8", func(p *Plan) {
-			p.Pipelines[1].Ops[0].(*AggLookup).State.Partitions = 4
-			p.Pipelines[1].MergeAggs[0].State.Partitions = 4
-		})
-	})
-	t.Run("join partition mismatch", func(t *testing.T) {
-		mutateEx(t, "disagrees with the exchange's 8", func(p *Plan) {
-			build := p.Pipelines[1]
-			exRow := build.Source.(*ExchangeRead).Out
-			jt := &rt.JoinTableState{Partitions: 4}
-			build.Ops = []SubOp{&JoinInsert{Row: exRow, State: jt}}
-			build.MergeAggs = nil
-			build.SealJoins = []*rt.JoinTableState{jt}
-		})
-	})
-}
-
 // mutate applies f to a fresh mini plan and asserts VerifyPlan rejects it
 // with an error mentioning want.
 func mutate(t *testing.T, want string, f func(p *Plan)) {

@@ -357,15 +357,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		budget = rt.NewMemBudget(opts.MemoryBudget)
 		for _, pipe := range plan.Pipelines {
 			for _, js := range pipe.SealJoins {
-				js.SetBudget(budget)
-			}
-			for _, fin := range pipe.MergeAggs {
-				if fin.State.Parted != nil {
-					fin.State.Parted.SetBudget(budget)
-				}
-			}
-			for _, ex := range pipe.SealExchanges {
-				ex.SetBudget(budget)
+				js.Table.SetBudget(budget)
 			}
 		}
 	}
@@ -432,10 +424,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		if err != nil {
 			return failed(fmt.Errorf("exec: %s/%s: %w", plan.Name, pipe.Name, err))
 		}
-		morsels := binder.morsels
-		if morsels == nil {
-			morsels = storage.Morsels(binder.total, opts.MorselSize)
-		}
+		morsels := storage.Morsels(binder.total, opts.MorselSize)
 
 		// Cardinality hint for this pipeline's aggregations: one worker sees
 		// at most a morsel of rows between table growth checks, and never
@@ -513,7 +502,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			if rows := wctx.Counters.Tuples - rows0; sizing && err == nil && rows > 0 && joinsSized.CompareAndSwap(false, true) {
 				est := float64(wctx.Counters.HTInserts-inserts0) / float64(rows) * float64(binder.total)
 				for _, js := range pipe.SealJoins {
-					js.Reserve(int(est))
+					js.Table.Reserve(int(est))
 				}
 			}
 			morselHist.ObserveDuration(elapsed)
@@ -581,14 +570,6 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		if pt != nil {
 			pt.Finalize = time.Since(finStart)
 			pt.Wall = time.Since(pipeStart)
-			// Per-partition routed-row counts of the exchanges this pipeline
-			// sealed — the skew surface for EXPLAIN ANALYZE (a uniform exchange
-			// shows near-equal counts; an all-one-partition skew shows one hot
-			// entry).
-			for _, ex := range pipe.SealExchanges {
-				pt.PartRows = append(pt.PartRows, ex.PartRows()...)
-				pt.Counters.PartMaxPartRows = max(pt.Counters.PartMaxPartRows, ex.MaxPartRows())
-			}
 		}
 		if pipe.Result != nil {
 			finalChunks = outs
@@ -679,11 +660,6 @@ func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm
 // sourceBinder adapts a pipeline source to morsel-range vector bindings.
 type sourceBinder struct {
 	total int
-	// morsels, when non-nil, overrides the uniform morsel split: exchange
-	// reads dispatch exactly one morsel per partition (the single-writer
-	// discipline of the partitioned tables), with Morsel.Start carrying the
-	// partition index.
-	morsels []storage.Morsel
 	// bind points views — the calling worker slot's own headers, one per
 	// source IU — at the morsel's rows and returns the row count.
 	bind func(m storage.Morsel, views []*storage.Vector) int
@@ -713,26 +689,6 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 				return m.Rows()
 			},
 		}, nil
-	case *core.ExchangeRead:
-		if !s.State.Sealed() {
-			return sourceBinder{}, fmt.Errorf("%w: exchange source read before its routing pipeline completed", ErrInvalidPlan)
-		}
-		p := rt.NormalizePartitions(s.State.Partitions)
-		ms := make([]storage.Morsel, p)
-		total := 0
-		for pi := 0; pi < p; pi++ {
-			total += len(s.State.PartitionRows(pi))
-			ms[pi] = storage.Morsel{Start: pi, End: pi + 1}
-		}
-		return sourceBinder{
-			total:   total,
-			morsels: ms,
-			bind: func(m storage.Morsel, views []*storage.Vector) int {
-				rows := s.State.PartitionRows(m.Start)
-				views[0].Kind, views[0].Ptr = types.Ptr, rows
-				return len(rows)
-			},
-		}, nil
 	default:
 		return sourceBinder{}, fmt.Errorf("%w: unknown source %T", ErrInvalidPlan, pipe.Source)
 	}
@@ -740,25 +696,9 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 
 func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx, budget *rt.MemBudget) error {
 	for _, js := range pipe.SealJoins {
-		js.Seal()
-	}
-	// Seal routed exchanges: concatenate the workers' per-partition buffers and
-	// fold the routing/skew counters into the query stats.
-	for _, ex := range pipe.SealExchanges {
-		ex.Seal()
-		c := &ctxs[0].Counters
-		c.PartMaxPartRows = max(c.PartMaxPartRows, ex.MaxPartRows())
+		js.Table.Seal()
 	}
 	for _, fin := range pipe.MergeAggs {
-		if fin.State.Partitions > 0 {
-			// Exchange-partitioned build: the workers wrote straight into the
-			// shared partitioned table — there is nothing to merge. Only the
-			// keyless forced group needs the same treatment as below.
-			if fin.Keyless && fin.State.Parted.Groups() == 0 {
-				forceGroup(fin.State.Parted.FindOrCreate(nil, rt.Hash64(nil)))
-			}
-			continue
-		}
 		// The first worker table that was built becomes the global one and the
 		// others merge into it; the tables stay the worker contexts' to reset.
 		var global *rt.AggTable

@@ -15,22 +15,21 @@ import (
 )
 
 // TestRandomPlansDifferential builds random (type-correct) plans over random
-// data and checks that every backend agrees with the Volcano oracle, lowered
-// with the local exchange off and on, with the plan verifier on — the
-// broad-coverage property test of DESIGN.md §6. The generator leans on the
-// shapes the closure compiler rewrites (DESIGN.md §17): deep conjunctions of
-// comparisons in every operand arrangement, conjuncts that must stay
-// materialized, disjunctions of conjunctions, empty first selections, duplicate
-// aggregates, compound and collated keys — and on the probe path (§19): join
-// keys of every layout (one word, two columns in a word, wider than a word,
-// with a string, a string alone), probe keys and carried probe columns of every
-// kind read above the join, 1:N matches that outgrow a fused batch, build sides
-// the bloom filter mostly or always rejects, and a second probe keyed on what
-// the first one's build side supplied.
+// data and checks that every backend agrees with the Volcano oracle, with the
+// plan verifier on — the broad-coverage property test of DESIGN.md §6. The
+// generator leans on the shapes the closure compiler rewrites (DESIGN.md §17):
+// deep conjunctions of comparisons in every operand arrangement, conjuncts that
+// must stay materialized, disjunctions of conjunctions, empty first selections,
+// duplicate aggregates, compound and collated keys — and on the probe path
+// (§19): join keys of every layout (one word, two columns in a word, wider than
+// a word, with a string, a string alone), probe keys and carried probe columns
+// of every kind read above the join, 1:N matches that outgrow a fused batch,
+// build sides the bloom filter mostly or always rejects, and a second probe
+// keyed on what the first one's build side supplied.
 func TestRandomPlansDifferential(t *testing.T) {
-	iters := 60
+	iters := 120
 	if testing.Short() {
-		iters = 12
+		iters = 24
 	}
 	// seen records the primitives the generated plans lowered to (and "2
 	// probes" for a pipeline with two), so that the corpus provably covers the
@@ -46,41 +45,37 @@ func TestRandomPlansDifferential(t *testing.T) {
 				t.Fatalf("oracle: %v", err)
 			}
 			wantRows := comparableRows(want, collated)
-			for _, exchange := range []bool{false, true} {
-				for _, backend := range allBackends() {
-					tag := fmt.Sprintf("%v/exchange=%v", backend, exchange)
-					plan, err := algebra.LowerOpts(node, "random",
-						algebra.LowerOptions{Exchange: exchange, Partitions: 1 << r.Intn(3)})
-					if err != nil {
-						t.Fatalf("lower: %v", err)
-					}
-					for _, pipe := range plan.Pipelines {
-						probes := 0
-						for _, op := range pipe.Ops {
-							seen[op.PrimitiveID()] = true
-							if strings.HasPrefix(op.PrimitiveID(), "joinprobe_") {
-								probes++
-							}
+			for _, backend := range allBackends() {
+				plan, err := algebra.Lower(node, "random")
+				if err != nil {
+					t.Fatalf("lower: %v", err)
+				}
+				for _, pipe := range plan.Pipelines {
+					probes := 0
+					for _, op := range pipe.Ops {
+						seen[op.PrimitiveID()] = true
+						if strings.HasPrefix(op.PrimitiveID(), "joinprobe_") {
+							probes++
 						}
-						seen[fmt.Sprintf("%d probes", probes)] = true
 					}
-					lat := LatencyNone
-					res, err := Execute(plan, Options{
-						Backend: backend, Workers: 1 + r.Intn(3),
-						ChunkSize: 1 << (3 + r.Intn(6)), MorselSize: 1 << (6 + r.Intn(6)),
-						Latency: &lat, VerifyIR: true,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					gotRows := comparableRows(res.Chunk, collated)
-					if len(gotRows) != len(wantRows) {
-						t.Fatalf("%s: %d rows vs oracle %d", tag, len(gotRows), len(wantRows))
-					}
-					for i := range gotRows {
-						if gotRows[i] != wantRows[i] {
-							t.Fatalf("%s: row %d\n got  %s\n want %s", tag, i, gotRows[i], wantRows[i])
-						}
+					seen[fmt.Sprintf("%d probes", probes)] = true
+				}
+				lat := LatencyNone
+				res, err := Execute(plan, Options{
+					Backend: backend, Workers: 1 + r.Intn(3),
+					ChunkSize: 1 << (3 + r.Intn(6)), MorselSize: 1 << (6 + r.Intn(6)),
+					Latency: &lat, VerifyIR: true,
+				})
+				if err != nil {
+					t.Fatalf("%v: %v", backend, err)
+				}
+				gotRows := comparableRows(res.Chunk, collated)
+				if len(gotRows) != len(wantRows) {
+					t.Fatalf("%v: %d rows vs oracle %d", backend, len(gotRows), len(wantRows))
+				}
+				for i := range gotRows {
+					if gotRows[i] != wantRows[i] {
+						t.Fatalf("%v: row %d\n got  %s\n want %s", backend, i, gotRows[i], wantRows[i])
 					}
 				}
 			}

@@ -276,17 +276,6 @@ type JoinInsert struct {
 
 func (JoinInsert) stmtNode() {}
 
-// Partition hash-routes a packed row into the per-partition tuple buffer its
-// key hash selects (the local exchange at a pipeline break, DESIGN.md §15).
-// State is rt.ExchangeState; the routing bits are disjoint from all table
-// addressing, so downstream bloom/tag behaviour is unaffected.
-type Partition struct {
-	Row     Var // Ptr
-	StateID int
-}
-
-func (Partition) stmtNode() {}
-
 // ProbeStmt probes a join hash table with the key of ProbeRow and opens a
 // scope per emitted row. Build is bound to the matching build row
 // (Inner/LeftOuter; nil for an unmatched LeftOuter row); Sel is the match

@@ -48,8 +48,6 @@ func sizeStmt(s Stmt) int {
 		return n
 	case JoinInsert:
 		return 2
-	case Partition:
-		return 2
 	case Prefetch:
 		return 1
 	case ProbeStmt:

@@ -201,11 +201,6 @@ func (v *verifier) stmt(s Stmt) error {
 			return err
 		}
 		return v.state(s.StateID)
-	case Partition:
-		if err := v.use(s.Row, types.Ptr); err != nil {
-			return err
-		}
-		return v.state(s.StateID)
 	case Prefetch:
 		if err := v.use(s.Row, types.Ptr); err != nil {
 			return err

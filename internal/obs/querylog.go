@@ -48,8 +48,8 @@ type QueryEvent struct {
 	QueueWait time.Duration // admission-queue wait inside Wall
 
 	// Counters are the query's merged execution counters (source tuples,
-	// compile time and wait, hash-table and exchange behaviour, hybrid morsel
-	// routing, ...); each set one is logged under its stats.Schema name.
+	// compile time and wait, hash-table behaviour, hybrid morsel routing,
+	// ...); each set one is logged under its stats.Schema name.
 	Counters stats.Counters
 
 	// Compilation amortization (plan/artifact cache).

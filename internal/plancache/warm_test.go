@@ -64,9 +64,9 @@ func compile(t *testing.T, text string) *sql.Statement {
 	return stmt
 }
 
-func prepare(t *testing.T, stmt *sql.Statement, lower algebra.LowerOptions) *plancache.Prepared {
+func prepare(t *testing.T, stmt *sql.Statement) *plancache.Prepared {
 	t.Helper()
-	plan, params, err := algebra.LowerWithParamsOpts(stmt.Root, stmt.Name, lower)
+	plan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,34 +120,31 @@ func diffChunks(got, want *storage.Chunk, exact bool) string {
 }
 
 // TestWarmMatchesCold is the warm-vs-cold differential: one instance of every
-// TPC-H shape executed six times with redrawn literals, on every backend, with
-// and without the exchange, answers each time what a fresh instance answers.
+// TPC-H shape executed six times with redrawn literals, on every backend,
+// answers each time what a fresh instance answers.
 // One worker over many small morsels makes every run deterministic, so the
 // comparison is exact, row order included; two workers exercise the per-worker
 // state and the merge under the race detector.
 func TestWarmMatchesCold(t *testing.T) {
 	backends := []exec.Backend{exec.BackendVectorized, exec.BackendCompiling, exec.BackendROF, exec.BackendHybrid}
-	for _, exchange := range []bool{false, true} {
-		lower := algebra.LowerOptions{Exchange: exchange, Partitions: 4}
-		for _, backend := range backends {
-			for _, workers := range []int{1, 2} {
-				opts := exec.Options{Backend: backend, Workers: workers, MorselSize: 1024}
-				for _, name := range tpchNames() {
-					first := compile(t, tpch.SQL[name])
-					warm := prepare(t, first, lower)
-					for k := 0; k < 6; k++ {
-						stmt := compile(t, redraw(tpch.SQL[name], k))
-						if stmt.Fingerprint != first.Fingerprint {
-							t.Fatalf("%s: redrawn literals changed the shape", name)
-						}
-						got := mustExecute(t, stmt, warm, opts)
-						want := mustExecute(t, stmt, prepare(t, stmt, lower), opts)
-						if d := diffChunks(got, want, workers == 1); d != "" {
-							t.Fatalf("%s exchange=%v %v workers=%d execution %d: warm differs from cold: %s",
-								name, exchange, backend, workers, k+1, d)
-						}
-						warm.Artifacts().Rewind()
+	for _, backend := range backends {
+		for _, workers := range []int{1, 2} {
+			opts := exec.Options{Backend: backend, Workers: workers, MorselSize: 1024}
+			for _, name := range tpchNames() {
+				first := compile(t, tpch.SQL[name])
+				warm := prepare(t, first)
+				for k := 0; k < 6; k++ {
+					stmt := compile(t, redraw(tpch.SQL[name], k))
+					if stmt.Fingerprint != first.Fingerprint {
+						t.Fatalf("%s: redrawn literals changed the shape", name)
 					}
+					got := mustExecute(t, stmt, warm, opts)
+					want := mustExecute(t, stmt, prepare(t, stmt), opts)
+					if d := diffChunks(got, want, workers == 1); d != "" {
+						t.Fatalf("%s %v workers=%d execution %d: warm differs from cold: %s",
+							name, backend, workers, k+1, d)
+					}
+					warm.Artifacts().Rewind()
 				}
 			}
 		}
@@ -161,7 +158,7 @@ func TestFailedExecutionLeavesNothingBehind(t *testing.T) {
 	defer faultinject.Reset()
 	stmt := compile(t, tpch.SQL["q3"])
 	opts := exec.Options{Backend: exec.BackendHybrid, Workers: 1, MorselSize: 1024}
-	want := mustExecute(t, stmt, prepare(t, stmt, algebra.LowerOptions{}), opts)
+	want := mustExecute(t, stmt, prepare(t, stmt), opts)
 
 	failures := []struct {
 		name string
@@ -188,7 +185,7 @@ func TestFailedExecutionLeavesNothingBehind(t *testing.T) {
 			return err
 		}, exec.ErrPanic},
 	}
-	prep := prepare(t, stmt, algebra.LowerOptions{})
+	prep := prepare(t, stmt)
 	for _, f := range failures {
 		// A warm instance first, so there is kept state to spoil.
 		mustExecute(t, stmt, prep, opts)
@@ -223,7 +220,7 @@ func TestWarmInstanceMeetsBudgetLikeCold(t *testing.T) {
 		}
 		return res.Stats.MemPeakBytes
 	}
-	prep := prepare(t, stmt, algebra.LowerOptions{})
+	prep := prepare(t, stmt)
 	cold := peak(prep)
 	if cold < 4*arenaBlock {
 		t.Fatalf("cold peak %d: the shape builds too little to tell", cold)
@@ -256,7 +253,7 @@ func TestStateTrimNeverCostsAHit(t *testing.T) {
 			t.Fatalf("execution %d: hit = %v", i+1, prep != nil)
 		}
 		if prep == nil {
-			prep = prepare(t, stmt, algebra.LowerOptions{})
+			prep = prepare(t, stmt)
 		}
 		mustExecute(t, stmt, prep, opts)
 		artifacts = prep.Artifacts().ArtifactBytes()
@@ -278,7 +275,7 @@ func TestStateTrimNeverCostsAHit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		prep := roomy.Acquire(stmt.Fingerprint)
 		if prep == nil {
-			prep = prepare(t, stmt, algebra.LowerOptions{})
+			prep = prepare(t, stmt)
 		}
 		mustExecute(t, stmt, prep, opts)
 		roomy.Put(prep)

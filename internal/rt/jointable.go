@@ -111,22 +111,14 @@ func (t *JoinTable) Reserve(n int) {
 	}
 }
 
-// Seal builds the probe-side bucket arrays and the build-side bloom/tag
-// filter. Must be called after the build pipeline completes and before any
-// Lookup.
-func (t *JoinTable) Seal() {
-	t.filter, t.fmask = sealShards(t.shards, t.filter)
-	t.sealed = true
-}
-
-// sealShards chains every shard's entries into buckets and builds the shared
-// bloom/tag filter over all of them — the seal step of the sharded and the
-// partitioned join table alike. Bucket, chain and filter arrays reuse the
+// Seal chains every shard's entries into buckets and builds the shared
+// bloom/tag filter over all of them. Must be called after the build pipeline
+// completes and before any Lookup. Bucket, chain and filter arrays reuse the
 // capacity an earlier execution left behind and are charged as if new.
-func sealShards(shards []joinShard, filter []byte) ([]byte, uint64) {
+func (t *JoinTable) Seal() {
 	total := 0
-	for i := range shards {
-		s := &shards[i]
+	for i := range t.shards {
+		s := &t.shards[i]
 		n := len(s.rows)
 		total += n
 		cap := uint64(16)
@@ -147,15 +139,15 @@ func sealShards(shards []joinShard, filter []byte) ([]byte, uint64) {
 	for fcap < uint64(2*total) && fcap < maxBloomBytes {
 		fcap <<= 1
 	}
-	shards[0].budget.Charge(int64(fcap))
-	filter = zeroed(filter, int(fcap))
-	fmask := fcap - 1
-	for i := range shards {
-		for _, h := range shards[i].hashes {
+	t.shards[0].budget.Charge(int64(fcap))
+	filter, fmask := zeroed(t.filter, int(fcap)), fcap-1
+	for i := range t.shards {
+		for _, h := range t.shards[i].hashes {
 			filter[(h>>16)&fmask] |= bloomTag(h)
 		}
 	}
-	return filter, fmask
+	t.filter, t.fmask = filter, fmask
+	t.sealed = true
 }
 
 // reset empties the shard in place, keeping entry, bucket and chain capacity

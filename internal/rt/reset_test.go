@@ -159,46 +159,6 @@ func TestLocalAggResetStartsOver(t *testing.T) {
 	}
 }
 
-func TestExchangeResetKeepsWritersAndCharges(t *testing.T) {
-	st := &ExchangeState{Partitions: 4}
-	route := func(w *ExchangeWriter) int64 {
-		b := NewMemBudget(0)
-		st.SetBudget(b)
-		if w == nil {
-			w = st.NewWriter()
-		}
-		for i := 0; i < 3000; i++ {
-			row := i64Key(int64(i))
-			w.Route(row, Hash64(row))
-		}
-		st.Seal()
-		return b.Used()
-	}
-	cold := route(nil)
-	rows := func() (n int) {
-		for p := 0; p < 4; p++ {
-			n += len(st.PartitionRows(p))
-		}
-		return n
-	}
-	if rows() != 3000 || st.Routed() != 3000 {
-		t.Fatalf("routed %d rows, sealed %d", st.Routed(), rows())
-	}
-	kept := st.RetainedBytes()
-	w := st.writers[0]
-	st.Reset()
-	if st.Sealed() || rows() != 0 {
-		t.Fatal("Reset must unseal and empty the exchange")
-	}
-	// The writer's registration (cold: a charge of its slice headers) stays.
-	if warm := route(w); warm != cold-4*sliceHeaderBytes {
-		t.Fatalf("warm routing charged %d, cold %d", warm, cold)
-	}
-	if rows() != 3000 || st.RetainedBytes() != kept {
-		t.Fatalf("warm routing: %d rows, kept memory %d -> %d", rows(), kept, st.RetainedBytes())
-	}
-}
-
 func TestRowScratchStrideFollowsStrings(t *testing.T) {
 	s := NewRowScratch(8, 8)
 	check := func(n int, str string) {

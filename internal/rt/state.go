@@ -99,74 +99,40 @@ type AggTableState struct {
 	// resizes while holding a shard lock mid-chunk.
 	SizeHint int
 
-	// Partitions > 0 marks an exchange-partitioned build (DESIGN.md §15): the
-	// build pipeline reads one morsel per partition from an ExchangeRead
-	// source and every worker writes straight into its partition of Parted —
-	// no per-worker instances, no thread-local pre-aggregation, no merging.
-	Partitions int
-
-	Global *AggTable            // set by the scheduler after merging
-	Parted *PartitionedAggTable // set by the scheduler before a partitioned build
+	Global *AggTable // set by the scheduler after merging
 
 	snap [][]byte // Snapshot's row list, reused across executions
 }
 
 // Reset makes the owning plan reusable for another execution: the merged
-// result pointer and the per-run size hint are cleared, and a partitioned
-// table — wired into the plan before execution, not created by the scheduler
-// — is emptied in place, keeping its memory (DESIGN.md §16). Per-worker
-// instances, one of which Global points at, belong to the worker contexts and
-// are reset with them.
+// result pointer and the per-run size hint are cleared (DESIGN.md §16).
+// Per-worker instances, one of which Global points at, belong to the worker
+// contexts and are reset with them.
 func (s *AggTableState) Reset() {
 	s.Global = nil
 	s.SizeHint = 0
-	if s.Parted != nil {
-		s.Parted.Reset()
-	}
 }
 
-// Drop is Reset without keeping memory: a partitioned state gets a fresh empty
-// table.
+// Drop is Reset without keeping memory.
 func (s *AggTableState) Drop() {
-	s.Global = nil
-	s.SizeHint = 0
+	s.Reset()
 	s.snap = nil
-	if s.Partitions > 0 {
-		s.Parted = NewPartitionedAggTable(s.Init, s.Partitions)
-	}
 }
 
 // RetainedBytes returns the memory the state holds on to across Reset.
 func (s *AggTableState) RetainedBytes() int64 {
-	n := int64(cap(s.snap)) * sliceHeaderBytes
-	if s.Parted != nil {
-		n += s.Parted.RetainedBytes()
-	}
-	return n
+	return int64(cap(s.snap)) * sliceHeaderBytes
 }
 
 // Ready reports whether the build produced a readable table (the AggRead
 // source's precondition).
-func (s *AggTableState) Ready() bool { return s.Global != nil || s.Parted != nil }
+func (s *AggTableState) Ready() bool { return s.Global != nil }
 
-// Snapshot returns all group rows of the built table, whichever variant the
-// execution produced, in entry (insertion) order per shard. The list is valid
-// until the state is reset.
+// Snapshot returns all group rows of the built table in entry (insertion)
+// order per shard. The list is valid until the state is reset.
 func (s *AggTableState) Snapshot() [][]byte {
-	if s.Parted != nil {
-		s.snap = s.Parted.AppendRows(s.snap[:0])
-	} else {
-		s.snap = s.Global.AppendRows(s.snap[:0])
-	}
+	s.snap = s.Global.AppendRows(s.snap[:0])
 	return s.snap
-}
-
-// Groups returns the number of groups in the built table.
-func (s *AggTableState) Groups() int {
-	if s.Parted != nil {
-		return s.Parted.Groups()
-	}
-	return s.Global.Groups()
 }
 
 // NewInstance creates a fresh table for one worker.
@@ -217,93 +183,21 @@ func (s *AggTableState) mergePayload(drow, row []byte) {
 	}
 }
 
-// JoinTableState wires a join hash table into the generated code. Exactly one
-// of Table (sharded, shared-build) and Parted (exchange-partitioned,
-// single-writer per partition) is set; Partitions > 0 selects the latter.
+// JoinTableState wires a join hash table into the generated code.
 type JoinTableState struct {
 	Table *JoinTable
-
-	// Partitions > 0 marks an exchange-partitioned build (DESIGN.md §15); it
-	// must equal the routing ExchangeState's partition count (VerifyPlan
-	// enforces the agreement before execution).
-	Partitions int
-	Parted     *PartitionedJoinTable
 }
 
-// Reset empties the active table variant in place, unsealed, keeping its
-// memory: the owning plan is reusable for another execution (DESIGN.md §16).
-func (s *JoinTableState) Reset() {
-	if s.Parted != nil {
-		s.Parted.Reset()
-		return
-	}
-	s.Table.Reset()
-}
+// Reset empties the table in place, unsealed, keeping its memory: the owning
+// plan is reusable for another execution (DESIGN.md §16).
+func (s *JoinTableState) Reset() { s.Table.Reset() }
 
 // Drop replaces the table with a fresh empty one of the same layout,
 // releasing the old one's memory.
-func (s *JoinTableState) Drop() {
-	if s.Partitions > 0 {
-		s.Parted = NewPartitionedJoinTable(s.Partitions)
-		return
-	}
-	s.Table = NewJoinTable(s.Table.ShardCount())
-}
+func (s *JoinTableState) Drop() { s.Table = NewJoinTable(s.Table.ShardCount()) }
 
 // RetainedBytes returns the memory the state holds on to across Reset.
-func (s *JoinTableState) RetainedBytes() int64 {
-	if s.Parted != nil {
-		return s.Parted.RetainedBytes()
-	}
-	return s.Table.RetainedBytes()
-}
-
-// Index returns the probe-side surface of whichever table variant this state
-// carries; generated probe/prefetch code works against it so probing is
-// identical for partitioned and sharded builds.
-//
-//inkfuse:hotpath
-func (s *JoinTableState) Index() JoinIndex {
-	if s.Parted != nil {
-		return s.Parted
-	}
-	return s.Table
-}
-
-// SetBudget charges the active table variant's allocations to the budget.
-func (s *JoinTableState) SetBudget(b *MemBudget) {
-	if s.Parted != nil {
-		s.Parted.SetBudget(b)
-		return
-	}
-	s.Table.SetBudget(b)
-}
-
-// Reserve passes an estimate of the build's final row count to the sharded
-// table (JoinTable.Reserve). A partitioned build appends to single-writer
-// partitions sized by the exchange and takes no hint.
-func (s *JoinTableState) Reserve(n int) {
-	if s.Parted == nil {
-		s.Table.Reserve(n)
-	}
-}
-
-// Seal freezes the active table variant for probing.
-func (s *JoinTableState) Seal() {
-	if s.Parted != nil {
-		s.Parted.Seal()
-		return
-	}
-	s.Table.Seal()
-}
-
-// Rows returns the number of build rows in the active table variant.
-func (s *JoinTableState) Rows() int {
-	if s.Parted != nil {
-		return s.Parted.Rows()
-	}
-	return s.Table.Rows()
-}
+func (s *JoinTableState) RetainedBytes() int64 { return s.Table.RetainedBytes() }
 
 // LikeState wires a compiled LIKE matcher into the generated code.
 type LikeState struct {

@@ -46,13 +46,6 @@ type Counters struct {
 	// HTBloomSkips counts join probes answered "definitely absent" by the
 	// build-side bloom/tag filter without touching bucket memory.
 	HTBloomSkips int64
-	// PartRoutedRows counts rows hash-routed through local exchanges
-	// (DESIGN.md §15); 0 unless a plan was lowered with Exchange on.
-	PartRoutedRows int64
-	// PartMaxPartRows is the largest single exchange partition's routed-row
-	// count across the query — the skew signal (a perfectly uniform exchange
-	// has PartRoutedRows / partitions per partition).
-	PartMaxPartRows int64
 	// EmittedRows counts rows emitted by sinks.
 	EmittedRows int64
 	// MorselsVectorized / MorselsCompiled count the hybrid backend's routing.
@@ -127,8 +120,6 @@ var Schema = []Row{
 	{Name: "ht_local_hits", Engine: "ht_local_hits_total", Of: func(c *Counters) *int64 { return &c.HTLocalHits }},
 	{Name: "ht_spills", Engine: "ht_spills_total", Of: func(c *Counters) *int64 { return &c.HTSpills }},
 	{Name: "ht_bloom_skips", Engine: "ht_bloom_skips_total", Of: func(c *Counters) *int64 { return &c.HTBloomSkips }},
-	{Name: "part_routed_rows", Engine: "part_routed_rows_total", Of: func(c *Counters) *int64 { return &c.PartRoutedRows }},
-	{Name: "part_max_part_rows", Engine: "part_max_part_rows", Max: true, Of: func(c *Counters) *int64 { return &c.PartMaxPartRows }},
 	{Name: "morsels_jit", Engine: "morsels_jit", Of: func(c *Counters) *int64 { return &c.MorselsCompiled }},
 	{Name: "morsels_vec", Engine: "morsels_vec", Of: func(c *Counters) *int64 { return &c.MorselsVectorized }},
 	{Name: "compile_time", Engine: "compile_nanos", Dur: true, Of: func(c *Counters) *int64 { return (*int64)(&c.CompileTime) }},

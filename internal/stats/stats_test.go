@@ -74,7 +74,7 @@ func TestSchemaCoversEveryField(t *testing.T) {
 // TestAddDeltaIgnoresOldHighWaterMarks: a mark that did not rise during the
 // interval says nothing about the interval, so it must not leak into it.
 func TestAddDeltaIgnoresOldHighWaterMarks(t *testing.T) {
-	acc := Counters{PartMaxPartRows: 155, MemPeakBytes: 9}
+	acc := Counters{MemPeakBytes: 9}
 	since := acc
 	acc.Tuples += 7
 	var got Counters

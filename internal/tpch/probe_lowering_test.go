@@ -11,74 +11,72 @@ import (
 	"inkfuse/internal/ir"
 )
 
-// TestProbeSidePacksOnlyItsKey: no TPC-H plan, with the exchange off or on,
-// builds more of a probe tuple than its key (DESIGN.md §19). The packed row a
-// JoinProbe consumes is a MakeRow followed by key-region packs and the seal —
-// no payload pack writes into it and no unpack reads it back; every probe-side
-// column above the join is a ProbeCopy through the probe's own selection.
+// TestProbeSidePacksOnlyItsKey: no TPC-H plan builds more of a probe tuple
+// than its key (DESIGN.md §19). The packed row a JoinProbe consumes is a
+// MakeRow followed by key-region packs and the seal — no payload pack writes
+// into it and no unpack reads it back; every probe-side column above the join
+// is a ProbeCopy through the probe's own selection.
 func TestProbeSidePacksOnlyItsKey(t *testing.T) {
 	for _, q := range append(append([]string{}, Queries...), ExtendedQueries...) {
 		node, err := Build(testCat, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []algebra.LowerOptions{{}, {Exchange: true, Partitions: 4}} {
-			plan, err := algebra.LowerOpts(node, q, opts)
-			if err != nil {
-				t.Fatal(err)
+		plan, err := algebra.Lower(node, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pipe := range plan.Pipelines {
+			// producer: the op that defines a packed-row IU.
+			producer := map[int]core.SubOp{}
+			for _, op := range pipe.Ops {
+				for _, out := range op.Outputs() {
+					producer[out.ID] = op
+				}
 			}
-			for _, pipe := range plan.Pipelines {
-				// producer: the op that defines a packed-row IU.
-				producer := map[int]core.SubOp{}
-				for _, op := range pipe.Ops {
-					for _, out := range op.Outputs() {
-						producer[out.ID] = op
+			probeKeyRows := map[int]bool{} // every handle of a probe key row
+			sels := map[int]bool{}
+			for _, op := range pipe.Ops {
+				probe, ok := op.(*core.JoinProbe)
+				if !ok {
+					continue
+				}
+				sels[probe.SelOut.ID] = true
+				for row := probe.Row; row != nil; {
+					probeKeyRows[row.ID] = true
+					switch p := producer[row.ID].(type) {
+					case *core.SealKey:
+						row = p.Row
+					case *core.PackFixed:
+						if p.Region != ir.KeyRegion {
+							t.Errorf("%s/%s: %s packs payload into a probe key row", q, pipe.Name, p.PrimitiveID())
+						}
+						row = p.Row
+					case *core.PackStr:
+						if p.Region != ir.KeyRegion {
+							t.Errorf("%s/%s: %s packs payload into a probe key row", q, pipe.Name, p.PrimitiveID())
+						}
+						row = p.Row
+					case *core.MakeRow:
+						row = nil
+					default:
+						t.Fatalf("%s/%s: probe key row %s produced by %T", q, pipe.Name, row, p)
 					}
 				}
-				probeKeyRows := map[int]bool{} // every handle of a probe key row
-				sels := map[int]bool{}
-				for _, op := range pipe.Ops {
-					probe, ok := op.(*core.JoinProbe)
-					if !ok {
-						continue
+			}
+			for _, op := range pipe.Ops {
+				switch op := op.(type) {
+				case *core.UnpackFixed:
+					if probeKeyRows[op.Row.ID] {
+						t.Errorf("%s/%s: %s reads a probe key row back", q, pipe.Name, op.PrimitiveID())
 					}
-					sels[probe.SelOut.ID] = true
-					for row := probe.Row; row != nil; {
-						probeKeyRows[row.ID] = true
-						switch p := producer[row.ID].(type) {
-						case *core.SealKey:
-							row = p.Row
-						case *core.PackFixed:
-							if p.Region != ir.KeyRegion {
-								t.Errorf("%s/%s exchange=%v: %s packs payload into a probe key row", q, pipe.Name, opts.Exchange, p.PrimitiveID())
-							}
-							row = p.Row
-						case *core.PackStr:
-							if p.Region != ir.KeyRegion {
-								t.Errorf("%s/%s exchange=%v: %s packs payload into a probe key row", q, pipe.Name, opts.Exchange, p.PrimitiveID())
-							}
-							row = p.Row
-						case *core.MakeRow:
-							row = nil
-						default:
-							t.Fatalf("%s/%s: probe key row %s produced by %T", q, pipe.Name, row, p)
-						}
+				case *core.UnpackStr:
+					if probeKeyRows[op.Row.ID] {
+						t.Errorf("%s/%s: %s reads a probe key row back", q, pipe.Name, op.PrimitiveID())
 					}
-				}
-				for _, op := range pipe.Ops {
-					switch op := op.(type) {
-					case *core.UnpackFixed:
-						if probeKeyRows[op.Row.ID] {
-							t.Errorf("%s/%s exchange=%v: %s reads a probe key row back", q, pipe.Name, opts.Exchange, op.PrimitiveID())
-						}
-					case *core.UnpackStr:
-						if probeKeyRows[op.Row.ID] {
-							t.Errorf("%s/%s exchange=%v: %s reads a probe key row back", q, pipe.Name, opts.Exchange, op.PrimitiveID())
-						}
-					case *core.ProbeCopy:
-						if !sels[op.Sel.ID] {
-							t.Errorf("%s/%s: probe copy of %s through %s, which no probe of the pipeline produced", q, pipe.Name, op.Src, op.Sel)
-						}
+				case *core.ProbeCopy:
+					if !sels[op.Sel.ID] {
+						t.Errorf("%s/%s: probe copy of %s through %s, which no probe of the pipeline produced", q, pipe.Name, op.Src, op.Sel)
 					}
 				}
 			}

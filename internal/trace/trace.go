@@ -71,8 +71,7 @@ type Pipeline struct {
 	Finalize time.Duration
 	// Counters holds what the pipeline counted outside its morsels: the
 	// runner's compile accounting (time, dead wait on foreground backends,
-	// failed jobs) and the largest partition of the exchanges it sealed. Total
-	// adds the workers' shares.
+	// failed jobs). Total adds the workers' shares.
 	Counters stats.Counters
 	// Fused is what the closure compiler made of the pipeline's fused code
 	// (vm.Rewrites: IR statements vs closures emitted, selection cascades,
@@ -94,11 +93,6 @@ type Pipeline struct {
 	// every ProfileEvery chunks was timed, ProfiledChunks in total.
 	ProfileEvery   int
 	ProfiledChunks int64
-	// PartRows holds the per-partition routed-row counts of the exchanges this
-	// pipeline sealed (concatenated in exchange order) — the skew surface of
-	// the local hash-partitioned exchange (DESIGN.md §15). Empty unless the
-	// plan was lowered with Exchange on and this pipeline routes.
-	PartRows []int64
 }
 
 // SubOpProf is one suboperator's share of a pipeline's sampled profile: the
@@ -127,7 +121,7 @@ type Worker struct {
 	// Counters is what the worker's morsels counted, every stats.Schema row:
 	// source tuples, the hybrid policy's routing (morsels_jit / morsels_vec;
 	// for the compiling and ROF backends every morsel is JIT, the pure
-	// vectorized backend reports neither), hash-table and exchange behaviour.
+	// vectorized backend reports neither), hash-table behaviour.
 	Counters stats.Counters
 	// mark is the slot's accumulating counters when the running morsel began.
 	mark stats.Counters
@@ -226,8 +220,8 @@ func (q *Query) Total() stats.Counters {
 
 // Annotate writes the pipeline's measured numbers, one line each behind
 // prefix: morsels and worker busy time, compile outcome, the sampled
-// suboperator profile, the counters, exchange skew, hybrid routing, and
-// finalization. EXPLAIN ANALYZE and Dump both render pipelines through it.
+// suboperator profile, the counters, hybrid routing, and finalization.
+// EXPLAIN ANALYZE and Dump both render pipelines through it.
 func (p *Pipeline) Annotate(b *strings.Builder, prefix string, workers int) {
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	t := p.Total()
@@ -275,14 +269,6 @@ func (p *Pipeline) Annotate(b *strings.Builder, prefix string, workers int) {
 		}
 	}
 	fmt.Fprintf(b, "%scounters: %s\n", prefix, &t)
-	if n := len(p.PartRows); n > 0 {
-		fmt.Fprintf(b, "%sexchange: %d partitions", prefix, n)
-		if t.PartRoutedRows > 0 {
-			// Skew factor: max partition vs the perfectly uniform share.
-			fmt.Fprintf(b, ", skew %.2fx", float64(t.PartMaxPartRows)*float64(n)/float64(t.PartRoutedRows))
-		}
-		b.WriteByte('\n')
-	}
 	if jit, vec := t.MorselsCompiled, t.MorselsVectorized; jit+vec > 0 {
 		fmt.Fprintf(b, "%srouting: %d jit / %d vectorized", prefix, jit, vec)
 		if jit+vec == int64(p.MorselsRun()) {

@@ -17,12 +17,12 @@ func TestTotalsAndQuantiles(t *testing.T) {
 	p.Workers[0] = Worker{Busy: 2 * time.Millisecond, Morsels: 4, Counters: stats.Counters{Tuples: 400, MorselsCompiled: 3, MorselsVectorized: 1}}
 	p.Workers[1] = Worker{Busy: 1 * time.Millisecond, Morsels: 3, Counters: stats.Counters{Tuples: 300, MorselsCompiled: 1, MorselsVectorized: 2}}
 	p.Workers[2] = Worker{Busy: 3 * time.Millisecond, Morsels: 3, Counters: stats.Counters{Tuples: 300, MorselsCompiled: 2, MorselsVectorized: 1}}
-	p.Counters = stats.Counters{CompileTime: time.Millisecond, PartMaxPartRows: 9}
+	p.Counters = stats.Counters{CompileTime: time.Millisecond, MemPeakBytes: 9}
 
 	if got := p.MorselsRun(); got != 10 {
 		t.Errorf("MorselsRun: got %d, want 10", got)
 	}
-	want := stats.Counters{Tuples: 1000, MorselsCompiled: 6, MorselsVectorized: 4, CompileTime: time.Millisecond, PartMaxPartRows: 9}
+	want := stats.Counters{Tuples: 1000, MorselsCompiled: 6, MorselsVectorized: 4, CompileTime: time.Millisecond, MemPeakBytes: 9}
 	if got := p.Total(); got != want {
 		t.Errorf("pipeline total: got %+v, want %+v", got, want)
 	}
@@ -40,7 +40,7 @@ func TestTotalsAndQuantiles(t *testing.T) {
 func TestMorselDeltas(t *testing.T) {
 	q := NewQuery("q", "hybrid", 1, time.Now())
 	w := &q.StartPipeline("p1", 0, 0).Workers[0]
-	slot := stats.Counters{Tuples: 500, HTSpills: 3, PartMaxPartRows: 155} // an earlier pipeline's work
+	slot := stats.Counters{Tuples: 500, HTSpills: 3, MemPeakBytes: 155} // an earlier pipeline's work
 	for i := 0; i < 2; i++ {
 		w.BeginMorsel(&slot)
 		slot.Tuples += 100

@@ -75,8 +75,6 @@ func useStmt(s ir.Stmt, uses map[int]int) {
 		}
 	case ir.JoinInsert:
 		uses[s.Row.ID]++
-	case ir.Partition:
-		uses[s.Row.ID]++
 	case ir.Prefetch:
 		uses[s.Row.ID]++
 	case ir.ProbeStmt:
@@ -209,8 +207,8 @@ func (c *compiler) absorb(e ir.Expr, defs, absorbed map[int]ir.Expr) {
 // defined and nothing else consuming any of them (ROF's Prefetch is a second
 // reader of a probe key: that probe compiles statement by statement). It
 // returns the index of the lookup. A run that also packs payload (the seed of
-// a collated key, the routed row of an exchange, a join's build row) does not
-// match: its consumer follows the payload packs, not the seal.
+// a collated key, a join's build row) does not match: its consumer follows the
+// payload packs, not the seal.
 func (c *compiler) keyBuildRun(stmts []ir.Stmt, at int) (int, bool) {
 	row := stmts[at].(ir.MakeRow).Dst
 	for i := at + 1; i < len(stmts); i++ {

@@ -99,16 +99,6 @@ func aggBatchLookup(fr *frame, tb *tableBatch, st *rt.AggTableState, keys, seeds
 	}
 }
 
-// aggBatchLookupPart resolves one chunk of aggregation keys against an
-// exchange-partitioned table (DESIGN.md §15). No thread-local table, no shard
-// locks, no segmenting: each key's routing bits select a partition this worker
-// owns exclusively for the morsel, so the lookup is a straight probe loop and
-// HTSpills stays 0 by construction.
-func aggBatchLookupPart(fr *frame, tb *tableBatch, st *rt.AggTableState, keys, seeds, d [][]byte) {
-	tb.hashes = rt.HashBatch(keys, tb.hashes)
-	st.Parted.FindOrCreateBatch(keys, seeds, tb.hashes, d)
-}
-
 func aggBatchSegment(fr *frame, tb *tableBatch, tbl *rt.AggTable, loc *rt.LocalAggTable, keys, seeds, d [][]byte) {
 	n := len(keys)
 	tb.hashes = rt.HashBatch(keys, tb.hashes)

@@ -87,7 +87,7 @@ func newFusedProbe(tb testing.TB, cat *storage.Catalog, query string) *fusedBuil
 		}
 		fb.runRows(vm.NewCtx(), fb.views(), fb.rows)
 		for _, js := range pipe.SealJoins {
-			js.Seal()
+			js.Table.Seal()
 		}
 	}
 	tb.Fatalf("%s has no lineitem pipeline fed by table scans only", query)

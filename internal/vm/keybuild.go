@@ -127,23 +127,17 @@ func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLook
 		dv := fr.vecs[ds]
 		dv.Resize(n)
 		d := dv.Ptr[:n]
-		if st.Partitions > 0 {
-			// Exchange-partitioned table: no local table, no segmenting.
-			keys, hashes := packKeys(tb, cols, prefix, 0, n)
-			st.Parted.FindOrCreateBatch(keys, seedRows(tb, seed, n), hashes, d)
-		} else {
-			tbl := fr.ctx.AggTable(st)
-			loc := fr.ctx.LocalAgg(st)
-			fr.ctx.Counters.HTSpills += loc.MaybeFlush()
-			for lo := 0; lo < n; lo += aggBatchSeg {
-				hi := min(lo+aggBatchSeg, n)
-				if loc.Disabled() {
-					keys, hashes := packKeys(tb, cols, prefix, lo, hi)
-					tbl.FindOrCreateBatch(keys, seedRows(tb, seed, hi-lo), hashes, d[lo:hi], &tb.sc)
-					continue
-				}
-				fr.ctx.Counters.HTLocalHits += keyBuildSegment(tb, tbl, loc, cols, prefix, seed, lo, hi, d)
+		tbl := fr.ctx.AggTable(st)
+		loc := fr.ctx.LocalAgg(st)
+		fr.ctx.Counters.HTSpills += loc.MaybeFlush()
+		for lo := 0; lo < n; lo += aggBatchSeg {
+			hi := min(lo+aggBatchSeg, n)
+			if loc.Disabled() {
+				keys, hashes := packKeys(tb, cols, prefix, lo, hi)
+				tbl.FindOrCreateBatch(keys, seedRows(tb, seed, hi-lo), hashes, d[lo:hi], &tb.sc)
+				continue
 			}
+			fr.ctx.Counters.HTLocalHits += keyBuildSegment(tb, tbl, loc, cols, prefix, seed, lo, hi, d)
 		}
 		fr.ctx.Counters.VMOps += int64(n)
 		fr.ctx.Counters.HTProbes += int64(n)
@@ -158,7 +152,7 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 	}
 	ax := c.newAux()
 	*blk = append(*blk, func(fr *frame, n int) {
-		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Index()
+		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Table
 		layout := fr.state[layoutID].(*rt.RowLayoutState)
 		tb := auxBatch(fr, ax)
 		cols := bindKeyCols(fr, tb, fields)

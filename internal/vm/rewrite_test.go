@@ -236,7 +236,7 @@ func TestKeyBuildFusion(t *testing.T) {
 }
 
 // TestKeyBuildNotFusedAcrossPayload: a run that packs payload after the seal
-// (a collated key's original, an exchange's routed columns) is left alone.
+// (a collated key's original) is left alone.
 func TestKeyBuildNotFusedAcrossPayload(t *testing.T) {
 	f := keyBuildFunc(true)
 	seal := f.Body[4].(ir.SealKey)

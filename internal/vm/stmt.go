@@ -208,14 +208,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			}
 			dv := fr.vecs[ds]
 			dv.Resize(n)
-			if st.Partitions > 0 {
-				// Exchange-partitioned build: the chunk's keys all route to
-				// this worker's partitions of the shared table, written
-				// lock-free — no thread-local table, no spills.
-				aggBatchLookupPart(fr, tb, st, keys, seeds, dv.Ptr[:n])
-			} else {
-				aggBatchLookup(fr, tb, st, keys, seeds, dv.Ptr[:n])
-			}
+			aggBatchLookup(fr, tb, st, keys, seeds, dv.Ptr[:n])
 			fr.ctx.Counters.VMOps += int64(n)
 			fr.ctx.Counters.HTProbes += int64(n)
 		})
@@ -282,13 +275,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 				pays[i] = r[4+len(key):]
 			}
 			tb.hashes = rt.HashBatch(keys, tb.hashes)
-			if js.Parted != nil {
-				// Exchange-partitioned build: single-writer partitions, no
-				// shard grouping or locks.
-				js.Parted.InsertBatch(keys, pays, tb.hashes)
-			} else {
-				js.Table.InsertBatch(keys, pays, tb.hashes, &tb.sc)
-			}
+			js.Table.InsertBatch(keys, pays, tb.hashes, &tb.sc)
 			fr.ctx.Counters.VMOps += int64(n)
 			fr.ctx.Counters.HTInserts += int64(n)
 		})
@@ -302,7 +289,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		id := s.StateID
 		ax := c.newAux()
 		*blk = append(*blk, func(fr *frame, n int) {
-			tbl := fr.state[id].(*rt.JoinTableState).Index()
+			tbl := fr.state[id].(*rt.JoinTableState).Table
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
 			keys := sizedRows(&tb.keys, n)
@@ -319,31 +306,6 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			}
 			fr.prefetchSink = acc
 			fr.ctx.Counters.VMOps += int64(n)
-		})
-		return nil
-
-	case ir.Partition:
-		rs, err := c.slot(s.Row)
-		if err != nil {
-			return err
-		}
-		id := s.StateID
-		ax := c.newAux()
-		*blk = append(*blk, func(fr *frame, n int) {
-			st := fr.state[id].(*rt.ExchangeState)
-			w := fr.ctx.Exchange(st)
-			tb := auxBatch(fr, ax)
-			rows := fr.vecs[rs].Ptr[:n]
-			keys := sizedRows(&tb.keys, n)
-			for i, r := range rows {
-				keys[i] = rt.RowKey(r)
-			}
-			tb.hashes = rt.HashBatch(keys, tb.hashes)
-			for i, r := range rows {
-				w.Route(r, tb.hashes[i])
-			}
-			fr.ctx.Counters.VMOps += int64(n)
-			fr.ctx.Counters.PartRoutedRows += int64(n)
 		})
 		return nil
 
@@ -601,7 +563,7 @@ type matches struct {
 // (cand and bloomSkips are LookupBatch's results): it collects the emitted
 // rows in the scope's registers, gathers the carried columns through the
 // selection and executes the body at the scope's cardinality.
-func (ps *probeScope) run(fr *frame, tbl rt.JoinIndex, n int, cand []int32, bloomSkips int, keys [][]byte, hashes []uint64) {
+func (ps *probeScope) run(fr *frame, tbl *rt.JoinTable, n int, cand []int32, bloomSkips int, keys [][]byte, hashes []uint64) {
 	m := ps.collect(fr, tbl, n, cand, keys, hashes)
 	fr.vecs[ps.sel].I32 = m.sel
 	if ps.build >= 0 {
@@ -632,7 +594,7 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 	}
 	batchAux := c.newAux()
 	*blk = append(*blk, func(fr *frame, n int) {
-		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Index()
+		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Table
 		tb := auxBatch(fr, batchAux)
 		keys := sizedRows(&tb.keys, n)
 		for i, pr := range fr.vecs[prs].Ptr[:n] {
@@ -652,7 +614,7 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 // memory, with keys[i] and hashes[i] (keys is read at candidates only). For
 // anti and outer joins a filter miss is itself the answer — unmatched — so the
 // tuples between two candidates are emitted without any table access at all.
-func (ps *probeScope) collect(fr *frame, tbl rt.JoinIndex, n int, cand []int32, keys [][]byte, hashes []uint64) matches {
+func (ps *probeScope) collect(fr *frame, tbl *rt.JoinTable, n int, cand []int32, keys [][]byte, hashes []uint64) matches {
 	m := matches{sel: fr.vecs[ps.sel].I32[:0]}
 	if ps.build >= 0 {
 		m.build = fr.vecs[ps.build].Ptr[:0]

@@ -34,7 +34,6 @@ type Ctx struct {
 
 	scratch   map[*rt.RowLayoutState]*rt.RowScratch
 	aggs      map[*rt.AggTableState]*workerAgg
-	exchanges map[*rt.ExchangeState]*rt.ExchangeWriter
 	frames    map[*Program]*frame
 	frameList []*frame // the values of frames, for RetainedBytes to walk
 	ident     []int32  // the identity selection 0,1,2,…: every filter's input
@@ -53,18 +52,16 @@ type workerAgg struct {
 // NewCtx creates an execution context.
 func NewCtx() *Ctx {
 	return &Ctx{
-		scratch:   make(map[*rt.RowLayoutState]*rt.RowScratch),
-		aggs:      make(map[*rt.AggTableState]*workerAgg),
-		exchanges: make(map[*rt.ExchangeState]*rt.ExchangeWriter),
-		frames:    make(map[*Program]*frame),
+		scratch: make(map[*rt.RowLayoutState]*rt.RowScratch),
+		aggs:    make(map[*rt.AggTableState]*workerAgg),
+		frames:  make(map[*Program]*frame),
 	}
 }
 
 // Reset readies the context for another execution of the same plan instance:
 // counters and budget are cleared and the tables the last execution built are
-// emptied in place. Scratch rows, frames and exchange writers (emptied by
-// their rt.ExchangeState) are kept as they are — every use re-initializes what
-// it reads.
+// emptied in place. Scratch rows and frames are kept as they are — every use
+// re-initializes what it reads.
 func (c *Ctx) Reset() {
 	c.Counters = stats.Counters{}
 	c.Budget = nil
@@ -129,19 +126,6 @@ func (c *Ctx) identity(n int) []int32 {
 		c.ident = append(c.ident, int32(i))
 	}
 	return c.ident[:n]
-}
-
-// Exchange returns this worker's private routing writer for an exchange
-// (local hash-partitioned exchange, DESIGN.md §15). Registration with the
-// shared state happens once per (worker, exchange); routing through the
-// returned writer is lock-free.
-func (c *Ctx) Exchange(st *rt.ExchangeState) *rt.ExchangeWriter {
-	w, ok := c.exchanges[st]
-	if !ok {
-		w = st.NewWriter()
-		c.exchanges[st] = w
-	}
-	return w
 }
 
 // FlushLocalAggs spills every thread-local pre-aggregation table into its

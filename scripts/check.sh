@@ -239,17 +239,3 @@ trap - EXIT
 grep -q 'engine drained' /tmp/inkserve-conc.log \
     || { echo "concurrent smoke: drain log line missing" >&2; cat /tmp/inkserve-conc.log >&2; exit 1; }
 echo "inkserve concurrent-load smoke OK"
-
-# Exchange smoke: concurrent agg/join-heavy queries lowered with the
-# hash-partitioned exchange through the admission-controlled scheduler. Every
-# build table must be partitioned single-writer, so the engine-wide spill
-# counter has to stay at zero while rows do get routed through partitions
-# (DESIGN.md §15 — the "no shared hash-table writes" invariant, end to end).
-echo "exchange smoke..."
-exout=$(go run ./cmd/inkbench -concurrency 4 -conc-requests 16 \
-    -exchange on -queries q1,q3,q5 -sf 0.01 -metrics)
-echo "$exout" | grep -q '^inkfuse_part_routed_rows_total [1-9]' \
-    || { echo "exchange smoke: no rows were routed through the exchange" >&2; echo "$exout" >&2; exit 1; }
-echo "$exout" | grep -q '^inkfuse_ht_spills_total 0$' \
-    || { echo "exchange smoke: partitioned builds must never spill to shared tables" >&2; echo "$exout" >&2; exit 1; }
-echo "exchange smoke OK"
