@@ -28,13 +28,14 @@ import (
 )
 
 // queryAllocs measures the average whole-query allocation count at one data
-// size: lowering, execution, result — everything but table generation.
-func queryAllocs(t *testing.T, rows int) float64 {
+// size on one backend: lowering, execution, result — everything but table
+// generation.
+func queryAllocs(t *testing.T, backend exec.Backend, rows int) float64 {
 	t.Helper()
 	tbl := exec.BenchTable(rows)
 	node := exec.BenchNode(tbl)
 	lat := exec.LatencyNone
-	opts := exec.Options{Backend: exec.BackendVectorized, Workers: 1, Latency: &lat}
+	opts := exec.Options{Backend: backend, Workers: 1, Latency: &lat}
 	return testing.AllocsPerRun(5, func() {
 		plan, err := algebra.Lower(node, "allocguard")
 		if err != nil {
@@ -50,21 +51,29 @@ func queryAllocs(t *testing.T, rows int) float64 {
 	})
 }
 
+// TestMorselLoopZeroAllocsPerChunkWithRecorder runs on every backend: one
+// step-chain runner serves them all, through the interpreter's chunk loop,
+// the fused chain's batch loop, or (hybrid) both.
 func TestMorselLoopZeroAllocsPerChunkWithRecorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement over 400k rows")
 	}
-	small, large := 100_000, 400_000
-	a := queryAllocs(t, small)
-	b := queryAllocs(t, large)
-	// The per-query component (plan, scratch, goroutines, flight events) is
-	// identical at both sizes; only the chunk count differs. ~1k-row chunks
-	// mean ~293 extra chunks at 400k rows, so a per-chunk cost of even one
-	// allocation would show up as hundreds of extra allocations.
-	extraChunks := float64(large-small) / 1024
-	perChunk := (b - a) / extraChunks
-	if perChunk > 0.5 {
-		t.Fatalf("per-chunk allocations with recorder on = %.3f (total %g -> %g): morsel loop no longer alloc-free", perChunk, a, b)
+	for _, backend := range []exec.Backend{exec.BackendVectorized, exec.BackendCompiling, exec.BackendROF, exec.BackendHybrid} {
+		t.Run(backend.String(), func(t *testing.T) {
+			small, large := 100_000, 400_000
+			a := queryAllocs(t, backend, small)
+			b := queryAllocs(t, backend, large)
+			// The per-query component (plan, scratch, goroutines, flight
+			// events, compiled code) is identical at both sizes; only the
+			// chunk count differs. ~1k-row chunks mean ~293 extra chunks at
+			// 400k rows, so a per-chunk cost of even one allocation would
+			// show up as hundreds of extra allocations.
+			extraChunks := float64(large-small) / 1024
+			perChunk := (b - a) / extraChunks
+			if perChunk > 0.5 {
+				t.Fatalf("per-chunk allocations with recorder on = %.3f (total %g -> %g): morsel loop no longer alloc-free", perChunk, a, b)
+			}
+		})
 	}
 }
 

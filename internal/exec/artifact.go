@@ -12,12 +12,12 @@ import (
 )
 
 // ArtifactSet is what one lowered plan instance keeps between executions so
-// that repeated executions skip work: the compiled artifacts (the compiling
-// and hybrid backends share whole-pipeline fused steps, the ROF backend keeps
-// its per-split step chains), which save recompilation and its modeled
-// latency, and the execution state (worker contexts, per-pipeline buffers, and
-// through core.PlanState the plan's tables), which saves rebuilding and
-// regrowing every buffer (DESIGN.md §16). Artifacts and execution state close
+// that repeated executions skip work: the compiled step chains (one per
+// pipeline and split policy: the compiling and hybrid backends share the
+// whole-pipeline chain, ROF keeps its own), which save recompilation and its
+// modeled latency, and the execution state (worker contexts, per-pipeline
+// buffers, and through core.PlanState the plan's tables), which saves
+// rebuilding and regrowing every buffer (DESIGN.md §16). Artifacts and execution state close
 // over the plan's runtime state objects, so a set is only valid for
 // executions of the exact plan instance it was built from — the plancache
 // leases plan and set together and never runs two executions over them
@@ -27,9 +27,8 @@ import (
 // cache simply leave Options.Artifacts nil and run on state they drop.
 type ArtifactSet struct {
 	mu       sync.Mutex
-	fused    map[int]*fusedStep   // pipeline index → whole-pipeline artifact
-	rof      map[int][]*fusedStep // pipeline index → ROF step chain
-	nodes    int64                // IR nodes of all stored artifacts (ArtifactBytes)
+	chains   map[chainKey][]*fusedStep
+	nodes    int64 // IR nodes of all stored chains (ArtifactBytes)
 	compiles atomic.Int64
 
 	// Execution state. Only the one execution the lease admits and the cache's
@@ -43,10 +42,13 @@ type ArtifactSet struct {
 
 // NewArtifactSet creates an empty set for the plan instance.
 func NewArtifactSet(plan *core.Plan) *ArtifactSet {
-	return &ArtifactSet{
-		fused: make(map[int]*fusedStep), rof: make(map[int][]*fusedStep),
-		plan: core.CollectPlanState(plan),
-	}
+	return &ArtifactSet{chains: make(map[chainKey][]*fusedStep), plan: core.CollectPlanState(plan)}
+}
+
+// chainKey names a compiled step chain: the pipeline and how it was cut.
+type chainKey struct {
+	pipe  int
+	split splitPolicy
 }
 
 // execState is what an execution builds besides the plan's tables: the worker
@@ -58,14 +60,14 @@ type execState struct {
 }
 
 // pipeBuffers holds one pipeline's buffers, each indexed by worker slot. src
-// and outs exist from the start; the backend's runner fills in the rest on
+// and outs exist from the start; the pipeline's runner fills in the rest on
 // its first execution.
 type pipeBuffers struct {
 	src     [][]*storage.Vector // morsel views into the pipeline source
 	outs    []*storage.Chunk    // result rows (nil for a pure sink pipeline)
-	runs    []*interp.Run       // vectorized interpreter: tuple buffers
-	chunks  [][]*storage.Vector // chunk views into the morsel
-	staging [][]*storage.Chunk  // ROF: the staged chunk between two steps
+	runs    []*interp.Run       // interpreter: tuple buffers
+	chunks  [][]*storage.Vector // batch views into the morsel
+	staging [][]*storage.Chunk  // split chain: the staged chunk between two steps
 }
 
 func newExecState(plan *core.Plan, opts Options) *execState {
@@ -213,14 +215,20 @@ func (a *ArtifactSet) Compiles() int64 {
 }
 
 // FusedPipelines reports how many pipelines have a landed whole-pipeline
-// artifact.
+// chain.
 func (a *ArtifactSet) FusedPipelines() int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.fused)
+	n := 0
+	for k := range a.chains {
+		if k.split == splitWhole {
+			n++
+		}
+	}
+	return n
 }
 
 // ArtifactBytes estimates the compiled artifacts' footprint: the IR node count
@@ -233,53 +241,31 @@ func (a *ArtifactSet) ArtifactBytes() int64 {
 }
 
 // irNodes counts the IR nodes of a step chain.
-func irNodes(steps ...*fusedStep) int64 {
+func irNodes(chain []*fusedStep) int64 {
 	var n int64
-	for _, s := range steps {
+	for _, s := range chain {
 		n += int64(ir.Size(s.fn))
 	}
 	return n
 }
 
-func (a *ArtifactSet) loadFused(pi int) *fusedStep {
+func (a *ArtifactSet) load(k chainKey) []*fusedStep {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.fused[pi]
+	return a.chains[k]
 }
 
-func (a *ArtifactSet) storeFused(pi int, s *fusedStep) {
+func (a *ArtifactSet) store(k chainKey, chain []*fusedStep) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if old := a.fused[pi]; old != nil {
-		a.nodes -= irNodes(old)
-	}
-	a.nodes += irNodes(s)
-	a.fused[pi] = s
-}
-
-func (a *ArtifactSet) loadROF(pi int) []*fusedStep {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rof[pi]
-}
-
-func (a *ArtifactSet) storeROF(pi int, steps []*fusedStep) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.nodes += irNodes(steps...) - irNodes(a.rof[pi]...)
-	a.rof[pi] = steps
+	a.nodes += irNodes(chain) - irNodes(a.chains[k])
+	a.chains[k] = chain
 }
 
 func (a *ArtifactSet) noteCompile() {

@@ -9,10 +9,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"inkfuse/internal/core"
 	"inkfuse/internal/faultinject"
+	"inkfuse/internal/flight"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/vm"
 )
@@ -66,6 +68,57 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("%w %q", ErrUnknownBackend, s)
 }
 
+// policy is what a backend is to the one pipeline runner (DESIGN.md §5):
+// where a pipeline's suboperator chain is cut into steps, when the steps are
+// compiled, and which form — the interpreter's primitives or the fused steps —
+// runs a morsel. The table is fixed; nothing outside exec sets a policy.
+type policy struct {
+	split   splitPolicy
+	compile compilePolicy
+	route   routePolicy
+}
+
+type splitPolicy uint8
+
+const (
+	splitWhole  splitPolicy = iota // one step: the whole pipeline
+	splitProbes                    // a cut and a prefetch before every probe (ROF)
+)
+
+type compilePolicy uint8
+
+const (
+	compileNone       compilePolicy = iota
+	compileForeground               // the runner waits for the code before its first morsel
+	compileBackground               // every job starts with the query; late ones are abandoned
+)
+
+type routePolicy uint8
+
+const (
+	routeInterpreter routePolicy = iota // every morsel through the interpreter
+	routeFused                          // every morsel through the fused steps
+	routeAdaptive                       // per morsel, by throughput EWMA (paper §V-B)
+)
+
+var policies = [...]policy{
+	BackendVectorized: {splitWhole, compileNone, routeInterpreter},
+	BackendCompiling:  {splitWhole, compileForeground, routeFused},
+	BackendROF:        {splitProbes, compileForeground, routeFused},
+	BackendHybrid:     {splitWhole, compileBackground, routeAdaptive},
+}
+
+func policyOf(b Backend) (policy, error) {
+	if b < 0 || int(b) >= len(policies) {
+		return policy{}, fmt.Errorf("%w %v", ErrUnknownBackend, b)
+	}
+	return policies[b], nil
+}
+
+// interprets reports whether morsels may run on the interpreter, which then
+// needs the primitive registry and per-worker runs.
+func (p policy) interprets() bool { return p.route != routeFused }
+
 // LatencyModel reproduces the wall-clock cost of turning generated code into
 // machine code. InkFuse shells out to clang (tens of milliseconds per
 // pipeline); our closure compilation takes microseconds, so the model
@@ -109,7 +162,7 @@ type fusedStep struct {
 }
 
 // describeFused renders what the closure compiler made of a step chain (one
-// step for a whole-pipeline artifact, several for ROF), for the trace.
+// step for a whole pipeline, several for ROF), for the trace.
 func describeFused(steps []*fusedStep) string {
 	parts := make([]string, len(steps))
 	for i, s := range steps {
@@ -118,9 +171,8 @@ func describeFused(steps []*fusedStep) string {
 	return strings.Join(parts, " | ")
 }
 
-// compileFaults names the fault-injection points of one compile site: the
-// foreground backends and the hybrid backend's background jobs are armed
-// apart.
+// compileFaults names the fault-injection points of one compile policy:
+// foreground and background jobs are armed apart.
 type compileFaults struct{ fail, delay string }
 
 var (
@@ -129,26 +181,25 @@ var (
 )
 
 // compileStep is the one compile sequence of every backend: it runs the
-// compilation stack over a suboperator sequence, verifies the generated IR,
+// compilation stack over a step's suboperators, verifies the generated IR,
 // closure-compiles it and waits out the simulated machine-code latency. The
 // wait is one timer wake-up (repeated short sleeps starve under a busy
 // single-P scheduler) and interruptible: a canceled or expired context aborts
 // it with the typed cancellation error.
-func compileStep(ctx context.Context, name string, source []*core.IU, ops []core.SubOp, emit []*core.IU, lat LatencyModel, faults compileFaults) (*fusedStep, time.Duration, error) {
-	start := time.Now()
+func compileStep(ctx context.Context, name string, st step, lat LatencyModel, faults compileFaults) (*fusedStep, error) {
 	if err := faultinject.Inject(faults.fail); err != nil {
-		return nil, 0, fmt.Errorf("compile %s: %w", name, err)
+		return nil, fmt.Errorf("compile %s: %w", name, err)
 	}
-	fn, states, err := core.GenStep(name, source, ops, emit)
+	fn, states, err := core.GenStep(name, st.source, st.ops, st.emit)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := ir.Verify(fn); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	prog, err := vm.Compile(fn)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if d := lat.Delay(fn) + faultinject.Delay(faults.delay); d > 0 {
 		timer := time.NewTimer(d)
@@ -156,8 +207,103 @@ func compileStep(ctx context.Context, name string, source []*core.IU, ops []core
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
-			return nil, time.Since(start), ctxCause(ctx.Err())
+			return nil, ctxCause(ctx.Err())
 		}
 	}
-	return &fusedStep{prog: prog, states: states, fn: fn}, time.Since(start), nil
+	return &fusedStep{prog: prog, states: states, fn: fn}, nil
+}
+
+// compileJob compiles one pipeline's step chain. Every compiling policy runs
+// the same job: a foreground runner runs it before its first morsel and waits
+// for it; the hybrid backend starts every pipeline's job when the query starts
+// (paper §V-B: "InkFuse uses one thread per pipeline for background
+// compilation") and abandons the ones that have not landed when it ends.
+type compileJob struct {
+	chain atomic.Pointer[[]*fusedStep]
+	// failed marks the job permanently dead; err (written before the store,
+	// read after the load) carries the compile failure. A failed background
+	// job is never retried — the pipeline degrades to the vectorized
+	// interpreter, the hybrid design's always-available fallback path.
+	failed atomic.Bool
+	err    error
+	cancel context.CancelFunc // ends a background job's context (nil otherwise)
+	done   chan struct{}
+	// compile is the job's duration and ready when it landed (both written
+	// before the chain store, read after a successful load).
+	compile time.Duration
+	ready   time.Time
+}
+
+// startCompile returns the compile job of pipeline pi's step chain under the
+// policy. The job is born complete on a chain the artifact set kept from an
+// earlier execution of the plan instance: nothing is compiled and no latency
+// is charged, and hybrid workers route to the fused code from the first
+// morsel. Otherwise a foreground job runs here and its error is the runner's;
+// a background job runs on its own goroutine under a context abandon ends.
+func startCompile(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opts Options) (*compileJob, error) {
+	key := chainKey{pi, pol.split}
+	j := &compileJob{done: make(chan struct{})}
+	if chain := opts.Artifacts.load(key); chain != nil {
+		j.chain.Store(&chain)
+		close(j.done)
+		return j, nil
+	}
+	steps := chainSteps(pipe, pol.split)
+	if pol.compile == compileForeground {
+		return j, j.run(ctx, key, pipe.Name, steps, opts, foregroundFaults)
+	}
+	ctx, j.cancel = context.WithCancel(ctx)
+	go j.run(ctx, key, pipe.Name, steps, opts, backgroundFaults)
+	return j, nil
+}
+
+func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps []step, opts Options, faults compileFaults) error {
+	defer close(j.done)
+	// A job whose query ended before it began (a background goroutine
+	// scheduled late behind a short query) could land only past a zero
+	// modelled latency; otherwise it skips the compile it would throw away.
+	if err := ctx.Err(); err != nil && !opts.Latency.Zero() {
+		return ctxCause(err)
+	}
+	flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, name, 0, 0)
+	start := time.Now()
+	chain := make([]*fusedStep, len(steps))
+	for si, st := range steps {
+		fname := "pipeline_" + name
+		if key.split != splitWhole {
+			fname = fmt.Sprintf("rof_%s_s%d", name, si)
+		}
+		art, err := compileStep(ctx, fname, st, *opts.Latency, faults)
+		if err != nil {
+			// A job whose context ended was abandoned (or its query
+			// canceled), not failed.
+			if ctx.Err() == nil {
+				j.err = err
+				j.failed.Store(true)
+				flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, name, int64(si), 0)
+			}
+			return err
+		}
+		chain[si] = art
+	}
+	j.compile, j.ready = time.Since(start), time.Now()
+	// Deposit before publishing: ExecuteContext abandons every job and waits
+	// on done before it returns, so the store never races a caller that
+	// already released the plan back to the cache.
+	opts.Artifacts.noteCompile()
+	opts.Artifacts.store(key, chain)
+	j.chain.Store(&chain)
+	flight.Default.RecordStr(flight.KindCompileLand, opts.QueryID, name, int64(j.compile), int64(len(steps)))
+	return nil
+}
+
+// abandon cancels the job if it has not completed, waits for it to end, and
+// reports whether that cut it short: the job neither landed its chain nor
+// failed on its own.
+func (j *compileJob) abandon() bool {
+	if j.cancel != nil {
+		j.cancel()
+	}
+	<-j.done
+	return j.chain.Load() == nil && !j.failed.Load()
 }

@@ -310,33 +310,24 @@ func TestHybridCompilesAllPipelinesUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	lat := LatencyNone
-	bgs := startHybridCompiles(context.Background(), 0, plan.Pipelines, lat, 0, nil)
+	var jobs []*compileJob
+	for pi, pipe := range plan.Pipelines {
+		j, _ := startCompile(context.Background(), pi, pipe, policies[BackendHybrid], Options{Latency: &lat})
+		jobs = append(jobs, j)
+	}
 	defer func() {
-		for _, h := range bgs {
-			h.abandon()
+		for _, j := range jobs {
+			j.abandon()
 		}
 	}()
-	if len(bgs) != 2 {
-		t.Fatalf("jobs = %d", len(bgs))
+	if len(jobs) != 2 {
+		t.Fatalf("jobs = %d", len(jobs))
 	}
-	for i, h := range bgs {
-		<-h.done
-		if h.art.Load() == nil {
+	for i, j := range jobs {
+		<-j.done
+		if j.chain.Load() == nil {
 			t.Fatalf("pipeline %d code never became ready", i)
 		}
-	}
-
-	// And the job cap serializes without deadlocking or losing jobs.
-	plan2, _ := algebra.Lower(node, "upfront2")
-	bgs2 := startHybridCompiles(context.Background(), 0, plan2.Pipelines, lat, 1, nil)
-	for i, h := range bgs2 {
-		<-h.done
-		if h.art.Load() == nil {
-			t.Fatalf("capped pipeline %d code never became ready", i)
-		}
-	}
-	for _, h := range bgs2 {
-		h.abandon()
 	}
 }
 

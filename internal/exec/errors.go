@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"inkfuse/internal/rt"
 )
@@ -91,16 +92,21 @@ func admissionError(err error) error {
 	return err
 }
 
-// panicCause converts a recovered panic value into a typed failure cause.
-// Memory-budget panics are expected control flow (rt.MemBudget cannot return
-// errors through generated code) and map to ErrMemoryBudget; anything else
-// is a genuine bug in query code and maps to ErrPanic.
-func panicCause(rec any) error {
-	if be, ok := rec.(*rt.BudgetExceeded); ok {
-		return fmt.Errorf("%w: %v", ErrMemoryBudget, be)
+// panicError completes qe, which the caller has located, from a recovered
+// panic value. Memory-budget panics are expected control flow (rt.MemBudget
+// cannot return errors through generated code) and map to ErrMemoryBudget;
+// anything else is a genuine bug in query code, maps to ErrPanic and keeps the
+// goroutine stack.
+func panicError(qe *QueryError, rec any) error {
+	switch v := rec.(type) {
+	case *rt.BudgetExceeded:
+		qe.Err = fmt.Errorf("%w: %v", ErrMemoryBudget, v)
+		return qe
+	case error:
+		qe.Err = fmt.Errorf("%w: %w", ErrPanic, v)
+	default:
+		qe.Err = fmt.Errorf("%w: %v", ErrPanic, rec)
 	}
-	if err, ok := rec.(error); ok {
-		return fmt.Errorf("%w: %w", ErrPanic, err)
-	}
-	return fmt.Errorf("%w: %v", ErrPanic, rec)
+	qe.Stack = string(debug.Stack())
+	return qe
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +30,6 @@ type Options struct {
 	ChunkSize  int           // tuple-buffer rows, default 1024
 	MorselSize int           // morsel rows, default 16384
 	Latency    *LatencyModel // compile latency model; default LatencyC (nil) — ignored by the vectorized backend
-	// CompileJobs bounds the hybrid backend's concurrent background
-	// compilations ("compilation overhead can be bounded by limiting the
-	// number of concurrent compilation jobs", paper §V-B). 0 = one job per
-	// pipeline, the paper's default.
-	CompileJobs int
 	// MemoryBudget caps the bytes of query-owned runtime state (hash-table
 	// arenas and bookkeeping). A query that crosses the cap fails with
 	// ErrMemoryBudget instead of pressuring the process. 0 = unlimited.
@@ -150,36 +144,6 @@ func (r *Result) Describe(e *obs.QueryEvent) {
 	e.QueueWait = r.QueueWait
 	e.Counters = r.Stats
 	e.Degraded = len(r.Warnings) > 0 || r.Stats.CompileErrors > 0
-}
-
-// runner executes one pipeline's morsels for one backend.
-type runner interface {
-	runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk)
-	// finish is called once the pipeline completes (cancels background work)
-	// and returns compile statistics to fold into the query stats.
-	finish() finishInfo
-}
-
-// finishInfo is the per-pipeline accounting a runner hands back.
-type finishInfo struct {
-	// counters is the pipeline's compile accounting: time, dead wait
-	// (foreground backends) and failed jobs.
-	counters stats.Counters
-	// degraded is the permanent background-compile failure of a hybrid
-	// pipeline (nil otherwise); surfaced as a Result warning.
-	degraded error
-	// artifactReady is when the hybrid background artifact landed (zero if
-	// never); recorded into the pipeline trace.
-	artifactReady time.Time
-	// fused is the compiled code the pipeline ran on (nil if none), for the
-	// trace to describe.
-	fused []*fusedStep
-	// subops is the merged per-suboperator profile (Options.Profile, backends
-	// serving through the vectorized interpreter), with its sampling period
-	// and the total number of chunks timed across workers.
-	subops         []interp.SubOpSample
-	profileEvery   int
-	profiledChunks int64
 }
 
 // queryState is the shared lifecycle of one executing query: the first
@@ -301,6 +265,10 @@ var noCounters stats.Counters
 // failure the Result is nil when the query never ran (rejected plan, refused
 // admission), otherwise the diagnostic one.
 func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time) (*Result, error) {
+	pol, err := policyOf(opts.Backend)
+	if err != nil {
+		return nil, err
+	}
 	if opts.VerifyIR {
 		if err := core.VerifyPlan(plan); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
@@ -343,7 +311,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	}
 
 	var reg *interp.Registry
-	if opts.Backend != BackendCompiling && opts.Backend != BackendROF {
+	if pol.interprets() {
 		if reg, err = interp.Default(); err != nil {
 			return nil, err
 		}
@@ -375,16 +343,16 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	var finalChunks []*storage.Chunk
 	var warnings []error
 
-	// The hybrid backend starts background compilation for every pipeline as
+	// A background compile policy (hybrid) starts compiling every pipeline as
 	// soon as the query enters the system (paper §V-B): by the time a later
 	// pipeline runs, its fused code is usually already waiting. Whatever has
 	// not landed when the query ends is abandoned — counted, per pipeline, as
 	// compile effort that came too late — before the result is put together;
 	// the deferred call covers the exits that build none.
-	var bgs []*hybridCompile
+	bgs := make([]*compileJob, len(plan.Pipelines))
 	abandonCompiles := func() {
-		for i, h := range bgs {
-			if !h.abandon() {
+		for i, j := range bgs {
+			if j == nil || !j.abandon() {
 				continue
 			}
 			res.CompilesAbandoned++
@@ -392,10 +360,13 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 				qt.Pipelines[i].Counters.CompilesAbandoned++
 			}
 		}
-		bgs = nil
+		clear(bgs)
 	}
-	if opts.Backend == BackendHybrid {
-		bgs = startHybridCompiles(ctx, qid, plan.Pipelines, *opts.Latency, opts.CompileJobs, opts.Artifacts)
+	if pol.compile == compileBackground {
+		for pi, pipe := range plan.Pipelines {
+			// A background job reports its failure through the job.
+			bgs[pi], _ = startCompile(ctx, pi, pipe, pol, opts)
+		}
 		defer abandonCompiles()
 	}
 
@@ -444,11 +415,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			pt.Start = pipeStart.Sub(start)
 		}
 
-		var bg *hybridCompile
-		if bgs != nil {
-			bg = bgs[pi]
-		}
-		r, err := newRunner(ctx, pi, pipe, opts, reg, bg, pt, pb)
+		r, err := newRunner(ctx, pi, pipe, pol, opts, reg, bgs[pi], pt, pb)
 		if err != nil {
 			return failed(fmt.Errorf("exec: %s/%s: %w", plan.Name, pipe.Name, err))
 		}
@@ -528,29 +495,13 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			}
 		}
 
-		fi := r.finish()
-		res.Add(&fi.counters)
-		if fi.degraded != nil {
+		counters, degraded := r.finish(pt, start)
+		res.Add(&counters)
+		if degraded != nil {
 			warnings = append(warnings, fmt.Errorf(
 				"exec: %s/%s: background compile failed, pipeline served by the vectorized interpreter: %w",
-				plan.Name, pipe.Name, fi.degraded))
+				plan.Name, pipe.Name, degraded))
 			flight.Default.RecordStr(flight.KindDegraded, qid, pipe.Name, 0, 0)
-		}
-		if pt != nil {
-			pt.Counters = fi.counters
-			pt.Degraded = fi.degraded != nil
-			pt.Fused = describeFused(fi.fused)
-			if !fi.artifactReady.IsZero() {
-				pt.ArtifactReady = fi.artifactReady.Sub(start)
-			}
-			if len(fi.subops) > 0 {
-				pt.ProfileEvery = fi.profileEvery
-				pt.ProfiledChunks = fi.profiledChunks
-				pt.SubOps = make([]trace.SubOpProf, len(fi.subops))
-				for i, s := range fi.subops {
-					pt.SubOps[i] = trace.SubOpProf{ID: s.ID, Calls: s.Calls, Tuples: s.Tuples, Nanos: s.Nanos}
-				}
-			}
 		}
 
 		if err := qs.failure(); err != nil {
@@ -606,19 +557,12 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 // runMorselSafe executes one morsel with panic isolation: a panic anywhere
 // below (generated code, primitives, hash tables, the budget) is converted
 // into a located *QueryError instead of taking the process down.
-func runMorselSafe(query, pipeName string, backend Backend, r runner, w, mi int,
+func runMorselSafe(query, pipeName string, backend Backend, r *pipelineRunner, w, mi int,
 	wctx *vm.Ctx, binder sourceBinder, m storage.Morsel, src []*storage.Vector, out *storage.Chunk) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			wctx.Counters.PanicsRecovered++
-			qe := &QueryError{
-				Query: query, Pipeline: pipeName, Backend: backend,
-				Worker: w, Morsel: mi, Err: panicCause(rec),
-			}
-			if _, budget := rec.(*rt.BudgetExceeded); !budget {
-				qe.Stack = string(debug.Stack())
-			}
-			err = qe
+			err = panicError(&QueryError{Query: query, Pipeline: pipeName, Backend: backend, Worker: w, Morsel: mi}, rec)
 		}
 	}()
 	if err := faultinject.Inject(faultinject.ExecMorsel); err != nil {
@@ -641,14 +585,7 @@ func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm
 	defer func() {
 		if rec := recover(); rec != nil {
 			ctxs[0].Counters.PanicsRecovered++
-			qe := &QueryError{
-				Query: query, Pipeline: pipe.Name, Backend: backend,
-				Worker: -1, Morsel: -1, Err: panicCause(rec),
-			}
-			if _, isBudget := rec.(*rt.BudgetExceeded); !isBudget {
-				qe.Stack = string(debug.Stack())
-			}
-			err = qe
+			err = panicError(&QueryError{Query: query, Pipeline: pipe.Name, Backend: backend, Worker: -1, Morsel: -1}, rec)
 		}
 	}()
 	if err := faultinject.Inject(faultinject.ExecFinalize); err != nil {

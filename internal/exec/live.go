@@ -18,83 +18,44 @@ type step struct {
 // later steps. The final step emits the pipeline result.
 func splitSteps(source []*core.IU, ops []core.SubOp, result []*core.IU,
 	splitBefore func(i int, op core.SubOp) bool) []step {
-	// Cut points.
-	cuts := []int{0}
-	for i, op := range ops {
-		if i > 0 && splitBefore(i, op) {
-			cuts = append(cuts, i)
+	var steps []step
+	lo, prev := 0, source
+	for hi := 1; hi < len(ops); hi++ {
+		if splitBefore(hi, ops[hi]) {
+			emit := liveAt(source, ops, hi, result)
+			steps = append(steps, step{source: prev, ops: ops[lo:hi], emit: emit})
+			lo, prev = hi, emit
 		}
 	}
-	cuts = append(cuts, len(ops))
+	return append(steps, step{source: prev, ops: ops[lo:], emit: result})
+}
 
-	// definedAt[iu] = order of first definition (source first, then op
-	// outputs), used to keep staging-buffer column order deterministic.
-	order := make(map[int]int)
-	byOrder := []*core.IU{}
-	note := func(iu *core.IU) {
-		if _, ok := order[iu.ID]; !ok {
-			order[iu.ID] = len(byOrder)
-			byOrder = append(byOrder, iu)
-		}
-	}
-	for _, iu := range source {
-		note(iu)
-	}
-	for _, op := range ops {
-		for _, iu := range op.Outputs() {
-			note(iu)
-		}
-	}
-
-	// neededFrom[k] = set of IU IDs consumed at or after ops index k, plus
-	// the pipeline result.
+// liveAt is the live set at a cut before ops[cut]: the IUs defined before it
+// (the source, then op outputs) that an op at or after it, or the result,
+// reads — in order of first definition, which keeps staging-buffer column
+// order deterministic.
+func liveAt(source []*core.IU, ops []core.SubOp, cut int, result []*core.IU) []*core.IU {
 	needed := make(map[int]bool)
 	for _, iu := range result {
 		needed[iu.ID] = true
 	}
-	neededFrom := make([]map[int]bool, len(ops)+1)
-	neededFrom[len(ops)] = cloneSet(needed)
-	for i := len(ops) - 1; i >= 0; i-- {
-		for _, iu := range ops[i].Inputs() {
+	for _, op := range ops[cut:] {
+		for _, iu := range op.Inputs() {
 			needed[iu.ID] = true
 		}
-		neededFrom[i] = cloneSet(needed)
 	}
-
-	var steps []step
-	defined := make(map[int]bool)
-	for _, iu := range source {
-		defined[iu.ID] = true
-	}
-	prevEmit := source
-	for c := 0; c+1 < len(cuts); c++ {
-		lo, hi := cuts[c], cuts[c+1]
-		st := step{source: prevEmit, ops: ops[lo:hi]}
-		for _, op := range ops[lo:hi] {
-			for _, iu := range op.Outputs() {
-				defined[iu.ID] = true
+	var live []*core.IU
+	keep := func(ius []*core.IU) {
+		for _, iu := range ius {
+			if needed[iu.ID] {
+				live = append(live, iu)
+				delete(needed, iu.ID)
 			}
 		}
-		if hi == len(ops) {
-			st.emit = result
-		} else {
-			// Live set at the cut: defined so far and needed later.
-			for _, iu := range byOrder {
-				if defined[iu.ID] && neededFrom[hi][iu.ID] {
-					st.emit = append(st.emit, iu)
-				}
-			}
-		}
-		steps = append(steps, st)
-		prevEmit = st.emit
 	}
-	return steps
-}
-
-func cloneSet(m map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(m))
-	for k, v := range m {
-		out[k] = v
+	keep(source)
+	for _, op := range ops[:cut] {
+		keep(op.Outputs())
 	}
-	return out
+	return live
 }

@@ -1,10 +1,10 @@
 package exec
 
-// Microbenchmarks for the per-morsel hot loops. Run with -benchmem: the
-// vectorized and ROF chunk loops themselves must not allocate per chunk (the
-// per-worker scratch headers are reused), which removes ~3 allocs per chunk
-// (the []*Vector slice plus one header per input column) versus slicing fresh
-// vectors each iteration.
+// Microbenchmarks for the per-morsel hot loops, one per backend. Run with
+// -benchmem: the interpreter's chunk loop and the fused step chain's batch
+// loop must not allocate per chunk (the per-worker scratch headers are
+// reused), which removes ~3 allocs per chunk (the []*Vector slice plus one
+// header per input column) versus slicing fresh vectors each iteration.
 
 import (
 	"testing"
@@ -62,6 +62,11 @@ func benchmarkOpts(b *testing.B, opts Options, rows int) {
 func BenchmarkMorselLoopVectorized(b *testing.B) {
 	b.Run("rows=100k", func(b *testing.B) { benchmarkBackend(b, BackendVectorized, 100_000) })
 	b.Run("rows=400k", func(b *testing.B) { benchmarkBackend(b, BackendVectorized, 400_000) })
+}
+
+func BenchmarkMorselLoopCompiling(b *testing.B) {
+	b.Run("rows=100k", func(b *testing.B) { benchmarkBackend(b, BackendCompiling, 100_000) })
+	b.Run("rows=400k", func(b *testing.B) { benchmarkBackend(b, BackendCompiling, 400_000) })
 }
 
 func BenchmarkMorselLoopROF(b *testing.B) {

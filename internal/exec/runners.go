@@ -2,8 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"inkfuse/internal/core"
@@ -16,128 +14,123 @@ import (
 	"inkfuse/internal/vm"
 )
 
-// newRunner builds the backend runner for pipeline pi over the pipeline's
-// buffers pb, which it fills in on the instance's first execution and finds
-// ready on later ones. pt is the pipeline's execution trace (nil when tracing
-// is off); only the hybrid runner records into it directly, for the routing
-// decisions the scheduler cannot observe.
-func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, reg *interp.Registry, bg *hybridCompile, pt *trace.Pipeline, pb *pipeBuffers) (runner, error) {
-	switch opts.Backend {
-	case BackendVectorized:
-		return newVectorizedRunner(pipe, opts, reg, pb)
-	case BackendCompiling:
-		return newCompilingRunner(ctx, pi, pipe, opts, pb)
-	case BackendROF:
-		return newROFRunner(ctx, pi, pipe, opts, pb)
-	case BackendHybrid:
-		return newHybridRunner(pipe, opts, reg, bg, pt, pb)
-	default:
-		return nil, fmt.Errorf("%w %v", ErrUnknownBackend, opts.Backend)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized backend
-
-type vectorizedRunner struct {
-	runs      []*interp.Run
-	chunkSize int
-	// scratch holds per-worker chunk views ([worker][col]), reused across
-	// chunks and morsels so the inner loop allocates nothing: consumers bind
-	// the vectors only for the duration of one RunChunk call.
-	scratch [][]*storage.Vector
+// pipelineRunner executes one pipeline's morsels for every backend: the
+// backend's policy (backend.go) fixes which forms of the pipeline's step chain
+// exist — the interpreter's per-worker runs, the fused steps — and which one a
+// morsel runs on (DESIGN.md §5).
+type pipelineRunner struct {
+	// fused is the compiled chain a foreground policy waited for; nil when
+	// morsels run on the interpreter or are routed adaptively.
+	fused []*fusedStep
+	// job is the pipeline's compile job (nil for the vectorized backend).
+	job *compileJob
+	// batchRows is what runChain hands a step per call: fusedBatchRows for a
+	// whole-pipeline chain, the chunk size for a split one. chunkRows is the
+	// interpreter's chunk.
+	batchRows, chunkRows int
+	runs                 []*interp.Run       // [worker]: interpreter (route can interpret)
+	views                [][]*storage.Vector // [worker][col]: batch views into the morsel
+	staging              [][]*storage.Chunk  // [worker][step]: output of every step but the last
 	// profs holds each worker's suboperator profiler (Options.Profile);
 	// merged at finish into the pipeline's attribution list.
 	profs []*interp.Profile
+
+	// Adaptive routing (hybrid): per-worker statistics; the pipeline trace
+	// (nil when tracing is off), into which the runner records each measured
+	// routing sample; and the query id and label of the first-JIT flight
+	// event, interned here so the hot path never touches the intern table.
+	workers []routeWorker
+	pt      *trace.Pipeline
+	qid     uint64
+	flabel  flight.Label
 }
 
-func newVectorizedRunner(pipe *core.Pipeline, opts Options, reg *interp.Registry, pb *pipeBuffers) (*vectorizedRunner, error) {
+// newRunner builds the runner for pipeline pi over the pipeline's buffers pb,
+// which it fills in on the instance's first execution and finds ready on later
+// ones. A foreground policy compiles here (or takes the chain the artifact set
+// kept) and waits; job is the background job a hybrid query started.
+func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opts Options, reg *interp.Registry, job *compileJob, pt *trace.Pipeline, pb *pipeBuffers) (*pipelineRunner, error) {
 	source := pipe.Source.SourceIUs()
-	if pb.runs == nil {
-		runs := make([]*interp.Run, opts.Workers)
-		for w := range runs {
-			run, err := interp.NewRun(reg, source, pipe.Ops, pipe.Result)
-			if err != nil {
-				return nil, err
-			}
-			runs[w] = run
-		}
-		pb.runs = runs
+	if pb.chunks == nil {
 		pb.chunks = newVectorViews(opts.Workers, len(source))
 	}
-	r := &vectorizedRunner{runs: pb.runs, chunkSize: opts.ChunkSize, scratch: pb.chunks}
-	for _, run := range r.runs {
-		run.DisableProfile()
-		if opts.Profile {
-			r.profs = append(r.profs, run.EnableProfile(opts.ProfileEvery))
+	r := &pipelineRunner{job: job, batchRows: fusedBatchRows, chunkRows: opts.ChunkSize, views: pb.chunks}
+	if pol.split != splitWhole {
+		r.batchRows = opts.ChunkSize
+		if pb.staging == nil {
+			steps := chainSteps(pipe, pol.split)
+			pb.staging = make([][]*storage.Chunk, opts.Workers)
+			for w := range pb.staging {
+				for _, st := range steps[:len(steps)-1] {
+					pb.staging[w] = append(pb.staging[w], storage.NewChunk(iuKinds(st.emit)))
+				}
+			}
 		}
+		r.staging = pb.staging
+	}
+	if pol.compile == compileForeground {
+		var err error
+		if r.job, err = startCompile(ctx, pi, pipe, pol, opts); err != nil {
+			return nil, err
+		}
+		r.fused = *r.job.chain.Load()
+	}
+	if pol.interprets() {
+		if pb.runs == nil {
+			runs := make([]*interp.Run, opts.Workers)
+			for w := range runs {
+				run, err := interp.NewRun(reg, source, pipe.Ops, pipe.Result)
+				if err != nil {
+					return nil, err
+				}
+				runs[w] = run
+			}
+			pb.runs = runs
+		}
+		r.runs = pb.runs
+		for _, run := range r.runs {
+			run.DisableProfile()
+			if opts.Profile {
+				r.profs = append(r.profs, run.EnableProfile(opts.ProfileEvery))
+			}
+		}
+	}
+	if pol.route == routeAdaptive {
+		r.workers, r.pt = make([]routeWorker, opts.Workers), pt
+		r.qid, r.flabel = opts.QueryID, flight.Default.Intern(pipe.Name)
 	}
 	return r, nil
 }
 
-// profileInfo folds the workers' suboperator profiles into a finishInfo.
-func (r *vectorizedRunner) profileInfo(fi *finishInfo) {
-	if len(r.profs) == 0 {
-		return
+// chainSteps cuts a pipeline into its policy's step chain: the whole pipeline
+// as one step, or (ROF) a prefetch inserted before every probe and a cut
+// before every prefetch — the prefetch runs as the last operation of the
+// staged step, touching the buckets for the whole chunk before the next step
+// probes them.
+func chainSteps(pipe *core.Pipeline, split splitPolicy) []step {
+	if split == splitWhole {
+		return []step{{source: pipe.Source.SourceIUs(), ops: pipe.Ops, emit: pipe.Result}}
 	}
-	fi.subops = interp.MergeProfiles(r.profs)
-	fi.profileEvery = r.profs[0].Every
-	for _, p := range r.profs {
-		fi.profiledChunks += p.Sampled
-	}
-}
-
-//inkfuse:hotpath
-func (r *vectorizedRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
-	run := r.runs[w]
-	sub := r.scratch[w]
-	for lo := 0; lo < n; lo += r.chunkSize {
-		hi := min(lo+r.chunkSize, n)
-		for i, v := range src {
-			v.SliceInto(sub[i], lo, hi)
+	var ops []core.SubOp
+	for _, op := range pipe.Ops {
+		if probe, ok := op.(*core.JoinProbe); ok {
+			ops = append(ops, &core.Prefetch{Row: probe.Row, State: probe.State})
 		}
-		run.RunChunk(ctx, sub, hi-lo, out)
+		ops = append(ops, op)
 	}
+	return splitSteps(pipe.Source.SourceIUs(), ops, pipe.Result, func(i int, op core.SubOp) bool {
+		_, isPrefetch := op.(*core.Prefetch)
+		return isPrefetch
+	})
 }
 
-func (r *vectorizedRunner) finish() finishInfo {
-	var fi finishInfo
-	r.profileInfo(&fi)
-	return fi
-}
-
-// ---------------------------------------------------------------------------
-// Compiling backend: fuse the whole pipeline, wait for the code.
-
-type compilingRunner struct {
-	art  *fusedStep
-	wait time.Duration
-	// scratch holds per-worker views into the morsel, one batch at a time
-	// (runFused).
-	scratch [][]*storage.Vector
-}
-
-func newCompilingRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, pb *pipeBuffers) (*compilingRunner, error) {
-	if pb.chunks == nil {
-		pb.chunks = newVectorViews(opts.Workers, len(pipe.Source.SourceIUs()))
+// iuKinds projects the kinds of a staging buffer's columns.
+func iuKinds(ius []*core.IU) []types.Kind {
+	out := make([]types.Kind, len(ius))
+	for i, iu := range ius {
+		out[i] = iu.K
 	}
-	// A cached artifact skips compilation and its dead wait entirely — the
-	// plancache reuse path pays no compile latency on a hit.
-	if art := opts.Artifacts.loadFused(pi); art != nil {
-		return &compilingRunner{art: art, scratch: pb.chunks}, nil
-	}
-	flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, pipe.Name, 0, 0)
-	art, dur, err := compileStep(ctx, "pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result, *opts.Latency, foregroundFaults)
-	if err != nil {
-		flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, pipe.Name, 0, 0)
-		return nil, err
-	}
-	flight.Default.RecordStr(flight.KindCompileLand, opts.QueryID, pipe.Name, int64(dur), 0)
-	opts.Artifacts.noteCompile()
-	opts.Artifacts.storeFused(pi, art)
-	// The compiling backend cannot process tuples until compilation is done:
-	// the whole compile time is dead wait (the dashed bars of Fig 10).
-	return &compilingRunner{art: art, wait: dur, scratch: pb.chunks}, nil
+	return out
 }
 
 // fusedBatchRows bounds the rows a whole-pipeline program is handed per call.
@@ -150,252 +143,110 @@ func newCompilingRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts O
 // tenth of a nanosecond per row in per-call overhead (DESIGN.md §18).
 const fusedBatchRows = 2048
 
-// runFused runs a whole-pipeline program over a morsel, fusedBatchRows rows
-// at a time; sub is the calling worker's view scratch.
+//inkfuse:hotpath
+func (r *pipelineRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
+	switch {
+	case r.workers != nil:
+		r.routeMorsel(w, ctx, src, n, out)
+	case r.fused != nil:
+		r.runChain(r.fused, w, ctx, src, n, out)
+		ctx.Counters.MorselsCompiled++
+	default:
+		r.interpret(w, ctx, src, n, out)
+	}
+}
+
+// interpret runs a morsel through the worker's interpreter, a chunk at a time.
 //
 //inkfuse:hotpath
-func runFused(art *fusedStep, ctx *vm.Ctx, src, sub []*storage.Vector, n int, out *storage.Chunk) {
-	if n <= fusedBatchRows {
-		art.prog.Run(ctx, art.states, src, n, out)
-		ctx.Counters.FusedCalls++
-		return
-	}
-	for lo := 0; lo < n; lo += fusedBatchRows {
-		hi := min(lo+fusedBatchRows, n)
+func (r *pipelineRunner) interpret(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
+	run, sub := r.runs[w], r.views[w]
+	for lo := 0; lo < n; lo += r.chunkRows {
+		hi := min(lo+r.chunkRows, n)
 		for i, v := range src {
 			v.SliceInto(sub[i], lo, hi)
 		}
-		art.prog.Run(ctx, art.states, sub, hi-lo, out)
-		ctx.Counters.FusedCalls++
+		run.RunChunk(ctx, sub, hi-lo, out)
 	}
 }
 
+// runChain runs a fused step chain over a morsel, batchRows rows at a time:
+// each batch passes through every step in lockstep, one step's staged output
+// being the next one's input (a whole-pipeline chain is one step writing out).
+//
 //inkfuse:hotpath
-func (r *compilingRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
-	runFused(r.art, ctx, src, r.scratch[w], n, out)
-	ctx.Counters.MorselsCompiled++
-}
-
-func (r *compilingRunner) finish() finishInfo {
-	return finishInfo{counters: stats.Counters{CompileTime: r.wait, CompileWait: r.wait}, fused: []*fusedStep{r.art}}
-}
-
-// ---------------------------------------------------------------------------
-// ROF backend: split before every probe, prefetch the staged chunk.
-
-type rofRunner struct {
-	steps     []*fusedStep
-	bufs      [][]*storage.Chunk // [worker][step-1]: the staging buffers
-	chunkSize int
-	wait      time.Duration
-	// scratch holds per-worker source chunk views, reused like the
-	// vectorized runner's (no allocation in the per-chunk loop).
-	scratch [][]*storage.Vector
-}
-
-func newROFRunner(ctx context.Context, pi int, pipe *core.Pipeline, opts Options, pb *pipeBuffers) (*rofRunner, error) {
-	// Insert a prefetch suboperator before every probe and split there.
-	var ops []core.SubOp
-	for _, op := range pipe.Ops {
-		if probe, ok := op.(*core.JoinProbe); ok {
-			ops = append(ops, &core.Prefetch{Row: probe.Row, State: probe.State})
-		}
-		ops = append(ops, op)
-	}
-	// The staging point lies before the prefetch: the prefetch runs as the
-	// last operation of the staged step, touching the buckets for the whole
-	// chunk before the next step probes them.
-	steps := splitSteps(pipe.Source.SourceIUs(), ops, pipe.Result, func(i int, op core.SubOp) bool {
-		_, isPrefetch := op.(*core.Prefetch)
-		return isPrefetch
-	})
-	r := &rofRunner{chunkSize: opts.ChunkSize}
-	if arts := opts.Artifacts.loadROF(pi); len(arts) == len(steps) {
-		// Cached step chain: skip compilation and its dead wait (plancache
-		// reuse path; the split is deterministic, so the chain lines up).
-		r.steps = arts
-	} else {
-		var wait time.Duration
-		flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, pipe.Name, int64(len(steps)), 0)
-		for si, st := range steps {
-			art, dur, err := compileStep(ctx, fmt.Sprintf("rof_%s_s%d", pipe.Name, si), st.source, st.ops, st.emit, *opts.Latency, foregroundFaults)
-			if err != nil {
-				flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, pipe.Name, int64(si), 0)
-				return nil, err
+func (r *pipelineRunner) runChain(chain []*fusedStep, w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
+	sub, last := r.views[w], chain[len(chain)-1]
+	for lo := 0; lo < n; lo += r.batchRows {
+		cur, cn := src, n
+		if n > r.batchRows {
+			hi := min(lo+r.batchRows, n)
+			for i, v := range src {
+				v.SliceInto(sub[i], lo, hi)
 			}
-			wait += dur
-			r.steps = append(r.steps, art)
+			cur, cn = sub, hi-lo
 		}
-		r.wait = wait
-		flight.Default.RecordStr(flight.KindCompileLand, opts.QueryID, pipe.Name, int64(wait), int64(len(steps)))
-		opts.Artifacts.noteCompile()
-		opts.Artifacts.storeROF(pi, r.steps)
-	}
-	if pb.staging == nil {
-		pb.staging = make([][]*storage.Chunk, opts.Workers)
-		for w := range pb.staging {
-			for si := 0; si+1 < len(steps); si++ {
-				pb.staging[w] = append(pb.staging[w], storage.NewChunk(iuKinds(steps[si].emit)))
-			}
-		}
-		pb.chunks = newVectorViews(opts.Workers, len(pipe.Source.SourceIUs()))
-	}
-	r.bufs, r.scratch = pb.staging, pb.chunks
-	return r, nil
-}
-
-//inkfuse:hotpath
-func (r *rofRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
-	// Run the steps in lockstep over cache-friendly staged chunks.
-	sub := r.scratch[w]
-	for lo := 0; lo < n; lo += r.chunkSize {
-		hi := min(lo+r.chunkSize, n)
-		for i, v := range src {
-			v.SliceInto(sub[i], lo, hi)
-		}
-		cur := sub
-		cn := hi - lo
-		for si, st := range r.steps {
-			last := si == len(r.steps)-1
-			var dst *storage.Chunk
-			if last {
-				dst = out
-			} else {
-				dst = r.bufs[w][si]
-				dst.Reset()
-			}
-			st.prog.Run(ctx, st.states, cur, cn, dst)
+		for si, st := range chain[:len(chain)-1] {
+			buf := r.staging[w][si]
+			buf.Reset()
+			st.prog.Run(ctx, st.states, cur, cn, buf)
 			ctx.Counters.FusedCalls++
-			if last {
-				break
-			}
-			cur = dst.Cols
-			cn = dst.Rows()
+			cur, cn = buf.Cols, buf.Rows()
+		}
+		last.prog.Run(ctx, last.states, cur, cn, out)
+		ctx.Counters.FusedCalls++
+	}
+}
+
+// finish returns the pipeline's compile accounting and, when its background
+// compile failed, the failure; with tracing on it records both, the code the
+// pipeline ran on and its suboperator profile into pt. The compile duration
+// is published (happens-before the chain store) only once the code is ready;
+// Execute abandons what never landed.
+func (r *pipelineRunner) finish(pt *trace.Pipeline, begin time.Time) (c stats.Counters, degraded error) {
+	var fused []*fusedStep
+	var ready time.Time
+	if j := r.job; j != nil {
+		switch chain := j.chain.Load(); {
+		case j.failed.Load():
+			c.CompileErrors, degraded = 1, j.err
+		case r.fused != nil:
+			// Foreground: the whole compile time was dead wait (the dashed
+			// bars of Fig 10). The hybrid backend hides it behind
+			// interpretation.
+			fused, c.CompileTime, c.CompileWait = r.fused, j.compile, j.compile
+		case chain != nil:
+			fused, c.CompileTime, ready = *chain, j.compile, j.ready
 		}
 	}
-	ctx.Counters.MorselsCompiled++
-}
-
-func (r *rofRunner) finish() finishInfo {
-	return finishInfo{counters: stats.Counters{CompileTime: r.wait, CompileWait: r.wait}, fused: r.steps}
-}
-
-// iuKinds projects the kinds of a staging buffer's columns.
-func iuKinds(ius []*core.IU) []types.Kind {
-	out := make([]types.Kind, len(ius))
-	for i, iu := range ius {
-		out[i] = iu.K
+	if pt == nil {
+		return c, degraded
 	}
-	return out
+	pt.Counters, pt.Degraded, pt.Fused = c, degraded != nil, describeFused(fused)
+	if !ready.IsZero() {
+		pt.ArtifactReady = ready.Sub(begin)
+	}
+	// The interpreter carries the suboperator profile; fused code is opaque to
+	// per-suboperator attribution by construction.
+	if subops := interp.MergeProfiles(r.profs); len(subops) > 0 {
+		pt.ProfileEvery = r.profs[0].Every
+		pt.SubOps = make([]trace.SubOpProf, len(subops))
+		for i, s := range subops {
+			pt.SubOps[i] = trace.SubOpProf{ID: s.ID, Calls: s.Calls, Tuples: s.Tuples, Nanos: s.Nanos}
+		}
+		for _, p := range r.profs {
+			pt.ProfiledChunks += p.Sampled
+		}
+	}
+	return c, degraded
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid backend (paper §V-B): start vectorized, compile in the background,
-// then route 90% of morsels to the backend with the best exponentially
-// decaying tuple throughput; 5% each keep exploring either backend.
+// Adaptive routing (paper §V-B): start on the interpreter, compile in the
+// background, then route 90% of morsels to the form with the best
+// exponentially decaying tuple throughput; 5% each keep exploring either.
 
-// hybridCompile is one pipeline's background compilation job. All jobs of a
-// query start when the query starts (paper §V-B: "InkFuse uses one thread
-// per pipeline for background compilation"), bounded by Options.CompileJobs.
-type hybridCompile struct {
-	art atomic.Pointer[fusedStep]
-	// failed marks the job permanently dead; err (written before the store,
-	// read after the load) carries the compile failure. A failed job is never
-	// retried — the pipeline degrades to the vectorized interpreter, which is
-	// the hybrid design's always-available fallback path.
-	failed  atomic.Bool
-	err     error
-	cancel  context.CancelFunc // ends the job's context, derived from the query's
-	done    chan struct{}
-	compile time.Duration
-	// ready is when the artifact landed (written before the art store,
-	// read after a successful load — same happens-before as compile).
-	ready time.Time
-}
-
-// startHybridCompiles launches the background compilation jobs for every
-// pipeline of the plan. The returned handles are wired into the hybrid
-// runners pipeline by pipeline; abandon cancels whatever has not finished
-// when the query completes, as does cancellation of the query context.
-func startHybridCompiles(ctx context.Context, qid uint64, pipes []*core.Pipeline, lat LatencyModel, jobs int, arts *ArtifactSet) []*hybridCompile {
-	if jobs <= 0 {
-		jobs = len(pipes) // paper default: one compilation thread per pipeline
-	}
-	sem := make(chan struct{}, jobs)
-	out := make([]*hybridCompile, len(pipes))
-	for i, pipe := range pipes {
-		jobCtx, cancel := context.WithCancel(ctx)
-		h := &hybridCompile{cancel: cancel, done: make(chan struct{})}
-		out[i] = h
-		if art := arts.loadFused(i); art != nil {
-			// Cached artifact from an earlier execution of this plan instance:
-			// the job is born complete — workers route to the fused code from
-			// the first morsel, no compile latency is charged, and abandon()
-			// finds the pre-closed done channel.
-			h.art.Store(art)
-			cancel()
-			close(h.done)
-			continue
-		}
-		go func(pipe *core.Pipeline) {
-			defer close(h.done)
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-jobCtx.Done():
-				return
-			}
-			flight.Default.RecordStr(flight.KindCompileStart, qid, pipe.Name, 0, 0)
-			// The wait inside is abandoned if the query finishes first (paper
-			// §V-B) or its context dies: either ends jobCtx.
-			step, dur, err := compileStep(jobCtx, "pipeline_"+pipe.Name, pipe.Source.SourceIUs(), pipe.Ops, pipe.Result, lat, backgroundFaults)
-			if err != nil {
-				if jobCtx.Err() == nil {
-					h.err = err
-					h.failed.Store(true)
-					flight.Default.RecordStr(flight.KindCompileFail, qid, pipe.Name, 0, 0)
-				}
-				return
-			}
-			h.compile = dur
-			h.ready = time.Now()
-			// Deposit before publishing: ExecuteContext abandons every job and
-			// waits on done before it returns, so the store is never racing a
-			// caller that already released the plan back to the cache.
-			arts.noteCompile()
-			arts.storeFused(i, step)
-			h.art.Store(step)
-			flight.Default.RecordStr(flight.KindCompileLand, qid, pipe.Name, int64(h.compile), 0)
-		}(pipe)
-	}
-	return out
-}
-
-// abandon cancels the job if it has not completed, waits for it to end, and
-// reports whether that cut it short: the job neither landed its artifact nor
-// failed on its own.
-func (h *hybridCompile) abandon() bool {
-	h.cancel()
-	<-h.done
-	return h.art.Load() == nil && !h.failed.Load()
-}
-
-type hybridRunner struct {
-	vec *vectorizedRunner
-
-	bg      *hybridCompile
-	workers []hybridWorker
-	// pt is the pipeline's execution trace (nil when tracing is off): the
-	// runner records each measured routing sample into its own worker's
-	// entry — per-morsel, lock-free, guarded by one nil check.
-	pt *trace.Pipeline
-	// qid / flabel key the first-JIT flight event; the label is interned at
-	// runner construction so the hot path never touches the intern table.
-	qid    uint64
-	flabel flight.Label
-}
-
-type hybridWorker struct {
+type routeWorker struct {
 	vecTput, jitTput float64
 	// vecMeasured / jitMeasured distinguish "never sampled" from a measured
 	// throughput (a plain zero would conflate the two and let zero-row
@@ -404,10 +255,7 @@ type hybridWorker struct {
 	// jitAnnounced marks that this worker's first compiled morsel was
 	// recorded into the flight recorder.
 	jitAnnounced bool
-	// bgDead caches a permanent background-compile failure so the worker
-	// stops polling the dead job's atomics every morsel.
-	bgDead  bool
-	morsels int
+	morsels      int
 }
 
 const hybridDecay = 0.3 // EWMA weight of the newest morsel
@@ -424,32 +272,16 @@ const hybridDecay = 0.3 // EWMA weight of the newest morsel
 // variable for the exploration-rate ablation.
 var HybridExploreEvery = 20
 
-func newHybridRunner(pipe *core.Pipeline, opts Options, reg *interp.Registry, bg *hybridCompile, pt *trace.Pipeline, pb *pipeBuffers) (*hybridRunner, error) {
-	vec, err := newVectorizedRunner(pipe, opts, reg, pb)
-	if err != nil {
-		return nil, err
-	}
-	return &hybridRunner{
-		vec: vec, bg: bg, workers: make([]hybridWorker, opts.Workers), pt: pt,
-		qid: opts.QueryID, flabel: flight.Default.Intern(pipe.Name),
-	}, nil
-}
-
 //inkfuse:hotpath
-func (h *hybridRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
-	ws := &h.workers[w]
-	var art *fusedStep
-	if !ws.bgDead {
-		if h.bg.failed.Load() {
-			// Permanent compile failure: this worker degrades to the
-			// vectorized interpreter and stops polling the dead job.
-			ws.bgDead = true
-		} else {
-			art = h.bg.art.Load()
-		}
+func (r *pipelineRunner) routeMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n int, out *storage.Chunk) {
+	ws := &r.workers[w]
+	// A job that failed never lands: its pipeline stays on the interpreter.
+	var chain []*fusedStep
+	if c := r.job.chain.Load(); c != nil {
+		chain = *c
 	}
 	useJIT := false
-	if art != nil {
+	if chain != nil {
 		switch {
 		case !ws.jitMeasured:
 			// Freshly ready code: measure it on the next morsel rather than
@@ -468,18 +300,16 @@ func (h *hybridRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n in
 			// incremental fusion switches backends mid-query. Once per worker,
 			// through the allocation-free hotpath Record.
 			ws.jitAnnounced = true
-			flight.Default.Record(flight.KindFirstJIT, h.qid, h.flabel, int64(w), 0)
+			flight.Default.Record(flight.KindFirstJIT, r.qid, r.flabel, int64(w), 0)
 		}
 	}
 	ws.morsels++
 	start := time.Now()
 	if useJIT {
-		// The interpreter half's chunk views serve the fused half's batches:
-		// a worker runs one or the other.
-		runFused(art, ctx, src, h.vec.scratch[w], n, out)
+		r.runChain(chain, w, ctx, src, n, out)
 		ctx.Counters.MorselsCompiled++
 	} else {
-		h.vec.runMorsel(w, ctx, src, n, out)
+		r.interpret(w, ctx, src, n, out)
 		ctx.Counters.MorselsVectorized++
 	}
 	dur := time.Since(start)
@@ -495,8 +325,8 @@ func (h *hybridRunner) runMorsel(w int, ctx *vm.Ctx, src []*storage.Vector, n in
 			ws.vecTput = ewma(ws.vecTput, tput, ws.vecMeasured)
 			ws.vecMeasured = true
 		}
-		if h.pt != nil {
-			h.pt.Workers[w].AddEWMA(trace.EWMASample{
+		if r.pt != nil {
+			r.pt.Workers[w].AddEWMA(trace.EWMASample{
 				Morsel:   ws.morsels - 1,
 				JIT:      useJIT,
 				Tuples:   n,
@@ -514,22 +344,4 @@ func ewma(old, sample float64, measured bool) float64 {
 		return sample
 	}
 	return hybridDecay*sample + (1-hybridDecay)*old
-}
-
-func (h *hybridRunner) finish() finishInfo {
-	// Query-level cleanup in Execute abandons jobs that never finished; the
-	// compile duration is only published (happens-before the art store) once
-	// the code is ready. The hybrid backend hides compile latency behind
-	// interpretation: no dead wait is charged.
-	var fi finishInfo
-	switch {
-	case h.bg.failed.Load():
-		fi = finishInfo{counters: stats.Counters{CompileErrors: 1}, degraded: h.bg.err}
-	case h.bg.art.Load() != nil:
-		fi = finishInfo{counters: stats.Counters{CompileTime: h.bg.compile}, artifactReady: h.bg.ready, fused: []*fusedStep{h.bg.art.Load()}}
-	}
-	// The interpreter half of the hybrid carries the suboperator profile; the
-	// fused artifact is opaque to per-suboperator attribution by construction.
-	h.vec.profileInfo(&fi)
-	return fi
 }
