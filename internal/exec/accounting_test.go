@@ -114,6 +114,9 @@ func TestBackendAccounting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The hit must find the cold run's background jobs landed,
+				// not attach to them in flight.
+				arts.WaitJobs()
 				arts.Rewind()
 				s := res.Stats
 				label := [...]string{"cold", "hit"}[run]

@@ -103,7 +103,9 @@ func TestWarmExecutionAllocBudget(t *testing.T) {
 		// execute leases, runs and returns one instance. It reports the bytes
 		// allocated from the start of the execution to the end of Put, and
 		// whether every pipeline's fused artifact had landed before it began
-		// (until then a run may still build the fused programs' frames).
+		// (until then a run may still build the fused programs' frames). The
+		// compile jobs an earlier execution left in flight end first, outside
+		// the measurement.
 		execute := func() (bytes uint64, settled bool) {
 			prep := cache.Acquire(stmt.Fingerprint)
 			if prep == nil {
@@ -116,6 +118,7 @@ func TestWarmExecutionAllocBudget(t *testing.T) {
 			if err := stmt.BindArgs(prep.Params(), nil); err != nil {
 				t.Fatal(err)
 			}
+			prep.Artifacts().WaitJobs()
 			settled = prep.Artifacts().FusedPipelines() == len(prep.Plan().Pipelines)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -133,9 +136,9 @@ func TestWarmExecutionAllocBudget(t *testing.T) {
 		// The second execution is the first hit: it builds the state that is
 		// kept from then on, so the third is the first warm one. One thing can
 		// make a later one the first to run entirely on kept memory, and the
-		// guard waits for it (bounded): a background compile that lost the race
-		// against a short query lands its artifact an execution late and the
-		// fused program's frames are built the execution after. (Registers no
+		// guard waits for it (bounded): an execution that began before every
+		// pipeline's artifact landed leaves the fused programs' frames to be
+		// built by the execution after. (Registers no
 		// longer regrow for a slightly fuller morsel: their first allocation
 		// rounds up, storage.grow.) What must not happen is a warm execution
 		// that keeps allocating.
@@ -181,9 +184,9 @@ var coldBudget = map[string]struct{ bytes, objects uint64 }{
 
 // TestColdExecutionAllocBudget: the miss path of the eight TPC-H SQL shapes
 // at SF 0.01 — lower the bound statement, execute it on the hybrid backend
-// with the default compile latency (at this size no artifact lands: the query
-// runs on the interpreter and abandons its compile jobs, as most never-seen
-// queries of the benchmark do), drop the state. A never-seen query pays for
+// with the default compile latency (at this size no artifact lands before the
+// query ends: it runs on the interpreter, as most never-seen queries of the
+// benchmark do), drop the state. A never-seen query pays for
 // every byte it allocates twice, once to clear it and once to collect it, so
 // the budget pins both bytes and objects.
 func TestColdExecutionAllocBudget(t *testing.T) {
@@ -215,6 +218,11 @@ func TestColdExecutionAllocBudget(t *testing.T) {
 			}
 			prep.Artifacts().DropState()
 			runtime.ReadMemStats(&after)
+			// The compile jobs outlive the query in its artifact set; the
+			// instance is dropped here, so they are canceled, and end outside
+			// this measurement and the next.
+			prep.Artifacts().CancelJobs()
+			prep.Artifacts().WaitJobs()
 			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 		}
 		cold() // the first run of a shape also builds process-wide one-offs (interned labels, metric children)

@@ -12,23 +12,24 @@ import (
 )
 
 // ArtifactSet is what one lowered plan instance keeps between executions so
-// that repeated executions skip work: the compiled step chains (one per
-// pipeline and split policy: the compiling and hybrid backends share the
-// whole-pipeline chain, ROF keeps its own), which save recompilation and its
-// modeled latency, and the execution state (worker contexts, per-pipeline
-// buffers, and through core.PlanState the plan's tables), which saves
-// rebuilding and regrowing every buffer (DESIGN.md §16). Artifacts and execution state close
-// over the plan's runtime state objects, so a set is only valid for
-// executions of the exact plan instance it was built from — the plancache
-// leases plan and set together and never runs two executions over them
-// concurrently.
+// that repeated executions skip work: the compile jobs of its step chains (one
+// per pipeline and split policy: the compiling and hybrid backends share the
+// whole-pipeline chain, ROF keeps its own), whose landed chains save
+// recompilation and its modeled latency, and the execution state (worker
+// contexts, per-pipeline buffers, and through core.PlanState the plan's
+// tables), which saves rebuilding and regrowing every buffer (DESIGN.md §16).
+// A job in the set outlives the query that started it: the next execution
+// takes it landed, in flight or — failed or canceled — replaces it (§5).
+// Artifacts and execution state close over the plan's runtime state objects,
+// so a set is only valid for executions of the exact plan instance it was
+// built from — the plancache leases plan and set together and never runs two
+// executions over them concurrently.
 //
 // The methods the executor calls are nil-receiver safe: callers without a
 // cache simply leave Options.Artifacts nil and run on state they drop.
 type ArtifactSet struct {
 	mu       sync.Mutex
-	chains   map[chainKey][]*fusedStep
-	nodes    int64 // IR nodes of all stored chains (ArtifactBytes)
+	jobs     map[chainKey]*compileJob
 	compiles atomic.Int64
 
 	// Execution state. Only the one execution the lease admits and the cache's
@@ -42,7 +43,7 @@ type ArtifactSet struct {
 
 // NewArtifactSet creates an empty set for the plan instance.
 func NewArtifactSet(plan *core.Plan) *ArtifactSet {
-	return &ArtifactSet{chains: make(map[chainKey][]*fusedStep), plan: core.CollectPlanState(plan)}
+	return &ArtifactSet{jobs: make(map[chainKey]*compileJob), plan: core.CollectPlanState(plan)}
 }
 
 // chainKey names a compiled step chain: the pipeline and how it was cut.
@@ -187,7 +188,7 @@ func (a *ArtifactSet) Rewind() {
 	}
 }
 
-// DropState releases the execution state, keeping the compiled artifacts: the
+// DropState releases the execution state, keeping the compile jobs: the
 // next execution builds its buffers and tables anew, as a cold one does.
 func (a *ArtifactSet) DropState() {
 	a.dirty = false
@@ -205,7 +206,7 @@ func (a *ArtifactSet) StateBytes() int64 {
 	return n
 }
 
-// Compiles reports how many compilation runs deposited into the set — the
+// Compiles reports how many compile jobs landed their chains in the set — the
 // "did the second execution recompile?" observable.
 func (a *ArtifactSet) Compiles() int64 {
 	if a == nil {
@@ -223,8 +224,8 @@ func (a *ArtifactSet) FusedPipelines() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
-	for k := range a.chains {
-		if k.split == splitWhole {
+	for k, j := range a.jobs {
+		if k.split == splitWhole && j.chain.Load() != nil {
 			n++
 		}
 	}
@@ -232,40 +233,50 @@ func (a *ArtifactSet) FusedPipelines() int {
 }
 
 // ArtifactBytes estimates the compiled artifacts' footprint: the IR node count
-// of every stored artifact, scaled by a nominal bytes-per-node.
+// of every landed chain, scaled by a nominal bytes-per-node.
 func (a *ArtifactSet) ArtifactBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	const bytesPerNode = 64
-	return a.nodes * bytesPerNode
-}
-
-// irNodes counts the IR nodes of a step chain.
-func irNodes(chain []*fusedStep) int64 {
-	var n int64
-	for _, s := range chain {
-		n += int64(ir.Size(s.fn))
+	var nodes int64
+	for _, j := range a.jobs {
+		if chain := j.chain.Load(); chain != nil {
+			for _, s := range *chain {
+				nodes += int64(ir.Size(s.fn))
+			}
+		}
 	}
-	return n
+	return nodes * bytesPerNode
 }
 
-func (a *ArtifactSet) load(k chainKey) []*fusedStep {
+// CancelJobs cancels the set's compile jobs still in flight: nothing runs the
+// chains of an instance the cache drops. It does not wait; a canceled job
+// ends at its next context check, within one step's compile.
+func (a *ArtifactSet) CancelJobs() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, j := range a.jobs {
+		if j.cancel != nil {
+			j.cancel()
+		}
+	}
+}
+
+// job returns the set's compile job for k if it landed or is in flight; else
+// (none yet, or one that failed or was canceled) it registers the one start
+// makes and reports that it did. Without a set every call starts a job.
+func (a *ArtifactSet) job(k chainKey, start func() *compileJob) (j *compileJob, started bool) {
 	if a == nil {
-		return nil
+		return start(), true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.chains[k]
-}
-
-func (a *ArtifactSet) store(k chainKey, chain []*fusedStep) {
-	if a == nil {
-		return
+	if j := a.jobs[k]; j != nil && !j.dead() {
+		return j, false
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.nodes += irNodes(chain) - irNodes(a.chains[k])
-	a.chains[k] = chain
+	j = start()
+	a.jobs[k] = j
+	return j, true
 }
 
 func (a *ArtifactSet) noteCompile() {

@@ -217,13 +217,16 @@ func compileStep(ctx context.Context, name string, st step, lat LatencyModel, fa
 // the same job: a foreground runner runs it before its first morsel and waits
 // for it; the hybrid backend starts every pipeline's job when the query starts
 // (paper §V-B: "InkFuse uses one thread per pipeline for background
-// compilation") and abandons the ones that have not landed when it ends.
+// compilation"). A job lives as long as something can run its chain: in an
+// artifact set it outlives its query and serves the instance's later
+// executions; without one it is canceled when its query ends.
 type compileJob struct {
 	chain atomic.Pointer[[]*fusedStep]
-	// failed marks the job permanently dead; err (written before the store,
-	// read after the load) carries the compile failure. A failed background
-	// job is never retried — the pipeline degrades to the vectorized
-	// interpreter, the hybrid design's always-available fallback path.
+	// failed marks a compile failure; err carries it, or the cause of a
+	// canceled job (both written before done closes). A job that ended
+	// without its chain is replaced by the next execution's lookup: until
+	// then its pipeline runs on the vectorized interpreter, the hybrid
+	// design's always-available fallback path.
 	failed atomic.Bool
 	err    error
 	cancel context.CancelFunc // ends a background job's context (nil otherwise)
@@ -235,25 +238,33 @@ type compileJob struct {
 }
 
 // startCompile returns the compile job of pipeline pi's step chain under the
-// policy. The job is born complete on a chain the artifact set kept from an
-// earlier execution of the plan instance: nothing is compiled and no latency
-// is charged, and hybrid workers route to the fused code from the first
-// morsel. Otherwise a foreground job runs here and its error is the runner's;
-// a background job runs on its own goroutine under a context abandon ends.
+// policy: the one the artifact set holds (landed, or in flight from an earlier
+// execution of the plan instance, which a foreground runner then waits for),
+// else a new one. A new foreground job runs here and its error is the
+// runner's; a new background job runs on its own goroutine, under a context
+// derived from the query's without a set, and under one the set owns with one.
 func startCompile(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opts Options) (*compileJob, error) {
 	key := chainKey{pi, pol.split}
-	j := &compileJob{done: make(chan struct{})}
-	if chain := opts.Artifacts.load(key); chain != nil {
-		j.chain.Store(&chain)
-		close(j.done)
+	jctx := ctx
+	j, started := opts.Artifacts.job(key, func() *compileJob {
+		j := &compileJob{done: make(chan struct{})}
+		if pol.compile == compileBackground {
+			if opts.Artifacts != nil {
+				jctx = context.Background()
+			}
+			jctx, j.cancel = context.WithCancel(jctx)
+		}
+		return j
+	})
+	switch {
+	case !started && pol.compile == compileForeground:
+		return j, j.wait(ctx)
+	case !started:
 		return j, nil
+	case pol.compile == compileForeground:
+		return j, j.run(ctx, key, pipe.Name, chainSteps(pipe, pol.split), opts, foregroundFaults)
 	}
-	steps := chainSteps(pipe, pol.split)
-	if pol.compile == compileForeground {
-		return j, j.run(ctx, key, pipe.Name, steps, opts, foregroundFaults)
-	}
-	ctx, j.cancel = context.WithCancel(ctx)
-	go j.run(ctx, key, pipe.Name, steps, opts, backgroundFaults)
+	go j.run(jctx, key, pipe.Name, chainSteps(pipe, pol.split), opts, backgroundFaults)
 	return j, nil
 }
 
@@ -263,7 +274,8 @@ func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps [
 	// scheduled late behind a short query) could land only past a zero
 	// modelled latency; otherwise it skips the compile it would throw away.
 	if err := ctx.Err(); err != nil && !opts.Latency.Zero() {
-		return ctxCause(err)
+		j.err = ctxCause(err)
+		return j.err
 	}
 	flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, name, 0, 0)
 	start := time.Now()
@@ -275,10 +287,10 @@ func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps [
 		}
 		art, err := compileStep(ctx, fname, st, *opts.Latency, faults)
 		if err != nil {
-			// A job whose context ended was abandoned (or its query
-			// canceled), not failed.
+			// A job whose context ended was canceled (or its query), not
+			// failed.
+			j.err = err
 			if ctx.Err() == nil {
-				j.err = err
 				j.failed.Store(true)
 				flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, name, int64(si), 0)
 			}
@@ -287,23 +299,44 @@ func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps [
 		chain[si] = art
 	}
 	j.compile, j.ready = time.Since(start), time.Now()
-	// Deposit before publishing: ExecuteContext abandons every job and waits
-	// on done before it returns, so the store never races a caller that
-	// already released the plan back to the cache.
 	opts.Artifacts.noteCompile()
-	opts.Artifacts.store(key, chain)
 	j.chain.Store(&chain)
 	flight.Default.RecordStr(flight.KindCompileLand, opts.QueryID, name, int64(j.compile), int64(len(steps)))
 	return nil
 }
 
-// abandon cancels the job if it has not completed, waits for it to end, and
-// reports whether that cut it short: the job neither landed its chain nor
-// failed on its own.
-func (j *compileJob) abandon() bool {
-	if j.cancel != nil {
-		j.cancel()
+// wait waits for a job another execution started to end, or for the query's
+// context to; it returns the job's error when it ended without its chain.
+func (j *compileJob) wait(ctx context.Context) error {
+	select {
+	case <-j.done:
+		return j.err // nil once the chain landed
+	case <-ctx.Done():
+		return ctxCause(ctx.Err())
 	}
-	<-j.done
+}
+
+// dead reports whether the job ended without landing its chain: it failed or
+// was canceled.
+func (j *compileJob) dead() bool {
+	select {
+	case <-j.done:
+		return j.chain.Load() == nil
+	default:
+		return false
+	}
+}
+
+// abandon is the job's part in its query's end. It reports whether the job
+// had neither landed its chain nor failed by then. Without an artifact set
+// (keep false) nothing could run the chain later, so the job is canceled and
+// waited for; with one it runs on and lands in the set.
+func (j *compileJob) abandon(keep bool) bool {
+	if !keep {
+		if j.cancel != nil {
+			j.cancel()
+		}
+		<-j.done
+	}
 	return j.chain.Load() == nil && !j.failed.Load()
 }

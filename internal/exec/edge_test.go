@@ -317,7 +317,7 @@ func TestHybridCompilesAllPipelinesUpFront(t *testing.T) {
 	}
 	defer func() {
 		for _, j := range jobs {
-			j.abandon()
+			j.abandon(false)
 		}
 	}()
 	if len(jobs) != 2 {

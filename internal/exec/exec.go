@@ -63,14 +63,15 @@ type Options struct {
 	// production); tests and the serving layer's strict mode turn it on.
 	VerifyIR bool
 	// Artifacts, when non-nil, carries what the plan instance keeps across its
-	// executions: compiled pipeline artifacts (the compiling/ROF/hybrid
-	// backends consult the set before compiling and deposit what they compile)
-	// and the execution state of the previous run — worker contexts, pipeline
-	// buffers, table memory — which this run then executes on instead of
-	// building its own. Both close over the plan's runtime state, so the set
-	// must only ever be used with the plan it was built from, by one execution
-	// at a time, with ArtifactSet.Rewind in between (the plancache enforces all
-	// three by leasing plan and set together).
+	// executions: the compile jobs of its pipelines (the compiling/ROF/hybrid
+	// backends take the set's job for a chain or start one in it, and a
+	// background job lands there after its query returned) and the execution
+	// state of the previous run — worker contexts, pipeline buffers, table
+	// memory — which this run then executes on instead of building its own.
+	// Both close over the plan's runtime state, so the set must only ever be
+	// used with the plan it was built from, by one execution at a time, with
+	// ArtifactSet.Rewind in between (the plancache enforces all three by
+	// leasing plan and set together).
 	Artifacts *ArtifactSet
 	// QueryID is the engine-wide query id keying flight-recorder events and
 	// trace/span correlation. 0 = allocate one (NextQueryID); servers assign
@@ -346,13 +347,14 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	// A background compile policy (hybrid) starts compiling every pipeline as
 	// soon as the query enters the system (paper §V-B): by the time a later
 	// pipeline runs, its fused code is usually already waiting. Whatever has
-	// not landed when the query ends is abandoned — counted, per pipeline, as
-	// compile effort that came too late — before the result is put together;
-	// the deferred call covers the exits that build none.
+	// not landed when the query ends is counted, per pipeline, as compile
+	// effort that came too late for it, before the result is put together
+	// (the deferred call covers the exits that build none); it lands in the
+	// artifact set for the next execution, or is canceled without one.
 	bgs := make([]*compileJob, len(plan.Pipelines))
 	abandonCompiles := func() {
 		for i, j := range bgs {
-			if j == nil || !j.abandon() {
+			if j == nil || !j.abandon(opts.Artifacts != nil) {
 				continue
 			}
 			res.CompilesAbandoned++

@@ -47,8 +47,8 @@ type pipelineRunner struct {
 
 // newRunner builds the runner for pipeline pi over the pipeline's buffers pb,
 // which it fills in on the instance's first execution and finds ready on later
-// ones. A foreground policy compiles here (or takes the chain the artifact set
-// kept) and waits; job is the background job a hybrid query started.
+// ones. A foreground policy compiles here (or takes the artifact set's job for
+// the chain) and waits; job is the background job of a hybrid query.
 func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opts Options, reg *interp.Registry, job *compileJob, pt *trace.Pipeline, pb *pipeBuffers) (*pipelineRunner, error) {
 	source := pipe.Source.SourceIUs()
 	if pb.chunks == nil {
@@ -201,8 +201,9 @@ func (r *pipelineRunner) runChain(chain []*fusedStep, w int, ctx *vm.Ctx, src []
 // finish returns the pipeline's compile accounting and, when its background
 // compile failed, the failure; with tracing on it records both, the code the
 // pipeline ran on and its suboperator profile into pt. The compile duration
-// is published (happens-before the chain store) only once the code is ready;
-// Execute abandons what never landed.
+// is published (happens-before the chain store) only once the code is ready,
+// and charged to the execution the code landed in (after begin), once: a
+// chain an earlier execution landed cost this one nothing.
 func (r *pipelineRunner) finish(pt *trace.Pipeline, begin time.Time) (c stats.Counters, degraded error) {
 	var fused []*fusedStep
 	var ready time.Time
@@ -210,12 +211,15 @@ func (r *pipelineRunner) finish(pt *trace.Pipeline, begin time.Time) (c stats.Co
 		switch chain := j.chain.Load(); {
 		case j.failed.Load():
 			c.CompileErrors, degraded = 1, j.err
+		case chain == nil:
+		case !j.ready.After(begin):
+			fused = *chain
 		case r.fused != nil:
 			// Foreground: the whole compile time was dead wait (the dashed
 			// bars of Fig 10). The hybrid backend hides it behind
 			// interpretation.
 			fused, c.CompileTime, c.CompileWait = r.fused, j.compile, j.compile
-		case chain != nil:
+		default:
 			fused, c.CompileTime, ready = *chain, j.compile, j.ready
 		}
 	}

@@ -2,9 +2,14 @@
 // artifacts across requests, keyed by the canonical parameter-invariant
 // algebra fingerprint (algebra.Fingerprint): the second execution of a query
 // shape — same structure, different literals — skips parsing-to-plan work and
-// runs straight on the artifacts the first execution's background compiles
-// landed (the amortization the paper's incremental-fusion design needs at
-// serving scale).
+// runs on the artifacts the first execution's background compiles landed (the
+// amortization the paper's incremental-fusion design needs at serving scale).
+//
+// An instance's compile jobs live as long as the instance can use them: a job
+// that had not landed when its query returned runs on and lands in the
+// instance's artifact set, so the next hit runs that pipeline fused from its
+// first morsel, or switches to the code the moment it lands. Evicting an
+// instance, or dropping it in Put, cancels its jobs still in flight.
 //
 // A cached instance is the triple (lowered plan, parameter map, artifact
 // set). Plans embed per-run mutable state (join tables sealed per execution,
@@ -169,10 +174,17 @@ func (c *Cache) Acquire(fp core.Fingerprint) *Prepared {
 // exec.ArtifactSet.Rewind); that of a miss build is dropped — most shapes of
 // ad-hoc traffic never come back, and one that does keeps its state from its
 // first hit on. The instance's cost is re-estimated (background compiles may
-// have landed new artifacts, buffers may have grown), and it is pooled unless
-// its entry was evicted meanwhile or the per-entry pool is full. Must only be
-// called once no execution references the instance.
+// have landed new artifacts, buffers may have grown): a compile job still in
+// flight lands after this estimate and is counted at the instance's next Put.
+// The instance is pooled unless its entry was evicted meanwhile or the
+// per-entry pool is full; then, or when the cache is nil (caching off), it is
+// dropped and its in-flight compile jobs are canceled. Must only be called
+// once no execution references the instance.
 func (c *Cache) Put(p *Prepared) {
+	if c == nil {
+		p.arts.CancelJobs()
+		return
+	}
 	if p.reused {
 		p.arts.Rewind()
 	} else {
@@ -188,6 +200,7 @@ func (c *Cache) Put(p *Prepared) {
 		e.lruElem = c.lru.PushFront(e)
 		c.entries[p.fp] = e
 	} else if e.evicted || len(e.idle) >= c.cfg.MaxInstances {
+		p.arts.CancelJobs()
 		return
 	}
 	if c.artBytes+c.stateBytes+p.artCost+p.stateCost > c.cfg.MaxBytes {
@@ -203,15 +216,17 @@ func (c *Cache) Put(p *Prepared) {
 	c.evict()
 }
 
-// evict drops least-recently-used entries until the bounds hold. Leased
-// instances are untracked while out; an evicted entry's stragglers are
-// dropped at Put via the evicted flag.
+// evict drops least-recently-used entries until the bounds hold, canceling
+// the in-flight compile jobs of their idle instances. Leased instances are
+// untracked while out; an evicted entry's stragglers are dropped at Put via
+// the evicted flag.
 func (c *Cache) evict() {
 	for (len(c.entries) > c.cfg.MaxEntries || c.artBytes > c.cfg.MaxBytes) && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		e := back.Value.(*entry)
 		var freed int64
 		for _, p := range e.idle {
+			p.arts.CancelJobs()
 			c.artBytes -= p.artCost
 			c.stateBytes -= p.stateCost
 			freed += p.artCost + p.stateCost

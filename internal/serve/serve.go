@@ -414,20 +414,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			prep = plancache.NewPrepared(stmt.Fingerprint, lowered, params)
 		}
 		if err := stmt.BindArgs(prep.Params(), req.Params); err != nil {
-			if s.cache != nil {
-				s.cache.Put(prep)
-			}
+			s.cache.Put(prep)
 			s.failRequest(w, id, http.StatusBadRequest, "bad_params", err)
 			return
 		}
 		plan = prep.Plan()
 		// Return the leased instance — with whatever artifacts this
-		// execution deposits — once the request is done with it.
-		defer func() {
-			if s.cache != nil {
-				s.cache.Put(prep)
-			}
-		}()
+		// execution's compile jobs land — once the request is done with it
+		// (with caching off, Put cancels the jobs still in flight).
+		defer s.cache.Put(prep)
 	}
 
 	// Engine-wide query id: allocated here so the flight recorder, canonical

@@ -61,10 +61,10 @@ type Counters struct {
 	// failing the query, so a nonzero count with a successful result means
 	// the engine ran degraded.
 	CompileErrors int64
-	// CompilesAbandoned counts background (hybrid) compilation jobs cancelled
-	// unfinished because their query ended first: compile effort that landed
-	// too late to serve a single morsel, or to be kept for the plan's next
-	// execution.
+	// CompilesAbandoned counts background (hybrid) compilation jobs that had
+	// not landed when their query ended: compile effort too late to serve the
+	// query. Without an artifact set the job is then canceled; with one it
+	// lands later and serves the plan instance's next execution.
 	CompilesAbandoned int64
 	// PanicsRecovered counts panics the lifecycle layer caught and converted
 	// into per-query errors (one per failed morsel or finalization).

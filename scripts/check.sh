@@ -30,10 +30,12 @@ echo "bench module..."
 (cd bench && GOFLAGS=-mod=mod go vet ./... && GOFLAGS=-mod=mod go test ./...)
 echo "bench module OK"
 
-# Tied-key ordering depends on parallel scheduling; hammer the determinism
-# tests a few extra times so a flaky tie-break cannot slip through one run.
+# Tied-key ordering depends on parallel scheduling, and the compile-job
+# lifetime tests race queries against a modelled compile latency; hammer both
+# a few extra times so a flaky tie-break or a lost race cannot slip through
+# one run.
 for _ in 1 2 3; do
-    go test -count=1 -run Determinism -race ./internal/exec/
+    go test -count=1 -run 'Determinism|JobLifetime' -race ./internal/exec/
 done
 
 # Differential fuzz seeds (batched vs scalar table kernels) under the race

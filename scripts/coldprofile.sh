@@ -89,6 +89,9 @@ jq -rn --slurpfile a "$out/vars0.json" --slurpfile b "$out/vars1.json" --argjson
     "mallocs/query           \(per($b.memstats.Mallocs - $a.memstats.Mallocs) | floor)",
     "GC cycles/s             \((($b.memstats.NumGC - $a.memstats.NumGC) / $secs * 100 | floor) / 100)",
     "compiles abandoned/query \(per(($b.inkfuse.compiles_abandoned // 0) - ($a.inkfuse.compiles_abandoned // 0)) * 100 | floor | . / 100)",
+    (($b.inkfuse.morsels_jit - $a.inkfuse.morsels_jit) as $jit
+     | ($b.inkfuse.morsels_vec - $a.inkfuse.morsels_vec) as $vec
+     | "jit morsel share        \(if $jit + $vec > 0 then ($jit / ($jit + $vec) * 1000 | floor) / 1000 else 0 end)"),
     "materialized B/query    \(per($b.inkfuse.materialized_bytes - $a.inkfuse.materialized_bytes) | floor)"'
 
 # CPU by layer: every sample is attributed to the layer of the function it was
