@@ -34,11 +34,11 @@ func TestEnumerationBuildsEveryPrimitive(t *testing.T) {
 		// The primitive's state array must line up with the suboperator's
 		// state list: that alignment is what lets the interpreter inject
 		// per-query state into shared pre-compiled code (paper Fig 8).
-		if f.NumStates != len(op.States()) {
-			t.Fatalf("%s: %d states generated, suboperator lists %d", id, f.NumStates, len(op.States()))
+		if f.NumStates != len(op.Desc().States()) {
+			t.Fatalf("%s: %d states generated, suboperator lists %d", id, f.NumStates, len(op.Desc().States()))
 		}
-		if len(f.Ins) != len(op.Inputs()) {
-			t.Fatalf("%s: %d inputs generated, suboperator lists %d", id, len(f.Ins), len(op.Inputs()))
+		if len(f.Ins) != len(op.Desc().Inputs()) {
+			t.Fatalf("%s: %d inputs generated, suboperator lists %d", id, len(f.Ins), len(op.Desc().Inputs()))
 		}
 	}
 }
@@ -171,7 +171,7 @@ func TestStateOrderMatchesStatesList(t *testing.T) {
 	if f.NumStates != 2 {
 		t.Fatalf("states = %d", f.NumStates)
 	}
-	sts := op.States()
+	sts := op.Desc().States()
 	if sts[0] != c1 || sts[1] != c2 {
 		t.Fatal("States() order wrong")
 	}

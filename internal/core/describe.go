@@ -45,7 +45,7 @@ func (pipe *Pipeline) Describe() string {
 			id = "(fused into copies)"
 		}
 		var outs []string
-		for _, iu := range op.Outputs() {
+		for _, iu := range op.Desc().Outputs() {
 			outs = append(outs, iu.String())
 		}
 		arrow := ""

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"inkfuse/internal/ir"
+	"inkfuse/internal/types"
 )
 
 // SubOp is one suboperator. Suboperators implement the same produce/consume
@@ -16,19 +17,81 @@ type SubOp interface {
 	// primitive set, e.g. "expr_add_f64_cc". Two suboperators with the same
 	// PrimitiveID generate identical code (paper §IV-A).
 	PrimitiveID() string
-	// Inputs lists consumed IUs in canonical order (the order the generated
-	// primitive expects its input columns in).
-	Inputs() []*IU
-	// Outputs lists produced IUs in canonical order (the order the generated
-	// primitive emits its output columns in).
-	Outputs() []*IU
-	// States lists the runtime state objects, in the order the generated
-	// code references them (paper Fig 8). Nil entries are allowed on
-	// prototype instances used for enumeration.
-	States() []any
-	// Consume generates this suboperator's code into g. Input IUs must
-	// already be bound.
+	// Desc describes the suboperator's operands: what plan verification,
+	// primitive generation, liveness and plan-state collection read.
+	Desc() Desc
+	// Consume generates this suboperator's code into g. It reads its input
+	// IUs' variables through g.in.
 	Consume(g *Gen) error
+}
+
+// Desc is a suboperator's description: its ports, in canonical order — the
+// order the generated primitive expects its input columns in and emits its
+// output columns in — and its own runtime state objects. Nil states are
+// allowed on prototype instances used for enumeration.
+type Desc struct {
+	In, Out []Port
+	State   []any
+}
+
+// Port is one IU a suboperator reads or defines — for an expression input,
+// possibly a runtime constant in its place — with the kinds its primitive
+// assumes. VerifyPlan checks every port.
+type Port struct {
+	Role string // names the port in VerifyPlan's errors
+	Operand
+	Want types.Rule // the kinds the port admits
+	Like string     // the role of the port Want copies its one kind from, if any
+}
+
+// port is an IU port admitting the kinds of want.
+func port(role string, iu *IU, want types.Rule) Port {
+	return Port{Role: role, Operand: Col(iu), Want: want}
+}
+
+// sameAs is a port whose kind must be ref's.
+func sameAs(role string, o Operand, ref Port) Port {
+	return Port{Role: role, Operand: o, Want: types.Is(ref.Kind()), Like: ref.Role}
+}
+
+var (
+	isBool   = types.Is(types.Bool)
+	isInt32  = types.Is(types.Int32)
+	isString = types.Is(types.String)
+	isPtr    = types.Is(types.Ptr)
+)
+
+// Inputs lists the IUs the suboperator consumes, in canonical order.
+func (d Desc) Inputs() []*IU {
+	var ius []*IU
+	for _, p := range d.In {
+		if p.Const == nil {
+			ius = append(ius, p.IU)
+		}
+	}
+	return ius
+}
+
+// Outputs lists the IUs the suboperator produces, in canonical order.
+func (d Desc) Outputs() []*IU {
+	ius := make([]*IU, len(d.Out))
+	for i, p := range d.Out {
+		ius[i] = p.IU
+	}
+	return ius
+}
+
+// States lists the runtime state objects in the order the generated code
+// references them (paper Fig 8): the constants among the inputs, then the
+// suboperator's own.
+func (d Desc) States() []any {
+	var sts []any
+	for _, p := range d.In {
+		if p.Const != nil {
+			sts = append(sts, p.Const)
+		}
+	}
+	return append(sts, d.State...)
 }
 
 // Gen is the code generation context of the compilation stack: it assembles
@@ -43,6 +106,7 @@ type Gen struct {
 	states []any
 	blocks []*[]ir.Stmt
 	scopes []openScope
+	err    error // the first input consumed before being produced
 }
 
 type openScope struct {
@@ -82,6 +146,25 @@ func (g *Gen) Var(iu *IU) (ir.Var, error) {
 		return ir.Var{}, fmt.Errorf("core: IU %s consumed before being produced", iu)
 	}
 	return v, nil
+}
+
+// in returns the variable bound to an input IU. An input nothing has
+// produced yet fails the step: GenStep and BuildPrimitive return the error
+// once the suboperator's Consume is done.
+func (g *Gen) in(iu *IU) ir.Var {
+	v, err := g.Var(iu)
+	if err != nil && g.err == nil {
+		g.err = err
+	}
+	return v
+}
+
+// consume generates one suboperator's code.
+func (g *Gen) consume(op SubOp) error {
+	if err := op.Consume(g); err != nil {
+		return err
+	}
+	return g.err
 }
 
 // AddState registers a runtime state object and returns its index in the
@@ -174,7 +257,7 @@ func GenStep(name string, sourceIUs []*IU, ops []SubOp, emit []*IU) (*ir.Func, [
 		g.BindInput(iu)
 	}
 	for _, op := range ops {
-		if err := op.Consume(g); err != nil {
+		if err := g.consume(op); err != nil {
 			return nil, nil, fmt.Errorf("core: %s: %w", op.PrimitiveID(), err)
 		}
 	}

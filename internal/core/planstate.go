@@ -42,7 +42,7 @@ func CollectPlanState(p *Plan) *PlanState {
 			add(src.State)
 		}
 		for _, op := range pipe.Ops {
-			for _, st := range op.States() {
+			for _, st := range op.Desc().State {
 				add(st)
 			}
 		}

@@ -18,22 +18,22 @@ func BuildPrimitive(op SubOp) (*ir.Func, error) {
 	if id == "" {
 		return nil, fmt.Errorf("core: suboperator has no primitive form")
 	}
+	d := op.Desc()
 	g := NewGen("prim_" + id)
-	for _, iu := range op.Inputs() {
+	for _, iu := range d.Inputs() {
 		g.BindInput(iu)
 	}
 	// The filter-copy primitive embeds its branch: the scope suboperator has
 	// no primitive of its own (paper §IV-B).
 	if fc, ok := op.(*FilterCopy); ok {
-		scope := &FilterScope{Cond: fc.Cond}
-		if err := scope.Consume(g); err != nil {
+		if err := g.consume(&FilterScope{Cond: fc.Cond}); err != nil {
 			return nil, err
 		}
 	}
-	if err := op.Consume(g); err != nil {
+	if err := g.consume(op); err != nil {
 		return nil, fmt.Errorf("core: primitive %s: %w", id, err)
 	}
-	f, _, err := g.Finish(op.Outputs())
+	f, _, err := g.Finish(d.Outputs())
 	return f, err
 }
 

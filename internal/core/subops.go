@@ -23,12 +23,15 @@ func Col(iu *IU) Operand { return Operand{IU: iu} }
 // ConstOf makes a constant operand.
 func ConstOf(c *rt.ConstState) Operand { return Operand{Const: c} }
 
-// Kind returns the operand's value kind.
+// Kind returns the operand's value kind (Invalid for an empty operand).
 func (o Operand) Kind() types.Kind {
-	if o.IU != nil {
+	switch {
+	case o.IU != nil:
 		return o.IU.K
+	case o.Const != nil:
+		return o.Const.Kind
 	}
-	return o.Const.Kind
+	return types.Invalid
 }
 
 func (o Operand) sideTag() string {
@@ -39,29 +42,11 @@ func (o Operand) sideTag() string {
 }
 
 // expr lowers the operand to an IR expression inside g.
-func (o Operand) expr(g *Gen) (ir.Expr, error) {
+func (o Operand) expr(g *Gen) ir.Expr {
 	if o.IU != nil {
-		v, err := g.Var(o.IU)
-		if err != nil {
-			return nil, err
-		}
-		return ir.Ref(v), nil
+		return ir.Ref(g.in(o.IU))
 	}
-	return ir.ConstRef{StateID: g.AddState(o.Const), K: o.Const.Kind}, nil
-}
-
-func (o Operand) inputs() []*IU {
-	if o.IU != nil {
-		return []*IU{o.IU}
-	}
-	return nil
-}
-
-func (o Operand) states() []any {
-	if o.Const != nil {
-		return []any{o.Const}
-	}
-	return nil
+	return ir.ConstRef{StateID: g.AddState(o.Const), K: o.Const.Kind}
 }
 
 // ---------------------------------------------------------------------------
@@ -77,22 +62,15 @@ type ScanCol struct {
 // PrimitiveID implements SubOp.
 func (s *ScanCol) PrimitiveID() string { return "tscan_" + s.Src.K.String() }
 
-// Inputs implements SubOp.
-func (s *ScanCol) Inputs() []*IU { return []*IU{s.Src} }
-
-// Outputs implements SubOp.
-func (s *ScanCol) Outputs() []*IU { return []*IU{s.Dst} }
-
-// States implements SubOp.
-func (s *ScanCol) States() []any { return nil }
+// Desc implements SubOp.
+func (s *ScanCol) Desc() Desc {
+	src := port("column the scan copies", s.Src, types.AnyKind)
+	return Desc{In: []Port{src}, Out: []Port{sameAs("copy", Col(s.Dst), src)}}
+}
 
 // Consume implements SubOp.
 func (s *ScanCol) Consume(g *Gen) error {
-	v, err := g.Var(s.Src)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Assign{Dst: g.Def(s.Dst), E: ir.Ref(v)})
+	g.Append(ir.Assign{Dst: g.Def(s.Dst), E: ir.Ref(g.in(s.Src))})
 	return nil
 }
 
@@ -108,25 +86,18 @@ func (a *Arith) PrimitiveID() string {
 	return fmt.Sprintf("expr_%v_%v_%s%s", a.Op, a.Out.K, a.L.sideTag(), a.R.sideTag())
 }
 
-// Inputs implements SubOp.
-func (a *Arith) Inputs() []*IU { return append(a.L.inputs(), a.R.inputs()...) }
-
-// Outputs implements SubOp.
-func (a *Arith) Outputs() []*IU { return []*IU{a.Out} }
-
-// States implements SubOp.
-func (a *Arith) States() []any { return append(a.L.states(), a.R.states()...) }
+// Desc implements SubOp.
+func (a *Arith) Desc() Desc {
+	l := Port{Role: "left operand", Operand: a.L, Want: types.AnyNumeric}
+	return Desc{
+		In:  []Port{l, sameAs("right operand", a.R, l)},
+		Out: []Port{sameAs("result", Col(a.Out), l)},
+	}
+}
 
 // Consume implements SubOp.
 func (a *Arith) Consume(g *Gen) error {
-	l, err := a.L.expr(g)
-	if err != nil {
-		return err
-	}
-	r, err := a.R.expr(g)
-	if err != nil {
-		return err
-	}
+	l, r := a.L.expr(g), a.R.expr(g)
 	g.Append(ir.Assign{Dst: g.Def(a.Out), E: ir.BinExpr{Op: a.Op, L: l, R: r}})
 	return nil
 }
@@ -143,25 +114,18 @@ func (c *Cmp) PrimitiveID() string {
 	return fmt.Sprintf("cmp_%v_%v_%s%s", c.Op, c.L.Kind(), c.L.sideTag(), c.R.sideTag())
 }
 
-// Inputs implements SubOp.
-func (c *Cmp) Inputs() []*IU { return append(c.L.inputs(), c.R.inputs()...) }
-
-// Outputs implements SubOp.
-func (c *Cmp) Outputs() []*IU { return []*IU{c.Out} }
-
-// States implements SubOp.
-func (c *Cmp) States() []any { return append(c.L.states(), c.R.states()...) }
+// Desc implements SubOp.
+func (c *Cmp) Desc() Desc {
+	l := Port{Role: "left operand", Operand: c.L, Want: types.AnyKind}
+	return Desc{
+		In:  []Port{l, sameAs("right operand", c.R, l)},
+		Out: []Port{port("comparison output", c.Out, isBool)},
+	}
+}
 
 // Consume implements SubOp.
 func (c *Cmp) Consume(g *Gen) error {
-	l, err := c.L.expr(g)
-	if err != nil {
-		return err
-	}
-	r, err := c.R.expr(g)
-	if err != nil {
-		return err
-	}
+	l, r := c.L.expr(g), c.R.expr(g)
 	g.Append(ir.Assign{Dst: g.Def(c.Out), E: ir.CmpExpr{Op: c.Op, L: l, R: r}})
 	return nil
 }
@@ -176,26 +140,18 @@ type Logic struct {
 // PrimitiveID implements SubOp.
 func (l *Logic) PrimitiveID() string { return fmt.Sprintf("logic_%v", l.Op) }
 
-// Inputs implements SubOp.
-func (l *Logic) Inputs() []*IU { return []*IU{l.L, l.R} }
-
-// Outputs implements SubOp.
-func (l *Logic) Outputs() []*IU { return []*IU{l.Out} }
-
-// States implements SubOp.
-func (l *Logic) States() []any { return nil }
+// Desc implements SubOp.
+func (l *Logic) Desc() Desc {
+	return Desc{
+		In:  []Port{port("logic operand", l.L, isBool), port("logic operand", l.R, isBool)},
+		Out: []Port{port("logic output", l.Out, isBool)},
+	}
+}
 
 // Consume implements SubOp.
 func (l *Logic) Consume(g *Gen) error {
-	lv, err := g.Var(l.L)
-	if err != nil {
-		return err
-	}
-	rv, err := g.Var(l.R)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Assign{Dst: g.Def(l.Out), E: ir.LogicExpr{Op: l.Op, L: ir.Ref(lv), R: ir.Ref(rv)}})
+	e := ir.LogicExpr{Op: l.Op, L: ir.Ref(g.in(l.L)), R: ir.Ref(g.in(l.R))}
+	g.Append(ir.Assign{Dst: g.Def(l.Out), E: e})
 	return nil
 }
 
@@ -207,22 +163,14 @@ type Not struct {
 // PrimitiveID implements SubOp.
 func (n *Not) PrimitiveID() string { return "not" }
 
-// Inputs implements SubOp.
-func (n *Not) Inputs() []*IU { return []*IU{n.In} }
-
-// Outputs implements SubOp.
-func (n *Not) Outputs() []*IU { return []*IU{n.Out} }
-
-// States implements SubOp.
-func (n *Not) States() []any { return nil }
+// Desc implements SubOp.
+func (n *Not) Desc() Desc {
+	return Desc{In: []Port{port("not input", n.In, isBool)}, Out: []Port{port("not output", n.Out, isBool)}}
+}
 
 // Consume implements SubOp.
 func (n *Not) Consume(g *Gen) error {
-	v, err := g.Var(n.In)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Assign{Dst: g.Def(n.Out), E: ir.NotExpr{E: ir.Ref(v)}})
+	g.Append(ir.Assign{Dst: g.Def(n.Out), E: ir.NotExpr{E: ir.Ref(g.in(n.In))}})
 	return nil
 }
 
@@ -234,22 +182,17 @@ type Cast struct {
 // PrimitiveID implements SubOp.
 func (c *Cast) PrimitiveID() string { return fmt.Sprintf("cast_%v_%v", c.In.K, c.Out.K) }
 
-// Inputs implements SubOp.
-func (c *Cast) Inputs() []*IU { return []*IU{c.In} }
-
-// Outputs implements SubOp.
-func (c *Cast) Outputs() []*IU { return []*IU{c.Out} }
-
-// States implements SubOp.
-func (c *Cast) States() []any { return nil }
+// Desc implements SubOp.
+func (c *Cast) Desc() Desc {
+	return Desc{
+		In:  []Port{port("cast input", c.In, types.AnyNumeric)},
+		Out: []Port{port("cast output", c.Out, types.AnyNumeric)},
+	}
+}
 
 // Consume implements SubOp.
 func (c *Cast) Consume(g *Gen) error {
-	v, err := g.Var(c.In)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Assign{Dst: g.Def(c.Out), E: ir.CastExpr{To: c.Out.K, E: ir.Ref(v)}})
+	g.Append(ir.Assign{Dst: g.Def(c.Out), E: ir.CastExpr{To: c.Out.K, E: ir.Ref(g.in(c.In))}})
 	return nil
 }
 
@@ -269,23 +212,19 @@ func (l *Like) PrimitiveID() string {
 	return "like"
 }
 
-// Inputs implements SubOp.
-func (l *Like) Inputs() []*IU { return []*IU{l.In} }
-
-// Outputs implements SubOp.
-func (l *Like) Outputs() []*IU { return []*IU{l.Out} }
-
-// States implements SubOp.
-func (l *Like) States() []any { return []any{l.State} }
+// Desc implements SubOp.
+func (l *Like) Desc() Desc {
+	return Desc{
+		In:    []Port{port("LIKE input", l.In, isString)},
+		Out:   []Port{port("LIKE output", l.Out, isBool)},
+		State: []any{l.State},
+	}
+}
 
 // Consume implements SubOp.
 func (l *Like) Consume(g *Gen) error {
-	v, err := g.Var(l.In)
-	if err != nil {
-		return err
-	}
-	id := g.AddState(l.State)
-	g.Append(ir.Assign{Dst: g.Def(l.Out), E: ir.LikeExpr{S: ir.Ref(v), StateID: id, Negate: l.Negate}})
+	e := ir.LikeExpr{S: ir.Ref(g.in(l.In)), StateID: g.AddState(l.State), Negate: l.Negate}
+	g.Append(ir.Assign{Dst: g.Def(l.Out), E: e})
 	return nil
 }
 
@@ -299,23 +238,19 @@ type InList struct {
 // PrimitiveID implements SubOp.
 func (l *InList) PrimitiveID() string { return "inlist" }
 
-// Inputs implements SubOp.
-func (l *InList) Inputs() []*IU { return []*IU{l.In} }
-
-// Outputs implements SubOp.
-func (l *InList) Outputs() []*IU { return []*IU{l.Out} }
-
-// States implements SubOp.
-func (l *InList) States() []any { return []any{l.State} }
+// Desc implements SubOp.
+func (l *InList) Desc() Desc {
+	return Desc{
+		In:    []Port{port("IN input", l.In, isString)},
+		Out:   []Port{port("IN output", l.Out, isBool)},
+		State: []any{l.State},
+	}
+}
 
 // Consume implements SubOp.
 func (l *InList) Consume(g *Gen) error {
-	v, err := g.Var(l.In)
-	if err != nil {
-		return err
-	}
-	id := g.AddState(l.State)
-	g.Append(ir.Assign{Dst: g.Def(l.Out), E: ir.InListExpr{S: ir.Ref(v), StateID: id}})
+	e := ir.InListExpr{S: ir.Ref(g.in(l.In)), StateID: g.AddState(l.State)}
+	g.Append(ir.Assign{Dst: g.Def(l.Out), E: e})
 	return nil
 }
 
@@ -328,22 +263,14 @@ type ToLower struct {
 // PrimitiveID implements SubOp.
 func (l *ToLower) PrimitiveID() string { return "strlower" }
 
-// Inputs implements SubOp.
-func (l *ToLower) Inputs() []*IU { return []*IU{l.In} }
-
-// Outputs implements SubOp.
-func (l *ToLower) Outputs() []*IU { return []*IU{l.Out} }
-
-// States implements SubOp.
-func (l *ToLower) States() []any { return nil }
+// Desc implements SubOp.
+func (l *ToLower) Desc() Desc {
+	return Desc{In: []Port{port("lower() input", l.In, isString)}, Out: []Port{port("lower() output", l.Out, isString)}}
+}
 
 // Consume implements SubOp.
 func (l *ToLower) Consume(g *Gen) error {
-	v, err := g.Var(l.In)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Assign{Dst: g.Def(l.Out), E: ir.StrLower{E: ir.Ref(v)}})
+	g.Append(ir.Assign{Dst: g.Def(l.Out), E: ir.StrLower{E: ir.Ref(g.in(l.In))}})
 	return nil
 }
 
@@ -359,33 +286,19 @@ func (c *Case) PrimitiveID() string {
 	return fmt.Sprintf("case_%v_%s%s", c.Out.K, c.Then.sideTag(), c.Else.sideTag())
 }
 
-// Inputs implements SubOp.
-func (c *Case) Inputs() []*IU {
-	in := []*IU{c.Cond}
-	in = append(in, c.Then.inputs()...)
-	return append(in, c.Else.inputs()...)
+// Desc implements SubOp.
+func (c *Case) Desc() Desc {
+	then := Port{Role: "then arm", Operand: c.Then, Want: types.AnyKind}
+	return Desc{
+		In:  []Port{port("CASE condition", c.Cond, isBool), then, sameAs("else arm", c.Else, then)},
+		Out: []Port{sameAs("result", Col(c.Out), then)},
+	}
 }
-
-// Outputs implements SubOp.
-func (c *Case) Outputs() []*IU { return []*IU{c.Out} }
-
-// States implements SubOp.
-func (c *Case) States() []any { return append(c.Then.states(), c.Else.states()...) }
 
 // Consume implements SubOp.
 func (c *Case) Consume(g *Gen) error {
-	cv, err := g.Var(c.Cond)
-	if err != nil {
-		return err
-	}
-	t, err := c.Then.expr(g)
-	if err != nil {
-		return err
-	}
-	e, err := c.Else.expr(g)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Assign{Dst: g.Def(c.Out), E: ir.CondExpr{Cond: ir.Ref(cv), Then: t, Else: e}})
+	cond := ir.Ref(g.in(c.Cond))
+	t, e := c.Then.expr(g), c.Else.expr(g)
+	g.Append(ir.Assign{Dst: g.Def(c.Out), E: ir.CondExpr{Cond: cond, Then: t, Else: e}})
 	return nil
 }

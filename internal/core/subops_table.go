@@ -5,6 +5,7 @@ import (
 
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/types"
 )
 
 // Suboperators that interact with the runtime system: filters (paper §IV-B),
@@ -26,22 +27,12 @@ type FilterScope struct {
 // PrimitiveID implements SubOp; the scope is fused into the copy primitives.
 func (f *FilterScope) PrimitiveID() string { return "" }
 
-// Inputs implements SubOp.
-func (f *FilterScope) Inputs() []*IU { return []*IU{f.Cond} }
-
-// Outputs implements SubOp.
-func (f *FilterScope) Outputs() []*IU { return nil }
-
-// States implements SubOp.
-func (f *FilterScope) States() []any { return nil }
+// Desc implements SubOp.
+func (f *FilterScope) Desc() Desc { return Desc{In: []Port{port("filter condition", f.Cond, isBool)}} }
 
 // Consume implements SubOp.
 func (f *FilterScope) Consume(g *Gen) error {
-	v, err := g.Var(f.Cond)
-	if err != nil {
-		return err
-	}
-	g.OpenFilter(&ir.FilterStmt{Cond: v})
+	g.OpenFilter(&ir.FilterStmt{Cond: g.in(f.Cond)})
 	return nil
 }
 
@@ -56,14 +47,14 @@ type FilterCopy struct {
 // PrimitiveID implements SubOp.
 func (f *FilterCopy) PrimitiveID() string { return "filtercopy_" + f.Src.K.String() }
 
-// Inputs implements SubOp.
-func (f *FilterCopy) Inputs() []*IU { return []*IU{f.Cond, f.Src} }
-
-// Outputs implements SubOp.
-func (f *FilterCopy) Outputs() []*IU { return []*IU{f.Dst} }
-
-// States implements SubOp.
-func (f *FilterCopy) States() []any { return nil }
+// Desc implements SubOp.
+func (f *FilterCopy) Desc() Desc {
+	src := port("value the filter copies", f.Src, types.AnyKind)
+	return Desc{
+		In:  []Port{port("filter condition", f.Cond, isBool), src},
+		Out: []Port{sameAs("copy", Col(f.Dst), src)},
+	}
+}
 
 // Consume implements SubOp.
 func (f *FilterCopy) Consume(g *Gen) error {
@@ -71,10 +62,7 @@ func (f *FilterCopy) Consume(g *Gen) error {
 	if fs == nil {
 		return fmt.Errorf("filter copy outside a filter scope")
 	}
-	src, err := g.Var(f.Src)
-	if err != nil {
-		return err
-	}
+	src := g.in(f.Src)
 	fs.Copies = append(fs.Copies, ir.Copy{Dst: g.Def(f.Dst), Src: src})
 	return nil
 }
@@ -90,20 +78,18 @@ type MakeRow struct {
 // PrimitiveID implements SubOp.
 func (m *MakeRow) PrimitiveID() string { return "makerow" }
 
-// Inputs implements SubOp.
-func (m *MakeRow) Inputs() []*IU { return []*IU{m.Anchor} }
-
-// Outputs implements SubOp.
-func (m *MakeRow) Outputs() []*IU { return []*IU{m.Out} }
-
-// States implements SubOp.
-func (m *MakeRow) States() []any { return []any{m.Layout} }
+// Desc implements SubOp.
+func (m *MakeRow) Desc() Desc {
+	return Desc{
+		In:    []Port{port("anchor", m.Anchor, types.AnyKind)},
+		Out:   []Port{port("row output", m.Out, isPtr)},
+		State: []any{m.Layout},
+	}
+}
 
 // Consume implements SubOp.
 func (m *MakeRow) Consume(g *Gen) error {
-	if _, err := g.Var(m.Anchor); err != nil {
-		return err
-	}
+	g.in(m.Anchor) // only checked: the anchor ties the row to its scope
 	g.Append(ir.MakeRow{Dst: g.Def(m.Out), StateID: g.AddState(m.Layout)})
 	return nil
 }
@@ -123,25 +109,18 @@ func (p *PackFixed) PrimitiveID() string {
 	return fmt.Sprintf("pack_%v_%v", p.Region, p.Val.K)
 }
 
-// Inputs implements SubOp.
-func (p *PackFixed) Inputs() []*IU { return []*IU{p.Row, p.Val} }
-
-// Outputs implements SubOp.
-func (p *PackFixed) Outputs() []*IU { return []*IU{p.Out} }
-
-// States implements SubOp.
-func (p *PackFixed) States() []any { return []any{p.Off} }
+// Desc implements SubOp.
+func (p *PackFixed) Desc() Desc {
+	return Desc{
+		In:    []Port{port("row input", p.Row, isPtr), port("packed value", p.Val, types.AnyFixed)},
+		Out:   []Port{port("row output", p.Out, isPtr)},
+		State: []any{p.Off},
+	}
+}
 
 // Consume implements SubOp.
 func (p *PackFixed) Consume(g *Gen) error {
-	row, err := g.Var(p.Row)
-	if err != nil {
-		return err
-	}
-	val, err := g.Var(p.Val)
-	if err != nil {
-		return err
-	}
+	row, val := g.in(p.Row), g.in(p.Val)
 	g.Append(ir.PackFixed{
 		Dst: g.Def(p.Out), Row: row, Region: p.Region,
 		StateID: g.AddState(p.Off), Val: ir.Ref(val),
@@ -161,25 +140,18 @@ type PackStr struct {
 // PrimitiveID implements SubOp.
 func (p *PackStr) PrimitiveID() string { return fmt.Sprintf("packstr_%v", p.Region) }
 
-// Inputs implements SubOp.
-func (p *PackStr) Inputs() []*IU { return []*IU{p.Row, p.Val} }
-
-// Outputs implements SubOp.
-func (p *PackStr) Outputs() []*IU { return []*IU{p.Out} }
-
-// States implements SubOp.
-func (p *PackStr) States() []any { return []any{p.Off} }
+// Desc implements SubOp.
+func (p *PackStr) Desc() Desc {
+	return Desc{
+		In:    []Port{port("row input", p.Row, isPtr), port("packed value", p.Val, isString)},
+		Out:   []Port{port("row output", p.Out, isPtr)},
+		State: []any{p.Off},
+	}
+}
 
 // Consume implements SubOp.
 func (p *PackStr) Consume(g *Gen) error {
-	row, err := g.Var(p.Row)
-	if err != nil {
-		return err
-	}
-	val, err := g.Var(p.Val)
-	if err != nil {
-		return err
-	}
+	row, val := g.in(p.Row), g.in(p.Val)
 	g.Append(ir.PackStr{
 		Dst: g.Def(p.Out), Row: row, Region: p.Region,
 		StateID: g.AddState(p.Off), Val: ir.Ref(val),
@@ -197,21 +169,18 @@ type SealKey struct {
 // PrimitiveID implements SubOp.
 func (s *SealKey) PrimitiveID() string { return "sealkey" }
 
-// Inputs implements SubOp.
-func (s *SealKey) Inputs() []*IU { return []*IU{s.Row} }
-
-// Outputs implements SubOp.
-func (s *SealKey) Outputs() []*IU { return []*IU{s.Out} }
-
-// States implements SubOp.
-func (s *SealKey) States() []any { return []any{s.Layout} }
+// Desc implements SubOp.
+func (s *SealKey) Desc() Desc {
+	return Desc{
+		In:    []Port{port("row input", s.Row, isPtr)},
+		Out:   []Port{port("row output", s.Out, isPtr)},
+		State: []any{s.Layout},
+	}
+}
 
 // Consume implements SubOp.
 func (s *SealKey) Consume(g *Gen) error {
-	row, err := g.Var(s.Row)
-	if err != nil {
-		return err
-	}
+	row := g.in(s.Row)
 	g.Append(ir.SealKey{Dst: g.Def(s.Out), Row: row, StateID: g.AddState(s.Layout)})
 	return nil
 }
@@ -229,21 +198,18 @@ type AggLookup struct {
 // PrimitiveID implements SubOp.
 func (a *AggLookup) PrimitiveID() string { return "agglookup" }
 
-// Inputs implements SubOp.
-func (a *AggLookup) Inputs() []*IU { return []*IU{a.Row} }
-
-// Outputs implements SubOp.
-func (a *AggLookup) Outputs() []*IU { return []*IU{a.Out} }
-
-// States implements SubOp.
-func (a *AggLookup) States() []any { return []any{a.State} }
+// Desc implements SubOp.
+func (a *AggLookup) Desc() Desc {
+	return Desc{
+		In:    []Port{port("key row", a.Row, isPtr)},
+		Out:   []Port{port("group row", a.Out, isPtr)},
+		State: []any{a.State},
+	}
+}
 
 // Consume implements SubOp.
 func (a *AggLookup) Consume(g *Gen) error {
-	row, err := g.Var(a.Row)
-	if err != nil {
-		return err
-	}
+	row := g.in(a.Row)
 	g.Append(ir.AggLookup{Dst: g.Def(a.Out), Row: row, StateID: g.AddState(a.State)})
 	return nil
 }
@@ -260,21 +226,18 @@ type AggLookupFixed struct {
 // PrimitiveID implements SubOp.
 func (a *AggLookupFixed) PrimitiveID() string { return "agglookupfixed_" + a.Key.K.String() }
 
-// Inputs implements SubOp.
-func (a *AggLookupFixed) Inputs() []*IU { return []*IU{a.Key} }
-
-// Outputs implements SubOp.
-func (a *AggLookupFixed) Outputs() []*IU { return []*IU{a.Out} }
-
-// States implements SubOp.
-func (a *AggLookupFixed) States() []any { return []any{a.State} }
+// Desc implements SubOp.
+func (a *AggLookupFixed) Desc() Desc {
+	return Desc{
+		In:    []Port{port("key", a.Key, types.AnyFixed)},
+		Out:   []Port{port("group row", a.Out, isPtr)},
+		State: []any{a.State},
+	}
+}
 
 // Consume implements SubOp.
 func (a *AggLookupFixed) Consume(g *Gen) error {
-	key, err := g.Var(a.Key)
-	if err != nil {
-		return err
-	}
+	key := g.in(a.Key)
 	g.Append(ir.AggLookupFixed{Dst: g.Def(a.Out), Key: key, StateID: g.AddState(a.State)})
 	return nil
 }
@@ -290,33 +253,21 @@ type AggUpdate struct {
 // PrimitiveID implements SubOp.
 func (a *AggUpdate) PrimitiveID() string { return fmt.Sprintf("aggupdate_%v", a.Fn) }
 
-// Inputs implements SubOp.
-func (a *AggUpdate) Inputs() []*IU {
-	if a.Val == nil {
-		return []*IU{a.Group}
+// Desc implements SubOp.
+func (a *AggUpdate) Desc() Desc {
+	in := []Port{port("group row", a.Group, isPtr)}
+	if a.Val != nil {
+		in = append(in, port("aggregated value", a.Val, a.Fn.ValueRule()))
 	}
-	return []*IU{a.Group, a.Val}
+	return Desc{In: in, State: []any{a.Off}}
 }
-
-// Outputs implements SubOp.
-func (a *AggUpdate) Outputs() []*IU { return nil }
-
-// States implements SubOp.
-func (a *AggUpdate) States() []any { return []any{a.Off} }
 
 // Consume implements SubOp.
 func (a *AggUpdate) Consume(g *Gen) error {
-	grp, err := g.Var(a.Group)
-	if err != nil {
-		return err
-	}
+	grp := g.in(a.Group)
 	var val ir.Expr
 	if a.Val != nil {
-		v, err := g.Var(a.Val)
-		if err != nil {
-			return err
-		}
-		val = ir.Ref(v)
+		val = ir.Ref(g.in(a.Val))
 	}
 	g.Append(ir.AggUpdate{Group: grp, Fn: a.Fn, StateID: g.AddState(a.Off), Val: val})
 	return nil
@@ -331,22 +282,14 @@ type JoinInsert struct {
 // PrimitiveID implements SubOp.
 func (j *JoinInsert) PrimitiveID() string { return "joininsert" }
 
-// Inputs implements SubOp.
-func (j *JoinInsert) Inputs() []*IU { return []*IU{j.Row} }
-
-// Outputs implements SubOp.
-func (j *JoinInsert) Outputs() []*IU { return nil }
-
-// States implements SubOp.
-func (j *JoinInsert) States() []any { return []any{j.State} }
+// Desc implements SubOp.
+func (j *JoinInsert) Desc() Desc {
+	return Desc{In: []Port{port("build row", j.Row, isPtr)}, State: []any{j.State}}
+}
 
 // Consume implements SubOp.
 func (j *JoinInsert) Consume(g *Gen) error {
-	row, err := g.Var(j.Row)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.JoinInsert{Row: row, StateID: g.AddState(j.State)})
+	g.Append(ir.JoinInsert{Row: g.in(j.Row), StateID: g.AddState(j.State)})
 	return nil
 }
 
@@ -360,22 +303,14 @@ type Prefetch struct {
 // PrimitiveID implements SubOp.
 func (p *Prefetch) PrimitiveID() string { return "prefetch" }
 
-// Inputs implements SubOp.
-func (p *Prefetch) Inputs() []*IU { return []*IU{p.Row} }
-
-// Outputs implements SubOp.
-func (p *Prefetch) Outputs() []*IU { return nil }
-
-// States implements SubOp.
-func (p *Prefetch) States() []any { return []any{p.State} }
+// Desc implements SubOp.
+func (p *Prefetch) Desc() Desc {
+	return Desc{In: []Port{port("probe row", p.Row, isPtr)}, State: []any{p.State}}
+}
 
 // Consume implements SubOp.
 func (p *Prefetch) Consume(g *Gen) error {
-	row, err := g.Var(p.Row)
-	if err != nil {
-		return err
-	}
-	g.Append(ir.Prefetch{Row: row, StateID: g.AddState(p.State)})
+	g.Append(ir.Prefetch{Row: g.in(p.Row), StateID: g.AddState(p.State)})
 	return nil
 }
 
@@ -400,34 +335,26 @@ type JoinProbe struct {
 // PrimitiveID implements SubOp.
 func (j *JoinProbe) PrimitiveID() string { return fmt.Sprintf("joinprobe_%v", j.Mode) }
 
-// Inputs implements SubOp.
-func (j *JoinProbe) Inputs() []*IU { return []*IU{j.Row} }
-
-// Outputs implements SubOp.
-func (j *JoinProbe) Outputs() []*IU {
+// Desc implements SubOp. A semi or anti join emits only the selection.
+func (j *JoinProbe) Desc() Desc {
+	build := port("build match row", j.BuildOut, isPtr)
+	sel := port("match selection", j.SelOut, isInt32)
+	out := []Port{build, sel}
 	switch j.Mode {
 	case ir.SemiJoin, ir.AntiJoin:
-		return []*IU{j.SelOut}
+		out = out[1:]
 	case ir.LeftOuterJoin:
-		return []*IU{j.BuildOut, j.SelOut, j.MatchedOut}
-	default:
-		return []*IU{j.BuildOut, j.SelOut}
+		out = append(out, port("matched marker", j.MatchedOut, isBool))
 	}
+	return Desc{In: []Port{port("probe row", j.Row, isPtr)}, Out: out, State: []any{j.State}}
 }
-
-// States implements SubOp.
-func (j *JoinProbe) States() []any { return []any{j.State} }
 
 // Consume implements SubOp.
 func (j *JoinProbe) Consume(g *Gen) error {
-	row, err := g.Var(j.Row)
-	if err != nil {
-		return err
-	}
 	p := &ir.ProbeStmt{
 		StateID:  g.AddState(j.State),
 		Mode:     j.Mode,
-		ProbeRow: row,
+		ProbeRow: g.in(j.Row),
 		Sel:      g.Def(j.SelOut),
 	}
 	if j.Mode == ir.InnerJoin || j.Mode == ir.LeftOuterJoin {
@@ -456,28 +383,21 @@ type ProbeCopy struct {
 // PrimitiveID implements SubOp.
 func (p *ProbeCopy) PrimitiveID() string { return "probecopy_" + p.Src.K.String() }
 
-// Inputs implements SubOp.
-func (p *ProbeCopy) Inputs() []*IU { return []*IU{p.Sel, p.Src} }
-
-// Outputs implements SubOp.
-func (p *ProbeCopy) Outputs() []*IU { return []*IU{p.Dst} }
-
-// States implements SubOp.
-func (p *ProbeCopy) States() []any { return nil }
+// Desc implements SubOp.
+func (p *ProbeCopy) Desc() Desc {
+	src := port("value the probe copies", p.Src, types.AnyKind)
+	return Desc{
+		In:  []Port{port("match selection", p.Sel, isInt32), src},
+		Out: []Port{sameAs("copy", Col(p.Dst), src)},
+	}
+}
 
 // Consume implements SubOp. Inside the scope its probe opened the copy joins
 // the scope's list, like a filter copy; wrapped on its own between a
 // tuple-buffer source and sink — the primitive — it is a free-standing gather
 // of the Src column through the Sel column.
 func (p *ProbeCopy) Consume(g *Gen) error {
-	sel, err := g.Var(p.Sel)
-	if err != nil {
-		return err
-	}
-	src, err := g.Var(p.Src)
-	if err != nil {
-		return err
-	}
+	sel, src := g.in(p.Sel), g.in(p.Src)
 	switch ps := g.CurrentProbe(); {
 	case ps != nil && ps.Sel.ID == sel.ID:
 		ps.Copies = append(ps.Copies, ir.Copy{Dst: g.Def(p.Dst), Src: src})
@@ -502,21 +422,18 @@ func (u *UnpackFixed) PrimitiveID() string {
 	return fmt.Sprintf("unpack_%v_%v", u.Region, u.Out.K)
 }
 
-// Inputs implements SubOp.
-func (u *UnpackFixed) Inputs() []*IU { return []*IU{u.Row} }
-
-// Outputs implements SubOp.
-func (u *UnpackFixed) Outputs() []*IU { return []*IU{u.Out} }
-
-// States implements SubOp.
-func (u *UnpackFixed) States() []any { return []any{u.Off} }
+// Desc implements SubOp.
+func (u *UnpackFixed) Desc() Desc {
+	return Desc{
+		In:    []Port{port("row input", u.Row, isPtr)},
+		Out:   []Port{port("unpacked value", u.Out, types.AnyFixed)},
+		State: []any{u.Off},
+	}
+}
 
 // Consume implements SubOp.
 func (u *UnpackFixed) Consume(g *Gen) error {
-	row, err := g.Var(u.Row)
-	if err != nil {
-		return err
-	}
+	row := g.in(u.Row)
 	g.Append(ir.Assign{Dst: g.Def(u.Out), E: ir.UnpackFixed{
 		Row: ir.Ref(row), Region: u.Region, StateID: g.AddState(u.Off), K: u.Out.K,
 	}})
@@ -534,21 +451,18 @@ type UnpackStr struct {
 // PrimitiveID implements SubOp.
 func (u *UnpackStr) PrimitiveID() string { return fmt.Sprintf("unpackstr_%v", u.Region) }
 
-// Inputs implements SubOp.
-func (u *UnpackStr) Inputs() []*IU { return []*IU{u.Row} }
-
-// Outputs implements SubOp.
-func (u *UnpackStr) Outputs() []*IU { return []*IU{u.Out} }
-
-// States implements SubOp.
-func (u *UnpackStr) States() []any { return []any{u.Slot} }
+// Desc implements SubOp.
+func (u *UnpackStr) Desc() Desc {
+	return Desc{
+		In:    []Port{port("row input", u.Row, isPtr)},
+		Out:   []Port{port("unpacked value", u.Out, isString)},
+		State: []any{u.Slot},
+	}
+}
 
 // Consume implements SubOp.
 func (u *UnpackStr) Consume(g *Gen) error {
-	row, err := g.Var(u.Row)
-	if err != nil {
-		return err
-	}
+	row := g.in(u.Row)
 	g.Append(ir.Assign{Dst: g.Def(u.Out), E: ir.UnpackStr{
 		Row: ir.Ref(row), Region: u.Region, StateID: g.AddState(u.Slot),
 	}})

@@ -9,7 +9,7 @@ import (
 
 // VerifyPlan structurally checks a lowered plan's suboperator DAG before
 // execution: every IU is defined before use and has a single producer,
-// edge kinds are consistent, packed-row IUs are Ptr-typed, and the
+// every port has a kind its suboperator's description admits, and the
 // pipeline-breaker placement is sound (a join table is probed only after the
 // pipeline that seals it; an aggregate is read only after the pipeline that
 // merges it). Plan-construction tests call it directly, and
@@ -116,55 +116,67 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 		definedAt[iu.ID] = -1
 	}
 	probeAt := map[int]int{}
-	for oi, op := range pipe.Ops {
-		if op == nil {
-			return fmt.Errorf("op %d is nil", oi)
-		}
-		for _, in := range op.Inputs() {
-			if in == nil {
-				return fmt.Errorf("op %d (%T): nil input IU", oi, op)
+	checkOp := func(oi int, op SubOp) error {
+		d := op.Desc()
+		for _, p := range d.In {
+			if p.IU == nil && p.Const == nil {
+				return fmt.Errorf("nil %s IU", p.Role)
 			}
-			if err := use(in); err != nil {
-				return fmt.Errorf("op %d (%T): %w", oi, op, err)
+			if p.IU != nil {
+				if err := use(p.IU); err != nil {
+					return err
+				}
+			}
+			if err := p.check(); err != nil {
+				return err
 			}
 		}
-		if err := opEdges(op); err != nil {
-			return fmt.Errorf("op %d: %w", oi, err)
+		for _, st := range d.State {
+			switch st := st.(type) {
+			case *rt.AggTableState:
+				fedAggs[st] = true
+			case *rt.JoinTableState:
+				// A JoinInsert builds the table; any other suboperator probes it.
+				if _, insert := op.(*JoinInsert); insert {
+					built[st] = true
+				} else if err := v.probeOrder(idx, st); err != nil {
+					return err
+				}
+			}
+		}
+		for _, p := range d.Out {
+			if p.IU == nil {
+				return fmt.Errorf("nil %s IU", p.Role)
+			}
+			if err := p.check(); err != nil {
+				return err
+			}
+			if _, dup := defined[p.IU.ID]; dup {
+				return fmt.Errorf("IU %s has multiple producers", p.IU)
+			}
+			defined[p.IU.ID] = p.IU
+			definedAt[p.IU.ID] = oi
 		}
 		switch op := op.(type) {
-		case *JoinInsert:
-			built[op.State] = true
-		case *Prefetch:
-			if err := v.probeOrder(idx, op.State); err != nil {
-				return fmt.Errorf("op %d (%T): %w", oi, op, err)
-			}
 		case *JoinProbe:
-			if err := v.probeOrder(idx, op.State); err != nil {
-				return fmt.Errorf("op %d (%T): %w", oi, op, err)
-			}
 			probeAt[op.SelOut.ID] = oi
 		case *ProbeCopy:
 			at, ok := probeAt[op.Sel.ID]
 			if !ok {
-				return fmt.Errorf("op %d (%T): selection %s is not a join probe's match selection", oi, op, op.Sel)
+				return fmt.Errorf("selection %s is not a join probe's match selection", op.Sel)
 			}
 			if definedAt[op.Src.ID] >= at {
-				return fmt.Errorf("op %d (%T): source %s is produced inside the scope of the probe (op %d) whose selection gathers it", oi, op, op.Src, at)
+				return fmt.Errorf("source %s is produced inside the scope of the probe (op %d) whose selection gathers it", op.Src, at)
 			}
-		case *AggLookup:
-			fedAggs[op.State] = true
-		case *AggLookupFixed:
-			fedAggs[op.State] = true
 		}
-		for _, out := range op.Outputs() {
-			if out == nil {
-				return fmt.Errorf("op %d (%T): nil output IU", oi, op)
-			}
-			if _, dup := defined[out.ID]; dup {
-				return fmt.Errorf("op %d (%T): IU %s has multiple producers", oi, op, out)
-			}
-			defined[out.ID] = out
-			definedAt[out.ID] = oi
+		return nil
+	}
+	for oi, op := range pipe.Ops {
+		if op == nil {
+			return fmt.Errorf("op %d is nil", oi)
+		}
+		if err := checkOp(oi, op); err != nil {
+			return fmt.Errorf("op %d (%T): %w", oi, op, err)
 		}
 	}
 
@@ -237,111 +249,24 @@ func (v *planVerifier) probeOrder(idx int, st *rt.JoinTableState) error {
 	return nil
 }
 
-// opEdges checks the kind consistency the suboperator's primitive assumes.
-func opEdges(op SubOp) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("(%T): %w", op, fmt.Errorf(format, args...))
-	}
-	wantBool := func(role string, iu *IU) error {
-		if iu != nil && iu.K != types.Bool {
-			return bad("%s %s must be Bool, got %v", role, iu, iu.K)
-		}
+// check reports a port whose kind its rule does not admit.
+func (p Port) check() error {
+	k := p.Kind()
+	if p.Want.Admits(k) {
 		return nil
 	}
-	wantPtr := func(role string, iu *IU) error {
-		if iu != nil && iu.K != types.Ptr {
-			return bad("%s %s must be a Ptr packed row, got %v", role, iu, iu.K)
-		}
-		return nil
+	want := p.Want.String()
+	if p.Want == isPtr {
+		want = "a Ptr packed row"
 	}
-	switch op := op.(type) {
-	case *ScanCol:
-		if op.Src.K != op.Dst.K {
-			return bad("scan copies %v into %v", op.Src.K, op.Dst.K)
-		}
-	case *FilterScope:
-		return wantBool("filter condition", op.Cond)
-	case *FilterCopy:
-		if err := wantBool("filter condition", op.Cond); err != nil {
-			return err
-		}
-		if op.Src.K != op.Dst.K {
-			return bad("filter copies %v into %v", op.Src.K, op.Dst.K)
-		}
-	case *Cmp:
-		if op.L.Kind() != op.R.Kind() {
-			return bad("comparison of %v against %v", op.L.Kind(), op.R.Kind())
-		}
-		return wantBool("comparison output", op.Out)
-	case *Logic:
-		for _, iu := range []*IU{op.L, op.R, op.Out} {
-			if err := wantBool("logic operand", iu); err != nil {
-				return err
-			}
-		}
-	case *Not:
-		if err := wantBool("not input", op.In); err != nil {
-			return err
-		}
-		return wantBool("not output", op.Out)
-	case *Arith:
-		if op.L.Kind() != op.R.Kind() {
-			return bad("arithmetic over %v and %v", op.L.Kind(), op.R.Kind())
-		}
-	case *MakeRow:
-		return wantPtr("row output", op.Out)
-	case *PackFixed:
-		if err := wantPtr("row input", op.Row); err != nil {
-			return err
-		}
-		return wantPtr("row output", op.Out)
-	case *PackStr:
-		if err := wantPtr("row input", op.Row); err != nil {
-			return err
-		}
-		return wantPtr("row output", op.Out)
-	case *SealKey:
-		if err := wantPtr("row input", op.Row); err != nil {
-			return err
-		}
-		return wantPtr("row output", op.Out)
-	case *AggLookup:
-		if err := wantPtr("key row", op.Row); err != nil {
-			return err
-		}
-		return wantPtr("group row", op.Out)
-	case *AggLookupFixed:
-		return wantPtr("group row", op.Out)
-	case *AggUpdate:
-		return wantPtr("group row", op.Group)
-	case *JoinInsert:
-		return wantPtr("build row", op.Row)
-	case *Prefetch:
-		return wantPtr("probe row", op.Row)
-	case *JoinProbe:
-		if err := wantPtr("probe row", op.Row); err != nil {
-			return err
-		}
-		if err := wantPtr("build match row", op.BuildOut); err != nil {
-			return err
-		}
-		if op.SelOut == nil || op.SelOut.K != types.Int32 {
-			return bad("match selection %v must be an Int32 IU", op.SelOut)
-		}
-		return wantBool("matched marker", op.MatchedOut)
-	case *ProbeCopy:
-		if op.Sel.K != types.Int32 {
-			return bad("match selection %s must be Int32, got %v", op.Sel, op.Sel.K)
-		}
-		if op.Src.K != op.Dst.K {
-			return bad("probe copies %v into %v", op.Src.K, op.Dst.K)
-		}
-	case *UnpackFixed:
-		return wantPtr("row input", op.Row)
-	case *UnpackStr:
-		return wantPtr("row input", op.Row)
+	if p.Like != "" {
+		want += " like the " + p.Like
 	}
-	return nil
+	name := "constant"
+	if p.IU != nil {
+		name = p.IU.String()
+	}
+	return fmt.Errorf("%s %s must be %s, got %v", p.Role, name, want, k)
 }
 
 // final checks the plan-level sink: result schema and ordering.

@@ -194,3 +194,53 @@ func TestVerifyPlanRejects(t *testing.T) {
 		})
 	})
 }
+
+// TestVerifyPlanRejectsKindHoles: every port rule of a suboperator's
+// description is checked — including the seven a hand-written per-type check
+// list once missed. A primitive is chosen by the kinds its ID encodes, so
+// each of these plans would have run a kernel over columns of another kind.
+func TestVerifyPlanRejectsKindHoles(t *testing.T) {
+	// kf is the filtered Int64 key, vf the filtered Float64 value.
+	cols := func(p *Plan) (kf, vf *IU) {
+		ops := p.Pipelines[0].Ops
+		return ops[2].(*FilterCopy).Dst, ops[3].(*FilterCopy).Dst
+	}
+	add := func(p *Plan, op SubOp) { p.Pipelines[0].Ops = append(p.Pipelines[0].Ops, op) }
+	cases := []struct {
+		name, want string
+		f          func(p *Plan)
+	}{
+		{"arith result of another kind", "result bad#", func(p *Plan) {
+			kf, _ := cols(p)
+			add(p, &Arith{Op: ir.Add, L: Col(kf), R: Col(kf), Out: NewIU(types.Float64, "bad")})
+		}},
+		{"non-bool CASE condition", "CASE condition", func(p *Plan) {
+			kf, vf := cols(p)
+			add(p, &Case{Cond: kf, Then: Col(vf), Else: ConstOf(rt.ConstF64(0)), Out: NewIU(types.Float64, "c")})
+		}},
+		{"LIKE over Int64", "LIKE input", func(p *Plan) {
+			kf, _ := cols(p)
+			add(p, &Like{In: kf, State: &rt.LikeState{M: rt.NewLikeMatcher("%")}, Out: NewIU(types.Bool, "l")})
+		}},
+		{"IN over Int64", "IN input", func(p *Plan) {
+			kf, _ := cols(p)
+			add(p, &InList{In: kf, State: rt.NewInList(), Out: NewIU(types.Bool, "in")})
+		}},
+		{"cast to String", "cast output", func(p *Plan) {
+			_, vf := cols(p)
+			add(p, &Cast{In: vf, Out: NewIU(types.String, "s")})
+		}},
+		{"sum_f64 fed an Int64", "aggregated value", func(p *Plan) {
+			kf, _ := cols(p)
+			p.Pipelines[0].Ops[8].(*AggUpdate).Val = kf
+		}},
+		{"unpack-fixed into a String", "unpacked value", func(p *Plan) {
+			up := p.Pipelines[1].Ops[0].(*UnpackFixed)
+			up.Out = NewIU(types.String, "sum")
+			p.Pipelines[1].Result = []*IU{up.Out}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { mutate(t, c.want, c.f) })
+	}
+}

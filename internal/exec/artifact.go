@@ -6,7 +6,6 @@ import (
 
 	"inkfuse/internal/core"
 	"inkfuse/internal/interp"
-	"inkfuse/internal/ir"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/vm"
 )
@@ -242,7 +241,7 @@ func (a *ArtifactSet) ArtifactBytes() int64 {
 	for _, j := range a.jobs {
 		if chain := j.chain.Load(); chain != nil {
 			for _, s := range *chain {
-				nodes += int64(ir.Size(s.fn))
+				nodes += int64(s.size)
 			}
 		}
 	}

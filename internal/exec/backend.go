@@ -158,7 +158,7 @@ var (
 type fusedStep struct {
 	prog   *vm.Program
 	states []any
-	fn     *ir.Func
+	size   int // ir.Size of the step's function
 }
 
 // describeFused renders what the closure compiler made of a step chain (one
@@ -210,7 +210,7 @@ func compileStep(ctx context.Context, name string, st step, lat LatencyModel, fa
 			return nil, ctxCause(ctx.Err())
 		}
 	}
-	return &fusedStep{prog: prog, states: states, fn: fn}, nil
+	return &fusedStep{prog: prog, states: states, size: ir.Size(fn)}, nil
 }
 
 // compileJob compiles one pipeline's step chain. Every compiling policy runs

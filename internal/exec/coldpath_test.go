@@ -135,7 +135,7 @@ func (m redefining) Consume(g *core.Gen) error {
 	if err := m.SubOp.Consume(g); err != nil {
 		return err
 	}
-	v, err := g.Var(m.Outputs()[0])
+	v, err := g.Var(m.Desc().Outputs()[0])
 	if err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func malformFirstProducer(t *testing.T, plan *core.Plan) {
 	t.Helper()
 	ops := plan.Pipelines[0].Ops
 	for i, op := range ops {
-		if _, scope := op.(*core.FilterScope); !scope && len(op.Outputs()) > 0 {
+		if _, scope := op.(*core.FilterScope); !scope && len(op.Desc().Out) > 0 {
 			ops[i] = redefining{op}
 			return
 		}

@@ -40,7 +40,7 @@ func liveAt(source []*core.IU, ops []core.SubOp, cut int, result []*core.IU) []*
 		needed[iu.ID] = true
 	}
 	for _, op := range ops[cut:] {
-		for _, iu := range op.Inputs() {
+		for _, iu := range op.Desc().Inputs() {
 			needed[iu.ID] = true
 		}
 	}
@@ -55,7 +55,7 @@ func liveAt(source []*core.IU, ops []core.SubOp, cut int, result []*core.IU) []*
 	}
 	keep(source)
 	for _, op := range ops[:cut] {
-		keep(op.Outputs())
+		keep(op.Desc().Outputs())
 	}
 	return live
 }

@@ -313,7 +313,8 @@ func NewRun(reg *Registry, source []*core.IU, ops []core.SubOp, emit []*core.IU)
 		if !ok {
 			return nil, fmt.Errorf("interp: suboperator %q has no pre-generated primitive (enumeration invariant violated)", id)
 		}
-		co := compiledOp{id: id, prog: p, states: op.States(), ins: op.Inputs(), outs: op.Outputs(), sink: len(op.Outputs()) == 0}
+		d := op.Desc()
+		co := compiledOp{id: id, prog: p, states: d.States(), ins: d.Inputs(), outs: d.Outputs(), sink: len(d.Out) == 0}
 		for _, iu := range co.outs {
 			if _, ok := r.ws[iu.ID]; ok {
 				// One producer per IU (core.VerifyPlan's rule): a second one

@@ -120,14 +120,15 @@ func (f AggFunc) ValueKind() types.Kind {
 	}
 }
 
-// SlotWidth returns the byte width of the aggregate's state slot.
-func (f AggFunc) SlotWidth() int {
-	switch f {
-	case AggMinI32, AggMaxI32:
-		return 4
-	default:
-		return 8
+// ValueRule returns the kinds the aggregate's argument may have: its
+// ValueKind, and for the Int32 minimum and maximum also Date, which shares
+// the Int32 slot representation. AggCount's rule admits only an absent
+// argument.
+func (f AggFunc) ValueRule() types.Rule {
+	if f == AggMinI32 || f == AggMaxI32 {
+		return types.Is(types.Int32, types.Date)
 	}
+	return types.Is(f.ValueKind())
 }
 
 // InitSlot writes the aggregate's initial state into slot.

@@ -147,8 +147,13 @@ func TestSizeCoversAllNodes(t *testing.T) {
 		UnpackFixed{Row: Ref(row), K: types.Int64},
 		UnpackStr{Row: Ref(row)},
 	}
+	weight := func(n node) int {
+		var o Operands
+		n.operands(&o)
+		return o.Weight
+	}
 	for _, e := range exprs {
-		if sizeExpr(e) < 1 {
+		if weight(e) < 1 {
 			t.Errorf("expr %T has zero size", e)
 		}
 	}
@@ -159,7 +164,7 @@ func TestSizeCoversAllNodes(t *testing.T) {
 		SealKey{}, AggLookup{}, AggUpdate{}, JoinInsert{}, Prefetch{}, ProbeStmt{}, EmitStmt{},
 	}
 	for _, s := range stmts {
-		if sizeStmt(s) < 1 {
+		if weight(s) < 1 {
 			t.Errorf("stmt %T has zero size", s)
 		}
 	}
@@ -169,9 +174,6 @@ func TestAggFuncMetadata(t *testing.T) {
 	if AggSumF64.ValueKind() != types.Float64 || AggCount.ValueKind() != types.Invalid {
 		t.Fatal("value kinds wrong")
 	}
-	if AggMinI32.SlotWidth() != 4 || AggSumI64.SlotWidth() != 8 {
-		t.Fatal("slot widths wrong")
-	}
 	slot := make([]byte, 8)
 	AggMinF64.InitSlot(slot)
 	if GetF64Test(slot) <= 1e308 {
@@ -180,6 +182,33 @@ func TestAggFuncMetadata(t *testing.T) {
 	AggSumF64.InitSlot(slot)
 	if GetF64Test(slot) != 0 {
 		t.Fatal("sum init should be 0")
+	}
+}
+
+// TestVerifyRejectsKindHoles: the operand kinds each node's description
+// states are checked, including the four a hand-written verifier missed.
+func TestVerifyRejectsKindHoles(t *testing.T) {
+	i64 := Var{ID: 1, K: types.Int64, Name: "i"}
+	str := Var{ID: 2, K: types.String, Name: "s"}
+	cases := []struct {
+		name string
+		e    Expr
+		dst  types.Kind
+		want string
+	}{
+		{"IN over Int64", InListExpr{S: Ref(i64)}, types.Bool, "context needs String"},
+		{"unpack-fixed from an Int64 row", UnpackFixed{Row: Ref(i64), K: types.Int64}, types.Int64, "context needs Ptr"},
+		{"unpack-str from an Int64 row", UnpackStr{Row: Ref(i64)}, types.String, "context needs Ptr"},
+		{"cast from String", CastExpr{To: types.Int64, E: Ref(str)}, types.Int64, "context needs numeric"},
+	}
+	for _, c := range cases {
+		f := &Func{Name: "hole", Ins: []Var{i64, str}, NumStates: 1, Body: []Stmt{
+			Assign{Dst: Var{ID: 3, K: c.dst}, E: c.e},
+		}}
+		err := Verify(f)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify returned %v, want an error mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 

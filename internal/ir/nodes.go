@@ -15,10 +15,11 @@ var (
 func putF64Raw(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func putI32Raw(b []byte, v int32)   { binary.LittleEndian.PutUint32(b, uint32(v)) }
 
-// Expr is a side-effect-free typed expression.
+// Expr is a side-effect-free typed expression. Its operands method is its
+// description (Operands).
 type Expr interface {
 	Kind() types.Kind
-	exprNode()
+	node
 }
 
 // VarRef reads a variable.
@@ -26,7 +27,10 @@ type VarRef struct{ V Var }
 
 // Kind implements Expr.
 func (e VarRef) Kind() types.Kind { return e.V.K }
-func (VarRef) exprNode()          {}
+func (e VarRef) operands(o *Operands) {
+	o.Weight = 1
+	o.read(e.V, types.AnyKind)
+}
 
 // Ref is shorthand for VarRef{v}.
 func Ref(v Var) VarRef { return VarRef{V: v} }
@@ -40,7 +44,10 @@ type ConstRef struct {
 
 // Kind implements Expr.
 func (e ConstRef) Kind() types.Kind { return e.K }
-func (ConstRef) exprNode()          {}
+func (e ConstRef) operands(o *Operands) {
+	o.Weight = 1
+	o.state(e.StateID)
+}
 
 // BinExpr is arithmetic on two operands of the same numeric kind.
 type BinExpr struct {
@@ -50,7 +57,11 @@ type BinExpr struct {
 
 // Kind implements Expr.
 func (e BinExpr) Kind() types.Kind { return e.L.Kind() }
-func (BinExpr) exprNode()          {}
+func (e BinExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.L, types.AnyNumeric)
+	o.expr(e.R, like(e.L))
+}
 
 // CmpExpr compares two operands of the same kind; result is Bool.
 type CmpExpr struct {
@@ -60,7 +71,11 @@ type CmpExpr struct {
 
 // Kind implements Expr.
 func (CmpExpr) Kind() types.Kind { return types.Bool }
-func (CmpExpr) exprNode()        {}
+func (e CmpExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.L, types.AnyKind)
+	o.expr(e.R, like(e.L))
+}
 
 // LogicExpr is a boolean connective.
 type LogicExpr struct {
@@ -70,14 +85,21 @@ type LogicExpr struct {
 
 // Kind implements Expr.
 func (LogicExpr) Kind() types.Kind { return types.Bool }
-func (LogicExpr) exprNode()        {}
+func (e LogicExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.L, isBool)
+	o.expr(e.R, isBool)
+}
 
 // NotExpr is boolean negation.
 type NotExpr struct{ E Expr }
 
 // Kind implements Expr.
 func (NotExpr) Kind() types.Kind { return types.Bool }
-func (NotExpr) exprNode()        {}
+func (e NotExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.E, isBool)
+}
 
 // CastExpr converts between numeric kinds.
 type CastExpr struct {
@@ -87,7 +109,10 @@ type CastExpr struct {
 
 // Kind implements Expr.
 func (e CastExpr) Kind() types.Kind { return e.To }
-func (CastExpr) exprNode()          {}
+func (e CastExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.E, types.AnyNumeric)
+}
 
 // LikeExpr evaluates a LIKE pattern; the compiled matcher lives in runtime
 // state (rt.LikeState).
@@ -99,7 +124,11 @@ type LikeExpr struct {
 
 // Kind implements Expr.
 func (LikeExpr) Kind() types.Kind { return types.Bool }
-func (LikeExpr) exprNode()        {}
+func (e LikeExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.S, isString)
+	o.state(e.StateID)
+}
 
 // InListExpr tests string membership in a runtime-state set (rt.InListState).
 type InListExpr struct {
@@ -109,7 +138,11 @@ type InListExpr struct {
 
 // Kind implements Expr.
 func (InListExpr) Kind() types.Kind { return types.Bool }
-func (InListExpr) exprNode()        {}
+func (e InListExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.S, isString)
+	o.state(e.StateID)
+}
 
 // StrLower normalizes a string to lowercase — the equivalence-class mapping
 // of case-insensitive collations (paper §IV-D: "every key is turned to
@@ -119,7 +152,10 @@ type StrLower struct{ E Expr }
 
 // Kind implements Expr.
 func (StrLower) Kind() types.Kind { return types.String }
-func (StrLower) exprNode()        {}
+func (e StrLower) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.E, isString)
+}
 
 // CondExpr is a ternary (SQL CASE WHEN).
 type CondExpr struct {
@@ -128,7 +164,12 @@ type CondExpr struct {
 
 // Kind implements Expr.
 func (e CondExpr) Kind() types.Kind { return e.Then.Kind() }
-func (CondExpr) exprNode()          {}
+func (e CondExpr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.Cond, isBool)
+	o.expr(e.Then, types.AnyKind)
+	o.expr(e.Else, like(e.Then))
+}
 
 // UnpackFixed reads a fixed-width field from a packed row at a runtime-state
 // offset (rt.OffsetState).
@@ -141,7 +182,11 @@ type UnpackFixed struct {
 
 // Kind implements Expr.
 func (e UnpackFixed) Kind() types.Kind { return e.K }
-func (UnpackFixed) exprNode()          {}
+func (e UnpackFixed) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.Row, isPtr)
+	o.state(e.StateID)
+}
 
 // UnpackStr reads a variable-size field from a packed row; the slot position
 // is resolved through rt.VarSlotState.
@@ -153,10 +198,18 @@ type UnpackStr struct {
 
 // Kind implements Expr.
 func (UnpackStr) Kind() types.Kind { return types.String }
-func (UnpackStr) exprNode()        {}
+func (e UnpackStr) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.Row, isPtr)
+	o.state(e.StateID)
+}
 
-// Stmt is one statement in a step body.
-type Stmt interface{ stmtNode() }
+// Stmt is one statement in a step body. Its operands method is its
+// description (Operands).
+type Stmt interface {
+	node
+	stmtNode()
+}
 
 // Assign evaluates E into a fresh variable.
 type Assign struct {
@@ -165,6 +218,11 @@ type Assign struct {
 }
 
 func (Assign) stmtNode() {}
+func (s Assign) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(s.E, types.AnyKind)
+	o.def(s.Dst, like(s.E))
+}
 
 // Copy rebinds a variable into the current scope. In emitted C this is a
 // plain assignment (free: the value stays in a register); in the VM it is the
@@ -179,6 +237,14 @@ type Copy struct {
 }
 
 func (Copy) stmtNode() {}
+func (s Copy) operands(o *Operands) {
+	o.Weight = 1
+	if s.Sel.Valid() {
+		o.read(s.Sel, isInt32)
+	}
+	o.read(s.Src, types.Is(s.Dst.K))
+	o.def(s.Dst, types.AnyKind)
+}
 
 // FilterStmt opens a filtered scope: Body executes only for rows where Cond
 // holds; Copies carry the surviving columns into the scope.
@@ -189,6 +255,11 @@ type FilterStmt struct {
 }
 
 func (FilterStmt) stmtNode() {}
+func (s FilterStmt) operands(o *Operands) {
+	o.Weight = 1
+	o.read(s.Cond, isBool)
+	o.Copies, o.Body = s.Copies, s.Body
+}
 
 // MakeRow allocates a reusable packed row per tuple (key + payload building,
 // paper §IV-D/E). State is an rt.RowLayoutState.
@@ -198,6 +269,11 @@ type MakeRow struct {
 }
 
 func (MakeRow) stmtNode() {}
+func (s MakeRow) operands(o *Operands) {
+	o.Weight = 1
+	o.state(s.StateID)
+	o.def(s.Dst, isPtr)
+}
 
 // PackFixed writes a fixed-width value into a packed row at a runtime-state
 // offset (rt.OffsetState). Produces Dst, the refreshed row handle.
@@ -210,6 +286,13 @@ type PackFixed struct {
 }
 
 func (PackFixed) stmtNode() {}
+func (s PackFixed) operands(o *Operands) {
+	o.Weight = 1
+	o.read(s.Row, isPtr)
+	o.expr(s.Val, types.AnyFixed)
+	o.state(s.StateID)
+	o.def(s.Dst, isPtr)
+}
 
 // PackStr appends a variable-size value to a packed row region. State is the
 // rt.OffsetState of the owning layout (for scratch identity).
@@ -222,6 +305,13 @@ type PackStr struct {
 }
 
 func (PackStr) stmtNode() {}
+func (s PackStr) operands(o *Operands) {
+	o.Weight = 1
+	o.read(s.Row, isPtr)
+	o.expr(s.Val, isString)
+	o.state(s.StateID)
+	o.def(s.Dst, isPtr)
+}
 
 // SealKey finalizes the key blob of a packed row and reserves the payload
 // region. State is the rt.RowLayoutState.
@@ -232,6 +322,12 @@ type SealKey struct {
 }
 
 func (SealKey) stmtNode() {}
+func (s SealKey) operands(o *Operands) {
+	o.Weight = 1
+	o.read(s.Row, isPtr)
+	o.state(s.StateID)
+	o.def(s.Dst, isPtr)
+}
 
 // AggLookup finds-or-creates the group row for a packed key. Collision
 // resolution happens inside the hash table (paper §IV-D); the returned
@@ -243,6 +339,12 @@ type AggLookup struct {
 }
 
 func (AggLookup) stmtNode() {}
+func (s AggLookup) operands(o *Operands) {
+	o.Weight = 2
+	o.read(s.Row, isPtr)
+	o.state(s.StateID)
+	o.def(s.Dst, isPtr)
+}
 
 // AggLookupFixed is the single-column key fast path (paper §IV-D: "if we
 // only aggregate by a single column, the engine performs no packing but just
@@ -255,6 +357,12 @@ type AggLookupFixed struct {
 }
 
 func (AggLookupFixed) stmtNode() {}
+func (s AggLookupFixed) operands(o *Operands) {
+	o.Weight = 2
+	o.read(s.Key, types.AnyFixed)
+	o.state(s.StateID)
+	o.def(s.Dst, isPtr)
+}
 
 // AggUpdate folds a value into an aggregate slot of a group row. The slot
 // offset is a runtime parameter (rt.OffsetState).
@@ -266,6 +374,12 @@ type AggUpdate struct {
 }
 
 func (AggUpdate) stmtNode() {}
+func (s AggUpdate) operands(o *Operands) {
+	o.Weight = 2
+	o.read(s.Group, isPtr)
+	o.expr(s.Val, s.Fn.ValueRule())
+	o.state(s.StateID)
+}
 
 // JoinInsert inserts a packed row into a join hash table (build side).
 // State is rt.JoinTableState.
@@ -275,6 +389,11 @@ type JoinInsert struct {
 }
 
 func (JoinInsert) stmtNode() {}
+func (s JoinInsert) operands(o *Operands) {
+	o.Weight = 2
+	o.read(s.Row, isPtr)
+	o.state(s.StateID)
+}
 
 // ProbeStmt probes a join hash table with the key of ProbeRow and opens a
 // scope per emitted row. Build is bound to the matching build row
@@ -296,6 +415,19 @@ type ProbeStmt struct {
 }
 
 func (ProbeStmt) stmtNode() {}
+func (s ProbeStmt) operands(o *Operands) {
+	o.Weight = 3
+	o.read(s.ProbeRow, isPtr)
+	o.state(s.StateID)
+	o.Copies, o.Body = s.Copies, s.Body
+	o.def(s.Sel, isInt32)
+	if s.Mode == InnerJoin || s.Mode == LeftOuterJoin {
+		o.def(s.Build, isPtr)
+	}
+	if s.Mode == LeftOuterJoin {
+		o.def(s.Matched, isBool)
+	}
+}
 
 // Prefetch touches the hash-table bucket of a packed probe key without
 // resolving matches — the dedicated prefetching step of the ROF backend
@@ -307,6 +439,11 @@ type Prefetch struct {
 }
 
 func (Prefetch) stmtNode() {}
+func (s Prefetch) operands(o *Operands) {
+	o.Weight = 1
+	o.read(s.Row, isPtr)
+	o.state(s.StateID)
+}
 
 // EmitStmt appends the listed variables as one output row (the tuple-buffer
 // sink / result sink).
@@ -315,6 +452,12 @@ type EmitStmt struct {
 }
 
 func (EmitStmt) stmtNode() {}
+func (s EmitStmt) operands(o *Operands) {
+	o.Weight = 1 + len(s.Cols)
+	for _, c := range s.Cols {
+		o.read(c, types.AnyKind)
+	}
+}
 
 // Func is the generated code for one step: a loop over the source rows
 // (bound to Ins) executing Body per row.

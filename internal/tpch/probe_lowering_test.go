@@ -30,7 +30,7 @@ func TestProbeSidePacksOnlyItsKey(t *testing.T) {
 			// producer: the op that defines a packed-row IU.
 			producer := map[int]core.SubOp{}
 			for _, op := range pipe.Ops {
-				for _, out := range op.Outputs() {
+				for _, out := range op.Desc().Outputs() {
 					producer[out.ID] = op
 				}
 			}

@@ -9,6 +9,7 @@ package types
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -148,6 +149,50 @@ func (k Kind) Comparable() bool {
 		return true
 	}
 	return false
+}
+
+// Rule is the set of kinds an operand position admits. The suboperator and
+// IR descriptions state one per operand (core.Port, ir.Operands);
+// core.VerifyPlan and ir.Verify check them.
+type Rule uint16
+
+const (
+	// AnyKind admits every kind; it is the zero Rule.
+	AnyKind Rule = 0
+	// AnyFixed admits the fixed-width kinds, FixedKinds.
+	AnyFixed Rule = 1<<Bool | 1<<Int32 | 1<<Int64 | 1<<Float64 | 1<<Date
+	// AnyNumeric admits the kinds arithmetic is defined on.
+	AnyNumeric Rule = 1<<Int32 | 1<<Int64 | 1<<Float64
+)
+
+// Is returns the rule admitting exactly the listed kinds.
+func Is(ks ...Kind) Rule {
+	var r Rule
+	for _, k := range ks {
+		r |= 1 << k
+	}
+	return r
+}
+
+// Admits reports whether the rule admits kind k.
+func (r Rule) Admits(k Kind) bool { return r == AnyKind || r&(1<<k) != 0 }
+
+func (r Rule) String() string {
+	switch r {
+	case AnyKind:
+		return "any kind"
+	case AnyFixed:
+		return "fixed-width"
+	case AnyNumeric:
+		return "numeric"
+	}
+	var names []string
+	for k, name := range [NumKinds]string{"Invalid", "Bool", "Int32", "Int64", "Float64", "Date", "String", "Ptr"} {
+		if r&(1<<k) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, " or ")
 }
 
 // ColumnDesc describes one column of a schema.

@@ -27,105 +27,13 @@ import (
 // contains (all scopes).
 func countUses(f *ir.Func) map[int]int {
 	uses := make(map[int]int)
-	useStmts(f.Body, uses)
+	_ = ir.Walk(f.Body, func(o *ir.Operands) error { // never fails: the visit returns nil
+		for _, r := range o.Reads {
+			uses[r.V.ID]++
+		}
+		return nil
+	})
 	return uses
-}
-
-func useStmts(list []ir.Stmt, uses map[int]int) {
-	for _, s := range list {
-		useStmt(s, uses)
-	}
-}
-
-// useStmt counts the variable reads of one statement.
-//
-//inklint:dispatch ir.Stmt
-func useStmt(s ir.Stmt, uses map[int]int) {
-	switch s := s.(type) {
-	case ir.Assign:
-		useExpr(s.E, uses)
-	case ir.Copy:
-		uses[s.Src.ID]++
-		if s.Sel.Valid() {
-			uses[s.Sel.ID]++
-		}
-	case ir.FilterStmt:
-		uses[s.Cond.ID]++
-		for _, cp := range s.Copies {
-			uses[cp.Src.ID]++
-		}
-		useStmts(s.Body, uses)
-	case ir.MakeRow:
-	case ir.PackFixed:
-		uses[s.Row.ID]++
-		useExpr(s.Val, uses)
-	case ir.PackStr:
-		uses[s.Row.ID]++
-		useExpr(s.Val, uses)
-	case ir.SealKey:
-		uses[s.Row.ID]++
-	case ir.AggLookup:
-		uses[s.Row.ID]++
-	case ir.AggLookupFixed:
-		uses[s.Key.ID]++
-	case ir.AggUpdate:
-		uses[s.Group.ID]++
-		if s.Val != nil {
-			useExpr(s.Val, uses)
-		}
-	case ir.JoinInsert:
-		uses[s.Row.ID]++
-	case ir.Prefetch:
-		uses[s.Row.ID]++
-	case ir.ProbeStmt:
-		uses[s.ProbeRow.ID]++
-		for _, cp := range s.Copies {
-			uses[cp.Src.ID]++
-		}
-		useStmts(s.Body, uses)
-	case ir.EmitStmt:
-		for _, v := range s.Cols {
-			uses[v.ID]++
-		}
-	}
-}
-
-// useExpr counts the variable reads of one expression.
-//
-//inklint:dispatch ir.Expr
-func useExpr(e ir.Expr, uses map[int]int) {
-	switch x := e.(type) {
-	case ir.VarRef:
-		uses[x.V.ID]++
-	case ir.ConstRef:
-	case ir.BinExpr:
-		useExpr(x.L, uses)
-		useExpr(x.R, uses)
-	case ir.CmpExpr:
-		useExpr(x.L, uses)
-		useExpr(x.R, uses)
-	case ir.LogicExpr:
-		useExpr(x.L, uses)
-		useExpr(x.R, uses)
-	case ir.NotExpr:
-		useExpr(x.E, uses)
-	case ir.CastExpr:
-		useExpr(x.E, uses)
-	case ir.LikeExpr:
-		useExpr(x.S, uses)
-	case ir.InListExpr:
-		useExpr(x.S, uses)
-	case ir.StrLower:
-		useExpr(x.E, uses)
-	case ir.CondExpr:
-		useExpr(x.Cond, uses)
-		useExpr(x.Then, uses)
-		useExpr(x.Else, uses)
-	case ir.UnpackFixed:
-		useExpr(x.Row, uses)
-	case ir.UnpackStr:
-		useExpr(x.Row, uses)
-	}
 }
 
 // blockPlan is what the pre-pass decided for one statement list.

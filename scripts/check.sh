@@ -43,13 +43,14 @@ done
 # bug shows up here first.
 go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 
-# Benchmark smoke: one iteration of the morsel-loop, table-kernel and
-# fused-program benches so a compile error or panic in benchmark-only code
-# cannot land unnoticed.
+# Benchmark smoke: one iteration of the morsel-loop, table-kernel,
+# fused-program and compile-stack benches so a compile error or panic in
+# benchmark-only code cannot land unnoticed.
 echo "bench smoke..."
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
 go test -run XXX -bench 'AggBuild|JoinProbe|InList' -benchtime 1x ./internal/rt/ >/dev/null
 go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null
+go test -run XXX -bench CompileStack -benchtime 1x ./internal/tpch/ >/dev/null
 echo "bench smoke OK"
 
 # Alloc guard: the morsel loop must stay allocation-free per chunk with the
