@@ -485,16 +485,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			return nil
 		})
 		if runErr != nil && !errors.Is(runErr, errQueryStopped) {
-			switch {
-			case errors.Is(runErr, sched.ErrQueryCanceled):
-				// Drain force-cancel: the scheduler shut down under this
-				// query; report it as a cancellation.
-				qs.fail(fmt.Errorf("%w: %w", ErrCanceled, runErr))
-			case errors.Is(runErr, context.Canceled), errors.Is(runErr, context.DeadlineExceeded):
-				qs.fail(ctxCause(runErr))
-			default:
-				qs.fail(runErr)
-			}
+			qs.fail(schedError(runErr))
 		}
 
 		counters, degraded := r.finish(pt, start)
@@ -513,16 +504,16 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			return failed(err)
 		}
 		finStart := time.Now()
-		if err := finalizeSafe(plan.Name, pipe, opts.Backend, ctxs, budget); err != nil {
-			if pt != nil {
-				pt.Finalize = time.Since(finStart)
-				pt.Wall = time.Since(pipeStart)
-			}
-			return failed(err)
+		err = sealJoins(ctx, adm, plan.Name, pipe, opts.Backend, ctxs)
+		if err == nil {
+			err = finalizeSafe(plan.Name, pipe, opts.Backend, ctxs, budget)
 		}
 		if pt != nil {
 			pt.Finalize = time.Since(finStart)
 			pt.Wall = time.Since(pipeStart)
+		}
+		if err != nil {
+			return failed(err)
 		}
 		if pipe.Result != nil {
 			finalChunks = outs
@@ -581,8 +572,56 @@ func runMorselSafe(query, pipeName string, backend Backend, r *pipelineRunner, w
 	return nil
 }
 
-// finalizeSafe runs pipeline finalization (join sealing, aggregate merging)
-// with the same panic isolation as the morsel loop.
+// schedError types the error of a scheduler round that is not a task's own:
+// a drain's force-cancel (the scheduler shut down under the query) is a
+// cancellation, an expired context is its cause.
+func schedError(err error) error {
+	switch {
+	case errors.Is(err, sched.ErrQueryCanceled):
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return ctxCause(err)
+	}
+	return err
+}
+
+// sealJoins seals the join tables the pipeline built as one scheduler round:
+// every table's seal tasks (its bloom filter and its shards' layouts, the
+// scatter of q13's 740 k-row build among them) are shared by the query's
+// worker slots, with the morsel loop's panic isolation.
+func sealJoins(ctx context.Context, adm *sched.Query, query string, pipe *core.Pipeline, backend Backend, ctxs []*vm.Ctx) error {
+	n := 0
+	for _, js := range pipe.SealJoins {
+		n += js.Table.SealTasks()
+	}
+	if n == 0 {
+		return nil
+	}
+	err := adm.Run(ctx, n, func(slot, i int) (err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				ctxs[slot].Counters.PanicsRecovered++
+				err = panicError(&QueryError{Query: query, Pipeline: pipe.Name, Backend: backend, Worker: slot, Morsel: -1}, rec)
+			}
+		}()
+		for _, js := range pipe.SealJoins {
+			if k := js.Table.SealTasks(); i >= k {
+				i -= k
+				continue
+			}
+			js.Table.SealTask(i)
+			return nil
+		}
+		return nil
+	})
+	if err != nil {
+		return schedError(err)
+	}
+	return nil
+}
+
+// finalizeSafe runs pipeline finalization (aggregate merging; the joins are
+// sealed before it) with the same panic isolation as the morsel loop.
 func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm.Ctx, budget *rt.MemBudget) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -634,9 +673,6 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 }
 
 func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx, budget *rt.MemBudget) error {
-	for _, js := range pipe.SealJoins {
-		js.Table.Seal()
-	}
 	for _, fin := range pipe.MergeAggs {
 		// The first worker table that was built becomes the global one and the
 		// others merge into it; the tables stay the worker contexts' to reset.

@@ -18,10 +18,12 @@ import (
 	"inkfuse/internal/faultinject"
 	"inkfuse/internal/flight"
 	"inkfuse/internal/obs"
+	"inkfuse/internal/rt"
 	"inkfuse/internal/sched"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/tpch"
 	"inkfuse/internal/types"
+	"inkfuse/internal/vm"
 )
 
 // groupByNode builds a GROUP BY plan over the shared test table.
@@ -360,6 +362,43 @@ func TestFinalizeFaultIsIsolated(t *testing.T) {
 	}
 	if res.Stats.PanicsRecovered == 0 {
 		t.Fatal("finalization recovery not counted")
+	}
+}
+
+// TestSealBudgetTripIsLocated: a pipeline's join tables seal as a scheduler
+// round with the morsel loop's isolation, so a budget trip inside a seal task
+// is ErrMemoryBudget located at the worker slot that ran it, with no morsel.
+func TestSealBudgetTripIsLocated(t *testing.T) {
+	jt := &rt.JoinTableState{Table: rt.NewJoinTable(4)}
+	keys := make([][]byte, 1000)
+	for i := range keys {
+		keys[i] = make([]byte, 8)
+		rt.PutI64(keys[i], 0, int64(i))
+	}
+	var sc rt.BatchScratch
+	jt.Table.InsertBatch(keys, make([][]byte, len(keys)), rt.HashBatch(keys, nil), &sc)
+	// The build charged nothing; the sealed layout costs 32 B per row.
+	jt.Table.SetBudget(rt.NewMemBudget(1 << 10))
+
+	pool := sched.NewPool(sched.Config{Workers: 2})
+	defer pool.Close(context.Background())
+	adm, err := pool.Admit(context.Background(), "sealq", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adm.Release()
+	ctxs := []*vm.Ctx{vm.NewCtx(), vm.NewCtx()}
+	pipe := &core.Pipeline{Name: "build", SealJoins: []*rt.JoinTableState{jt}}
+	err = sealJoins(context.Background(), adm, "sealq", pipe, BackendVectorized, ctxs)
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("want ErrMemoryBudget from the seal, got %v", err)
+	}
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Morsel != -1 || qe.Pipeline != "build" || qe.Worker < 0 || qe.Worker >= len(ctxs) {
+		t.Fatalf("seal failure mislocated: %+v", qe)
+	}
+	if ctxs[0].Counters.PanicsRecovered+ctxs[1].Counters.PanicsRecovered == 0 {
+		t.Fatal("seal recovery not counted")
 	}
 }
 

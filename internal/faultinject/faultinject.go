@@ -26,8 +26,9 @@ const (
 	// ExecMorsel fires inside the worker morsel loop, before the morsel is
 	// handed to the backend (panic-capable; armed Err values are panicked).
 	ExecMorsel = "exec/morsel"
-	// ExecFinalize fires at pipeline finalization (seal + merge), on the
-	// scheduler goroutine (panic-capable).
+	// ExecFinalize fires at pipeline finalization (aggregate merging, after
+	// the pipeline's join tables are sealed), on the scheduler goroutine
+	// (panic-capable).
 	ExecFinalize = "exec/finalize"
 	// ExecCompile fires in the foreground compilation step used by the
 	// compiling and ROF backends (error point).

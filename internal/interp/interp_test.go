@@ -7,6 +7,7 @@ import (
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/rt/rttest"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 	"inkfuse/internal/vm"
@@ -121,7 +122,7 @@ func TestRunExplodingJoinGrowsOutput(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		payload := make([]byte, 8)
 		rt.PutI64(payload, 0, int64(i))
-		jt.Table.Insert(key, payload, rt.Hash64(key))
+		rttest.InsertJoin(jt.Table, key, payload)
 	}
 	jt.Table.Seal()
 

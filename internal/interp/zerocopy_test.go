@@ -13,6 +13,7 @@ import (
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/rt/rttest"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 	"inkfuse/internal/vm"
@@ -106,7 +107,7 @@ func TestTwoProbesShareAFrame(t *testing.T) {
 			key, payload := make([]byte, 8), make([]byte, 8)
 			rt.PutI64(key, 0, k)
 			rt.PutI64(payload, 0, k*mul)
-			jt.Table.Insert(key, payload, rt.Hash64(key))
+			rttest.InsertJoin(jt.Table, key, payload)
 		}
 		jt.Table.Seal()
 		return jt

@@ -101,6 +101,10 @@ func TestFamilyConcurrentMerge(t *testing.T) {
 	r := NewRegistry()
 	backends := []string{"vectorized", "compiling", "rof", "hybrid"}
 	const workers, per = 8, 2000
+	// A family without children renders nothing: give it one before the
+	// readers start, or a reader scheduled ahead of every writer sees no
+	// header.
+	r.QueryLatency.With(backends[0])
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -5,16 +5,17 @@ import (
 	"slices"
 )
 
-// Chunk-batched hash-table kernels. The scalar entry points (FindOrCreate,
-// Insert, Lookup) pay one hash, one shard dispatch and one mutex acquire per
-// tuple — interpretation overhead the suboperator design is supposed to
-// amortize (paper §IV-D keeps collision handling inside the table exactly so
-// primitives can batch around it). The batched entry points take a whole
-// chunk of keys, hash it as a vector, group the row indices by shard with a
-// counting sort, and then take each shard's lock once per (chunk, shard)
-// instead of once per row. Within a shard the rows keep their chunk order, so
-// batched and scalar builds produce byte-identical tables (the differential
-// fuzz tests in batch_test.go pin this down).
+// Chunk-batched hash-table kernels. A scalar entry point (FindOrCreate, the
+// join probe's Lookup) pays one hash, one shard dispatch and, to build, one
+// mutex acquire per tuple — interpretation overhead the suboperator design is
+// supposed to amortize (paper §IV-D keeps collision handling inside the table
+// exactly so primitives can batch around it). The batched entry points take a
+// whole chunk of keys, hash it as a vector, group the row indices by shard
+// with a counting sort, and then take each shard's lock once per (chunk,
+// shard) instead of once per row. Within a shard the rows keep their chunk
+// order, so a build's table depends on the order of its rows only, not on how
+// they were chunked (the differential fuzz tests in batch_test.go pin this
+// down).
 
 // BatchScratch holds the reusable buffers of one call site's chunk-batched
 // table kernels (per-shard segment bounds and the shard-grouped row order).
@@ -26,15 +27,15 @@ type BatchScratch struct {
 	order  []int32 // row indices grouped by shard, chunk order within a shard
 }
 
-// shardOf mirrors the scalar entry points' shard dispatch: the top hash byte
-// selects the shard so the low bits stay free for bucket addressing.
+// shardOf is every entry point's shard dispatch: the top hash byte selects
+// the shard so the low bits stay free for bucket addressing.
 //
 //inkfuse:hotpath
 func shardOf(h, mask uint64) uint64 { return (h >> 56) & mask }
 
 // groupByShard buckets the chunk's row indices by shard. Rows of shard s are
 // order[starts[s]:starts[s+1]], in their original chunk order (the counting
-// sort is stable), which keeps batched table contents identical to scalar.
+// sort is stable), which keeps a table's contents independent of chunking.
 //
 //inkfuse:hotpath
 func (sc *BatchScratch) groupByShard(hashes []uint64, shardMask uint64) (starts, order []int32) {
@@ -119,9 +120,10 @@ func (s *aggShard) findOrCreateBatch(idxs []int32, keys, seeds [][]byte, hashes 
 }
 
 // InsertBatch appends a whole chunk of build rows: hashes[i] must be
-// Hash64(keys[i]), payloads may contain nil entries. One lock acquire per
-// (chunk, shard); within a shard rows keep their chunk order, so the sealed
-// probe layout is identical to a scalar build's.
+// Hash64(keys[i]) — the sealed table takes equal hash for equal key where the
+// keys are words (Seal) — and payloads may contain nil entries. One lock
+// acquire per (chunk, shard); within a shard rows keep their chunk order, the
+// order Seal lays a key's duplicates out in.
 //
 //inkfuse:hotpath
 func (t *JoinTable) InsertBatch(keys, payloads [][]byte, hashes []uint64, sc *BatchScratch) {
@@ -150,6 +152,11 @@ func (s *joinShard) insertBatch(idxs []int32, keys, payloads [][]byte, hashes []
 	for _, i := range idxs {
 		s.budget.Charge(entryOverhead)
 		key, payload := keys[i], payloads[i]
+		if len(s.rows) == 0 {
+			s.keyLen = len(key)
+		} else if len(key) != s.keyLen {
+			s.keyLen = -1
+		}
 		row := s.arena.Alloc(4 + len(key) + len(payload))
 		binary.LittleEndian.PutUint32(row, uint32(len(key)))
 		copy(row[4:], key)

@@ -207,52 +207,61 @@ func FuzzAggBatchSeedsAndLocal(f *testing.F) {
 	})
 }
 
+// FuzzJoinBatchDifferential builds a join table chunk by chunk and checks it
+// against an ordered reference model — per key its payloads, newest first —
+// over keys of one width (word or wider) or of two widths mixed in one build:
+// every probe's matches, the bloom filter (no false negatives, and
+// LookupBatch partitions the probes), and a second build of the same rows in
+// other chunks sealing to the same layout.
 func FuzzJoinBatchDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint16(64), uint8(4), uint16(32))
 	f.Add([]byte{0x42}, uint16(777), uint8(1), uint16(500))
 	f.Add([]byte{}, uint16(256), uint8(16), uint16(1))
 	f.Add([]byte{8, 8, 8}, uint16(1500), uint8(3), uint16(2000))
+	// nBuild's top bits pick the key width (8, 4, 12, 1 bytes), shardsRaw's
+	// high bit mixes 4-byte keys into the build: a seed for each width and
+	// for mixed builds of 8-, 12- and 1-byte keys.
+	f.Add([]byte{5, 6}, uint16(2048+300), uint8(2), uint16(400))
+	f.Add([]byte{7}, uint16(4096+300), uint8(3), uint16(300))
+	f.Add([]byte{9, 1}, uint16(6144+50), uint8(1), uint16(100))
+	f.Add([]byte{2, 7, 1}, uint16(900), uint8(0x84), uint16(600))
+	f.Add([]byte{4, 4}, uint16(4096+500), uint8(0x82), uint16(700))
+	f.Add([]byte{3}, uint16(6144+50), uint8(0x81), uint16(200))
 	f.Fuzz(func(t *testing.T, data []byte, nBuild uint16, shardsRaw uint8, nProbe uint16) {
 		nb := int(nBuild)%2048 + 1
 		np := int(nProbe)%2048 + 1
 		shards := 1 << (int(shardsRaw) % 6)
-		buildKeys := deriveKeys(data, nb, uint64(nb)/2+1, 8)
+		width := []int{8, 4, 12, 1}[int(nBuild>>11)%4]
+		buildKeys := deriveKeys(data, nb, uint64(nb)/2+1, width)
 		// Probe keys from a wider domain so many miss (exercising the filter).
-		probeKeys := deriveKeys(data, np, uint64(nb)*4+7, 8)
-
-		build := func(batch bool) *JoinTable {
-			tbl := NewJoinTable(shards)
-			var sc BatchScratch
-			var hashes []uint64
-			payloads := make([][]byte, 0, 256)
-			for at := 0; at < len(buildKeys); at += 256 {
-				ck := buildKeys[at:min(at+256, len(buildKeys))]
-				payloads = payloads[:0]
-				for i := range ck {
-					payloads = append(payloads, []byte{byte(at + i)})
-				}
-				if batch {
-					hashes = HashBatch(ck, hashes)
-					tbl.InsertBatch(ck, payloads, hashes, &sc)
-				} else {
-					for i, k := range ck {
-						tbl.Insert(k, payloads[i], Hash64(k))
-					}
-				}
+		probeKeys := deriveKeys(data, np, uint64(nb)*4+7, width)
+		if shardsRaw&0x80 != 0 {
+			// Every seventh build key 4 bytes wide: shards of mixed widths.
+			short := deriveKeys(data, nb, uint64(nb)/2+1, 4)
+			for i := 0; i < nb; i += 7 {
+				buildKeys[i] = short[i]
 			}
+			probeKeys = append(probeKeys, short...)
+		}
+		payloads := make([][]byte, nb)
+		model := joinModel{}
+		for i, k := range buildKeys {
+			payloads[i] = []byte{byte(i), byte(i >> 8)}
+			model.add(k, payloads[i])
+		}
+		build := func(chunk int) *JoinTable {
+			tbl := NewJoinTable(shards)
+			insertJoinRows(tbl, buildKeys, payloads, chunk)
 			tbl.Seal()
 			return tbl
 		}
-		scalar := build(false)
-		batched := build(true)
+		tbl, rechunked := build(256), build(int(shardsRaw)%97+1)
+		checkJoinModel(t, tbl, model)
 
-		if scalar.Rows() != batched.Rows() {
-			t.Fatalf("rows: scalar=%d batched=%d", scalar.Rows(), batched.Rows())
-		}
 		probeHashes := HashBatch(probeKeys, nil)
-		sel, skips := batched.LookupBatch(probeHashes, nil)
-		if len(sel)+skips != np {
-			t.Fatalf("filter partition: %d pass + %d skip != %d probes", len(sel), skips, np)
+		sel, skips := tbl.LookupBatch(probeHashes, nil)
+		if len(sel)+skips != len(probeKeys) {
+			t.Fatalf("filter partition: %d pass + %d skip != %d probes", len(sel), skips, len(probeKeys))
 		}
 		passSet := make(map[int]bool, len(sel))
 		for _, i := range sel {
@@ -260,35 +269,20 @@ func FuzzJoinBatchDifferential(f *testing.F) {
 		}
 		for i, k := range probeKeys {
 			h := probeHashes[i]
-			var sMatches, bMatches [][]byte
-			sit := scalar.Lookup(k, h)
-			for r := sit.Next(); r != nil; r = sit.Next() {
-				sMatches = append(sMatches, r)
+			got, again := matchesOf(tbl, k, h), matchesOf(rechunked, k, h)
+			want := model[string(k)]
+			if len(got) != len(want) || len(again) != len(want) {
+				t.Fatalf("probe %d: %d and %d matches, model %d", i, len(got), len(again), len(want))
 			}
-			bit := batched.Lookup(k, h)
-			for r := bit.Next(); r != nil; r = bit.Next() {
-				bMatches = append(bMatches, r)
-			}
-			if len(sMatches) != len(bMatches) {
-				t.Fatalf("probe %d: scalar %d matches, batched %d", i, len(sMatches), len(bMatches))
-			}
-			for j := range sMatches {
-				if !bytes.Equal(sMatches[j], bMatches[j]) {
-					t.Fatalf("probe %d match %d differs", i, j)
+			for j := range got {
+				if !bytes.Equal(got[j], again[j]) {
+					t.Fatalf("probe %d match %d differs between chunkings", i, j)
 				}
 			}
-			// No false negatives: a real match must pass the filter; and the
-			// filter must agree with MayContain.
-			if len(sMatches) > 0 && !passSet[i] {
+			if len(want) > 0 && !passSet[i] {
 				t.Fatalf("probe %d: bloom filter dropped a real match", i)
 			}
-			if passSet[i] != batched.MayContain(h) {
-				t.Fatalf("probe %d: LookupBatch and MayContain disagree", i)
-			}
-			if scalar.Exists(k, h) != batched.Exists(k, h) {
-				t.Fatalf("probe %d: Exists divergence", i)
-			}
-			if scalar.Touch(k, h) != batched.Touch(k, h) {
+			if tbl.Touch(h) != rechunked.Touch(h) {
 				t.Fatalf("probe %d: Touch divergence", i)
 			}
 		}

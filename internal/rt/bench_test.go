@@ -2,6 +2,7 @@ package rt
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -65,31 +66,103 @@ func BenchmarkAggTableVsMap(b *testing.B) {
 	})
 }
 
+// BenchmarkJoinProbe probes a sealed table key at a time, hashes computed
+// ahead: unique and dup4 over 4 096 8-byte keys with half the probes absent,
+// and q13 (q13JoinTable) where a present key has about fifteen matches.
 func BenchmarkJoinProbe(b *testing.B) {
 	for _, dup := range []int{1, 4} {
 		b.Run(map[int]string{1: "unique", 4: "dup4"}[dup], func(b *testing.B) {
-			tbl := NewJoinTable(16)
-			key := make([]byte, 8)
 			const keys = 1 << 12
+			tbl := NewJoinTable(16)
+			build := make([][]byte, 0, keys*dup)
 			for k := 0; k < keys; k++ {
-				binary.LittleEndian.PutUint64(key, uint64(k))
 				for d := 0; d < dup; d++ {
-					tbl.Insert(key, nil, Hash64(key))
+					build = append(build, i64Key(int64(k)))
 				}
 			}
+			insertJoinRows(tbl, build, make([][]byte, len(build)), 1024)
 			tbl.Seal()
-			b.ResetTimer()
-			matches := 0
-			for i := 0; i < b.N; i++ {
-				binary.LittleEndian.PutUint64(key, uint64(i%(2*keys))) // 50% misses
-				it := tbl.Lookup(key, Hash64(key))
-				for it.Next() != nil {
-					matches++
-				}
-			}
-			sinkInt = matches
+			probes := benchChunkKeys(2*keys, 2*keys, 0) // 50% misses
+			benchProbe(b, tbl, probes, HashBatch(probes, nil))
 		})
 	}
+	b.Run("q13", func(b *testing.B) {
+		tbl, probes, hashes := q13JoinTable()
+		benchProbe(b, tbl, probes, hashes)
+	})
+}
+
+// benchProbe runs b.N probes over the keys in turn, reporting matches/probe.
+func benchProbe(b *testing.B, tbl *JoinTable, probes [][]byte, hashes []uint64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	matches := 0
+	for i := 0; i < b.N; i++ {
+		p := i % len(probes)
+		it := tbl.Lookup(probes[p], hashes[p])
+		for it.Next() != nil {
+			matches++
+		}
+	}
+	b.ReportMetric(float64(matches)/float64(b.N), "matches/probe")
+}
+
+// q13Join is built once per benchmark binary: q13JoinTable's table and probes.
+var q13Join struct {
+	tbl    *JoinTable
+	probes [][]byte
+	hashes []uint64
+}
+
+// q13JoinTable returns the shape of TPC-H q13's orders-side join table at SF
+// 0.5: 740 k build rows over 50 k distinct 4-byte keys in random insertion
+// order — a customer's orders scattered through the build — and 75 k probe
+// keys, a third of them absent and the rest in random order.
+func q13JoinTable() (*JoinTable, [][]byte, []uint64) {
+	if q13Join.tbl != nil {
+		return q13Join.tbl, q13Join.probes, q13Join.hashes
+	}
+	const rows, present, probes = 740_000, 50_000, 75_000
+	r := rand.New(rand.NewSource(13))
+	key := func(k int) []byte {
+		b := make([]byte, 4)
+		binary.LittleEndian.PutUint32(b, uint32(k))
+		return b
+	}
+	build := make([][]byte, rows)
+	for i := range build {
+		build[i] = key(r.Intn(present))
+	}
+	tbl := NewJoinTable(16)
+	insertJoinRows(tbl, build, make([][]byte, rows), 2048)
+	tbl.Seal()
+	keys := make([][]byte, probes)
+	for i, k := range r.Perm(probes) {
+		keys[i] = key(k) // k ≥ present is absent
+	}
+	q13Join.tbl, q13Join.probes, q13Join.hashes = tbl, keys, HashBatch(keys, nil)
+	return q13Join.tbl, q13Join.probes, q13Join.hashes
+}
+
+// BenchmarkJoinSeal seals a built table again and again: the count, scatter
+// and filter passes over q13JoinTable's 740 k rows, and over 64 k unique keys.
+func BenchmarkJoinSeal(b *testing.B) {
+	b.Run("q13", func(b *testing.B) {
+		tbl, _, _ := q13JoinTable()
+		benchSeal(b, tbl)
+	})
+	b.Run("unique64k", func(b *testing.B) {
+		benchSeal(b, benchJoinTable(1<<16))
+	})
+}
+
+func benchSeal(b *testing.B, tbl *JoinTable) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.Seal()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tbl.Rows()), "ns/row")
 }
 
 var sinkInt int
@@ -154,11 +227,11 @@ func BenchmarkAggBuildBatched(b *testing.B) {
 // benchJoinTable builds and seals a unique-key table of `keys` 8-byte rows.
 func benchJoinTable(keys int) *JoinTable {
 	tbl := NewJoinTable(16)
-	k := make([]byte, 8)
-	for i := 0; i < keys; i++ {
-		binary.LittleEndian.PutUint64(k, uint64(i))
-		tbl.Insert(k, nil, Hash64(k))
+	build := make([][]byte, keys)
+	for i := range build {
+		build[i] = i64Key(int64(i))
 	}
+	insertJoinRows(tbl, build, make([][]byte, keys), 1024)
 	tbl.Seal()
 	return tbl
 }

@@ -81,13 +81,13 @@ func FuzzRowKeyRoundtrip(f *testing.F) {
 			t.Skip()
 		}
 		tbl := NewJoinTable(2)
-		tbl.Insert(key, payload, Hash64(key))
+		insertJoin(tbl, key, payload)
 		tbl.Seal()
-		it := tbl.Lookup(key, Hash64(key))
-		row := it.Next()
-		if row == nil {
-			t.Fatal("inserted key not found")
+		rows := matchesOf(tbl, key, Hash64(key))
+		if len(rows) != 1 {
+			t.Fatalf("inserted key found %d times", len(rows))
 		}
+		row := rows[0]
 		if string(RowKey(row)) != string(key) {
 			t.Fatal("key roundtrip failed")
 		}

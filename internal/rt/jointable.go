@@ -2,18 +2,21 @@ package rt
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 	"sync"
 )
 
 // JoinTable is the join hash table. Unlike AggTable it stores duplicate keys
 // (paper §IV-E). The build phase appends packed rows under shard locks; Seal
-// freezes the table into lock-free chained buckets for probing.
+// freezes every shard into one probe layout (DESIGN.md §10): its (hash, row)
+// entries regrouped by bucket, a bucket's entries one contiguous run, newest
+// first. A probe scans its bucket's run sequentially, lock-free. Where every
+// key blob of a shard has one width of at most 8 bytes — every TPC-H join key
+// — equal hash is equal key (Hash64 is a bijection of the key word), and the
+// probe never reads a row it does not emit.
 type JoinTable struct {
 	shards    []joinShard
 	shardMask uint64
-	sealed    bool
 
 	// Build-side bloom/tag filter, built at Seal: one byte per bucket-class,
 	// sized to ≥2 bytes per build row, indexed by hash bits disjoint from both
@@ -32,14 +35,21 @@ type JoinTable struct {
 func bloomTag(h uint64) byte { return 1 << ((h >> 40) & 7) }
 
 type joinShard struct {
-	mu      sync.Mutex
-	rows    [][]byte
-	hashes  []uint64
-	arena   *Arena
-	budget  *MemBudget
-	buckets []int32 // entry index + 1; 0 = empty
-	next    []int32 // chain: entry index + 1; 0 = end
-	mask    uint64
+	mu     sync.Mutex
+	rows   [][]byte // entries in insertion order
+	hashes []uint64
+	arena  *Arena
+	budget *MemBudget
+	// keyLen is the length every key blob inserted so far has, or -1 once two
+	// lengths differ (meaningless while the shard is empty). Where it is at
+	// most 8, a probe key of that length matches on the hash alone.
+	keyLen int
+
+	// The sealed layout. Bucket b (a hash's low bits, h&mask) holds the
+	// entries sealed[start[b]:start[b+1]], newest first.
+	start  []int32
+	sealed []sealedEntry
+	mask   uint64
 }
 
 // NewJoinTable creates an empty join table.
@@ -62,33 +72,14 @@ func NewJoinTable(shardCount int) *JoinTable {
 func (t *JoinTable) ShardCount() int { return len(t.shards) }
 
 // SetBudget charges this table's future allocations (arena blocks, entry
-// bookkeeping, seal-time bucket arrays) to the query budget. Call before the
-// build pipeline inserts.
+// bookkeeping, the sealed layout's arrays) to the query budget. Call before
+// the build pipeline inserts.
 func (t *JoinTable) SetBudget(b *MemBudget) {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.budget = b
 		s.arena.SetBudget(b)
 	}
-}
-
-// Insert adds a packed row (key blob + payload blob) to the table. Safe for
-// concurrent use during the build pipeline.
-//
-//inkfuse:hotpath
-func (t *JoinTable) Insert(key, payload []byte, h uint64) {
-	s := &t.shards[(h>>56)&t.shardMask]
-	s.mu.Lock()
-	// Deferred so a memory-budget panic from the arena cannot strand the
-	// shard lock while the scheduler drains the remaining workers.
-	defer s.mu.Unlock()
-	s.budget.Charge(entryOverhead)
-	row := s.arena.Alloc(4 + len(key) + len(payload))
-	binary.LittleEndian.PutUint32(row, uint32(len(key)))
-	copy(row[4:], key)
-	copy(row[4+len(key):], payload)
-	s.rows = append(s.rows, row)   //inklint:allow alloc — amortized — shard entry arrays double
-	s.hashes = append(s.hashes, h) //inklint:allow alloc — amortized — shard entry arrays double
 }
 
 // Reserve readies the table for about n build rows in all: every shard's
@@ -111,60 +102,108 @@ func (t *JoinTable) Reserve(n int) {
 	}
 }
 
-// Seal chains every shard's entries into buckets and builds the shared
+// sealedEntry is an entry of the sealed layout: its hash and row, side by
+// side so the scatter writes, and a probe reads, one half of a cache line.
+type sealedEntry struct {
+	hash uint64
+	row  []byte
+}
+
+// sealedEntryBytes is the size of a sealedEntry.
+const sealedEntryBytes = 8 + sliceHeaderBytes
+
+// Seal lays every shard's entries out by bucket and builds the shared
 // bloom/tag filter over all of them. Must be called after the build pipeline
-// completes and before any Lookup. Bucket, chain and filter arrays reuse the
+// completes and before any Lookup. The layout and filter arrays reuse the
 // capacity an earlier execution left behind and are charged as if new.
 func (t *JoinTable) Seal() {
-	total := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		n := len(s.rows)
-		total += n
-		cap := uint64(16)
-		for cap < uint64(2*n) {
-			cap <<= 1
-		}
-		s.budget.Charge(int64(cap)*4 + int64(n)*4)
-		s.buckets = zeroed(s.buckets, int(cap))
-		s.next = zeroed(s.next, n)
-		s.mask = cap - 1
-		for e := 0; e < n; e++ {
-			i := s.hashes[e] & s.mask
-			s.next[e] = s.buckets[i]
-			s.buckets[i] = int32(e + 1)
-		}
+	for i := 0; i < t.SealTasks(); i++ {
+		t.SealTask(i)
+	}
+}
+
+// SealTasks returns the number of independent tasks Seal consists of: the
+// bloom filter's and one per shard. Running SealTask(i) for every i below it,
+// in any order and on any goroutines, is Seal.
+func (t *JoinTable) SealTasks() int { return 1 + len(t.shards) }
+
+// SealTask runs task i of Seal: 0 builds the bloom filter, i ≥ 1 lays out
+// shard i-1. The tasks share no memory they write.
+func (t *JoinTable) SealTask(i int) {
+	if i > 0 {
+		t.shards[i-1].seal()
+		return
 	}
 	fcap := uint64(64)
-	for fcap < uint64(2*total) && fcap < maxBloomBytes {
+	for fcap < uint64(2*t.Rows()) && fcap < maxBloomBytes {
 		fcap <<= 1
 	}
 	t.shards[0].budget.Charge(int64(fcap))
 	filter, fmask := zeroed(t.filter, int(fcap)), fcap-1
-	for i := range t.shards {
-		for _, h := range t.shards[i].hashes {
+	for s := range t.shards {
+		for _, h := range t.shards[s].hashes {
 			filter[(h>>16)&fmask] |= bloomTag(h)
 		}
 	}
 	t.filter, t.fmask = filter, fmask
-	t.sealed = true
 }
 
-// reset empties the shard in place, keeping entry, bucket and chain capacity
-// and the arena's blocks; the budget is detached.
+// seal counts the shard's entries per bucket, turns the counts into run ends
+// and scatters the entries oldest first from each run's end, so that a run
+// reads newest first — the order the matches of a key are emitted in — and
+// start[b] is left at the run's beginning.
+func (s *joinShard) seal() {
+	n := len(s.rows)
+	buckets := uint64(16)
+	for buckets < uint64(2*n) {
+		buckets <<= 1
+	}
+	s.budget.Charge(int64(buckets+1)*4 + int64(n)*sealedEntryBytes)
+	s.mask = buckets - 1
+	start := zeroed(s.start, int(buckets)+1)
+	for _, h := range s.hashes {
+		start[h&s.mask]++
+	}
+	end := int32(0)
+	for b, c := range start[:buckets] {
+		end += c
+		start[b] = end
+	}
+	start[buckets] = int32(n)
+	sealed := sized(s.sealed, n)
+	for e, h := range s.hashes {
+		b := h & s.mask
+		p := start[b] - 1
+		start[b] = p
+		sealed[p] = sealedEntry{h, s.rows[e]}
+	}
+	s.start, s.sealed = start, sealed
+}
+
+// sized returns s resized to n elements, reallocated only when its capacity
+// is short; the caller overwrites every element.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reset empties the shard in place, keeping entry and layout capacity and
+// the arena's blocks; the budget is detached.
 func (s *joinShard) reset() {
 	s.rows = s.rows[:0]
 	s.hashes = s.hashes[:0]
-	s.buckets = s.buckets[:0]
-	s.next = s.next[:0]
+	s.start = s.start[:0]
+	s.sealed = s.sealed[:0]
 	s.mask = 0
 	s.arena.Reset()
 	s.budget = nil
 }
 
 func (s *joinShard) retainedBytes() int64 {
-	return s.arena.RetainedBytes() + int64(cap(s.rows))*sliceHeaderBytes +
-		int64(cap(s.hashes))*8 + int64(cap(s.buckets)+cap(s.next))*4
+	return s.arena.RetainedBytes() + int64(cap(s.rows))*sliceHeaderBytes + int64(cap(s.hashes))*8 +
+		int64(cap(s.start))*4 + int64(cap(s.sealed))*sealedEntryBytes
 }
 
 // Reset empties the table in place, unsealed, keeping its memory for the next
@@ -174,7 +213,6 @@ func (t *JoinTable) Reset() {
 		t.shards[i].reset()
 	}
 	t.filter = t.filter[:0]
-	t.sealed = false
 }
 
 // RetainedBytes returns the memory the table holds on to across Reset.
@@ -190,14 +228,6 @@ func (t *JoinTable) RetainedBytes() int64 {
 // enough that a bigger filter stops paying for its cache footprint.
 const maxBloomBytes = 1 << 26
 
-// MayContain consults the bloom/tag filter: false means no build row can
-// match a key with this hash (no false negatives). The table must be sealed.
-//
-//inkfuse:hotpath
-func (t *JoinTable) MayContain(h uint64) bool {
-	return t.filter[(h>>16)&t.fmask]&bloomTag(h) != 0
-}
-
 // Rows returns the number of build rows.
 func (t *JoinTable) Rows() int {
 	n := 0
@@ -210,10 +240,13 @@ func (t *JoinTable) Rows() int {
 // MatchIter iterates over the build rows matching one probe key. The zero
 // value is exhausted. It is a value type so probing allocates nothing.
 type MatchIter struct {
-	shard *joinShard
-	at    int32 // entry index + 1; 0 = end
-	hash  uint64
-	key   []byte
+	shard   *joinShard
+	at, end int32 // the bucket run left to scan
+	hash    uint64
+	key     []byte
+	// cmp is set unless the probe key and every key of the shard are words of
+	// one width, where equal hash is equal key.
+	cmp bool
 }
 
 // Lookup starts a match iteration for a probe key. The table must be sealed.
@@ -221,52 +254,46 @@ type MatchIter struct {
 //inkfuse:hotpath
 func (t *JoinTable) Lookup(key []byte, h uint64) MatchIter {
 	s := &t.shards[(h>>56)&t.shardMask]
-	return MatchIter{shard: s, at: s.buckets[h&s.mask], hash: h, key: key}
+	b := h & s.mask
+	cmp := len(key) != s.keyLen || len(key) > 8
+	return MatchIter{shard: s, at: s.start[b], end: s.start[b+1], hash: h, key: key, cmp: cmp}
 }
 
 // Next returns the next matching build row, or nil when exhausted.
 //
 //inkfuse:hotpath
 func (it *MatchIter) Next() []byte {
-	for it.at != 0 {
-		e := it.at - 1
-		it.at = it.shard.next[e]
-		if it.shard.hashes[e] == it.hash && bytes.Equal(RowKey(it.shard.rows[e]), it.key) {
-			return it.shard.rows[e]
+	s := it.shard
+	for it.at < it.end {
+		e := &s.sealed[it.at]
+		it.at++
+		if e.hash == it.hash && (!it.cmp || bytes.Equal(RowKey(e.row), it.key)) {
+			return e.row
 		}
 	}
 	return nil
 }
 
-// Touch reads the bucket head and first chained row header for a key without
-// resolving matches. The ROF backend issues Touch over a staged chunk before
-// probing, pulling the relevant cache lines in with many independent loads
-// (the prefetch staging point of Relaxed Operator Fusion).
+// Touch reads the first entry of a probe hash's bucket run — its hash and the
+// first byte of its row — without resolving matches. The ROF backend issues
+// Touch over a staged chunk before probing, pulling the relevant cache lines
+// in with many independent loads (the prefetch staging point of Relaxed
+// Operator Fusion).
 //
 //inkfuse:hotpath
-func (t *JoinTable) Touch(key []byte, h uint64) byte {
+func (t *JoinTable) Touch(h uint64) byte {
 	// The filter line is the first stage: a definite miss never pulls bucket
 	// or row cache lines, so staged prefetching only streams memory that the
-	// probe pass will actually walk.
+	// probe pass will actually read.
 	acc := t.filter[(h>>16)&t.fmask]
 	if acc&bloomTag(h) == 0 {
 		return acc
 	}
 	s := &t.shards[(h>>56)&t.shardMask]
-	b := s.buckets[h&s.mask]
-	if b != 0 {
-		e := b - 1
-		// Touch the chain entry and the first bytes of the row; returning the
-		// byte keeps the loads alive.
-		return s.rows[e][0] ^ byte(s.hashes[e])
+	b := h & s.mask
+	if e := s.start[b]; e < s.start[b+1] {
+		// Returning the byte keeps the loads alive.
+		return s.sealed[e].row[0] ^ byte(s.sealed[e].hash)
 	}
 	return acc
-}
-
-// Exists reports whether any build row matches the key (semi joins).
-//
-//inkfuse:hotpath
-func (t *JoinTable) Exists(key []byte, h uint64) bool {
-	it := t.Lookup(key, h)
-	return it.Next() != nil
 }

@@ -84,52 +84,62 @@ func TestAggTableResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// buildJoin inserts n rows (keys repeat every n/2), seals, and returns the
-// budget charge.
-func buildJoin(tbl *JoinTable, n int) int64 {
-	b := NewMemBudget(0)
-	tbl.SetBudget(b)
-	for i := 0; i < n; i++ {
-		k := i64Key(int64(i % (n/2 + 1)))
-		tbl.Insert(k, []byte(fmt.Sprintf("p%d", i)), Hash64(k))
-	}
+// buildJoin inserts the build's rows, seals, and returns the budget charge.
+func buildJoin(tbl *JoinTable, b joinBuild) int64 {
+	budget := NewMemBudget(0)
+	tbl.SetBudget(budget)
+	b.insert(tbl, joinModel{})
 	tbl.Seal()
-	return b.Used()
+	return budget.Used()
+}
+
+// joinRepeats is a build of n rows whose keys repeat every n/2.
+func joinRepeats(n int) joinBuild {
+	return joinBuild{fmt.Sprint(n), 4, n, func(i int) []byte { return i64Key(int64(i % (n/2 + 1))) }}
 }
 
 func TestJoinTableResetMatchesFresh(t *testing.T) {
 	warm := NewJoinTable(4)
-	buildJoin(warm, 4000)
+	buildJoin(warm, joinRepeats(4000))
 	kept := warm.RetainedBytes()
-	for _, n := range []int{100, 4000, 7000} {
+	builds := []joinBuild{joinRepeats(100), joinRepeats(4000), joinRepeats(7000)}
+	for _, b := range joinBuilds {
+		if b.shards == 4 {
+			builds = append(builds, b)
+		}
+	}
+	for i, b := range builds {
 		warm.Reset()
 		if warm.Rows() != 0 {
-			t.Fatalf("n=%d: %d rows after Reset", n, warm.Rows())
+			t.Fatalf("%s: %d rows after Reset", b.name, warm.Rows())
 		}
 		fresh := NewJoinTable(4)
-		wantCharge := buildJoin(fresh, n)
-		if got := buildJoin(warm, n); got != wantCharge {
-			t.Fatalf("n=%d: reset table charged %d, fresh %d", n, got, wantCharge)
+		wantCharge := buildJoin(fresh, b)
+		if got := buildJoin(warm, b); got != wantCharge {
+			t.Fatalf("%s: reset table charged %d, fresh %d", b.name, got, wantCharge)
 		}
-		for key := int64(-1); key <= int64(n/2+1); key++ {
-			k := i64Key(key)
+		probes := append([][]byte{}, joinAbsent...)
+		for i := 0; i < b.n; i++ {
+			probes = append(probes, b.keyOf(i))
+		}
+		for _, k := range probes {
 			h := Hash64(k)
-			if warm.MayContain(h) != fresh.MayContain(h) {
-				t.Fatalf("n=%d key %d: filters disagree", n, key)
+			if warm.Touch(h) != fresh.Touch(h) {
+				t.Fatalf("%s key %x: filters or layouts disagree", b.name, k)
 			}
-			wi, fi := warm.Lookup(k, h), fresh.Lookup(k, h)
-			for {
-				w, f := wi.Next(), fi.Next()
-				if !bytes.Equal(w, f) {
-					t.Fatalf("n=%d key %d: match %q, fresh %q", n, key, w, f)
-				}
-				if f == nil {
-					break
+			w, f := matchesOf(warm, k, h), matchesOf(fresh, k, h)
+			if len(w) != len(f) {
+				t.Fatalf("%s key %x: %d matches, fresh %d", b.name, k, len(w), len(f))
+			}
+			for j := range f {
+				if !bytes.Equal(w[j], f[j]) {
+					t.Fatalf("%s key %x: match %q, fresh %q", b.name, k, w[j], f[j])
 				}
 			}
 		}
-		if n <= 4000 && warm.RetainedBytes() != kept {
-			t.Fatalf("n=%d: rebuild within capacity changed kept memory %d -> %d", n, kept, warm.RetainedBytes())
+		// The first two builds are no larger than the one the memory was kept from.
+		if i < 2 && warm.RetainedBytes() != kept {
+			t.Fatalf("%s: rebuild within capacity changed kept memory %d -> %d", b.name, kept, warm.RetainedBytes())
 		}
 	}
 }
@@ -256,7 +266,7 @@ func TestJoinTableReserve(t *testing.T) {
 		t.Fatalf("a smaller Reserve changed capacities: %v -> %v", reserved, got)
 	}
 	tbl.Seal()
-	if tbl.Rows() != n || !tbl.Exists(keys[n-1], hashes[n-1]) {
+	if tbl.Rows() != n || matchesOf(tbl, keys[n-1], hashes[n-1]) == nil {
 		t.Fatalf("table holds %d rows after a reserved build", tbl.Rows())
 	}
 

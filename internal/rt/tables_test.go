@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func i64Key(v int64) []byte {
@@ -153,114 +152,5 @@ func TestAggMergeStates(t *testing.T) {
 	off := RowPayloadOff(row)
 	if GetF64(row, off) != 8.0 || GetI64(row, off+8) != 3 || GetF64(row, off+16) != 1.0 {
 		t.Fatalf("merged slots: sum=%v cnt=%v min=%v", GetF64(row, off), GetI64(row, off+8), GetF64(row, off+16))
-	}
-}
-
-func TestJoinTableModel(t *testing.T) {
-	tbl := NewJoinTable(4)
-	model := map[int64][]float64{}
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 20_000; i++ {
-		k := int64(r.Intn(500))
-		v := r.Float64()
-		payload := make([]byte, 8)
-		PutF64(payload, 0, v)
-		tbl.Insert(i64Key(k), payload, Hash64(i64Key(k)))
-		model[k] = append(model[k], v)
-	}
-	tbl.Seal()
-	if tbl.Rows() != 20_000 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-	for k, vals := range model {
-		it := tbl.Lookup(i64Key(k), Hash64(i64Key(k)))
-		got := map[float64]int{}
-		n := 0
-		for row := it.Next(); row != nil; row = it.Next() {
-			got[GetF64(row, RowPayloadOff(row))]++
-			n++
-		}
-		if n != len(vals) {
-			t.Fatalf("key %d: %d matches, want %d", k, n, len(vals))
-		}
-		for _, v := range vals {
-			if got[v] == 0 {
-				t.Fatalf("key %d missing payload %v", k, v)
-			}
-			got[v]--
-		}
-	}
-	// Missing keys.
-	if tbl.Exists(i64Key(10_000), Hash64(i64Key(10_000))) {
-		t.Fatal("phantom match")
-	}
-}
-
-func TestJoinTableEmpty(t *testing.T) {
-	tbl := NewJoinTable(2)
-	tbl.Seal()
-	it := tbl.Lookup(i64Key(1), Hash64(i64Key(1)))
-	if it.Next() != nil {
-		t.Fatal("empty table matched")
-	}
-	if tbl.Touch(i64Key(1), Hash64(i64Key(1))) != 0 {
-		t.Fatal("touch on empty")
-	}
-}
-
-func TestJoinTableConcurrentBuild(t *testing.T) {
-	tbl := NewJoinTable(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := i64Key(int64(i))
-				tbl.Insert(k, nil, Hash64(k))
-			}
-		}(w)
-	}
-	wg.Wait()
-	tbl.Seal()
-	if tbl.Rows() != 16_000 {
-		t.Fatalf("rows = %d", tbl.Rows())
-	}
-	it := tbl.Lookup(i64Key(7), Hash64(i64Key(7)))
-	n := 0
-	for it.Next() != nil {
-		n++
-	}
-	if n != 8 {
-		t.Fatalf("key 7 matches = %d, want 8", n)
-	}
-}
-
-func TestJoinTableQuickModel(t *testing.T) {
-	// Property: for random multisets of small keys, per-key match counts
-	// equal insertion counts.
-	f := func(keys []uint8) bool {
-		tbl := NewJoinTable(2)
-		model := map[int64]int{}
-		for _, k8 := range keys {
-			k := int64(k8 % 16)
-			tbl.Insert(i64Key(k), nil, Hash64(i64Key(k)))
-			model[k]++
-		}
-		tbl.Seal()
-		for k, want := range model {
-			it := tbl.Lookup(i64Key(k), Hash64(i64Key(k)))
-			n := 0
-			for it.Next() != nil {
-				n++
-			}
-			if n != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -32,8 +32,9 @@ import (
 // table's bloom filter in one pass. A definite miss — four probes in five on
 // TPC-H's lineitem pipelines — is resolved there: dropped by an inner or semi
 // join, emitted unmatched by an anti or outer join, and nothing was kept for
-// it. A survivor's key is packed once more, to stay, and compared along its
-// bucket chain.
+// it. A survivor's key is packed once more, to stay, for the scan of its
+// bucket, which compares key bytes only where the table's keys are not words
+// of the probe key's width (DESIGN.md §10).
 
 // keyField is one packed key column: its register and, for a fixed-width
 // field, the state slot of its offset inside the key blob.
@@ -175,7 +176,7 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 		}
 		cand, skips := tbl.LookupBatch(hashes, tb.pend[:0])
 		tb.pend = cand
-		// Only the survivors' key bytes are kept, for the chain walk to compare.
+		// Only the survivors' key bytes are kept, for the bucket scan.
 		keys := sizedRows(&tb.keys, n)
 		buf = buf[:0]
 		for _, ci := range cand {

@@ -14,6 +14,7 @@ import (
 
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/rt/rttest"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 )
@@ -387,7 +388,7 @@ func TestKeyProbeFusion(t *testing.T) {
 				payload := make([]byte, 8)
 				serial++
 				rt.PutI64(payload, 0, serial)
-				jt.Table.Insert(key, payload, rt.Hash64(key))
+				rttest.InsertJoin(jt.Table, key, payload)
 			}
 		}
 		jt.Table.Seal()

@@ -298,11 +298,11 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			}
 			tb.hashes = rt.HashBatch(keys, tb.hashes)
 			var acc byte
-			for i, k := range keys {
+			for _, h := range tb.hashes {
 				// Touch consults the bloom/tag filter first, so the staged
 				// prefetch only streams bucket lines that the probe pass will
-				// actually walk.
-				acc ^= tbl.Touch(k, tb.hashes[i])
+				// actually scan.
+				acc ^= tbl.Touch(h)
 			}
 			fr.prefetchSink = acc
 			fr.ctx.Counters.VMOps += int64(n)

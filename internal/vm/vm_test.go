@@ -7,6 +7,7 @@ import (
 
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/rt/rttest"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 )
@@ -346,7 +347,7 @@ func buildJoinTable(keys []int64) *rt.JoinTableState {
 		rt.PutI64(blob, 0, k)
 		payload := make([]byte, 8)
 		rt.PutI64(payload, 0, k*100)
-		jt.Table.Insert(blob, payload, rt.Hash64(blob))
+		rttest.InsertJoin(jt.Table, blob, payload)
 	}
 	jt.Table.Seal()
 	return jt

@@ -38,9 +38,10 @@ for _ in 1 2 3; do
     go test -count=1 -run 'Determinism|JobLifetime' -race ./internal/exec/
 done
 
-# Differential fuzz seeds (batched vs scalar table kernels) under the race
-# detector: the batched paths take shard locks once per chunk, so any ordering
-# bug shows up here first.
+# Differential fuzz seeds (batched table kernels against scalar builds and
+# against an ordered reference model) under the race detector: the batched
+# paths take shard locks once per chunk, so any ordering bug shows up here
+# first.
 go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 
 # Benchmark smoke: one iteration of the morsel-loop, table-kernel,
@@ -48,7 +49,7 @@ go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 # benchmark-only code cannot land unnoticed.
 echo "bench smoke..."
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
-go test -run XXX -bench 'AggBuild|JoinProbe|InList' -benchtime 1x ./internal/rt/ >/dev/null
+go test -run XXX -bench 'AggBuild|JoinProbe|JoinSeal|InList' -benchtime 1x ./internal/rt/ >/dev/null
 go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null
 go test -run XXX -bench CompileStack -benchtime 1x ./internal/tpch/ >/dev/null
 echo "bench smoke OK"

@@ -3,7 +3,8 @@
 # BENCHMARK.json's, a miss workload or a hit workload — and prints where its CPU
 # and its allocations go: by layer, then the symbols of the never-seen path
 # (DESIGN.md §18: copies, maps, the collector) and of the join path (§19: row
-# building, key hashing, the bloom pass, the chain walk, probe-side gathers).
+# building, key hashing, insert and seal, the bloom pass, the bucket scan,
+# probe-side gathers).
 # It is the method behind the before/after tables of both sections: run it on
 # a checkout of each commit.
 #
@@ -143,11 +144,13 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # The symbols DESIGN.md §19 tracks. Row building: the statement-by-statement
 # MakeRow / PackStr / SealKey closures (vm.(*compiler).stmt.funcN), packFixedOp
 # and the scratch they drive. Key runs compiled to one operation: keyProbe,
-# keyAggLookup and their kernels. The probe itself: the bloom pass, the chain
-# walk (collect → MatchIter.Next → RowKey) and the probe-side gathers.
+# keyAggLookup and their kernels. The join table: its insert (joinShard's
+# insertBatch, under JoinTable.InsertBatch) and its seal. The probe itself:
+# the bloom pass, the bucket scan (collect → MatchIter.Next, RowKey only where
+# keys are not words) and the probe-side gathers.
 echo
 echo "CPU share of tracked symbols, join path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|insertBatch)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insertBatch|seal)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
