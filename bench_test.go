@@ -74,10 +74,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkTable1(b *testing.B) {
 	cat := benchCat()
 	for _, q := range []string{"q1", "q4"} {
-		for _, sys := range []benchkit.System{
-			{Name: "vectorized", Backend: exec.BackendVectorized},
-			{Name: "compiling", Backend: exec.BackendCompiling, Latency: exec.LatencyC},
-		} {
+		for _, sys := range benchkit.Table1Systems {
 			b.Run(q+"/"+sys.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					runQuery(b, cat, q, sys)
@@ -193,11 +190,7 @@ func BenchmarkAblationKeyPacking(b *testing.B) {
 // Q3 (none / at probes / everywhere).
 func BenchmarkAblationROFSplit(b *testing.B) {
 	cat := benchCat()
-	for _, sys := range []benchkit.System{
-		{Name: "none_compiling", Backend: exec.BackendCompiling, Latency: exec.LatencyNone},
-		{Name: "probes_rof", Backend: exec.BackendROF, Latency: exec.LatencyNone},
-		{Name: "everywhere_vectorized", Backend: exec.BackendVectorized},
-	} {
+	for _, sys := range benchkit.ROFSplitSystems {
 		b.Run(sys.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runQuery(b, cat, "q3", sys)

@@ -154,11 +154,7 @@ func AblationROFSplit(cfg Config, query string) ([]AblationRow, error) {
 	cfg = cfg.WithDefaults()
 	cat := tpch.Generate(cfg.SF, cfg.Seed)
 	var out []AblationRow
-	for _, sys := range []System{
-		{Name: "no-splits(compiling)", Backend: exec.BackendCompiling, Latency: exec.LatencyNone},
-		{Name: "split-at-probes(rof)", Backend: exec.BackendROF, Latency: exec.LatencyNone},
-		{Name: "split-everywhere(vectorized)", Backend: exec.BackendVectorized},
-	} {
+	for _, sys := range ROFSplitSystems {
 		c, err := Measure(cat, query, sys, cfg)
 		if err != nil {
 			return nil, err
@@ -213,7 +209,7 @@ func PrintAblation(w io.Writer, title string, rows []AblationRow) {
 	tw.Flush()
 }
 
-// catalogRows summarizes generated table sizes (for experiment logs).
+// CatalogRows summarizes generated table sizes (for experiment logs).
 func CatalogRows(cat *storage.Catalog) string {
 	s := ""
 	for _, n := range []string{"lineitem", "orders", "customer", "part", "supplier", "nation", "region"} {

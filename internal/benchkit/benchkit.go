@@ -7,11 +7,10 @@
 package benchkit
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -31,20 +30,19 @@ type Config struct {
 	Workers int
 	Runs    int // timing repetitions; the median is reported
 	Queries []string
-	// Timeout bounds each query execution (0 = none); expired queries fail
-	// with exec.ErrDeadlineExceeded.
-	Timeout time.Duration
-	// MemBudget caps each query's runtime-state bytes (0 = unlimited).
-	MemBudget int64
 }
 
-// WithDefaults fills unset fields.
+// WithDefaults fills unset fields. Workers resolves to GOMAXPROCS here, once,
+// so a table's heading, its env line and its runs name the same count.
 func (c Config) WithDefaults() Config {
 	if c.SF == 0 {
 		c.SF = 0.05
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
+	}
+	if c.Workers == 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Runs == 0 {
 		c.Runs = 3
@@ -87,6 +85,12 @@ var (
 		{Name: "rof", Backend: exec.BackendROF, Latency: exec.LatencyC},
 		{Name: "hybrid", Backend: exec.BackendHybrid, Latency: exec.LatencyC},
 	}
+	// Table1Systems are the two backends whose counter proxies Table I
+	// contrasts.
+	Table1Systems = []System{
+		{Name: "vectorized", Backend: exec.BackendVectorized},
+		{Name: "compiling", Backend: exec.BackendCompiling, Latency: exec.LatencyC},
+	}
 	// Fig10Systems are the cross-system comparison of Fig 10.
 	Fig10Systems = []System{
 		{Name: "volcano", Volcano: true},
@@ -97,12 +101,19 @@ var (
 		{Name: "inkfuse-rof", Backend: exec.BackendROF, Latency: exec.LatencyC},
 		{Name: "inkfuse-hybrid", Backend: exec.BackendHybrid, Latency: exec.LatencyC},
 	}
+	// ROFSplitSystems are the pipeline-split granularities of the ROF-split
+	// ablation: no splits, splits before probes, a split after every
+	// suboperator.
+	ROFSplitSystems = []System{
+		{Name: "no-splits(compiling)", Backend: exec.BackendCompiling, Latency: exec.LatencyNone},
+		{Name: "split-at-probes(rof)", Backend: exec.BackendROF, Latency: exec.LatencyNone},
+		{Name: "split-everywhere(vectorized)", Backend: exec.BackendVectorized},
+	}
 )
 
 // RunOnce executes one query on one system against a prepared catalog,
 // lowering the plan fresh (cold compile, as each query enters the system
-// anew in the paper's setup). Config.Timeout and Config.MemBudget bound the
-// run; Workers, Timeout and MemBudget are the only Config fields used.
+// anew in the paper's setup). Workers is the only Config field used.
 func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, error) {
 	node, err := tpch.Build(cat, query)
 	if err != nil {
@@ -120,18 +131,11 @@ func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, 
 	if err != nil {
 		return Cell{}, err
 	}
-	ctx := context.Background()
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
-	}
 	lat := sys.Latency
-	res, err := exec.ExecuteContext(ctx, plan, exec.Options{
-		Backend:      sys.Backend,
-		Workers:      cfg.Workers,
-		Latency:      &lat,
-		MemoryBudget: cfg.MemBudget,
+	res, err := exec.Execute(plan, exec.Options{
+		Backend: sys.Backend,
+		Workers: cfg.Workers,
+		Latency: &lat,
 	})
 	if err != nil {
 		return Cell{}, err
@@ -215,10 +219,7 @@ func Table1(cfg Config) ([]Cell, error) {
 	cat := tpch.Generate(cfg.SF, cfg.Seed)
 	var out []Cell
 	for _, q := range cfg.Queries {
-		for _, sys := range []System{
-			{Name: "vectorized", Backend: exec.BackendVectorized},
-			{Name: "compiling", Backend: exec.BackendCompiling, Latency: exec.LatencyC},
-		} {
+		for _, sys := range Table1Systems {
 			c, err := Measure(cat, q, sys, cfg)
 			if err != nil {
 				return nil, err
@@ -248,99 +249,6 @@ func Fig10(cfg Config, sfs []float64) ([]Cell, error) {
 		}
 	}
 	return out, nil
-}
-
-// JSONCell is the machine-readable form of one measurement: the committed
-// benchmark artifacts (BENCH_*.json) and CI trend tooling consume it.
-type JSONCell struct {
-	Query         string  `json:"query"`
-	Backend       string  `json:"backend"`
-	WallMS        float64 `json:"wall_ms"`
-	CompileWaitMS float64 `json:"compile_wait_ms,omitempty"`
-	Rows          int     `json:"rows"`
-	// RowsPerSec is source-tuple throughput (tuples entering pipelines per
-	// second of wall time) — the same rate the /metrics histograms track.
-	RowsPerSec float64 `json:"rows_per_sec"`
-	Degraded   bool    `json:"degraded,omitempty"`
-	// Counters are the measurement's execution counters. Each one that is set
-	// is a top-level key of the cell, named by its stats.Schema row (durations
-	// in nanoseconds, "_ns"-suffixed): trend tooling watches them alongside
-	// wall time.
-	Counters stats.Counters `json:"-"`
-}
-
-// MarshalJSON renders the fixed fields followed by the set counters.
-func (c JSONCell) MarshalJSON() ([]byte, error) {
-	type fixed JSONCell // the fields above, without this method
-	b, err := json.Marshal(fixed(c))
-	if err != nil {
-		return nil, err
-	}
-	for r, v := range c.Counters.Nonzero() {
-		b = fmt.Appendf(b[:len(b)-1], ",%q:%d}", r.NumName(), v)
-	}
-	return b, nil
-}
-
-// UnmarshalJSON is MarshalJSON's inverse; keys no schema row names are ignored.
-func (c *JSONCell) UnmarshalJSON(data []byte) error {
-	type fixed JSONCell
-	var keys map[string]any
-	if err := json.Unmarshal(data, &keys); err != nil {
-		return err
-	}
-	for i := range stats.Schema {
-		if v, ok := keys[stats.Schema[i].NumName()].(float64); ok {
-			*stats.Schema[i].Of(&c.Counters) = int64(v)
-		}
-	}
-	return json.Unmarshal(data, (*fixed)(c))
-}
-
-// JSONReport is a full benchmark grid with its configuration.
-type JSONReport struct {
-	SF      float64    `json:"sf"`
-	Workers int        `json:"workers"`
-	Runs    int        `json:"runs"`
-	Cells   []JSONCell `json:"cells"`
-	// Concurrency is the optional throughput-and-tail-latency-under-load
-	// series (inkbench -concurrency N); older readers ignore the field.
-	Concurrency []ConcCell `json:"concurrency,omitempty"`
-}
-
-// JSONBench measures every configured query on every system and returns the
-// machine-readable report (median of Config.Runs per cell, like the tables).
-func JSONBench(cfg Config, systems []System) (*JSONReport, error) {
-	cfg = cfg.WithDefaults()
-	cat := tpch.Generate(cfg.SF, cfg.Seed)
-	rep := &JSONReport{SF: cfg.SF, Workers: cfg.Workers, Runs: cfg.Runs}
-	for _, q := range cfg.Queries {
-		for _, sys := range systems {
-			c, err := Measure(cat, q, sys, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bench %s/%s: %w", q, sys.Name, err)
-			}
-			jc := JSONCell{
-				Query: c.Query, Backend: c.System,
-				WallMS:        float64(c.Wall) / float64(time.Millisecond),
-				CompileWaitMS: float64(c.CompileWait) / float64(time.Millisecond),
-				Rows:          c.Rows, Degraded: c.Degraded,
-				Counters: c.Stats,
-			}
-			if secs := c.Wall.Seconds(); secs > 0 {
-				jc.RowsPerSec = float64(c.Stats.Tuples) / secs
-			}
-			rep.Cells = append(rep.Cells, jc)
-		}
-	}
-	return rep, nil
-}
-
-// Write renders the report as indented JSON.
-func (r *JSONReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // DegradedCells indexes the degraded measurements by query and system, for

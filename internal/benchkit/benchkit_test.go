@@ -13,6 +13,17 @@ import (
 
 var tinyCfg = Config{SF: 0.001, Runs: 1, Queries: []string{"q1", "q6"}}
 
+// TestWithDefaultsResolvesWorkers pins that the worker count a heading prints
+// is the one the runs use: never the unresolved 0.
+func TestWithDefaultsResolvesWorkers(t *testing.T) {
+	if w := (Config{}).WithDefaults().Workers; w <= 0 {
+		t.Fatalf("WithDefaults().Workers = %d, want > 0", w)
+	}
+	if w := (Config{Workers: 3}).WithDefaults().Workers; w != 3 {
+		t.Fatalf("WithDefaults overrode an explicit worker count: %d", w)
+	}
+}
+
 func TestFig9Harness(t *testing.T) {
 	rel, cells, err := Fig9(tinyCfg)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Canonical query log: one structured wide event per query completion, the
-// single source of truth for "what did this query do" in logs. Serve and
-// inkbench both emit it through log/slog, so a slow, failed, shed or degraded
-// query carries the same fields everywhere: identity (engine query id,
+// single source of truth for "what did this query do" in logs. Serve emits it
+// through log/slog, filled by exec.Result.Describe, so a slow, failed, shed or
+// degraded query carries the same fields everywhere: identity (engine query id,
 // fingerprint, source), routing (backend, plan-cache outcome, degradations),
 // scheduling (admission queue wait), compilation (compiles run vs artifacts
 // reused, cached bytes), the execution counters (every stats.Schema row that

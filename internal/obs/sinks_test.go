@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"inkfuse/internal/benchkit"
 	"inkfuse/internal/obs"
 	"inkfuse/internal/stats"
 	"inkfuse/internal/trace"
@@ -21,9 +20,9 @@ import (
 // counter set to a distinct value, each stats.Schema row must come out of each
 // sink under its declared name with that value — the engine registry (dump,
 // expvar values, Prometheus text), the canonical query-log event, span
-// attributes, the counter lines EXPLAIN ANALYZE and the trace dump share, and
-// the inkbench JSON cell. A counter added to the schema is covered without
-// touching this test; a sink that drops or renames one fails it.
+// attributes and the counter lines EXPLAIN ANALYZE and the trace dump share.
+// A counter added to the schema is covered without touching this test; a sink
+// that drops or renames one fails it.
 func TestEverySinkRendersEveryCounter(t *testing.T) {
 	var c stats.Counters
 	for i := range stats.Schema {
@@ -72,19 +71,6 @@ func TestEverySinkRendersEveryCounter(t *testing.T) {
 		}
 	}
 
-	cellJSON, err := json.Marshal(benchkit.JSONCell{Query: "q", Backend: "vectorized", Counters: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cell map[string]any
-	if err := json.Unmarshal(cellJSON, &cell); err != nil {
-		t.Fatalf("cell is not a JSON object: %v (%s)", err, cellJSON)
-	}
-	var back benchkit.JSONCell
-	if err := json.Unmarshal(cellJSON, &back); err != nil || back.Counters != c || back.Query != "q" {
-		t.Errorf("JSON cell does not round-trip: %v, %+v", err, back)
-	}
-
 	for i := range stats.Schema {
 		r, v := &stats.Schema[i], int64(1000+i)
 		if want := fmt.Sprintf("inkfuse_%s %d\n", r.Engine, v); !strings.Contains(dump, want) {
@@ -114,9 +100,6 @@ func TestEverySinkRendersEveryCounter(t *testing.T) {
 		}
 		if n := strings.Count(text, line); n != 2 { // the pipeline's counters line and its worker's
 			t.Errorf("trace dump renders %q %d times, want 2:\n%s", line, n, text)
-		}
-		if got, _ := cell[r.NumName()].(float64); int64(got) != v {
-			t.Errorf("JSON cell %q = %v, want %d", r.NumName(), cell[r.NumName()], v)
 		}
 	}
 	lintPrometheus(t, prom)

@@ -76,12 +76,12 @@ type Counters struct {
 
 // Row declares one counter: the name each sink exports it under and how two
 // values of it combine. Schema is the only list of counters in the repository;
-// merging, the engine-wide registry, /metrics, the query log, span attributes,
-// EXPLAIN ANALYZE / trace counter lines and the inkbench JSON cell all loop
-// over it (DESIGN.md §8 "Telemetry schema").
+// merging, the engine-wide registry, /metrics, the query log, span attributes
+// and EXPLAIN ANALYZE / trace counter lines all loop over it (DESIGN.md §8
+// "Telemetry schema").
 type Row struct {
-	// Name is the per-query name: query-log key, JSON-cell key, span attribute
-	// ("inkfuse." + Name) and the label on EXPLAIN ANALYZE / trace lines.
+	// Name is the per-query name: query-log key, span attribute ("inkfuse." +
+	// NumName) and the label on EXPLAIN ANALYZE / trace lines.
 	Name string
 	// Engine is the name of the process-wide series this counter folds into at
 	// query end (/metrics and /debug/vars add the "inkfuse_" prefix).
@@ -96,8 +96,8 @@ type Row struct {
 	Of func(*Counters) *int64
 }
 
-// NumName is the name numeric per-query sinks (span attributes, JSON cells)
-// use: durations carry their unit.
+// NumName is the name the numeric per-query sink (span attributes) uses:
+// durations carry their unit.
 func (r *Row) NumName() string {
 	if r.Dur {
 		return r.Name + "_ns"

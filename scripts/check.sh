@@ -54,6 +54,25 @@ go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null
 go test -run XXX -bench CompileStack -benchtime 1x ./internal/tpch/ >/dev/null
 echo "bench smoke OK"
 
+# inkbench smoke: the paper-figure reproducer's flag wiring and its EXPLAIN
+# ANALYZE mode have no test of their own, so run the built binary once per
+# mode. A table must come with its env line and name the resolved worker
+# count; -explain -trace must print a plan and a trace. (Here-strings, not
+# pipes: `grep -q` exiting early would fail a pipe under pipefail.)
+echo "inkbench smoke..."
+go build -o /tmp/inkbench-smoke ./cmd/inkbench
+out=$(/tmp/inkbench-smoke -exp table1 -sf 0.001 -runs 1)
+grep -q '^# env: cpus=[0-9]* .* workers=[1-9]' <<<"$out" \
+    || { echo "inkbench table1: env line missing or names 0 workers: $out" >&2; exit 1; }
+grep -q '^# Table I .*, [1-9][0-9]* workers)$' <<<"$out" \
+    || { echo "inkbench table1: heading missing or names 0 workers: $out" >&2; exit 1; }
+out=$(/tmp/inkbench-smoke -explain -trace -backend hybrid -sf 0.001 -queries q3)
+grep -q '^== explain analyze q3: backend=hybrid' <<<"$out" && grep -q '^pipeline p0:' <<<"$out" \
+    || { echo "inkbench -explain: no plan: $out" >&2; exit 1; }
+grep -q '^trace q3: backend=hybrid' <<<"$out" \
+    || { echo "inkbench -explain -trace: no trace: $out" >&2; exit 1; }
+echo "inkbench smoke OK"
+
 # Alloc guard: the morsel loop must stay allocation-free per chunk with the
 # flight recorder on (the observability layer's zero-cost contract), and a
 # plan-cache hit must run on its instance's kept execution state (a warm
