@@ -6,6 +6,7 @@ import (
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 )
 
@@ -47,8 +48,8 @@ func LowerWithParams(root Node, name string) (*core.Plan, *Params, error) {
 		return nil, nil, err
 	}
 	for _, c := range finalSchema {
-		iu, ok := l.cols[c.Name]
-		if !ok {
+		iu, err := l.plain(c.Name) // a coded column leaves the engine decoded
+		if err != nil {
 			return nil, nil, fmt.Errorf("algebra: result column %q not produced", c.Name)
 		}
 		l.pipe.Result = append(l.pipe.Result, iu)
@@ -76,17 +77,24 @@ func LowerWithParams(root Node, name string) (*core.Plan, *Params, error) {
 }
 
 type lowerer struct {
-	plan   *core.Plan
-	pipe   *core.Pipeline
-	cols   map[string]*core.IU
-	npipe  int
-	params *Params
+	plan *core.Plan
+	pipe *core.Pipeline
+	cols map[string]*core.IU
+	// dicts names the columns of cols that hold dictionary codes, with their
+	// dictionary; decoded maps a code IU to its string IU once decoded
+	// (lower_dict.go).
+	dicts   map[string]*storage.Dict
+	decoded map[int]*core.IU
+	npipe   int
+	params  *Params
 }
 
 func (l *lowerer) newPipe(src core.Source) {
 	l.npipe = len(l.plan.Pipelines)
 	l.pipe = &core.Pipeline{Name: fmt.Sprintf("p%d", l.npipe), Source: src}
 	l.cols = make(map[string]*core.IU)
+	l.dicts = make(map[string]*storage.Dict)
+	l.decoded = make(map[int]*core.IU)
 }
 
 func (l *lowerer) add(op core.SubOp) { l.pipe.Ops = append(l.pipe.Ops, op) }
@@ -145,9 +153,17 @@ func (l *lowerer) lowerScan(n *Scan, required []string) error {
 		if schema.IndexOf(c) < 0 {
 			return fmt.Errorf("algebra: column %q not in scan list of %s", c, n.Table.Name)
 		}
-		iu := core.NewIU(n.Table.Schema[i].Kind, c)
+		// A coded column is read as its codes (lower_dict.go).
+		d := n.Table.Dict(i)
+		k := n.Table.Schema[i].Kind
+		if d != nil {
+			k = types.Int32
+			l.dicts[c] = d
+		}
+		iu := core.NewIU(k, c)
 		src.Cols = append(src.Cols, i)
 		src.IUs = append(src.IUs, iu)
+		src.Coded = append(src.Coded, d != nil)
 		l.cols[c] = iu
 	}
 	return nil
@@ -164,8 +180,10 @@ func (l *lowerer) lowerFilter(n *Filter, required []string) error {
 	}
 	scope := &core.FilterScope{Cond: cond}
 	l.add(scope)
-	// One copy suboperator per surviving column (paper Fig 4).
+	// One copy suboperator per surviving column (paper Fig 4); a coded column
+	// is carried as its codes.
 	newCols := make(map[string]*core.IU, len(required))
+	newDicts := make(map[string]*storage.Dict)
 	for _, c := range dedupe(required) {
 		src, ok := l.cols[c]
 		if !ok {
@@ -174,8 +192,11 @@ func (l *lowerer) lowerFilter(n *Filter, required []string) error {
 		dst := core.NewIU(src.K, c)
 		l.add(&core.FilterCopy{Cond: cond, Src: src, Dst: dst})
 		newCols[c] = dst
+		if d := l.dicts[c]; d != nil {
+			newDicts[c] = d
+		}
 	}
-	l.cols = newCols
+	l.cols, l.dicts = newCols, newDicts
 	return nil
 }
 
@@ -226,6 +247,13 @@ func (l *lowerer) lowerMap(n *Map, required []string) error {
 		return err
 	}
 	for _, ne := range needed {
+		// A renamed coded column stays coded.
+		if c, ok := ne.E.(ColRef); ok && l.dicts[c.Name] != nil {
+			renamed := *l.cols[c.Name]
+			renamed.Name = ne.As
+			l.cols[ne.As], l.dicts[ne.As] = &renamed, l.dicts[c.Name]
+			continue
+		}
 		iu, err := l.lowerExpr(ne.E)
 		if err != nil {
 			return fmt.Errorf("algebra: map %q: %w", ne.As, err)
@@ -234,6 +262,7 @@ func (l *lowerer) lowerMap(n *Map, required []string) error {
 		renamed := *iu
 		renamed.Name = ne.As
 		l.cols[ne.As] = &renamed
+		delete(l.dicts, ne.As)
 	}
 	return nil
 }
@@ -268,14 +297,21 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 		return err
 	}
 
-	// Key layout.
+	// Key layout. A coded key is a fixed-width Int32 field; a collated one is
+	// decoded and normalized (below), so it is a string field.
+	noCase := toSet(n.NoCase)
 	keyFields := make([]rt.Field, len(n.Keys))
+	keyDicts := make([]*storage.Dict, len(n.Keys))
 	for i, k := range n.Keys {
 		ki := inSchema.IndexOf(k)
 		if ki < 0 {
 			return fmt.Errorf("algebra: group key %q missing", k)
 		}
-		keyFields[i] = rt.Field{Kind: inSchema[ki].Kind, Key: true}
+		kind := inSchema[ki].Kind
+		if d := l.dicts[k]; d != nil && !noCase[k] {
+			kind, keyDicts[i] = types.Int32, d
+		}
+		keyFields[i] = rt.Field{Kind: kind, Key: true}
 	}
 	keyLayout := rt.NewLayout(keyFields)
 
@@ -359,7 +395,6 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 	// packing and probes with the raw column (paper §IV-D fast path).
 	// Case-insensitive keys pack their lowercase representative and preserve
 	// an original in the group payload (paper §IV-D collations).
-	noCase := toSet(n.NoCase)
 	group := core.NewIU(types.Ptr, "agg_group")
 	if len(n.Keys) == 1 && keyFields[0].Kind.Fixed() {
 		key, ok := l.cols[n.Keys[0]]
@@ -380,6 +415,9 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 				return fmt.Errorf("algebra: key column %q not bound", k)
 			}
 			if noCase[k] {
+				if val, err = l.plain(k); err != nil {
+					return err
+				}
 				norm := core.NewIU(types.String, k+"_norm")
 				l.add(&core.ToLower{In: val, Out: norm})
 				val = norm
@@ -398,8 +436,12 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 			if !noCase[k] {
 				continue
 			}
+			orig, err := l.plain(k)
+			if err != nil {
+				return err
+			}
 			out := core.NewIU(types.Ptr, row.Name)
-			l.add(&core.PackStr{Row: row, Val: l.cols[k], Region: ir.PayloadRegion,
+			l.add(&core.PackStr{Row: row, Val: orig, Region: ir.PayloadRegion,
 				Off: &rt.OffsetState{Layout: layout}, Out: out})
 			row = out
 		}
@@ -446,6 +488,9 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 			return err
 		}
 		l.cols[k] = iu
+		if keyDicts[i] != nil {
+			l.dicts[k] = keyDicts[i]
+		}
 	}
 	for _, a := range n.Aggs {
 		if !reqSet[a.As] {
@@ -497,13 +542,14 @@ func mergeOp(fn ir.AggFunc) rt.MergeOp {
 	}
 }
 
-// packKey emits the key-packing chain for the named columns into row.
+// packKey emits the key-packing chain for the named columns into row. Join
+// keys are compared as strings: a coded key is decoded.
 func (l *lowerer) packKey(row *core.IU, layout *rt.RowLayoutState, keyLayout *rt.Layout, keys []string) (*core.IU, error) {
 	vals := make([]*core.IU, len(keys))
 	for i, k := range keys {
-		val, ok := l.cols[k]
-		if !ok {
-			return nil, fmt.Errorf("algebra: key column %q not bound", k)
+		val, err := l.plain(k)
+		if err != nil {
+			return nil, err
 		}
 		vals[i] = val
 	}

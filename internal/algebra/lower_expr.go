@@ -11,13 +11,12 @@ import (
 // lowerExpr lowers a scalar expression into expression suboperators,
 // returning the IU holding its value.
 func (l *lowerer) lowerExpr(e Expr) (*core.IU, error) {
+	if col, ok := l.codedPredicate(e); ok {
+		return l.lowerCodeMatch(e, col)
+	}
 	switch x := e.(type) {
 	case ColRef:
-		iu, ok := l.cols[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("algebra: column %q not bound in pipeline", x.Name)
-		}
-		return iu, nil
+		return l.plain(x.Name)
 
 	case Const:
 		return nil, fmt.Errorf("algebra: bare constant expression (fold it into its consumer)")

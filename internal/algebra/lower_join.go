@@ -6,6 +6,7 @@ import (
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/rt"
+	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 )
 
@@ -35,14 +36,24 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	if err := lb.lower(n.Build, breq); err != nil {
 		return err
 	}
+	// Join keys are compared as strings, decoded where coded. A carried coded
+	// column travels as its code, a fixed-width payload field — except through
+	// an outer join, whose unmatched rows read every build column as its zero
+	// value: the empty string, which code 0 need not stand for.
 	bFields := make([]rt.Field, 0, len(n.BuildKeys)+len(carry))
 	for _, k := range n.BuildKeys {
 		i := buildSchema.IndexOf(k)
 		bFields = append(bFields, rt.Field{Kind: buildSchema[i].Kind, Key: true})
 	}
-	for _, c := range carry {
-		i := buildSchema.IndexOf(c)
-		bFields = append(bFields, rt.Field{Kind: buildSchema[i].Kind})
+	carryVals := make([]*core.IU, len(carry))
+	carryDicts := make([]*storage.Dict, len(carry))
+	for j, c := range carry {
+		if d := lb.dicts[c]; d != nil && n.Mode != ir.LeftOuterJoin {
+			carryVals[j], carryDicts[j] = lb.cols[c], d
+		} else if carryVals[j], err = lb.plain(c); err != nil {
+			return err
+		}
+		bFields = append(bFields, rt.Field{Kind: carryVals[j].K})
 	}
 	bLayout := rt.NewLayout(bFields)
 	bRL := &rt.RowLayoutState{KeyFixed: bLayout.KeyFixedWidth, PayloadFixed: bLayout.PayloadFixedWidth}
@@ -63,7 +74,7 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	if err != nil {
 		return err
 	}
-	row, err = lb.packPayload(row, bRL, bLayout, len(n.BuildKeys), carry)
+	row, err = lb.packPayload(row, bRL, bLayout, len(n.BuildKeys), carryVals)
 	if err != nil {
 		return err
 	}
@@ -116,6 +127,7 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	// --- Carry the probe side's columns into the match scope and unpack the
 	// build side's from the matched row.
 	newCols := make(map[string]*core.IU)
+	newDicts := make(map[string]*storage.Dict)
 	for _, c := range dedupe(required) {
 		switch {
 		case n.Mode == ir.LeftOuterJoin && c == n.MatchedAs:
@@ -128,48 +140,46 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 			dst := core.NewIU(src.K, c)
 			l.add(&core.ProbeCopy{Sel: probe.SelOut, Src: src, Dst: dst})
 			newCols[c] = dst
+			if d := l.dicts[c]; d != nil {
+				newDicts[c] = d
+			}
 		case buildSchema.IndexOf(c) >= 0 && (n.Mode == ir.InnerJoin || n.Mode == ir.LeftOuterJoin):
 			if !buildKeySet[c] && !contains(carry, c) {
 				return fmt.Errorf("algebra: build column %q not carried through join", c)
 			}
-			iu, err := l.unpackJoinCol(probe.BuildOut, buildSchema, bLayout, n.BuildKeys, carry, c)
+			iu, d, err := l.unpackJoinCol(probe.BuildOut, bFields, bLayout, n.BuildKeys, carry, carryDicts, c)
 			if err != nil {
 				return err
 			}
 			newCols[c] = iu
+			if d != nil {
+				newDicts[c] = d
+			}
 		default:
 			return fmt.Errorf("algebra: join cannot provide column %q", c)
 		}
 	}
-	l.cols = newCols
+	l.cols, l.dicts = newCols, newDicts
 	return nil
 }
 
-// packPayload emits payload packing for the carried columns; fields[keyCount:]
+// packPayload emits payload packing for the carried values; fields[keyCount:]
 // describe them in layout.
-func (l *lowerer) packPayload(row *core.IU, rl *rt.RowLayoutState, layout *rt.Layout, keyCount int, carry []string) (*core.IU, error) {
-	for j, c := range carry {
+func (l *lowerer) packPayload(row *core.IU, rl *rt.RowLayoutState, layout *rt.Layout, keyCount int, carry []*core.IU) (*core.IU, error) {
+	for j, val := range carry {
 		fi := keyCount + j
 		if layout.FixedOff[fi] < 0 {
 			continue
-		}
-		val, ok := l.cols[c]
-		if !ok {
-			return nil, fmt.Errorf("algebra: payload column %q not bound", c)
 		}
 		out := core.NewIU(types.Ptr, row.Name)
 		l.add(&core.PackFixed{Row: row, Val: val, Region: ir.PayloadRegion,
 			Off: &rt.OffsetState{Off: layout.FixedOff[fi], Layout: rl}, Out: out})
 		row = out
 	}
-	for j, c := range carry {
+	for j, val := range carry {
 		fi := keyCount + j
 		if layout.VarIdx[fi] < 0 {
 			continue
-		}
-		val, ok := l.cols[c]
-		if !ok {
-			return nil, fmt.Errorf("algebra: payload column %q not bound", c)
 		}
 		out := core.NewIU(types.Ptr, row.Name)
 		l.add(&core.PackStr{Row: row, Val: val, Region: ir.PayloadRegion,
@@ -179,24 +189,27 @@ func (l *lowerer) packPayload(row *core.IU, rl *rt.RowLayoutState, layout *rt.La
 	return row, nil
 }
 
-// unpackJoinCol recovers one build-side column from the matched build row.
-func (l *lowerer) unpackJoinCol(row *core.IU, schema types.Schema, layout *rt.Layout,
-	keys, carry []string, name string) (*core.IU, error) {
-	k := schema[schema.IndexOf(name)].Kind
+// unpackJoinCol recovers one build-side column from the matched build row,
+// with its dictionary when it was carried as codes. fields describes the
+// row: the keys, then the carried columns.
+func (l *lowerer) unpackJoinCol(row *core.IU, fields []rt.Field, layout *rt.Layout,
+	keys, carry []string, carryDicts []*storage.Dict, name string) (*core.IU, *storage.Dict, error) {
 	for i, kn := range keys {
 		if kn == name {
-			return l.unpackField(row, ir.KeyRegion, k, layout.FixedOff[i],
+			iu, err := l.unpackField(row, ir.KeyRegion, fields[i].Kind, layout.FixedOff[i],
 				layout.KeyFixedWidth, layout.VarIdx[i], name)
+			return iu, nil, err
 		}
 	}
 	for j, cn := range carry {
 		if cn == name {
 			fi := len(keys) + j
-			return l.unpackField(row, ir.PayloadRegion, k, layout.FixedOff[fi],
+			iu, err := l.unpackField(row, ir.PayloadRegion, fields[fi].Kind, layout.FixedOff[fi],
 				layout.PayloadFixedWidth, layout.VarIdx[fi], name)
+			return iu, carryDicts[j], err
 		}
 	}
-	return nil, fmt.Errorf("algebra: column %q not packed in join row", name)
+	return nil, nil, fmt.Errorf("algebra: column %q not packed in join row", name)
 }
 
 func contains(list []string, s string) bool {

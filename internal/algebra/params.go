@@ -20,6 +20,9 @@ type Params struct {
 	consts  map[int][]*rt.ConstState
 	likes   map[int][]*rt.LikeState
 	inlists map[int][]*rt.InListState
+	// refills re-evaluates the code → bool tables that read a ref's states
+	// (DESIGN.md §20), after the ref is rebound.
+	refills map[int][]func()
 }
 
 func newParams() *Params {
@@ -27,6 +30,7 @@ func newParams() *Params {
 		consts:  make(map[int][]*rt.ConstState),
 		likes:   make(map[int][]*rt.LikeState),
 		inlists: make(map[int][]*rt.InListState),
+		refills: make(map[int][]func()),
 	}
 }
 
@@ -48,6 +52,20 @@ func (p *Params) addInList(ref int, st *rt.InListState) {
 	}
 }
 
+func (p *Params) addRefill(refs []int, fill func()) {
+	for _, ref := range refs {
+		if p != nil && ref > 0 {
+			p.refills[ref] = append(p.refills[ref], fill)
+		}
+	}
+}
+
+func (p *Params) refill(ref int) {
+	for _, fill := range p.refills[ref] {
+		fill()
+	}
+}
+
 // SetConst rebinds a scalar parameter. The value's kind must match the kind
 // the plan was lowered with — the compiled artifacts bake in the typed
 // primitive, only the value is free.
@@ -62,6 +80,7 @@ func (p *Params) SetConst(ref int, c Const) error {
 		}
 		st.B, st.I32, st.I64, st.F64, st.Str = c.B, c.I32, c.I64, c.F64, c.Str
 	}
+	p.refill(ref)
 	return nil
 }
 
@@ -75,6 +94,7 @@ func (p *Params) SetLike(ref int, pattern string) error {
 	for _, st := range states {
 		st.M = m
 	}
+	p.refill(ref)
 	return nil
 }
 
@@ -87,6 +107,7 @@ func (p *Params) SetInList(ref int, members []string) error {
 	for _, st := range states {
 		st.SetMembers(members)
 	}
+	p.refill(ref)
 	return nil
 }
 

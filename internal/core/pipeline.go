@@ -18,11 +18,23 @@ type Source interface {
 	sourceMarker()
 }
 
-// TableScan reads columns of a base table, morsel by morsel.
+// TableScan reads columns of a base table, morsel by morsel. A
+// dictionary-coded string column may be read as its Int32 codes instead of
+// its strings (DESIGN.md §20).
 type TableScan struct {
 	Table *storage.Table
-	Cols  []int // column indexes into the table
-	IUs   []*IU // parallel to Cols
+	Cols  []int  // column indexes into the table
+	IUs   []*IU  // parallel to Cols
+	Coded []bool // parallel to Cols (nil: none): read the column's codes
+}
+
+// Column returns the vector the i-th source IU reads: the table column, or
+// its dictionary codes.
+func (t *TableScan) Column(i int) *storage.Vector {
+	if i < len(t.Coded) && t.Coded[i] {
+		return t.Table.Dict(t.Cols[i]).Codes
+	}
+	return t.Table.Cols[t.Cols[i]]
 }
 
 // SourceIUs implements Source.

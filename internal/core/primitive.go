@@ -107,6 +107,13 @@ func Enumerate() []SubOp {
 		&ToLower{In: iu(types.String), Out: iu(types.String)},
 	)
 
+	// Dictionary codes: constant predicates as a code → bool table, and the
+	// decode back to the string.
+	out = append(out,
+		&CodeMatch{In: iu(types.Int32), State: &rt.CodeTableState{}, Out: iu(types.Bool)},
+		&Decode{In: iu(types.Int32), State: &rt.DictState{}, Out: iu(types.String)},
+	)
+
 	// CASE WHEN: kind x then/else operand sides. Fresh IUs per prototype:
 	// a prototype's inputs must be distinct.
 	for _, k := range types.ScalarKinds {

@@ -254,6 +254,63 @@ func (l *InList) Consume(g *Gen) error {
 	return nil
 }
 
+// CodeMatch evaluates a constant predicate over a dictionary-coded column by
+// reading its code → bool table (rt.CodeTableState) at each row's code. Every
+// predicate form the table was filled from — =, <>, IN, LIKE and their
+// combinations over one column — is this one suboperator.
+type CodeMatch struct {
+	In    *IU // Int32 code
+	State *rt.CodeTableState
+	Out   *IU
+}
+
+// PrimitiveID implements SubOp.
+func (c *CodeMatch) PrimitiveID() string { return "codematch" }
+
+// Desc implements SubOp.
+func (c *CodeMatch) Desc() Desc {
+	return Desc{
+		In:    []Port{port("dictionary code", c.In, isInt32)},
+		Out:   []Port{port("predicate output", c.Out, isBool)},
+		State: []any{c.State},
+	}
+}
+
+// Consume implements SubOp.
+func (c *CodeMatch) Consume(g *Gen) error {
+	e := ir.CodeMatch{C: ir.Ref(g.in(c.In)), StateID: g.AddState(c.State)}
+	g.Append(ir.Assign{Dst: g.Def(c.Out), E: e})
+	return nil
+}
+
+// Decode turns a dictionary-coded column back into its strings, through the
+// dictionary in rt.DictState: a view of the dictionary's own string, no copy.
+// It sits only where a string is needed.
+type Decode struct {
+	In    *IU // Int32 code
+	State *rt.DictState
+	Out   *IU
+}
+
+// PrimitiveID implements SubOp.
+func (d *Decode) PrimitiveID() string { return "decode" }
+
+// Desc implements SubOp.
+func (d *Decode) Desc() Desc {
+	return Desc{
+		In:    []Port{port("dictionary code", d.In, isInt32)},
+		Out:   []Port{port("decoded string", d.Out, isString)},
+		State: []any{d.State},
+	}
+}
+
+// Consume implements SubOp.
+func (d *Decode) Consume(g *Gen) error {
+	e := ir.Decode{C: ir.Ref(g.in(d.In)), StateID: g.AddState(d.State)}
+	g.Append(ir.Assign{Dst: g.Def(d.Out), E: e})
+	return nil
+}
+
 // ToLower maps a string to its lowercase equivalence-class representative —
 // the normalization step of case-insensitive collations (paper §IV-D).
 type ToLower struct {

@@ -173,7 +173,10 @@ func TestWarmExecutionAllocBudget(t *testing.T) {
 // rt.GetString is the build side's (a string column riding a build row).
 // q4 was re-pinned when the join table's sealed layout replaced its chains
 // (§10): its 38 k-row lineitem build pays 28 B more per row; the other join
-// shapes' builds are small enough to stay inside their budgets.
+// shapes' builds are small enough to stay inside their budgets. q5 was
+// re-pinned when n_name became a dictionary code (§20): carried through its
+// joins as a fixed-width field, it is no longer a string read out of a build
+// row, one rt.GetString copy per match.
 var coldBudget = map[string]struct{ bytes, objects uint64 }{
 	"q1":  {1_260_000, 5_400},  //   836 KB / 3 563, §18   836 KB / 3 563, was  1 820 KB / 3 617
 	"q13": {8_990_000, 3_000},  // 5 989 KB / 1 976, §18 6 499 KB / 1 946, was 10 351 KB / 2 042
@@ -181,7 +184,7 @@ var coldBudget = map[string]struct{ bytes, objects uint64 }{
 	"q19": {1_710_000, 12_700}, // 1 135 KB / 8 458, §18 1 197 KB / 8 853, was  3 074 KB / 9 149
 	"q3":  {2_490_000, 4_000},  // 1 659 KB / 2 657, §18 1 880 KB / 2 852, was  5 557 KB / 3 026
 	"q4":  {8_590_000, 2_500},  // 5 726 KB / 1 531, chains 4 483 KB / 1 664, §18 4 503 KB / 2 308
-	"q5":  {1_990_000, 9_900},  // 1 323 KB / 6 567, §18 1 504 KB / 6 658, was  5 903 KB / 7 057
+	"q5":  {1_840_000, 5_150},  // 1 224 KB / 3 431, §19 1 323 KB / 6 567, §18 1 504 KB / 6 658, was  5 903 KB / 7 057
 	"q6":  {390_000, 1_300},    //   260 KB /   858, §18   260 KB /   858, was  1 061 KB /   772
 }
 

@@ -649,8 +649,8 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 		return sourceBinder{
 			total: s.Table.Rows(),
 			bind: func(m storage.Morsel, views []*storage.Vector) int {
-				for i, ci := range s.Cols {
-					s.Table.Cols[ci].SliceInto(views[i], m.Start, m.End)
+				for i := range s.Cols {
+					s.Column(i).SliceInto(views[i], m.Start, m.End)
 				}
 				return m.Rows()
 			},

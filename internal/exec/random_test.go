@@ -25,7 +25,10 @@ import (
 // a word, with a string, a string alone), probe keys and carried probe columns
 // of every kind read above the join, 1:N matches that outgrow a fused batch,
 // build sides the bloom filter mostly or always rejects, and a second probe
-// keyed on what the first one's build side supplied.
+// keyed on what the first one's build side supplied — and on dictionary codes
+// (§20): coded, uncoded and mixed tables, so group keys (collated ones
+// included) and predicates read codes, coded payloads cross a join, and string
+// join keys meet across two dictionaries or a coded and an uncoded column.
 func TestRandomPlansDifferential(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -88,6 +91,7 @@ func TestRandomPlansDifferential(t *testing.T) {
 		"joinprobe_inner", "joinprobe_semi", "joinprobe_leftouter", "joinprobe_anti", "2 probes",
 		"probecopy_bool", "probecopy_date", "probecopy_f64", "probecopy_i64", "probecopy_str",
 		"pack_key_i64", "pack_key_date", "packstr_key", "unpack_payload_i64", "unpackstr_payload",
+		"codematch", "decode", "agglookupfixed_i32", "pack_key_i32", "pack_payload_i32",
 	} {
 		if !seen[want] {
 			t.Errorf("no generated plan contains %q: the corpus lost a shape", want)
@@ -143,6 +147,20 @@ func randomTable(r *rand.Rand, name string, rows int) *storage.Table {
 		t.Col(name + "_e").I32[i] = types.MkDate(1995, 1, 1) + int32(r.Intn(300))
 	}
 	return t
+}
+
+// codeRandomly leaves t uncoded, codes it as Catalog.Add does, or codes it and
+// drops one string column's dictionary (a mixed table). Tables are coded once
+// filled: codes describe the rows they were taken from.
+func codeRandomly(r *rand.Rand, t *storage.Table) {
+	switch r.Intn(3) {
+	case 0:
+	case 1:
+		t.EncodeDicts()
+	default:
+		t.EncodeDicts()
+		t.Dicts[t.Schema.IndexOf(t.Name+[]string{"_s", "_c"}[r.Intn(2)])] = nil
+	}
 }
 
 // randomCmp builds a random comparison over table p's columns: column against
@@ -264,6 +282,7 @@ func randomJoin(r *rand.Rand, node algebra.Node, dim, on string, mode ir.JoinMod
 			tbl.Col(dim + "_s").Str[i] += "?"
 		}
 	}
+	codeRandomly(r, tbl)
 	j := &algebra.HashJoin{Build: build, Probe: node, Mode: mode}
 	if on != "t" {
 		// on_j is the one column of on that every mode of the first join carries.
@@ -279,6 +298,11 @@ func randomJoin(r *rand.Rand, node algebra.Node, dim, on string, mode ir.JoinMod
 	case ir.InnerJoin:
 		j.BuildCols = []string{dim + "_s", dim + "_f", dim + "_j", dim + "_e"}
 		aggs = append(aggs, algebra.Sum(dim+"_f", dim+"_sf"), algebra.Sum(dim+"_j", dim+"_sj"), algebra.MaxOf(dim+"_e", dim+"_he"))
+		if r.Intn(2) == 0 {
+			// A predicate over the carried string: the build row's payload
+			// holds its code when the dimension is coded.
+			return algebra.NewFilter(j, carriedStringPred(r, dim)), aggs
+		}
 	case ir.LeftOuterJoin:
 		j.MatchedAs = dim + "_matched"
 		aggs = append(aggs, algebra.CountIf(j.MatchedAs, dim+"_hits"))
@@ -287,13 +311,30 @@ func randomJoin(r *rand.Rand, node algebra.Node, dim, on string, mode ir.JoinMod
 			j.BuildCols = append(j.BuildCols, dim+"_f")
 			aggs = append(aggs, algebra.Sum(dim+"_f", dim+"_sf"))
 		}
+		if r.Intn(3) == 0 {
+			// The carried string of an unmatched row is the empty string.
+			j.BuildCols = append(j.BuildCols, dim+"_s")
+			return algebra.NewFilter(j, carriedStringPred(r, dim)), aggs
+		}
 	}
 	return j, aggs
+}
+
+// carriedStringPred is a predicate over the string column a join carries from
+// the dimension table dim.
+func carriedStringPred(r *rand.Rand, dim string) algebra.Expr {
+	return []algebra.Expr{
+		algebra.In(algebra.Col(dim+"_s"), "alpha", "PROMO X", "beta?"),
+		algebra.Not(algebra.Like(algebra.Col(dim+"_s"), "PROMO%")),
+		algebra.Ne(algebra.Col(dim+"_s"), algebra.Str("gamma")),
+		algebra.Eq(algebra.Col(dim+"_s"), algebra.Str("")),
+	}[r.Intn(4)]
 }
 
 // randomPlan returns a random plan and whether its group keys are collated.
 func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 	probe := randomTable(r, "t", 200+r.Intn(2000))
+	codeRandomly(r, probe)
 	var node algebra.Node = algebra.NewScan(probe, "t_k", "t_j", "t_f", "t_g", "t_s", "t_c", "t_d", "t_e")
 
 	// Optionally a computed bool ahead of the filters: as a conjunct it is a

@@ -144,6 +144,37 @@ func (e InListExpr) operands(o *Operands) {
 	o.state(e.StateID)
 }
 
+// CodeMatch reads a code → bool table from runtime state
+// (rt.CodeTableState) at a dictionary code: a constant predicate over a
+// dictionary-coded column, evaluated per dictionary entry ahead of the run.
+type CodeMatch struct {
+	C       Expr // Int32 code
+	StateID int
+}
+
+// Kind implements Expr.
+func (CodeMatch) Kind() types.Kind { return types.Bool }
+func (e CodeMatch) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.C, isInt32)
+	o.state(e.StateID)
+}
+
+// Decode maps a dictionary code to the string it stands for, through the
+// dictionary held in runtime state (rt.DictState).
+type Decode struct {
+	C       Expr // Int32 code
+	StateID int
+}
+
+// Kind implements Expr.
+func (Decode) Kind() types.Kind { return types.String }
+func (e Decode) operands(o *Operands) {
+	o.Weight = 1
+	o.expr(e.C, isInt32)
+	o.state(e.StateID)
+}
+
 // StrLower normalizes a string to lowercase — the equivalence-class mapping
 // of case-insensitive collations (paper §IV-D: "every key is turned to
 // lowercase; the normalized representation is only used for key

@@ -199,6 +199,23 @@ func (s *JoinTableState) Drop() { s.Table = NewJoinTable(s.Table.ShardCount()) }
 // RetainedBytes returns the memory the state holds on to across Reset.
 func (s *JoinTableState) RetainedBytes() int64 { return s.Table.RetainedBytes() }
 
+// CodeTableState answers a predicate of one dictionary-coded column against
+// constants: T[c] is the predicate's value on the string code c stands for.
+// The lowering evaluates the predicate once per dictionary entry, and again
+// whenever a parameter it reads is rebound; the generated code only indexes
+// the table, whatever the predicate's form (=, <>, IN, LIKE, and their
+// combinations).
+type CodeTableState struct {
+	T []bool
+}
+
+// DictState maps the codes of a dictionary-coded column back to its strings:
+// Values[c] is the string code c stands for — the dictionary's own, so a
+// decoded value is a view, never a copy.
+type DictState struct {
+	Values []string
+}
+
 // LikeState wires a compiled LIKE matcher into the generated code.
 type LikeState struct {
 	M *LikeMatcher
@@ -295,6 +312,14 @@ func containsSorted(keys []int64, members []string, v string) bool {
 		}
 	}
 	return false
+}
+
+// Contains reports whether v is a member.
+func (s *InListState) Contains(v string) bool {
+	if s.set != nil {
+		return s.set[v]
+	}
+	return containsSorted(s.keys, s.small, v)
 }
 
 // Match sets dst[i] to whether vals[i] is a member — the IN kernel the

@@ -12,7 +12,10 @@ type Table struct {
 	Name   string
 	Schema types.Schema
 	Cols   []*Vector
-	rows   int
+	// Dicts is parallel to Cols: the dictionary of each dictionary-coded
+	// string column, nil for every other column (EncodeDicts).
+	Dicts []*Dict
+	rows  int
 }
 
 // NewTable creates an empty table with the given schema.
@@ -27,12 +30,14 @@ func NewTable(name string, schema types.Schema) *Table {
 // Rows returns the row count.
 func (t *Table) Rows() int { return t.rows }
 
-// SetRows resizes all columns; the generator fills them in place.
+// SetRows resizes all columns; the generator fills them in place. It drops
+// the table's dictionaries, which describe the rows they were taken from.
 func (t *Table) SetRows(n int) {
 	for _, c := range t.Cols {
 		c.Resize(n)
 	}
 	t.rows = n
+	t.Dicts = nil
 }
 
 // Col returns the column vector with the given name.
@@ -67,8 +72,11 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// Add registers a table; replaces an existing table with the same name.
+// Add registers a table, replaces an existing table with the same name, and
+// codes the table's low-cardinality string columns (EncodeDicts): a table is
+// added once it is loaded.
 func (c *Catalog) Add(t *Table) {
+	t.EncodeDicts()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tables[t.Name] = t

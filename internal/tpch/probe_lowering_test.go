@@ -85,10 +85,12 @@ func TestProbeSidePacksOnlyItsKey(t *testing.T) {
 }
 
 // TestQ5LineitemPipelineShape pins the suboperator sequence of q5's lineitem
-// pipeline — two probes, an aggregation — at 24 suboperators: it was 30 while
+// pipeline — two probes, an aggregation — at 21 suboperators: it was 30 while
 // the probes packed l_suppkey, the two prices and later n_name into their
 // probe rows (six payload packs) and unpacked them again (six unpacks), and
-// carries the same six columns through six probe copies now.
+// carries the same six columns through six probe copies now; 24 while n_name
+// was a string, whose group key took a packed row (makerow, packstr, sealkey)
+// where its dictionary code takes the one-column direct lookup.
 func TestQ5LineitemPipelineShape(t *testing.T) {
 	node, err := Build(testCat, "q5")
 	if err != nil {
@@ -114,8 +116,8 @@ func TestQ5LineitemPipelineShape(t *testing.T) {
 				count["unpack"]++ // of build rows: c_nationkey, n_name
 			}
 		}
-		if len(pipe.Ops) != 24 || count["probe"] != 2 || count["probecopy"] != 6 || count["unpack"] != 2 {
-			t.Fatalf("q5 lineitem pipeline: %d suboperators %v, want 24 with 2 probes, 6 probe copies, 2 unpacks:\n%s",
+		if len(pipe.Ops) != 21 || count["probe"] != 2 || count["probecopy"] != 6 || count["unpack"] != 2 {
+			t.Fatalf("q5 lineitem pipeline: %d suboperators %v, want 21 with 2 probes, 6 probe copies, 2 unpacks:\n%s",
 				len(pipe.Ops), count, pipe.Describe())
 		}
 		return
@@ -124,11 +126,12 @@ func TestQ5LineitemPipelineShape(t *testing.T) {
 }
 
 // TestExplainReportsFusedKeyProbes: EXPLAIN ANALYZE and the trace dump say what
-// the closure compiler made of q5's lineitem pipeline — its aggregation's key
-// build and both probes' key runs fused — on the compiling backend and on the
-// hybrid one (through a kept artifact, as a plan-cache hit runs). ROF stages a
-// prefetch of every probe key, a second reader of the handle: its probes
-// compile statement by statement, and only the last step's key build fuses.
+// the closure compiler made of q5's lineitem pipeline — both probes' key runs
+// fused — on the compiling backend and on the hybrid one (through a kept
+// artifact, as a plan-cache hit runs). ROF stages a prefetch of every probe
+// key, a second reader of the handle: its probes compile statement by
+// statement. The aggregation's key is n_name's dictionary code, which the
+// direct lookup takes without a key build on every backend.
 func TestExplainReportsFusedKeyProbes(t *testing.T) {
 	node, err := Build(testCat, "q5")
 	if err != nil {
@@ -145,9 +148,9 @@ func TestExplainReportsFusedKeyProbes(t *testing.T) {
 		want    string
 		absent  string
 	}{
-		{exec.BackendCompiling, "1 fused key build(s), 2 fused key probe(s)", ""},
-		{exec.BackendHybrid, "1 fused key build(s), 2 fused key probe(s)", ""},
-		{exec.BackendROF, "1 fused key build(s)", "fused key probe"},
+		{exec.BackendCompiling, "2 fused key probe(s)", "fused key build"},
+		{exec.BackendHybrid, "2 fused key probe(s)", "fused key build"},
+		{exec.BackendROF, "fused: ", "fused key"},
 	} {
 		out, res, err := exec.ExplainAnalyze(context.Background(), plan, exec.Options{
 			Backend: tc.backend, Workers: 2, Latency: &lat, Artifacts: arts,

@@ -13,7 +13,8 @@ import (
 // value never becomes an n-element register. Two patterns qualify —
 //
 //   - a filter condition: the single-use bool temporaries of a conjunction of
-//     comparisons become the selectors of a cascade (selector.go);
+//     comparisons and code-table predicates become the selectors of a cascade
+//     (selector.go);
 //   - a key build: the run MakeRow → Pack*(key)* → SealKey → AggLookup or
 //     ProbeStmt whose row handles feed only the next statement becomes one
 //     pack-hash-lookup operation (keybuild.go).
@@ -82,9 +83,9 @@ func (c *compiler) planBlock(stmts []ir.Stmt) blockPlan {
 // absorb walks a filter condition top-down through conjunctions and marks
 // every single-use bool temporary on the way whose definition the cascade can
 // evaluate itself: a conjunction (its two sides become consecutive selectors)
-// or a comparison (one selector). Anything else — a disjunction, LIKE, a bool
-// column, a temporary with a second consumer — stays a materialized bool and
-// enters the cascade as the trivial selector.
+// or a comparison or code-table predicate (one selector). Anything else — a
+// disjunction, LIKE, a bool column, a temporary with a second consumer — stays
+// a materialized bool and enters the cascade as the trivial selector.
 func (c *compiler) absorb(e ir.Expr, defs, absorbed map[int]ir.Expr) {
 	switch x := e.(type) {
 	case ir.VarRef:
@@ -93,7 +94,7 @@ func (c *compiler) absorb(e ir.Expr, defs, absorbed map[int]ir.Expr) {
 			return
 		}
 		switch d := def.(type) {
-		case ir.CmpExpr:
+		case ir.CmpExpr, ir.CodeMatch:
 			absorbed[x.V.ID] = def
 		case ir.LogicExpr:
 			if d.Op == ir.And {

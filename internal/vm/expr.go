@@ -601,6 +601,40 @@ func (c *compiler) expr(e ir.Expr, blk *[]exec) (int, error) {
 		})
 		return ds, nil
 
+	case ir.CodeMatch:
+		cs, err := c.expr(x.C, blk)
+		if err != nil {
+			return 0, err
+		}
+		ds := c.newSlot(types.Bool)
+		id := x.StateID
+		*blk = append(*blk, func(fr *frame, n int) {
+			tbl := fr.state[id].(*rt.CodeTableState).T
+			d := dst(fr, ds, n, getB)
+			for i, code := range fr.vecs[cs].I32[:n] {
+				d[i] = tbl[code]
+			}
+			fr.ctx.Counters.VMOps += int64(n)
+		})
+		return ds, nil
+
+	case ir.Decode:
+		cs, err := c.expr(x.C, blk)
+		if err != nil {
+			return 0, err
+		}
+		ds := c.newSlot(types.String)
+		id := x.StateID
+		*blk = append(*blk, func(fr *frame, n int) {
+			vals := fr.state[id].(*rt.DictState).Values
+			d := dst(fr, ds, n, getStr)
+			for i, code := range fr.vecs[cs].I32[:n] {
+				d[i] = vals[code]
+			}
+			fr.ctx.Counters.VMOps += int64(n)
+		})
+		return ds, nil
+
 	case ir.StrLower:
 		ss, err := c.expr(x.E, blk)
 		if err != nil {

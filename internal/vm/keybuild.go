@@ -19,6 +19,10 @@ import (
 // each; fused, every tuple's key is packed into one reusable buffer, hashed
 // and looked up on the spot.
 //
+// A key of fixed-width columns that fits a machine word is assembled and
+// hashed in a register on either path (wordWidth); the tables still compare
+// its bytes.
+//
 // Ahead of an AggLookup the key is offered to the worker-local table. Only the
 // keys the local table cannot take are kept (they stay in the buffer) and
 // resolved against the sharded table in one batch per segment — the same
@@ -131,14 +135,15 @@ func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLook
 		tbl := fr.ctx.AggTable(st)
 		loc := fr.ctx.LocalAgg(st)
 		fr.ctx.Counters.HTSpills += loc.MaybeFlush()
+		width := wordWidth(cols, layout)
 		for lo := 0; lo < n; lo += aggBatchSeg {
 			hi := min(lo+aggBatchSeg, n)
 			if loc.Disabled() {
-				keys, hashes := packKeys(tb, cols, prefix, lo, hi)
+				keys, hashes := packKeys(tb, cols, prefix, width, lo, hi)
 				tbl.FindOrCreateBatch(keys, seedRows(tb, seed, hi-lo), hashes, d[lo:hi], &tb.sc)
 				continue
 			}
-			fr.ctx.Counters.HTLocalHits += keyBuildSegment(tb, tbl, loc, cols, prefix, seed, lo, hi, d)
+			fr.ctx.Counters.HTLocalHits += keyBuildSegment(tb, tbl, loc, cols, prefix, seed, width, lo, hi, d)
 		}
 		fr.ctx.Counters.VMOps += int64(n)
 		fr.ctx.Counters.HTProbes += int64(n)
@@ -158,12 +163,7 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 		tb := auxBatch(fr, ax)
 		cols := bindKeyCols(fr, tb, fields)
 		prefix := sizedBytes(&tb.zeros, layout.KeyFixed)
-		// A key of fixed-width columns that fits a machine word — every TPC-H
-		// join key — is assembled and hashed in a register.
-		width := 0
-		if kf := layout.KeyFixed; kf <= 8 && !hasStringKey(cols) {
-			width = kf
-		}
+		width := wordWidth(cols, layout)
 		hashes := sizedU64(&tb.hashes, n)
 		buf := tb.keybuf[:0]
 		if width > 0 {
@@ -194,13 +194,35 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 	return nil
 }
 
-func hasStringKey(cols []keyCol) bool {
+// wordWidth returns the width of the key blob when keyWord can assemble it —
+// fixed-width columns, at most 8 bytes in all: every TPC-H join key, and q1's
+// two dictionary-coded group keys — or 0. Such a key is assembled and hashed
+// in a register (rt.HashWord is Hash64 of the blob).
+func wordWidth(cols []keyCol, layout *rt.RowLayoutState) int {
 	for c := range cols {
 		if cols[c].kind == types.String {
-			return true
+			return 0
 		}
 	}
-	return false
+	if layout.KeyFixed > 8 {
+		return 0
+	}
+	return layout.KeyFixed
+}
+
+// appendKey appends row i's key blob to buf and returns it with the key's
+// hash: assembled in a register when width > 0 (wordWidth), packed and
+// hashed as bytes otherwise.
+//
+//inkfuse:hotpath
+func appendKey(buf []byte, cols []keyCol, prefix []byte, width, i int) ([]byte, uint64) {
+	start := len(buf)
+	if width > 0 {
+		w := keyWord(cols, i)
+		return binary.LittleEndian.AppendUint64(buf, w)[:start+width], rt.HashWord(w, width) //inklint:allow alloc — appends into the reused key buffer
+	}
+	buf = packKey(buf, cols, prefix, i)
+	return buf, rt.Hash64(buf[start:])
 }
 
 // keyWord assembles row i's key blob — fixed-width columns, at most 8 bytes
@@ -283,15 +305,15 @@ func packKey(buf []byte, cols []keyCol, prefix []byte, i int) []byte {
 //
 //inkfuse:hotpath
 func keyBuildSegment(tb *tableBatch, tbl *rt.AggTable, loc *rt.LocalAggTable,
-	cols []keyCol, prefix, seed []byte, lo, hi int, d [][]byte) int64 {
+	cols []keyCol, prefix, seed []byte, width, lo, hi int, d [][]byte) int64 {
 	buf, pend := tb.keybuf[:0], tb.pend[:0]
 	pk, ph := tb.pkeys[:0], tb.phash[:0]
 	var hits int64
 	for i := lo; i < hi; i++ {
 		start := len(buf)
-		buf = packKey(buf, cols, prefix, i)
+		var h uint64
+		buf, h = appendKey(buf, cols, prefix, width, i)
 		key := buf[start:len(buf):len(buf)]
-		h := rt.Hash64(key)
 		row, hit, ok := loc.FindOrCreate(key, h, seed)
 		if !ok {
 			// Keep the key bytes (buf is not rewound) for the batch below.
@@ -321,17 +343,17 @@ func keyBuildSegment(tb *tableBatch, tbl *rt.AggTable, loc *rt.LocalAggTable,
 
 // packKeys packs and hashes the keys of rows [lo, hi) into the batch scratch,
 // for the paths that hand a whole segment to a batched table kernel.
-func packKeys(tb *tableBatch, cols []keyCol, prefix []byte, lo, hi int) ([][]byte, []uint64) {
+func packKeys(tb *tableBatch, cols []keyCol, prefix []byte, width, lo, hi int) ([][]byte, []uint64) {
 	buf := tb.keybuf[:0]
 	keys := sizedRows(&tb.keys, hi-lo)
+	hashes := sizedU64(&tb.hashes, hi-lo)
 	for i := lo; i < hi; i++ {
 		start := len(buf)
-		buf = packKey(buf, cols, prefix, i)
+		buf, hashes[i-lo] = appendKey(buf, cols, prefix, width, i)
 		keys[i-lo] = buf[start:len(buf):len(buf)]
 	}
 	tb.keybuf = buf
-	tb.hashes = rt.HashBatch(keys, tb.hashes)
-	return keys, tb.hashes
+	return keys, hashes
 }
 
 // seedRows returns n references to seed for the batched kernels' per-row seed

@@ -117,6 +117,62 @@ func TestSelectionCascade(t *testing.T) {
 	}
 }
 
+// TestCodeMatchSelector: a predicate over dictionary codes (DESIGN.md §20) is
+// one selector of the cascade, reading its code → bool table per surviving
+// row; with its bool emitted too it stays a register, and both forms keep the
+// same rows.
+func TestCodeMatchSelector(t *testing.T) {
+	a := ir.Var{ID: 1, K: types.Int64, Name: "a"}
+	code := ir.Var{ID: 2, K: types.Int32, Name: "code"}
+	c1 := ir.Var{ID: 3, K: types.Bool, Name: "c1"}
+	c2 := ir.Var{ID: 4, K: types.Bool, Name: "c2"}
+	and := ir.Var{ID: 5, K: types.Bool, Name: "and"}
+	a2 := ir.Var{ID: 6, K: types.Int64, Name: "a2"}
+	c2in := ir.Var{ID: 7, K: types.Bool, Name: "c2in"}
+	fn := func(keep bool) *ir.Func {
+		filter := ir.FilterStmt{Cond: and, Copies: []ir.Copy{{Dst: a2, Src: a}}, Body: []ir.Stmt{ir.EmitStmt{Cols: []ir.Var{a2}}}}
+		out := []types.Kind{types.Int64}
+		if keep {
+			filter.Copies = append(filter.Copies, ir.Copy{Dst: c2in, Src: c2})
+			filter.Body = []ir.Stmt{ir.EmitStmt{Cols: []ir.Var{a2, c2in}}}
+			out = append(out, types.Bool)
+		}
+		return &ir.Func{
+			Name: "codematch", Ins: []ir.Var{a, code}, OutKinds: out, NumStates: 2,
+			Body: []ir.Stmt{
+				ir.Assign{Dst: c1, E: ir.CmpExpr{Op: ir.Ge, L: ir.Ref(a), R: ir.ConstRef{StateID: 0, K: types.Int64}}},
+				ir.Assign{Dst: c2, E: ir.CodeMatch{C: ir.Ref(code), StateID: 1}},
+				ir.Assign{Dst: and, E: ir.LogicExpr{Op: ir.And, L: ir.Ref(c1), R: ir.Ref(c2)}},
+				filter,
+			},
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	const n = 3000
+	av, cv := storage.NewVector(types.Int64, n), storage.NewVector(types.Int32, n)
+	for i := 0; i < n; i++ {
+		av.I64[i], cv.I32[i] = int64(r.Intn(100)), int32(r.Intn(5))
+	}
+	table := &rt.CodeTableState{T: []bool{true, false, false, true, false}}
+	var want []int64
+	for i := 0; i < n; i++ {
+		if av.I64[i] >= 30 && table.T[cv.I32[i]] {
+			want = append(want, av.I64[i])
+		}
+	}
+	for _, keep := range []bool{false, true} {
+		p := MustCompile(fn(keep))
+		if got, wantSels := p.Rewrites().Cascades, []int{2}; !reflect.DeepEqual(got, wantSels) {
+			t.Fatalf("keep=%v: cascades %v, want %v", keep, got, wantSels)
+		}
+		out := storage.NewChunk(p.Fn.OutKinds)
+		p.Run(NewCtx(), []any{rt.ConstI64(30), table}, []*storage.Vector{av, cv}, n, out)
+		if !reflect.DeepEqual(out.Cols[0].I64, want) {
+			t.Fatalf("keep=%v: %d rows, want %d", keep, out.Rows(), len(want))
+		}
+	}
+}
+
 // TestCascadeUseCountGuard: a conjunction whose own bool has a second consumer
 // is not a cascade at all — it and its operands stay registers.
 func TestCascadeUseCountGuard(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"inkfuse/internal/ir"
+	"inkfuse/internal/rt"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
 )
@@ -133,6 +134,21 @@ func selectCmpCK[T ordered](op ir.CmpOp, in, out []int32, a []T, k T) int {
 	return j
 }
 
+// selectCode keeps the rows whose code the table maps to true: one load from
+// a table of at most 2^16 entries per row, whatever the predicate it holds.
+//
+//inkfuse:hotpath
+func selectCode(in, out []int32, codes []int32, tbl []bool) int {
+	j := 0
+	for _, s := range in {
+		out[j] = s
+		if tbl[codes[s]] {
+			j++
+		}
+	}
+	return j
+}
+
 // selectors compiles a filter condition into its selector list, appending to
 // blk whatever has to be materialized first (operands that are expressions,
 // conjuncts that are not comparisons). plan.absorbed names the temporaries
@@ -171,6 +187,16 @@ func (c *compiler) selectors(e ir.Expr, plan blockPlan, blk *[]exec, sels []sele
 			return nil, err
 		}
 		return append(sels, sel), nil
+	case ir.CodeMatch:
+		cs, err := c.expr(x.C, blk)
+		if err != nil {
+			return nil, err
+		}
+		id := x.StateID
+		return append(sels, func(fr *frame, in, out []int32) int {
+			fr.ctx.Counters.VMOps += int64(len(in))
+			return selectCode(in, out, fr.vecs[cs].I32, fr.state[id].(*rt.CodeTableState).T)
+		}), nil
 	}
 	// Anything else is a bool register: the trivial selector.
 	bs, err := c.expr(e, blk)

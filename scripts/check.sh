@@ -45,9 +45,10 @@ done
 go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 
 # Benchmark smoke: one iteration of the morsel-loop, table-kernel,
-# fused-program and compile-stack benches so a compile error or panic in
-# benchmark-only code cannot land unnoticed.
+# fused-program, compile-stack and dictionary-encoding benches so a compile
+# error or panic in benchmark-only code cannot land unnoticed.
 echo "bench smoke..."
+go test -run XXX -bench DictEncode -benchtime 1x ./internal/storage/ >/dev/null
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
 go test -run XXX -bench 'AggBuild|JoinProbe|JoinSeal|InList' -benchtime 1x ./internal/rt/ >/dev/null
 go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null

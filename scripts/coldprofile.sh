@@ -59,10 +59,17 @@ while kill -0 "$bench_pid" 2>/dev/null; do
         sleep 0.2
         continue
     fi
+    # A server generates its catalog before it listens — seconds at SF 1 — so
+    # wait for its listening socket, or for its end; then past the warm-up of
+    # a set-up.
+    addr=""
+    while kill -0 "$pid" 2>/dev/null; do
+        addr=$(listen_addr "$pid") && break
+        sleep 0.2
+    done
     seen="$seen$pid "
-    sleep 3 # past the warm-up of a set-up
-    addr=$(listen_addr "$pid") || continue
     [ -n "$addr" ] || continue
+    sleep 3
     if snapshot "$addr" "$out/vars0.tmp" \
         && curl -sf --max-time $((secs + 10)) "http://$addr/debug/pprof/profile?seconds=$secs" -o "$out/cpu.tmp" \
         && snapshot "$addr" "$out/vars1.tmp" \
@@ -150,7 +157,7 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # keys are not words) and the probe-side gathers.
 echo
 echo "CPU share of tracked symbols, join path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insertBatch|seal)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|keyBuildSegment|appendKey|selectCode)( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insertBatch|seal)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
