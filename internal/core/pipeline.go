@@ -55,7 +55,7 @@ func (a *AggRead) SourceIUs() []*IU { return []*IU{a.Out} }
 
 func (*AggRead) sourceMarker() {}
 
-// AggFinalize tells the scheduler to merge per-worker pre-aggregation tables
+// AggFinalize tells the scheduler to merge the workers' aggregation tables
 // into the global table when the pipeline completes. Keyless aggregations
 // (no GROUP BY) guarantee one group even on empty input.
 type AggFinalize struct {

@@ -319,7 +319,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	}
 
 	// The memory budget covers every table the query builds: the join tables
-	// created at lowering, the workers' pre-aggregation tables (wired through
+	// created at lowering, the workers' aggregation tables (wired through
 	// vm.Ctx), and the merged globals built at finalization.
 	var budget *rt.MemBudget
 	if opts.MemoryBudget > 0 {
@@ -399,12 +399,11 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		}
 		morsels := storage.Morsels(binder.total, opts.MorselSize)
 
-		// Cardinality hint for this pipeline's aggregations: one worker sees
-		// at most a morsel of rows between table growth checks, and never
-		// more groups than source rows. The hint pre-sizes shard bucket
-		// arrays so the batched kernels don't resize mid-chunk while holding
-		// a shard lock. Set before the workers spawn (they read it when
-		// lazily creating their instances).
+		// Cardinality hint for this pipeline's aggregations: never more
+		// groups than source rows, and a morsel's worth at most as an
+		// estimate. The hint pre-sizes the workers' bucket arrays, skipping
+		// their first doublings. Set before the workers spawn (they read it
+		// when they first use their tables).
 		for _, fin := range pipe.MergeAggs {
 			fin.State.SizeHint = min(binder.total, opts.MorselSize)
 		}
@@ -563,11 +562,6 @@ func runMorselSafe(query, pipeName string, backend Backend, r *pipelineRunner, w
 	}
 	n := binder.bind(m, src)
 	r.runMorsel(w, wctx, src, n, out)
-	// Morsel boundary: spill the worker's thread-local pre-aggregation into
-	// its shard table (group rows must not live across morsels). Pipelines
-	// without aggregation pay one empty-map check. Inside the recover scope:
-	// the merge can hit the memory budget too.
-	wctx.FlushLocalAggs()
 	wctx.Counters.Tuples += int64(n)
 	return nil
 }

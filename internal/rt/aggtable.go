@@ -3,7 +3,6 @@ package rt
 import (
 	"bytes"
 	"encoding/binary"
-	"sync"
 )
 
 // AggTable is the aggregation hash table. Keys are packed key blobs; the
@@ -12,7 +11,12 @@ import (
 // resolved row, so generated code never loops over collision chains —
 // identical behaviour for the fused programs and the vectorized primitives.
 //
-// The table is sharded by hash for concurrent morsel-driven builds.
+// Each worker builds its own table (morsel-driven parallel aggregation) and
+// the scheduler merges the workers' tables once the build pipeline finished,
+// so a table is never written by two goroutines and takes no lock. It is not
+// safe for concurrent use. The shards split one worker's groups by the top
+// hash byte: entry order within a shard is insertion order, and Snapshot
+// walks the shards in turn.
 type AggTable struct {
 	payloadInit []byte
 	shards      []aggShard
@@ -20,7 +24,6 @@ type AggTable struct {
 }
 
 type aggShard struct {
-	mu      sync.Mutex
 	buckets []int32 // entry index + 1; 0 = empty
 	mask    uint64
 	hashes  []uint64
@@ -107,7 +110,7 @@ func (t *AggTable) RetainedBytes() int64 {
 }
 
 // FindOrCreate returns the packed row for the key, creating and initializing
-// it if absent. Safe for concurrent use.
+// it if absent.
 //
 //inkfuse:hotpath
 func (t *AggTable) FindOrCreate(key []byte, h uint64) []byte {
@@ -122,13 +125,7 @@ func (t *AggTable) FindOrCreate(key []byte, h uint64) []byte {
 //
 //inkfuse:hotpath
 func (t *AggTable) FindOrCreateSeed(key []byte, h uint64, seed []byte) []byte {
-	s := &t.shards[(h>>56)&t.shardMask]
-	s.mu.Lock()
-	// The unlock is deferred (not inlined) so that a memory-budget panic out
-	// of the arena never strands the shard lock: the scheduler recovers the
-	// panic and the remaining workers must still be able to drain.
-	defer s.mu.Unlock()
-	return s.findOrCreate(key, h, t.payloadInit, seed)
+	return t.shards[shardOf(h, t.shardMask)].findOrCreate(key, h, t.payloadInit, seed)
 }
 
 // SetBudget charges this table's future allocations (arena blocks, entry and
@@ -187,40 +184,25 @@ func (s *aggShard) growTo(size uint64) {
 	s.mask = mask
 }
 
-// reserve grows the bucket array once, up front, so that the following
-// `extra` inserts cannot trigger a resize. The batched path calls it after
-// taking the shard lock: without it a grow could stall a whole chunk's worth
-// of co-locked rows mid-batch. Charging the delta keeps the cumulative budget
-// identical to the scalar path's incremental doublings.
-func (s *aggShard) reserve(extra int) {
-	need := uint64(len(s.rows)+extra) * 4
-	size := s.mask + 1
-	if need <= 3*size {
-		return
-	}
-	for need > 3*size {
-		size <<= 1
-	}
-	s.growTo(size)
-}
-
-// Reserve pre-sizes every shard's bucket array for roughly n total groups —
-// called from NewInstance with the scheduler's morsel cardinality estimate
-// (AggTableState.SizeHint) before a budget is attached, mirroring how the
-// initial bucket arrays are uncharged.
+// Reserve pre-sizes every shard's bucket array for roughly n total groups,
+// so the first inserts skip the doublings. A worker calls it with the
+// scheduler's morsel cardinality estimate (AggTableState.SizeHint) when it
+// first uses its table in an execution, before the budget is attached:
+// like the initial bucket arrays, the estimate-driven capacity is uncharged.
 func (t *AggTable) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	per := n / len(t.shards)
-	if per > maxReservePerShard {
-		per = maxReservePerShard
-	}
+	per := uint64(min(n/len(t.shards), maxReservePerShard))
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.Lock()
-		s.reserve(per)
-		s.mu.Unlock()
+		size := s.mask + 1
+		for (uint64(len(s.rows))+per)*4 > 3*size {
+			size <<= 1
+		}
+		if size > s.mask+1 {
+			s.growTo(size)
+		}
 	}
 }
 
@@ -232,10 +214,7 @@ const maxReservePerShard = 1 << 13
 func (t *AggTable) Groups() int {
 	n := 0
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += len(s.rows)
-		s.mu.Unlock()
+		n += len(t.shards[i].rows)
 	}
 	return n
 }

@@ -6,13 +6,15 @@ import (
 )
 
 // Chunk-batched hash-table kernels. A scalar entry point (FindOrCreate, the
-// join probe's Lookup) pays one hash, one shard dispatch and, to build, one
-// mutex acquire per tuple — interpretation overhead the suboperator design is
-// supposed to amortize (paper §IV-D keeps collision handling inside the table
-// exactly so primitives can batch around it). The batched entry points take a
-// whole chunk of keys, hash it as a vector, group the row indices by shard
-// with a counting sort, and then take each shard's lock once per (chunk,
-// shard) instead of once per row. Within a shard the rows keep their chunk
+// join probe's Lookup) pays one hash and one shard dispatch per tuple —
+// interpretation overhead the suboperator design is supposed to amortize
+// (paper §IV-D keeps collision handling inside the table exactly so
+// primitives can batch around it). The batched entry points take a whole
+// chunk of keys hashed as a vector. The join build, whose table the workers
+// of a pipeline share, groups the row indices by shard with a counting sort
+// and takes each shard's lock once per (chunk, shard) instead of once per
+// row; an aggregation table belongs to one worker, takes no lock and resolves
+// the chunk in row order. Either way a shard receives its rows in chunk
 // order, so a build's table depends on the order of its rows only, not on how
 // they were chunked (the differential fuzz tests in batch_test.go pin this
 // down).
@@ -70,7 +72,7 @@ func (sc *BatchScratch) groupByShard(hashes []uint64, shardMask uint64) (starts,
 
 // HashBatch hashes a whole vector of key blobs into dst (resized as needed)
 // — the hashing stage of the batched kernels, kept separate so callers that
-// also consult thread-local tables or bloom filters hash each key once.
+// also consult a bloom filter hash each key once.
 //
 //inkfuse:hotpath
 func HashBatch(keys [][]byte, dst []uint64) []uint64 {
@@ -87,35 +89,19 @@ func HashBatch(keys [][]byte, dst []uint64) []uint64 {
 // FindOrCreateBatch resolves a whole chunk of aggregation keys: hashes[i]
 // must be Hash64(keys[i]) (use HashBatch), seeds may be nil or parallel to
 // keys (per-group creation extras, see FindOrCreateSeed). dst[i] receives the
-// packed group row for keys[i]. Each shard's lock is taken once per
-// (chunk, shard), and the shard's bucket array is pre-sized for the whole
-// batch so a resize never stalls co-locked rows mid-batch.
+// packed group row for keys[i]. Rows are resolved in chunk order, so a build's
+// table depends on the order of its rows only, not on how they were chunked,
+// and matches the scalar path's byte for byte. sc is unused: a worker's table
+// is its own, so there is no lock to take once per shard.
 //
 //inkfuse:hotpath
 func (t *AggTable) FindOrCreateBatch(keys, seeds [][]byte, hashes []uint64, dst [][]byte, sc *BatchScratch) {
-	starts, order := sc.groupByShard(hashes, t.shardMask)
-	for si := range t.shards {
-		lo, hi := starts[si], starts[si+1]
-		if lo == hi {
-			continue
-		}
-		t.shards[si].findOrCreateBatch(order[lo:hi], keys, seeds, hashes, dst, t.payloadInit)
-	}
-}
-
-//inkfuse:hotpath
-func (s *aggShard) findOrCreateBatch(idxs []int32, keys, seeds [][]byte, hashes []uint64, dst [][]byte, init []byte) {
-	s.mu.Lock()
-	// Deferred for the same reason as the scalar path: a memory-budget panic
-	// out of the arena must not strand the shard lock mid-drain.
-	defer s.mu.Unlock()
-	s.reserve(len(idxs)) //inklint:allow call — amortized pre-size so buckets never resize mid-batch under the lock
 	var seed []byte
-	for _, i := range idxs {
+	for i, key := range keys {
 		if seeds != nil {
 			seed = seeds[i]
 		}
-		dst[i] = s.findOrCreate(keys[i], hashes[i], init, seed)
+		dst[i] = t.FindOrCreateSeed(key, hashes[i], seed)
 	}
 }
 

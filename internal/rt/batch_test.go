@@ -290,17 +290,15 @@ func FuzzJoinBatchDifferential(f *testing.F) {
 }
 
 // TestAggBatchBudgetMidBatch pins the mid-batch budget behaviour: a budget
-// that trips inside FindOrCreateBatch must leave the shard locks released
-// (subsequent scalar calls on other shards still work) and fail the scalar
-// path at the same cumulative total.
+// that trips inside FindOrCreateBatch fails the scalar path at the same
+// cumulative total, and leaves the table readable.
 func TestAggBatchBudgetMidBatch(t *testing.T) {
 	keys := deriveKeys([]byte{3, 1, 4}, 1024, 1024, 8) // all distinct-ish
 	_, _, sErr, bErr := runAggBoth(keys, make([]byte, 16), 8, 128, 4096)
 	if sErr == nil || bErr == nil {
 		t.Fatalf("want both paths to trip the budget, scalar=%v batched=%v", sErr, bErr)
 	}
-	// After a batched budget panic the table must not be wedged: locks were
-	// released by the deferred unlocks.
+	// After a batched budget panic the table must not be wedged.
 	tbl := NewAggTable(make([]byte, 16), 8)
 	func() {
 		defer func() { recover() }()

@@ -179,8 +179,8 @@ func benchChunkKeys(chunk, groups, salt int) [][]byte {
 	return keys
 }
 
-// BenchmarkAggBuildScalar drives the per-tuple path: one hash, one shard
-// dispatch and one mutex acquire per row.
+// BenchmarkAggBuildScalar drives the per-tuple path: one hash and one shard
+// dispatch per row.
 func BenchmarkAggBuildScalar(b *testing.B) {
 	for _, groups := range []int{16, 1 << 10, 1 << 16} {
 		b.Run(map[int]string{16: "16groups", 1 << 10: "1Kgroups", 1 << 16: "64Kgroups"}[groups], func(b *testing.B) {
@@ -200,7 +200,7 @@ func BenchmarkAggBuildScalar(b *testing.B) {
 }
 
 // BenchmarkAggBuildBatched drives the same workload through the chunk
-// kernels: HashBatch + FindOrCreateBatch, one lock acquire per (chunk, shard).
+// kernels: HashBatch + FindOrCreateBatch.
 func BenchmarkAggBuildBatched(b *testing.B) {
 	for _, groups := range []int{16, 1 << 10, 1 << 16} {
 		b.Run(map[int]string{16: "16groups", 1 << 10: "1Kgroups", 1 << 16: "64Kgroups"}[groups], func(b *testing.B) {

@@ -8,7 +8,9 @@ import (
 // MemBudget caps the bytes of query-owned runtime state — arena blocks and
 // hash-table bucket/entry arrays — that one query may allocate. The engine
 // installs one budget per query and wires it into every table the query
-// builds; charges are atomic so concurrent morsel workers share the cap.
+// builds — the join tables, every worker's aggregation table and the merged
+// globals — so every table byte is charged. Charges are atomic: the workers
+// build their tables concurrently and share one cap.
 //
 // Enforcement is by panic: allocation sites sit below generated code whose
 // signatures cannot carry errors (FindOrCreate returns a row pointer into

@@ -5,11 +5,15 @@ import (
 	"encoding/binary"
 )
 
-// LocalAggTable is a bounded, lock-free pre-aggregation table owned by one
-// worker for one aggregation state. High-locality group-bys (TPC-H Q1's four
-// groups) resolve almost every lookup here — no shard dispatch, no mutex, no
-// contention — and the accumulated groups are flushed (merged) into the
-// worker's backing sharded AggTable at morsel boundaries or on overflow.
+// LocalAggTable is a bounded pre-aggregation table in front of an AggTable.
+// The engine no longer calls it: a worker's AggTable is its own and takes no
+// lock, so aggregations write into it directly (DESIGN.md §10). The type
+// stays only for the benchmark harness's rt.local_agg_ns_per_row kernel,
+// and goes when that metric is retired.
+//
+// High-locality group-bys (TPC-H Q1's four groups) resolve almost every
+// lookup here, and the accumulated groups are flushed (merged) into the
+// backing AggTable at morsel boundaries or on overflow.
 //
 // Group rows are packed into one flat buffer that is never reallocated while
 // it holds rows: rows handed out by FindOrCreate stay valid for the rest of
@@ -60,7 +64,7 @@ type LocalAggTable struct {
 const (
 	localAggMinGroups     = 64      // groups a new table can hold
 	localAggGroups        = 4096    // groups a fully grown one can hold before lookups overflow
-	localAggBytes         = 1 << 19 // its row storage; bounded per worker, outside MemBudget
+	localAggBytes         = 1 << 19 // its row storage; bounded, outside MemBudget
 	localAggBucketsPerGrp = 4       // bucket slots per group of capacity: keeps probes short
 	localAggGrowth        = 4       // capacity factor of one growth step
 	localAggBytesPerGroup = localAggBytes / localAggGroups

@@ -63,8 +63,8 @@ type VarSlotState struct {
 	VarIdx     int
 }
 
-// MergeOp combines one aggregate slot of two group rows when per-worker
-// pre-aggregation tables are merged after a parallel build pipeline.
+// MergeOp combines one aggregate slot of two group rows when the workers'
+// aggregation tables are merged after a parallel build pipeline.
 type MergeOp uint8
 
 const (
@@ -85,18 +85,19 @@ type AggMerge struct {
 	Off int // offset inside the payload region
 }
 
-// AggTableState wires an aggregation into the generated code. Workers create
-// private pre-aggregation instances (morsel-driven parallel aggregation);
-// the scheduler merges them into Global when the build pipeline finishes.
+// AggTableState wires an aggregation into the generated code. Every worker
+// builds its own table (morsel-driven parallel aggregation) and writes no
+// other; the scheduler merges them into Global when the build pipeline
+// finishes.
 type AggTableState struct {
 	Init   []byte // payload template for new groups
 	Shards int
 	Merge  []AggMerge
 
 	// SizeHint is the scheduler's cardinality estimate for one worker's share
-	// of the build (morsel size clamped by the source row count). NewInstance
-	// pre-sizes the shard bucket arrays from it so the batched path never
-	// resizes while holding a shard lock mid-chunk.
+	// of the build (morsel size clamped by the source row count). A worker's
+	// table is pre-sized from it (AggTable.Reserve), skipping the first
+	// bucket-array doublings.
 	SizeHint int
 
 	Global *AggTable // set by the scheduler after merging

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -89,30 +88,6 @@ func TestAggTableEmptyKey(t *testing.T) {
 	}
 	if got := GetI64(tbl.Snapshot()[0], 4); got != 100 {
 		t.Fatalf("keyless count = %d", got)
-	}
-}
-
-func TestAggTableConcurrent(t *testing.T) {
-	tbl := NewAggTable(make([]byte, 8), 8)
-	var wg sync.WaitGroup
-	workers, per := 8, 5000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := i64Key(int64(i % 97))
-				row := tbl.FindOrCreate(k, Hash64(k))
-				// Only assert structural safety here: concurrent slot updates
-				// without coordination are the reason the engine uses
-				// per-worker pre-aggregation tables.
-				_ = row
-			}
-		}(w)
-	}
-	wg.Wait()
-	if tbl.Groups() != 97 {
-		t.Fatalf("groups = %d, want 97", tbl.Groups())
 	}
 }
 

@@ -20,8 +20,8 @@
 //   - Graceful drain: Close stops admissions, waits for in-flight queries up
 //     to the context deadline, then cancels the stragglers.
 //
-// Per-query per-worker state (vector scratch, profilers, thread-local
-// pre-aggregation) is keyed by a query-local slot in [0, parallelism): the
+// Per-query per-worker state (vector scratch, profilers, aggregation
+// tables) is keyed by a query-local slot in [0, parallelism): the
 // scheduler guarantees at most one task per (query, slot) at any time, so a
 // slot's state is never touched concurrently even though different pool
 // workers may serve it over the query's lifetime.

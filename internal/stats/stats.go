@@ -37,12 +37,13 @@ type Counters struct {
 	HTMatches int64
 	// HTInserts counts hash-table inserts (join build + new agg groups).
 	HTInserts int64
-	// HTLocalHits counts aggregation lookups absorbed by a worker's bounded
-	// thread-local pre-aggregation table (no shard lock taken).
+	// HTLocalHits and HTSpills counted the thread-local pre-aggregation
+	// tier's hits and flushed rows. The engine has no such tier any more and
+	// Schema no row for them, so they stay 0; the benchmark harness's
+	// rt.local_hit_ratio and rt.spills_per_query (bench/replay.go) are their
+	// only readers, and they go when those metrics are retired.
 	HTLocalHits int64
-	// HTSpills counts local pre-aggregation group rows merged into the
-	// worker's sharded table at morsel boundaries or on overflow.
-	HTSpills int64
+	HTSpills    int64
 	// HTBloomSkips counts join probes answered "definitely absent" by the
 	// build-side bloom/tag filter without touching bucket memory.
 	HTBloomSkips int64
@@ -117,8 +118,6 @@ var Schema = []Row{
 	{Name: "ht_probes", Engine: "ht_probes_total", Of: func(c *Counters) *int64 { return &c.HTProbes }},
 	{Name: "ht_matches", Engine: "ht_matches_total", Of: func(c *Counters) *int64 { return &c.HTMatches }},
 	{Name: "ht_inserts", Engine: "ht_inserts_total", Of: func(c *Counters) *int64 { return &c.HTInserts }},
-	{Name: "ht_local_hits", Engine: "ht_local_hits_total", Of: func(c *Counters) *int64 { return &c.HTLocalHits }},
-	{Name: "ht_spills", Engine: "ht_spills_total", Of: func(c *Counters) *int64 { return &c.HTSpills }},
 	{Name: "ht_bloom_skips", Engine: "ht_bloom_skips_total", Of: func(c *Counters) *int64 { return &c.HTBloomSkips }},
 	{Name: "morsels_jit", Engine: "morsels_jit", Of: func(c *Counters) *int64 { return &c.MorselsCompiled }},
 	{Name: "morsels_vec", Engine: "morsels_vec", Of: func(c *Counters) *int64 { return &c.MorselsVectorized }},

@@ -40,7 +40,7 @@ func TestTotalsAndQuantiles(t *testing.T) {
 func TestMorselDeltas(t *testing.T) {
 	q := NewQuery("q", "hybrid", 1, time.Now())
 	w := &q.StartPipeline("p1", 0, 0).Workers[0]
-	slot := stats.Counters{Tuples: 500, HTSpills: 3, MemPeakBytes: 155} // an earlier pipeline's work
+	slot := stats.Counters{Tuples: 500, HTInserts: 3, MemPeakBytes: 155} // an earlier pipeline's work
 	for i := 0; i < 2; i++ {
 		w.BeginMorsel(&slot)
 		slot.Tuples += 100

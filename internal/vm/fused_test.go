@@ -101,8 +101,8 @@ func (fb *fusedBuild) morsel(views []*storage.Vector, lo, hi int) {
 	}
 }
 
-// run executes the pipeline over every whole morsel of the source, with the
-// executor's morsel-boundary flush, and returns the rows processed.
+// run executes the pipeline over every whole morsel of the source and returns
+// the rows processed.
 func (fb *fusedBuild) run(ctx *vm.Ctx, views []*storage.Vector) int {
 	return fb.runRows(ctx, views, fb.rows-fb.rows%storage.DefaultMorselRows)
 }
@@ -115,7 +115,6 @@ func (fb *fusedBuild) runRows(ctx *vm.Ctx, views []*storage.Vector, rows int) in
 			fb.morsel(views, b, min(b+fb.batch, end))
 			fb.prog.Run(ctx, fb.states, views, min(b+fb.batch, end)-b, nil)
 		}
-		ctx.FlushLocalAggs()
 	}
 	return rows
 }
@@ -162,9 +161,9 @@ func BenchmarkFusedProgram(b *testing.B) {
 }
 
 // TestFusedProgramZeroAllocs: once registers, selection vectors, key buffers
-// and the worker-local table have reached their size, a morsel through the
-// selection cascade (q6), the fused key build (q1) and the fused key probes
-// with their carried columns (q3, q5) allocates nothing. q5 carries n_name
+// and the worker's aggregation table have reached their size, a morsel
+// through the selection cascade (q6), the fused key build (q1) and the fused
+// key probes with their carried columns (q3, q5) allocates nothing. q5 carries n_name
 // through its joins as a dictionary code (DESIGN.md §20): no string is read
 // out of a matched build row, so no match allocates either.
 func TestFusedProgramZeroAllocs(t *testing.T) {

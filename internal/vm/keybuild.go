@@ -23,11 +23,10 @@ import (
 // hashed in a register on either path (wordWidth); the tables still compare
 // its bytes.
 //
-// Ahead of an AggLookup the key is offered to the worker-local table. Only the
-// keys the local table cannot take are kept (they stay in the buffer) and
-// resolved against the sharded table in one batch per segment — the same
-// local-first, batch-the-rest order aggBatchSegment follows, so the tables
-// receive the same keys in the same order either way.
+// Ahead of an AggLookup each tuple's key is resolved against the worker's
+// table on the spot and the buffer rewound (the table copies a new group's
+// key): the table receives the same keys in the same order as through the
+// statement run's batched lookup, so it comes out byte for byte the same.
 //
 // Ahead of a ProbeStmt only the key's hash is computed per tuple — the key is
 // packed into the buffer, hashed and the buffer rewound; a key of fixed-width
@@ -133,18 +132,14 @@ func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLook
 		dv.Resize(n)
 		d := dv.Ptr[:n]
 		tbl := fr.ctx.AggTable(st)
-		loc := fr.ctx.LocalAgg(st)
-		fr.ctx.Counters.HTSpills += loc.MaybeFlush()
 		width := wordWidth(cols, layout)
-		for lo := 0; lo < n; lo += aggBatchSeg {
-			hi := min(lo+aggBatchSeg, n)
-			if loc.Disabled() {
-				keys, hashes := packKeys(tb, cols, prefix, width, lo, hi)
-				tbl.FindOrCreateBatch(keys, seedRows(tb, seed, hi-lo), hashes, d[lo:hi], &tb.sc)
-				continue
-			}
-			fr.ctx.Counters.HTLocalHits += keyBuildSegment(tb, tbl, loc, cols, prefix, seed, width, lo, hi, d)
+		buf := tb.keybuf
+		for i := range d {
+			var h uint64
+			buf, h = appendKey(buf[:0], cols, prefix, width, i)
+			d[i] = tbl.FindOrCreateSeed(buf, h, seed)
 		}
+		tb.keybuf = buf
 		fr.ctx.Counters.VMOps += int64(n)
 		fr.ctx.Counters.HTProbes += int64(n)
 	})
@@ -297,74 +292,4 @@ func packKey(buf []byte, cols []keyCol, prefix []byte, i int) []byte {
 		}
 	}
 	return buf
-}
-
-// keyBuildSegment resolves rows [lo, hi) against the worker-local table, tuple
-// at a time, and the keys it bounced through the sharded table in one batch.
-// It returns the number of local hits.
-//
-//inkfuse:hotpath
-func keyBuildSegment(tb *tableBatch, tbl *rt.AggTable, loc *rt.LocalAggTable,
-	cols []keyCol, prefix, seed []byte, width, lo, hi int, d [][]byte) int64 {
-	buf, pend := tb.keybuf[:0], tb.pend[:0]
-	pk, ph := tb.pkeys[:0], tb.phash[:0]
-	var hits int64
-	for i := lo; i < hi; i++ {
-		start := len(buf)
-		var h uint64
-		buf, h = appendKey(buf, cols, prefix, width, i)
-		key := buf[start:len(buf):len(buf)]
-		row, hit, ok := loc.FindOrCreate(key, h, seed)
-		if !ok {
-			// Keep the key bytes (buf is not rewound) for the batch below.
-			pend = append(pend, int32(i)) //inklint:allow alloc — grows to the segment size once; reused
-			pk = append(pk, key)          //inklint:allow alloc — grows to the segment size once; reused
-			ph = append(ph, h)            //inklint:allow alloc — grows to the segment size once; reused
-			continue
-		}
-		buf = buf[:start]
-		d[i] = row
-		if hit {
-			hits++
-		}
-	}
-	tb.keybuf, tb.pend, tb.pkeys, tb.phash = buf, pend, pk, ph
-	if len(pend) == 0 {
-		return hits
-	}
-	po := sizedRows(&tb.pout, len(pend)) //inklint:allow call — grows to the segment size once; reused
-	ps := seedRows(tb, seed, len(pend))  //inklint:allow call — nil unless the layout has payload
-	tbl.FindOrCreateBatch(pk, ps, ph, po, &tb.sc)
-	for j, i := range pend {
-		d[i] = po[j]
-	}
-	return hits
-}
-
-// packKeys packs and hashes the keys of rows [lo, hi) into the batch scratch,
-// for the paths that hand a whole segment to a batched table kernel.
-func packKeys(tb *tableBatch, cols []keyCol, prefix []byte, width, lo, hi int) ([][]byte, []uint64) {
-	buf := tb.keybuf[:0]
-	keys := sizedRows(&tb.keys, hi-lo)
-	hashes := sizedU64(&tb.hashes, hi-lo)
-	for i := lo; i < hi; i++ {
-		start := len(buf)
-		buf, hashes[i-lo] = appendKey(buf, cols, prefix, width, i)
-		keys[i-lo] = buf[start:len(buf):len(buf)]
-	}
-	tb.keybuf = buf
-	return keys, hashes
-}
-
-// seedRows returns n references to seed for the batched kernels' per-row seed
-// argument, or nil when there is no seed.
-func seedRows(tb *tableBatch, seed []byte, n int) [][]byte {
-	if seed == nil {
-		return nil
-	}
-	rows := sizedRows(&tb.seeds, n)
-	for i := range rows {
-		rows[i] = seed
-	}
-	return rows
 }

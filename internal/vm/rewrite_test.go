@@ -234,26 +234,30 @@ func keyBuildFunc(fuse bool) *ir.Func {
 	return &ir.Func{Name: "keybuild", Ins: []ir.Var{d, s, k, v}, Body: body, NumStates: 7}
 }
 
+// keyBuildState returns keyBuildFunc's states and its aggregation state.
+func keyBuildState() ([]any, *rt.AggTableState) {
+	layout := &rt.RowLayoutState{KeyFixed: 12}
+	agg := &rt.AggTableState{Init: make([]byte, 16), Shards: 4, Merge: []rt.AggMerge{
+		{Op: rt.MergeSumF64, Off: 0}, {Op: rt.MergeSumI64, Off: 8}}}
+	return []any{layout, &rt.OffsetState{Off: 0, Layout: layout}, &rt.OffsetState{Off: 4, Layout: layout},
+		&rt.OffsetState{Layout: layout}, agg, &rt.OffsetState{Off: 0}, &rt.OffsetState{Off: 8}}, agg
+}
+
 // TestKeyBuildFusion runs the fused and the statement-by-statement key build
 // over the same chunks and requires the worker tables to come out identical —
-// same group rows, same bytes, same order — in all three regimes of the local
-// table: absorbing everything, overflowing into the sharded table, and
-// disabled by the adaptive policy.
+// same group rows, same bytes, same order — and the same probe counts, at
+// three key cardinalities: 7 groups, 6 000 groups, and every key unique.
 func TestKeyBuildFusion(t *testing.T) {
 	for _, distinct := range []int{7, 6000, 1 << 30} {
 		t.Run(fmt.Sprint(distinct), func(t *testing.T) {
 			var tables [2][][]byte
-			var counters [2][3]int64
+			var probes [2]int64
 			for pi, fuse := range []bool{true, false} {
 				p := MustCompile(keyBuildFunc(fuse))
 				if got := p.Rewrites().KeyBuilds; (got == 1) != fuse {
 					t.Fatalf("fuse=%v: %d fused key builds", fuse, got)
 				}
-				layout := &rt.RowLayoutState{KeyFixed: 12}
-				agg := &rt.AggTableState{Init: make([]byte, 16), Shards: 4, Merge: []rt.AggMerge{
-					{Op: rt.MergeSumF64, Off: 0}, {Op: rt.MergeSumI64, Off: 8}}}
-				state := []any{layout, &rt.OffsetState{Off: 0, Layout: layout}, &rt.OffsetState{Off: 4, Layout: layout},
-					&rt.OffsetState{Layout: layout}, agg, &rt.OffsetState{Off: 0}, &rt.OffsetState{Off: 8}}
+				state, agg := keyBuildState()
 				ctx := NewCtx()
 				r := rand.New(rand.NewSource(9))
 				next := 0
@@ -271,14 +275,12 @@ func TestKeyBuildFusion(t *testing.T) {
 						vv.F64[i] = float64(r.Intn(1000)) / 8
 					}
 					p.Run(ctx, state, []*storage.Vector{dv, sv, kv, vv}, n, nil)
-					ctx.FlushLocalAggs()
 				}
 				tables[pi] = ctx.AggTable(agg).Snapshot()
-				c := &ctx.Counters
-				counters[pi] = [3]int64{c.HTLocalHits, c.HTSpills, c.HTProbes}
+				probes[pi] = ctx.Counters.HTProbes
 			}
-			if counters[0] != counters[1] {
-				t.Fatalf("local hits / spills / probes: fused %v, unfused %v", counters[0], counters[1])
+			if probes[0] != probes[1] {
+				t.Fatalf("probes: fused %d, unfused %d", probes[0], probes[1])
 			}
 			if len(tables[0]) != len(tables[1]) {
 				t.Fatalf("fused built %d groups, unfused %d", len(tables[0]), len(tables[1]))
@@ -289,6 +291,38 @@ func TestKeyBuildFusion(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAggTableHoldsEveryGroupWithoutFlush: an aggregation writes straight
+// into the worker's table, so after several chunks — with no morsel-boundary
+// step in between or after — Ctx.AggTable's snapshot holds every group with
+// its full count and sum, fused and statement by statement alike.
+func TestAggTableHoldsEveryGroupWithoutFlush(t *testing.T) {
+	for _, fuse := range []bool{true, false} {
+		p := MustCompile(keyBuildFunc(fuse))
+		state, agg := keyBuildState()
+		ctx := NewCtx()
+		const groups, n = 5, 1000
+		for chunk := 0; chunk < 3; chunk++ {
+			dv, sv := storage.NewVector(types.Date, n), storage.NewVector(types.String, n)
+			kv, vv := storage.NewVector(types.Int64, n), storage.NewVector(types.Float64, n)
+			for i := 0; i < n; i++ {
+				g := i % groups
+				dv.I32[i], kv.I64[i], sv.Str[i], vv.F64[i] = int32(g), int64(g), fmt.Sprintf("s%d", g), 1
+			}
+			p.Run(ctx, state, []*storage.Vector{dv, sv, kv, vv}, n, nil)
+		}
+		rows := ctx.AggTable(agg).Snapshot()
+		if len(rows) != groups {
+			t.Fatalf("fuse=%v: snapshot holds %d groups, want %d", fuse, len(rows), groups)
+		}
+		for _, row := range rows {
+			off := rt.RowPayloadOff(row)
+			if sum, cnt := rt.GetF64(row, off), rt.GetI64(row, off+8); sum != 3*n/groups || cnt != 3*n/groups {
+				t.Fatalf("fuse=%v: group %x: sum %v count %d, want %d each", fuse, rt.RowKey(row), sum, cnt, 3*n/groups)
+			}
+		}
 	}
 }
 

@@ -372,8 +372,8 @@ func packFixedOp[T any](rs, vs, stateID int, payload bool,
 // aggLookupFixedOp probes the aggregation table with a raw fixed-width
 // column value, no packed-row scratch (paper §IV-D's single-column fast
 // path). The whole chunk's keys are encoded into one stride buffer — the
-// buffer is safe to reuse per chunk because both the local and the sharded
-// table copy the key on group creation.
+// buffer is safe to reuse per chunk because the table copies the key on group
+// creation.
 func aggLookupFixedOp[T any](ks, ds, stateID, ax, width int,
 	get func(*storage.Vector) []T, put func([]byte, int, T)) exec {
 	return func(fr *frame, n int) {

@@ -20,7 +20,7 @@ import (
 )
 
 // Ctx is one worker's execution context: per-worker scratch space, frames,
-// pre-aggregation tables and counters. A Ctx is not safe for concurrent use;
+// aggregation tables and counters. A Ctx is not safe for concurrent use;
 // the scheduler gives each worker its own. Everything a Ctx builds is keyed by
 // the plan's state objects and compiled programs, so a Ctx kept with its plan
 // instance serves the instance's next execution from the same memory
@@ -39,13 +39,12 @@ type Ctx struct {
 	ident     []int32  // the identity selection 0,1,2,…: every filter's input
 }
 
-// workerAgg is one worker's share of an aggregation: its sharded
-// pre-aggregation table (morsel-driven parallel aggregation; merged by the
-// scheduler) and the bounded thread-local table in front of it. built marks
-// that the current execution has written into them.
+// workerAgg is one worker's share of an aggregation: its own table
+// (morsel-driven parallel aggregation; merged by the scheduler), which no
+// other worker writes. built marks that the current execution has written
+// into it.
 type workerAgg struct {
 	table *rt.AggTable
-	local *rt.LocalAggTable
 	built bool
 }
 
@@ -71,9 +70,6 @@ func (c *Ctx) Reset() {
 		}
 		a.built = false
 		a.table.Reset()
-		if a.local != nil {
-			a.local.Reset()
-		}
 	}
 }
 
@@ -105,19 +101,9 @@ func (c *Ctx) agg(st *rt.AggTableState) *workerAgg {
 	return a
 }
 
-// AggTable returns this worker's pre-aggregation table for an aggregation
-// state (morsel-driven parallel aggregation; merged by the scheduler).
+// AggTable returns this worker's table for an aggregation state
+// (morsel-driven parallel aggregation; merged by the scheduler).
 func (c *Ctx) AggTable(st *rt.AggTableState) *rt.AggTable { return c.agg(st).table }
-
-// LocalAgg returns this worker's bounded thread-local pre-aggregation table
-// for an aggregation state, backed by the worker's sharded table.
-func (c *Ctx) LocalAgg(st *rt.AggTableState) *rt.LocalAggTable {
-	a := c.agg(st)
-	if a.local == nil {
-		a.local = rt.NewLocalAggTable(st, a.table)
-	}
-	return a.local
-}
 
 // identity returns the selection [0,n). It is grown, never rewritten, so
 // every filter of every program this worker runs reads the same array.
@@ -128,22 +114,7 @@ func (c *Ctx) identity(n int) []int32 {
 	return c.ident[:n]
 }
 
-// FlushLocalAggs spills every thread-local pre-aggregation table into its
-// backing sharded table. The scheduler calls it at every morsel boundary —
-// local group rows must not live across morsels — so the off path (plans
-// without aggregation) is a single empty-map check.
-func (c *Ctx) FlushLocalAggs() {
-	if len(c.aggs) == 0 {
-		return
-	}
-	for _, a := range c.aggs {
-		if a.built && a.local != nil {
-			c.Counters.HTSpills += a.local.Flush()
-		}
-	}
-}
-
-// BuiltAggTable returns the pre-aggregation table this worker built for st in
+// BuiltAggTable returns the aggregation table this worker built for st in
 // the current execution, for the scheduler to merge, or nil if the worker
 // never touched the aggregation. The table stays owned by the Ctx: it is
 // valid until Reset.
@@ -152,14 +123,11 @@ func (c *Ctx) BuiltAggTable(st *rt.AggTableState) *rt.AggTable {
 	if a == nil || !a.built {
 		return nil
 	}
-	if a.local != nil {
-		c.Counters.HTSpills += a.local.Flush()
-	}
 	return a.table
 }
 
 // RetainedBytes estimates the memory the context holds on to across Reset:
-// scratch slabs, pre-aggregation tables and frame registers.
+// scratch slabs, aggregation tables and frame registers.
 func (c *Ctx) RetainedBytes() int64 {
 	var n int64
 	for _, s := range c.scratch {
@@ -167,9 +135,6 @@ func (c *Ctx) RetainedBytes() int64 {
 	}
 	for _, a := range c.aggs {
 		n += a.table.RetainedBytes()
-		if a.local != nil {
-			n += a.local.RetainedBytes()
-		}
 	}
 	for _, fr := range c.frameList {
 		n += fr.retainedBytes()

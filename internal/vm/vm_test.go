@@ -293,18 +293,9 @@ func TestAggPipelineEndToEnd(t *testing.T) {
 	p := MustCompile(f)
 	ctx := NewCtx()
 	p.Run(ctx, state, []*storage.Vector{ivec(1, 2, 1, 1), fvec(1.5, 2.5, 3.5, 4.5)}, 4, nil)
-	// The scheduler flushes thread-local pre-aggregation at morsel end;
-	// mirror that before reading the worker's shard table.
-	ctx.FlushLocalAggs()
 	tbl := ctx.AggTable(agg)
 	if tbl.Groups() != 2 {
 		t.Fatalf("groups = %d", tbl.Groups())
-	}
-	if ctx.Counters.HTLocalHits != 2 {
-		t.Fatalf("local hits = %d, want 2 (keys 1,1 repeat)", ctx.Counters.HTLocalHits)
-	}
-	if ctx.Counters.HTSpills != 2 {
-		t.Fatalf("spills = %d, want 2 groups flushed", ctx.Counters.HTSpills)
 	}
 	for _, row := range tbl.Snapshot() {
 		k := rt.GetI64(rt.RowKey(row), 0)
@@ -331,7 +322,7 @@ func TestAggPipelineEndToEnd(t *testing.T) {
 		t.Fatal("the scheduler must be handed the table the worker built")
 	}
 	ctx.Reset()
-	if ctx.BuiltAggTable(agg) != nil || ctx.Counters.HTSpills != 0 {
+	if ctx.BuiltAggTable(agg) != nil || ctx.Counters.HTProbes != 0 {
 		t.Fatal("after Reset the worker has built nothing")
 	}
 	p.Run(ctx, state, []*storage.Vector{ivec(7), fvec(1)}, 1, nil)

@@ -176,7 +176,7 @@ type (
 	// nanoseconds attributed over the sampled chunks.
 	SubOpProf = trace.SubOpProf
 	// MetricsValues is a snapshot of the engine-wide metrics registry: series
-	// name (e.g. "queries_succeeded", "ht_spills_total") to value.
+	// name (e.g. "queries_succeeded", "ht_inserts_total") to value.
 	MetricsValues = map[string]int64
 )
 

@@ -39,9 +39,10 @@ for _ in 1 2 3; do
 done
 
 # Differential fuzz seeds (batched table kernels against scalar builds and
-# against an ordered reference model) under the race detector: the batched
-# paths take shard locks once per chunk, so any ordering bug shows up here
-# first.
+# against an ordered reference model) under the race detector. Aggregation
+# batches take no lock (a worker's table is its own) and join batches take
+# each shard lock once per chunk; either way the fuzz pins batched output to
+# scalar output byte for byte, so an ordering bug shows up here first.
 go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 
 # Benchmark smoke: one iteration of the morsel-loop, table-kernel,
