@@ -57,15 +57,16 @@ func main() {
 		maxPrepared    = flag.Int("max-prepared", 0, "max registered prepared statements (0 = 4096)")
 
 		mutexFraction = flag.Int("mutex-profile-fraction", 0,
-			"sample 1/n of mutex contention events into /debug/pprof/mutex (0 = off); use to quantify hash-table shard contention")
+			"sample 1/n of mutex contention events into /debug/pprof/mutex (0 = off); the hash tables take no lock, the scheduler and caches do")
 		blockRate = flag.Int("block-profile-rate", 0,
 			"sample blocking events of >= n ns into /debug/pprof/block (0 = off)")
 	)
 	flag.Parse()
 
 	// Contention profiling is off by default (it costs a few percent on hot
-	// lock paths); flags arm it to measure shard-lock contention of
-	// JoinTable.InsertBatch under parallel builds.
+	// lock paths); flags arm it to measure contention on the scheduler, plan
+	// cache and admission locks. No hash table takes a lock: every worker
+	// builds its own.
 	if *mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexFraction)
 	}

@@ -388,7 +388,7 @@ func (l *lowerer) lowerGroupBy(n *GroupBy, required []string) error {
 		s.fn.InitSlot(init[s.off : s.off+8])
 		merges = append(merges, rt.AggMerge{Op: mergeOp(s.fn), Off: s.off})
 	}
-	st := &rt.AggTableState{Init: init, Shards: 16, Merge: merges}
+	st := &rt.AggTableState{Init: init, Merge: merges}
 
 	// Build-side suboperators: pack the compound key, look up the group,
 	// update every aggregate (paper Fig 6). A single fixed-width key skips

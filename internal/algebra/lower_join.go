@@ -57,7 +57,7 @@ func (l *lowerer) lowerJoin(n *HashJoin, required []string) error {
 	}
 	bLayout := rt.NewLayout(bFields)
 	bRL := &rt.RowLayoutState{KeyFixed: bLayout.KeyFixedWidth, PayloadFixed: bLayout.PayloadFixedWidth}
-	jt := &rt.JoinTableState{Table: rt.NewJoinTable(16)}
+	jt := &rt.JoinTableState{}
 
 	anchor, err := lb.anyBound(n.BuildKeys)
 	if err != nil {

@@ -318,17 +318,12 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		}
 	}
 
-	// The memory budget covers every table the query builds: the join tables
-	// created at lowering, the workers' aggregation tables (wired through
-	// vm.Ctx), and the merged globals built at finalization.
+	// The memory budget covers every table the query builds: the workers'
+	// join and aggregation tables (wired through vm.Ctx) and the sealed
+	// layouts and merged globals built from them.
 	var budget *rt.MemBudget
 	if opts.MemoryBudget > 0 {
 		budget = rt.NewMemBudget(opts.MemoryBudget)
-		for _, pipe := range plan.Pipelines {
-			for _, js := range pipe.SealJoins {
-				js.Table.SetBudget(budget)
-			}
-		}
 	}
 
 	// Worker contexts and pipeline buffers: the ones this plan instance's last
@@ -426,14 +421,6 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			out.Reset()
 		}
 
-		// A pipeline that builds join tables sizes them from its first morsel:
-		// the rows that morsel inserted, scaled from its share of the source
-		// to the whole, estimate the build (one filter selectivity over the
-		// scan), and the tables reserve their entry arrays for it in one step
-		// instead of growing them under every chunk.
-		var joinsSized atomic.Bool
-		joinsSized.Store(len(pipe.SealJoins) == 0 || len(morsels) < 2)
-
 		// One flight event per pipeline dispatch — morsel-batch granularity,
 		// never per morsel.
 		flight.Default.RecordStr(flight.KindMorselBatch, qid, pipe.Name,
@@ -462,17 +449,9 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			if pt != nil {
 				pt.Workers[slot].BeginMorsel(&wctx.Counters)
 			}
-			sizing := !joinsSized.Load()
-			rows0, inserts0 := wctx.Counters.Tuples, wctx.Counters.HTInserts
 			t0 := time.Now()
 			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], pb.src[slot], out)
 			elapsed := time.Since(t0)
-			if rows := wctx.Counters.Tuples - rows0; sizing && err == nil && rows > 0 && joinsSized.CompareAndSwap(false, true) {
-				est := float64(wctx.Counters.HTInserts-inserts0) / float64(rows) * float64(binder.total)
-				for _, js := range pipe.SealJoins {
-					js.Table.Reserve(int(est))
-				}
-			}
 			morselHist.ObserveDuration(elapsed)
 			if pt != nil {
 				pt.Workers[slot].EndMorsel(&wctx.Counters, elapsed)
@@ -505,7 +484,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		finStart := time.Now()
 		err = sealJoins(ctx, adm, plan.Name, pipe, opts.Backend, ctxs)
 		if err == nil {
-			err = finalizeSafe(plan.Name, pipe, opts.Backend, ctxs, budget)
+			err = finalizeSafe(plan.Name, pipe, opts.Backend, ctxs)
 		}
 		if pt != nil {
 			pt.Finalize = time.Since(finStart)
@@ -579,13 +558,21 @@ func schedError(err error) error {
 	return err
 }
 
-// sealJoins seals the join tables the pipeline built as one scheduler round:
-// every table's seal tasks (its bloom filter and its shards' layouts, the
-// scatter of q13's 740 k-row build among them) are shared by the query's
-// worker slots, with the morsel loop's panic isolation.
+// sealJoins seals the join tables the pipeline built as one scheduler round.
+// Every worker built its own table of each join; the first worker's becomes
+// the state's table and adopts the others'. The tables' seal tasks (a bloom
+// filter over all the workers' rows and one layout per shard, the scatter of
+// q13's 740 k-row build among them) are shared by the query's worker slots,
+// with the morsel loop's panic isolation.
 func sealJoins(ctx context.Context, adm *sched.Query, query string, pipe *core.Pipeline, backend Backend, ctxs []*vm.Ctx) error {
 	n := 0
 	for _, js := range pipe.SealJoins {
+		js.Table = ctxs[0].JoinTable(js)
+		for _, c := range ctxs[1:] {
+			if t := c.BuiltJoinTable(js); t != nil {
+				js.Table.Adopt(t)
+			}
+		}
 		n += js.Table.SealTasks()
 	}
 	if n == 0 {
@@ -616,7 +603,7 @@ func sealJoins(ctx context.Context, adm *sched.Query, query string, pipe *core.P
 
 // finalizeSafe runs pipeline finalization (aggregate merging; the joins are
 // sealed before it) with the same panic isolation as the morsel loop.
-func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm.Ctx, budget *rt.MemBudget) (err error) {
+func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm.Ctx) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			ctxs[0].Counters.PanicsRecovered++
@@ -626,7 +613,7 @@ func finalizeSafe(query string, pipe *core.Pipeline, backend Backend, ctxs []*vm
 	if err := faultinject.Inject(faultinject.ExecFinalize); err != nil {
 		panic(err)
 	}
-	return finalizePipeline(pipe, ctxs, budget)
+	return finalizePipeline(pipe, ctxs)
 }
 
 // sourceBinder adapts a pipeline source to morsel-range vector bindings.
@@ -666,23 +653,16 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 	}
 }
 
-func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx, budget *rt.MemBudget) error {
+func finalizePipeline(pipe *core.Pipeline, ctxs []*vm.Ctx) error {
 	for _, fin := range pipe.MergeAggs {
-		// The first worker table that was built becomes the global one and the
-		// others merge into it; the tables stay the worker contexts' to reset.
-		var global *rt.AggTable
-		for _, ctx := range ctxs {
-			switch part := ctx.BuiltAggTable(fin.State); {
-			case part == nil:
-			case global == nil:
-				global = part
-			default:
+		// The first worker's table becomes the global one and the others'
+		// merge into it, as the join tables are adopted (sealJoins); the
+		// tables stay the worker contexts' to reset.
+		global := ctxs[0].AggTable(fin.State)
+		for _, ctx := range ctxs[1:] {
+			if part := ctx.BuiltAggTable(fin.State); part != nil {
 				fin.State.MergeInto(global, part)
 			}
-		}
-		if global == nil {
-			global = fin.State.NewInstance()
-			global.SetBudget(budget)
 		}
 		if fin.Keyless && global.Groups() == 0 {
 			forceGroup(global.FindOrCreate(nil, rt.Hash64(nil)))

@@ -369,16 +369,18 @@ func TestFinalizeFaultIsIsolated(t *testing.T) {
 // round with the morsel loop's isolation, so a budget trip inside a seal task
 // is ErrMemoryBudget located at the worker slot that ran it, with no morsel.
 func TestSealBudgetTripIsLocated(t *testing.T) {
-	jt := &rt.JoinTableState{Table: rt.NewJoinTable(4)}
+	jt := &rt.JoinTableState{}
 	keys := make([][]byte, 1000)
 	for i := range keys {
 		keys[i] = make([]byte, 8)
 		rt.PutI64(keys[i], 0, int64(i))
 	}
-	var sc rt.BatchScratch
-	jt.Table.InsertBatch(keys, make([][]byte, len(keys)), rt.HashBatch(keys, nil), &sc)
-	// The build charged nothing; the sealed layout costs 32 B per row.
-	jt.Table.SetBudget(rt.NewMemBudget(1 << 10))
+	// The first worker's build charged nothing; the sealed layout costs 32 B
+	// per row.
+	ctxs := []*vm.Ctx{vm.NewCtx(), vm.NewCtx()}
+	tbl := ctxs[0].JoinTable(jt)
+	tbl.InsertBatch(keys, make([][]byte, len(keys)), rt.HashBatch(keys, nil), nil)
+	tbl.SetBudget(rt.NewMemBudget(1 << 10))
 
 	pool := sched.NewPool(sched.Config{Workers: 2})
 	defer pool.Close(context.Background())
@@ -387,7 +389,6 @@ func TestSealBudgetTripIsLocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer adm.Release()
-	ctxs := []*vm.Ctx{vm.NewCtx(), vm.NewCtx()}
 	pipe := &core.Pipeline{Name: "build", SealJoins: []*rt.JoinTableState{jt}}
 	err = sealJoins(context.Background(), adm, "sealq", pipe, BackendVectorized, ctxs)
 	if !errors.Is(err, ErrMemoryBudget) {
@@ -399,6 +400,59 @@ func TestSealBudgetTripIsLocated(t *testing.T) {
 	}
 	if ctxs[0].Counters.PanicsRecovered+ctxs[1].Counters.PanicsRecovered == 0 {
 		t.Fatal("seal recovery not counted")
+	}
+}
+
+// TestJoinBuildPerWorker: each worker of a join build inserts into its own
+// table and the sealed table adopts them all. q3 runs on two workers over
+// morsels small (and slow) enough that both take part in both of its builds;
+// per build, both contexts report a table, the one not sealed holds its
+// worker's inserts, and the sealed one holds the inserts of both.
+func TestJoinBuildPerWorker(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Arm(faultinject.ExecMorsel, faultinject.Fault{Delay: 100 * time.Microsecond})
+	cat := tpch.Generate(0.01, 42)
+	node, err := tpch.Build(cat, "q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(sched.Config{Workers: 2})
+	defer pool.Close(context.Background())
+	for _, backend := range []Backend{BackendVectorized, BackendCompiling} {
+		t.Run(backend.String(), func(t *testing.T) {
+			plan := lowerOrDie(t, node, "q3")
+			arts := NewArtifactSet(plan)
+			lat := LatencyNone
+			res, err := Execute(plan, Options{Backend: backend, Workers: 2, MorselSize: 64,
+				Latency: &lat, Pool: pool, Artifacts: arts, Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			builds := 0
+			for pi, pipe := range plan.Pipelines {
+				for _, js := range pipe.SealJoins {
+					builds++
+					sum := 0
+					for w, c := range arts.state.ctxs {
+						tbl := c.BuiltJoinTable(js)
+						inserts := int(res.Trace.Pipelines[pi].Workers[w].Counters.HTInserts)
+						switch {
+						case tbl == nil || inserts == 0:
+							t.Fatalf("%s: worker %d built no join table (%d inserts)", pipe.Name, w, inserts)
+						case tbl != js.Table && tbl.Rows() != inserts:
+							t.Fatalf("%s: worker %d's table holds %d rows, it inserted %d", pipe.Name, w, tbl.Rows(), inserts)
+						}
+						sum += inserts
+					}
+					if js.Table.Rows() != sum {
+						t.Fatalf("%s: the sealed table holds %d rows, the workers inserted %d", pipe.Name, js.Table.Rows(), sum)
+					}
+				}
+			}
+			if builds != 2 {
+				t.Fatalf("q3 has %d join builds, want 2", builds)
+			}
+		})
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"go/types"
 )
 
-// LockScopeAnalyzer checks, in packages marked //inklint:lockscope (the rt
-// shard tables), that a sync.Mutex/RWMutex critical section never spans:
+// LockScopeAnalyzer checks, in packages marked //inklint:lockscope (rt, whose
+// hash tables take no lock today), that a sync.Mutex/RWMutex critical section
+// never spans:
 //
-//   - a faultinject call (an injected delay or error while holding a shard
-//     lock stalls every worker hashing into that shard)
+//   - a faultinject call (an injected delay or error while holding a lock
+//     stalls every worker waiting for it)
 //   - a channel operation (send/receive/select/range) — the classic
 //     lock-ordering deadlock shape with the scheduler
 //   - a goroutine spawn or an indirect call through a function value
@@ -24,7 +25,7 @@ import (
 // list. Findings are waived with //inklint:allow lockscope — <reason>.
 var LockScopeAnalyzer = &Analyzer{
 	Name: "lockscope",
-	Doc:  "shard-lock critical sections must not span fault points, channel ops, or callbacks",
+	Doc:  "mutex critical sections must not span fault points, channel ops, or callbacks",
 	Run:  runLockScope,
 }
 

@@ -2,12 +2,12 @@ package rt
 
 // Arena is a bump allocator handing out byte slices from large blocks. Hash
 // tables use it so that millions of packed rows cost a handful of real
-// allocations. Arenas are not safe for concurrent use; each hash-table shard
-// owns one.
+// allocations. Arenas are not safe for concurrent use; each aggregation table
+// and each join-table shard owns one.
 //
-// Blocks start small and double up to the block size: a sharded table has
-// sixteen arenas, and the shard of a four-group aggregation that receives one
-// row should not pay 64 KiB for it.
+// Blocks start small and double up to the block size: a join table has
+// sixteen arenas, and a shard that receives one row should not pay 64 KiB for
+// it; nor should a four-group aggregation.
 //
 // An arena keeps every regular block it ever allocated: Reset rewinds it to
 // its first block, and the next execution of the owning plan instance is

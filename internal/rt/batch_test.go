@@ -9,10 +9,10 @@ import (
 )
 
 // Differential tests: the batched kernels must be observationally identical
-// to the scalar entry points — byte-identical table snapshots (the counting
-// sort preserves per-shard insertion order), identical match iteration, and
-// identical memory-budget behaviour (the cumulative charges are equal, so a
-// budget that fails one path fails the other).
+// to the scalar entry points — byte-identical table snapshots (a chunk is
+// resolved in row order), identical match iteration, and identical
+// memory-budget behaviour (the cumulative charges are equal, so a budget that
+// fails one path fails the other).
 
 // deriveKeys expands fuzz bytes into a key set: key i is a 1/4/8/12-byte
 // little-endian encoding of a value drawn from a small domain (forcing
@@ -57,7 +57,7 @@ func snapshotsEqual(t *testing.T, name string, a, b *AggTable) {
 
 // runAggBoth builds one table scalar and one batched from the same key
 // stream (chunked), returning whether each path hit the memory budget.
-func runAggBoth(keys [][]byte, init []byte, shards, chunk int, budgetBytes int64) (scalar, batched *AggTable, sErr, bErr error) {
+func runAggBoth(keys [][]byte, init []byte, chunk int, budgetBytes int64) (scalar, batched *AggTable, sErr, bErr error) {
 	run := func(batch bool) (tbl *AggTable, err error) {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -68,18 +68,17 @@ func runAggBoth(keys [][]byte, init []byte, shards, chunk int, budgetBytes int64
 				panic(rec)
 			}
 		}()
-		tbl = NewAggTable(init, shards)
+		tbl = NewAggTable(init, 0)
 		if budgetBytes > 0 {
 			tbl.SetBudget(NewMemBudget(budgetBytes))
 		}
-		var sc BatchScratch
 		var hashes []uint64
 		dst := make([][]byte, chunk)
 		for at := 0; at < len(keys); at += chunk {
 			ck := keys[at:min(at+chunk, len(keys))]
 			if batch {
 				hashes = HashBatch(ck, hashes)
-				tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], &sc)
+				tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], nil)
 			} else {
 				for _, k := range ck {
 					tbl.FindOrCreate(k, Hash64(k))
@@ -94,14 +93,13 @@ func runAggBoth(keys [][]byte, init []byte, shards, chunk int, budgetBytes int64
 }
 
 func FuzzAggBatchDifferential(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, uint16(64), uint8(4), uint8(8), false)
-	f.Add([]byte{0xff, 0x10}, uint16(1000), uint8(1), uint8(4), false)
-	f.Add([]byte{7}, uint16(300), uint8(16), uint8(1), false)
-	f.Add([]byte{9, 9, 9, 1}, uint16(2048), uint8(2), uint8(12), true)
-	f.Add([]byte{}, uint16(100), uint8(8), uint8(8), true)
-	f.Fuzz(func(t *testing.T, data []byte, nKeys uint16, shardsRaw, widthRaw uint8, budgeted bool) {
+	f.Add([]byte{1, 2, 3}, uint16(64), uint8(8), false)
+	f.Add([]byte{0xff, 0x10}, uint16(1000), uint8(4), false)
+	f.Add([]byte{7}, uint16(300), uint8(1), false)
+	f.Add([]byte{9, 9, 9, 1}, uint16(2048), uint8(12), true)
+	f.Add([]byte{}, uint16(100), uint8(8), true)
+	f.Fuzz(func(t *testing.T, data []byte, nKeys uint16, widthRaw uint8, budgeted bool) {
 		n := int(nKeys)%4096 + 1
-		shards := 1 << (int(shardsRaw) % 6) // 1..32
 		width := []int{1, 4, 8, 12}[int(widthRaw)%4]
 		domain := uint64(n)/3 + 1
 		keys := deriveKeys(data, n, domain, width)
@@ -111,14 +109,14 @@ func FuzzAggBatchDifferential(f *testing.F) {
 			// Tight enough to trip mid-stream on larger runs.
 			budget = int64(n) * 8
 		}
-		scalar, batched, sErr, bErr := runAggBoth(keys, init, shards, 256, budget)
+		scalar, batched, sErr, bErr := runAggBoth(keys, init, 256, budget)
 		if (sErr == nil) != (bErr == nil) {
 			t.Fatalf("budget divergence: scalar err=%v batched err=%v", sErr, bErr)
 		}
 		if sErr != nil {
 			return // both tripped the budget; partial contents are unspecified
 		}
-		snapshotsEqual(t, fmt.Sprintf("n=%d shards=%d width=%d", n, shards, width), scalar, batched)
+		snapshotsEqual(t, fmt.Sprintf("n=%d width=%d", n, width), scalar, batched)
 	})
 }
 
@@ -151,7 +149,6 @@ func FuzzAggBatchSeedsAndLocal(f *testing.F) {
 		// Local+batched path: local table absorbs, flushes every 256 keys.
 		backing := st.NewInstance()
 		loc := NewLocalAggTable(st, backing)
-		var sc BatchScratch
 		var hashes []uint64
 		for at := 0; at < len(keys); at += 256 {
 			ck := keys[at:min(at+256, len(keys))]
@@ -174,7 +171,7 @@ func FuzzAggBatchSeedsAndLocal(f *testing.F) {
 				for i := range seeds {
 					seeds[i] = seed
 				}
-				backing.FindOrCreateBatch(pendK, seeds, pendH, pendD, &sc)
+				backing.FindOrCreateBatch(pendK, seeds, pendH, pendD, nil)
 				for _, row := range pendD {
 					off := RowPayloadOff(row)
 					PutI64(row, off, GetI64(row, off)+1)
@@ -211,8 +208,10 @@ func FuzzAggBatchSeedsAndLocal(f *testing.F) {
 // against an ordered reference model — per key its payloads, newest first —
 // over keys of one width (word or wider) or of two widths mixed in one build:
 // every probe's matches, the bloom filter (no false negatives, and
-// LookupBatch partitions the probes), and a second build of the same rows in
-// other chunks sealing to the same layout.
+// LookupBatch partitions the probes). It then deals the build's chunks over
+// 1–4 worker tables, as a pipeline's workers take them, and requires the
+// first table, having adopted the others, to seal to what one table holding
+// the rows in adoption order seals to, byte for byte.
 func FuzzJoinBatchDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint16(64), uint8(4), uint16(32))
 	f.Add([]byte{0x42}, uint16(777), uint8(1), uint16(500))
@@ -227,15 +226,25 @@ func FuzzJoinBatchDifferential(f *testing.F) {
 	f.Add([]byte{2, 7, 1}, uint16(900), uint8(0x84), uint16(600))
 	f.Add([]byte{4, 4}, uint16(4096+500), uint8(0x82), uint16(700))
 	f.Add([]byte{3}, uint16(6144+50), uint8(0x81), uint16(200))
+	// nProbe's top bits pick how many worker tables the build is dealt over
+	// (1–4; the second of four stays empty). In a mixed build the 4-byte keys
+	// go to the last table: tables whose key widths differ meet at the seal.
+	f.Add([]byte{1, 2, 3}, uint16(64), uint8(4), uint16(2048+32))
+	f.Add([]byte{8, 8, 8}, uint16(1500), uint8(3), uint16(4096+500))
+	f.Add([]byte{5, 6}, uint16(2048+300), uint8(2), uint16(6144+400))
+	f.Add([]byte{2, 7, 1}, uint16(900), uint8(0x84), uint16(2048+600))
+	f.Add([]byte{4, 4}, uint16(4096+500), uint8(0x82), uint16(6144+700))
+	f.Add([]byte{}, uint16(10), uint8(5), uint16(6144+1))
 	f.Fuzz(func(t *testing.T, data []byte, nBuild uint16, shardsRaw uint8, nProbe uint16) {
 		nb := int(nBuild)%2048 + 1
 		np := int(nProbe)%2048 + 1
 		shards := 1 << (int(shardsRaw) % 6)
 		width := []int{8, 4, 12, 1}[int(nBuild>>11)%4]
+		mixed := shardsRaw&0x80 != 0
 		buildKeys := deriveKeys(data, nb, uint64(nb)/2+1, width)
 		// Probe keys from a wider domain so many miss (exercising the filter).
 		probeKeys := deriveKeys(data, np, uint64(nb)*4+7, width)
-		if shardsRaw&0x80 != 0 {
+		if mixed {
 			// Every seventh build key 4 bytes wide: shards of mixed widths.
 			short := deriveKeys(data, nb, uint64(nb)/2+1, 4)
 			for i := 0; i < nb; i += 7 {
@@ -249,13 +258,9 @@ func FuzzJoinBatchDifferential(f *testing.F) {
 			payloads[i] = []byte{byte(i), byte(i >> 8)}
 			model.add(k, payloads[i])
 		}
-		build := func(chunk int) *JoinTable {
-			tbl := NewJoinTable(shards)
-			insertJoinRows(tbl, buildKeys, payloads, chunk)
-			tbl.Seal()
-			return tbl
-		}
-		tbl, rechunked := build(256), build(int(shardsRaw)%97+1)
+		tbl := NewJoinTable(shards)
+		insertJoinRows(tbl, buildKeys, payloads, 256)
+		tbl.Seal()
 		checkJoinModel(t, tbl, model)
 
 		probeHashes := HashBatch(probeKeys, nil)
@@ -268,21 +273,66 @@ func FuzzJoinBatchDifferential(f *testing.F) {
 			passSet[int(i)] = true
 		}
 		for i, k := range probeKeys {
-			h := probeHashes[i]
-			got, again := matchesOf(tbl, k, h), matchesOf(rechunked, k, h)
-			want := model[string(k)]
-			if len(got) != len(want) || len(again) != len(want) {
-				t.Fatalf("probe %d: %d and %d matches, model %d", i, len(got), len(again), len(want))
+			want := len(model[string(k)])
+			if got := len(matchesOf(tbl, k, probeHashes[i])); got != want {
+				t.Fatalf("probe %d: %d matches, model %d", i, got, want)
 			}
-			for j := range got {
-				if !bytes.Equal(got[j], again[j]) {
-					t.Fatalf("probe %d match %d differs between chunkings", i, j)
-				}
-			}
-			if len(want) > 0 && !passSet[i] {
+			if want > 0 && !passSet[i] {
 				t.Fatalf("probe %d: bloom filter dropped a real match", i)
 			}
-			if tbl.Touch(h) != rechunked.Touch(h) {
+		}
+
+		// Deal the chunks over the worker tables; list each table's rows.
+		nParts := int(nProbe>>11)%4 + 1
+		live := []int{0, 1, 2, 3}[:nParts]
+		if nParts == 4 {
+			live = []int{0, 2, 3}
+		}
+		chunk := int(shardsRaw)%97 + 1
+		partRows := make([][]int, nParts)
+		for lo := 0; lo < nb; lo += chunk {
+			p := live[lo/chunk%len(live)]
+			for i := lo; i < min(lo+chunk, nb); i++ {
+				q := p
+				if mixed && nParts > 1 && len(buildKeys[i]) != width {
+					q = nParts - 1
+				}
+				partRows[q] = append(partRows[q], i)
+			}
+		}
+		var dealt *JoinTable
+		single := NewJoinTable(shards)
+		for _, rows := range partRows {
+			keys, pays := make([][]byte, len(rows)), make([][]byte, len(rows))
+			for j, i := range rows {
+				keys[j], pays[j] = buildKeys[i], payloads[i]
+			}
+			part := NewJoinTable(shards)
+			insertJoinRows(part, keys, pays, chunk)
+			if dealt == nil {
+				dealt = part
+			} else {
+				dealt.Adopt(part)
+			}
+			insertJoinRows(single, keys, pays, 256)
+		}
+		dealt.Seal()
+		single.Seal()
+		if dealt.Rows() != nb {
+			t.Fatalf("%d worker tables seal %d rows, want %d", nParts, dealt.Rows(), nb)
+		}
+		for i, k := range append(probeKeys, buildKeys...) {
+			h := Hash64(k)
+			got, want := matchesOf(dealt, k, h), matchesOf(single, k, h)
+			if len(got) != len(want) {
+				t.Fatalf("probe %d: %d matches over %d worker tables, %d in one", i, len(got), nParts, len(want))
+			}
+			for j := range got {
+				if !bytes.Equal(got[j], want[j]) {
+					t.Fatalf("probe %d match %d: %x over %d worker tables, %x in one", i, j, got[j], nParts, want[j])
+				}
+			}
+			if dealt.Touch(h) != single.Touch(h) {
 				t.Fatalf("probe %d: Touch divergence", i)
 			}
 		}
@@ -294,7 +344,7 @@ func FuzzJoinBatchDifferential(f *testing.F) {
 // cumulative total, and leaves the table readable.
 func TestAggBatchBudgetMidBatch(t *testing.T) {
 	keys := deriveKeys([]byte{3, 1, 4}, 1024, 1024, 8) // all distinct-ish
-	_, _, sErr, bErr := runAggBoth(keys, make([]byte, 16), 8, 128, 4096)
+	_, _, sErr, bErr := runAggBoth(keys, make([]byte, 16), 128, 4096)
 	if sErr == nil || bErr == nil {
 		t.Fatalf("want both paths to trip the budget, scalar=%v batched=%v", sErr, bErr)
 	}
@@ -303,10 +353,9 @@ func TestAggBatchBudgetMidBatch(t *testing.T) {
 	func() {
 		defer func() { recover() }()
 		tbl.SetBudget(NewMemBudget(600))
-		var sc BatchScratch
 		hashes := HashBatch(keys, nil)
 		dst := make([][]byte, len(keys))
-		tbl.FindOrCreateBatch(keys, nil, hashes, dst, &sc)
+		tbl.FindOrCreateBatch(keys, nil, hashes, dst, nil)
 	}()
 	done := make(chan struct{})
 	go func() {
@@ -437,13 +486,12 @@ func TestAggReserveNoMidBatchResize(t *testing.T) {
 	st := &AggTableState{Init: make([]byte, 8), Shards: 8, SizeHint: n}
 	tbl := st.NewInstance()
 	base := tbl.Resizes()
-	var sc BatchScratch
 	var hashes []uint64
 	dst := make([][]byte, 512)
 	for at := 0; at < len(keys); at += 512 {
 		ck := keys[at:min(at+512, len(keys))]
 		hashes = HashBatch(ck, hashes)
-		tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], &sc)
+		tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], nil)
 	}
 	if got := tbl.Resizes() - base; got != 0 {
 		t.Fatalf("batched build resized %d times despite SizeHint", got)

@@ -207,14 +207,13 @@ func BenchmarkAggBuildBatched(b *testing.B) {
 			const chunk = 1024
 			tbl := NewAggTable(make([]byte, 8), 16)
 			keys := benchChunkKeys(chunk, groups, 0)
-			var sc BatchScratch
 			hashes := make([]uint64, 0, chunk)
 			dst := make([][]byte, chunk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += chunk {
 				hashes = HashBatch(keys, hashes)
-				tbl.FindOrCreateBatch(keys, nil, hashes, dst, &sc)
+				tbl.FindOrCreateBatch(keys, nil, hashes, dst, nil)
 				for _, row := range dst {
 					off := RowPayloadOff(row)
 					PutI64(row, off, GetI64(row, off)+1)

@@ -1,19 +1,17 @@
 package rt
 
-import (
-	"bytes"
-	"slices"
-	"sync"
-)
+import "bytes"
 
 // JoinTable is the join hash table. Unlike AggTable it stores duplicate keys
-// (paper §IV-E). The build phase appends packed rows under shard locks; Seal
-// freezes every shard into one probe layout (DESIGN.md §10): its (hash, row)
+// (paper §IV-E). Each worker of a build pipeline appends packed rows to its
+// own table, so a table has one writer and takes no lock. When the pipeline
+// finished, one table adopts the others (Adopt) and Seal freezes every shard
+// of all of them into one probe layout (DESIGN.md §10): the (hash, row)
 // entries regrouped by bucket, a bucket's entries one contiguous run, newest
-// first. A probe scans its bucket's run sequentially, lock-free. Where every
-// key blob of a shard has one width of at most 8 bytes — every TPC-H join key
-// — equal hash is equal key (Hash64 is a bijection of the key word), and the
-// probe never reads a row it does not emit.
+// first. A probe scans its bucket's run sequentially. Where every key blob of
+// a shard has one width of at most 8 bytes — every TPC-H join key — equal
+// hash is equal key (Hash64 is a bijection of the key word), and the probe
+// never reads a row it does not emit.
 type JoinTable struct {
 	shards    []joinShard
 	shardMask uint64
@@ -28,6 +26,10 @@ type JoinTable struct {
 	fmask  uint64
 }
 
+// JoinShards is the shard count of the tables the engine builds: the seal
+// round lays the shards out in parallel.
+const JoinShards = 16
+
 // bloomTag picks the in-byte tag bit from hash bits unused by shard and
 // bucket addressing.
 //
@@ -35,14 +37,17 @@ type JoinTable struct {
 func bloomTag(h uint64) byte { return 1 << ((h >> 40) & 7) }
 
 type joinShard struct {
-	mu     sync.Mutex
-	rows   [][]byte // entries in insertion order
-	hashes []uint64
-	arena  *Arena
-	budget *MemBudget
-	// keyLen is the length every key blob inserted so far has, or -1 once two
-	// lengths differ (meaningless while the shard is empty). Where it is at
-	// most 8, a probe key of that length matches on the hash alone.
+	// The entries in insertion order: blocks, the last of them being filled,
+	// then the adopted tables' blocks (Adopt); n entries in all. Blocks an
+	// earlier execution filled wait, emptied, in blocks' capacity (Reset).
+	blocks  []entryBlock
+	adopted []entryBlock
+	n       int
+	arena   *Arena
+	budget  *MemBudget
+	// keyLen is the length every key blob so far has, or -1 once two lengths
+	// differ (meaningless while the shard is empty). Where it is at most 8, a
+	// probe key of that length matches on the hash alone.
 	keyLen int
 
 	// The sealed layout. Bucket b (a hash's low bits, h&mask) holds the
@@ -52,10 +57,28 @@ type joinShard struct {
 	mask   uint64
 }
 
-// NewJoinTable creates an empty join table.
+// entryBlock is a run of a shard's entries in insertion order. A shard's
+// blocks double in size from joinFirstBlock entries joinBlockDoublings times
+// and are never regrown: appending an entry never copies the ones before it,
+// so a build allocates about what it keeps without an estimate of its size.
+type entryBlock struct {
+	hashes []uint64
+	rows   [][]byte
+}
+
+const (
+	joinFirstBlock     = 8
+	joinBlockDoublings = 9 // to 4096 entries
+)
+
+// runs returns the entry blocks Seal lays out: the shard's own, then the
+// adopted ones.
+func (s *joinShard) runs() [2][]entryBlock { return [2][]entryBlock{s.blocks, s.adopted} }
+
+// NewJoinTable creates an empty join table (shardCount ≤ 0 means JoinShards).
 func NewJoinTable(shardCount int) *JoinTable {
 	if shardCount <= 0 {
-		shardCount = 16
+		shardCount = JoinShards
 	}
 	sc := 1
 	for sc < shardCount {
@@ -68,9 +91,6 @@ func NewJoinTable(shardCount int) *JoinTable {
 	return t
 }
 
-// ShardCount reports the table's shard-array size (always a power of two).
-func (t *JoinTable) ShardCount() int { return len(t.shards) }
-
 // SetBudget charges this table's future allocations (arena blocks, entry
 // bookkeeping, the sealed layout's arrays) to the query budget. Call before
 // the build pipeline inserts.
@@ -82,23 +102,23 @@ func (t *JoinTable) SetBudget(b *MemBudget) {
 	}
 }
 
-// Reserve readies the table for about n build rows in all: every shard's
-// entry arrays grow, once, to an even share of n plus an eighth for hash skew,
-// where appending row by row would have reallocated and copied them a dozen
-// times on the way (the runtime grows a large slice by a quarter at a time,
-// so the copies add up to four times the final size). Safe for concurrent use
-// with inserts; a table that already has the capacity is left alone.
-func (t *JoinTable) Reserve(n int) {
-	per := n / len(t.shards)
-	per += per/8 + 8
+// Adopt makes o's rows part of t, after t's own, as if t had received them:
+// each shard of t takes the headers of o's entry blocks in the shard, which
+// Seal scatters with its own — no entry is copied before that. Call once the
+// build has finished; o has t's shard count, is not written again until t is
+// reset, and stays its owner's to reset.
+func (t *JoinTable) Adopt(o *JoinTable) {
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		if extra := per - len(s.rows); extra > 0 {
-			s.rows = slices.Grow(s.rows, extra)
-			s.hashes = slices.Grow(s.hashes, extra)
+		s, a := &t.shards[i], &o.shards[i]
+		switch {
+		case a.n == 0:
+		case s.n == 0:
+			s.keyLen = a.keyLen
+		case a.keyLen != s.keyLen:
+			s.keyLen = -1
 		}
-		s.mu.Unlock()
+		s.n += a.n
+		s.adopted = append(s.adopted, a.blocks...)
 	}
 }
 
@@ -112,10 +132,11 @@ type sealedEntry struct {
 // sealedEntryBytes is the size of a sealedEntry.
 const sealedEntryBytes = 8 + sliceHeaderBytes
 
-// Seal lays every shard's entries out by bucket and builds the shared
-// bloom/tag filter over all of them. Must be called after the build pipeline
-// completes and before any Lookup. The layout and filter arrays reuse the
-// capacity an earlier execution left behind and are charged as if new.
+// Seal lays every shard's entries — its own and the adopted tables' — out by
+// bucket and builds the bloom/tag filter over all of them. Must be called
+// after the build pipeline completes and before any Lookup. The layout and
+// filter arrays reuse the capacity an earlier execution left behind and are
+// charged as if new.
 func (t *JoinTable) Seal() {
 	for i := 0; i < t.SealTasks(); i++ {
 		t.SealTask(i)
@@ -141,28 +162,33 @@ func (t *JoinTable) SealTask(i int) {
 	t.shards[0].budget.Charge(int64(fcap))
 	filter, fmask := zeroed(t.filter, int(fcap)), fcap-1
 	for s := range t.shards {
-		for _, h := range t.shards[s].hashes {
-			filter[(h>>16)&fmask] |= bloomTag(h)
+		for _, run := range t.shards[s].runs() {
+			for k := range run {
+				run[k].tag(filter, fmask)
+			}
 		}
 	}
 	t.filter, t.fmask = filter, fmask
 }
 
 // seal counts the shard's entries per bucket, turns the counts into run ends
-// and scatters the entries oldest first from each run's end, so that a run
-// reads newest first — the order the matches of a key are emitted in — and
-// start[b] is left at the run's beginning.
+// and scatters the entries oldest first — its own, then the adopted ones —
+// from each run's end, so that a run reads newest first, the order the
+// matches of a key are emitted in, and start[b] is left at the run's
+// beginning.
 func (s *joinShard) seal() {
-	n := len(s.rows)
+	n := s.n
 	buckets := uint64(16)
 	for buckets < uint64(2*n) {
 		buckets <<= 1
 	}
 	s.budget.Charge(int64(buckets+1)*4 + int64(n)*sealedEntryBytes)
-	s.mask = buckets - 1
+	mask := buckets - 1
 	start := zeroed(s.start, int(buckets)+1)
-	for _, h := range s.hashes {
-		start[h&s.mask]++
+	for _, run := range s.runs() {
+		for k := range run {
+			run[k].count(start, mask)
+		}
 	}
 	end := int32(0)
 	for b, c := range start[:buckets] {
@@ -171,13 +197,12 @@ func (s *joinShard) seal() {
 	}
 	start[buckets] = int32(n)
 	sealed := sized(s.sealed, n)
-	for e, h := range s.hashes {
-		b := h & s.mask
-		p := start[b] - 1
-		start[b] = p
-		sealed[p] = sealedEntry{h, s.rows[e]}
+	for _, run := range s.runs() {
+		for k := range run {
+			run[k].scatter(sealed, start, mask)
+		}
 	}
-	s.start, s.sealed = start, sealed
+	s.start, s.sealed, s.mask = start, sealed, mask
 }
 
 // sized returns s resized to n elements, reallocated only when its capacity
@@ -189,11 +214,15 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// reset empties the shard in place, keeping entry and layout capacity and
-// the arena's blocks; the budget is detached.
+// reset empties the shard in place, keeping its entry blocks, layout
+// capacity and the arena's blocks; the budget is detached.
 func (s *joinShard) reset() {
-	s.rows = s.rows[:0]
-	s.hashes = s.hashes[:0]
+	for k := range s.blocks {
+		b := &s.blocks[k]
+		b.hashes, b.rows = b.hashes[:0], b.rows[:0]
+	}
+	clear(s.adopted)
+	s.blocks, s.adopted, s.n = s.blocks[:0], s.adopted[:0], 0
 	s.start = s.start[:0]
 	s.sealed = s.sealed[:0]
 	s.mask = 0
@@ -202,12 +231,16 @@ func (s *joinShard) reset() {
 }
 
 func (s *joinShard) retainedBytes() int64 {
-	return s.arena.RetainedBytes() + int64(cap(s.rows))*sliceHeaderBytes + int64(cap(s.hashes))*8 +
-		int64(cap(s.start))*4 + int64(cap(s.sealed))*sealedEntryBytes
+	n := s.arena.RetainedBytes() + int64(cap(s.start))*4 + int64(cap(s.sealed))*sealedEntryBytes +
+		int64(cap(s.adopted))*2*sliceHeaderBytes
+	for _, b := range s.blocks[:cap(s.blocks)] {
+		n += int64(cap(b.hashes))*8 + int64(cap(b.rows))*sliceHeaderBytes
+	}
+	return n
 }
 
-// Reset empties the table in place, unsealed, keeping its memory for the next
-// execution of the owning plan instance. Not safe for concurrent use.
+// Reset empties the table in place, unsealed and without adopted rows,
+// keeping its memory for the next execution of the owning plan instance.
 func (t *JoinTable) Reset() {
 	for i := range t.shards {
 		t.shards[i].reset()
@@ -228,11 +261,11 @@ func (t *JoinTable) RetainedBytes() int64 {
 // enough that a bigger filter stops paying for its cache footprint.
 const maxBloomBytes = 1 << 26
 
-// Rows returns the number of build rows.
+// Rows returns the number of build rows, the adopted tables' included.
 func (t *JoinTable) Rows() int {
 	n := 0
 	for i := range t.shards {
-		n += len(t.shards[i].rows)
+		n += t.shards[i].n
 	}
 	return n
 }
@@ -296,4 +329,33 @@ func (t *JoinTable) Touch(h uint64) byte {
 		return s.sealed[e].row[0] ^ byte(s.sealed[e].hash)
 	}
 	return acc
+}
+
+// The seal's loops over one block's entries are functions of their own, out
+// of line: nested in the loops over shards and blocks, their variables spill
+// to the stack.
+
+//go:noinline
+func (b *entryBlock) tag(filter []byte, fmask uint64) {
+	for _, h := range b.hashes {
+		filter[(h>>16)&fmask] |= bloomTag(h)
+	}
+}
+
+//go:noinline
+func (b *entryBlock) count(start []int32, mask uint64) {
+	for _, h := range b.hashes {
+		start[h&mask]++
+	}
+}
+
+//go:noinline
+func (b *entryBlock) scatter(sealed []sealedEntry, start []int32, mask uint64) {
+	rows := b.rows[:len(b.hashes)]
+	for e, h := range b.hashes {
+		i := h & mask
+		q := start[i] - 1
+		start[i] = q
+		sealed[q] = sealedEntry{h, rows[e]}
+	}
 }

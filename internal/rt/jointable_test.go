@@ -12,18 +12,16 @@ import (
 // insertJoin adds one build row through the batched entry point, hashed as
 // the engine hashes keys.
 func insertJoin(tbl *JoinTable, key, payload []byte) {
-	var sc BatchScratch
-	tbl.InsertBatch([][]byte{key}, [][]byte{payload}, []uint64{Hash64(key)}, &sc)
+	tbl.InsertBatch([][]byte{key}, [][]byte{payload}, []uint64{Hash64(key)}, nil)
 }
 
 // insertJoinRows adds rows in chunks of chunk rows, as a build pipeline does.
 func insertJoinRows(tbl *JoinTable, keys, payloads [][]byte, chunk int) {
-	var sc BatchScratch
 	var hashes []uint64
 	for lo := 0; lo < len(keys); lo += chunk {
 		hi := min(lo+chunk, len(keys))
 		hashes = HashBatch(keys[lo:hi], hashes)
-		tbl.InsertBatch(keys[lo:hi], payloads[lo:hi], hashes, &sc)
+		tbl.InsertBatch(keys[lo:hi], payloads[lo:hi], hashes, nil)
 	}
 }
 
@@ -149,10 +147,15 @@ func TestJoinTableEmpty(t *testing.T) {
 	}
 }
 
+// TestJoinTableConcurrentBuild builds the way a build pipeline's workers do:
+// eight goroutines insert into a table each, never into another's, and the
+// first table adopts the others and seals as concurrent tasks. The sealed
+// table answers for every worker's rows.
 func TestJoinTableConcurrentBuild(t *testing.T) {
-	tbl := NewJoinTable(8)
+	parts := make([]*JoinTable, 8)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range parts {
+		parts[w] = NewJoinTable(8)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -160,11 +163,22 @@ func TestJoinTableConcurrentBuild(t *testing.T) {
 			for i := range keys {
 				keys[i] = i64Key(int64(i))
 			}
-			insertJoinRows(tbl, keys, make([][]byte, len(keys)), 100)
+			insertJoinRows(parts[w], keys, make([][]byte, len(keys)), 100)
 		}()
 	}
 	wg.Wait()
-	tbl.Seal()
+	tbl := parts[0]
+	for _, p := range parts[1:] {
+		tbl.Adopt(p)
+	}
+	for i := 0; i < tbl.SealTasks(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tbl.SealTask(i)
+		}()
+	}
+	wg.Wait()
 	if tbl.Rows() != 16_000 {
 		t.Fatalf("rows = %d", tbl.Rows())
 	}
@@ -265,7 +279,8 @@ func inverseOdd(c uint64) uint64 {
 
 // Keys that are not words of one width are compared byte for byte: two
 // different keys given one hash by hand never match each other, whether they
-// are 12-byte keys, strings, or words of two widths in one shard. A probe key
+// are 12-byte keys, strings, or words of two widths in one shard — inserted
+// into one table, or into two of which one adopts the other. A probe key
 // whose width differs from a word shard's is compared too.
 func TestJoinTableHashCollisionsCompareBytes(t *testing.T) {
 	const h = 0x0123456789abcdef
@@ -279,17 +294,25 @@ func TestJoinTableHashCollisionsCompareBytes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tbl := NewJoinTable(1)
-			var sc BatchScratch
-			tbl.InsertBatch([][]byte{c.a, c.b, c.a}, [][]byte{{'a'}, {'b'}, {'A'}}, []uint64{h, h, h}, &sc)
-			tbl.Seal()
-			for key, want := range map[string]string{string(c.a): "Aa", string(c.b): "b"} {
-				got := ""
-				for _, r := range matchesOf(tbl, []byte(key), h) {
-					got += string(r[RowPayloadOff(r):])
+			for _, adopt := range []bool{false, true} {
+				tbl := NewJoinTable(1)
+				if adopt {
+					other := NewJoinTable(1)
+					tbl.InsertBatch([][]byte{c.a}, [][]byte{{'a'}}, []uint64{h}, nil)
+					other.InsertBatch([][]byte{c.b, c.a}, [][]byte{{'b'}, {'A'}}, []uint64{h, h}, nil)
+					tbl.Adopt(other)
+				} else {
+					tbl.InsertBatch([][]byte{c.a, c.b, c.a}, [][]byte{{'a'}, {'b'}, {'A'}}, []uint64{h, h, h}, nil)
 				}
-				if got != want {
-					t.Fatalf("key %x matched payloads %q, want %q", key, got, want)
+				tbl.Seal()
+				for key, want := range map[string]string{string(c.a): "Aa", string(c.b): "b"} {
+					got := ""
+					for _, r := range matchesOf(tbl, []byte(key), h) {
+						got += string(r[RowPayloadOff(r):])
+					}
+					if got != want {
+						t.Fatalf("adopted %v: key %x matched payloads %q, want %q", adopt, key, got, want)
+					}
 				}
 			}
 		})
@@ -317,9 +340,11 @@ func TestJoinTableSealedLayout(t *testing.T) {
 	if got := int(s.start[len(s.start)-1]); got != len(keys) || len(s.start) != int(s.mask)+2 {
 		t.Fatalf("start has %d entries ending at %d, want %d ending at %d", len(s.start), got, s.mask+2, len(keys))
 	}
-	inserted := make(map[*byte]int, len(s.rows)) // a row's position in insertion order
-	for e, r := range s.rows {
-		inserted[&r[0]] = e
+	inserted := make(map[*byte]int, len(keys)) // a row's position in insertion order
+	for _, blk := range s.blocks {
+		for _, r := range blk.rows {
+			inserted[&r[0]] = len(inserted)
+		}
 	}
 	for b := 0; b <= int(s.mask); b++ {
 		prev := len(keys)

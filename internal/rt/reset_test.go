@@ -233,58 +233,3 @@ func TestArenaBlocksGrowToTheBlockSize(t *testing.T) {
 		t.Fatalf("a request larger than the kept block: got %d bytes, arena %d -> %d", len(big), kept, a.RetainedBytes())
 	}
 }
-
-// Reserve sizes the entry arrays once: the inserts that follow reallocate
-// nothing, a second Reserve within capacity changes nothing, and it may run
-// next to inserts.
-func TestJoinTableReserve(t *testing.T) {
-	const n = 20000
-	tbl := NewJoinTable(4)
-	tbl.Reserve(n)
-	caps := func() (out [4]int) {
-		for i := range tbl.shards {
-			out[i] = cap(tbl.shards[i].rows)
-		}
-		return out
-	}
-	reserved := caps()
-	keys, hashes := make([][]byte, n), make([]uint64, n)
-	for i := range keys {
-		keys[i] = i64Key(int64(i))
-		hashes[i] = Hash64(keys[i])
-	}
-	var sc BatchScratch
-	for lo := 0; lo < n; lo += 1024 {
-		hi := min(lo+1024, n)
-		tbl.InsertBatch(keys[lo:hi], make([][]byte, hi-lo), hashes[lo:hi], &sc)
-	}
-	if got := caps(); got != reserved {
-		t.Fatalf("inserting the reserved %d rows regrew the entry arrays: %v -> %v", n, reserved, got)
-	}
-	tbl.Reserve(n / 2)
-	if got := caps(); got != reserved {
-		t.Fatalf("a smaller Reserve changed capacities: %v -> %v", reserved, got)
-	}
-	tbl.Seal()
-	if tbl.Rows() != n || matchesOf(tbl, keys[n-1], hashes[n-1]) == nil {
-		t.Fatalf("table holds %d rows after a reserved build", tbl.Rows())
-	}
-
-	// Concurrent with a build (the executor reserves from the first finished
-	// morsel while other workers insert): same rows either way.
-	par := NewJoinTable(4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var sc BatchScratch
-		for lo := 0; lo < n; lo += 1024 {
-			hi := min(lo+1024, n)
-			par.InsertBatch(keys[lo:hi], make([][]byte, hi-lo), hashes[lo:hi], &sc)
-		}
-	}()
-	par.Reserve(n)
-	<-done
-	if par.Rows() != n {
-		t.Fatalf("a build reserved mid-way holds %d rows, want %d", par.Rows(), n)
-	}
-}

@@ -6,6 +6,5 @@ import "inkfuse/internal/rt"
 // InsertJoin adds one build row to a join table through its batched entry
 // point, hashed with rt.Hash64 as the engine hashes keys.
 func InsertJoin(tbl *rt.JoinTable, key, payload []byte) {
-	var sc rt.BatchScratch
-	tbl.InsertBatch([][]byte{key}, [][]byte{payload}, []uint64{rt.Hash64(key)}, &sc)
+	tbl.InsertBatch([][]byte{key}, [][]byte{payload}, []uint64{rt.Hash64(key)}, nil)
 }

@@ -91,7 +91,7 @@ type AggMerge struct {
 // finishes.
 type AggTableState struct {
 	Init   []byte // payload template for new groups
-	Shards int
+	Shards int    // ignored: a worker's table has no shards
 	Merge  []AggMerge
 
 	// SizeHint is the scheduler's cardinality estimate for one worker's share
@@ -130,7 +130,7 @@ func (s *AggTableState) RetainedBytes() int64 {
 func (s *AggTableState) Ready() bool { return s.Global != nil }
 
 // Snapshot returns all group rows of the built table in entry (insertion)
-// order per shard. The list is valid until the state is reset.
+// order. The list is valid until the state is reset.
 func (s *AggTableState) Snapshot() [][]byte {
 	s.snap = s.Global.AppendRows(s.snap[:0])
 	return s.snap
@@ -138,7 +138,7 @@ func (s *AggTableState) Snapshot() [][]byte {
 
 // NewInstance creates a fresh table for one worker.
 func (s *AggTableState) NewInstance() *AggTable {
-	t := NewAggTable(s.Init, s.Shards)
+	t := NewAggTable(s.Init, 0)
 	// Pre-size before a budget is attached: like the initial bucket arrays,
 	// the estimate-driven capacity is uncharged; only demand growth is.
 	t.Reserve(s.SizeHint)
@@ -147,15 +147,13 @@ func (s *AggTableState) NewInstance() *AggTable {
 
 // MergeInto folds all groups of src into dst using the merge spec. Creation
 // extras beyond the init template (preserved original key strings, §IV-D
-// collations) are carried over from the source group.
+// collations) are carried over from the source group. A group's hash is the
+// one src stored for it, Hash64 of its key, so no key is hashed again.
 func (s *AggTableState) MergeInto(dst, src *AggTable) {
-	for i := range src.shards {
-		for _, row := range src.shards[i].rows {
-			key := RowKey(row)
-			seed := row[RowPayloadOff(row)+len(s.Init):]
-			drow := dst.FindOrCreateSeed(key, Hash64(key), seed)
-			s.mergePayload(drow, row)
-		}
+	for e, row := range src.rows {
+		seed := row[RowPayloadOff(row)+len(s.Init):]
+		drow := dst.FindOrCreateSeed(RowKey(row), src.hashes[e], seed)
+		s.mergePayload(drow, row)
 	}
 }
 
@@ -184,21 +182,24 @@ func (s *AggTableState) mergePayload(drow, row []byte) {
 	}
 }
 
-// JoinTableState wires a join hash table into the generated code.
+// JoinTableState wires a join hash table into the generated code. Every
+// worker builds its own table and writes no other; when the build pipeline
+// finishes, the scheduler sets Table to the first built one, which adopts the
+// others, and seals it. The probes read Table.
 type JoinTableState struct {
 	Table *JoinTable
 }
 
-// Reset empties the table in place, unsealed, keeping its memory: the owning
-// plan is reusable for another execution (DESIGN.md §16).
-func (s *JoinTableState) Reset() { s.Table.Reset() }
+// Reset clears the sealed table pointer: the owning plan is reusable for
+// another execution (DESIGN.md §16). The tables belong to the worker contexts
+// and are reset with them.
+func (s *JoinTableState) Reset() { s.Table = nil }
 
-// Drop replaces the table with a fresh empty one of the same layout,
-// releasing the old one's memory.
-func (s *JoinTableState) Drop() { s.Table = NewJoinTable(s.Table.ShardCount()) }
+// Drop is Reset: the state holds no table memory of its own.
+func (s *JoinTableState) Drop() { s.Reset() }
 
-// RetainedBytes returns the memory the state holds on to across Reset.
-func (s *JoinTableState) RetainedBytes() int64 { return s.Table.RetainedBytes() }
+// RetainedBytes returns the memory the state holds on to across Reset: none.
+func (s *JoinTableState) RetainedBytes() int64 { return 0 }
 
 // CodeTableState answers a predicate of one dictionary-coded column against
 // constants: T[c] is the predicate's value on the string code c stands for.

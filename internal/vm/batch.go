@@ -12,16 +12,14 @@ import (
 // access just happens a chunk at a time.
 
 // tableBatch is the per-call-site scratch of one batched table statement:
-// extracted key/seed views, the hash vector, the bloom candidates, and the
-// shard-grouping scratch. One aux slot holds it, so steady-state chunks
-// allocate nothing.
+// extracted key/seed views, the hash vector and the bloom candidates. One aux
+// slot holds it, so steady-state chunks allocate nothing.
 type tableBatch struct {
 	keys   [][]byte // per-row key blobs (views into rows or keybuf)
 	seeds  [][]byte // per-row creation extras / build payloads
 	hashes []uint64
 	keybuf []byte  // packed fixed-width key encodings
 	pend   []int32 // bloom candidates
-	sc     rt.BatchScratch
 	// The fused key build (keybuild.go): the key columns bound to the current
 	// execution, and a never-written (all-zero) byte run.
 	cols  []keyCol
@@ -84,6 +82,6 @@ func aggBatchLookup(fr *frame, tb *tableBatch, st *rt.AggTableState, keys, seeds
 			sseg = seeds[off:end]
 		}
 		tb.hashes = rt.HashBatch(keys[off:end], tb.hashes)
-		tbl.FindOrCreateBatch(keys[off:end], sseg, tb.hashes, d[off:end], &tb.sc)
+		tbl.FindOrCreateBatch(keys[off:end], sseg, tb.hashes, d[off:end], nil)
 	}
 }

@@ -85,8 +85,10 @@ func newFusedProbe(tb testing.TB, cat *storage.Catalog, query string) *fusedBuil
 		if scan.Table.Name == "lineitem" {
 			return fb
 		}
-		fb.runRows(vm.NewCtx(), fb.views(), fb.rows)
+		ctx := vm.NewCtx()
+		fb.runRows(ctx, fb.views(), fb.rows)
 		for _, js := range pipe.SealJoins {
+			js.Table = ctx.BuiltJoinTable(js)
 			js.Table.Seal()
 		}
 	}

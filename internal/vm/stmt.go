@@ -264,7 +264,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		id := s.StateID
 		ax := c.newAux()
 		*blk = append(*blk, func(fr *frame, n int) {
-			js := fr.state[id].(*rt.JoinTableState)
+			tbl := fr.ctx.JoinTable(fr.state[id].(*rt.JoinTableState))
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
 			keys := sizedRows(&tb.keys, n)
@@ -275,7 +275,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 				pays[i] = r[4+len(key):]
 			}
 			tb.hashes = rt.HashBatch(keys, tb.hashes)
-			js.Table.InsertBatch(keys, pays, tb.hashes, &tb.sc)
+			tbl.InsertBatch(keys, pays, tb.hashes, nil)
 			fr.ctx.Counters.VMOps += int64(n)
 			fr.ctx.Counters.HTInserts += int64(n)
 		})

@@ -20,9 +20,9 @@ import (
 )
 
 // Ctx is one worker's execution context: per-worker scratch space, frames,
-// aggregation tables and counters. A Ctx is not safe for concurrent use;
-// the scheduler gives each worker its own. Everything a Ctx builds is keyed by
-// the plan's state objects and compiled programs, so a Ctx kept with its plan
+// hash tables and counters. A Ctx is not safe for concurrent use; the
+// scheduler gives each worker its own. Everything a Ctx builds is keyed by the
+// plan's state objects and compiled programs, so a Ctx kept with its plan
 // instance serves the instance's next execution from the same memory
 // (Reset, DESIGN.md §16).
 type Ctx struct {
@@ -33,26 +33,75 @@ type Ctx struct {
 	Budget *rt.MemBudget
 
 	scratch   map[*rt.RowLayoutState]*rt.RowScratch
-	aggs      map[*rt.AggTableState]*workerAgg
+	aggs      workerTables[*rt.AggTableState, *rt.AggTable]
+	joins     workerTables[*rt.JoinTableState, *rt.JoinTable]
 	frames    map[*Program]*frame
 	frameList []*frame // the values of frames, for RetainedBytes to walk
 	ident     []int32  // the identity selection 0,1,2,…: every filter's input
 }
 
-// workerAgg is one worker's share of an aggregation: its own table
-// (morsel-driven parallel aggregation; merged by the scheduler), which no
-// other worker writes. built marks that the current execution has written
-// into it.
-type workerAgg struct {
-	table *rt.AggTable
+// workerTables maps a plan state to this worker's table for it: its share of
+// an aggregation (merged by the scheduler) or of a join build (adopted into
+// the sealed table), which no other worker writes.
+type workerTables[S comparable, T interface {
+	SetBudget(*rt.MemBudget)
+	Reset()
+	RetainedBytes() int64
+}] map[S]*workerTable[T]
+
+// workerTable is one table; built marks that the current execution wrote it.
+type workerTable[T any] struct {
+	table T
 	built bool
+}
+
+// use returns the table for st, made by create on first use ever. Its first
+// use in an execution runs ready before the budget is attached.
+func (m workerTables[S, T]) use(st S, budget *rt.MemBudget, create func(S) T, ready func(S, T)) T {
+	w := m[st]
+	if w == nil {
+		w = &workerTable[T]{table: create(st)}
+		m[st] = w
+	}
+	if !w.built {
+		w.built = true
+		ready(st, w.table)
+		w.table.SetBudget(budget)
+	}
+	return w.table
+}
+
+// built returns the table the current execution built for st, or the zero T.
+func (m workerTables[S, T]) built(st S) (t T) {
+	if w := m[st]; w != nil && w.built {
+		t = w.table
+	}
+	return t
+}
+
+// reset empties the tables the last execution built.
+func (m workerTables[S, T]) reset() {
+	for _, w := range m {
+		if w.built {
+			w.built = false
+			w.table.Reset()
+		}
+	}
+}
+
+func (m workerTables[S, T]) retainedBytes() (n int64) {
+	for _, w := range m {
+		n += w.table.RetainedBytes()
+	}
+	return n
 }
 
 // NewCtx creates an execution context.
 func NewCtx() *Ctx {
 	return &Ctx{
 		scratch: make(map[*rt.RowLayoutState]*rt.RowScratch),
-		aggs:    make(map[*rt.AggTableState]*workerAgg),
+		aggs:    make(workerTables[*rt.AggTableState, *rt.AggTable]),
+		joins:   make(workerTables[*rt.JoinTableState, *rt.JoinTable]),
 		frames:  make(map[*Program]*frame),
 	}
 }
@@ -64,13 +113,8 @@ func NewCtx() *Ctx {
 func (c *Ctx) Reset() {
 	c.Counters = stats.Counters{}
 	c.Budget = nil
-	for _, a := range c.aggs {
-		if !a.built {
-			continue
-		}
-		a.built = false
-		a.table.Reset()
-	}
+	c.aggs.reset()
+	c.joins.reset()
 }
 
 // Scratch returns this worker's packed-row scratch for a layout.
@@ -83,27 +127,22 @@ func (c *Ctx) Scratch(st *rt.RowLayoutState) *rt.RowScratch {
 	return s
 }
 
-func (c *Ctx) agg(st *rt.AggTableState) *workerAgg {
-	a, ok := c.aggs[st]
-	if !ok {
-		a = &workerAgg{table: rt.NewAggTable(st.Init, st.Shards)}
-		c.aggs[st] = a
-	}
-	if !a.built {
-		// First use in this execution, of a new and of a reset table alike:
-		// pre-size from the pipeline's cardinality hint while no budget is
-		// attached (like the initial bucket arrays, the estimate-driven
-		// capacity is uncharged; only demand growth is), then attach it.
-		a.built = true
-		a.table.Reserve(st.SizeHint)
-		a.table.SetBudget(c.Budget)
-	}
-	return a
+// AggTable returns this worker's table for an aggregation. Its first use in
+// an execution pre-sizes it from the pipeline's cardinality hint while no
+// budget is attached: like the initial bucket array, the estimate-driven
+// capacity is uncharged; only demand growth is.
+func (c *Ctx) AggTable(st *rt.AggTableState) *rt.AggTable {
+	return c.aggs.use(st, c.Budget, (*rt.AggTableState).NewInstance, reserveHint)
 }
 
-// AggTable returns this worker's table for an aggregation state
-// (morsel-driven parallel aggregation; merged by the scheduler).
-func (c *Ctx) AggTable(st *rt.AggTableState) *rt.AggTable { return c.agg(st).table }
+func reserveHint(st *rt.AggTableState, t *rt.AggTable) { t.Reserve(st.SizeHint) }
+func newJoinTable(*rt.JoinTableState) *rt.JoinTable    { return rt.NewJoinTable(rt.JoinShards) }
+func noReadying(*rt.JoinTableState, *rt.JoinTable)     {}
+
+// JoinTable returns this worker's table for a join build.
+func (c *Ctx) JoinTable(st *rt.JoinTableState) *rt.JoinTable {
+	return c.joins.use(st, c.Budget, newJoinTable, noReadying)
+}
 
 // identity returns the selection [0,n). It is grown, never rewritten, so
 // every filter of every program this worker runs reads the same array.
@@ -118,23 +157,17 @@ func (c *Ctx) identity(n int) []int32 {
 // the current execution, for the scheduler to merge, or nil if the worker
 // never touched the aggregation. The table stays owned by the Ctx: it is
 // valid until Reset.
-func (c *Ctx) BuiltAggTable(st *rt.AggTableState) *rt.AggTable {
-	a := c.aggs[st]
-	if a == nil || !a.built {
-		return nil
-	}
-	return a.table
-}
+func (c *Ctx) BuiltAggTable(st *rt.AggTableState) *rt.AggTable { return c.aggs.built(st) }
+
+// BuiltJoinTable is BuiltAggTable for a join build, for the scheduler to seal.
+func (c *Ctx) BuiltJoinTable(st *rt.JoinTableState) *rt.JoinTable { return c.joins.built(st) }
 
 // RetainedBytes estimates the memory the context holds on to across Reset:
-// scratch slabs, aggregation tables and frame registers.
+// scratch slabs, hash tables and frame registers.
 func (c *Ctx) RetainedBytes() int64 {
-	var n int64
+	n := c.aggs.retainedBytes() + c.joins.retainedBytes()
 	for _, s := range c.scratch {
 		n += s.RetainedBytes()
-	}
-	for _, a := range c.aggs {
-		n += a.table.RetainedBytes()
 	}
 	for _, fr := range c.frameList {
 		n += fr.retainedBytes()

@@ -15,7 +15,7 @@ go build ./...
 go vet ./...
 
 # inklint: the engine-invariant analyzers (hotpath allocation discipline,
-# backend dispatch/enumeration completeness, typed boundary errors, shard-lock
+# backend dispatch/enumeration completeness, typed boundary errors, lock
 # scope). Diagnostics print as file:line:col and fail the gate verbatim.
 echo "inklint..."
 go run ./cmd/inklint ./...
@@ -39,10 +39,10 @@ for _ in 1 2 3; do
 done
 
 # Differential fuzz seeds (batched table kernels against scalar builds and
-# against an ordered reference model) under the race detector. Aggregation
-# batches take no lock (a worker's table is its own) and join batches take
-# each shard lock once per chunk; either way the fuzz pins batched output to
-# scalar output byte for byte, so an ordering bug shows up here first.
+# against an ordered reference model) under the race detector. No table takes
+# a lock: every worker builds its own, and the join fuzz deals a build over up
+# to four worker tables that one adopts, pinned byte for byte to one table
+# holding the rows in adoption order, so an ordering bug shows up here first.
 go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 
 # Benchmark smoke: one iteration of the morsel-loop, table-kernel,

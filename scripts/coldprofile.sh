@@ -130,14 +130,35 @@ go tool pprof -top -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk '
         for (i = 1; i <= n; i++) printf "  %-16s %6.2f %%\n", order[i], share[order[i]]
     }'
 
-# tracked prints the symbols matching the awk regex $1, by cumulative share.
+# tracked prints the symbols matching the awk regex $1, by cumulative share,
+# then every top-level alternative of $1 that matched no profiled symbol: a
+# renamed kernel shows as missing instead of vanishing from the list.
 tracked() {
     go tool pprof -top -cum -nodecount=100000 "$out/cpu.pb.gz" 2>/dev/null | awk -v re="$1" '
+        BEGIN {
+            # Split re at the bars outside parentheses and brackets.
+            n = 1; depth = 0; inbr = 0
+            for (i = 1; i <= length(re); i++) {
+                c = substr(re, i, 1)
+                if (c == "\\") { alt[n] = alt[n] c substr(re, i + 1, 1); i++; continue }
+                if (inbr) { if (c == "]") inbr = 0 }
+                else if (c == "[") inbr = 1
+                else if (c == "(") depth++
+                else if (c == ")") depth--
+                else if (c == "|" && depth == 0) { n++; continue }
+                alt[n] = alt[n] c
+            }
+        }
         /^ *flat +flat%/ { body = 1; next }
         !body { next }
         {
             sym = $6; for (i = 7; i <= NF; i++) sym = sym " " $i
-            if (sym ~ re) printf "  %-72s flat %7s  cum %7s\n", sym, $2, $5
+            if (sym !~ re) next
+            printf "  %-72s flat %7s  cum %7s\n", sym, $2, $5
+            for (k = 1; k <= n; k++) if (sym ~ alt[k]) hit[k] = 1
+        }
+        END {
+            for (k = 1; k <= n; k++) if (!hit[k]) printf "  no profiled symbol matches: %s\n", alt[k]
         }'
 }
 
@@ -152,16 +173,17 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # MakeRow / PackStr / SealKey closures (vm.(*compiler).stmt.funcN), packFixedOp
 # and the scratch they drive. Key runs compiled to one operation: keyProbe,
 # keyAggLookup and their kernels. The aggregation table: a worker's lookups
-# (aggShard.findOrCreate, under AggTable.FindOrCreateBatch or, from the fused
-# key build, FindOrCreateSeed) and the finalize merge of the workers' tables
+# (AggTable.FindOrCreateSeed, under AggTable.FindOrCreateBatch or called by
+# the fused key build) and the finalize merge of the workers' tables
 # (AggTableState.MergeInto) — scan_agg_sf1's aggregation path. The join
-# table: its insert (joinShard's insertBatch, under JoinTable.InsertBatch) and
-# its seal. The probe itself: the bloom pass, the bucket scan (collect →
+# table: a worker's insert (joinShard's insert and nextBlock, under
+# JoinTable.InsertBatch) and the seal (SealTask → joinShard.seal per shard,
+# its per-block loops entryBlock.count / scatter / tag). The probe itself: the bloom pass, the bucket scan (collect →
 # MatchIter.Next, RowKey only where keys are not words) and the probe-side
 # gathers.
 echo
 echo "CPU share of tracked symbols, join and aggregation path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|appendKey|selectCode)( |$)|rt\\.\\(\\*aggShard\\)\\.findOrCreate( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insertBatch|seal)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|appendKey|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
