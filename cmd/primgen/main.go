@@ -4,11 +4,12 @@
 // sink, and emits the resulting primitives as C source — the artifact
 // InkFuse compiles at build time (the paper reports 20 suboperators → 800+
 // primitives → ~20k lines of generated C; run `primgen -stats` for this
-// implementation's numbers).
+// implementation's numbers). C is the only text rendering of the IR; the
+// runtime types and hooks it calls are declared in artifacts/inkfuse.h.
 //
-//	primgen -stats          # counts only
-//	primgen > interp.c      # the full generated interpreter
-//	primgen -id cmp_lt_f64_ck   # one primitive
+//	primgen -stats                        # counts only
+//	primgen > artifacts/interpreter.c     # refresh the checked-in interpreter
+//	primgen -id cmp_lt_f64_ck             # one primitive
 package main
 
 import (
@@ -26,13 +27,7 @@ import (
 func main() {
 	statsOnly := flag.Bool("stats", false, "print enumeration statistics only")
 	one := flag.String("id", "", "emit a single primitive by ID")
-	lang := flag.String("lang", "c", "emit language: c | go")
 	flag.Parse()
-
-	render := ir.EmitC
-	if *lang == "go" {
-		render = ir.EmitGo
-	}
 
 	reg, err := interp.NewRegistry()
 	if err != nil {
@@ -48,7 +43,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "primgen: no primitive %q\n", *one)
 			os.Exit(1)
 		}
-		fmt.Print(render(f))
+		fmt.Print(ir.EmitC(f))
 		return
 	}
 
@@ -79,10 +74,5 @@ func main() {
 		return
 	}
 
-	src, err := reg.GenerateSource(*lang)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "primgen:", err)
-		os.Exit(1)
-	}
-	fmt.Print(src)
+	fmt.Print(reg.GenerateC())
 }

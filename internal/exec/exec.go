@@ -42,14 +42,12 @@ type Options struct {
 	Trace bool
 	// Profile enables the sampled per-suboperator profiler on backends that
 	// serve morsels through the vectorized interpreter (vectorized, hybrid):
-	// one in every ProfileEvery chunks runs through a timed step loop that
-	// attributes nanoseconds and input tuples to each suboperator primitive.
-	// Results land in the trace (Pipeline.SubOps) and EXPLAIN ANALYZE. Off by
-	// default; when off the chunk loop pays a single nil check.
+	// one in every interp.DefaultProfileEvery chunks runs through a timed
+	// step loop that attributes nanoseconds and input tuples to each
+	// suboperator primitive. Results land in the trace (Pipeline.SubOps) and
+	// EXPLAIN ANALYZE. Off by default; when off the chunk loop pays a single
+	// nil check.
 	Profile bool
-	// ProfileEvery is the profiler's sampling period in chunks;
-	// 0 = interp.DefaultProfileEvery.
-	ProfileEvery int
 	// Pool is the engine-wide scheduler this query dispatches its morsels
 	// into. nil = sched.Shared(), the process-wide default pool with
 	// unlimited admission. Servers pass their own admission-controlled pool.

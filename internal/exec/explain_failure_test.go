@@ -100,12 +100,12 @@ func TestExplainAnalyzeSubOpProfile(t *testing.T) {
 	plan := lowerOrDie(t, groupByNode(makeTable()), "profq")
 	lat := LatencyNone
 	out, res, err := ExplainAnalyze(context.Background(), plan, Options{
-		Backend: BackendVectorized, Workers: 2, MorselSize: 512, ProfileEvery: 1, Latency: &lat,
+		Backend: BackendVectorized, Workers: 2, MorselSize: 512, ChunkSize: 64, Latency: &lat,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "-- subops: sampled 1/1 chunks") {
+	if !strings.Contains(out, "-- subops: sampled 1/8 chunks") {
 		t.Fatalf("explain output missing suboperator section:\n%s", out)
 	}
 	if !strings.Contains(out, "ns/tuple=") {
@@ -115,8 +115,9 @@ func TestExplainAnalyzeSubOpProfile(t *testing.T) {
 	if len(pt.SubOps) == 0 || pt.ProfiledChunks == 0 {
 		t.Fatalf("trace carries no suboperator profile: %+v", pt)
 	}
-	// Attribution covers exactly the sampled chunks: with every=1 each
-	// suboperator was called once per chunk on the first pipeline.
+	// 64-row chunks cut each 512-row morsel into 8, so the default period
+	// samples at least one chunk of the table's ten morsels, and every
+	// suboperator of the first pipeline was called on it.
 	for _, s := range pt.SubOps {
 		if s.ID == "" || s.Calls == 0 || s.Tuples == 0 {
 			t.Fatalf("empty suboperator sample: %+v", s)

@@ -91,7 +91,7 @@ func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opt
 		for _, run := range r.runs {
 			run.DisableProfile()
 			if opts.Profile {
-				r.profs = append(r.profs, run.EnableProfile(opts.ProfileEvery))
+				r.profs = append(r.profs, run.EnableProfile(interp.DefaultProfileEvery))
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestKindPredicates(t *testing.T) {
 }
 
 func TestKindNames(t *testing.T) {
-	if Int64.String() != "i64" || Date.CName() != "int32_t" || Float64.GoName() != "float64" {
+	if Int64.String() != "i64" || Date.CName() != "int32_t" || Float64.CName() != "double" {
 		t.Fatal("kind names wrong")
 	}
 	if Invalid.String() != "invalid" {

@@ -75,6 +75,21 @@ grep -q '^trace q3: backend=hybrid' <<<"$out" \
     || { echo "inkbench -explain -trace: no trace: $out" >&2; exit 1; }
 echo "inkbench smoke OK"
 
+# primgen smoke: the documented refresh command must reproduce the checked-in
+# interpreter through the binary, not only through the Registry the drift test
+# calls; -stats must count primitives and -id must print one.
+echo "primgen smoke..."
+go build -o /tmp/primgen-smoke ./cmd/primgen
+/tmp/primgen-smoke | cmp - artifacts/interpreter.c \
+    || { echo "primgen: output differs from artifacts/interpreter.c" >&2; exit 1; }
+out=$(/tmp/primgen-smoke -stats)
+grep -q '^generated vectorized primitives: [1-9]' <<<"$out" \
+    || { echo "primgen -stats: no primitive count: $out" >&2; exit 1; }
+out=$(/tmp/primgen-smoke -id cmp_lt_f64_ck)
+grep -q '^void prim_cmp_lt_f64_ck(' <<<"$out" \
+    || { echo "primgen -id: no function: $out" >&2; exit 1; }
+echo "primgen smoke OK"
+
 # Alloc guard: the morsel loop must stay allocation-free per chunk with the
 # flight recorder on (the observability layer's zero-cost contract), and a
 # plan-cache hit must run on its instance's kept execution state (a warm
