@@ -91,23 +91,24 @@ func GenerateTPCH(sf float64, seed uint64) *Catalog {
 	return tpch.Generate(sf, seed)
 }
 
-// TPCHQuery returns the hand-built physical plan for one of the eight
-// supported TPC-H queries ("q1", "q3", "q4", "q5", "q6", "q13", "q14",
-// "q19").
+// TPCHQuery returns the plan of one of the eight paper queries ("q1",
+// "q3", "q4", "q5", "q6", "q13", "q14", "q19") or of "q10"/"q12": the
+// query's SQL text (TPCHSQL) bound against the catalog. Its literals stay in
+// the tree, so Run executes it as is.
 func TPCHQuery(cat *Catalog, name string) (Node, error) {
 	return tpch.Build(cat, name)
 }
 
-// TPCHQueries lists the supported query names.
+// TPCHQueries lists the paper's eight query names (TPCHQuery also takes
+// "q10" and "q12").
 func TPCHQueries() []string {
 	return append([]string{}, tpch.Queries...)
 }
 
-// TPCHSQL returns the SQL text of one of the supported TPC-H queries —
-// the same plans TPCHQuery hand-builds, expressed for the text frontend.
+// TPCHSQL returns the SQL text of one of the supported TPC-H queries: the
+// one description TPCHQuery binds.
 func TPCHSQL(name string) (string, bool) {
-	text, ok := tpch.SQL[name]
-	return text, ok
+	return tpch.Text(name)
 }
 
 // CompileSQL parses and binds a SELECT statement against a catalog. The

@@ -12,8 +12,8 @@ import (
 // every port has a kind its suboperator's description admits, and the
 // pipeline-breaker placement is sound (a join table is probed only after the
 // pipeline that seals it; an aggregate is read only after the pipeline that
-// merges it). Plan-construction tests call it directly, and
-// exec.Options.VerifyIR runs it before every query.
+// merges it). The server runs it once per plan, after lowering and before
+// the plan enters the plan cache; tests call it directly.
 //
 // The per-backend IR (ir.Func) has its own verifier, ir.Verify; VerifyPlan
 // checks the layer above — the suboperator graph all four backends consume.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -253,29 +254,47 @@ func (a *ArtifactSet) ArtifactBytes() int64 {
 // ends at its next context check, within one step's compile.
 func (a *ArtifactSet) CancelJobs() {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	var cancels []context.CancelFunc
 	for _, j := range a.jobs {
 		if j.cancel != nil {
-			j.cancel()
+			cancels = append(cancels, j.cancel)
 		}
+	}
+	a.mu.Unlock()
+	for _, cancel := range cancels {
+		cancel()
 	}
 }
 
 // job returns the set's compile job for k if it landed or is in flight; else
-// (none yet, or one that failed or was canceled) it registers the one start
-// makes and reports that it did. Without a set every call starts a job.
-func (a *ArtifactSet) job(k chainKey, start func() *compileJob) (j *compileJob, started bool) {
+// (none yet, or one that failed or was canceled) it registers a new one and
+// reports that it did. Without a set every call starts a job. A new
+// background job runs under a context of its own, returned as jctx: derived
+// from the query's ctx without a set, and from none with one, because the
+// set's job outlives the query.
+func (a *ArtifactSet) job(ctx context.Context, k chainKey, background bool) (j *compileJob, jctx context.Context, started bool) {
 	if a == nil {
-		return start(), true
+		j, jctx = newCompileJob(ctx, background)
+		return j, jctx, true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if j := a.jobs[k]; j != nil && !j.dead() {
-		return j, false
+		return j, ctx, false
 	}
-	j = start()
+	j, jctx = newCompileJob(context.Background(), background)
 	a.jobs[k] = j
-	return j, true
+	return j, jctx, true
+}
+
+// newCompileJob makes a job; a background one gets a context derived from
+// parent that CancelJobs can end.
+func newCompileJob(parent context.Context, background bool) (*compileJob, context.Context) {
+	j := &compileJob{done: make(chan struct{})}
+	if background {
+		parent, j.cancel = context.WithCancel(parent)
+	}
+	return j, parent
 }
 
 func (a *ArtifactSet) noteCompile() {

@@ -3,6 +3,8 @@
 // through interchangeable backends — operator-fusing compilation, the
 // generated vectorized interpreter, relaxed operator fusion, and the
 // adaptive hybrid backend that switches between them at morsel granularity.
+//
+//inklint:lockscope
 package exec
 
 import (
@@ -245,17 +247,7 @@ type compileJob struct {
 // derived from the query's without a set, and under one the set owns with one.
 func startCompile(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opts Options) (*compileJob, error) {
 	key := chainKey{pi, pol.split}
-	jctx := ctx
-	j, started := opts.Artifacts.job(key, func() *compileJob {
-		j := &compileJob{done: make(chan struct{})}
-		if pol.compile == compileBackground {
-			if opts.Artifacts != nil {
-				jctx = context.Background()
-			}
-			jctx, j.cancel = context.WithCancel(jctx)
-		}
-		return j
-	})
+	j, jctx, started := opts.Artifacts.job(ctx, key, pol.compile == compileBackground)
 	switch {
 	case !started && pol.compile == compileForeground:
 		return j, j.wait(ctx)

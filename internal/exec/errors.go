@@ -32,9 +32,10 @@ var (
 	// ErrUnknownBackend reports a backend name or value outside the four
 	// execution backends. The serving layer classifies it as a client error.
 	ErrUnknownBackend = errors.New("inkfuse: unknown backend")
-	// ErrInvalidPlan reports a structurally broken plan: an unknown source
-	// type, a read of an unbuilt aggregate, or (with Options.VerifyIR) a
-	// core.VerifyPlan failure.
+	// ErrInvalidPlan reports a structurally broken plan the executor meets:
+	// an unknown source type or a read of an unbuilt aggregate. Callers that
+	// want the full structural check run core.VerifyPlan before executing
+	// (the server does so once per plan, at lowering).
 	ErrInvalidPlan = errors.New("inkfuse: invalid plan")
 )
 

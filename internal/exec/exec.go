@@ -54,12 +54,6 @@ type Options struct {
 	// Workers stays the query's parallelism: it is the in-flight morsel cap
 	// and per-query state fan-out (slot count), independent of the pool size.
 	Pool *sched.Pool
-	// VerifyIR runs core.VerifyPlan on the plan before execution: IU
-	// def-use/single-producer checks, edge kind consistency, and pipeline
-	// breaker placement. A rejected plan fails with ErrInvalidPlan before any
-	// worker state is built. Off by default (lowering is trusted in
-	// production); tests and the serving layer's strict mode turn it on.
-	VerifyIR bool
 	// Artifacts, when non-nil, carries what the plan instance keeps across its
 	// executions: the compile jobs of its pipelines (the compiling/ROF/hybrid
 	// backends take the set's job for a chain or start one in it, and a
@@ -267,11 +261,6 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	pol, err := policyOf(opts.Backend)
 	if err != nil {
 		return nil, err
-	}
-	if opts.VerifyIR {
-		if err := core.VerifyPlan(plan); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
-		}
 	}
 	qs := &queryState{ctx: ctx}
 	qid := opts.QueryID

@@ -457,7 +457,7 @@ func TestJoinBuildPerWorker(t *testing.T) {
 }
 
 // TestEveryOutcomeCompletesOnce: however a query ends — including the ways
-// that never reach a worker: a plan the verifier rejects, a shed or
+// that never reach a worker: a plan the executor rejects, a shed or
 // over-capacity admission — ExecuteContext's single completion path counts it
 // as started, advances exactly one of queries_succeeded / failed / canceled,
 // feeds the latency histogram once and records exactly one terminal flight
@@ -492,15 +492,14 @@ func TestEveryOutcomeCompletesOnce(t *testing.T) {
 		kind    flight.Kind
 	}{
 		{name: "ok", series: "queries_succeeded", kind: flight.KindQueryDone},
-		{name: "invalid_plan", opts: Options{VerifyIR: true}, want: ErrInvalidPlan, series: "queries_failed", kind: flight.KindQueryError,
+		{name: "invalid_plan", want: ErrInvalidPlan, series: "queries_failed", kind: flight.KindQueryError,
 			arm: func(plan *core.Plan) {
-				for _, op := range plan.Pipelines[0].Ops {
-					if mr, ok := op.(*core.MakeRow); ok {
-						mr.Out = core.NewIU(mr.Out.K, "ghost")
-						return
-					}
+				// Drop the aggregation's build pipeline: the executor meets
+				// an AggRead whose build never ran.
+				if _, ok := plan.Pipelines[1].Source.(*core.AggRead); !ok {
+					t.Fatalf("p1 reads %T, want the aggregate", plan.Pipelines[1].Source)
 				}
-				t.Fatal("no op to break")
+				plan.Pipelines = plan.Pipelines[1:]
 			}},
 		{name: "shed", opts: Options{Pool: full}, want: sched.ErrQueueFull, series: "queries_failed", kind: flight.KindQueryError},
 		{name: "over_capacity", opts: Options{Pool: small, MemoryBudget: 1 << 20}, want: sched.ErrOverCapacity, series: "queries_failed", kind: flight.KindQueryError},

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"inkfuse/internal/algebra"
+	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/storage"
 	"inkfuse/internal/types"
@@ -15,8 +16,8 @@ import (
 )
 
 // TestRandomPlansDifferential builds random (type-correct) plans over random
-// data and checks that every backend agrees with the Volcano oracle, with the
-// plan verifier on — the broad-coverage property test of DESIGN.md §6. The
+// data, checks each with core.VerifyPlan and that every backend agrees with
+// the Volcano oracle — the broad-coverage property test of DESIGN.md §6. The
 // generator leans on the shapes the closure compiler rewrites (DESIGN.md §17):
 // deep conjunctions of comparisons in every operand arrangement, conjuncts that
 // must stay materialized, disjunctions of conjunctions, empty first selections,
@@ -63,11 +64,14 @@ func TestRandomPlansDifferential(t *testing.T) {
 					}
 					seen[fmt.Sprintf("%d probes", probes)] = true
 				}
+				if err := core.VerifyPlan(plan); err != nil {
+					t.Fatalf("verify: %v", err)
+				}
 				lat := LatencyNone
 				res, err := Execute(plan, Options{
 					Backend: backend, Workers: 1 + r.Intn(3),
 					ChunkSize: 1 << (3 + r.Intn(6)), MorselSize: 1 << (6 + r.Intn(6)),
-					Latency: &lat, VerifyIR: true,
+					Latency: &lat,
 				})
 				if err != nil {
 					t.Fatalf("%v: %v", backend, err)

@@ -6,6 +6,8 @@
 //
 // Everything is off by default: with no armed points the hooks are a single
 // atomic load, so the injection points can stay in hot paths permanently.
+//
+//inklint:lockscope
 package faultinject
 
 import (

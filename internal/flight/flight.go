@@ -20,6 +20,8 @@
 // capped label-interning table. The process-wide Default recorder is what
 // the engine records into; servers expose its Snapshot at /debug/flight and
 // attach Recent events to failing queries.
+//
+//inklint:lockscope
 package flight
 
 import (

@@ -8,9 +8,10 @@ import (
 	"go/types"
 )
 
-// LockScopeAnalyzer checks, in packages marked //inklint:lockscope (rt, whose
-// hash tables take no lock today), that a sync.Mutex/RWMutex critical section
-// never spans:
+// LockScopeAnalyzer checks, in packages marked //inklint:lockscope (the ones
+// that lock — exec, sched, plancache, serve, obs, storage, flight,
+// faultinject — and rt, whose hash tables take no lock today), that a
+// sync.Mutex/RWMutex critical section never spans:
 //
 //   - a faultinject call (an injected delay or error while holding a lock
 //     stalls every worker waiting for it)

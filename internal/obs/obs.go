@@ -11,6 +11,8 @@
 // per event or per counter at query end; a histogram observation (morsel
 // granularity or coarser) is two atomic adds plus a binary search over ~25
 // bucket bounds — no locks, no allocations, safe for every worker concurrently.
+//
+//inklint:lockscope
 package obs
 
 import (

@@ -23,6 +23,8 @@
 // — worker contexts, scratch rows, frames, hash-table memory — for its next
 // execution (exec.ArtifactSet, DESIGN.md §16): a hit re-executes on the
 // memory of the previous run.
+//
+//inklint:lockscope
 package plancache
 
 import (
@@ -67,14 +69,7 @@ func (p *Prepared) Plan() *core.Plan { return p.plan }
 func (p *Prepared) Params() *algebra.Params { return p.params }
 
 // Artifacts returns the artifact set to pass as exec.Options.Artifacts.
-// Nil-safe, like the set itself: a nil Prepared yields a nil set, which the
-// executor treats as "no landed artifacts".
-func (p *Prepared) Artifacts() *exec.ArtifactSet {
-	if p == nil {
-		return nil
-	}
-	return p.arts
-}
+func (p *Prepared) Artifacts() *exec.ArtifactSet { return p.arts }
 
 // Config bounds a Cache.
 type Config struct {

@@ -25,6 +25,8 @@
 // scheduler guarantees at most one task per (query, slot) at any time, so a
 // slot's state is never touched concurrently even though different pool
 // workers may serve it over the query's lifetime.
+//
+//inklint:lockscope
 package sched
 
 // sched is an error boundary: admission and dispatch failures must surface as

@@ -17,6 +17,8 @@
 // events in the error response. Requests may join a distributed trace via the
 // W3C traceparent header; traced executions export OTLP-shaped JSON spans to
 // Config.SpanSink and, on request, inline in the response.
+//
+//inklint:lockscope
 package serve
 
 import (
@@ -204,7 +206,8 @@ func (s *Server) Handler() http.Handler {
 // QueryRequest is the JSON body of POST /query. Exactly one of Query, SQL,
 // Prepared selects what runs.
 type QueryRequest struct {
-	// Query names one of the served TPC-H queries (see GET /queries).
+	// Query names one of the served TPC-H queries (see GET /queries): the
+	// request runs that query's SQL text, plan cache included.
 	Query string `json:"query,omitempty"`
 	// SQL is a SELECT statement compiled by the text frontend. Literals are
 	// auto-parameterized: repeated shapes share a plan-cache entry.
@@ -250,14 +253,12 @@ type QueryResponse struct {
 	Data       [][]any  `json:"data,omitempty"`
 	// TotalRows is the full result cardinality; Data holds min(TotalRows,
 	// max_rows) rows and RowsTruncated says whether the cap cut anything.
-	// Truncated is the legacy alias of RowsTruncated.
 	TotalRows     int      `json:"total_rows"`
 	RowsTruncated bool     `json:"rows_truncated"`
-	Truncated     bool     `json:"truncated,omitempty"`
 	Warnings      []string `json:"warnings,omitempty"`
 	Explain       string   `json:"explain,omitempty"`
 	Trace         string   `json:"trace,omitempty"`
-	// Fingerprint is the parameter-invariant plan-cache key (SQL path only);
+	// Fingerprint is the parameter-invariant plan-cache key;
 	// PlanCache reports whether this execution reused a cached plan ("hit",
 	// "miss", or "off" when caching is disabled).
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -356,74 +357,69 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		source = "prepared"
 	}
 
-	// Resolve the request to an executable plan. All parse, bind, and
-	// parameter failures reject here, before the query touches the scheduler:
-	// a malformed request must never hold an admission slot or a memory
-	// reservation (admission happens inside exec.ExecuteContext below).
-	var (
-		label       string // query name for logs and the response
-		plan        *core.Plan
-		prep        *plancache.Prepared // SQL path only
-		fingerprint string
-		cacheState  string
-	)
-	if req.Query != "" {
-		label = req.Query
-		node, err := tpch.Build(s.cat, req.Query)
-		if err != nil {
-			s.failRequest(w, id, http.StatusNotFound, "unknown_query", err)
+	// Resolve the request to a compiled statement and a leased plan. All
+	// parse, bind, and parameter failures reject here, before the query
+	// touches the scheduler: a malformed request must never hold an admission
+	// slot or a memory reservation (admission happens inside
+	// exec.ExecuteContext below). A named query is the SQL path for its
+	// tpch text, labelled with its name.
+	var stmt *sql.Statement
+	switch {
+	case req.Query != "":
+		text, ok := tpch.Text(req.Query)
+		if !ok {
+			s.failRequest(w, id, http.StatusNotFound, "unknown_query", fmt.Errorf("unknown query %q", req.Query))
 			return
 		}
-		if plan, err = algebra.Lower(node, req.Query); err != nil {
+		if stmt, err = sql.Compile(s.cat, text); err != nil {
 			s.failRequest(w, id, http.StatusInternalServerError, "internal", err)
 			return
 		}
-	} else {
-		var stmt *sql.Statement
-		if req.Prepared != "" {
-			if stmt = s.lookupPrepared(req.Prepared); stmt == nil {
-				s.failRequest(w, id, http.StatusNotFound, "unknown_prepared",
-					fmt.Errorf("unknown prepared statement %q", req.Prepared))
-				return
-			}
-		} else {
-			var err error
-			if stmt, err = sql.Compile(s.cat, req.SQL); err != nil {
-				s.failSQL(w, id, err)
-				return
-			}
-		}
-		if len(req.Params) != stmt.NumParams() {
-			s.failRequest(w, id, http.StatusBadRequest, "bad_params",
-				fmt.Errorf("statement takes %d parameters, got %d", stmt.NumParams(), len(req.Params)))
+	case req.Prepared != "":
+		if stmt = s.lookupPrepared(req.Prepared); stmt == nil {
+			s.failRequest(w, id, http.StatusNotFound, "unknown_prepared",
+				fmt.Errorf("unknown prepared statement %q", req.Prepared))
 			return
 		}
-		label = stmt.Name
-		fingerprint = stmt.Fingerprint.Hex()
-		prep, cacheState = s.acquirePlan(stmt)
-		if prep == nil {
-			lowered, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
-			if err != nil {
-				s.failRequest(w, id, http.StatusInternalServerError, "internal", err)
-				return
-			}
-			if err := core.VerifyPlan(lowered); err != nil {
-				s.failRequest(w, id, http.StatusInternalServerError, "internal", err)
-				return
-			}
-			prep = plancache.NewPrepared(stmt.Fingerprint, lowered, params)
-		}
-		if err := stmt.BindArgs(prep.Params(), req.Params); err != nil {
-			s.cache.Put(prep)
-			s.failRequest(w, id, http.StatusBadRequest, "bad_params", err)
+	default:
+		if stmt, err = sql.Compile(s.cat, req.SQL); err != nil {
+			s.failSQL(w, id, err)
 			return
 		}
-		plan = prep.Plan()
-		// Return the leased instance — with whatever artifacts this
-		// execution's compile jobs land — once the request is done with it
-		// (with caching off, Put cancels the jobs still in flight).
-		defer s.cache.Put(prep)
 	}
+	if len(req.Params) != stmt.NumParams() {
+		s.failRequest(w, id, http.StatusBadRequest, "bad_params",
+			fmt.Errorf("statement takes %d parameters, got %d", stmt.NumParams(), len(req.Params)))
+		return
+	}
+	label := stmt.Name // query name for logs and the response
+	if req.Query != "" {
+		label = req.Query
+	}
+	fingerprint := stmt.Fingerprint.Hex()
+	prep, cacheState := s.acquirePlan(stmt)
+	if prep == nil {
+		lowered, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
+		if err != nil {
+			s.failRequest(w, id, http.StatusInternalServerError, "internal", err)
+			return
+		}
+		if err := core.VerifyPlan(lowered); err != nil {
+			s.failRequest(w, id, http.StatusInternalServerError, "internal", err)
+			return
+		}
+		prep = plancache.NewPrepared(stmt.Fingerprint, lowered, params)
+	}
+	if err := stmt.BindArgs(prep.Params(), req.Params); err != nil {
+		s.cache.Put(prep)
+		s.failRequest(w, id, http.StatusBadRequest, "bad_params", err)
+		return
+	}
+	plan := prep.Plan()
+	// Return the leased instance — with whatever artifacts this execution's
+	// compile jobs land — once the request is done with it (with caching
+	// off, Put cancels the jobs still in flight).
+	defer s.cache.Put(prep)
 
 	// Engine-wide query id: allocated here so the flight recorder, canonical
 	// log, error responses and spans all correlate even when execution never
@@ -437,7 +433,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Profile:      req.Profile,
 		Trace:        req.Profile || req.Spans || s.cfg.SpanSink != nil,
 		Pool:         s.pool,
-		Artifacts:    prep.Artifacts(), // nil-safe: nil prep on the canned path
+		Artifacts:    prep.Artifacts(),
 		QueryID:      qid,
 		TraceID:      traceID,
 		ParentSpanID: parentSpan,
@@ -525,7 +521,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if n > maxRows {
 			n = maxRows
 			resp.RowsTruncated = true
-			resp.Truncated = true
 		}
 		resp.Data = make([][]any, n)
 		for i := 0; i < n; i++ {
@@ -704,7 +699,7 @@ func (s *Server) failRequest(w http.ResponseWriter, id int64, status int, kind s
 }
 
 // queryEvent assembles the canonical wide event for one query completion.
-// res and prep may be nil (shed queries, canned-plan path).
+// res may be nil (a shed query never ran).
 func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
 	backend, traceID, outcome string, err error, res *exec.Result, prep *plancache.Prepared) *obs.QueryEvent {
 	e := &obs.QueryEvent{
@@ -718,12 +713,10 @@ func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
 		res.Describe(e)
 		e.Slow = s.cfg.SlowQuery > 0 && res.Wall >= s.cfg.SlowQuery
 	}
-	if prep != nil {
-		arts := prep.Artifacts()
-		e.Compiles = arts.Compiles()
-		e.ArtifactsReused = int64(arts.FusedPipelines())
-		e.ArtifactBytes = arts.ArtifactBytes()
-	}
+	arts := prep.Artifacts()
+	e.Compiles = arts.Compiles()
+	e.ArtifactsReused = int64(arts.FusedPipelines())
+	e.ArtifactBytes = arts.ArtifactBytes()
 	return e
 }
 

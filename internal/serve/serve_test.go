@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"inkfuse/internal/faultinject"
+	"inkfuse/internal/sql"
+	"inkfuse/internal/tpch"
 )
 
 var (
@@ -35,6 +37,18 @@ func testServer() *Server {
 		})
 	})
 	return testSrv
+}
+
+// planName is the engine's name for a named query's plan: the statement
+// name its tpch text compiles to.
+func planName(t *testing.T, q string) string {
+	t.Helper()
+	text, _ := tpch.Text(q)
+	stmt, err := sql.Compile(testServer().cat, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt.Name
 }
 
 func postQuery(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
@@ -137,7 +151,7 @@ func TestPanicQueryReturns500AndServerSurvives(t *testing.T) {
 	if er.Kind != "panic" {
 		t.Fatalf("kind %q, want panic: %+v", er.Kind, er)
 	}
-	if er.QueryError == nil || er.QueryError.Query != "q1" ||
+	if er.QueryError == nil || er.QueryError.Query != planName(t, "q1") ||
 		er.QueryError.Backend != "vectorized" || er.QueryError.Pipeline == "" {
 		t.Fatalf("missing/incomplete query error location: %+v", er.QueryError)
 	}
@@ -250,7 +264,7 @@ func TestExplainAndProfileOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(qr.Explain, "== explain analyze q1") || !strings.Contains(qr.Explain, "-- subops:") {
+	if !strings.Contains(qr.Explain, "== explain analyze "+planName(t, "q1")) || !strings.Contains(qr.Explain, "-- subops:") {
 		t.Fatalf("explain rendering missing suboperator profile:\n%s", qr.Explain)
 	}
 	resp, body = postQuery(t, ts, `{"query":"q6","backend":"vectorized","profile":true}`)
@@ -303,7 +317,7 @@ func TestRowCapTruncates(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if len(qr.Data) != 1 || !qr.Truncated || qr.Rows <= 1 {
-		t.Fatalf("row cap not applied: rows=%d data=%d truncated=%v", qr.Rows, len(qr.Data), qr.Truncated)
+	if len(qr.Data) != 1 || !qr.RowsTruncated || qr.Rows <= 1 {
+		t.Fatalf("row cap not applied: rows=%d data=%d truncated=%v", qr.Rows, len(qr.Data), qr.RowsTruncated)
 	}
 }

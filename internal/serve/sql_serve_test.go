@@ -6,9 +6,11 @@ package serve
 // semantics, 413 memory_budget classification).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -84,6 +86,33 @@ func TestSQLOverHTTP(t *testing.T) {
 	}
 	if !idx.PlanCache.Enabled || idx.PlanCache.Hits < 1 {
 		t.Fatalf("plan_cache stats not reported: %s", body)
+	}
+}
+
+// TestNamedQueryIsTheSQLPath: a named TPC-H query runs its tpch text through
+// the SQL path, so it is verified and plan-cached like any statement: sent
+// twice it misses and then hits, under its name as the label. With caching
+// off it reports "off" both times.
+func TestNamedQueryIsTheSQLPath(t *testing.T) {
+	for _, tc := range []struct {
+		entries int
+		want    []string
+	}{{0, []string{"miss", "hit"}}, {-1, []string{"off", "off"}}} {
+		srv := New(Config{SF: 0.002, PlanCacheEntries: tc.entries, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		ts := httptest.NewServer(srv.Handler())
+		for _, want := range tc.want {
+			resp, body := postQuery(t, ts, `{"query":"q12","backend":"vectorized"}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			qr := decodeQuery(t, body)
+			if qr.Query != "q12" || qr.Rows == 0 || qr.Fingerprint == "" || qr.PlanCache != want {
+				t.Fatalf("cache entries %d: want label q12, rows, a fingerprint and plan_cache=%s, got %+v",
+					tc.entries, want, qr)
+			}
+		}
+		ts.Close()
+		srv.Close(context.Background())
 	}
 }
 
@@ -228,14 +257,14 @@ func TestRowCapBoundary(t *testing.T) {
 
 	resp, body = postQuery(t, ts, fmt.Sprintf(`{"query":"q1","backend":"vectorized","max_rows":%d}`, full.TotalRows))
 	atCap := decodeQuery(t, body)
-	if resp.StatusCode != http.StatusOK || atCap.RowsTruncated || atCap.Truncated ||
+	if resp.StatusCode != http.StatusOK || atCap.RowsTruncated ||
 		len(atCap.Data) != full.TotalRows || atCap.TotalRows != full.TotalRows {
 		t.Fatalf("cap == cardinality must not truncate: %d %+v", resp.StatusCode, atCap)
 	}
 
 	resp, body = postQuery(t, ts, fmt.Sprintf(`{"query":"q1","backend":"vectorized","max_rows":%d}`, full.TotalRows-1))
 	below := decodeQuery(t, body)
-	if resp.StatusCode != http.StatusOK || !below.RowsTruncated || !below.Truncated ||
+	if resp.StatusCode != http.StatusOK || !below.RowsTruncated ||
 		len(below.Data) != full.TotalRows-1 || below.TotalRows != full.TotalRows {
 		t.Fatalf("cap == cardinality-1 must truncate: %d %+v", resp.StatusCode, below)
 	}

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"inkfuse/internal/algebra"
 	"inkfuse/internal/ir"
@@ -57,6 +58,54 @@ type exprCtx struct {
 	sch  types.Schema            // flat schema resolving bare column names
 	rels map[string]types.Schema // alias → schema for qualified names
 	agg  map[*callExpr]string    // post-aggregate substitution (nil elsewhere)
+	pre  *preAgg                 // aggregate arguments only (nil elsewhere)
+}
+
+// preAgg collects one SELECT's pre-aggregate map columns. A non-leaf
+// subexpression that occurs more than once among the aggregate arguments
+// (compared on structure and literal values as written; a ? never matches)
+// is computed once: its first conversion emits a column, after the columns
+// of its own repeated children, and every occurrence reads that column. A
+// dropped occurrence is still converted, so its literals keep their refs in
+// Args.
+type preAgg struct {
+	// cols maps the exprKey of each repeated subexpression to the column
+	// computing it, "" until its first occurrence emitted one.
+	cols map[string]string
+	maps []algebra.NamedExpr
+}
+
+// newPreAgg counts the subexpressions of the aggregate arguments. A
+// repeated subexpression's children are counted with its first occurrence
+// only: inside the column that replaces it they occur once.
+func newPreAgg(itemCalls [][]*callExpr) *preAgg {
+	seen := make(map[string]int)
+	var walk func(e expr)
+	walk = func(e expr) {
+		if _, col := e.(*colRef); col || isLiteral(e) {
+			return
+		}
+		if key, ok := exprKey(e); ok {
+			if seen[key]++; seen[key] > 1 {
+				return
+			}
+		}
+		eachChild(e, walk)
+	}
+	for _, calls := range itemCalls {
+		for _, c := range calls {
+			if c.Arg != nil {
+				walk(c.Arg)
+			}
+		}
+	}
+	pa := &preAgg{cols: make(map[string]string)}
+	for key, n := range seen {
+		if n > 1 {
+			pa.cols[key] = ""
+		}
+	}
+	return pa
 }
 
 func (b *binder) bindSelect(sel *selectStmt, top bool) (algebra.Node, []string, error) {
@@ -473,7 +522,9 @@ func (b *binder) bindItems(sel *selectStmt, root algebra.Node, rels map[string]t
 		keySet[gk.Name] = true
 	}
 
-	var preMaps []algebra.NamedExpr
+	// Aggregate arguments resolve against a copy of the schema that grows by
+	// each repeated subexpression's column.
+	argCtx := &exprCtx{sch: append(types.Schema{}, rootSch...), rels: rels, pre: newPreAgg(itemCalls)}
 	var specs []algebra.AggSpec
 	aggName := make(map[*callExpr]string)
 	var outNames []string
@@ -509,7 +560,7 @@ func (b *binder) bindItems(sel *selectStmt, root algebra.Node, rels map[string]t
 				b.synthS++
 			}
 			aggName[c] = an
-			spec, err := b.aggSpec(c, an, ctx, counted, &preMaps)
+			spec, err := b.aggSpec(c, an, argCtx, counted)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -521,8 +572,8 @@ func (b *binder) bindItems(sel *selectStmt, root algebra.Node, rels map[string]t
 		outNames = append(outNames, it.Alias)
 	}
 
-	if len(preMaps) > 0 {
-		root = algebra.NewMap(root, preMaps...)
+	if len(argCtx.pre.maps) > 0 {
+		root = algebra.NewMap(root, argCtx.pre.maps...)
 	}
 	gb := algebra.NewGroupBy(root, groupKeys, specs...)
 	root = gb
@@ -546,41 +597,35 @@ func (b *binder) bindItems(sel *selectStmt, root algebra.Node, rels map[string]t
 }
 
 // aggSpec maps one aggregate call to an AggSpec, synthesizing a pre-aggregate
-// map column when the argument is an expression.
-func (b *binder) aggSpec(c *callExpr, outName string, ctx *exprCtx, counted map[string]string, preMaps *[]algebra.NamedExpr) (algebra.AggSpec, error) {
+// map column (in ctx.pre) when the argument is an expression.
+func (b *binder) aggSpec(c *callExpr, outName string, ctx *exprCtx, counted map[string]string) (algebra.AggSpec, error) {
 	if c.Star {
 		return algebra.Count(outName), nil
 	}
-	col := ""
-	if cr, ok := c.Arg.(*colRef); ok {
-		if err := b.resolveCol(cr, ctx); err != nil {
-			return algebra.AggSpec{}, err
-		}
-		col = cr.Name
-	} else {
-		if c.Fn == "count" {
-			return algebra.AggSpec{}, &BindError{Pos: c.p, Msg: "count over expressions is not supported (use count(*) or count(column))"}
-		}
-		name := fmt.Sprintf("__a%d", b.synthA)
+	if _, ok := c.Arg.(*colRef); !ok && c.Fn == "count" {
+		return algebra.AggSpec{}, &BindError{Pos: c.p, Msg: "count over expressions is not supported (use count(*) or count(column))"}
+	}
+	e, err := b.convert(c.Arg, ctx)
+	if err != nil {
+		return algebra.AggSpec{}, err
+	}
+	col, ok := e.(algebra.ColRef)
+	if !ok {
+		col = algebra.Col(fmt.Sprintf("__a%d", b.synthA))
 		b.synthA++
-		e, err := b.convert(c.Arg, ctx)
-		if err != nil {
-			return algebra.AggSpec{}, err
-		}
-		*preMaps = append(*preMaps, algebra.NamedExpr{As: name, E: e})
-		col = name
+		ctx.pre.maps = append(ctx.pre.maps, algebra.NamedExpr{As: col.Name, E: e})
 	}
 	switch c.Fn {
 	case "sum":
-		return algebra.Sum(col, outName), nil
+		return algebra.Sum(col.Name, outName), nil
 	case "avg":
-		return algebra.Avg(col, outName), nil
+		return algebra.Avg(col.Name, outName), nil
 	case "min":
-		return algebra.MinOf(col, outName), nil
+		return algebra.MinOf(col.Name, outName), nil
 	case "max":
-		return algebra.MaxOf(col, outName), nil
+		return algebra.MaxOf(col.Name, outName), nil
 	case "count":
-		if marker := counted[col]; marker != "" {
+		if marker := counted[col.Name]; marker != "" {
 			return algebra.CountIf(marker, outName), nil
 		}
 		return algebra.Count(outName), nil
@@ -591,6 +636,32 @@ func (b *binder) aggSpec(c *callExpr, outName string, ctx *exprCtx, counted map[
 // --- expression conversion -------------------------------------------------
 
 func (b *binder) convert(e expr, ctx *exprCtx) (algebra.Expr, error) {
+	if ctx.pre != nil && len(ctx.pre.cols) > 0 {
+		key, ok := exprKey(e)
+		if name, repeated := ctx.pre.cols[key]; ok && repeated {
+			conv, err := b.convertNode(e, ctx)
+			if err != nil {
+				return nil, err
+			}
+			if name == "" {
+				k, err := b.kindOf(conv, ctx, e.pos())
+				if err != nil {
+					return nil, err
+				}
+				name = fmt.Sprintf("__a%d", b.synthA)
+				b.synthA++
+				ctx.pre.cols[key] = name
+				ctx.pre.maps = append(ctx.pre.maps, algebra.NamedExpr{As: name, E: conv})
+				ctx.sch = append(ctx.sch, types.ColumnDesc{Name: name, Kind: k})
+			}
+			return algebra.Col(name), nil
+		}
+	}
+	return b.convertNode(e, ctx)
+}
+
+// convertNode converts e itself; its operands go through convert.
+func (b *binder) convertNode(e expr, ctx *exprCtx) (algebra.Expr, error) {
 	switch x := e.(type) {
 	case *colRef:
 		if err := b.resolveCol(x, ctx); err != nil {
@@ -705,6 +776,9 @@ func (b *binder) convert(e expr, ctx *exprCtx) (algebra.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if isLiteral(x.Then) && isLiteral(x.Else) {
+			return b.literalCase(x, cond)
+		}
 		then, els, err := b.pair(x.Then, x.Else, ctx, "CASE arms", x.p, false)
 		if err != nil {
 			return nil, err
@@ -778,6 +852,30 @@ func (b *binder) pair(l, r expr, ctx *exprCtx, what string, p Position, checkKin
 		}
 	}
 	return le, re, nil
+}
+
+// literalCase binds a CASE whose arms are both literals. They must be
+// numbers: Int64 when both are integers, Float64 once either is a decimal.
+func (b *binder) literalCase(x *caseExpr, cond algebra.Expr) (algebra.Expr, error) {
+	k := types.Int64
+	for _, arm := range []expr{x.Then, x.Else} {
+		n, ok := arm.(*numLit)
+		if !ok {
+			return nil, &BindError{Pos: arm.pos(), Msg: "CASE arms over two literals must be numbers"}
+		}
+		if n.IsFloat {
+			k = types.Float64
+		}
+	}
+	then, err := b.literal(x.Then, k)
+	if err != nil {
+		return nil, err
+	}
+	els, err := b.literal(x.Else, k)
+	if err != nil {
+		return nil, err
+	}
+	return algebra.Case(cond, then, els), nil
 }
 
 // operand converts a sub-expression that may be an untyped literal, coercing
@@ -929,33 +1027,108 @@ func splitAnd(e expr) []expr {
 	return []expr{e}
 }
 
+// eachChild calls f on each of e's operands, not descending into subqueries.
+func eachChild(e expr, f func(expr)) {
+	switch x := e.(type) {
+	case *binExpr:
+		f(x.L)
+		f(x.R)
+	case *cmpExpr:
+		f(x.L)
+		f(x.R)
+	case *logicExpr:
+		f(x.L)
+		f(x.R)
+	case *notExpr:
+		f(x.E)
+	case *betweenExpr:
+		f(x.E)
+		f(x.Lo)
+		f(x.Hi)
+	case *likeExpr:
+		f(x.E)
+		f(x.Pattern)
+	case *inExpr:
+		f(x.E)
+	case *caseExpr:
+		f(x.Cond)
+		f(x.Then)
+		f(x.Else)
+	case *callExpr:
+		if x.Arg != nil {
+			f(x.Arg)
+		}
+	}
+}
+
+// exprKey renders e's structure and literal values as a string, so equal
+// keys compute equal values. It reports false for an expression holding a
+// ?, an aggregate or a subquery: those never match another occurrence.
+func exprKey(e expr) (string, bool) {
+	var sb strings.Builder
+	ok := writeKey(&sb, e)
+	return sb.String(), ok
+}
+
+func writeKey(sb *strings.Builder, e expr) bool {
+	switch x := e.(type) {
+	case *colRef:
+		sb.WriteString("col " + x.Name)
+		return true
+	case *numLit:
+		sb.WriteString("num ")
+		if x.IsFloat {
+			sb.WriteString("float ")
+		}
+		if x.Neg {
+			sb.WriteByte('-')
+		}
+		sb.WriteString(x.Text)
+		return true
+	case *strLit:
+		sb.WriteString("str " + strconv.Quote(x.Val))
+		return true
+	case *dateLit:
+		sb.WriteString("date " + x.Val)
+		return true
+	case *binExpr:
+		sb.WriteString("(bin " + x.Op)
+	case *cmpExpr:
+		sb.WriteString("(cmp " + x.Op)
+	case *logicExpr:
+		sb.WriteString("(" + x.Op)
+	case *notExpr:
+		sb.WriteString("(not")
+	case *betweenExpr:
+		sb.WriteString("(between")
+	case *likeExpr:
+		sb.WriteString("(like " + strconv.FormatBool(x.Negate))
+	case *inExpr:
+		sb.WriteString("(in " + strconv.FormatBool(x.Negate))
+		for _, m := range x.Members {
+			sb.WriteString(" " + strconv.Quote(m))
+		}
+	case *caseExpr:
+		sb.WriteString("(case")
+	default:
+		return false
+	}
+	ok := true
+	eachChild(e, func(c expr) {
+		sb.WriteByte(' ')
+		ok = ok && writeKey(sb, c)
+	})
+	sb.WriteByte(')')
+	return ok
+}
+
 // refNames collects the column names referenced by e, not descending into
 // subqueries.
 func refNames(e expr, dst []string) []string {
-	switch x := e.(type) {
-	case *colRef:
-		return append(dst, x.Name)
-	case *binExpr:
-		return refNames(x.R, refNames(x.L, dst))
-	case *cmpExpr:
-		return refNames(x.R, refNames(x.L, dst))
-	case *logicExpr:
-		return refNames(x.R, refNames(x.L, dst))
-	case *notExpr:
-		return refNames(x.E, dst)
-	case *betweenExpr:
-		return refNames(x.Hi, refNames(x.Lo, refNames(x.E, dst)))
-	case *likeExpr:
-		return refNames(x.E, dst)
-	case *inExpr:
-		return refNames(x.E, dst)
-	case *caseExpr:
-		return refNames(x.Else, refNames(x.Then, refNames(x.Cond, dst)))
-	case *callExpr:
-		if x.Arg != nil {
-			return refNames(x.Arg, dst)
-		}
+	if c, ok := e.(*colRef); ok {
+		return append(dst, c.Name)
 	}
+	eachChild(e, func(c expr) { dst = refNames(c, dst) })
 	return dst
 }
 
@@ -1018,21 +1191,12 @@ func scanCounted(items []selectItem) map[string]string {
 	m := make(map[string]string)
 	var walk func(e expr)
 	walk = func(e expr) {
-		switch x := e.(type) {
-		case *callExpr:
-			if x.Fn == "count" && !x.Star {
-				if cr, ok := x.Arg.(*colRef); ok {
-					m[cr.Name] = ""
-				}
+		if x, ok := e.(*callExpr); ok && x.Fn == "count" && !x.Star {
+			if cr, ok := x.Arg.(*colRef); ok {
+				m[cr.Name] = ""
 			}
-		case *binExpr:
-			walk(x.L)
-			walk(x.R)
-		case *caseExpr:
-			walk(x.Cond)
-			walk(x.Then)
-			walk(x.Else)
 		}
+		eachChild(e, walk)
 	}
 	for _, it := range items {
 		walk(it.E)
@@ -1042,64 +1206,25 @@ func scanCounted(items []selectItem) map[string]string {
 
 // collectAggCalls lists the aggregate calls in e, rejecting nesting.
 func collectAggCalls(e expr, dst []*callExpr) ([]*callExpr, error) {
-	switch x := e.(type) {
-	case *callExpr:
-		if x.Arg != nil {
-			inner, err := collectAggCalls(x.Arg, nil)
+	if c, ok := e.(*callExpr); ok {
+		if c.Arg != nil {
+			inner, err := collectAggCalls(c.Arg, nil)
 			if err != nil {
 				return nil, err
 			}
 			if len(inner) > 0 {
-				return nil, &BindError{Pos: x.p, Msg: "nested aggregate functions are not supported"}
+				return nil, &BindError{Pos: c.p, Msg: "nested aggregate functions are not supported"}
 			}
 		}
-		return append(dst, x), nil
-	case *binExpr:
-		dst, err := collectAggCalls(x.L, dst)
-		if err != nil {
-			return nil, err
-		}
-		return collectAggCalls(x.R, dst)
-	case *cmpExpr:
-		dst, err := collectAggCalls(x.L, dst)
-		if err != nil {
-			return nil, err
-		}
-		return collectAggCalls(x.R, dst)
-	case *logicExpr:
-		dst, err := collectAggCalls(x.L, dst)
-		if err != nil {
-			return nil, err
-		}
-		return collectAggCalls(x.R, dst)
-	case *notExpr:
-		return collectAggCalls(x.E, dst)
-	case *betweenExpr:
-		dst, err := collectAggCalls(x.E, dst)
-		if err != nil {
-			return nil, err
-		}
-		dst, err = collectAggCalls(x.Lo, dst)
-		if err != nil {
-			return nil, err
-		}
-		return collectAggCalls(x.Hi, dst)
-	case *likeExpr:
-		return collectAggCalls(x.E, dst)
-	case *inExpr:
-		return collectAggCalls(x.E, dst)
-	case *caseExpr:
-		dst, err := collectAggCalls(x.Cond, dst)
-		if err != nil {
-			return nil, err
-		}
-		dst, err = collectAggCalls(x.Then, dst)
-		if err != nil {
-			return nil, err
-		}
-		return collectAggCalls(x.Else, dst)
+		return append(dst, c), nil
 	}
-	return dst, nil
+	var err error
+	eachChild(e, func(c expr) {
+		if err == nil {
+			dst, err = collectAggCalls(c, dst)
+		}
+	})
+	return dst, err
 }
 
 func findLeaf(t *fromNode, cols []string) *leafRel {

@@ -28,6 +28,9 @@ var validCorpus = []string{
 	`select l_orderkey from lineitem where l_shipdate >= ? and l_quantity < ? order by l_orderkey`,
 	`select o_orderkey from orders where o_comment like ? order by o_orderkey`,
 	`select sum(case when l_quantity > 25 then l_extendedprice else 0 end) as big from lineitem`,
+	`select l_returnflag, sum(case when l_quantity > 25 then 1 else 0 end) as big,
+	   sum(case when l_quantity > 25 then 0.5 else 1 end) as half
+	   from lineitem group by l_returnflag order by l_returnflag`,
 	`select o_orderpriority, count(*) as n from orders
 	   where exists (select l_orderkey from lineitem where l_orderkey = o_orderkey)
 	   group by o_orderpriority order by o_orderpriority`,
@@ -86,7 +89,8 @@ func TestParserValidCorpus(t *testing.T) {
 			t.Errorf("compile failed:\n%s\n%v", src, err)
 		}
 	}
-	for name, src := range tpch.SQL {
+	for _, name := range append(append([]string{}, tpch.Queries...), tpch.ExtendedQueries...) {
+		src, _ := tpch.Text(name)
 		if _, err := sql.Compile(testCat, src); err != nil {
 			t.Errorf("tpch %s failed to compile: %v", name, err)
 		}
@@ -132,6 +136,8 @@ var bindCorpus = []struct {
 	{`select sum(l_quantity) as s from lineitem order by l_tax`, "not in the select list"},
 	{`select l_orderkey from lineitem where ? = ?`, "references no columns"},
 	{`select l_orderkey from lineitem where l_quantity < 1 + 2`, "two literals"},
+	{`select sum(case when l_quantity > 1 then 'a' else 'b' end) as s from lineitem`, "must be numbers"},
+	{`select sum(case when l_quantity > 1 then ? else 0 end) as s from lineitem`, "must be numbers"},
 	{`select c_custkey from customer as c join customer as c on c_custkey = c_custkey`, "duplicate table alias"},
 	{`select o_orderkey from orders join orders as o2 on o_orderkey = o_orderkey`, "more than one FROM relation"},
 }
@@ -165,6 +171,9 @@ func FuzzParseSQL(f *testing.F) {
 		f.Add(tc.src)
 	}
 	for _, src := range tpch.SQL {
+		f.Add(src)
+	}
+	for _, src := range tpch.ExtendedSQL {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -1,6 +1,8 @@
 // Package storage provides the columnar building blocks shared by the whole
 // engine: typed vectors, chunks (the tuple buffers of the paper), base
 // tables, and morsel ranges for morsel-driven parallelism.
+//
+//inklint:lockscope
 package storage
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkCompileStack times the compile path of a never-seen query, one
-// layer per sub-benchmark, over every pipeline of the ten hand-built TPC-H
+// layer per sub-benchmark, over every pipeline of the ten TPC-H
 // plans: plan verification, fused code generation, IR verification, the IR
 // size the compile-latency model charges and the closure compiler, then all
 // but the size in a row. "registry" is the interpreter's
@@ -20,8 +20,7 @@ import (
 //
 //	go test -run '^$' -bench CompileStack -benchmem ./internal/tpch/
 func BenchmarkCompileStack(b *testing.B) {
-	_, all := lowerEveryTPCHPlan(b)
-	plans := all[:len(Queries)+len(ExtendedQueries)]
+	_, plans := lowerEveryTPCHPlan(b)
 	var funcs []*ir.Func
 	for _, p := range plans {
 		for _, pipe := range p.Pipelines {

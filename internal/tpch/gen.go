@@ -1,7 +1,9 @@
 // Package tpch provides a from-scratch, deterministic TPC-H-style data
-// generator and the hand-built physical plans for the eight queries the
-// paper evaluates (Q1, Q3, Q4, Q5, Q6, Q13, Q14, Q19 — chosen to cover all
-// TPC-H choke points, paper §VII).
+// generator and the SQL texts of the eight queries the paper evaluates (Q1,
+// Q3, Q4, Q5, Q6, Q13, Q14, Q19 — chosen to cover all TPC-H choke points,
+// paper §VII) plus Q10 and Q12. Build binds a text into its plan through
+// internal/sql; InkFuse, which has no SQL frontend, builds the same plans by
+// hand.
 //
 // The generator reproduces the value domains and distributions the eight
 // queries are sensitive to: date ranges and offsets, return-flag/line-status

@@ -10,7 +10,6 @@ import (
 	"inkfuse/internal/algebra"
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
-	"inkfuse/internal/sql"
 )
 
 // loweringGolden is one pipeline's generated code, pinned: its primitive-ID
@@ -26,8 +25,7 @@ type loweringGolden struct {
 	csha       string
 }
 
-// lowerEveryTPCHPlan lowers the ten hand-built TPC-H plans and the eight
-// written as SQL text, labelled "hand/q1", "sql/q1", ….
+// lowerEveryTPCHPlan lowers the ten TPC-H plans, paper queries first.
 func lowerEveryTPCHPlan(tb testing.TB) (labels []string, plans []*core.Plan) {
 	tb.Helper()
 	for _, q := range append(append([]string{}, Queries...), ExtendedQueries...) {
@@ -39,18 +37,7 @@ func lowerEveryTPCHPlan(tb testing.TB) (labels []string, plans []*core.Plan) {
 		if err != nil {
 			tb.Fatalf("%s: %v", q, err)
 		}
-		labels, plans = append(labels, "hand/"+q), append(plans, plan)
-	}
-	for _, q := range Queries {
-		stmt, err := sql.Compile(testCat, SQL[q])
-		if err != nil {
-			tb.Fatalf("%s: %v", q, err)
-		}
-		plan, _, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
-		if err != nil {
-			tb.Fatalf("%s: %v", q, err)
-		}
-		labels, plans = append(labels, "sql/"+q), append(plans, plan)
+		labels, plans = append(labels, q), append(plans, plan)
 	}
 	return labels, plans
 }
@@ -81,7 +68,7 @@ func loweringRows(t *testing.T) []loweringGolden {
 }
 
 // TestLoweringGolden pins what the compilation stack makes of every pipeline
-// of the TPC-H plans, hand-built and from SQL: the suboperators lowering
+// of the TPC-H plans: the suboperators lowering
 // chose, the size the latency model charges and the exact code generated.
 // A refactoring of the suboperator or IR layers must leave all three alone.
 // On a deliberate change, the test logs the whole table to paste back.
@@ -105,68 +92,40 @@ func TestLoweringGolden(t *testing.T) {
 }
 
 var loweringGoldens = []loweringGolden{
-	{"hand/q1", "p0", "cmp_le_date_ck (scope) filtercopy_i32 filtercopy_i32 filtercopy_f64 filtercopy_f64 filtercopy_f64 filtercopy_f64 expr_sub_f64_kc expr_mul_f64_cc expr_add_f64_kc expr_mul_f64_cc makerow pack_key_i32 pack_key_i32 sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_count aggupdate_sum_f64", 60, "af574f88a0304b91a1068cb890e32ce60e89a2e76426347c2d1809a1f0b3644b"},
-	{"hand/q1", "p1", "unpack_key_i32 unpack_key_i32 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_i64 decode decode", 79, "6db3b9bbbd95d5af75654d00e7931551b8ebadcaced6b744cb2ecedc5e31982f"},
-	{"hand/q3", "p0", "codematch (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 14, "1802a031d7d61147c328c65e6fffcd734f4c9c2423a96a1893da4b11ca58a82d"},
-	{"hand/q3", "p1", "cmp_lt_date_ck (scope) filtercopy_i32 filtercopy_i64 filtercopy_date filtercopy_i32 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 probecopy_date probecopy_i32 makerow pack_key_i64 sealkey pack_payload_date pack_payload_i32 joininsert", 34, "f6c7825a2c2bea568bdf19fe25c1fa737eb56d14e18eb32e9136c740fb369291"},
-	{"hand/q3", "p2", "cmp_gt_date_ck (scope) filtercopy_i64 filtercopy_f64 filtercopy_f64 makerow pack_key_i64 sealkey joinprobe_inner probecopy_i64 unpack_payload_date unpack_payload_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow pack_key_i64 pack_key_date pack_key_i32 sealkey agglookup aggupdate_sum_f64", 50, "907aec84985f191d1938908e9d609f20680df3c6562298cc82ea865ea75a8977"},
-	{"hand/q3", "p3", "unpack_key_i64 unpack_key_date unpack_key_i32 unpack_payload_f64", 19, "0f91ecee7b58ea8416568bd6697cfa65f3d0a009afea2ba88f49a2726506576a"},
-	{"hand/q4", "p0", "cmp_lt_date_cc (scope) filtercopy_i64 makerow pack_key_i64 sealkey joininsert", 16, "100954d2f38e5920c0ebbe644a36011e430cbe6505b8315d71900ab69615ec82"},
-	{"hand/q4", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i64 filtercopy_i32 makerow pack_key_i64 sealkey joinprobe_semi probecopy_i32 agglookupfixed_i32 aggupdate_count", 31, "9c984be2578a2464045e7e3edc99c5a6fd4c200248f24d5ee7bbc174db44f6cc"},
-	{"hand/q4", "p2", "unpack_key_i32 unpack_payload_i64 decode", 14, "e66d6e31b7c1eba3461d344604a549350489319f03579e575fe646020dad9a0b"},
-	{"hand/q5", "p0", "makerow pack_key_i32 pack_key_i32 sealkey joininsert", 11, "d1f56c89660efd836845ab3b5a87b693c7bf20db74685557e5cd9762e1e5f16e"},
-	{"hand/q5", "p1", "decode cmp_eq_str_ck (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 18, "3e6afa3b470b298c030f93ad400b7401a509bc934d4ee96fd2d7d1df8c0a9000"},
-	{"hand/q5", "p2", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_i32 makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 21, "f86858a3ef464dfd691873281c6f27300ba74f8f7dbeebc08a316ef52cc6621e"},
-	{"hand/q5", "p3", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 probecopy_i32 makerow pack_key_i32 sealkey pack_payload_i32 pack_payload_i32 joininsert", 25, "5d8f9ac96c2b8cc469c6b0011abfb5c7606b5b8f8247bbe0bbf6b782b615bce8"},
-	{"hand/q5", "p4", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_i64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 unpack_payload_i32 unpack_payload_i32 makerow pack_key_i64 sealkey pack_payload_i32 pack_payload_i32 joininsert", 43, "8768614d9723a7c2b9406fc30179eb8bb53ce2a6b03fe52d2165082b4c97e48f"},
-	{"hand/q5", "p5", "makerow pack_key_i64 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 unpack_payload_i32 probecopy_f64 probecopy_f64 makerow pack_key_i32 pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc agglookupfixed_i32 aggupdate_sum_f64", 46, "21c7130d2de0244c803e5f89dc2e0d7c99195766d7ea1371af98df407f80ab8f"},
-	{"hand/q5", "p6", "unpack_key_i32 unpack_payload_f64 decode", 14, "b21564b5ac9383a90835635a687a07eb51b8a90ad8d530b9997bd54d4da8c3e6"},
-	{"hand/q6", "p0", "cmp_ge_date_ck cmp_lt_date_ck logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_lt_f64_ck logic_and (scope) filtercopy_f64 filtercopy_f64 expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 55, "e78fe0d5e36c6e9f0c7df3584368743bfb977b731f32396ab36c83133373babb"},
-	{"hand/q6", "p1", "unpack_payload_f64", 7, "201e21fad7d6c97a58187c8b21a2e136423f21fc3b97ccd4bfba978ef8a05940"},
-	{"hand/q13", "p0", "decode notlike (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 17, "4e9834b9a48c96b87bc97f5f53787ef18562fedaf84171ddcf2a4971361461c5"},
-	{"hand/q13", "p1", "makerow pack_key_i32 sealkey joinprobe_leftouter probecopy_i32 agglookupfixed_i32 aggupdate_count_if", 15, "bf94f1386c698d60d8d79f001232f5624deb6c5f0992fce916e8fe8a901ecd88"},
-	{"hand/q13", "p2", "unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 9, "059fb44346f41c94962b075f4c9d7f3b7b3d86889beb365c0d73b7c8fc8faf98"},
-	{"hand/q13", "p3", "unpack_key_i64 unpack_payload_i64", 11, "a35bc78f0f989d1da4c58c36de729708117338bc89f93d232574a85795b3f301"},
-	{"hand/q14", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "d01c49631d49f20197851f1b340d8c54e41adef66d14b703044eb9eb87a3fd1e"},
-	{"hand/q14", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_f64 probecopy_f64 unpack_payload_i32 expr_sub_f64_kc expr_mul_f64_cc codematch case_f64_ck makerow sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64", 59, "cb377589bd13a91dca2aae6e48ccfbaa176ce9231763458a8a73fdd33c0a0ad3"},
-	{"hand/q14", "p2", "unpack_payload_f64 unpack_payload_f64 expr_mul_f64_kc expr_div_f64_cc", 18, "bff34e767430c608db144f86e4d4f7e35d9039ce2d86f481b634519bfe77a10b"},
-	{"hand/q19", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 pack_payload_i32 pack_payload_i32 joininsert", 17, "a2c146b9e8545e9db6332809fecb7ec4ca88e3ebae05fcc7b0f51c6d858848e7"},
-	{"hand/q19", "p1", "codematch codematch logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner unpack_payload_i32 unpack_payload_i32 probecopy_f64 unpack_payload_i32 probecopy_f64 probecopy_f64 codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and logic_or codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and logic_or (scope) filtercopy_f64 filtercopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 193, "45c320eaa758a0530001985305975372b2d98d4ff2fae73e16e122c85c232dd9"},
-	{"hand/q19", "p2", "unpack_payload_f64", 7, "d43f4ab37cc4a4d0f4e58f30eb4653dd20334f5dd34218b6f6fad2dc9f6b693c"},
-	{"hand/q10", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "72bb3f436d2fc47e6b1fce8958b09b4d09f8463a5ffe919114a9964e122cb44e"},
-	{"hand/q10", "p1", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 22, "f7399ceac70cbae8276bf4641ddc15f6846a6a2c0a4ae648e06b0aacee6353bd"},
-	{"hand/q10", "p2", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_i64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 probecopy_i32 unpack_payload_i32 makerow pack_key_i64 sealkey pack_payload_i32 pack_payload_i32 joininsert", 41, "069fbbf335d2f53f92d62a7bbf29551ea374c6fc8efc38033d785b3e05f7257f"},
-	{"hand/q10", "p3", "codematch (scope) filtercopy_i64 filtercopy_f64 filtercopy_f64 makerow pack_key_i64 sealkey joinprobe_inner unpack_payload_i32 unpack_payload_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow pack_key_i32 pack_key_i32 sealkey agglookup aggupdate_sum_f64", 46, "74ef47d5f1ac44cdc0c2e00650ddfe9f4959a7864d4f83f8c6ed3dcb3212eb4c"},
-	{"hand/q10", "p4", "unpack_key_i32 unpack_key_i32 unpack_payload_f64 decode", 18, "90335ade1502362e32ea4efb686724cdc30bdf0741c6bf09904d335089594b51"},
-	{"hand/q12", "p0", "makerow pack_key_i64 sealkey pack_payload_i32 joininsert", 11, "72d6edd6d6c2a68760ca72b7247e989641f0336eca30beb889ec659580fa8f96"},
-	{"hand/q12", "p1", "codematch cmp_lt_date_cc logic_and cmp_lt_date_cc logic_and cmp_ge_date_ck logic_and cmp_lt_date_ck logic_and (scope) filtercopy_i64 filtercopy_i32 makerow pack_key_i64 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 codematch case_i64_kk case_i64_kk agglookupfixed_i32 aggupdate_sum_i64 aggupdate_sum_i64", 76, "8131b0365789ceea5fde69c6641fe4b9c5ef7ec00dd01cf804f6a10fb351785d"},
-	{"hand/q12", "p2", "unpack_key_i32 unpack_payload_i64 unpack_payload_i64 decode", 18, "8062e71b02fca79d1e914f306e80c6292043545421f8306d5620733503117789"},
-	{"sql/q1", "p0", "cmp_le_date_ck (scope) filtercopy_i32 filtercopy_i32 filtercopy_f64 filtercopy_f64 filtercopy_f64 filtercopy_f64 expr_sub_f64_kc expr_mul_f64_cc expr_sub_f64_kc expr_mul_f64_cc expr_add_f64_kc expr_mul_f64_cc makerow pack_key_i32 pack_key_i32 sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_count aggupdate_sum_f64", 68, "4611508bfa72a525c5bf38fc0fe9bbfa7507eeca68d0fd351fd123eec4bbf1e5"},
-	{"sql/q1", "p1", "unpack_key_i32 unpack_key_i32 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_i64 decode decode", 79, "6db3b9bbbd95d5af75654d00e7931551b8ebadcaced6b744cb2ecedc5e31982f"},
-	{"sql/q3", "p0", "codematch (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 14, "1802a031d7d61147c328c65e6fffcd734f4c9c2423a96a1893da4b11ca58a82d"},
-	{"sql/q3", "p1", "cmp_lt_date_ck (scope) filtercopy_i32 filtercopy_i64 filtercopy_date filtercopy_i32 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 probecopy_date probecopy_i32 makerow pack_key_i64 sealkey pack_payload_date pack_payload_i32 joininsert", 34, "f6c7825a2c2bea568bdf19fe25c1fa737eb56d14e18eb32e9136c740fb369291"},
-	{"sql/q3", "p2", "cmp_gt_date_ck (scope) filtercopy_i64 filtercopy_f64 filtercopy_f64 makerow pack_key_i64 sealkey joinprobe_inner probecopy_i64 unpack_payload_date unpack_payload_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow pack_key_i64 pack_key_date pack_key_i32 sealkey agglookup aggupdate_sum_f64", 50, "907aec84985f191d1938908e9d609f20680df3c6562298cc82ea865ea75a8977"},
-	{"sql/q3", "p3", "unpack_key_i64 unpack_key_date unpack_key_i32 unpack_payload_f64", 19, "0f91ecee7b58ea8416568bd6697cfa65f3d0a009afea2ba88f49a2726506576a"},
-	{"sql/q4", "p0", "cmp_lt_date_cc (scope) filtercopy_i64 makerow pack_key_i64 sealkey joininsert", 16, "100954d2f38e5920c0ebbe644a36011e430cbe6505b8315d71900ab69615ec82"},
-	{"sql/q4", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i64 filtercopy_i32 makerow pack_key_i64 sealkey joinprobe_semi probecopy_i32 agglookupfixed_i32 aggupdate_count", 31, "9c984be2578a2464045e7e3edc99c5a6fd4c200248f24d5ee7bbc174db44f6cc"},
-	{"sql/q4", "p2", "unpack_key_i32 unpack_payload_i64 decode", 14, "e66d6e31b7c1eba3461d344604a549350489319f03579e575fe646020dad9a0b"},
-	{"sql/q5", "p0", "makerow pack_key_i32 pack_key_i32 sealkey joininsert", 11, "d1f56c89660efd836845ab3b5a87b693c7bf20db74685557e5cd9762e1e5f16e"},
-	{"sql/q5", "p1", "decode cmp_eq_str_ck (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 18, "3e6afa3b470b298c030f93ad400b7401a509bc934d4ee96fd2d7d1df8c0a9000"},
-	{"sql/q5", "p2", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_i32 makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 21, "f86858a3ef464dfd691873281c6f27300ba74f8f7dbeebc08a316ef52cc6621e"},
-	{"sql/q5", "p3", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_i32 unpack_payload_i32 makerow pack_key_i32 sealkey pack_payload_i32 pack_payload_i32 joininsert", 25, "cb543531adbd338e628639a9355e47906b2f67dab0c32d48480b4e9a36cb063a"},
-	{"sql/q5", "p4", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_i64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 unpack_payload_i32 unpack_payload_i32 makerow pack_key_i64 sealkey pack_payload_i32 pack_payload_i32 joininsert", 43, "b21b71b19c0a193b8363e496d483f224b03cf58aa7a0272a23ea5f07c4d1f02b"},
-	{"sql/q5", "p5", "makerow pack_key_i64 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 unpack_payload_i32 probecopy_f64 probecopy_f64 makerow pack_key_i32 pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc agglookupfixed_i32 aggupdate_sum_f64", 46, "21c7130d2de0244c803e5f89dc2e0d7c99195766d7ea1371af98df407f80ab8f"},
-	{"sql/q5", "p6", "unpack_key_i32 unpack_payload_f64 decode", 14, "b21564b5ac9383a90835635a687a07eb51b8a90ad8d530b9997bd54d4da8c3e6"},
-	{"sql/q6", "p0", "cmp_ge_date_ck cmp_lt_date_ck logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_lt_f64_ck logic_and (scope) filtercopy_f64 filtercopy_f64 expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 55, "e78fe0d5e36c6e9f0c7df3584368743bfb977b731f32396ab36c83133373babb"},
-	{"sql/q6", "p1", "unpack_payload_f64", 7, "201e21fad7d6c97a58187c8b21a2e136423f21fc3b97ccd4bfba978ef8a05940"},
-	{"sql/q13", "p0", "decode notlike (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 17, "4e9834b9a48c96b87bc97f5f53787ef18562fedaf84171ddcf2a4971361461c5"},
-	{"sql/q13", "p1", "makerow pack_key_i32 sealkey joinprobe_leftouter probecopy_i32 agglookupfixed_i32 aggupdate_count_if", 15, "bf94f1386c698d60d8d79f001232f5624deb6c5f0992fce916e8fe8a901ecd88"},
-	{"sql/q13", "p2", "unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 9, "059fb44346f41c94962b075f4c9d7f3b7b3d86889beb365c0d73b7c8fc8faf98"},
-	{"sql/q13", "p3", "unpack_key_i64 unpack_payload_i64", 11, "a35bc78f0f989d1da4c58c36de729708117338bc89f93d232574a85795b3f301"},
-	{"sql/q14", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "d01c49631d49f20197851f1b340d8c54e41adef66d14b703044eb9eb87a3fd1e"},
-	{"sql/q14", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner unpack_payload_i32 probecopy_f64 probecopy_f64 codematch expr_sub_f64_kc expr_mul_f64_cc case_f64_ck expr_sub_f64_kc expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64", 67, "161be58bacc09d9e46c9819f3c57ee93816f71c3ca25c0c3f19a74f8020c9e67"},
-	{"sql/q14", "p2", "unpack_payload_f64 unpack_payload_f64 expr_mul_f64_kc expr_div_f64_cc", 18, "a9d3374a5ee1e082c2c350c64dd5ef9585f8fb3e3cba4c2e37da845e8f1cd1b7"},
-	{"sql/q19", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 pack_payload_i32 pack_payload_i32 joininsert", 17, "a2c146b9e8545e9db6332809fecb7ec4ca88e3ebae05fcc7b0f51c6d858848e7"},
-	{"sql/q19", "p1", "codematch codematch logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner unpack_payload_i32 unpack_payload_i32 probecopy_f64 unpack_payload_i32 probecopy_f64 probecopy_f64 codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and logic_or codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and logic_or (scope) filtercopy_f64 filtercopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 193, "45c320eaa758a0530001985305975372b2d98d4ff2fae73e16e122c85c232dd9"},
-	{"sql/q19", "p2", "unpack_payload_f64", 7, "d43f4ab37cc4a4d0f4e58f30eb4653dd20334f5dd34218b6f6fad2dc9f6b693c"},
+	{"q1", "p0", "cmp_le_date_ck (scope) filtercopy_i32 filtercopy_i32 filtercopy_f64 filtercopy_f64 filtercopy_f64 filtercopy_f64 expr_sub_f64_kc expr_mul_f64_cc expr_add_f64_kc expr_mul_f64_cc makerow pack_key_i32 pack_key_i32 sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_sum_f64 aggupdate_count aggupdate_sum_f64", 60, "af574f88a0304b91a1068cb890e32ce60e89a2e76426347c2d1809a1f0b3644b"},
+	{"q1", "p1", "unpack_key_i32 unpack_key_i32 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_f64 unpack_payload_i64 cast_i64_f64 expr_div_f64_cc unpack_payload_i64 decode decode", 79, "6db3b9bbbd95d5af75654d00e7931551b8ebadcaced6b744cb2ecedc5e31982f"},
+	{"q3", "p0", "codematch (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 14, "1802a031d7d61147c328c65e6fffcd734f4c9c2423a96a1893da4b11ca58a82d"},
+	{"q3", "p1", "cmp_lt_date_ck (scope) filtercopy_i32 filtercopy_i64 filtercopy_date filtercopy_i32 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 probecopy_date probecopy_i32 makerow pack_key_i64 sealkey pack_payload_date pack_payload_i32 joininsert", 34, "f6c7825a2c2bea568bdf19fe25c1fa737eb56d14e18eb32e9136c740fb369291"},
+	{"q3", "p2", "cmp_gt_date_ck (scope) filtercopy_i64 filtercopy_f64 filtercopy_f64 makerow pack_key_i64 sealkey joinprobe_inner probecopy_i64 unpack_payload_date unpack_payload_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow pack_key_i64 pack_key_date pack_key_i32 sealkey agglookup aggupdate_sum_f64", 50, "907aec84985f191d1938908e9d609f20680df3c6562298cc82ea865ea75a8977"},
+	{"q3", "p3", "unpack_key_i64 unpack_key_date unpack_key_i32 unpack_payload_f64", 19, "0f91ecee7b58ea8416568bd6697cfa65f3d0a009afea2ba88f49a2726506576a"},
+	{"q4", "p0", "cmp_lt_date_cc (scope) filtercopy_i64 makerow pack_key_i64 sealkey joininsert", 16, "100954d2f38e5920c0ebbe644a36011e430cbe6505b8315d71900ab69615ec82"},
+	{"q4", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i64 filtercopy_i32 makerow pack_key_i64 sealkey joinprobe_semi probecopy_i32 agglookupfixed_i32 aggupdate_count", 31, "9c984be2578a2464045e7e3edc99c5a6fd4c200248f24d5ee7bbc174db44f6cc"},
+	{"q4", "p2", "unpack_key_i32 unpack_payload_i64 decode", 14, "e66d6e31b7c1eba3461d344604a549350489319f03579e575fe646020dad9a0b"},
+	{"q5", "p0", "makerow pack_key_i32 pack_key_i32 sealkey joininsert", 11, "d1f56c89660efd836845ab3b5a87b693c7bf20db74685557e5cd9762e1e5f16e"},
+	{"q5", "p1", "decode cmp_eq_str_ck (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 18, "3e6afa3b470b298c030f93ad400b7401a509bc934d4ee96fd2d7d1df8c0a9000"},
+	{"q5", "p2", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_i32 makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 21, "f86858a3ef464dfd691873281c6f27300ba74f8f7dbeebc08a316ef52cc6621e"},
+	{"q5", "p3", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_i32 unpack_payload_i32 makerow pack_key_i32 sealkey pack_payload_i32 pack_payload_i32 joininsert", 25, "cb543531adbd338e628639a9355e47906b2f67dab0c32d48480b4e9a36cb063a"},
+	{"q5", "p4", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_i64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 unpack_payload_i32 unpack_payload_i32 makerow pack_key_i64 sealkey pack_payload_i32 pack_payload_i32 joininsert", 43, "b21b71b19c0a193b8363e496d483f224b03cf58aa7a0272a23ea5f07c4d1f02b"},
+	{"q5", "p5", "makerow pack_key_i64 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 unpack_payload_i32 probecopy_f64 probecopy_f64 makerow pack_key_i32 pack_key_i32 sealkey joinprobe_inner probecopy_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc agglookupfixed_i32 aggupdate_sum_f64", 46, "21c7130d2de0244c803e5f89dc2e0d7c99195766d7ea1371af98df407f80ab8f"},
+	{"q5", "p6", "unpack_key_i32 unpack_payload_f64 decode", 14, "b21564b5ac9383a90835635a687a07eb51b8a90ad8d530b9997bd54d4da8c3e6"},
+	{"q6", "p0", "cmp_ge_date_ck cmp_lt_date_ck logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_lt_f64_ck logic_and (scope) filtercopy_f64 filtercopy_f64 expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 55, "e78fe0d5e36c6e9f0c7df3584368743bfb977b731f32396ab36c83133373babb"},
+	{"q6", "p1", "unpack_payload_f64", 7, "201e21fad7d6c97a58187c8b21a2e136423f21fc3b97ccd4bfba978ef8a05940"},
+	{"q13", "p0", "decode notlike (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 17, "4e9834b9a48c96b87bc97f5f53787ef18562fedaf84171ddcf2a4971361461c5"},
+	{"q13", "p1", "makerow pack_key_i32 sealkey joinprobe_leftouter probecopy_i32 agglookupfixed_i32 aggupdate_count_if", 15, "bf94f1386c698d60d8d79f001232f5624deb6c5f0992fce916e8fe8a901ecd88"},
+	{"q13", "p2", "unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 9, "059fb44346f41c94962b075f4c9d7f3b7b3d86889beb365c0d73b7c8fc8faf98"},
+	{"q13", "p3", "unpack_key_i64 unpack_payload_i64", 11, "a35bc78f0f989d1da4c58c36de729708117338bc89f93d232574a85795b3f301"},
+	{"q14", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "d01c49631d49f20197851f1b340d8c54e41adef66d14b703044eb9eb87a3fd1e"},
+	{"q14", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_f64 probecopy_f64 unpack_payload_i32 expr_sub_f64_kc expr_mul_f64_cc codematch case_f64_ck makerow sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64", 59, "cb377589bd13a91dca2aae6e48ccfbaa176ce9231763458a8a73fdd33c0a0ad3"},
+	{"q14", "p2", "unpack_payload_f64 unpack_payload_f64 expr_mul_f64_kc expr_div_f64_cc", 18, "a9d3374a5ee1e082c2c350c64dd5ef9585f8fb3e3cba4c2e37da845e8f1cd1b7"},
+	{"q19", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 pack_payload_i32 pack_payload_i32 joininsert", 17, "a2c146b9e8545e9db6332809fecb7ec4ca88e3ebae05fcc7b0f51c6d858848e7"},
+	{"q19", "p1", "codematch codematch logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner unpack_payload_i32 unpack_payload_i32 probecopy_f64 unpack_payload_i32 probecopy_f64 probecopy_f64 codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and logic_or codematch codematch logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_ge_i32_ck logic_and cmp_le_i32_ck logic_and logic_or (scope) filtercopy_f64 filtercopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 193, "45c320eaa758a0530001985305975372b2d98d4ff2fae73e16e122c85c232dd9"},
+	{"q19", "p2", "unpack_payload_f64", 7, "d43f4ab37cc4a4d0f4e58f30eb4653dd20334f5dd34218b6f6fad2dc9f6b693c"},
+	{"q10", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "72bb3f436d2fc47e6b1fce8958b09b4d09f8463a5ffe919114a9964e122cb44e"},
+	{"q10", "p1", "makerow pack_key_i32 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 22, "f7399ceac70cbae8276bf4641ddc15f6846a6a2c0a4ae648e06b0aacee6353bd"},
+	{"q10", "p2", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_i64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_i64 probecopy_i32 unpack_payload_i32 makerow pack_key_i64 sealkey pack_payload_i32 pack_payload_i32 joininsert", 41, "069fbbf335d2f53f92d62a7bbf29551ea374c6fc8efc38033d785b3e05f7257f"},
+	{"q10", "p3", "codematch (scope) filtercopy_i64 filtercopy_f64 filtercopy_f64 makerow pack_key_i64 sealkey joinprobe_inner unpack_payload_i32 unpack_payload_i32 probecopy_f64 probecopy_f64 expr_sub_f64_kc expr_mul_f64_cc makerow pack_key_i32 pack_key_i32 sealkey agglookup aggupdate_sum_f64", 46, "74ef47d5f1ac44cdc0c2e00650ddfe9f4959a7864d4f83f8c6ed3dcb3212eb4c"},
+	{"q10", "p4", "unpack_key_i32 unpack_key_i32 unpack_payload_f64 decode", 18, "90335ade1502362e32ea4efb686724cdc30bdf0741c6bf09904d335089594b51"},
+	{"q12", "p0", "makerow pack_key_i64 sealkey pack_payload_i32 joininsert", 11, "72d6edd6d6c2a68760ca72b7247e989641f0336eca30beb889ec659580fa8f96"},
+	{"q12", "p1", "codematch cmp_lt_date_cc logic_and cmp_lt_date_cc logic_and cmp_ge_date_ck logic_and cmp_lt_date_ck logic_and (scope) filtercopy_i64 filtercopy_i32 makerow pack_key_i64 sealkey joinprobe_inner probecopy_i32 unpack_payload_i32 codematch case_i64_kk case_i64_kk agglookupfixed_i32 aggupdate_sum_i64 aggupdate_sum_i64", 76, "8131b0365789ceea5fde69c6641fe4b9c5ef7ec00dd01cf804f6a10fb351785d"},
+	{"q12", "p2", "unpack_key_i32 unpack_payload_i64 unpack_payload_i64 decode", 18, "8062e71b02fca79d1e914f306e80c6292043545421f8306d5620733503117789"},
 }

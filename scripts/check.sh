@@ -123,6 +123,13 @@ if [ -z "$addr" ]; then
 fi
 body=$(curl -sf "http://$addr/query" -d '{"query":"q6","backend":"vectorized"}')
 echo "$body" | grep -q '"rows"' || { echo "query response malformed: $body" >&2; exit 1; }
+# A named query runs its SQL text through the plan cache like any statement:
+# the first request above missed, the same request again hits.
+echo "$body" | grep -q '"plan_cache": *"miss"' \
+    || { echo "first named q6 should miss the plan cache: $body" >&2; exit 1; }
+body=$(curl -sf "http://$addr/query" -d '{"query":"q6","backend":"vectorized"}')
+echo "$body" | grep -q '"plan_cache": *"hit"' \
+    || { echo "second named q6 should hit the plan cache: $body" >&2; exit 1; }
 metrics=$(curl -sf "http://$addr/metrics")
 echo "$metrics" | grep -q '^inkfuse_queries_succeeded [1-9]' \
     || { echo "/metrics query counter did not advance" >&2; exit 1; }
