@@ -73,7 +73,7 @@ func BenchmarkFig9(b *testing.B) {
 // `inkbench -exp table1`).
 func BenchmarkTable1(b *testing.B) {
 	cat := benchCat()
-	for _, q := range []string{"q1", "q4"} {
+	for _, q := range benchkit.Table1Queries {
 		for _, sys := range benchkit.Table1Systems {
 			b.Run(q+"/"+sys.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 // Command inkbench regenerates the paper's tables and figures:
 //
 //	inkbench -exp fig9   [-sf 0.5]   — Fig 9: relative backend throughput
-//	inkbench -exp table1 [-sf 0.5]   — Table I: counter proxies for Q1/Q4
+//	inkbench -exp table1 [-sf 0.5]   — Table I: counter proxies for Q1/Q4 (or -queries)
 //	inkbench -exp fig10  [-sfs 0.005,0.05,0.5] — Fig 10: cross-system latency
 //	inkbench -exp ablations          — DESIGN.md ablation suite
 //	inkbench -exp all                — everything above
@@ -90,8 +90,12 @@ func main() {
 	})
 
 	run("table1", func() error {
-		fmt.Printf("# Table I — counter proxies, Q1 and Q4 (SF %g, %d workers)\n", cfg.SF, cfg.Workers)
-		cells, err := benchkit.Table1(cfg)
+		tcfg := cfg
+		if *queries == "" {
+			tcfg.Queries = benchkit.Table1Queries
+		}
+		fmt.Printf("# Table I — counter proxies, %s (SF %g, %d workers)\n", strings.Join(tcfg.Queries, ", "), cfg.SF, cfg.Workers)
+		cells, err := benchkit.Table1(tcfg)
 		if err != nil {
 			return err
 		}

@@ -23,7 +23,9 @@ func Lower(root Node, name string) (*core.Plan, error) {
 // LowerWithParams lowers like Lower and additionally collects the runtime
 // constant states created for Ref-tagged literals (Const.Ref, LikeE.Ref,
 // InListE.Ref) into a Params map, so callers can rebind parameter values on
-// the lowered plan without re-lowering (the plancache reuse path).
+// the lowered plan without re-lowering (the plancache reuse path). Lowering
+// first aggregates the build side of a join ahead of it where a GroupBy above
+// allows (eagerAggregate, DESIGN.md §21).
 func LowerWithParams(root Node, name string) (*core.Plan, *Params, error) {
 	plan := &core.Plan{Name: name}
 
@@ -33,6 +35,7 @@ func LowerWithParams(root Node, name string) (*core.Plan, *Params, error) {
 		order = ob
 		node = ob.In
 	}
+	node = eagerAggregate(node)
 	finalSchema, err := node.Schema()
 	if err != nil {
 		return nil, nil, err

@@ -91,6 +91,9 @@ var (
 		{Name: "vectorized", Backend: exec.BackendVectorized},
 		{Name: "compiling", Backend: exec.BackendCompiling, Latency: exec.LatencyC},
 	}
+	// Table1Queries are the paper's Table I queries: Q1 (compute-bound) and
+	// Q4 (probe-bound).
+	Table1Queries = []string{"q1", "q4"}
 	// Fig10Systems are the cross-system comparison of Fig 10.
 	Fig10Systems = []System{
 		{Name: "volcano", Volcano: true},
@@ -211,11 +214,11 @@ func Fig9(cfg Config) (map[string]map[string]float64, []Cell, error) {
 	return rel, cells, nil
 }
 
-// Table1 gathers the low-level counter proxies for Q1 (compute-bound) and
-// Q4 (probe-bound) on the vectorized and compiling backends (paper Table I).
+// Table1 gathers the low-level counter proxies for the configured queries
+// (the paper's are Table1Queries) on the vectorized and compiling backends
+// (paper Table I).
 func Table1(cfg Config) ([]Cell, error) {
 	cfg = cfg.WithDefaults()
-	cfg.Queries = []string{"q1", "q4"}
 	cat := tpch.Generate(cfg.SF, cfg.Seed)
 	var out []Cell
 	for _, q := range cfg.Queries {

@@ -80,7 +80,7 @@ func TestDegradedCellMarking(t *testing.T) {
 }
 
 func TestTable1Harness(t *testing.T) {
-	cells, err := Table1(Config{SF: 0.001, Runs: 1})
+	cells, err := Table1(Config{SF: 0.001, Runs: 1, Queries: Table1Queries})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,7 +30,11 @@ import (
 // keyed on what the first one's build side supplied — and on dictionary codes
 // (§20): coded, uncoded and mixed tables, so group keys (collated ones
 // included) and predicates read codes, coded payloads cross a join, and string
-// join keys meet across two dictionaries or a coded and an uncoded column.
+// join keys meet across two dictionaries or a coded and an uncoded column —
+// and on eager aggregation (§21): GroupBys keyed by a left outer join's probe
+// keys that count its matches, so lowering counts the build rows per key
+// before the join, over every build shape above, while the oracle runs the
+// join first.
 func TestRandomPlansDifferential(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -39,11 +44,24 @@ func TestRandomPlansDifferential(t *testing.T) {
 	// probes" for a pipeline with two), so that the corpus provably covers the
 	// probe path's shapes and not just whatever the seeds happen to draw.
 	seen := map[string]bool{}
-	for seed := 0; seed < iters; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	// A GroupBy directly over a left outer join is rare among randomPlan's
+	// draws, so eager aggregation's shapes get seeds of their own.
+	eagerIters := iters / 3
+	for i := 0; i < iters+eagerIters; i++ {
+		seed, name, eager := i, fmt.Sprintf("seed%d", i), i >= iters
+		if eager {
+			seed = i - iters
+			name = fmt.Sprintf("eager%d", seed)
+		}
+		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
-			node, collated := randomPlan(r)
+			var node algebra.Node
+			collated := false
+			if eager {
+				node = randomEagerPlan(r)
+			} else {
+				node, collated = randomPlan(r)
+			}
 			want, err := volcano.Run(node)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
@@ -54,12 +72,20 @@ func TestRandomPlansDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("lower: %v", err)
 				}
+				// eager: a join table was filled from aggregated groups; a
+				// build pipeline precedes its probes.
+				eager := false
 				for _, pipe := range plan.Pipelines {
 					probes := 0
+					_, fromGroups := pipe.Source.(*core.AggRead)
 					for _, op := range pipe.Ops {
 						seen[op.PrimitiveID()] = true
+						eager = eager || fromGroups && op.PrimitiveID() == "joininsert"
 						if strings.HasPrefix(op.PrimitiveID(), "joinprobe_") {
 							probes++
+							if eager {
+								seen["eager "+op.PrimitiveID()] = true
+							}
 						}
 					}
 					seen[fmt.Sprintf("%d probes", probes)] = true
@@ -96,6 +122,7 @@ func TestRandomPlansDifferential(t *testing.T) {
 		"probecopy_bool", "probecopy_date", "probecopy_f64", "probecopy_i64", "probecopy_str",
 		"pack_key_i64", "pack_key_date", "packstr_key", "unpack_payload_i64", "unpackstr_payload",
 		"codematch", "decode", "agglookupfixed_i32", "pack_key_i32", "pack_payload_i32",
+		"eager joinprobe_leftouter",
 	} {
 		if !seen[want] {
 			t.Errorf("no generated plan contains %q: the corpus lost a shape", want)
@@ -372,18 +399,19 @@ func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 	}
 
 	// Optional join against a dimension table, and optionally a second one.
+	// last is the last join's aggregates, kept while the join is the top node.
 	withJoin := r.Intn(4) > 0
-	var extra []algebra.AggSpec
+	var extra, last []algebra.AggSpec
 	if withJoin {
 		mode := []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin}[r.Intn(4)]
-		node, extra = randomJoin(r, node, "d", "t", mode)
+		node, last = randomJoin(r, node, "d", "t", mode)
+		extra = last
 		if (mode == ir.InnerJoin || mode == ir.LeftOuterJoin) && r.Intn(2) == 0 {
 			// The q5 shape: the second probe's key is a column the first
 			// probe's build side supplied (zero on an unmatched outer row).
 			mode2 := []ir.JoinMode{ir.InnerJoin, ir.SemiJoin, ir.LeftOuterJoin, ir.AntiJoin}[r.Intn(4)]
-			var extra2 []algebra.AggSpec
-			node, extra2 = randomJoin(r, node, "e", "d", mode2)
-			extra = append(extra, extra2...)
+			node, last = randomJoin(r, node, "e", "d", mode2)
+			extra = append(extra, last...)
 		}
 	}
 
@@ -430,5 +458,46 @@ func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 	if countFlag {
 		aggs = append(aggs, algebra.CountIf(flag, "flagged"))
 	}
+	// A GroupBy directly over a left outer join is one eager aggregation may
+	// split (DESIGN.md §21): on a coin flip, make it one that qualifies, or
+	// that another aggregate keeps from qualifying.
+	if j, ok := node.(*algebra.HashJoin); ok && j.Mode == ir.LeftOuterJoin && r.Intn(2) == 0 {
+		return eagerGroupBy(r, j, last), false
+	}
 	return &algebra.GroupBy{In: node, Keys: keys, Aggs: aggs, NoCase: noCase}, len(noCase) > 0
+}
+
+// randomEagerPlan is eagerGroupBy over a left outer join of a random probe
+// table with any of randomJoin's build shapes.
+func randomEagerPlan(r *rand.Rand) algebra.Node {
+	probe := randomTable(r, "t", 200+r.Intn(2000))
+	codeRandomly(r, probe)
+	for {
+		node, joined := randomJoin(r, algebra.NewScan(probe, "t_k", "t_j", "t_f", "t_g", "t_s", "t_c", "t_d", "t_e"),
+			"d", "t", ir.LeftOuterJoin)
+		if j, ok := node.(*algebra.HashJoin); ok {
+			return eagerGroupBy(r, j, joined)
+		}
+	}
+}
+
+// eagerGroupBy groups the left outer join j by its probe keys, and sometimes
+// by t_j besides, over the count of its matches (joined[0]) — sometimes
+// twice, and sometimes with the join's other aggregates (joined[1:], a sum of
+// a carried column) or a count(*), either of which blocks the split.
+func eagerGroupBy(r *rand.Rand, j *algebra.HashJoin, joined []algebra.AggSpec) *algebra.GroupBy {
+	keys := append([]string{}, j.ProbeKeys...)
+	if !slices.Contains(keys, "t_j") && r.Intn(2) == 0 {
+		keys = append(keys, "t_j")
+	}
+	aggs := []algebra.AggSpec{joined[0]}
+	switch r.Intn(5) {
+	case 0:
+		aggs = append(aggs, algebra.CountIf(j.MatchedAs, "hits_again"))
+	case 1:
+		aggs = append(aggs, joined[1:]...)
+	case 2:
+		aggs = append(aggs, algebra.Count("n"))
+	}
+	return algebra.NewGroupBy(j, keys, aggs...)
 }

@@ -179,6 +179,16 @@ func benchChunkKeys(chunk, groups, salt int) [][]byte {
 	return keys
 }
 
+// benchKeyChunks builds the successive chunks that together cycle once
+// through `groups` keys, so a build over them reaches every group.
+func benchKeyChunks(chunk, groups int) [][][]byte {
+	chunks := make([][][]byte, max(1, groups/chunk))
+	for c := range chunks {
+		chunks[c] = benchChunkKeys(chunk, groups, c)
+	}
+	return chunks
+}
+
 // BenchmarkAggBuildScalar drives the per-tuple path: one hash and one shard
 // dispatch per row.
 func BenchmarkAggBuildScalar(b *testing.B) {
@@ -186,11 +196,11 @@ func BenchmarkAggBuildScalar(b *testing.B) {
 		b.Run(map[int]string{16: "16groups", 1 << 10: "1Kgroups", 1 << 16: "64Kgroups"}[groups], func(b *testing.B) {
 			const chunk = 1024
 			tbl := NewAggTable(make([]byte, 8), 16)
-			keys := benchChunkKeys(chunk, groups, 0)
+			chunks := benchKeyChunks(chunk, groups)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := keys[i%chunk]
+				k := chunks[i/chunk%len(chunks)][i%chunk]
 				row := tbl.FindOrCreate(k, Hash64(k))
 				off := RowPayloadOff(row)
 				PutI64(row, off, GetI64(row, off)+1)
@@ -206,12 +216,13 @@ func BenchmarkAggBuildBatched(b *testing.B) {
 		b.Run(map[int]string{16: "16groups", 1 << 10: "1Kgroups", 1 << 16: "64Kgroups"}[groups], func(b *testing.B) {
 			const chunk = 1024
 			tbl := NewAggTable(make([]byte, 8), 16)
-			keys := benchChunkKeys(chunk, groups, 0)
+			chunks := benchKeyChunks(chunk, groups)
 			hashes := make([]uint64, 0, chunk)
 			dst := make([][]byte, chunk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += chunk {
+				keys := chunks[i/chunk%len(chunks)]
 				hashes = HashBatch(keys, hashes)
 				tbl.FindOrCreateBatch(keys, nil, hashes, dst, nil)
 				for _, row := range dst {

@@ -110,10 +110,11 @@ var loweringGoldens = []loweringGolden{
 	{"q5", "p6", "unpack_key_i32 unpack_payload_f64 decode", 14, "b21564b5ac9383a90835635a687a07eb51b8a90ad8d530b9997bd54d4da8c3e6"},
 	{"q6", "p0", "cmp_ge_date_ck cmp_lt_date_ck logic_and cmp_ge_f64_ck logic_and cmp_le_f64_ck logic_and cmp_lt_f64_ck logic_and (scope) filtercopy_f64 filtercopy_f64 expr_mul_f64_cc makerow sealkey agglookup aggupdate_sum_f64", 55, "e78fe0d5e36c6e9f0c7df3584368743bfb977b731f32396ab36c83133373babb"},
 	{"q6", "p1", "unpack_payload_f64", 7, "201e21fad7d6c97a58187c8b21a2e136423f21fc3b97ccd4bfba978ef8a05940"},
-	{"q13", "p0", "decode notlike (scope) filtercopy_i32 makerow pack_key_i32 sealkey joininsert", 17, "4e9834b9a48c96b87bc97f5f53787ef18562fedaf84171ddcf2a4971361461c5"},
-	{"q13", "p1", "makerow pack_key_i32 sealkey joinprobe_leftouter probecopy_i32 agglookupfixed_i32 aggupdate_count_if", 15, "bf94f1386c698d60d8d79f001232f5624deb6c5f0992fce916e8fe8a901ecd88"},
-	{"q13", "p2", "unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 9, "059fb44346f41c94962b075f4c9d7f3b7b3d86889beb365c0d73b7c8fc8faf98"},
-	{"q13", "p3", "unpack_key_i64 unpack_payload_i64", 11, "a35bc78f0f989d1da4c58c36de729708117338bc89f93d232574a85795b3f301"},
+	{"q13", "p0", "decode notlike (scope) filtercopy_i32 agglookupfixed_i32 aggupdate_count", 15, "82141993b1aea5429ee8e4bb71df5909820ad0c231af697c5c262dfbe88f6878"},
+	{"q13", "p1", "unpack_key_i32 unpack_payload_i64 makerow pack_key_i32 sealkey pack_payload_i64 joininsert", 16, "a8abe4ae6fce28b78268ba9775a46a1552ed5d346c4d8024d89ff64f6214954e"},
+	{"q13", "p2", "makerow pack_key_i32 sealkey joinprobe_leftouter probecopy_i32 unpack_payload_i64 agglookupfixed_i32 aggupdate_sum_i64", 18, "99848422f8f544843a2e6fb2a79e4d45f14a7f98f9f60f85280f88f693b8adb8"},
+	{"q13", "p3", "unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 9, "1fdee24f34b2ed55d66389fc0a68c8e4e6255b87c792ede7d539ce9a1a0eb7f1"},
+	{"q13", "p4", "unpack_key_i64 unpack_payload_i64", 11, "989461af2a9ffcac7612e02c84c2092d5251ca8381c92ad8a6df1ffbcef8f9e7"},
 	{"q14", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "d01c49631d49f20197851f1b340d8c54e41adef66d14b703044eb9eb87a3fd1e"},
 	{"q14", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_f64 probecopy_f64 unpack_payload_i32 expr_sub_f64_kc expr_mul_f64_cc codematch case_f64_ck makerow sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64", 59, "cb377589bd13a91dca2aae6e48ccfbaa176ce9231763458a8a73fdd33c0a0ad3"},
 	{"q14", "p2", "unpack_payload_f64 unpack_payload_f64 expr_mul_f64_kc expr_div_f64_cc", 18, "a9d3374a5ee1e082c2c350c64dd5ef9585f8fb3e3cba4c2e37da845e8f1cd1b7"},

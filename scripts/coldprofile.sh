@@ -174,8 +174,11 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # and the scratch they drive. Key runs compiled to one operation: keyProbe,
 # keyAggLookup and their kernels. The aggregation table: a worker's lookups
 # (AggTable.FindOrCreateSeed, under AggTable.FindOrCreateBatch or called by
-# the fused key build) and the finalize merge of the workers' tables
-# (AggTableState.MergeInto) — scan_agg_sf1's aggregation path. The join
+# the fused key build), the rehash of a worker's table as it grows from its
+# morsel-sized Reserve (AggTable.growTo: q13's orders build, aggregated ahead
+# of its join since DESIGN.md §21, reaches ≈ 50 k groups per worker at SF 0.5)
+# and the finalize merge of the workers' tables (AggTableState.MergeInto) —
+# scan_agg_sf1's aggregation path. The join
 # table: a worker's insert (joinShard's insert and nextBlock, under
 # JoinTable.InsertBatch) and the seal (SealTask → joinShard.seal per shard,
 # its per-block loops entryBlock.count / scatter / tag). The probe itself: the bloom pass, the bucket scan (collect →
@@ -183,7 +186,7 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # gathers.
 echo
 echo "CPU share of tracked symbols, join and aggregation path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|appendKey|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|appendKey|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed|growTo)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
