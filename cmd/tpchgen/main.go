@@ -6,13 +6,12 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 
+	"inkfuse/internal/storage"
 	"inkfuse/internal/tpch"
-	"inkfuse/internal/types"
 )
 
 func main() {
@@ -39,39 +38,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tpchgen:", err)
 		os.Exit(1)
 	}
-	n := t.Rows()
-	if *limit > 0 && *limit < n {
-		n = *limit
-	}
 	if !*asCSV {
 		fmt.Printf("%s: %d rows\n", t.Name, t.Rows())
 		return
 	}
-	w := csv.NewWriter(os.Stdout)
-	header := make([]string, len(t.Schema))
-	for i, c := range t.Schema {
-		header[i] = c.Name
-	}
-	if err := w.Write(header); err != nil {
-		fmt.Fprintln(os.Stderr, "tpchgen:", err)
-		os.Exit(1)
-	}
-	rec := make([]string, len(t.Cols))
-	for r := 0; r < n; r++ {
-		for i, col := range t.Cols {
-			if col.Kind == types.Date {
-				rec[i] = types.DateString(col.I32[r])
-			} else {
-				rec[i] = fmt.Sprintf("%v", col.Value(r))
-			}
-		}
-		if err := w.Write(rec); err != nil {
-			fmt.Fprintln(os.Stderr, "tpchgen:", err)
-			os.Exit(1)
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := storage.WriteCSV(t, os.Stdout, *limit); err != nil {
 		fmt.Fprintln(os.Stderr, "tpchgen:", err)
 		os.Exit(1)
 	}

@@ -269,7 +269,7 @@ func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps [
 		j.err = ctxCause(err)
 		return j.err
 	}
-	flight.Default.RecordStr(flight.KindCompileStart, opts.QueryID, name, 0, 0)
+	flight.Default.Record(flight.KindCompileStart, opts.QueryID, name, 0, 0)
 	start := time.Now()
 	chain := make([]*fusedStep, len(steps))
 	for si, st := range steps {
@@ -284,7 +284,7 @@ func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps [
 			j.err = err
 			if ctx.Err() == nil {
 				j.failed.Store(true)
-				flight.Default.RecordStr(flight.KindCompileFail, opts.QueryID, name, int64(si), 0)
+				flight.Default.Record(flight.KindCompileFail, opts.QueryID, name, int64(si), 0)
 			}
 			return err
 		}
@@ -293,7 +293,7 @@ func (j *compileJob) run(ctx context.Context, key chainKey, name string, steps [
 	j.compile, j.ready = time.Since(start), time.Now()
 	opts.Artifacts.noteCompile()
 	j.chain.Store(&chain)
-	flight.Default.RecordStr(flight.KindCompileLand, opts.QueryID, name, int64(j.compile), int64(len(steps)))
+	flight.Default.Record(flight.KindCompileLand, opts.QueryID, name, int64(j.compile), int64(len(steps)))
 	return nil
 }
 

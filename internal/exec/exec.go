@@ -69,12 +69,6 @@ type Options struct {
 	// trace/span correlation. 0 = allocate one (NextQueryID); servers assign
 	// ids up front so admission failures are already attributable.
 	QueryID uint64
-	// TraceID and ParentSpanID carry W3C trace-context correlation from the
-	// serving layer into the query trace (and from there into exported
-	// spans). Empty = uncorrelated; the span renderer then derives a
-	// deterministic trace id from QueryID.
-	TraceID      string
-	ParentSpanID string
 	// Fingerprint is the plan-cache fingerprint of SQL-built plans, threaded
 	// into scheduler QueryInfos and the canonical query log.
 	Fingerprint string
@@ -215,14 +209,11 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	obs.Default.Add(obs.QueriesStarted, 1)
 
 	// Every execution runs under an engine-wide query id: the key its flight
-	// events, scheduler QueryInfos row, and exported spans share. The query
-	// label is interned once here so no later recording site touches the
-	// intern table.
+	// events, scheduler QueryInfos row, and exported spans share.
 	if opts.QueryID == 0 {
 		opts.QueryID = NextQueryID()
 	}
-	qlabel := flight.Default.Intern(plan.Name)
-	flight.Default.Record(flight.KindQueryStart, opts.QueryID, qlabel, int64(opts.Backend), 0)
+	flight.Default.Record(flight.KindQueryStart, opts.QueryID, plan.Name, int64(opts.Backend), 0)
 
 	res, err := execute(ctx, plan, opts, start)
 
@@ -247,7 +238,7 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	}
 	canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
 	obs.Default.QueryDone(opts.Backend.String(), c, wall, err, canceled, err == nil && len(res.Warnings) > 0)
-	flight.Default.Record(kind, opts.QueryID, qlabel, int64(wall), int64(rows))
+	flight.Default.Record(kind, opts.QueryID, plan.Name, int64(wall), int64(rows))
 	return res, err
 }
 
@@ -277,7 +268,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	if pool == nil {
 		pool = sched.Shared()
 	}
-	adm, err := pool.AdmitWith(ctx, sched.AdmitInfo{
+	adm, err := pool.Admit(ctx, sched.AdmitInfo{
 		ID: qid, Name: plan.Name, Backend: backend, Fingerprint: opts.Fingerprint,
 		Mem: opts.MemoryBudget, Parallelism: opts.Workers,
 	})
@@ -293,8 +284,6 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	if opts.Trace {
 		qt = trace.NewQuery(plan.Name, opts.Backend.String(), opts.Workers, start)
 		qt.ID = qid
-		qt.TraceID = opts.TraceID
-		qt.ParentSpanID = opts.ParentSpanID
 		qt.QueueWait = queueWait
 	}
 
@@ -410,7 +399,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 
 		// One flight event per pipeline dispatch — morsel-batch granularity,
 		// never per morsel.
-		flight.Default.RecordStr(flight.KindMorselBatch, qid, pipe.Name,
+		flight.Default.Record(flight.KindMorselBatch, qid, pipe.Name,
 			int64(len(morsels)), int64(binder.total))
 
 		// Morsels dispatch into the shared pool instead of per-query worker
@@ -459,7 +448,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			warnings = append(warnings, fmt.Errorf(
 				"exec: %s/%s: background compile failed, pipeline served by the vectorized interpreter: %w",
 				plan.Name, pipe.Name, degraded))
-			flight.Default.RecordStr(flight.KindDegraded, qid, pipe.Name, 0, 0)
+			flight.Default.Record(flight.KindDegraded, qid, pipe.Name, 0, 0)
 		}
 
 		if err := qs.failure(); err != nil {

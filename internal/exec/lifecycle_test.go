@@ -384,7 +384,7 @@ func TestSealBudgetTripIsLocated(t *testing.T) {
 
 	pool := sched.NewPool(sched.Config{Workers: 2})
 	defer pool.Close(context.Background())
-	adm, err := pool.Admit(context.Background(), "sealq", 0, 2)
+	adm, err := pool.Admit(context.Background(), sched.AdmitInfo{Name: "sealq", Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestEveryOutcomeCompletesOnce(t *testing.T) {
 
 	full := sched.NewPool(sched.Config{Workers: 1, MaxConcurrent: 1, QueueDepth: -1})
 	defer full.Close(context.Background())
-	hold, err := full.Admit(context.Background(), "hold", 0, 1)
+	hold, err := full.Admit(context.Background(), sched.AdmitInfo{Name: "hold", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

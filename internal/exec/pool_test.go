@@ -73,7 +73,7 @@ func TestExecSchedulerShedAndDrainingErrors(t *testing.T) {
 	lat := LatencyNone
 
 	// Hold the only slot directly so Execute finds the pool full.
-	hold, err := pool.Admit(context.Background(), "hold", 0, 1)
+	hold, err := pool.Admit(context.Background(), sched.AdmitInfo{Name: "hold", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,11 @@ type pipelineRunner struct {
 	// Adaptive routing (hybrid): per-worker statistics; the pipeline trace
 	// (nil when tracing is off), into which the runner records each measured
 	// routing sample; and the query id and label of the first-JIT flight
-	// event, interned here so the hot path never touches the intern table.
+	// event.
 	workers []routeWorker
 	pt      *trace.Pipeline
 	qid     uint64
-	flabel  flight.Label
+	flabel  string
 }
 
 // newRunner builds the runner for pipeline pi over the pipeline's buffers pb,
@@ -97,7 +97,7 @@ func newRunner(ctx context.Context, pi int, pipe *core.Pipeline, pol policy, opt
 	}
 	if pol.route == routeAdaptive {
 		r.workers, r.pt = make([]routeWorker, opts.Workers), pt
-		r.qid, r.flabel = opts.QueryID, flight.Default.Intern(pipe.Name)
+		r.qid, r.flabel = opts.QueryID, pipe.Name
 	}
 	return r, nil
 }
@@ -233,11 +233,7 @@ func (r *pipelineRunner) finish(pt *trace.Pipeline, begin time.Time) (c stats.Co
 	// The interpreter carries the suboperator profile; fused code is opaque to
 	// per-suboperator attribution by construction.
 	if subops := interp.MergeProfiles(r.profs); len(subops) > 0 {
-		pt.ProfileEvery = r.profs[0].Every
-		pt.SubOps = make([]trace.SubOpProf, len(subops))
-		for i, s := range subops {
-			pt.SubOps[i] = trace.SubOpProf{ID: s.ID, Calls: s.Calls, Tuples: s.Tuples, Nanos: s.Nanos}
-		}
+		pt.ProfileEvery, pt.SubOps = r.profs[0].Every, subops
 		for _, p := range r.profs {
 			pt.ProfiledChunks += p.Sampled
 		}

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -8,21 +9,23 @@ import (
 )
 
 // TestWraparoundBounded: a ring written far past its capacity keeps only the
-// newest events, in global sequence order, with nothing torn or duplicated.
+// newest events, in sequence order, with nothing torn or duplicated.
 func TestWraparoundBounded(t *testing.T) {
-	r := New(1, 64)
-	l := r.Intern("wrap")
+	r := New(64)
 	const n = 1000
 	for i := 1; i <= n; i++ {
-		r.Record(KindQueryDone, uint64(i), l, int64(i), int64(-i))
+		r.Record(KindQueryDone, uint64(i), "wrap", int64(i), int64(-i))
 	}
 	evs := r.Snapshot()
-	if len(evs) == 0 || len(evs) > 64 {
-		t.Fatalf("snapshot has %d events, want (0, 64]", len(evs))
+	if len(evs) != 64 {
+		t.Fatalf("snapshot has %d events, want 64", len(evs))
 	}
 	for i, ev := range evs {
 		if i > 0 && ev.Seq <= evs[i-1].Seq {
 			t.Fatalf("sequence not strictly increasing at %d: %d then %d", i, evs[i-1].Seq, ev.Seq)
+		}
+		if ev.Seq != uint64(n-64+1+i) {
+			t.Fatalf("event %d has seq %d, want %d: not the newest 64", i, ev.Seq, n-64+1+i)
 		}
 		if ev.A != int64(ev.Query) || ev.B != -int64(ev.Query) {
 			t.Fatalf("torn event: %+v", ev)
@@ -34,19 +37,16 @@ func TestWraparoundBounded(t *testing.T) {
 	if last := evs[len(evs)-1].Seq; last != n {
 		t.Fatalf("newest seq = %d, want %d", last, n)
 	}
-	if r.Dropped() != 0 {
-		t.Fatalf("single-writer wraparound dropped %d events", r.Dropped())
-	}
 }
 
 // TestConcurrentWritersSnapshotsWellFormed hammers a tiny ring from many
 // writers while snapshotting concurrently: every returned event must be
 // internally consistent (A/B invariant intact, kind valid, label resolved) —
 // the never-torn guarantee — and the snapshot itself always well-formed.
-// Run under -race this also proves every slot access is properly atomic.
+// Run under -race this also proves every ring access is properly guarded.
 func TestConcurrentWritersSnapshotsWellFormed(t *testing.T) {
-	r := New(2, 64) // tiny: force constant wraparound under contention
-	labels := []Label{r.Intern("w0"), r.Intern("w1"), r.Intern("w2"), r.Intern("w3")}
+	r := New(128) // tiny: force constant wraparound under contention
+	labels := []string{"w0", "w1", "w2", "w3"}
 	const writers = 8
 	const perWriter = 5000
 	var wg sync.WaitGroup
@@ -99,11 +99,14 @@ func TestConcurrentWritersSnapshotsWellFormed(t *testing.T) {
 	snaps.Wait()
 
 	// After quiescence, exactly ring-capacity events survive and they are the
-	// newest ones claimed.
+	// newest ones recorded: nothing is dropped, so the last is the total.
 	evs := r.Snapshot()
-	total := int64(writers * perWriter)
-	if got := int64(len(evs)) + r.Dropped(); got > total {
-		t.Fatalf("snapshot(%d) + dropped(%d) exceed writes(%d)", len(evs), r.Dropped(), total)
+	total := uint64(writers * perWriter)
+	if len(evs) != 128 {
+		t.Fatalf("snapshot has %d events after %d writes, want 128", len(evs), total)
+	}
+	if last := evs[len(evs)-1].Seq; last != total {
+		t.Fatalf("newest seq = %d, want %d", last, total)
 	}
 	seen := map[uint64]bool{}
 	for _, ev := range evs {
@@ -115,12 +118,12 @@ func TestConcurrentWritersSnapshotsWellFormed(t *testing.T) {
 }
 
 func TestRecentFiltersByQuery(t *testing.T) {
-	r := New(2, 128)
+	r := New(256)
 	for i := 0; i < 10; i++ {
-		r.RecordStr(KindMorselBatch, 7, "mine", int64(i), 0)
-		r.RecordStr(KindMorselBatch, 8, "other", int64(i), 0)
+		r.Record(KindMorselBatch, 7, "mine", int64(i), 0)
+		r.Record(KindMorselBatch, 8, "other", int64(i), 0)
 	}
-	r.RecordStr(KindDrainBegin, 0, "", 2, 0) // engine-lifecycle: always relevant
+	r.Record(KindDrainBegin, 0, "", 2, 0) // engine-lifecycle: always relevant
 	got := r.Recent(6, 7)
 	if len(got) != 6 {
 		t.Fatalf("Recent returned %d events, want 6", len(got))
@@ -135,30 +138,33 @@ func TestRecentFiltersByQuery(t *testing.T) {
 	}
 }
 
-func TestInternBoundedByOverflowLabel(t *testing.T) {
-	r := New(1, 64)
-	var overflowed bool
-	for i := 0; i < maxLabels+16; i++ {
-		l := r.Intern(strings.Repeat("x", 1+i%7) + string(rune('a'+i%26)) + time.Duration(i).String())
-		if l == Label(1) {
-			overflowed = true
+// TestDistinctLabelsKeptVerbatim: labels are stored as given, however many
+// distinct ones arrive — a ring fed 10 000 of them holds exactly the newest 64,
+// each with its own label.
+func TestDistinctLabelsKeptVerbatim(t *testing.T) {
+	r := New(64)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		r.Record(KindQueryStart, uint64(i+1), fmt.Sprintf("sql-%08x", i), 0, 0)
+	}
+	evs := r.Snapshot()
+	if len(evs) != 64 {
+		t.Fatalf("snapshot has %d events, want 64", len(evs))
+	}
+	for i, ev := range evs {
+		want := n - 64 + i
+		if ev.Query != uint64(want+1) || ev.Label != fmt.Sprintf("sql-%08x", want) {
+			t.Fatalf("event %d = %+v, want query %d labelled sql-%08x", i, ev, want+1, want)
 		}
-	}
-	if !overflowed {
-		t.Fatal("interning never hit the overflow label despite exceeding the cap")
-	}
-	if got := r.labelString(Label(1)); got != "…" {
-		t.Fatalf("overflow label = %q", got)
 	}
 }
 
 // TestRecordNoAllocs pins the recorder's hot-path contract: recording with a
-// pre-interned label performs zero heap allocations.
+// label string performs zero heap allocations.
 func TestRecordNoAllocs(t *testing.T) {
-	r := New(4, 256)
-	l := r.Intern("alloc-test")
+	r := New(1024)
 	allocs := testing.AllocsPerRun(500, func() {
-		r.Record(KindMorselBatch, 42, l, 16, 1<<20)
+		r.Record(KindMorselBatch, 42, "alloc-test", 16, 1<<20)
 	})
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f times per call, want 0", allocs)
@@ -166,8 +172,8 @@ func TestRecordNoAllocs(t *testing.T) {
 }
 
 func TestDumpRendersEvents(t *testing.T) {
-	r := New(1, 64)
-	r.RecordStr(KindAdmit, 3, "q6", int64(1500*time.Microsecond), 0)
+	r := New(64)
+	r.Record(KindAdmit, 3, "q6", int64(1500*time.Microsecond), 0)
 	var b strings.Builder
 	r.Dump(&b)
 	out := b.String()
@@ -178,3 +184,32 @@ func TestDumpRendersEvents(t *testing.T) {
 		t.Fatalf("dump line incomplete: %q", out)
 	}
 }
+
+// BenchmarkRecord prices one Record from every benchmark goroutine at once,
+// with a label string as the engine's call sites pass it.
+func BenchmarkRecord(b *testing.B) {
+	r := New(DefaultSlots)
+	label := fmt.Sprintf("sql-%08x", 42)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			r.Record(KindMorselBatch, 42, label, 16, 1<<20)
+		}
+	})
+}
+
+// BenchmarkSnapshot prices copying a full default-size ring, what
+// /debug/flight and the SIGQUIT dump do.
+func BenchmarkSnapshot(b *testing.B) {
+	r := New(DefaultSlots)
+	for i := 0; i < 4*DefaultSlots; i++ {
+		r.Record(KindMorselBatch, uint64(i), fmt.Sprintf("p%d", i%16), int64(i), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = r.Snapshot()
+	}
+}
+
+var snapshotSink []Event

@@ -19,6 +19,7 @@ import (
 	"inkfuse/internal/core"
 	"inkfuse/internal/ir"
 	"inkfuse/internal/storage"
+	"inkfuse/internal/trace"
 	"inkfuse/internal/vm"
 )
 
@@ -126,22 +127,13 @@ type compiledOp struct {
 	sink   bool
 }
 
-// SubOpSample is one suboperator's sampled profile attribution: how many
-// chunks its primitive ran on, how many input tuples it saw, and the
-// nanoseconds spent inside it.
-type SubOpSample struct {
-	ID     string
-	Calls  int64
-	Tuples int64
-	Nanos  int64
-}
-
 // Profile is a per-Run (and therefore per-worker) sampling profiler over the
 // suboperator primitives: every Every-th chunk is run through a timed step
-// loop that attributes nanoseconds and tuples to each primitive. Between
-// samples the interpreter takes its regular untimed path, so the steady-state
-// cost of an enabled profiler is one counter increment and modulo per chunk —
-// and with profiling off (Run.prof == nil) a single nil check per chunk.
+// loop that attributes calls, nanoseconds and tuples to each primitive (one
+// trace.SubOpProf per suboperator). Between samples the interpreter takes its
+// regular untimed path, so the steady-state cost of an enabled profiler is
+// one counter increment and modulo per chunk — and with profiling off
+// (Run.prof == nil) a single nil check per chunk.
 //
 // A Profile belongs to one Run: no locks, no atomics. Merge per-worker
 // profiles with MergeProfiles.
@@ -151,7 +143,7 @@ type Profile struct {
 	// Chunks counts chunks seen; Sampled counts chunks profiled.
 	Chunks  int64
 	Sampled int64
-	samples []SubOpSample // parallel to the Run's scan+ops sequence
+	samples []trace.SubOpProf // parallel to the Run's scan+ops sequence
 }
 
 // tick advances the chunk counter and reports whether to sample this chunk.
@@ -168,15 +160,15 @@ func (p *Profile) tick() bool {
 
 // Samples returns the per-suboperator attributions in pipeline order
 // (including suboperators that were never sampled, with zero counts).
-func (p *Profile) Samples() []SubOpSample {
-	return append([]SubOpSample{}, p.samples...)
+func (p *Profile) Samples() []trace.SubOpProf {
+	return append([]trace.SubOpProf{}, p.samples...)
 }
 
 // MergeProfiles folds per-worker profiles of the same suboperator sequence
 // into one attribution list, preserving pipeline order. Profiles from
 // different pipelines must not be mixed; nil entries are skipped.
-func MergeProfiles(profs []*Profile) []SubOpSample {
-	var out []SubOpSample
+func MergeProfiles(profs []*Profile) []trace.SubOpProf {
+	var out []trace.SubOpProf
 	for _, p := range profs {
 		if p == nil {
 			continue
@@ -241,7 +233,7 @@ func (r *Run) EnableProfile(every int) *Profile {
 	if every <= 0 {
 		every = DefaultProfileEvery
 	}
-	p := &Profile{Every: every, samples: make([]SubOpSample, len(r.scanIDs)+len(r.ops))}
+	p := &Profile{Every: every, samples: make([]trace.SubOpProf, len(r.scanIDs)+len(r.ops))}
 	for i, id := range r.scanIDs {
 		p.samples[i].ID = id
 	}

@@ -34,11 +34,11 @@ var HotpathAnalyzer = &Analyzer{
 // construction (or intrinsic) and latency-bounded. bytes and encoding/binary
 // qualify because the packed-row kernels are built on bytes.Equal and
 // binary.LittleEndian loads/stores, all of which compile to branch-free
-// intrinsics. sync/atomic and time additionally carry the flight recorder's
-// hot-path contract: flight.Record (annotated //inkfuse:hotpath) is built on
-// exactly these two packages, so recorder call sites inside hot loops pass
-// without waivers — while the lock-taking flight.Intern stays cold and is
-// flagged if a hot function reaches it.
+// intrinsics. sync and time additionally carry the flight recorder's hot-path
+// contract: flight.Record (annotated //inkfuse:hotpath) reads the clock and
+// stores one event under a sync.Mutex held for a few nanoseconds, so recorder
+// call sites inside hot loops (the hybrid router's first-JIT event) pass
+// without waivers.
 var hotStdlib = map[string]bool{
 	"bytes":           true,
 	"encoding/binary": true,

@@ -43,7 +43,7 @@ func TestEverySinkRendersEveryCounter(t *testing.T) {
 	q := trace.NewQuery("q", "vectorized", 1, time.Unix(1700000000, 0))
 	q.StartPipeline("p0", 10, 1).Workers[0] = trace.Worker{Morsels: 1, Counters: c}
 	text := q.Dump()
-	raw, err := q.Spans()
+	raw, err := q.Spans("", "")
 	if err != nil {
 		t.Fatal(err)
 	}

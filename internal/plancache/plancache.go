@@ -148,7 +148,7 @@ func (c *Cache) Acquire(fp core.Fingerprint) *Prepared {
 	if e == nil || len(e.idle) == 0 {
 		c.misses++
 		obs.Default.Add(obs.PlanCacheMisses, 1)
-		flight.Default.RecordStr(flight.KindPlanCacheMiss, 0, fp.Hex(), 0, 0)
+		flight.Default.Record(flight.KindPlanCacheMiss, 0, fp.Hex(), 0, 0)
 		return nil
 	}
 	p := e.idle[len(e.idle)-1]
@@ -159,7 +159,7 @@ func (c *Cache) Acquire(fp core.Fingerprint) *Prepared {
 	c.lru.MoveToFront(e.lruElem)
 	c.hits++
 	obs.Default.Add(obs.PlanCacheHits, 1)
-	flight.Default.RecordStr(flight.KindPlanCacheHit, 0, fp.Hex(), p.artCost, 0)
+	flight.Default.Record(flight.KindPlanCacheHit, 0, fp.Hex(), p.artCost, 0)
 	return p
 }
 
@@ -226,7 +226,7 @@ func (c *Cache) evict() {
 			c.stateBytes -= p.stateCost
 			freed += p.artCost + p.stateCost
 		}
-		flight.Default.RecordStr(flight.KindPlanCacheEvict, 0, e.fp.Hex(), freed, 0)
+		flight.Default.Record(flight.KindPlanCacheEvict, 0, e.fp.Hex(), freed, 0)
 		e.idle = nil
 		e.evicted = true
 		c.lru.Remove(back)

@@ -216,8 +216,6 @@ func (p *Pool) Draining() bool {
 // the admission it must Release.
 type Query struct {
 	pool *Pool
-	name string
-	mem  int64
 	cap  int
 
 	info     AdmitInfo
@@ -286,7 +284,7 @@ func (p *Pool) QueryInfos() []QueryInfo {
 	for _, q := range p.active {
 		out = append(out, QueryInfo{
 			ID: q.info.ID, Name: q.info.Name, Backend: q.info.Backend,
-			Fingerprint: q.info.Fingerprint, Mem: q.mem, Parallelism: q.cap,
+			Fingerprint: q.info.Fingerprint, Mem: q.info.Mem, Parallelism: q.cap,
 			State: "running", QueueWait: q.waited,
 		})
 	}
@@ -301,21 +299,17 @@ func (p *Pool) QueryInfos() []QueryInfo {
 }
 
 // Admit enters one query into the pool, waiting in the bounded admission
-// queue if the pool is at capacity. parallelism is the query's in-flight
-// morsel cap and slot count (<= 0 defaults to the pool size); mem is its
-// memory reservation against Config.MemLimit (0 reserves nothing). The caller
-// must Release the returned Query exactly once, after its last Run.
+// queue if the pool is at capacity. info.Parallelism is the query's in-flight
+// morsel cap and slot count (<= 0 defaults to the pool size); info.Mem is its
+// memory reservation against Config.MemLimit (0 reserves nothing). The other
+// AdmitInfo fields flow into flight-recorder events and QueryInfos but do not
+// change admission policy. The caller must Release the returned Query exactly
+// once, after its last Run.
 //
 // Typed failures: ErrQueueFull (queue full — shed), ErrDraining (admissions
 // closed), ErrOverCapacity (reservation can never fit), or the context error
 // when ctx expires while queued — in that case the query never ran.
-func (p *Pool) Admit(ctx context.Context, name string, mem int64, parallelism int) (*Query, error) {
-	return p.AdmitWith(ctx, AdmitInfo{Name: name, Mem: mem, Parallelism: parallelism})
-}
-
-// AdmitWith is Admit with full identity: the extra AdmitInfo fields flow into
-// flight-recorder events and QueryInfos but do not change admission policy.
-func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
+func (p *Pool) Admit(ctx context.Context, info AdmitInfo) (*Query, error) {
 	if err := faultinject.Inject(faultinject.SchedAdmit); err != nil {
 		return nil, fmt.Errorf("sched: admit %s: %w", info.Name, err)
 	}
@@ -335,7 +329,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 	if p.memLimit > 0 && info.Mem > p.memLimit {
 		p.mu.Unlock()
 		observeQueueWait("over_capacity", 0)
-		flight.Default.RecordStr(flight.KindShed, info.ID, info.Name, info.Mem, p.memLimit)
+		flight.Default.Record(flight.KindShed, info.ID, info.Name, info.Mem, p.memLimit)
 		return nil, fmt.Errorf("%w: budget %d > limit %d", ErrOverCapacity, info.Mem, p.memLimit)
 	}
 	if p.fitsLocked(info.Mem) {
@@ -349,7 +343,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 		p.shed.Add(1)
 		obs.Default.Add(obs.SchedShed, 1)
 		observeQueueWait("shed", 0)
-		flight.Default.RecordStr(flight.KindShed, info.ID, info.Name, int64(p.queueDepth), 0)
+		flight.Default.Record(flight.KindShed, info.ID, info.Name, int64(p.queueDepth), 0)
 		return nil, ErrQueueFull
 	}
 	w := &waiter{info: info, enq: start, ready: make(chan struct{})}
@@ -357,7 +351,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 	depth := len(p.queue)
 	obs.Default.Add(obs.SchedQueued, 1)
 	p.mu.Unlock()
-	flight.Default.RecordStr(flight.KindQueued, info.ID, info.Name, int64(depth), 0)
+	flight.Default.Record(flight.KindQueued, info.ID, info.Name, int64(depth), 0)
 
 	select {
 	case <-w.ready:
@@ -386,7 +380,7 @@ func (p *Pool) AdmitWith(ctx context.Context, info AdmitInfo) (*Query, error) {
 		obs.Default.Add(obs.SchedQueueTimeouts, 1)
 		waited := time.Since(start)
 		observeQueueWait("timeout", waited)
-		flight.Default.RecordStr(flight.KindQueueTimeout, info.ID, info.Name, int64(waited), 0)
+		flight.Default.Record(flight.KindQueueTimeout, info.ID, info.Name, int64(waited), 0)
 		return nil, ctx.Err()
 	}
 }
@@ -408,7 +402,7 @@ func (p *Pool) fitsLocked(mem int64) bool {
 
 func (p *Pool) admitLocked(info AdmitInfo, waited time.Duration) *Query {
 	q := &Query{
-		pool: p, name: info.Name, mem: info.Mem, cap: info.Parallelism,
+		pool: p, cap: info.Parallelism,
 		info: info, admitted: time.Now(), waited: waited,
 	}
 	q.slots = make([]int, q.cap)
@@ -416,13 +410,13 @@ func (p *Pool) admitLocked(info AdmitInfo, waited time.Duration) *Query {
 		q.slots[i] = q.cap - 1 - i // pop order 0, 1, 2, ...
 	}
 	p.active = append(p.active, q)
-	p.memUsed += q.mem
+	p.memUsed += info.Mem
 	p.admitted.Add(1)
 	obs.Default.Add(obs.SchedAdmitted, 1)
 	obs.Default.Add(obs.SchedRunning, 1)
-	flight.Default.RecordStr(flight.KindAdmit, info.ID, info.Name, int64(waited), 0)
-	if q.mem > 0 {
-		flight.Default.RecordStr(flight.KindMemReserve, info.ID, info.Name, q.mem, p.memUsed)
+	flight.Default.Record(flight.KindAdmit, info.ID, info.Name, int64(waited), 0)
+	if info.Mem > 0 {
+		flight.Default.Record(flight.KindMemReserve, info.ID, info.Name, info.Mem, p.memUsed)
 	}
 	return q
 }
@@ -456,10 +450,10 @@ func (p *Pool) releaseLocked(q *Query) {
 	} else {
 		p.rr = 0
 	}
-	p.memUsed -= q.mem
+	p.memUsed -= q.info.Mem
 	obs.Default.Add(obs.SchedRunning, -1)
-	if q.mem > 0 {
-		flight.Default.RecordStr(flight.KindMemRelease, q.info.ID, q.name, -q.mem, p.memUsed)
+	if q.info.Mem > 0 {
+		flight.Default.Record(flight.KindMemRelease, q.info.ID, q.info.Name, -q.info.Mem, p.memUsed)
 	}
 	for len(p.queue) > 0 && p.fitsLocked(p.queue[0].info.Mem) {
 		w := p.queue[0]
@@ -640,7 +634,7 @@ func runTask(s *taskSet, slot, idx int) (err error) {
 		}
 	}()
 	if err := faultinject.Inject(faultinject.SchedDispatch); err != nil {
-		return fmt.Errorf("sched: dispatch %s: %w", s.q.name, err)
+		return fmt.Errorf("sched: dispatch %s: %w", s.q.info.Name, err)
 	}
 	return s.fn(slot, idx)
 }
@@ -671,7 +665,7 @@ func (p *Pool) Close(ctx context.Context) CloseStats {
 	p.queue = nil
 	atCloseActive := len(p.active)
 	p.mu.Unlock()
-	flight.Default.Record(flight.KindDrainBegin, 0, flight.NoLabel, int64(atCloseActive), int64(cs.Shed))
+	flight.Default.Record(flight.KindDrainBegin, 0, "", int64(atCloseActive), int64(cs.Shed))
 
 	if err := faultinject.Inject(faultinject.SchedDrain); err != nil {
 		// An armed drain fault skips the graceful wait: cancel immediately.
@@ -709,12 +703,12 @@ func (p *Pool) Close(ctx context.Context) CloseStats {
 		p.taskCond.Broadcast()
 		p.drainCanceled.Add(int64(cs.Canceled))
 		obs.Default.Add(obs.SchedDrainCanceled, int64(cs.Canceled))
-		flight.Default.Record(flight.KindDrainCancel, 0, flight.NoLabel, int64(cs.Canceled), 0)
+		flight.Default.Record(flight.KindDrainCancel, 0, "", int64(cs.Canceled), 0)
 		// Canceled queries still unwind through their owners' Release calls.
 		<-done
 	}
 	cs.Drained = atCloseActive - cs.Canceled
-	flight.Default.Record(flight.KindDrainEnd, 0, flight.NoLabel, int64(cs.Drained), int64(cs.Canceled))
+	flight.Default.Record(flight.KindDrainEnd, 0, "", int64(cs.Drained), int64(cs.Canceled))
 
 	p.mu.Lock()
 	p.stopped = true

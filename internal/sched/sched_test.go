@@ -42,7 +42,7 @@ func waitGoroutines(t *testing.T, want int) {
 func TestRunDispatchesAllTasksWithSlotExclusivity(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := NewPool(Config{Workers: 4})
-	q, err := p.Admit(context.Background(), "q", 0, 3)
+	q, err := p.Admit(context.Background(), AdmitInfo{Name: "q", Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunDispatchesAllTasksWithSlotExclusivity(t *testing.T) {
 func TestRunStopsOnFirstTaskError(t *testing.T) {
 	p := NewPool(Config{Workers: 2})
 	defer p.Close(context.Background())
-	q, err := p.Admit(context.Background(), "q", 0, 2)
+	q, err := p.Admit(context.Background(), AdmitInfo{Name: "q", Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestFairnessShortQueryNotStarved(t *testing.T) {
 	p := NewPool(Config{Workers: 1})
 	defer p.Close(context.Background())
 
-	long, err := p.Admit(context.Background(), "long", 0, 1)
+	long, err := p.Admit(context.Background(), AdmitInfo{Name: "long", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer long.Release()
-	short, err := p.Admit(context.Background(), "short", 0, 1)
+	short, err := p.Admit(context.Background(), AdmitInfo{Name: "short", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 		}
 	}
 
-	q1, err := p.Admit(context.Background(), "q1", 0, 1)
+	q1, err := p.Admit(context.Background(), AdmitInfo{Name: "q1", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	admitted := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		q2, err := p.Admit(context.Background(), "q2", 0, 1)
+		q2, err := p.Admit(context.Background(), AdmitInfo{Name: "q2", Parallelism: 1})
 		admitted <- err
 		if err == nil {
 			q2.Release()
@@ -214,7 +214,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	}()
 	waitStats(t, p, func(s Stats) bool { return s.Queued == 1 })
 
-	if _, err := p.Admit(context.Background(), "q3", 0, 1); !errors.Is(err, ErrQueueFull) {
+	if _, err := p.Admit(context.Background(), AdmitInfo{Name: "q3", Parallelism: 1}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("q3 error = %v, want ErrQueueFull", err)
 	}
 	if s := p.Stats(); s.Shed != 1 {
@@ -223,7 +223,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	expect("shed", map[string]int64{"admitted": 1, "shed": 1})
 
 	// A reservation over the pool's limit can never fit: refused outright.
-	if _, err := p.Admit(context.Background(), "huge", 200, 1); !errors.Is(err, ErrOverCapacity) {
+	if _, err := p.Admit(context.Background(), AdmitInfo{Name: "huge", Mem: 200, Parallelism: 1}); !errors.Is(err, ErrOverCapacity) {
 		t.Fatalf("over-limit admit error = %v, want ErrOverCapacity", err)
 	}
 	expect("over-capacity", map[string]int64{"admitted": 1, "shed": 1, "over_capacity": 1})
@@ -236,20 +236,20 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	expect("queued admit", map[string]int64{"admitted": 2, "shed": 1, "over_capacity": 1})
 
 	// q4 holds the slot while q5's context expires in the queue.
-	q4, err := p.Admit(context.Background(), "q4", 0, 1)
+	q4, err := p.Admit(context.Background(), AdmitInfo{Name: "q4", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := p.Admit(ctx, "q5", 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.Admit(ctx, AdmitInfo{Name: "q5", Parallelism: 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued admit error = %v, want DeadlineExceeded", err)
 	}
 	expect("queue timeout", map[string]int64{"admitted": 3, "shed": 1, "over_capacity": 1, "timeout": 1})
 
 	q4.Release()
 	p.Close(context.Background())
-	if _, err := p.Admit(context.Background(), "late", 0, 1); !errors.Is(err, ErrDraining) {
+	if _, err := p.Admit(context.Background(), AdmitInfo{Name: "late", Parallelism: 1}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-close admit error = %v, want ErrDraining", err)
 	}
 	expect("draining", map[string]int64{"admitted": 3, "shed": 1, "over_capacity": 1, "timeout": 1, "draining": 1})
@@ -259,14 +259,14 @@ func TestQueuedContextExpiryNeverRuns(t *testing.T) {
 	p := NewPool(Config{Workers: 1, MaxConcurrent: 1})
 	defer p.Close(context.Background())
 
-	q1, err := p.Admit(context.Background(), "q1", 0, 1)
+	q1, err := p.Admit(context.Background(), AdmitInfo{Name: "q1", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := p.Admit(ctx, "q2", 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.Admit(ctx, AdmitInfo{Name: "q2", Parallelism: 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued admit error = %v, want DeadlineExceeded", err)
 	}
 	s := p.Stats()
@@ -279,7 +279,7 @@ func TestQueuedContextExpiryNeverRuns(t *testing.T) {
 
 	// The abandoned slot is reusable.
 	q1.Release()
-	q3, err := p.Admit(context.Background(), "q3", 0, 1)
+	q3, err := p.Admit(context.Background(), AdmitInfo{Name: "q3", Parallelism: 1})
 	if err != nil {
 		t.Fatalf("admit after timeout: %v", err)
 	}
@@ -290,18 +290,18 @@ func TestMemoryReservations(t *testing.T) {
 	p := NewPool(Config{Workers: 1, MemLimit: 100})
 	defer p.Close(context.Background())
 
-	if _, err := p.Admit(context.Background(), "huge", 200, 1); !errors.Is(err, ErrOverCapacity) {
+	if _, err := p.Admit(context.Background(), AdmitInfo{Name: "huge", Mem: 200, Parallelism: 1}); !errors.Is(err, ErrOverCapacity) {
 		t.Fatalf("over-limit admit error = %v, want ErrOverCapacity", err)
 	}
 
-	q1, err := p.Admit(context.Background(), "q1", 60, 1)
+	q1, err := p.Admit(context.Background(), AdmitInfo{Name: "q1", Mem: 60, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// q2's reservation does not fit next to q1: it queues until q1 releases.
 	done := make(chan error, 1)
 	go func() {
-		q2, err := p.Admit(context.Background(), "q2", 60, 1)
+		q2, err := p.Admit(context.Background(), AdmitInfo{Name: "q2", Mem: 60, Parallelism: 1})
 		if err == nil {
 			q2.Release()
 		}
@@ -323,12 +323,12 @@ func TestMemoryReservations(t *testing.T) {
 func TestCloseDrainsThenRejects(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := NewPool(Config{Workers: 2, MaxConcurrent: 2, QueueDepth: 4})
-	q, err := p.Admit(context.Background(), "q", 0, 2)
+	q, err := p.Admit(context.Background(), AdmitInfo{Name: "q", Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A queued waiter present at Close fails with ErrDraining.
-	qHold, err := p.Admit(context.Background(), "hold", 0, 1)
+	qHold, err := p.Admit(context.Background(), AdmitInfo{Name: "hold", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 	queuedErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := p.Admit(context.Background(), "queued", 0, 1)
+		_, err := p.Admit(context.Background(), AdmitInfo{Name: "queued", Parallelism: 1})
 		queuedErr <- err
 	}()
 	waitStats(t, p, func(s Stats) bool { return s.Queued == 1 })
@@ -365,7 +365,7 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 	if err := <-queuedErr; !errors.Is(err, ErrDraining) {
 		t.Fatalf("queued waiter error = %v, want ErrDraining", err)
 	}
-	if _, err := p.Admit(context.Background(), "late", 0, 1); !errors.Is(err, ErrDraining) {
+	if _, err := p.Admit(context.Background(), AdmitInfo{Name: "late", Parallelism: 1}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-close admit error = %v, want ErrDraining", err)
 	}
 	waitGoroutines(t, base)
@@ -374,7 +374,7 @@ func TestCloseDrainsThenRejects(t *testing.T) {
 func TestCloseDeadlineForceCancels(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := NewPool(Config{Workers: 1})
-	q, err := p.Admit(context.Background(), "q", 0, 1)
+	q, err := p.Admit(context.Background(), AdmitInfo{Name: "q", Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestCloseDeadlineForceCancels(t *testing.T) {
 func TestRunCtxCancelStopsIssuing(t *testing.T) {
 	p := NewPool(Config{Workers: 2})
 	defer p.Close(context.Background())
-	q, err := p.Admit(context.Background(), "q", 0, 2)
+	q, err := p.Admit(context.Background(), AdmitInfo{Name: "q", Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestChaosConcurrentQueriesWithFaults(t *testing.T) {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			q, err := p.Admit(ctx, "chaos", 0, 2)
+			q, err := p.Admit(ctx, AdmitInfo{Name: "chaos", Parallelism: 2})
 			if err != nil {
 				results <- outcome{err: err}
 				return

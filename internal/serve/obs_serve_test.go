@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -84,6 +85,53 @@ func TestFlightEndpointRecordsQueries(t *testing.T) {
 	}
 	if !strings.Contains(string(fbody), "query_done") {
 		t.Fatalf("filtered dump missing this query's completion:\n%s", fbody)
+	}
+}
+
+// TestFlightLabelsSurviveManyShapes: every distinct SQL shape a server sees
+// is recorded under its own statement name and fingerprint, however many
+// came before — the 2 100th shape's query_start names its sql-… statement
+// and its plancache_miss its fingerprint, not a shared placeholder.
+func TestFlightLabelsSurviveManyShapes(t *testing.T) {
+	h := testServer().Handler()
+	const shapes = 2100
+	var qr QueryResponse
+	for i := 0; i < shapes; i++ {
+		body := fmt.Sprintf(`{"sql":"select count(*) as c%d from nation","backend":"vectorized"}`, i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shape %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if i == shapes-1 {
+			qr = decodeQuery(t, rec.Body.Bytes())
+		}
+	}
+	if !strings.HasPrefix(qr.Query, "sql-") || qr.Fingerprint == "" || qr.PlanCache != "miss" {
+		t.Fatalf("last shape answered query=%q fingerprint=%q plan_cache=%q", qr.Query, qr.Fingerprint, qr.PlanCache)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/flight?q="+jsonNumber(qr.QueryID), nil))
+	var start, miss bool
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		switch {
+		case f[1] == "query_start" && f[2] == "q="+jsonNumber(qr.QueryID):
+			if len(f) < 4 || f[3] != qr.Query {
+				t.Fatalf("query_start of shape %d is labelled %v, want %s", shapes, f[3:], qr.Query)
+			}
+			start = true
+		case f[1] == "plancache_miss" && f[2] == qr.Fingerprint:
+			miss = true
+		}
+	}
+	if !start || !miss {
+		t.Fatalf("flight context of shape %d lacks its query_start (%v) or its plancache_miss %s (%v):\n%s",
+			shapes, start, qr.Fingerprint, miss, rec.Body)
 	}
 }
 

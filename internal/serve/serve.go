@@ -435,8 +435,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Pool:         s.pool,
 		Artifacts:    prep.Artifacts(),
 		QueryID:      qid,
-		TraceID:      traceID,
-		ParentSpanID: parentSpan,
 		Fingerprint:  fingerprint,
 	}
 	ctx := r.Context()
@@ -472,7 +470,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		status, kind := classify(err)
 		s.logEvent(s.queryEvent(qid, label, source, fingerprint, cacheState,
 			backendName, traceID, kind, err, res, prep))
-		s.exportSpans(res) // a failed query still exports its partial trace
+		s.exportSpans(res, traceID, parentSpan) // a failed query still exports its partial trace
 		if kind == "shed" {
 			// Load shedding is transient back-pressure, not failure: tell
 			// well-behaved clients when to retry.
@@ -527,7 +525,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Data[i] = renderRow(res.Chunk, i)
 		}
 	}
-	if raw := s.exportSpans(res); raw != nil && req.Spans {
+	if raw := s.exportSpans(res, traceID, parentSpan); raw != nil && req.Spans {
 		resp.Spans = raw
 	}
 	s.logEvent(s.queryEvent(qid, label, source, fingerprint, cacheState,
@@ -729,12 +727,13 @@ func (s *Server) logEvent(e *obs.QueryEvent) {
 
 // exportSpans renders the execution trace as an OTLP JSON document, writes it
 // to the configured span sink (one document per line), and returns it for
-// inline use. Nil when the query was not traced.
-func (s *Server) exportSpans(res *exec.Result) []byte {
+// inline use. Nil when the query was not traced. traceID and parentSpan come
+// from the request's traceparent header (empty when it had none).
+func (s *Server) exportSpans(res *exec.Result, traceID, parentSpan string) []byte {
 	if res == nil || res.Trace == nil {
 		return nil
 	}
-	raw, err := res.Trace.Spans()
+	raw, err := res.Trace.Spans(traceID, parentSpan)
 	if err != nil {
 		return nil
 	}

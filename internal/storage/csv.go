@@ -9,89 +9,15 @@ import (
 	"inkfuse/internal/types"
 )
 
-// ReadCSV loads a table from CSV. The header row must match the schema's
-// column names in order; values parse by column kind (dates as YYYY-MM-DD).
-// This is the counterpart of `cmd/tpchgen -csv`, so generated data can round
-// trip through files.
-func ReadCSV(name string, schema types.Schema, r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("storage: csv header: %w", err)
+// WriteCSV writes the first limit rows of the table (every row when limit
+// <= 0) as CSV with a header row of column names: dates as YYYY-MM-DD,
+// floats in their shortest round-tripping form. `cmd/tpchgen -csv` is its
+// command-line face.
+func WriteCSV(t *Table, w io.Writer, limit int) error {
+	n := t.Rows()
+	if limit > 0 && limit < n {
+		n = limit
 	}
-	if len(header) != len(schema) {
-		return nil, fmt.Errorf("storage: csv has %d columns, schema has %d", len(header), len(schema))
-	}
-	for i, h := range header {
-		if h != schema[i].Name {
-			return nil, fmt.Errorf("storage: csv column %d is %q, schema says %q", i, h, schema[i].Name)
-		}
-	}
-	t := NewTable(name, schema)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("storage: csv line %d: %w", line, err)
-		}
-		line++
-		n := t.rows
-		t.SetRows(n + 1)
-		for i, field := range rec {
-			if err := parseInto(t.Cols[i], n, schema[i].Kind, field); err != nil {
-				return nil, fmt.Errorf("storage: csv line %d, column %s: %w", line, schema[i].Name, err)
-			}
-		}
-	}
-}
-
-func parseInto(col *Vector, row int, kind types.Kind, field string) error {
-	switch kind {
-	case types.Bool:
-		v, err := strconv.ParseBool(field)
-		if err != nil {
-			return err
-		}
-		col.B[row] = v
-	case types.Int32:
-		v, err := strconv.ParseInt(field, 10, 32)
-		if err != nil {
-			return err
-		}
-		col.I32[row] = int32(v)
-	case types.Date:
-		v, err := types.ParseDate(field)
-		if err != nil {
-			return err
-		}
-		col.I32[row] = v
-	case types.Int64:
-		v, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return err
-		}
-		col.I64[row] = v
-	case types.Float64:
-		v, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			return err
-		}
-		col.F64[row] = v
-	case types.String:
-		col.Str[row] = field
-	default:
-		return fmt.Errorf("unsupported kind %v", kind)
-	}
-	return nil
-}
-
-// WriteCSV writes the table as CSV with a header row, the inverse of
-// ReadCSV.
-func WriteCSV(t *Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, len(t.Schema))
 	for i, c := range t.Schema {
@@ -101,7 +27,7 @@ func WriteCSV(t *Table, w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(t.Cols))
-	for r := 0; r < t.Rows(); r++ {
+	for r := 0; r < n; r++ {
 		for i, col := range t.Cols {
 			switch col.Kind {
 			case types.Date:

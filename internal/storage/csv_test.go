@@ -2,13 +2,14 @@ package storage
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"inkfuse/internal/types"
 )
 
-func TestCSVRoundtrip(t *testing.T) {
+// TestWriteCSV pins WriteCSV's exact output: the header of column names,
+// YYYY-MM-DD dates, the shortest float form, CSV quoting, and the row limit.
+func TestWriteCSV(t *testing.T) {
 	schema := types.Schema{
 		{Name: "k", Kind: types.Int64},
 		{Name: "f", Kind: types.Float64},
@@ -19,47 +20,27 @@ func TestCSVRoundtrip(t *testing.T) {
 	}
 	src := NewTable("t", schema)
 	src.AppendRow(int64(-7), 3.25, "hello, with comma", types.MkDate(1994, 6, 1), true, int32(42))
-	src.AppendRow(int64(0), -0.5, `quoted "str"`, types.MkDate(1992, 1, 1), false, int32(-1))
+	src.AppendRow(int64(0), 0.1, `quoted "str"`, types.MkDate(1992, 1, 1), false, int32(-1))
+	src.AppendRow(int64(9), 1e21, "last", types.MkDate(1998, 12, 31), true, int32(0))
 
-	var buf bytes.Buffer
-	if err := WriteCSV(src, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV("t2", schema, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 2 {
-		t.Fatalf("rows = %d", got.Rows())
-	}
-	for r := 0; r < 2; r++ {
-		for c := range schema {
-			if src.Cols[c].Value(r) != got.Cols[c].Value(r) {
-				t.Fatalf("row %d col %s: %v vs %v", r, schema[c].Name, src.Cols[c].Value(r), got.Cols[c].Value(r))
-			}
+	const all = "k,f,s,d,b,i\n" +
+		"-7,3.25,\"hello, with comma\",1994-06-01,true,42\n" +
+		"0,0.1,\"quoted \"\"str\"\"\",1992-01-01,false,-1\n" +
+		"9,1e+21,last,1998-12-31,true,0\n"
+	for _, tc := range []struct {
+		limit int
+		want  string
+	}{
+		{0, all},
+		{5, all},
+		{1, "k,f,s,d,b,i\n-7,3.25,\"hello, with comma\",1994-06-01,true,42\n"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteCSV(src, &buf, tc.limit); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	schema := types.Schema{{Name: "k", Kind: types.Int64}}
-	if _, err := ReadCSV("t", schema, strings.NewReader("wrong\n1\n")); err == nil {
-		t.Fatal("header mismatch accepted")
-	}
-	if _, err := ReadCSV("t", schema, strings.NewReader("k\nnot-a-number\n")); err == nil {
-		t.Fatal("bad value accepted")
-	}
-	if _, err := ReadCSV("t", schema, strings.NewReader("k,extra\n")); err == nil {
-		t.Fatal("column count mismatch accepted")
-	}
-	// Empty body is fine.
-	tbl, err := ReadCSV("t", schema, strings.NewReader("k\n"))
-	if err != nil || tbl.Rows() != 0 {
-		t.Fatalf("empty csv: %v rows=%d", err, tbl.Rows())
-	}
-	// Bad date.
-	ds := types.Schema{{Name: "d", Kind: types.Date}}
-	if _, err := ReadCSV("t", ds, strings.NewReader("d\n1994-13-99\n")); err == nil {
-		t.Fatal("bad date accepted")
+		if got := buf.String(); got != tc.want {
+			t.Fatalf("limit %d:\n got %q\nwant %q", tc.limit, got, tc.want)
+		}
 	}
 }

@@ -9,10 +9,10 @@
 //	   ├─ compile span (foreground wait or background land)
 //	   └─ finalize span
 //
-// Trace correlation: when Query.TraceID carries a W3C trace id (serve parses
-// the traceparent header), spans join the caller's trace under
-// Query.ParentSpanID; otherwise a deterministic trace id is derived from the
-// engine query id, so repeated exports of one query are stable.
+// Trace correlation: when the caller passes a W3C trace id (serve parses the
+// traceparent header), spans join the caller's trace under the given parent
+// span; otherwise a deterministic trace id is derived from the engine query
+// id, so repeated exports of one query are stable.
 package trace
 
 import (
@@ -130,11 +130,12 @@ func nanos(t time.Time) string {
 }
 
 // Spans renders the query trace as one OTLP-shaped JSON document:
-// query → (queue-wait, pipelines → (compile, finalize)). Returns the
-// marshaled document; rendering never fails on a well-formed trace, so the
-// error only reports JSON encoding problems.
-func (q *Query) Spans() ([]byte, error) {
-	traceID := q.TraceID
+// query → (queue-wait, pipelines → (compile, finalize)). traceID and
+// parentSpanID place the root span in a caller's trace; an empty traceID
+// derives one from the query id. Returns the marshaled document; rendering
+// never fails on a well-formed trace, so the error only reports JSON
+// encoding problems.
+func (q *Query) Spans(traceID, parentSpanID string) ([]byte, error) {
 	if traceID == "" {
 		traceID = derivedTraceID(q.ID)
 	}
@@ -145,7 +146,7 @@ func (q *Query) Spans() ([]byte, error) {
 	root := otlpSpan{
 		TraceID:           traceID,
 		SpanID:            qsID,
-		ParentSpanID:      q.ParentSpanID,
+		ParentSpanID:      parentSpanID,
 		Name:              "query " + q.Query,
 		Kind:              1,
 		StartTimeUnixNano: nanos(begin),

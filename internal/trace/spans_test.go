@@ -37,7 +37,7 @@ func buildTestTrace() *Query {
 
 func TestSpansShape(t *testing.T) {
 	q := buildTestTrace()
-	raw, err := q.Spans()
+	raw, err := q.Spans("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestSpansShape(t *testing.T) {
 }
 
 func TestSpansDeterministic(t *testing.T) {
-	a, err := buildTestTrace().Spans()
+	a, err := buildTestTrace().Spans("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := buildTestTrace().Spans()
+	b, err := buildTestTrace().Spans("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +134,7 @@ func TestSpansDeterministic(t *testing.T) {
 
 func TestSpansTraceCorrelation(t *testing.T) {
 	q := buildTestTrace()
-	q.TraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-	q.ParentSpanID = "00f067aa0ba902b7"
-	raw, err := q.Spans()
+	raw, err := q.Spans("4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +150,7 @@ func TestSpansTraceCorrelation(t *testing.T) {
 func TestSpansErrorStatus(t *testing.T) {
 	q := buildTestTrace()
 	q.Err = "exec: boom"
-	raw, err := q.Spans()
+	raw, err := q.Spans("", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,6 @@ type Query struct {
 	// ID is the engine-wide query id the execution ran under — the join key
 	// against flight-recorder events and scheduler QueryInfos.
 	ID uint64
-	// TraceID / ParentSpanID carry W3C trace-context correlation from the
-	// client (serve parses the traceparent header). Empty when the query was
-	// not externally correlated; span export then derives a deterministic
-	// trace id from ID.
-	TraceID      string
-	ParentSpanID string
 	// QueueWait is the admission-queue wait preceding execution; span export
 	// renders it so queueing is visible in the query span.
 	QueueWait time.Duration
