@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"inkfuse/internal/rt"
-	"inkfuse/internal/types"
 )
 
 // Params maps parameter refs (Const.Ref / LikeE.Ref / InListE.Ref) to the
@@ -119,13 +118,4 @@ func (p *Params) HasRef(ref int) bool {
 	_, l := p.likes[ref]
 	_, i := p.inlists[ref]
 	return c || l || i
-}
-
-// ConstKind reports the lowered kind of a scalar parameter ref.
-func (p *Params) ConstKind(ref int) (types.Kind, bool) {
-	states, ok := p.consts[ref]
-	if !ok || len(states) == 0 {
-		return types.Invalid, false
-	}
-	return states[0].Kind, true
 }

@@ -135,7 +135,7 @@ func AblationKeyPacking(cfg Config) ([]AblationRow, error) {
 				return nil, err
 			}
 			if best.Wall == 0 || res.Wall < best.Wall {
-				best = Cell{Wall: res.Wall, Stats: res.Stats}
+				best = Cell{QueryRecord: res.QueryRecord}
 			}
 		}
 		out = append(out, AblationRow{

@@ -53,19 +53,15 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Cell is one measurement.
+// Cell is one measurement: the run's query record (wall time, rows,
+// counters — compile wait among them — and warnings) under the query and
+// system it measured. A degraded cell (a hybrid background compile failed and
+// its pipeline was served vectorized-only) is not a faithful measurement of
+// the configured system; it is flagged in every rendering so it cannot
+// silently corrupt the Fig 9/10 shapes.
 type Cell struct {
 	Query, System string
-	Wall          time.Duration
-	CompileWait   time.Duration
-	Rows          int
-	Stats         stats.Counters
-	// Degraded marks a run that completed with warnings or compile errors
-	// (e.g. a hybrid background compile failed and the pipeline was served
-	// vectorized-only): the number is not a faithful measurement of the
-	// configured system. Degraded cells are flagged in every rendering so
-	// they cannot silently corrupt the Fig 9/10 shapes.
-	Degraded bool
+	stats.QueryRecord
 }
 
 // System is a named execution configuration.
@@ -128,7 +124,9 @@ func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, 
 		if err != nil {
 			return Cell{}, err
 		}
-		return Cell{Query: query, System: sys.Name, Wall: time.Since(start), Rows: out.Rows()}, nil
+		c := Cell{Query: query, System: sys.Name}
+		c.Wall, c.Rows = time.Since(start), out.Rows()
+		return c, nil
 	}
 	plan, err := algebra.Lower(node, query)
 	if err != nil {
@@ -149,37 +147,33 @@ func RunOnce(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, 
 	for _, w := range res.Warnings {
 		fmt.Fprintf(os.Stderr, "benchkit: %s/%s: warning: %v\n", query, sys.Name, w)
 	}
-	return Cell{
-		Query: query, System: sys.Name,
-		Wall: res.Wall, CompileWait: res.Stats.CompileWait,
-		Rows: res.Rows(), Stats: res.Stats,
-		Degraded: len(res.Warnings) > 0 || res.Stats.CompileErrors > 0,
-	}, nil
+	return Cell{Query: query, System: sys.Name, QueryRecord: res.QueryRecord}, nil
 }
 
 // Measure repeats RunOnce and returns the cell with the median wall time.
 // One untimed warmup run absorbs first-touch effects (heap growth, primitive
 // cache instantiation) that would otherwise be charged to whichever system
-// happens to run first. The median cell carries the Degraded flag if ANY
-// timed repetition degraded — a partially degraded series is not a faithful
-// measurement even when the median run happened to be clean.
+// happens to run first. The median cell carries the warnings of every timed
+// repetition, so it reads as degraded if ANY repetition degraded — a
+// partially degraded series is not a faithful measurement even when the
+// median run happened to be clean.
 func Measure(cat *storage.Catalog, query string, sys System, cfg Config) (Cell, error) {
 	if _, err := RunOnce(cat, query, sys, cfg); err != nil {
 		return Cell{}, err
 	}
 	cells := make([]Cell, 0, cfg.Runs)
-	degraded := false
+	var warnings []error
 	for i := 0; i < cfg.Runs; i++ {
 		c, err := RunOnce(cat, query, sys, cfg)
 		if err != nil {
 			return Cell{}, err
 		}
-		degraded = degraded || c.Degraded
+		warnings = append(warnings, c.Warnings...)
 		cells = append(cells, c)
 	}
 	sort.Slice(cells, func(a, b int) bool { return cells[a].Wall < cells[b].Wall })
 	med := cells[len(cells)/2]
-	med.Degraded = degraded
+	med.Warnings = warnings
 	return med, nil
 }
 
@@ -201,7 +195,7 @@ func Fig9(cfg Config) (map[string]map[string]float64, []Cell, error) {
 				return nil, nil, fmt.Errorf("fig9 %s/%s: %w", q, sys.Name, err)
 			}
 			cells = append(cells, c)
-			execTime := c.Wall - c.CompileWait
+			execTime := c.Wall - c.Stats.CompileWait
 			if execTime <= 0 {
 				execTime = c.Wall
 			}
@@ -259,7 +253,7 @@ func Fig10(cfg Config, sfs []float64) ([]Cell, error) {
 func DegradedCells(cells []Cell) map[string]map[string]bool {
 	out := map[string]map[string]bool{}
 	for _, c := range cells {
-		if !c.Degraded {
+		if !c.Degraded() {
 			continue
 		}
 		if out[c.Query] == nil {
@@ -307,13 +301,13 @@ func PrintCells(w io.Writer, cells []Cell) {
 	anyDegraded := false
 	for _, c := range cells {
 		mark := ""
-		if c.Degraded {
+		if c.Degraded() {
 			mark = "*"
 			anyDegraded = true
 		}
 		fmt.Fprintf(tw, "%s\t%s%s\t%v\t%v\t%d\n",
 			c.Query, c.System, mark, c.Wall.Round(10*time.Microsecond),
-			c.CompileWait.Round(10*time.Microsecond), c.Rows)
+			c.Stats.CompileWait.Round(10*time.Microsecond), c.Rows)
 	}
 	tw.Flush()
 	if anyDegraded {
@@ -331,13 +325,13 @@ func PrintTable1(w io.Writer, cells []Cell) {
 	for _, c := range cells {
 		s := c.Stats
 		mark := ""
-		if c.Degraded {
+		if c.Degraded() {
 			mark = "*"
 			anyDegraded = true
 		}
 		fmt.Fprintf(tw, "%s\t%s%s\t%v\t%v\t%s\t%s\t%s\t%d\t%d\n",
-			c.Query, c.System, mark, (c.Wall - c.CompileWait).Round(10*time.Microsecond),
-			c.CompileWait.Round(10*time.Microsecond),
+			c.Query, c.System, mark, (c.Wall - s.CompileWait).Round(10*time.Microsecond),
+			s.CompileWait.Round(10*time.Microsecond),
 			s.PerTuple(s.VMOps), s.PerTuple(s.MaterializedBytes), s.PerTuple(s.HTProbes),
 			s.PrimitiveCalls, s.FusedCalls)
 	}

@@ -1,10 +1,12 @@
 package benchkit
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"inkfuse/internal/exec"
+	"inkfuse/internal/stats"
 	"inkfuse/internal/tpch"
 )
 
@@ -51,7 +53,7 @@ func TestFig9Harness(t *testing.T) {
 
 func TestDegradedCellMarking(t *testing.T) {
 	cells := []Cell{
-		{Query: "q1", System: "hybrid", Degraded: true},
+		{Query: "q1", System: "hybrid", QueryRecord: stats.QueryRecord{Warnings: []error{errors.New("background compile failed")}}},
 		{Query: "q1", System: "vectorized"},
 	}
 	deg := DegradedCells(cells)
@@ -119,7 +121,7 @@ func TestFig10Harness(t *testing.T) {
 		if c.Rows == 0 {
 			t.Fatalf("%s: empty result", c.System)
 		}
-		if strings.Contains(c.System, "compiling") && c.CompileWait > 0 {
+		if strings.Contains(c.System, "compiling") && c.Stats.CompileWait > 0 {
 			sawWait = true
 		}
 	}

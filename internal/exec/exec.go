@@ -91,47 +91,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is a completed query.
+// Result is a completed query: its record — the engine-wide id it ran under
+// (Options.QueryID or freshly allocated), queue wait, wall time, counters,
+// warnings — and its rows.
 type Result struct {
+	stats.QueryRecord
 	Cols  []string
 	Chunk *storage.Chunk
-	Stats stats.Counters
-	// QueryID is the engine-wide id this execution ran under (Options.QueryID
-	// or freshly allocated) — the key for flight-recorder correlation.
-	QueryID uint64
-	// QueueWait is the time spent in the scheduler's admission queue before
-	// the query started executing.
-	QueueWait time.Duration
-	// Wall is the end-to-end execution time.
-	Wall time.Duration
-	// Warnings reports non-fatal degradations (e.g. a hybrid background
-	// compile failed and the pipeline ran vectorized-only).
-	Warnings []error
 	// Trace is the execution trace, present when Options.Trace was set. A
 	// failed or canceled query carries a coherent partial trace of the
 	// pipelines that ran.
 	Trace *trace.Query
 }
 
-// Rows returns the number of result rows.
-func (r *Result) Rows() int {
-	if r.Chunk == nil {
-		return 0
-	}
-	return r.Chunk.Rows()
-}
-
-// Describe fills the canonical query-log event's execution half — id, volume,
-// durations, counters, degradation — from the result; the caller owns the
-// event's identity and outcome.
-func (r *Result) Describe(e *obs.QueryEvent) {
-	e.ID = r.QueryID
-	e.Rows = r.Rows()
-	e.Wall = r.Wall
-	e.QueueWait = r.QueueWait
-	e.Counters = r.Stats
-	e.Degraded = len(r.Warnings) > 0 || r.Stats.CompileErrors > 0
-}
+// Rows returns the number of result rows, the record's Rows.
+func (r *Result) Rows() int { return r.QueryRecord.Rows }
 
 // queryState is the shared lifecycle of one executing query: the first
 // failure wins, every later morsel pull observes it and drains cleanly.
@@ -213,49 +187,50 @@ func ExecuteContext(ctx context.Context, plan *core.Plan, opts Options) (*Result
 	if opts.QueryID == 0 {
 		opts.QueryID = NextQueryID()
 	}
-	flight.Default.Record(flight.KindQueryStart, opts.QueryID, plan.Name, int64(opts.Backend), 0)
+	res := &Result{QueryRecord: stats.QueryRecord{
+		ID: opts.QueryID, Name: plan.Name, Backend: opts.Backend.String(),
+		Workers: opts.Workers, Fingerprint: opts.Fingerprint, Begin: start,
+	}}
+	flight.Default.Record(flight.KindQueryStart, res.ID, res.Name, int64(opts.Backend), 0)
 
-	res, err := execute(ctx, plan, opts, start)
+	ran, err := execute(ctx, plan, opts, res)
 
 	// Completion: however the query ended — plan rejected, admission refused,
-	// failed, canceled, succeeded — it is reported here and nowhere else, once
-	// to the engine registry (outcome, counters, histograms) and once to the
-	// flight recorder.
-	wall := time.Since(start)
-	c, kind, rows := &noCounters, flight.KindQueryError, 0
-	if res != nil {
-		res.Wall, c, rows = wall, &res.Stats, res.Rows()
-		if qt := res.Trace; qt != nil {
-			qt.Wall = wall
-			if err != nil {
-				qt.Err = err.Error()
-			}
-		}
+	// failed, canceled, succeeded — its record is completed here and reported
+	// nowhere else, once to the engine registry (outcome, counters,
+	// histograms) and once to the flight recorder.
+	rec := &res.QueryRecord
+	rec.Wall = time.Since(start)
+	if res.Chunk != nil {
+		rec.Rows = res.Chunk.Rows()
 	}
+	kind := flight.KindQueryError
 	if err == nil {
 		kind = flight.KindQueryDone
 		opts.Artifacts.done()
+	} else {
+		rec.Err = err.Error()
 	}
 	canceled := errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)
-	obs.Default.QueryDone(opts.Backend.String(), c, wall, err, canceled, err == nil && len(res.Warnings) > 0)
-	flight.Default.Record(kind, opts.QueryID, plan.Name, int64(wall), int64(rows))
+	obs.Default.QueryDone(rec, err, canceled)
+	flight.Default.Record(kind, rec.ID, rec.Name, int64(rec.Wall), int64(rec.Rows))
+	if !ran {
+		return nil, err
+	}
 	return res, err
 }
 
-// noCounters is what a query that never ran reports at completion.
-var noCounters stats.Counters
-
-// execute is ExecuteContext between its start and completion reports. On
-// failure the Result is nil when the query never ran (rejected plan, refused
-// admission), otherwise the diagnostic one.
-func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time) (*Result, error) {
+// execute is ExecuteContext between its start and completion reports: it
+// fills res's queue wait, counters, warnings, columns, chunk and trace. ran
+// is false when the query never ran (rejected plan, refused admission); on
+// any later failure res is the diagnostic result.
+func execute(ctx context.Context, plan *core.Plan, opts Options, res *Result) (ran bool, err error) {
 	pol, err := policyOf(opts.Backend)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	qs := &queryState{ctx: ctx}
-	qid := opts.QueryID
-	backend := opts.Backend.String()
+	qid, backend, start := res.ID, res.Backend, res.Begin
 	// The per-morsel latency histogram child is resolved once per query; the
 	// morsel loop observes through the pointer (two atomic adds per morsel).
 	morselHist := obs.Default.MorselLatency.With(backend)
@@ -273,24 +248,23 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		Mem: opts.MemoryBudget, Parallelism: opts.Workers,
 	})
 	if err != nil {
-		return nil, admissionError(err)
+		return false, admissionError(err)
 	}
 	defer adm.Release()
-	queueWait := adm.QueueWait()
+	res.QueueWait = adm.QueueWait()
 
 	// qt is nil unless tracing was requested; every recording site below is
 	// guarded on it at morsel granularity or coarser.
 	var qt *trace.Query
 	if opts.Trace {
-		qt = trace.NewQuery(plan.Name, opts.Backend.String(), opts.Workers, start)
-		qt.ID = qid
-		qt.QueueWait = queueWait
+		qt = trace.NewQuery(&res.QueryRecord)
+		res.Trace = qt
 	}
 
 	var reg *interp.Registry
 	if pol.interprets() {
 		if reg, err = interp.Default(); err != nil {
-			return nil, err
+			return false, err
 		}
 	}
 
@@ -311,9 +285,8 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		c.Budget = budget
 	}
 
-	var res stats.Counters
+	res.Cols = plan.ColNames
 	var finalChunks []*storage.Chunk
-	var warnings []error
 
 	// A background compile policy (hybrid) starts compiling every pipeline as
 	// soon as the query enters the system (paper §V-B): by the time a later
@@ -328,7 +301,7 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 			if j == nil || !j.abandon(opts.Artifacts != nil) {
 				continue
 			}
-			res.CompilesAbandoned++
+			res.Stats.CompilesAbandoned++
 			if qt != nil && i < len(qt.Pipelines) {
 				qt.Pipelines[i].Counters.CompilesAbandoned++
 			}
@@ -343,19 +316,21 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		defer abandonCompiles()
 	}
 
-	// failed builds the diagnostic result returned alongside a query error:
-	// stats are merged so recovered-panic and compile-error counts survive,
-	// and the partial trace (pipelines that ran) stays attached.
-	failed := func(err error) (*Result, error) {
+	// countWorkers merges the worker contexts' counters and the memory
+	// high-water mark into the record, once the query is done with them.
+	countWorkers := func() {
 		abandonCompiles()
 		for _, c := range ctxs {
-			res.Add(&c.Counters)
+			res.Stats.Add(&c.Counters)
 		}
-		res.MemPeakBytes = budget.Peak()
-		return &Result{
-			Cols: plan.ColNames, Stats: res, QueryID: qid, QueueWait: queueWait,
-			Warnings: warnings, Trace: qt,
-		}, err
+		res.Stats.MemPeakBytes = budget.Peak()
+	}
+	// failed completes the diagnostic result returned alongside a query
+	// error: stats are merged so recovered-panic and compile-error counts
+	// survive, and the partial trace (pipelines that ran) stays attached.
+	failed := func(err error) (bool, error) {
+		countWorkers()
+		return true, err
 	}
 
 	for pi, pipe := range plan.Pipelines {
@@ -443,9 +418,9 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		}
 
 		counters, degraded := r.finish(pt, start)
-		res.Add(&counters)
+		res.Stats.Add(&counters)
 		if degraded != nil {
-			warnings = append(warnings, fmt.Errorf(
+			res.Warnings = append(res.Warnings, fmt.Errorf(
 				"exec: %s/%s: background compile failed, pipeline served by the vectorized interpreter: %w",
 				plan.Name, pipe.Name, degraded))
 			flight.Default.Record(flight.KindDegraded, qid, pipe.Name, 0, 0)
@@ -478,15 +453,10 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 		return failed(qs.failure())
 	}
 
-	abandonCompiles()
-	for _, ctx := range ctxs {
-		res.Add(&ctx.Counters)
-	}
-	res.MemPeakBytes = budget.Peak()
-
+	countWorkers()
 	kinds, err := plan.FinalKinds()
 	if err != nil {
-		return failed(err)
+		return true, err
 	}
 	out := storage.NewChunk(kinds)
 	for _, c := range finalChunks {
@@ -495,10 +465,8 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, start time.Time
 	if plan.Sort != nil {
 		out = sortChunk(out, plan.Sort)
 	}
-	return &Result{
-		Cols: plan.ColNames, Chunk: out, Stats: res, QueryID: qid, QueueWait: queueWait,
-		Warnings: warnings, Trace: qt,
-	}, nil
+	res.Chunk = out
+	return true, nil
 }
 
 // runMorselSafe executes one morsel with panic isolation: a panic anywhere

@@ -37,11 +37,11 @@ func RenderExplainAnalyze(plan *core.Plan, res *Result) string {
 	qt := res.Trace
 	fmt.Fprintf(&b, "== explain analyze %s", plan.Name)
 	if qt != nil {
-		fmt.Fprintf(&b, ": backend=%s workers=%d", qt.Backend, qt.Workers)
+		fmt.Fprintf(&b, ": backend=%s workers=%d", res.Backend, res.Workers)
 	}
 	fmt.Fprintf(&b, " wall=%v rows=%d\n", res.Wall.Round(time.Microsecond), res.Rows())
-	if qt != nil && qt.Err != "" {
-		fmt.Fprintf(&b, "!! failed: %s\n", qt.Err)
+	if qt != nil && res.Err != "" {
+		fmt.Fprintf(&b, "!! failed: %s\n", res.Err)
 	}
 	for i, pipe := range plan.Pipelines {
 		b.WriteString(pipe.Describe())
@@ -51,7 +51,7 @@ func RenderExplainAnalyze(plan *core.Plan, res *Result) string {
 			}
 			continue
 		}
-		qt.Pipelines[i].Annotate(&b, "  -- ", qt.Workers)
+		qt.Pipelines[i].Annotate(&b, "  -- ")
 	}
 	if plan.Sort != nil {
 		fmt.Fprintf(&b, "post: order by %v desc=%v limit=%d\n", plan.Sort.Keys, plan.Sort.Desc, plan.Sort.Limit)

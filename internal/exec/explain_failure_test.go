@@ -14,6 +14,7 @@ import (
 
 	"inkfuse/internal/faultinject"
 	"inkfuse/internal/obs"
+	"inkfuse/internal/stats"
 	"inkfuse/internal/trace"
 )
 
@@ -68,7 +69,7 @@ func TestExplainAnalyzeDegradedPartialAnnotations(t *testing.T) {
 		}
 	}
 	for _, pt := range res.Trace.Pipelines {
-		if !pt.Degraded {
+		if pt.Counters.CompileErrors == 0 {
 			t.Fatalf("pipeline %s not marked degraded", pt.Name)
 		}
 	}
@@ -84,10 +85,10 @@ func TestRenderExplainAnalyzeNilAndTruncatedTrace(t *testing.T) {
 	}
 	// A trace that stopped before later pipelines: the missing ones must be
 	// marked, not invented (and an empty pipeline entry must not panic).
-	qt := trace.NewQuery("renderq", "vectorized", 2, time.Time{})
-	qt.Err = "boom"
-	qt.StartPipeline(plan.Pipelines[0].Name, 0, 0)
-	out = RenderExplainAnalyze(plan, &Result{Trace: qt})
+	res := &Result{QueryRecord: stats.QueryRecord{Name: "renderq", Backend: "vectorized", Workers: 2, Err: "boom"}}
+	res.Trace = trace.NewQuery(&res.QueryRecord)
+	res.Trace.StartPipeline(plan.Pipelines[0].Name, 0, 0)
+	out = RenderExplainAnalyze(plan, res)
 	if !strings.Contains(out, "!! failed: boom") {
 		t.Fatalf("truncated-trace render missing failure:\n%s", out)
 	}

@@ -109,7 +109,7 @@ func TestJobLifetimeAttachesInFlight(t *testing.T) {
 	arts.Rewind()
 	second := runHybrid(t, plan, arts)
 	arts.WaitJobs()
-	if n := flightCount(flight.KindCompileStart, first.QueryID, second.QueryID); n != 1 {
+	if n := flightCount(flight.KindCompileStart, first.ID, second.ID); n != 1 {
 		t.Fatalf("%d compile_start events over two executions, want 1", n)
 	}
 	if arts.Compiles() != 1 {
@@ -135,7 +135,7 @@ func TestJobLifetimeFailedJobRetried(t *testing.T) {
 	if arts.Compiles() != 1 || arts.FusedPipelines() != 1 {
 		t.Fatalf("retry: %d compiles, %d fused pipelines, want the job landed", arts.Compiles(), arts.FusedPipelines())
 	}
-	if n := flightCount(flight.KindCompileStart, first.QueryID, second.QueryID); n != 2 {
+	if n := flightCount(flight.KindCompileStart, first.ID, second.ID); n != 2 {
 		t.Fatalf("%d compile_start events, want 2 (the failed job and its retry)", n)
 	}
 }
@@ -200,7 +200,7 @@ func TestJobLifetimeNoSetCancels(t *testing.T) {
 		t.Fatalf("compiles_abandoned = %d, want 1", res.Stats.CompilesAbandoned)
 	}
 	time.Sleep(2 * lifetimeLatency)
-	if n := flightCount(flight.KindCompileLand, res.QueryID); n != 0 {
+	if n := flightCount(flight.KindCompileLand, res.ID); n != 0 {
 		t.Fatalf("%d compile_land events after the query ended, want 0", n)
 	}
 }

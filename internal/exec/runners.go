@@ -226,7 +226,7 @@ func (r *pipelineRunner) finish(pt *trace.Pipeline, begin time.Time) (c stats.Co
 	if pt == nil {
 		return c, degraded
 	}
-	pt.Counters, pt.Degraded, pt.Fused = c, degraded != nil, describeFused(fused)
+	pt.Counters, pt.Fused = c, describeFused(fused)
 	if !ready.IsZero() {
 		pt.ArtifactReady = ready.Sub(begin)
 	}

@@ -33,8 +33,8 @@ func TestTraceMatchesStatsAllBackends(t *testing.T) {
 			if tr == nil {
 				t.Fatal("Options.Trace set but Result.Trace is nil")
 			}
-			if tr.Backend != backend.String() || tr.Workers != 4 {
-				t.Fatalf("trace header wrong: %+v", tr)
+			if tr.Rec.Backend != backend.String() || tr.Rec.Workers != 4 {
+				t.Fatalf("trace header wrong: %+v", tr.Rec)
 			}
 			if len(tr.Pipelines) != len(plan.Pipelines) {
 				t.Fatalf("trace has %d pipelines, plan has %d", len(tr.Pipelines), len(plan.Pipelines))
@@ -141,8 +141,8 @@ func TestCanceledQueryPartialTrace(t *testing.T) {
 	if tr == nil {
 		t.Fatal("failed query dropped its trace")
 	}
-	if tr.Err == "" || tr.Wall <= 0 {
-		t.Fatalf("partial trace not finalized: err=%q wall=%v", tr.Err, tr.Wall)
+	if tr.Rec.Err == "" || tr.Rec.Wall <= 0 {
+		t.Fatalf("partial trace not finalized: err=%q wall=%v", tr.Rec.Err, tr.Rec.Wall)
 	}
 	// Coherence: what the trace says ran matches the stats counters, and no
 	// pipeline claims more morsels than were scheduled.

@@ -127,7 +127,7 @@ type Event struct {
 	// starting at 1.
 	Seq uint64
 	// TS is the coarse monotonic timestamp: elapsed time since the
-	// recorder's epoch (Recorder.Epoch anchors it on the wall clock).
+	// recorder's epoch, which Dump's header line prints on the wall clock.
 	TS time.Duration
 	// Kind classifies the event; Query is the engine-wide query id it
 	// belongs to (0 = engine-lifecycle event not tied to one query).
@@ -193,9 +193,6 @@ var Default = New(DefaultSlots)
 func New(slots int) *Recorder {
 	return &Recorder{epoch: time.Now(), ring: make([]Event, max(slots, 1))}
 }
-
-// Epoch is the wall-clock anchor of event timestamps.
-func (r *Recorder) Epoch() time.Time { return r.epoch }
 
 // Record appends one event, overwriting the oldest once the ring is full.
 // Allocation-free and safe from any goroutine, including the morsel hot path

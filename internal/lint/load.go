@@ -71,9 +71,6 @@ type Program struct {
 	notes  *annotations
 }
 
-// ByPath returns the loaded package with the given import path, or nil.
-func (p *Program) ByPath(path string) *Package { return p.byPath[path] }
-
 // Load parses and type-checks the module containing cfg.Dir.
 func Load(cfg LoadConfig) (*Program, error) {
 	root, module, err := findModule(cfg.Dir)

@@ -306,23 +306,23 @@ func init() {
 // the running/queued gauges.
 func (r *Registry) Add(e Event, delta int64) { r.values[e].Add(delta) }
 
-// QueryDone folds one finished query into the registry, success or failure:
-// its outcome (err nil, a cancellation/deadline, or any other failure —
-// rejections included), wall time and c, its merged counters (all zero when it
-// died before executing). degraded marks a successful query that ran with a
-// failed background compile.
-func (r *Registry) QueryDone(backend string, c *stats.Counters, wall time.Duration, err error, canceled, degraded bool) {
+// QueryDone folds one finished query's record into the registry, success or
+// failure: its outcome (err nil, a cancellation/deadline, or any other
+// failure — rejections included), wall time and merged counters (all zero
+// when it died before executing). Only a successful query counts as degraded.
+func (r *Registry) QueryDone(rec *stats.QueryRecord, err error, canceled bool) {
 	switch {
 	case err == nil:
 		r.Add(QueriesSucceeded, 1)
+		if rec.Degraded() {
+			r.Add(DegradedQueries, 1)
+		}
 	case canceled:
 		r.Add(QueriesCanceled, 1)
 	default:
 		r.Add(QueriesFailed, 1)
 	}
-	if degraded {
-		r.Add(DegradedQueries, 1)
-	}
+	c, wall := &rec.Stats, rec.Wall
 	r.Add(QueryNanos, int64(wall))
 	for i := range stats.Schema {
 		row, v := &stats.Schema[i], &r.values[int(numEvents)+i]
@@ -333,9 +333,9 @@ func (r *Registry) QueryDone(backend string, c *stats.Counters, wall time.Durati
 			}
 		}
 	}
-	r.QueryLatency.With(backend).ObserveDuration(wall)
+	r.QueryLatency.With(rec.Backend).ObserveDuration(wall)
 	if s := wall.Seconds(); s > 0 && c.Tuples > 0 {
-		r.QueryRows.With(backend).Observe(float64(c.Tuples) / s)
+		r.QueryRows.With(rec.Backend).Observe(float64(c.Tuples) / s)
 	}
 }
 

@@ -161,9 +161,9 @@ func TestFamilyConcurrentMerge(t *testing.T) {
 
 func TestFamilyChildrenAndRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.QueryDone("hybrid", &stats.Counters{Tuples: 1_000_000}, 20*time.Millisecond, nil, false, false)
-	r.QueryDone("hybrid", &stats.Counters{Tuples: 2_000_000}, 40*time.Millisecond, nil, false, false)
-	r.QueryDone("vectorized", &stats.Counters{Tuples: 500_000}, 5*time.Millisecond, nil, false, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Stats: stats.Counters{Tuples: 1_000_000}, Wall: 20 * time.Millisecond}, nil, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Stats: stats.Counters{Tuples: 2_000_000}, Wall: 40 * time.Millisecond}, nil, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "vectorized", Stats: stats.Counters{Tuples: 500_000}, Wall: 5 * time.Millisecond}, nil, false)
 	r.MorselLatency.With("hybrid").ObserveDuration(300 * time.Microsecond)
 
 	if got := r.QueryLatency.With("hybrid").Count(); got != 2 {
@@ -173,7 +173,7 @@ func TestFamilyChildrenAndRegistry(t *testing.T) {
 		t.Fatalf("vectorized throughput count = %d", got)
 	}
 	// Zero-wall / zero-tuple queries must not feed a nonsense rate.
-	r.QueryDone("rof", &stats.Counters{Tuples: 0}, 10*time.Millisecond, nil, false, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "rof", Stats: stats.Counters{Tuples: 0}, Wall: 10 * time.Millisecond}, nil, false)
 	if got := r.QueryRows.With("rof").Count(); got != 0 {
 		t.Fatalf("zero-tuple query fed the throughput histogram: %d", got)
 	}
@@ -184,7 +184,7 @@ func TestFamilyChildrenAndRegistry(t *testing.T) {
 
 func TestPrometheusText(t *testing.T) {
 	r := NewRegistry()
-	r.QueryDone("hybrid", &stats.Counters{Tuples: 100_000}, 3*time.Millisecond, nil, false, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Stats: stats.Counters{Tuples: 100_000}, Wall: 3 * time.Millisecond}, nil, false)
 	out := r.PrometheusText()
 	for _, want := range []string{
 		"# TYPE inkfuse_queries_started counter",
@@ -227,17 +227,17 @@ func TestRegistryFolding(t *testing.T) {
 	r := NewRegistry()
 	r.Add(QueriesStarted, 3)
 
-	c1 := &stats.Counters{Tuples: 100, EmittedRows: 10, CompileTime: time.Millisecond, MemPeakBytes: 512}
-	r.QueryDone("hybrid", c1, 2*time.Millisecond, nil, false, false)
-
-	c2 := &stats.Counters{Tuples: 50, PanicsRecovered: 1, MemPeakBytes: 256}
-	r.QueryDone("hybrid", c2, time.Millisecond, errors.New("boom"), false, false)
-
-	c3 := &stats.Counters{Tuples: 7, CompileErrors: 1}
-	r.QueryDone("hybrid", c3, time.Millisecond, errors.New("ctx"), true, true)
+	// A success that ran degraded counts; a failure never does, whatever its
+	// compile errors.
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Wall: 2 * time.Millisecond, Warnings: []error{errors.New("degraded")},
+		Stats: stats.Counters{Tuples: 100, EmittedRows: 10, CompileTime: time.Millisecond, MemPeakBytes: 512}}, nil, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Wall: time.Millisecond,
+		Stats: stats.Counters{Tuples: 50, PanicsRecovered: 1, MemPeakBytes: 256}}, errors.New("boom"), false)
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Wall: time.Millisecond,
+		Stats: stats.Counters{Tuples: 7, CompileErrors: 1}}, errors.New("ctx"), true)
 
 	// A query that died before executing carries no counters.
-	r.QueryDone("hybrid", &stats.Counters{}, time.Millisecond, errors.New("early"), false, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "hybrid", Wall: time.Millisecond}, errors.New("early"), false)
 
 	want := map[string]int64{
 		"queries_started": 3, "queries_succeeded": 1, "queries_failed": 2, "queries_canceled": 1,
@@ -261,7 +261,7 @@ func TestDumpFormat(t *testing.T) {
 	r.Add(QueriesStarted, 1)
 	r.Add(SchedRunning, 1)
 	r.Add(SchedRunning, -1)
-	r.QueryDone("vectorized", &stats.Counters{Tuples: 5}, time.Millisecond, nil, false, false)
+	r.QueryDone(&stats.QueryRecord{Backend: "vectorized", Stats: stats.Counters{Tuples: 5}, Wall: time.Millisecond}, nil, false)
 	out := r.Dump()
 	for _, want := range []string{"inkfuse_queries_started 1\n", "inkfuse_queries_succeeded 1\n", "inkfuse_tuples 5\n", "inkfuse_sched_running 0\n"} {
 		if !strings.Contains(out, want) {

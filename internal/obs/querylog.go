@@ -1,11 +1,11 @@
 // Canonical query log: one structured wide event per query completion, the
 // single source of truth for "what did this query do" in logs. Serve emits it
-// through log/slog, filled by exec.Result.Describe, so a slow, failed, shed or
-// degraded query carries the same fields everywhere: identity (engine query id,
-// fingerprint, source), routing (backend, plan-cache outcome, degradations),
-// scheduling (admission queue wait), compilation (compiles run vs artifacts
-// reused, cached bytes), the execution counters (every stats.Schema row that
-// is set), and the duration breakdown.
+// through log/slog around the executor's stats.QueryRecord, so a slow,
+// failed, shed or degraded query carries the same fields everywhere: identity
+// (engine query id, fingerprint, source), routing (backend, plan-cache
+// outcome, degradations), scheduling (admission queue wait), compilation
+// (compiles run vs artifacts reused, cached bytes), the execution counters
+// (every stats.Schema row that is set), and the duration breakdown.
 //
 // Tail-based sampling: the interesting tail — errors, shed admissions, slow
 // queries, degraded pipelines — is always kept; plain successes are sampled
@@ -23,34 +23,22 @@ import (
 	"inkfuse/internal/stats"
 )
 
-// QueryEvent is the canonical wide event of one query completion.
+// QueryEvent is the canonical wide event of one query completion: the
+// executor's record (id, backend, fingerprint, rows, durations, the error,
+// every set counter under its stats.Schema name, the degraded verdict) plus
+// what the serving layer adds.
 type QueryEvent struct {
-	// Identity.
-	ID          uint64 // engine-wide query id (flight-recorder / span key)
-	Query       string // plan name, e.g. "q6"
-	Source      string // "plan" (named query), "sql" (text), "prepared" (handle)
-	Fingerprint string // parameter-invariant plan fingerprint ("" for named plans)
-	TraceID     string // W3C trace id when the client sent traceparent
+	stats.QueryRecord
 
-	// Routing.
-	Backend   string // backend that executed the query
+	Query     string // the request's label, e.g. "q6" (the record's Name is the statement's)
+	Source    string // "plan" (named query), "sql" (text), "prepared" (handle)
+	TraceID   string // W3C trace id when the client sent traceparent
 	PlanCache string // "hit", "miss", or "off"
-	Degraded  bool   // a hybrid pipeline permanently fell back to vectorized
 
-	// Outcome. Outcome is "ok" for successes, otherwise the error kind the
-	// serving layer classified ("shed", "deadline", "canceled", "panic", ...).
+	// Outcome is "ok" for successes, otherwise the error kind the serving
+	// layer classified ("shed", "deadline", "canceled", "panic", ...).
 	Outcome string
-	Error   string // terminal error message ("" on success)
-	Slow    bool   // wall exceeded the slow-query threshold
-
-	Rows      int           // result rows
-	Wall      time.Duration // end-to-end, admission included
-	QueueWait time.Duration // admission-queue wait inside Wall
-
-	// Counters are the query's merged execution counters (source tuples,
-	// compile time and wait, hash-table behaviour, hybrid morsel routing,
-	// ...); each set one is logged under its stats.Schema name.
-	Counters stats.Counters
+	Slow    bool // wall exceeded the slow-query threshold
 
 	// Compilation amortization (plan/artifact cache).
 	Compiles        int64 // compile jobs this execution ran
@@ -61,7 +49,7 @@ type QueryEvent struct {
 // Interesting reports whether the event is in the always-keep tail: any
 // non-ok outcome, an explicit error, a shed/degraded/slow query.
 func (e *QueryEvent) Interesting() bool {
-	return e.Outcome != "ok" || e.Error != "" || e.Degraded || e.Slow
+	return e.Outcome != "ok" || e.Err != "" || e.Degraded() || e.Slow
 }
 
 // attrs renders the event as slog attributes. Zero-valued optional fields
@@ -83,9 +71,9 @@ func (e *QueryEvent) attrs() []slog.Attr {
 		slog.String("fingerprint", e.Fingerprint),
 		slog.String("plan_cache", e.PlanCache),
 		slog.String("trace_id", e.TraceID),
-		slog.String("err", e.Error),
+		slog.String("err", e.Err),
 		slog.Bool("slow", e.Slow),
-		slog.Bool("degraded", e.Degraded),
+		slog.Bool("degraded", e.Degraded()),
 		slog.Int64("compiles", e.Compiles),
 		slog.Int64("artifacts_reused", e.ArtifactsReused),
 		slog.Int64("artifact_bytes", e.ArtifactBytes),
@@ -94,7 +82,7 @@ func (e *QueryEvent) attrs() []slog.Attr {
 			out = append(out, a)
 		}
 	}
-	for r, v := range e.Counters.Nonzero() {
+	for r, v := range e.Stats.Nonzero() {
 		if r.Dur {
 			out = append(out, slog.Duration(r.Name, time.Duration(v)))
 		} else {
@@ -114,9 +102,9 @@ func (e *QueryEvent) Emit(logger *slog.Logger) {
 	}
 	level := slog.LevelInfo
 	switch {
-	case e.Outcome != "ok" || e.Error != "":
+	case e.Outcome != "ok" || e.Err != "":
 		level = slog.LevelError
-	case e.Slow || e.Degraded:
+	case e.Slow || e.Degraded():
 		level = slog.LevelWarn
 	}
 	logger.LogAttrs(context.Background(), level, "query", e.attrs()...)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"math/rand"
 	"strings"
@@ -17,9 +18,11 @@ func TestQueryEventEmitLevelsAndFields(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 
 	ok := &QueryEvent{
-		ID: 7, Query: "q6", Source: "sql", Backend: "hybrid", Outcome: "ok",
-		Fingerprint: "abc123", PlanCache: "hit", Rows: 1, Counters: stats.Counters{Tuples: 60000},
-		Wall: 12 * time.Millisecond, QueueWait: 1 * time.Millisecond,
+		QueryRecord: stats.QueryRecord{
+			ID: 7, Backend: "hybrid", Fingerprint: "abc123", Rows: 1, Stats: stats.Counters{Tuples: 60000},
+			Wall: 12 * time.Millisecond, QueueWait: 1 * time.Millisecond,
+		},
+		Query: "q6", Source: "sql", Outcome: "ok", PlanCache: "hit",
 	}
 	ok.Emit(logger)
 	var line map[string]any
@@ -36,14 +39,14 @@ func TestQueryEventEmitLevelsAndFields(t *testing.T) {
 	}
 
 	buf.Reset()
-	slow := &QueryEvent{ID: 8, Query: "q1", Source: "plan", Backend: "vectorized", Outcome: "ok", Slow: true}
+	slow := &QueryEvent{QueryRecord: stats.QueryRecord{ID: 8, Backend: "vectorized"}, Query: "q1", Source: "plan", Outcome: "ok", Slow: true}
 	slow.Emit(logger)
 	if !strings.Contains(buf.String(), `"level":"WARN"`) || !strings.Contains(buf.String(), `"slow":true`) {
 		t.Fatalf("slow event not warned: %s", buf.String())
 	}
 
 	buf.Reset()
-	failed := &QueryEvent{ID: 9, Query: "q9", Source: "plan", Backend: "hybrid", Outcome: "shed", Error: "queue full"}
+	failed := &QueryEvent{QueryRecord: stats.QueryRecord{ID: 9, Backend: "hybrid", Err: "queue full"}, Query: "q9", Source: "plan", Outcome: "shed"}
 	failed.Emit(logger)
 	if !strings.Contains(buf.String(), `"level":"ERROR"`) {
 		t.Fatalf("failed event not logged at error: %s", buf.String())
@@ -61,14 +64,16 @@ func TestTailSamplerChaos(t *testing.T) {
 
 	var tail, tailKept, okTotal, okKept int
 	for i := 0; i < 50_000; i++ {
-		e := &QueryEvent{ID: uint64(i), Query: "q", Backend: "hybrid"}
+		e := &QueryEvent{QueryRecord: stats.QueryRecord{ID: uint64(i), Backend: "hybrid"}, Query: "q"}
 		e.Outcome = outcomes[rng.Intn(len(outcomes))]
 		if e.Outcome != "ok" {
-			e.Error = "boom"
+			e.Err = "boom"
 		} else {
 			// Successes can still be tail-worthy: slow or degraded.
 			e.Slow = rng.Intn(20) == 0
-			e.Degraded = rng.Intn(20) == 0
+			if rng.Intn(20) == 0 {
+				e.Warnings = []error{errors.New("background compile failed")}
+			}
 		}
 		interesting := e.Interesting()
 		kept := s.Keep(e)
@@ -99,7 +104,7 @@ func TestTailSamplerChaos(t *testing.T) {
 func TestTailSamplerDeterministic(t *testing.T) {
 	s := TailSampler{SuccessRate: 0.5}
 	for id := uint64(0); id < 1000; id++ {
-		e := &QueryEvent{ID: id, Outcome: "ok"}
+		e := &QueryEvent{QueryRecord: stats.QueryRecord{ID: id}, Outcome: "ok"}
 		if s.Keep(e) != s.Keep(e) {
 			t.Fatalf("sampling of id %d is not deterministic", id)
 		}
@@ -109,14 +114,14 @@ func TestTailSamplerDeterministic(t *testing.T) {
 func TestTailSamplerEdgeRates(t *testing.T) {
 	all := TailSampler{SuccessRate: 1}
 	none := TailSampler{SuccessRate: 0}
-	e := &QueryEvent{ID: 3, Outcome: "ok"}
+	e := &QueryEvent{QueryRecord: stats.QueryRecord{ID: 3}, Outcome: "ok"}
 	if !all.Keep(e) {
 		t.Fatal("rate 1 must keep every success")
 	}
 	if none.Keep(e) {
 		t.Fatal("rate 0 must drop plain successes")
 	}
-	err := &QueryEvent{ID: 3, Outcome: "deadline", Error: "x"}
+	err := &QueryEvent{QueryRecord: stats.QueryRecord{ID: 3, Err: "x"}, Outcome: "deadline"}
 	if !none.Keep(err) {
 		t.Fatal("rate 0 must still keep the tail")
 	}

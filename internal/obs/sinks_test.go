@@ -30,17 +30,17 @@ func TestEverySinkRendersEveryCounter(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	reg.QueryDone("vectorized", &c, time.Millisecond, nil, false, false)
+	reg.QueryDone(&stats.QueryRecord{Backend: "vectorized", Stats: c, Wall: time.Millisecond}, nil, false)
 	dump, prom, values := reg.Dump(), reg.PrometheusText(), reg.Values()
 
 	var logged bytes.Buffer
-	(&obs.QueryEvent{ID: 1, Query: "q", Outcome: "ok", Counters: c}).Emit(slog.New(slog.NewJSONHandler(&logged, nil)))
+	(&obs.QueryEvent{QueryRecord: stats.QueryRecord{ID: 1, Stats: c}, Query: "q", Outcome: "ok"}).Emit(slog.New(slog.NewJSONHandler(&logged, nil)))
 	var event map[string]any
 	if err := json.Unmarshal(logged.Bytes(), &event); err != nil {
 		t.Fatalf("query event is not one JSON line: %v (%s)", err, &logged)
 	}
 
-	q := trace.NewQuery("q", "vectorized", 1, time.Unix(1700000000, 0))
+	q := trace.NewQuery(&stats.QueryRecord{Name: "q", Backend: "vectorized", Workers: 1, Begin: time.Unix(1700000000, 0)})
 	q.StartPipeline("p0", 10, 1).Workers[0] = trace.Worker{Morsels: 1, Counters: c}
 	text := q.Dump()
 	raw, err := q.Spans("", "")

@@ -216,13 +216,13 @@ func (p *Pool) Draining() bool {
 // the admission it must Release.
 type Query struct {
 	pool *Pool
-	cap  int
 
 	info     AdmitInfo
 	admitted time.Time     // when the admission was granted
 	waited   time.Duration // time spent in the admission queue
 
-	// slots is the free-slot stack; len(slots) == cap - in-flight tasks.
+	// slots is the free-slot stack; len(slots) == info.Parallelism -
+	// in-flight tasks.
 	slots    []int
 	set      *taskSet
 	canceled error // set by drain force-cancel; sticky
@@ -258,15 +258,10 @@ type AdmitInfo struct {
 	Parallelism int
 }
 
-// QueryInfo is one row of Pool.QueryInfos: an admitted or queued query with
-// enough identity for an operator to see what is saturating admission.
+// QueryInfo is one row of Pool.QueryInfos: an admitted or queued query's
+// admission request, for an operator to see what is saturating admission.
 type QueryInfo struct {
-	ID          uint64
-	Name        string
-	Backend     string
-	Fingerprint string
-	Mem         int64
-	Parallelism int
+	AdmitInfo
 	// State is "running" for admitted queries, "queued" for waiters.
 	State string
 	// QueueWait is the time spent in the admission queue: final for running
@@ -282,18 +277,10 @@ func (p *Pool) QueryInfos() []QueryInfo {
 	defer p.mu.Unlock()
 	out := make([]QueryInfo, 0, len(p.active)+len(p.queue))
 	for _, q := range p.active {
-		out = append(out, QueryInfo{
-			ID: q.info.ID, Name: q.info.Name, Backend: q.info.Backend,
-			Fingerprint: q.info.Fingerprint, Mem: q.info.Mem, Parallelism: q.cap,
-			State: "running", QueueWait: q.waited,
-		})
+		out = append(out, QueryInfo{AdmitInfo: q.info, State: "running", QueueWait: q.waited})
 	}
 	for _, w := range p.queue {
-		out = append(out, QueryInfo{
-			ID: w.info.ID, Name: w.info.Name, Backend: w.info.Backend,
-			Fingerprint: w.info.Fingerprint, Mem: w.info.Mem, Parallelism: w.info.Parallelism,
-			State: "queued", QueueWait: now.Sub(w.enq),
-		})
+		out = append(out, QueryInfo{AdmitInfo: w.info, State: "queued", QueueWait: now.Sub(w.enq)})
 	}
 	return out
 }
@@ -402,12 +389,11 @@ func (p *Pool) fitsLocked(mem int64) bool {
 
 func (p *Pool) admitLocked(info AdmitInfo, waited time.Duration) *Query {
 	q := &Query{
-		pool: p, cap: info.Parallelism,
-		info: info, admitted: time.Now(), waited: waited,
+		pool: p, info: info, admitted: time.Now(), waited: waited,
 	}
-	q.slots = make([]int, q.cap)
+	q.slots = make([]int, info.Parallelism)
 	for i := range q.slots {
-		q.slots[i] = q.cap - 1 - i // pop order 0, 1, 2, ...
+		q.slots[i] = info.Parallelism - 1 - i // pop order 0, 1, 2, ...
 	}
 	p.active = append(p.active, q)
 	p.memUsed += info.Mem

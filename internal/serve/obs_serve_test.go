@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -315,7 +316,7 @@ func TestCanonicalQueryLog(t *testing.T) {
 }
 
 // TestQueryLogCarriesCounters: a join query's canonical event carries its
-// table counters. Result.Describe fills every set stats.Schema row, not a
+// table counters: every set stats.Schema row of the query's record, not a
 // hand-picked subset.
 func TestQueryLogCarriesCounters(t *testing.T) {
 	var buf bytes.Buffer
@@ -408,5 +409,151 @@ func TestQueriesEndpointShowsActiveQueries(t *testing.T) {
 		if a.State == "queued" && a.QueueWaitMS <= 0 {
 			t.Fatalf("queued entry has no queue wait so far: %+v", a)
 		}
+	}
+}
+
+// spanRoot is the query span of an OTLP span document: its id attributes,
+// timestamps and status.
+type spanRoot struct {
+	Start, End   int64
+	Attrs        map[string]string
+	StatusCode   int
+	StatusReason string
+}
+
+func parseSpanRoot(t *testing.T, raw []byte) spanRoot {
+	t.Helper()
+	var doc struct {
+		ResourceSpans []struct {
+			ScopeSpans []struct {
+				Spans []struct {
+					Name       string `json:"name"`
+					Start      string `json:"startTimeUnixNano"`
+					End        string `json:"endTimeUnixNano"`
+					Attributes []struct {
+						Key   string `json:"key"`
+						Value struct {
+							StringValue string `json:"stringValue"`
+							IntValue    string `json:"intValue"`
+						} `json:"value"`
+					} `json:"attributes"`
+					Status struct {
+						Code    int    `json:"code"`
+						Message string `json:"message"`
+					} `json:"status"`
+				} `json:"spans"`
+			} `json:"scopeSpans"`
+		} `json:"resourceSpans"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("span document is not JSON: %v\n%s", err, raw)
+	}
+	s := doc.ResourceSpans[0].ScopeSpans[0].Spans[0]
+	if !strings.HasPrefix(s.Name, "query ") {
+		t.Fatalf("first span %q is not the query span", s.Name)
+	}
+	root := spanRoot{Attrs: map[string]string{}, StatusCode: s.Status.Code, StatusReason: s.Status.Message}
+	var err error
+	if root.Start, err = strconv.ParseInt(s.Start, 10, 64); err != nil {
+		t.Fatal(err)
+	}
+	if root.End, err = strconv.ParseInt(s.End, 10, 64); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range s.Attributes {
+		root.Attrs[a.Key] = a.Value.StringValue + a.Value.IntValue
+	}
+	return root
+}
+
+// queryEvents returns the canonical query events of a JSON log, in order.
+func queryEvents(t *testing.T, mu *sync.Mutex, log *bytes.Buffer) []map[string]any {
+	t.Helper()
+	mu.Lock()
+	defer mu.Unlock()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("log line is not JSON: %v (%q)", err, line)
+		}
+		if m["msg"] == "query" {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestOneRequestOneStory: the response, the canonical log event and the span
+// export of one request report the same query — its id, backend, rows, wall
+// time and queue wait, and for a failed request the same error.
+func TestOneRequestOneStory(t *testing.T) {
+	defer faultinject.Reset()
+	var logBuf, sink bytes.Buffer
+	var mu sync.Mutex
+	srv := New(Config{
+		SF:       0.005,
+		Logger:   slog.New(slog.NewJSONHandler(&lockedWriter{mu: &mu, w: &logBuf}, nil)),
+		SpanSink: &syncWriter{w: &sink},
+	})
+	defer srv.Close(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := postQuery(t, ts, `{"query":"q6","backend":"vectorized","spans":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	qr := decodeQuery(t, body)
+	events := queryEvents(t, &mu, &logBuf)
+	if len(events) != 1 {
+		t.Fatalf("%d query events after one request", len(events))
+	}
+	ev := events[0]
+	ms := func(v any) float64 { f, _ := v.(float64); return f / float64(time.Millisecond) }
+	if id, _ := ev["id"].(float64); uint64(id) != qr.QueryID || qr.QueryID == 0 {
+		t.Errorf("log id %v, response query_id %d", ev["id"], qr.QueryID)
+	}
+	if ms(ev["wall"]) != qr.WallMS || ms(ev["queue_wait"]) != qr.QueueWaitMS {
+		t.Errorf("log wall/queue_wait %v/%v ns, response %v/%v ms", ev["wall"], ev["queue_wait"], qr.WallMS, qr.QueueWaitMS)
+	}
+	if rows, _ := ev["rows"].(float64); int(rows) != qr.Rows || ev["backend"] != qr.Backend {
+		t.Errorf("log rows/backend %v/%v, response %d/%s", ev["rows"], ev["backend"], qr.Rows, qr.Backend)
+	}
+	root := parseSpanRoot(t, qr.Spans)
+	if root.Attrs["inkfuse.query_id"] != jsonNumber(qr.QueryID) || root.Attrs["inkfuse.backend"] != ev["backend"] {
+		t.Errorf("span root query_id/backend %s/%s, log %v/%v",
+			root.Attrs["inkfuse.query_id"], root.Attrs["inkfuse.backend"], ev["id"], ev["backend"])
+	}
+	if wall, _ := ev["wall"].(float64); float64(root.End-root.Start) != wall {
+		t.Errorf("span root lasts %d ns, log wall %v ns", root.End-root.Start, ev["wall"])
+	}
+
+	// A request that misses its deadline tells one story too: the log's err
+	// is the span root's status, and the error response names the logged id.
+	faultinject.Arm(faultinject.ExecMorsel, faultinject.Fault{Delay: 100 * time.Millisecond})
+	resp, body = postQuery(t, ts, `{"query":"q6","backend":"vectorized","timeout_ms":20}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+	}
+	er := decodeError(t, body)
+	events = queryEvents(t, &mu, &logBuf)
+	if len(events) != 2 {
+		t.Fatalf("%d query events after two requests", len(events))
+	}
+	ev = events[1]
+	if id, _ := ev["id"].(float64); uint64(id) != er.QueryID || er.QueryID == 0 {
+		t.Errorf("log id %v, error response query_id %d", ev["id"], er.QueryID)
+	}
+	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("span sink holds %d documents, want 2", len(lines))
+	}
+	root = parseSpanRoot(t, []byte(lines[1]))
+	if root.Attrs["inkfuse.query_id"] != jsonNumber(er.QueryID) {
+		t.Fatalf("second span document is query %s, want %d", root.Attrs["inkfuse.query_id"], er.QueryID)
+	}
+	if ev["err"] == nil || ev["err"] != root.StatusReason || root.StatusCode != 2 {
+		t.Errorf("log err %q, span root status %d %q", ev["err"], root.StatusCode, root.StatusReason)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -462,14 +463,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err = exec.ExecuteContext(ctx, plan, opts)
 	}
 
-	wall := time.Duration(0)
+	// The canonical event is the engine's record plus what serve adds. A
+	// query refused at admission has no record: its identity is filled here.
+	ev := &obs.QueryEvent{Query: label, Source: source, TraceID: traceID, PlanCache: cacheState, Outcome: "ok"}
 	if res != nil {
-		wall = res.Wall
+		ev.QueryRecord = res.QueryRecord
+		ev.Slow = s.cfg.SlowQuery > 0 && res.Wall >= s.cfg.SlowQuery
+	} else {
+		ev.ID, ev.Backend, ev.Fingerprint, ev.Err = qid, backend.String(), fingerprint, err.Error()
 	}
+	arts := prep.Artifacts()
+	ev.Compiles, ev.ArtifactsReused, ev.ArtifactBytes = arts.Compiles(), int64(arts.FusedPipelines()), arts.ArtifactBytes()
 	if err != nil {
 		status, kind := classify(err)
-		s.logEvent(s.queryEvent(qid, label, source, fingerprint, cacheState,
-			backendName, traceID, kind, err, res, prep))
+		ev.Outcome = kind
+		s.logEvent(ev)
 		s.exportSpans(res, traceID, parentSpan) // a failed query still exports its partial trace
 		if kind == "shed" {
 			// Load shedding is transient back-pressure, not failure: tell
@@ -498,14 +506,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := QueryResponse{
 		ID: id, Query: label, Backend: backendName,
-		Rows: res.Rows(), WallMS: float64(wall) / float64(time.Millisecond),
+		Rows: res.Rows(), WallMS: float64(res.Wall) / float64(time.Millisecond),
 		Columns: res.Cols, Explain: explain,
 		TotalRows: res.Rows(), Fingerprint: fingerprint, PlanCache: cacheState,
 		QueryID:     qid,
 		QueueWaitMS: float64(res.QueueWait) / float64(time.Millisecond),
 		TraceID:     traceID,
 	}
-	if secs := wall.Seconds(); secs > 0 {
+	if secs := res.Wall.Seconds(); secs > 0 {
 		resp.RowsPerSec = float64(res.Stats.Tuples) / secs
 	}
 	for _, warn := range res.Warnings {
@@ -528,8 +536,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if raw := s.exportSpans(res, traceID, parentSpan); raw != nil && req.Spans {
 		resp.Spans = raw
 	}
-	s.logEvent(s.queryEvent(qid, label, source, fingerprint, cacheState,
-		backendName, traceID, "ok", nil, res, prep))
+	s.logEvent(ev)
 	if err := faultinject.Inject(faultinject.ServeRespond); err != nil {
 		s.failRequest(w, id, http.StatusInternalServerError, "internal", err)
 		return
@@ -696,28 +703,6 @@ func (s *Server) failRequest(w http.ResponseWriter, id int64, status int, kind s
 	writeJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kind})
 }
 
-// queryEvent assembles the canonical wide event for one query completion.
-// res may be nil (a shed query never ran).
-func (s *Server) queryEvent(qid uint64, query, source, fingerprint, cacheState,
-	backend, traceID, outcome string, err error, res *exec.Result, prep *plancache.Prepared) *obs.QueryEvent {
-	e := &obs.QueryEvent{
-		ID: qid, Query: query, Source: source, Fingerprint: fingerprint,
-		TraceID: traceID, Backend: backend, PlanCache: cacheState, Outcome: outcome,
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	if res != nil {
-		res.Describe(e)
-		e.Slow = s.cfg.SlowQuery > 0 && res.Wall >= s.cfg.SlowQuery
-	}
-	arts := prep.Artifacts()
-	e.Compiles = arts.Compiles()
-	e.ArtifactsReused = int64(arts.FusedPipelines())
-	e.ArtifactBytes = arts.ArtifactBytes()
-	return e
-}
-
 // logEvent emits the canonical event through the tail sampler.
 func (s *Server) logEvent(e *obs.QueryEvent) {
 	if s.sampler.Keep(e) {
@@ -879,7 +864,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"active":          active,
-		"queries":         tpch.Queries,
+		"queries":         slices.Concat(tpch.Queries, tpch.ExtendedQueries),
 		"sql":             "POST /query {\"sql\": \"select ...\"} or POST /prepare then {\"prepared\": handle, \"params\": [...]}",
 		"backends":        []string{"vectorized", "compiling", "rof", "hybrid"},
 		"default_backend": s.cfg.DefaultBackend,

@@ -321,3 +321,31 @@ func TestRowCapTruncates(t *testing.T) {
 		t.Fatalf("row cap not applied: rows=%d data=%d truncated=%v", qr.Rows, len(qr.Data), qr.RowsTruncated)
 	}
 }
+
+// TestQueriesListsEveryServedQuery: GET /queries names every query POST /query
+// serves by name — the paper's eight and the extended ones — and each name it
+// lists answers.
+func TestQueriesListsEveryServedQuery(t *testing.T) {
+	ts := httptest.NewServer(testServer().Handler())
+	defer ts.Close()
+
+	_, body := get(t, ts, "/queries")
+	var ql struct {
+		Queries []string `json:"queries"`
+	}
+	if err := json.Unmarshal(body, &ql); err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, q := range ql.Queries {
+		listed[q] = true
+		if resp, body := postQuery(t, ts, `{"query":"`+q+`","backend":"vectorized"}`); resp.StatusCode != http.StatusOK {
+			t.Errorf("/queries lists %s, but POST /query answers %d: %s", q, resp.StatusCode, body)
+		}
+	}
+	for _, q := range append(append([]string{}, tpch.Queries...), tpch.ExtendedQueries...) {
+		if !listed[q] {
+			t.Errorf("/queries does not list %s: %v", q, ql.Queries)
+		}
+	}
+}

@@ -182,6 +182,47 @@ func (c *Counters) String() string {
 	return b.String()
 }
 
+// QueryRecord is one query execution's identity and outcome, filled once by
+// the executor at completion. Every per-query surface — the executor's
+// result, the span export and trace dump, EXPLAIN ANALYZE, the canonical
+// query log, the engine registry and the benchmark cells — embeds or reads
+// this one record instead of a copy of its fields (DESIGN.md §8).
+type QueryRecord struct {
+	// ID is the engine-wide query id: the key flight-recorder events, the
+	// scheduler's QueryInfos and exported spans share.
+	ID uint64
+	// Name is the executed plan's statement name ("q6", "sql-…").
+	Name    string
+	Backend string
+	Workers int
+	// Fingerprint is the plan-cache fingerprint ("" for plans built outside
+	// the SQL frontend).
+	Fingerprint string
+	// Begin anchors the execution on the wall clock; trace offsets are
+	// relative to it.
+	Begin time.Time
+	// QueueWait is the admission-queue wait inside Wall.
+	QueueWait time.Duration
+	// Wall is the end-to-end execution time, admission included.
+	Wall time.Duration
+	Rows int
+	// Stats are the query's merged execution counters (all zero when it never
+	// ran).
+	Stats Counters
+	// Err is the terminal failure message ("" on success). A failed query
+	// still carries what it counted before it stopped.
+	Err string
+	// Warnings report non-fatal degradations: a hybrid background compile
+	// failed and its pipeline ran on the vectorized interpreter alone.
+	Warnings []error
+}
+
+// Degraded reports whether the query ran with a failed compile: part of it
+// was not served by the configured backend.
+func (r *QueryRecord) Degraded() bool {
+	return len(r.Warnings) > 0 || r.Stats.CompileErrors > 0
+}
+
 // PerTuple formats a counter normalized by processed tuples.
 func (c *Counters) PerTuple(v int64) string {
 	if c.Tuples == 0 {

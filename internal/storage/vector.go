@@ -279,22 +279,3 @@ func (v *Vector) RetainedBytes() int64 {
 	return int64(cap(v.B)) + 4*int64(cap(v.I32)) + 8*int64(cap(v.I64)) +
 		8*int64(cap(v.F64)) + 16*int64(cap(v.Str)) + 24*int64(cap(v.Ptr))
 }
-
-// Bytes returns an approximate memory footprint of row i's value; used by
-// materialization accounting (Table I proxies).
-func (v *Vector) RowBytes(i int) int {
-	switch v.Kind {
-	case types.Bool:
-		return 1
-	case types.Int32, types.Date:
-		return 4
-	case types.Int64, types.Float64:
-		return 8
-	case types.String:
-		return 16 + len(v.Str[i])
-	case types.Ptr:
-		return 8
-	default:
-		return 0
-	}
-}

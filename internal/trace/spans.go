@@ -130,55 +130,59 @@ func nanos(t time.Time) string {
 }
 
 // Spans renders the query trace as one OTLP-shaped JSON document:
-// query → (queue-wait, pipelines → (compile, finalize)). traceID and
-// parentSpanID place the root span in a caller's trace; an empty traceID
-// derives one from the query id. Returns the marshaled document; rendering
-// never fails on a well-formed trace, so the error only reports JSON
-// encoding problems.
+// query → (queue-wait, pipelines → (compile, finalize)), the root span
+// rendered from the query's record. traceID and parentSpanID place the root
+// span in a caller's trace; an empty traceID derives one from the query id.
+// Returns the marshaled document; rendering never fails on a well-formed
+// trace, so the error only reports JSON encoding problems.
 func (q *Query) Spans(traceID, parentSpanID string) ([]byte, error) {
+	r := q.Rec
 	if traceID == "" {
-		traceID = derivedTraceID(q.ID)
+		traceID = derivedTraceID(r.ID)
 	}
-	begin := q.Begin
-	end := begin.Add(q.Wall)
-	qsID := spanID(q.ID, "query")
+	begin := r.Begin
+	end := begin.Add(r.Wall)
+	qsID := spanID(r.ID, "query")
 
 	root := otlpSpan{
 		TraceID:           traceID,
 		SpanID:            qsID,
 		ParentSpanID:      parentSpanID,
-		Name:              "query " + q.Query,
+		Name:              "query " + r.Name,
 		Kind:              1,
 		StartTimeUnixNano: nanos(begin),
 		EndTimeUnixNano:   nanos(end),
 		Attributes: []otlpAttr{
-			strAttr("inkfuse.query", q.Query),
-			strAttr("inkfuse.backend", q.Backend),
-			intAttr("inkfuse.query_id", int64(q.ID)),
-			intAttr("inkfuse.workers", int64(q.Workers)),
+			strAttr("inkfuse.query", r.Name),
+			strAttr("inkfuse.backend", r.Backend),
+			intAttr("inkfuse.query_id", int64(r.ID)),
+			intAttr("inkfuse.workers", int64(r.Workers)),
 		},
 	}
 	root.Attributes = appendCounters(root.Attributes, q.Total())
-	if q.Err != "" {
-		root.Status = otlpStatus{Code: 2, Message: q.Err}
+	if r.Err != "" {
+		root.Status = otlpStatus{Code: 2, Message: r.Err}
 	}
 	spans := []otlpSpan{root}
 
-	if q.QueueWait > 0 {
+	if r.QueueWait > 0 {
 		// The admission wait precedes Begin's pipeline work but is inside the
 		// query wall; render it as the leading child.
 		spans = append(spans, otlpSpan{
-			TraceID: traceID, SpanID: spanID(q.ID, "queue"), ParentSpanID: qsID,
+			TraceID: traceID, SpanID: spanID(r.ID, "queue"), ParentSpanID: qsID,
 			Name: "admission queue", Kind: 1,
 			StartTimeUnixNano: nanos(begin),
-			EndTimeUnixNano:   nanos(begin.Add(q.QueueWait)),
-			Attributes:        []otlpAttr{intAttr("inkfuse.queue_wait_ns", int64(q.QueueWait))},
+			EndTimeUnixNano:   nanos(begin.Add(r.QueueWait)),
+			Attributes:        []otlpAttr{intAttr("inkfuse.queue_wait_ns", int64(r.QueueWait))},
 		})
 	}
 
 	for i, p := range q.Pipelines {
 		pPath := "pipeline/" + strconv.Itoa(i)
-		pID := spanID(q.ID, pPath)
+		pID := spanID(r.ID, pPath)
+		// A pipeline whose compile failed was served by the vectorized
+		// interpreter alone.
+		degraded := p.Counters.CompileErrors > 0
 		pStart := begin.Add(p.Start)
 		pEnd := pStart.Add(p.Wall)
 		ps := otlpSpan{
@@ -190,7 +194,7 @@ func (q *Query) Spans(traceID, parentSpanID string) ([]byte, error) {
 				intAttr("inkfuse.rows", int64(p.Rows)),
 				intAttr("inkfuse.morsels", int64(p.Morsels)),
 				intAttr("inkfuse.morsels_run", int64(p.MorselsRun())),
-				boolAttr("inkfuse.degraded", p.Degraded),
+				boolAttr("inkfuse.degraded", degraded),
 			}, p.Total()),
 		}
 		spans = append(spans, ps)
@@ -206,13 +210,13 @@ func (q *Query) Spans(traceID, parentSpanID string) ([]byte, error) {
 				cStart = cEnd.Add(-c.CompileTime)
 			}
 			cs := otlpSpan{
-				TraceID: traceID, SpanID: spanID(q.ID, pPath+"/compile"), ParentSpanID: pID,
+				TraceID: traceID, SpanID: spanID(r.ID, pPath+"/compile"), ParentSpanID: pID,
 				Name: "compile " + p.Name, Kind: 1,
 				StartTimeUnixNano: nanos(cStart),
 				EndTimeUnixNano:   nanos(cEnd),
 				Attributes:        []otlpAttr{strAttr("inkfuse.fused", p.Fused)},
 			}
-			if p.Degraded {
+			if degraded {
 				cs.Status = otlpStatus{Code: 2, Message: "background compile failed; pipeline degraded to vectorized"}
 			}
 			spans = append(spans, cs)
@@ -220,7 +224,7 @@ func (q *Query) Spans(traceID, parentSpanID string) ([]byte, error) {
 
 		if p.Finalize > 0 {
 			spans = append(spans, otlpSpan{
-				TraceID: traceID, SpanID: spanID(q.ID, pPath+"/finalize"), ParentSpanID: pID,
+				TraceID: traceID, SpanID: spanID(r.ID, pPath+"/finalize"), ParentSpanID: pID,
 				Name: "finalize " + p.Name, Kind: 1,
 				StartTimeUnixNano: nanos(pEnd.Add(-p.Finalize)),
 				EndTimeUnixNano:   nanos(pEnd),

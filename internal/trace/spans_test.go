@@ -12,11 +12,10 @@ import (
 // buildTestTrace assembles a two-pipeline hybrid-ish trace with queue wait,
 // compile accounting and an error-free outcome.
 func buildTestTrace() *Query {
-	begin := time.Unix(1700000000, 0)
-	q := NewQuery("q6", "hybrid", 4, begin)
-	q.ID = 42
-	q.QueueWait = 3 * time.Millisecond
-	q.Wall = 120 * time.Millisecond
+	q := NewQuery(&stats.QueryRecord{
+		ID: 42, Name: "q6", Backend: "hybrid", Workers: 4, Begin: time.Unix(1700000000, 0),
+		QueueWait: 3 * time.Millisecond, Wall: 120 * time.Millisecond,
+	})
 
 	p1 := q.StartPipeline("p1", 60000, 4)
 	p1.Start = 5 * time.Millisecond
@@ -30,7 +29,6 @@ func buildTestTrace() *Query {
 	p2 := q.StartPipeline("p2", 100, 1)
 	p2.Start = 80 * time.Millisecond
 	p2.Wall = 30 * time.Millisecond
-	p2.Degraded = true
 	p2.Counters = stats.Counters{CompileErrors: 1, CompileTime: time.Millisecond}
 	return q
 }
@@ -149,7 +147,7 @@ func TestSpansTraceCorrelation(t *testing.T) {
 
 func TestSpansErrorStatus(t *testing.T) {
 	q := buildTestTrace()
-	q.Err = "exec: boom"
+	q.Rec.Err = "exec: boom"
 	raw, err := q.Spans("", "")
 	if err != nil {
 		t.Fatal(err)

@@ -24,25 +24,12 @@ import (
 // Worker.EWMADropped instead of stored.
 const MaxEWMASamples = 512
 
-// Query is the execution trace of one query.
+// Query is the execution trace of one query: its pipelines, under the
+// query's record, whose header (name, backend, workers, id, begin, wall,
+// error) Dump and Spans render. A failed or canceled query still carries the
+// pipelines that ran as a partial trace.
 type Query struct {
-	Query   string
-	Backend string
-	Workers int
-	// ID is the engine-wide query id the execution ran under — the join key
-	// against flight-recorder events and scheduler QueryInfos.
-	ID uint64
-	// QueueWait is the admission-queue wait preceding execution; span export
-	// renders it so queueing is visible in the query span.
-	QueueWait time.Duration
-	// Begin anchors the trace on the wall clock; per-pipeline offsets (e.g.
-	// ArtifactReady) are relative to it.
-	Begin time.Time
-	// Wall is the end-to-end time, set when the query completes or fails.
-	Wall time.Duration
-	// Err is the terminal failure message ("" on success). A failed or
-	// canceled query still carries the pipelines that ran as a partial trace.
-	Err       string
+	Rec       *stats.QueryRecord
 	Pipelines []*Pipeline
 }
 
@@ -54,7 +41,7 @@ type Pipeline struct {
 	// per-worker morsel counts may sum to less than Morsels.
 	Rows    int
 	Morsels int
-	// Start is the pipeline's begin offset from Query.Begin, so span export
+	// Start is the pipeline's begin offset from the record's Begin, so span export
 	// can place pipelines on the query timeline.
 	Start time.Duration
 	// Workers is indexed by worker ID; each worker writes only its own entry.
@@ -73,10 +60,7 @@ type Pipeline struct {
 	// had no compiled code (vectorized backend, hybrid before the artifact
 	// landed). Present on plan-cache hits too, where nothing was compiled.
 	Fused string
-	// Degraded marks a hybrid pipeline whose background compile failed
-	// permanently: it was served by the vectorized interpreter alone.
-	Degraded bool
-	// ArtifactReady is the offset from Query.Begin at which the hybrid
+	// ArtifactReady is the offset from the record's Begin at which the hybrid
 	// background artifact became available (0 = never landed).
 	ArtifactReady time.Duration
 	// SubOps is the sampled per-suboperator profile, merged across workers in
@@ -159,15 +143,13 @@ func (w *Worker) AddEWMA(s EWMASample) {
 	w.EWMA = append(w.EWMA, s) //inklint:allow alloc — bounded by MaxEWMASamples and only when tracing is on
 }
 
-// NewQuery starts a query trace.
-func NewQuery(query, backend string, workers int, begin time.Time) *Query {
-	return &Query{Query: query, Backend: backend, Workers: workers, Begin: begin}
-}
+// NewQuery starts the trace of the query rec records.
+func NewQuery(rec *stats.QueryRecord) *Query { return &Query{Rec: rec} }
 
 // StartPipeline appends a pipeline trace with one pre-allocated Worker entry
 // per worker, so the morsel loop records without allocating or locking.
 func (q *Query) StartPipeline(name string, rows, morsels int) *Pipeline {
-	p := &Pipeline{Name: name, Rows: rows, Morsels: morsels, Workers: make([]Worker, q.Workers)}
+	p := &Pipeline{Name: name, Rows: rows, Morsels: morsels, Workers: make([]Worker, q.Rec.Workers)}
 	q.Pipelines = append(q.Pipelines, p)
 	return p
 }
@@ -214,21 +196,23 @@ func (q *Query) Total() stats.Counters {
 
 // Annotate writes the pipeline's measured numbers, one line each behind
 // prefix: morsels and worker busy time, compile outcome, the sampled
-// suboperator profile, the counters, hybrid routing, and finalization.
-// EXPLAIN ANALYZE and Dump both render pipelines through it.
-func (p *Pipeline) Annotate(b *strings.Builder, prefix string, workers int) {
+// suboperator profile, the counters, hybrid routing, and finalization. A
+// pipeline whose compile failed was served by the vectorized interpreter
+// alone: it renders as degraded. EXPLAIN ANALYZE and Dump both render
+// pipelines through it.
+func (p *Pipeline) Annotate(b *strings.Builder, prefix string) {
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	t := p.Total()
 	fmt.Fprintf(b, "%s%d rows in %d morsels", prefix, p.Rows, p.Morsels)
 	if run := p.MorselsRun(); run != p.Morsels {
 		fmt.Fprintf(b, " (%d run before the query stopped)", run)
 	}
-	fmt.Fprintf(b, "; busy %v across %d workers", us(p.Busy()), workers)
+	fmt.Fprintf(b, "; busy %v across %d workers", us(p.Busy()), len(p.Workers))
 	if lo, med, hi, ok := p.BusyQuantiles(); ok {
 		fmt.Fprintf(b, " (min %v / med %v / max %v)", us(lo), us(med), us(hi))
 	}
 	b.WriteByte('\n')
-	if t.CompileTime > 0 || t.CompileWait > 0 || t.CompileErrors > 0 || p.Degraded || p.Fused != "" {
+	if t.CompileTime > 0 || t.CompileWait > 0 || t.CompileErrors > 0 || p.Fused != "" {
 		fmt.Fprintf(b, "%scompile: %v", prefix, us(t.CompileTime))
 		if t.CompileWait > 0 {
 			fmt.Fprintf(b, " (dead wait %v)", us(t.CompileWait))
@@ -240,10 +224,7 @@ func (p *Pipeline) Annotate(b *strings.Builder, prefix string, workers int) {
 			fmt.Fprintf(b, ", artifact ready at +%v", us(p.ArtifactReady))
 		}
 		if t.CompileErrors > 0 {
-			fmt.Fprintf(b, ", %d compile error(s)", t.CompileErrors)
-		}
-		if p.Degraded {
-			b.WriteString(" — DEGRADED to vectorized-only")
+			fmt.Fprintf(b, ", %d compile error(s) — DEGRADED to vectorized-only", t.CompileErrors)
 		}
 		b.WriteByte('\n')
 	}
@@ -280,14 +261,15 @@ func (p *Pipeline) Annotate(b *strings.Builder, prefix string, workers int) {
 // and the (truncated) EWMA series — the -trace output of cmd/inkbench.
 func (q *Query) Dump() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s: backend=%s workers=%d wall=%v", q.Query, q.Backend, q.Workers, q.Wall.Round(time.Microsecond))
-	if q.Err != "" {
-		fmt.Fprintf(&b, " err=%q", q.Err)
+	r := q.Rec
+	fmt.Fprintf(&b, "trace %s: backend=%s workers=%d wall=%v", r.Name, r.Backend, r.Workers, r.Wall.Round(time.Microsecond))
+	if r.Err != "" {
+		fmt.Fprintf(&b, " err=%q", r.Err)
 	}
 	b.WriteByte('\n')
 	for _, p := range q.Pipelines {
 		fmt.Fprintf(&b, "pipeline %s:\n", p.Name)
-		p.Annotate(&b, "  ", q.Workers)
+		p.Annotate(&b, "  ")
 		for w := range p.Workers {
 			ws := &p.Workers[w]
 			if ws.Morsels == 0 {

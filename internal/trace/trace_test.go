@@ -9,7 +9,7 @@ import (
 )
 
 func TestTotalsAndQuantiles(t *testing.T) {
-	q := NewQuery("q", "hybrid", 3, time.Now())
+	q := NewQuery(&stats.QueryRecord{Name: "q", Backend: "hybrid", Workers: 3, Begin: time.Now()})
 	p := q.StartPipeline("p0", 1000, 10)
 	if len(p.Workers) != 3 {
 		t.Fatalf("workers: got %d, want 3", len(p.Workers))
@@ -38,7 +38,7 @@ func TestTotalsAndQuantiles(t *testing.T) {
 // TestMorselDeltas: a worker's counters are what its slot's accumulating
 // counters gained over its own morsels, whatever other pipelines left there.
 func TestMorselDeltas(t *testing.T) {
-	q := NewQuery("q", "hybrid", 1, time.Now())
+	q := NewQuery(&stats.QueryRecord{Name: "q", Backend: "hybrid", Workers: 1, Begin: time.Now()})
 	w := &q.StartPipeline("p1", 0, 0).Workers[0]
 	slot := stats.Counters{Tuples: 500, HTInserts: 3, MemPeakBytes: 155} // an earlier pipeline's work
 	for i := 0; i < 2; i++ {
@@ -53,7 +53,7 @@ func TestMorselDeltas(t *testing.T) {
 }
 
 func TestEWMACapAndFinal(t *testing.T) {
-	q := NewQuery("q", "hybrid", 1, time.Now())
+	q := NewQuery(&stats.QueryRecord{Name: "q", Backend: "hybrid", Workers: 1, Begin: time.Now()})
 	p := q.StartPipeline("p0", 0, 0)
 	w := &p.Workers[0]
 	for i := 0; i < MaxEWMASamples+7; i++ {
@@ -72,11 +72,11 @@ func TestEWMACapAndFinal(t *testing.T) {
 }
 
 func TestDumpPartialTrace(t *testing.T) {
-	q := NewQuery("canceled", "vectorized", 2, time.Now())
+	q := NewQuery(&stats.QueryRecord{Name: "canceled", Backend: "vectorized", Workers: 2, Begin: time.Now()})
 	p := q.StartPipeline("p0", 500, 8)
 	p.Workers[0] = Worker{Busy: time.Millisecond, Morsels: 2, Counters: stats.Counters{Tuples: 128}}
-	q.Err = "canceled"
-	q.Wall = 5 * time.Millisecond
+	q.Rec.Err = "canceled"
+	q.Rec.Wall = 5 * time.Millisecond
 	out := q.Dump()
 	for _, want := range []string{"trace canceled", `err="canceled"`, "500 rows in 8 morsels (2 run before the query stopped)", "counters: tuples=128", "w0: 2 morsels"} {
 		if !strings.Contains(out, want) {

@@ -130,6 +130,15 @@ echo "$body" | grep -q '"rows"' || { echo "query response malformed: $body" >&2;
 # the first request above missed, the same request again hits.
 echo "$body" | grep -q '"plan_cache": *"miss"' \
     || { echo "first named q6 should miss the plan cache: $body" >&2; exit 1; }
+# One request, one story: the response's query id is the id of its canonical
+# log line, and the flight recorder holds that query's completion.
+qid=$(sed -n 's/.*"query_id": *\([0-9][0-9]*\).*/\1/p' <<<"$body")
+[ -n "$qid" ] || { echo "q6 response carries no query_id: $body" >&2; exit 1; }
+grep -qE "msg=query( .*)? id=$qid( |\$)" /tmp/inkserve-smoke.log \
+    || { echo "no canonical log line with id=$qid:" >&2; cat /tmp/inkserve-smoke.log >&2; exit 1; }
+flight=$(curl -sf "http://$addr/debug/flight?q=$qid")
+grep -q 'query_done' <<<"$flight" \
+    || { echo "/debug/flight?q=$qid missing query_done: $flight" >&2; exit 1; }
 body=$(curl -sf "http://$addr/query" -d '{"query":"q6","backend":"vectorized"}')
 echo "$body" | grep -q '"plan_cache": *"hit"' \
     || { echo "second named q6 should hit the plan cache: $body" >&2; exit 1; }
