@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"math/rand"
 	"strings"
@@ -124,5 +125,38 @@ func TestTailSamplerEdgeRates(t *testing.T) {
 	err := &QueryEvent{QueryRecord: stats.QueryRecord{ID: 3, Err: "x"}, Outcome: "deadline"}
 	if !none.Keep(err) {
 		t.Fatal("rate 0 must still keep the tail")
+	}
+}
+
+// BenchmarkQueryLog prices the canonical query log per query: one plain-success
+// event — a plan-cache hit with the counters a q6 sets — through the tail
+// sampler and, when kept, rendered by the text handler inkserve logs with
+// (written to io.Discard). "kept" samples every success, "dropped" none.
+func BenchmarkQueryLog(b *testing.B) {
+	e := &QueryEvent{
+		QueryRecord: stats.QueryRecord{
+			ID: 42, Name: "q6", Backend: "hybrid", Workers: 2, Fingerprint: "9f1c2b7e5d3a4c60",
+			Wall: 12 * time.Millisecond, QueueWait: 20 * time.Microsecond, Rows: 1,
+			Stats: stats.Counters{
+				Tuples: 60175, EmittedRows: 551483, VMOps: 421225, MaterializedBytes: 4411864,
+				FusedCalls: 4, MorselsCompiled: 4, CompileTime: 3 * time.Millisecond,
+			},
+		},
+		Query: "q6", Source: "plan", Outcome: "ok", PlanCache: "hit", ArtifactsReused: 1, ArtifactBytes: 1984,
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for _, c := range []struct {
+		name string
+		rate float64
+	}{{"kept", 1}, {"dropped", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := TailSampler{SuccessRate: c.rate}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.Keep(e) {
+					e.Emit(logger)
+				}
+			}
+		})
 	}
 }

@@ -120,6 +120,121 @@ func FuzzAggBatchDifferential(f *testing.F) {
 	})
 }
 
+// wordSchedules are the key widths of FuzzAggBatchWordDifferential's builds,
+// phase after phase: one width throughout (0 is the keyless nil key), or a
+// width that changes mid-build, and changes back.
+var wordSchedules = [][]int{{1}, {4}, {8}, {0}, {4, 8}, {8, 4}, {1, 4, 8}, {0, 8}, {4, 8, 4}, {8, 1, 8}}
+
+// FuzzAggBatchWordDifferential pushes the same key stream through the word
+// entry point (FindOrCreateWord, the fused programs' path) and through
+// HashBatch-style FindOrCreateBatch (the interpreter's), one table per half of
+// the stream, and merges the second half's table into the first's. Both paths
+// must give byte-identical Snapshot rows in the same order, before and after
+// MergeInto, and both must match a reference: each distinct key blob a group,
+// in order of first appearance, counting its occurrences.
+//
+// With collide set, every key is hashed as the 8-byte word of its value,
+// whatever its width: keys of one width still hash injectively — the premise
+// of comparing hashes alone — while equal values of different widths share a
+// hash. A table whose width changed mid-build must then compare bytes; one
+// that trusted the hash would merge them.
+func FuzzAggBatchWordDifferential(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, uint16(700), uint8(1), false)
+	f.Add([]byte{7}, uint16(300), uint8(0), true)
+	f.Add([]byte{0xff, 0x10}, uint16(2000), uint8(2), false)
+	f.Add([]byte{}, uint16(50), uint8(3), true)
+	f.Add([]byte{9, 9, 9, 1}, uint16(1500), uint8(4), true)
+	f.Add([]byte{5, 4}, uint16(900), uint8(5), true)
+	f.Add([]byte{200, 3, 77}, uint16(1200), uint8(6), true)
+	f.Add([]byte{42}, uint16(400), uint8(7), true)
+	f.Add([]byte{3, 1}, uint16(1800), uint8(8), true)
+	f.Add([]byte{8}, uint16(1100), uint8(9), true)
+	f.Fuzz(func(t *testing.T, data []byte, nKeys uint16, schedRaw uint8, collide bool) {
+		n := int(nKeys)%4096 + 1
+		sched := wordSchedules[int(schedRaw)%len(wordSchedules)]
+		type wordKey struct {
+			w     uint64
+			width int
+			h     uint64
+		}
+		keys := make([]wordKey, n)
+		for i, b := range deriveKeys(data, n, uint64(n)/3+1, 8) {
+			width := sched[i*len(sched)/n]
+			w := binary.LittleEndian.Uint64(b) & (1<<(8*width) - 1)
+			h := Hash64(binary.LittleEndian.AppendUint64(nil, w)[:width])
+			if collide {
+				h = HashWord(w, 8)
+			}
+			keys[i] = wordKey{w, width, h}
+		}
+		st := &AggTableState{Init: make([]byte, 8), Merge: []AggMerge{{Op: MergeSumI64, Off: 0}}}
+		seed := []byte{0xAB, 0xCD}
+		count := func(row []byte) {
+			off := RowPayloadOff(row)
+			PutI64(row, off, GetI64(row, off)+1)
+		}
+		build := func(part []wordKey, words bool) *AggTable {
+			tbl := st.NewInstance()
+			blobs := make([][]byte, 0, 256)
+			hashes := make([]uint64, 0, 256)
+			seeds := make([][]byte, 256)
+			dst := make([][]byte, 256)
+			for i := range seeds {
+				seeds[i] = seed
+			}
+			for at := 0; at < len(part); at += 256 {
+				chunk := part[at:min(at+256, len(part))]
+				if words {
+					for _, k := range chunk {
+						count(tbl.FindOrCreateWord(k.w, k.width, k.h, seed))
+					}
+					continue
+				}
+				blobs, hashes = blobs[:0], hashes[:0]
+				for _, k := range chunk {
+					blobs = append(blobs, binary.LittleEndian.AppendUint64(nil, k.w)[:k.width])
+					hashes = append(hashes, k.h)
+				}
+				tbl.FindOrCreateBatch(blobs, seeds[:len(chunk)], hashes, dst[:len(chunk)], nil)
+				for _, row := range dst[:len(chunk)] {
+					count(row)
+				}
+			}
+			return tbl
+		}
+		name := fmt.Sprintf("n=%d widths=%v collide=%v", n, sched, collide)
+		half := n / 2
+		wa, wb := build(keys[:half], true), build(keys[half:], true)
+		ba, bb := build(keys[:half], false), build(keys[half:], false)
+		snapshotsEqual(t, name+" first half", ba, wa)
+		snapshotsEqual(t, name+" second half", bb, wb)
+		st.MergeInto(wa, wb)
+		st.MergeInto(ba, bb)
+		snapshotsEqual(t, name+" merged", ba, wa)
+
+		var order []string
+		counts := map[string]int64{}
+		for _, k := range keys {
+			blob := string(binary.LittleEndian.AppendUint64(nil, k.w)[:k.width])
+			if _, ok := counts[blob]; !ok {
+				order = append(order, blob)
+			}
+			counts[blob]++
+		}
+		rows := wa.Snapshot()
+		if len(rows) != len(order) {
+			t.Fatalf("%s: %d groups, want %d", name, len(rows), len(order))
+		}
+		for i, row := range rows {
+			po := RowPayloadOff(row)
+			if got := string(RowKey(row)); got != order[i] || GetI64(row, po) != counts[got] || !bytes.Equal(row[po+8:], seed) {
+				t.Fatalf("%s: group %d is key %x count %d seed %x, want key %x count %d seed %x",
+					name, i, got, GetI64(row, po), row[po+8:], order[i], counts[order[i]], seed)
+			}
+		}
+	})
+}
+
 // FuzzAggBatchSeedsAndLocal drives the seeded variant (collation-style
 // creation extras) plus the thread-local pre-aggregation table, checking the
 // merged outcome against a scalar build with per-key payload folds.
@@ -477,23 +592,39 @@ func TestLocalAggMaybeFlush(t *testing.T) {
 	}
 }
 
-// TestAggReserveNoMidBatchResize verifies the satellite fix: with a correct
-// SizeHint the batched build performs zero bucket-array resizes (reserve
-// pre-sizes once per (chunk, shard) before inserting).
+// TestAggReserveNoMidBatchResize pins the pre-size rule: a SizeHint pre-sizes
+// the slot array for at most maxReserve groups — whatever the hint, so a
+// keyless or few-group aggregation never pays for a morsel's worth of slots —
+// and a batched build of that many groups then performs no resize. A table
+// with no hint keeps its initial slots.
 func TestAggReserveNoMidBatchResize(t *testing.T) {
-	n := 8192
-	keys := deriveKeys([]byte{1}, n, uint64(n)*2, 8)
-	st := &AggTableState{Init: make([]byte, 8), Shards: 8, SizeHint: n}
-	tbl := st.NewInstance()
-	base := tbl.Resizes()
-	var hashes []uint64
-	dst := make([][]byte, 512)
-	for at := 0; at < len(keys); at += 512 {
-		ck := keys[at:min(at+512, len(keys))]
-		hashes = HashBatch(ck, hashes)
-		tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], nil)
+	wantSlots := 2 * maxReserve // maxReserve groups at ≤ 3/4 load
+	for _, hint := range []int{maxReserve, 8192, 1 << 20} {
+		st := &AggTableState{Init: make([]byte, 8), SizeHint: hint}
+		tbl := st.NewInstance()
+		if len(tbl.slots) != wantSlots {
+			t.Fatalf("SizeHint %d pre-sized %d slots, want %d", hint, len(tbl.slots), wantSlots)
+		}
+		base := tbl.Resizes()
+		keys := deriveKeys([]byte{1}, 4*maxReserve, maxReserve, 8)
+		var hashes []uint64
+		dst := make([][]byte, 512)
+		for at := 0; at < len(keys); at += 512 {
+			ck := keys[at:min(at+512, len(keys))]
+			hashes = HashBatch(ck, hashes)
+			tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], nil)
+		}
+		if tbl.Groups() != maxReserve {
+			t.Fatalf("built %d groups, want %d", tbl.Groups(), maxReserve)
+		}
+		if got := tbl.Resizes() - base; got != 0 {
+			t.Fatalf("SizeHint %d: batched build resized %d times", hint, got)
+		}
 	}
-	if got := tbl.Resizes() - base; got != 0 {
-		t.Fatalf("batched build resized %d times despite SizeHint", got)
+	for _, hint := range []int{0, 1, 16} {
+		tbl := (&AggTableState{Init: make([]byte, 8), SizeHint: hint}).NewInstance()
+		if len(tbl.slots) != aggInitSlots {
+			t.Fatalf("SizeHint %d pre-sized %d slots, want the initial %d", hint, len(tbl.slots), aggInitSlots)
+		}
 	}
 }

@@ -189,18 +189,53 @@ func benchKeyChunks(chunk, groups int) [][][]byte {
 	return chunks
 }
 
+// benchShuffledChunks builds chunks of 4-byte keys drawn at random (seeded)
+// from 0 … groups-1, four per group on average: q13's o_custkey stream. A
+// group's entry is created at its first draw and looked up at random later
+// ones, so the slots, the entry list and the rows are all read in random
+// order — unlike benchKeyChunks, whose lookups walk the entries in insertion
+// order.
+func benchShuffledChunks(chunk, groups int) [][][]byte {
+	rng := rand.New(rand.NewSource(1))
+	chunks := make([][][]byte, max(1, 4*groups/chunk))
+	for c := range chunks {
+		chunks[c] = make([][]byte, chunk)
+		for i := range chunks[c] {
+			chunks[c][i] = binary.LittleEndian.AppendUint32(nil, uint32(rng.Intn(groups)))
+		}
+	}
+	return chunks
+}
+
+// aggBuildCase is one key stream of the AggBuild benchmarks.
+type aggBuildCase struct {
+	name   string
+	chunks [][][]byte
+}
+
+// aggBuildCases are 8-byte keys cycling through 16, 1 024 and 65 536 groups
+// in order, and 4-byte keys drawn at random from 65 536 groups, in chunks of
+// chunk keys.
+func aggBuildCases(chunk int) []aggBuildCase {
+	return []aggBuildCase{
+		{"16groups", benchKeyChunks(chunk, 16)},
+		{"1Kgroups", benchKeyChunks(chunk, 1<<10)},
+		{"64Kgroups", benchKeyChunks(chunk, 1<<16)},
+		{"64Kshuffled", benchShuffledChunks(chunk, 1<<16)},
+	}
+}
+
 // BenchmarkAggBuildScalar drives the per-tuple path: one hash and one shard
 // dispatch per row.
 func BenchmarkAggBuildScalar(b *testing.B) {
-	for _, groups := range []int{16, 1 << 10, 1 << 16} {
-		b.Run(map[int]string{16: "16groups", 1 << 10: "1Kgroups", 1 << 16: "64Kgroups"}[groups], func(b *testing.B) {
-			const chunk = 1024
+	const chunk = 1024
+	for _, c := range aggBuildCases(chunk) {
+		b.Run(c.name, func(b *testing.B) {
 			tbl := NewAggTable(make([]byte, 8), 16)
-			chunks := benchKeyChunks(chunk, groups)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := chunks[i/chunk%len(chunks)][i%chunk]
+				k := c.chunks[i/chunk%len(c.chunks)][i%chunk]
 				row := tbl.FindOrCreate(k, Hash64(k))
 				off := RowPayloadOff(row)
 				PutI64(row, off, GetI64(row, off)+1)
@@ -212,17 +247,16 @@ func BenchmarkAggBuildScalar(b *testing.B) {
 // BenchmarkAggBuildBatched drives the same workload through the chunk
 // kernels: HashBatch + FindOrCreateBatch.
 func BenchmarkAggBuildBatched(b *testing.B) {
-	for _, groups := range []int{16, 1 << 10, 1 << 16} {
-		b.Run(map[int]string{16: "16groups", 1 << 10: "1Kgroups", 1 << 16: "64Kgroups"}[groups], func(b *testing.B) {
-			const chunk = 1024
+	const chunk = 1024
+	for _, c := range aggBuildCases(chunk) {
+		b.Run(c.name, func(b *testing.B) {
 			tbl := NewAggTable(make([]byte, 8), 16)
-			chunks := benchKeyChunks(chunk, groups)
 			hashes := make([]uint64, 0, chunk)
 			dst := make([][]byte, chunk)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += chunk {
-				keys := chunks[i/chunk%len(chunks)]
+				keys := c.chunks[i/chunk%len(c.chunks)]
 				hashes = HashBatch(keys, hashes)
 				tbl.FindOrCreateBatch(keys, nil, hashes, dst, nil)
 				for _, row := range dst {

@@ -47,7 +47,12 @@ type Counters struct {
 	// HTBloomSkips counts join probes answered "definitely absent" by the
 	// build-side bloom/tag filter without touching bucket memory.
 	HTBloomSkips int64
-	// EmittedRows counts rows emitted by sinks.
+	// EmittedRows counts the rows every step writes into a tuple buffer —
+	// each interpreted primitive's output, each fused program's emit —
+	// summed over the steps: a materialization volume, beside
+	// MaterializedBytes, not a count of result rows (vectorized q6 at SF 0.01
+	// writes 551 483 rows for its one). Rows a sink folds into a hash table
+	// are not counted.
 	EmittedRows int64
 	// MorselsVectorized / MorselsCompiled count the hybrid backend's routing.
 	MorselsVectorized int64

@@ -18,8 +18,9 @@ type tableBatch struct {
 	keys   [][]byte // per-row key blobs (views into rows or keybuf)
 	seeds  [][]byte // per-row creation extras / build payloads
 	hashes []uint64
-	keybuf []byte  // packed fixed-width key encodings
-	pend   []int32 // bloom candidates
+	words  []uint64 // word keys assembled in registers (keybuild.go)
+	keybuf []byte   // packed key encodings
+	pend   []int32  // bloom candidates
 	// The fused key build (keybuild.go): the key columns bound to the current
 	// execution, and a never-written (all-zero) byte run.
 	cols  []keyCol
@@ -28,7 +29,7 @@ type tableBatch struct {
 
 func (tb *tableBatch) retainedBytes() int64 {
 	rows := cap(tb.keys) + cap(tb.seeds)
-	return int64(rows)*24 + int64(cap(tb.hashes))*8 +
+	return int64(rows)*24 + int64(cap(tb.hashes)+cap(tb.words))*8 +
 		int64(cap(tb.keybuf)+cap(tb.zeros)) + int64(cap(tb.pend))*4
 }
 

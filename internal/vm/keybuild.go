@@ -20,13 +20,18 @@ import (
 // and looked up on the spot.
 //
 // A key of fixed-width columns that fits a machine word is assembled and
-// hashed in a register on either path (wordWidth); the tables still compare
-// its bytes.
+// hashed in a register on either path (wordWidth), and never packed ahead of
+// an AggLookup.
 //
-// Ahead of an AggLookup each tuple's key is resolved against the worker's
-// table on the spot and the buffer rewound (the table copies a new group's
-// key): the table receives the same keys in the same order as through the
-// statement run's batched lookup, so it comes out byte for byte the same.
+// Ahead of an AggLookup a word key is resolved a segment at a time: the
+// segment's words are assembled and hashed in one pass, then looked up in a
+// second through the table's word entry point (rt.AggTable.FindOrCreateWord),
+// which compares hashes alone while the table's keys are words of that width
+// (DESIGN.md §10). A key with strings, or wider than a word, is packed into
+// one reusable buffer, hashed and resolved on the spot, and the buffer
+// rewound (the table copies a new group's key). Either way the table
+// receives the same keys in the same order as through the statement run's
+// batched lookup, so it comes out byte for byte the same.
 //
 // Ahead of a ProbeStmt only the key's hash is computed per tuple — the key is
 // packed into the buffer, hashed and the buffer rewound; a key of fixed-width
@@ -132,14 +137,16 @@ func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLook
 		dv.Resize(n)
 		d := dv.Ptr[:n]
 		tbl := fr.ctx.AggTable(st)
-		width := wordWidth(cols, layout)
-		buf := tb.keybuf
-		for i := range d {
-			var h uint64
-			buf, h = appendKey(buf[:0], cols, prefix, width, i)
-			d[i] = tbl.FindOrCreateSeed(buf, h, seed)
+		if width := wordWidth(cols, layout); width > 0 {
+			lookupWords(tbl, tb, cols, width, seed, d)
+		} else {
+			buf := tb.keybuf
+			for i := range d {
+				buf = packKey(buf[:0], cols, prefix, i)
+				d[i] = tbl.FindOrCreateSeed(buf, rt.Hash64(buf), seed)
+			}
+			tb.keybuf = buf
 		}
-		tb.keybuf = buf
 		fr.ctx.Counters.VMOps += int64(n)
 		fr.ctx.Counters.HTProbes += int64(n)
 	})
@@ -160,9 +167,10 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 		prefix := sizedBytes(&tb.zeros, layout.KeyFixed)
 		width := wordWidth(cols, layout)
 		hashes := sizedU64(&tb.hashes, n)
+		words := sizedU64(&tb.words, n)
 		buf := tb.keybuf[:0]
 		if width > 0 {
-			hashWordKeys(hashes, cols, width)
+			hashWordKeys(words, hashes, cols, width, 0)
 		} else {
 			for i := range hashes {
 				buf = packKey(buf[:0], cols, prefix, i)
@@ -177,7 +185,7 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 		for _, ci := range cand {
 			start := len(buf)
 			if width > 0 {
-				buf = binary.LittleEndian.AppendUint64(buf, keyWord(cols, int(ci)))[:start+width]
+				buf = binary.LittleEndian.AppendUint64(buf, words[ci])[:start+width]
 			} else {
 				buf = packKey(buf, cols, prefix, int(ci))
 			}
@@ -205,19 +213,20 @@ func wordWidth(cols []keyCol, layout *rt.RowLayoutState) int {
 	return layout.KeyFixed
 }
 
-// appendKey appends row i's key blob to buf and returns it with the key's
-// hash: assembled in a register when width > 0 (wordWidth), packed and
-// hashed as bytes otherwise.
-//
-//inkfuse:hotpath
-func appendKey(buf []byte, cols []keyCol, prefix []byte, width, i int) ([]byte, uint64) {
-	start := len(buf)
-	if width > 0 {
-		w := keyWord(cols, i)
-		return binary.LittleEndian.AppendUint64(buf, w)[:start+width], rt.HashWord(w, width) //inklint:allow alloc — appends into the reused key buffer
+// lookupWords resolves every tuple's word key (wordWidth > 0) against tbl
+// into d, an aggBatchSeg segment at a time: the segment's words are
+// assembled and hashed in one pass, then looked up in a second, so the hash
+// arithmetic does not sit between one lookup's cache misses and the next's.
+func lookupWords(tbl *rt.AggTable, tb *tableBatch, cols []keyCol, width int, seed []byte, d [][]byte) {
+	seg := min(len(d), aggBatchSeg)
+	words, hashes := sizedU64(&tb.words, seg), sizedU64(&tb.hashes, seg)
+	for off := 0; off < len(d); off += aggBatchSeg {
+		dst := d[off:min(off+aggBatchSeg, len(d))]
+		hashWordKeys(words[:len(dst)], hashes[:len(dst)], cols, width, off)
+		for i := range dst {
+			dst[i] = tbl.FindOrCreateWord(words[i], width, hashes[i], seed)
+		}
 	}
-	buf = packKey(buf, cols, prefix, i)
-	return buf, rt.Hash64(buf[start:])
 }
 
 // keyWord assembles row i's key blob — fixed-width columns, at most 8 bytes
@@ -244,28 +253,31 @@ func keyWord(cols []keyCol, i int) uint64 {
 	return w
 }
 
-// hashWordKeys hashes every tuple's word key. The one-integer-column key —
-// most joins' — gets a loop of its own: keyWord's walk over the columns costs
-// as much per tuple as the hash.
+// hashWordKeys assembles the word keys of the tuples from, from+1, … into
+// words and their hashes into hashes. The one-integer-column key — most
+// joins' and GROUP BYs' — gets a loop of its own: keyWord's walk over the
+// columns costs as much per tuple as the hash.
 //
 //inkfuse:hotpath
-func hashWordKeys(hashes []uint64, cols []keyCol, width int) {
+func hashWordKeys(words, hashes []uint64, cols []keyCol, width, from int) {
 	if len(cols) == 1 {
 		switch col := &cols[0]; col.kind {
 		case types.Int64:
-			for i, v := range col.i64[:len(hashes)] {
-				hashes[i] = rt.HashWord(uint64(v), 8)
+			for i, v := range col.i64[from : from+len(hashes)] {
+				words[i], hashes[i] = uint64(v), rt.HashWord(uint64(v), 8)
 			}
 			return
 		case types.Int32, types.Date:
-			for i, v := range col.i32[:len(hashes)] {
-				hashes[i] = rt.HashWord(uint64(uint32(v)), 4)
+			for i, v := range col.i32[from : from+len(hashes)] {
+				w := uint64(uint32(v))
+				words[i], hashes[i] = w, rt.HashWord(w, 4)
 			}
 			return
 		}
 	}
 	for i := range hashes {
-		hashes[i] = rt.HashWord(keyWord(cols, i), width)
+		w := keyWord(cols, from+i)
+		words[i], hashes[i] = w, rt.HashWord(w, width)
 	}
 }
 

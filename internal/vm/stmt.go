@@ -222,20 +222,21 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		ds := c.bind(s.Dst)
 		id := s.StateID
 		ax := c.newAux()
-		var op exec
-		switch s.Key.K {
-		case types.Bool:
-			op = aggLookupFixedOp(ks, ds, id, ax, 1, getB, rt.PutBool)
-		case types.Int32, types.Date:
-			op = aggLookupFixedOp(ks, ds, id, ax, 4, getI32, rt.PutI32)
-		case types.Int64:
-			op = aggLookupFixedOp(ks, ds, id, ax, 8, getI64, rt.PutI64)
-		case types.Float64:
-			op = aggLookupFixedOp(ks, ds, id, ax, 8, getF64, rt.PutF64)
-		default:
-			return fmt.Errorf("direct lookup on kind %v", s.Key.K)
+		kind := s.Key.K
+		if !kind.Fixed() {
+			return fmt.Errorf("direct lookup on kind %v", kind)
 		}
-		*blk = append(*blk, op)
+		*blk = append(*blk, func(fr *frame, n int) {
+			st := fr.state[id].(*rt.AggTableState)
+			tb := auxBatch(fr, ax)
+			v := fr.vecs[ks]
+			tb.cols = append(tb.cols[:0], keyCol{kind: kind, b: v.B, i32: v.I32, i64: v.I64, f64: v.F64})
+			dv := fr.vecs[ds]
+			dv.Resize(n)
+			lookupWords(fr.ctx.AggTable(st), tb, tb.cols, kind.Width(), nil, dv.Ptr[:n])
+			fr.ctx.Counters.VMOps += int64(n)
+			fr.ctx.Counters.HTProbes += int64(n)
+		})
 		return nil
 
 	case ir.AggUpdate:
@@ -366,32 +367,6 @@ func packFixedOp[T any](rs, vs, stateID int, payload bool,
 			}
 		}
 		fr.ctx.Counters.VMOps += int64(n)
-	}
-}
-
-// aggLookupFixedOp probes the aggregation table with a raw fixed-width
-// column value, no packed-row scratch (paper §IV-D's single-column fast
-// path). The whole chunk's keys are encoded into one stride buffer — the
-// buffer is safe to reuse per chunk because the table copies the key on group
-// creation.
-func aggLookupFixedOp[T any](ks, ds, stateID, ax, width int,
-	get func(*storage.Vector) []T, put func([]byte, int, T)) exec {
-	return func(fr *frame, n int) {
-		st := fr.state[stateID].(*rt.AggTableState)
-		tb := auxBatch(fr, ax)
-		vals := get(fr.vecs[ks])[:n]
-		buf := sizedBytes(&tb.keybuf, n*width)
-		keys := sizedRows(&tb.keys, n)
-		for i, v := range vals {
-			off := i * width
-			put(buf, off, v)
-			keys[i] = buf[off : off+width : off+width]
-		}
-		dv := fr.vecs[ds]
-		dv.Resize(n)
-		aggBatchLookup(fr, tb, st, keys, nil, dv.Ptr[:n])
-		fr.ctx.Counters.VMOps += int64(n)
-		fr.ctx.Counters.HTProbes += int64(n)
 	}
 }
 

@@ -48,10 +48,12 @@ go test -count=1 -race -run 'Fuzz(AggBatch|JoinBatch)' ./internal/rt/
 # Benchmark smoke: one iteration of the morsel-loop, table-kernel,
 # fused-program, compile-stack and dictionary-encoding benches so a compile
 # error or panic in benchmark-only code cannot land unnoticed. The flight
-# recorder's Record and Snapshot benches run 100 iterations: they price the
-# recorder (EXPERIMENTS.md), and are a smoke step, not a timing gate.
+# recorder's Record and Snapshot benches and the query log's QueryLog bench
+# run 100 iterations: they price the recorder and the log (EXPERIMENTS.md),
+# and are a smoke step, not a timing gate.
 echo "bench smoke..."
 go test -run '^$' -bench 'Record|Snapshot' -benchtime 100x ./internal/flight/ >/dev/null
+go test -run '^$' -bench 'QueryLog' -benchtime 100x ./internal/obs/ >/dev/null
 go test -run XXX -bench DictEncode -benchtime 1x ./internal/storage/ >/dev/null
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
 go test -run XXX -bench 'AggBuild|JoinProbe|JoinSeal|InList' -benchtime 1x ./internal/rt/ >/dev/null

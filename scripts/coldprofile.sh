@@ -173,11 +173,14 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # MakeRow / PackStr / SealKey closures (vm.(*compiler).stmt.funcN), packFixedOp
 # and the scratch they drive. Key runs compiled to one operation: keyProbe,
 # keyAggLookup and their kernels. The aggregation table: a worker's lookups
-# (AggTable.FindOrCreateSeed, under AggTable.FindOrCreateBatch or called by
-# the fused key build), the rehash of a worker's table as it grows from its
-# morsel-sized Reserve (AggTable.growTo: q13's orders build, aggregated ahead
-# of its join since DESIGN.md §21, reaches ≈ 50 k groups per worker at SF 0.5)
-# and the finalize merge of the workers' tables (AggTableState.MergeInto) —
+# of word keys (AggTable.FindOrCreateWord, under vm.lookupWords: the fused
+# key build and the single-column agglookupfixed statement) and of packed
+# keys (AggTable.FindOrCreateSeed, under AggTable.FindOrCreateBatch or called
+# by the fused key build), a new group's creation (AggTable.insert), the
+# rehash of a worker's table as it grows past its capped Reserve
+# (AggTable.growTo: q13's orders build, aggregated ahead of its join since
+# DESIGN.md §21, reaches ≈ 50 k groups per worker at SF 0.5) and the
+# finalize merge of the workers' tables (AggTableState.MergeInto) —
 # scan_agg_sf1's aggregation path. The join
 # table: a worker's insert (joinShard's insert and nextBlock, under
 # JoinTable.InsertBatch) and the seal (SealTask → joinShard.seal per shard,
@@ -186,7 +189,7 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # gathers.
 echo
 echo "CPU share of tracked symbols, join and aggregation path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|appendKey|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed|growTo)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|lookupWords|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed|FindOrCreateWord|insert|growTo)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
