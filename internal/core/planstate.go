@@ -3,13 +3,11 @@ package core
 import "inkfuse/internal/rt"
 
 // runState is a runtime state object that an execution fills and the next
-// one must find empty: rt.JoinTableState, rt.AggTableState.
+// one must find empty: rt.JoinTableState, rt.AggTableState. It holds only a
+// pointer to a table a worker context owns.
 type runState interface {
-	// Reset empties the state in place, keeping its memory.
+	// Reset clears the pointer.
 	Reset()
-	// Drop replaces the state's tables with fresh empty ones.
-	Drop()
-	RetainedBytes() int64
 }
 
 var (
@@ -18,10 +16,10 @@ var (
 )
 
 // PlanState lists the per-execution mutable state baked into a lowered plan —
-// join tables, aggregation results — each object once.
+// the pointers to its join tables and aggregation results — each object once.
 // Compiled artifacts reference these same objects, so a plan instance is
 // re-run by resetting them, never by replacing them. Collected once per plan
-// instance (CollectPlanState); the methods are safe only while no execution
+// instance (CollectPlanState); Reset is safe only while no execution
 // references the plan.
 type PlanState struct {
 	states []runState
@@ -56,27 +54,10 @@ func CollectPlanState(p *Plan) *PlanState {
 	return ps
 }
 
-// Reset empties every state in place, keeping table memory, so the plan can
-// run again on it (DESIGN.md §16).
+// Reset clears every state's table pointer, so the plan can run again
+// (DESIGN.md §16). The tables are the worker contexts' to reset or drop.
 func (ps *PlanState) Reset() {
 	for _, s := range ps.states {
 		s.Reset()
 	}
-}
-
-// Drop replaces every state's tables with fresh empty ones, releasing their
-// memory: the plan can run again, as cold as a newly lowered one.
-func (ps *PlanState) Drop() {
-	for _, s := range ps.states {
-		s.Drop()
-	}
-}
-
-// RetainedBytes returns the memory the states hold on to across Reset.
-func (ps *PlanState) RetainedBytes() int64 {
-	var n int64
-	for _, s := range ps.states {
-		n += s.RetainedBytes()
-	}
-	return n
 }

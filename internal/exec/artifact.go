@@ -16,8 +16,9 @@ import (
 // per pipeline and split policy: the compiling and hybrid backends share the
 // whole-pipeline chain, ROF keeps its own), whose landed chains save
 // recompilation and its modeled latency, and the execution state (worker
-// contexts, per-pipeline buffers, and through core.PlanState the plan's
-// tables), which saves rebuilding and regrowing every buffer (DESIGN.md §16).
+// contexts with their tables, per-pipeline buffers; core.PlanState clears the
+// plan's pointers to the tables), which saves rebuilding and regrowing every
+// buffer (DESIGN.md §16).
 // A job in the set outlives the query that started it: the next execution
 // takes it landed, in flight or — failed or canceled — replaces it (§5).
 // Artifacts and execution state close over the plan's runtime state objects,
@@ -163,7 +164,7 @@ func (a *ArtifactSet) execState(plan *core.Plan, opts Options) *execState {
 		if es.backend == opts.Backend && len(es.ctxs) == opts.Workers {
 			return es
 		}
-		a.plan.Drop()
+		a.plan.Reset()
 	}
 	a.state = newExecState(plan, opts)
 	return a.state
@@ -193,17 +194,16 @@ func (a *ArtifactSet) Rewind() {
 func (a *ArtifactSet) DropState() {
 	a.dirty = false
 	a.state = nil
-	a.plan.Drop()
+	a.plan.Reset()
 }
 
 // StateBytes estimates the memory of the execution state kept for the next
-// execution: worker contexts, pipeline buffers and the plan's tables.
+// execution: worker contexts, their tables included, and pipeline buffers.
 func (a *ArtifactSet) StateBytes() int64 {
-	n := a.plan.RetainedBytes()
-	if a.state != nil {
-		n += a.state.retainedBytes()
+	if a.state == nil {
+		return 0
 	}
-	return n
+	return a.state.retainedBytes()
 }
 
 // Compiles reports how many compile jobs landed their chains in the set — the

@@ -345,15 +345,6 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, res *Result) (r
 		}
 		morsels := storage.Morsels(binder.total, opts.MorselSize)
 
-		// Cardinality hint for this pipeline's aggregations: never more
-		// groups than source rows, and a morsel's worth at most as an
-		// estimate. The hint pre-sizes the workers' bucket arrays, skipping
-		// their first doublings. Set before the workers spawn (they read it
-		// when they first use their tables).
-		for _, fin := range pipe.MergeAggs {
-			fin.State.SizeHint = min(binder.total, opts.MorselSize)
-		}
-
 		// The pipeline trace is started before runner construction so the
 		// foreground backends' compile wait falls inside the pipeline wall.
 		var pt *trace.Pipeline
@@ -584,11 +575,11 @@ func bindSource(pipe *core.Pipeline) (sourceBinder, error) {
 		if !s.State.Ready() {
 			return sourceBinder{}, fmt.Errorf("%w: aggregate source read before its build pipeline completed", ErrInvalidPlan)
 		}
-		snap := s.State.Snapshot()
+		rows := s.State.Global.Rows()
 		return sourceBinder{
-			total: len(snap),
+			total: len(rows),
 			bind: func(m storage.Morsel, views []*storage.Vector) int {
-				views[0].Kind, views[0].Ptr = types.Ptr, snap[m.Start:m.End]
+				views[0].Kind, views[0].Ptr = types.Ptr, rows[m.Start:m.End]
 				return m.Rows()
 			},
 		}, nil

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -257,6 +258,54 @@ func TestMemoryBudgetCoversJoinBuild(t *testing.T) {
 	_, err := Execute(plan, Options{Backend: BackendVectorized, Workers: 2, Latency: &lat, MemoryBudget: 32 << 10})
 	if !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("want ErrMemoryBudget, got %v", err)
+	}
+}
+
+// TestMemoryBudgetCoversAggSlots: a GROUP BY of 800 groups charges the budget
+// for every slot its workers' tables hold beyond the initial 64, cold and on
+// the warm execution that regrows them into kept capacity. Each slot costs 32
+// bytes (rt's aggSlotBytes) and each group 32 more of entry bookkeeping (rt's
+// entryOverhead), so the peak charge is at least their sum, arena blocks
+// aside. The slot array's length is read by reflection: it has no accessor.
+func TestMemoryBudgetCoversAggSlots(t *testing.T) {
+	const groups, slotBytes, entryBytes = 800, 32, 32
+	tbl := storage.NewTable("groups", types.Schema{
+		{Name: "k", Kind: types.Int64},
+		{Name: "v", Kind: types.Float64},
+	})
+	for i := 0; i < 10*groups; i++ {
+		tbl.AppendRow(int64(i%groups), 1.0)
+	}
+	node := algebra.NewGroupBy(algebra.NewScan(tbl, "k", "v"), []string{"k"}, algebra.Sum("v", "s"))
+	plan := lowerOrDie(t, node, "aggslots")
+	var st *rt.AggTableState
+	for _, pipe := range plan.Pipelines {
+		for _, fin := range pipe.MergeAggs {
+			st = fin.State
+		}
+	}
+	arts := NewArtifactSet(plan)
+	lat := LatencyNone
+	opts := Options{Backend: BackendVectorized, Workers: 2, MorselSize: 1024, Latency: &lat, MemoryBudget: 1 << 30, Artifacts: arts}
+	for _, run := range []string{"cold", "warm"} {
+		res, err := Execute(plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows() != groups {
+			t.Fatalf("%s: %d groups, want %d", run, res.Rows(), groups)
+		}
+		var want int64
+		for _, ctx := range arts.state.ctxs {
+			if tab := ctx.BuiltAggTable(st); tab != nil {
+				slots := reflect.ValueOf(tab).Elem().FieldByName("slots").Len()
+				want += int64(slots-64)*slotBytes + int64(tab.Groups())*entryBytes
+			}
+		}
+		if want == 0 || res.Stats.MemPeakBytes < want {
+			t.Fatalf("%s: peak charge %d bytes, below the %d its tables' grown slots and entries cost", run, res.Stats.MemPeakBytes, want)
+		}
+		arts.Rewind()
 	}
 }
 

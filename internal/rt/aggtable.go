@@ -15,7 +15,7 @@ import (
 // the scheduler merges the workers' tables once the build pipeline finished,
 // so a table is never written by two goroutines and takes no lock. It is not
 // safe for concurrent use. A table is one open-addressing array of (hash,
-// row) slots over one entry list in insertion order, the order Snapshot
+// row) slots over one entry list in insertion order, the order Rows
 // returns; where its keys are words of one width, a lookup reads one slot and
 // no row (keyLen, DESIGN.md §10).
 type AggTable struct {
@@ -66,10 +66,10 @@ func NewAggTable(payloadInit []byte, _ int) *AggTable {
 // Reset empties the table in place, keeping its memory for the next execution
 // of the owning plan instance: entry lists truncated, the arena rewound, the
 // budget detached, and the slot array back at its initial *logical* size
-// with its capacity kept — growTo re-extends into that capacity and charges
+// with its capacity kept — grow re-extends into that capacity and charges
 // the same deltas a fresh table would, so a reused table meets a memory
 // budget at the same insert a new one does. Groups re-inserted in the same
-// order land in the same entry order: Snapshot walks entries, not slots.
+// order land in the same entry order: Rows lists entries, not slots.
 func (t *AggTable) Reset() {
 	t.slots = t.slots[:aggInitSlots]
 	clear(t.slots)
@@ -171,9 +171,9 @@ func (t *AggTable) SetBudget(b *MemBudget) {
 	t.arena.SetBudget(b)
 }
 
-func (t *AggTable) grow() { t.growTo(uint64(2 * len(t.slots))) }
-
-func (t *AggTable) growTo(size uint64) {
+// grow doubles the slot array.
+func (t *AggTable) grow() {
+	size := uint64(2 * len(t.slots))
 	t.resizes++
 	t.budget.Charge((int64(size) - int64(len(t.slots))) * aggSlotBytes) // charge the delta
 	// Rehashing reads the entry list, not the old slots, so the array may
@@ -191,45 +191,16 @@ func (t *AggTable) growTo(size uint64) {
 	t.mask = mask
 }
 
-// Reserve pre-sizes the slot array for min(n, maxReserve) groups, so the
-// first inserts skip the doublings. A worker calls it with the scheduler's
-// morsel cardinality estimate (AggTableState.SizeHint) when it first uses its
-// table in an execution, before the budget is attached: like the initial slot
-// array, the estimate-driven capacity is uncharged.
-func (t *AggTable) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	size := t.mask + 1
-	for (uint64(len(t.rows))+uint64(min(n, maxReserve)))*4 > 3*size {
-		size <<= 1
-	}
-	if size > t.mask+1 {
-		t.growTo(size)
-	}
-}
-
-// maxReserve caps cardinality-estimate pre-sizing at 2 048 slots (64 KiB):
-// the estimate is a morsel's row count, not a group count, and a keyless
-// aggregation must not pay for a morsel's worth of slots; a large one skips
-// only the first doublings, which its inserts amortize anyway.
-const maxReserve = 1 << 10
-
 // Groups returns the number of groups in the table.
 func (t *AggTable) Groups() int { return len(t.rows) }
 
 // Resizes returns the number of bucket-array resizes (stats).
 func (t *AggTable) Resizes() int64 { return t.resizes }
 
-// Snapshot returns all group rows. Called once the build pipeline finished;
-// the result backs the morsels of the aggregate-reading pipeline.
-func (t *AggTable) Snapshot() [][]byte {
-	return t.AppendRows(make([][]byte, 0, t.Groups()))
-}
-
-// AppendRows appends all group rows to dst in entry (insertion) order and
-// returns it.
-func (t *AggTable) AppendRows(dst [][]byte) [][]byte { return append(dst, t.rows...) }
+// Rows returns the group rows in entry (insertion) order: the table's own
+// list, valid until its next insert or Reset. The aggregate-reading pipeline
+// reads it in place once the build pipeline finished.
+func (t *AggTable) Rows() [][]byte { return t.rows }
 
 // zeroed returns a zeroed slice of length n, reusing s's capacity when it
 // suffices.

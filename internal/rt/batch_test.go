@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -41,6 +42,9 @@ func deriveKeys(data []byte, n int, domain uint64, width int) [][]byte {
 	}
 	return keys
 }
+
+// Snapshot returns a copy of the table's group rows in entry order.
+func (t *AggTable) Snapshot() [][]byte { return slices.Clone(t.rows) }
 
 func snapshotsEqual(t *testing.T, name string, a, b *AggTable) {
 	t.Helper()
@@ -589,42 +593,5 @@ func TestLocalAggMaybeFlush(t *testing.T) {
 	}
 	if !uniq.Disabled() {
 		t.Fatal("non-repeating stream was not disabled between chunks")
-	}
-}
-
-// TestAggReserveNoMidBatchResize pins the pre-size rule: a SizeHint pre-sizes
-// the slot array for at most maxReserve groups — whatever the hint, so a
-// keyless or few-group aggregation never pays for a morsel's worth of slots —
-// and a batched build of that many groups then performs no resize. A table
-// with no hint keeps its initial slots.
-func TestAggReserveNoMidBatchResize(t *testing.T) {
-	wantSlots := 2 * maxReserve // maxReserve groups at ≤ 3/4 load
-	for _, hint := range []int{maxReserve, 8192, 1 << 20} {
-		st := &AggTableState{Init: make([]byte, 8), SizeHint: hint}
-		tbl := st.NewInstance()
-		if len(tbl.slots) != wantSlots {
-			t.Fatalf("SizeHint %d pre-sized %d slots, want %d", hint, len(tbl.slots), wantSlots)
-		}
-		base := tbl.Resizes()
-		keys := deriveKeys([]byte{1}, 4*maxReserve, maxReserve, 8)
-		var hashes []uint64
-		dst := make([][]byte, 512)
-		for at := 0; at < len(keys); at += 512 {
-			ck := keys[at:min(at+512, len(keys))]
-			hashes = HashBatch(ck, hashes)
-			tbl.FindOrCreateBatch(ck, nil, hashes, dst[:len(ck)], nil)
-		}
-		if tbl.Groups() != maxReserve {
-			t.Fatalf("built %d groups, want %d", tbl.Groups(), maxReserve)
-		}
-		if got := tbl.Resizes() - base; got != 0 {
-			t.Fatalf("SizeHint %d: batched build resized %d times", hint, got)
-		}
-	}
-	for _, hint := range []int{0, 1, 16} {
-		tbl := (&AggTableState{Init: make([]byte, 8), SizeHint: hint}).NewInstance()
-		if len(tbl.slots) != aggInitSlots {
-			t.Fatalf("SizeHint %d pre-sized %d slots, want the initial %d", hint, len(tbl.slots), aggInitSlots)
-		}
 	}
 }

@@ -387,3 +387,40 @@ func BenchmarkRowScratchPack(b *testing.B) {
 	}
 	b.SetBytes(batch * 24)
 }
+
+// BenchmarkAggMerge prices the serial finalize merge (AggTableState.MergeInto):
+// the second worker's table folded into the first, two tables of 50 000
+// groups each whose 4-byte keys are drawn at random from 65 536, so about
+// three in four of the source's groups are found and the rest created. The
+// destination is rebuilt in its kept capacity outside the timer before each
+// merge; ns/group is per merged (source) group.
+func BenchmarkAggMerge(b *testing.B) {
+	const groups, space = 50_000, 1 << 16
+	st := &AggTableState{
+		Init:  make([]byte, 16),
+		Merge: []AggMerge{{Op: MergeSumI64, Off: 0}, {Op: MergeSumF64, Off: 8}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	build := func(tbl *AggTable, keys []int) {
+		for _, k := range keys {
+			key := binary.LittleEndian.AppendUint32(nil, uint32(k))
+			row := tbl.FindOrCreate(key, Hash64(key))
+			off := RowPayloadOff(row)
+			PutI64(row, off, GetI64(row, off)+1)
+			PutF64(row, off+8, GetF64(row, off+8)+float64(k))
+		}
+	}
+	dstKeys, srcKeys := rng.Perm(space)[:groups], rng.Perm(space)[:groups]
+	src, dst := st.NewInstance(), st.NewInstance()
+	build(src, srcKeys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dst.Reset()
+		build(dst, dstKeys)
+		b.StartTimer()
+		st.MergeInto(dst, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/groups, "ns/group")
+}

@@ -94,56 +94,21 @@ type AggTableState struct {
 	Shards int    // ignored: a worker's table has no shards
 	Merge  []AggMerge
 
-	// SizeHint is the scheduler's cardinality estimate for one worker's share
-	// of the build (morsel size clamped by the source row count). A worker's
-	// table is pre-sized from it (AggTable.Reserve), skipping the first
-	// bucket-array doublings.
-	SizeHint int
-
 	Global *AggTable // set by the scheduler after merging
-
-	snap [][]byte // Snapshot's row list, reused across executions
 }
 
 // Reset makes the owning plan reusable for another execution: the merged
-// result pointer and the per-run size hint are cleared (DESIGN.md §16).
-// Per-worker instances, one of which Global points at, belong to the worker
-// contexts and are reset with them.
-func (s *AggTableState) Reset() {
-	s.Global = nil
-	s.SizeHint = 0
-}
-
-// Drop is Reset without keeping memory.
-func (s *AggTableState) Drop() {
-	s.Reset()
-	s.snap = nil
-}
-
-// RetainedBytes returns the memory the state holds on to across Reset.
-func (s *AggTableState) RetainedBytes() int64 {
-	return int64(cap(s.snap)) * sliceHeaderBytes
-}
+// result pointer is cleared (DESIGN.md §16). Per-worker instances, one of
+// which Global points at, belong to the worker contexts and are reset with
+// them.
+func (s *AggTableState) Reset() { s.Global = nil }
 
 // Ready reports whether the build produced a readable table (the AggRead
 // source's precondition).
 func (s *AggTableState) Ready() bool { return s.Global != nil }
 
-// Snapshot returns all group rows of the built table in entry (insertion)
-// order. The list is valid until the state is reset.
-func (s *AggTableState) Snapshot() [][]byte {
-	s.snap = s.Global.AppendRows(s.snap[:0])
-	return s.snap
-}
-
 // NewInstance creates a fresh table for one worker.
-func (s *AggTableState) NewInstance() *AggTable {
-	t := NewAggTable(s.Init, 0)
-	// Pre-size before a budget is attached: like the initial bucket arrays,
-	// the estimate-driven capacity is uncharged; only demand growth is.
-	t.Reserve(s.SizeHint)
-	return t
-}
+func (s *AggTableState) NewInstance() *AggTable { return NewAggTable(s.Init, 0) }
 
 // MergeInto folds all groups of src into dst using the merge spec. Creation
 // extras beyond the init template (preserved original key strings, §IV-D
@@ -194,12 +159,6 @@ type JoinTableState struct {
 // another execution (DESIGN.md §16). The tables belong to the worker contexts
 // and are reset with them.
 func (s *JoinTableState) Reset() { s.Table = nil }
-
-// Drop is Reset: the state holds no table memory of its own.
-func (s *JoinTableState) Drop() { s.Reset() }
-
-// RetainedBytes returns the memory the state holds on to across Reset: none.
-func (s *JoinTableState) RetainedBytes() int64 { return 0 }
 
 // CodeTableState answers a predicate of one dictionary-coded column against
 // constants: T[c] is the predicate's value on the string code c stands for.

@@ -276,7 +276,7 @@ func TestKeyBuildFusion(t *testing.T) {
 					}
 					p.Run(ctx, state, []*storage.Vector{dv, sv, kv, vv}, n, nil)
 				}
-				tables[pi] = ctx.AggTable(agg).Snapshot()
+				tables[pi] = ctx.AggTable(agg).Rows()
 				probes[pi] = ctx.Counters.HTProbes
 			}
 			if probes[0] != probes[1] {
@@ -313,7 +313,7 @@ func TestAggTableHoldsEveryGroupWithoutFlush(t *testing.T) {
 			}
 			p.Run(ctx, state, []*storage.Vector{dv, sv, kv, vv}, n, nil)
 		}
-		rows := ctx.AggTable(agg).Snapshot()
+		rows := ctx.AggTable(agg).Rows()
 		if len(rows) != groups {
 			t.Fatalf("fuse=%v: snapshot holds %d groups, want %d", fuse, len(rows), groups)
 		}

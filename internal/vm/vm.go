@@ -56,8 +56,8 @@ type workerTable[T any] struct {
 }
 
 // use returns the table for st, made by create on first use ever. Its first
-// use in an execution runs ready before the budget is attached.
-func (m workerTables[S, T]) use(st S, budget *rt.MemBudget, create func(S) T, ready func(S, T)) T {
+// use in an execution attaches the budget.
+func (m workerTables[S, T]) use(st S, budget *rt.MemBudget, create func(S) T) T {
 	w := m[st]
 	if w == nil {
 		w = &workerTable[T]{table: create(st)}
@@ -65,7 +65,6 @@ func (m workerTables[S, T]) use(st S, budget *rt.MemBudget, create func(S) T, re
 	}
 	if !w.built {
 		w.built = true
-		ready(st, w.table)
 		w.table.SetBudget(budget)
 	}
 	return w.table
@@ -127,21 +126,18 @@ func (c *Ctx) Scratch(st *rt.RowLayoutState) *rt.RowScratch {
 	return s
 }
 
-// AggTable returns this worker's table for an aggregation. Its first use in
-// an execution pre-sizes it from the pipeline's cardinality hint while no
-// budget is attached: like the initial bucket array, the estimate-driven
-// capacity is uncharged; only demand growth is.
+// AggTable returns this worker's table for an aggregation. It starts every
+// execution at its initial slot array and grows by doubling from its own
+// inserts, into the capacity an earlier execution left behind.
 func (c *Ctx) AggTable(st *rt.AggTableState) *rt.AggTable {
-	return c.aggs.use(st, c.Budget, (*rt.AggTableState).NewInstance, reserveHint)
+	return c.aggs.use(st, c.Budget, (*rt.AggTableState).NewInstance)
 }
 
-func reserveHint(st *rt.AggTableState, t *rt.AggTable) { t.Reserve(st.SizeHint) }
-func newJoinTable(*rt.JoinTableState) *rt.JoinTable    { return rt.NewJoinTable(rt.JoinShards) }
-func noReadying(*rt.JoinTableState, *rt.JoinTable)     {}
+func newJoinTable(*rt.JoinTableState) *rt.JoinTable { return rt.NewJoinTable(rt.JoinShards) }
 
 // JoinTable returns this worker's table for a join build.
 func (c *Ctx) JoinTable(st *rt.JoinTableState) *rt.JoinTable {
-	return c.joins.use(st, c.Budget, newJoinTable, noReadying)
+	return c.joins.use(st, c.Budget, newJoinTable)
 }
 
 // identity returns the selection [0,n). It is grown, never rewritten, so

@@ -297,7 +297,7 @@ func TestAggPipelineEndToEnd(t *testing.T) {
 	if tbl.Groups() != 2 {
 		t.Fatalf("groups = %d", tbl.Groups())
 	}
-	for _, row := range tbl.Snapshot() {
+	for _, row := range tbl.Rows() {
 		k := rt.GetI64(rt.RowKey(row), 0)
 		sum := rt.GetF64(row, rt.RowPayloadOff(row))
 		cnt := rt.GetI64(row, rt.RowPayloadOff(row)+8)

@@ -56,10 +56,23 @@ go test -run '^$' -bench 'Record|Snapshot' -benchtime 100x ./internal/flight/ >/
 go test -run '^$' -bench 'QueryLog' -benchtime 100x ./internal/obs/ >/dev/null
 go test -run XXX -bench DictEncode -benchtime 1x ./internal/storage/ >/dev/null
 go test -run XXX -bench MorselLoop -benchtime 1x ./internal/exec/ >/dev/null
-go test -run XXX -bench 'AggBuild|JoinProbe|JoinSeal|InList' -benchtime 1x ./internal/rt/ >/dev/null
+go test -run XXX -bench 'AggBuild|AggMerge|JoinProbe|JoinSeal|InList' -benchtime 1x ./internal/rt/ >/dev/null
 go test -run XXX -bench FusedProgram -benchtime 1x ./internal/vm/ >/dev/null
 go test -run XXX -bench CompileStack -benchtime 1x ./internal/tpch/ >/dev/null
 echo "bench smoke OK"
+
+# A/B script smoke: one round of the hash benchmark, HEAD against the working
+# tree, so that the script's build, alternation and median table keep working.
+# It needs git history; an exported tree has none.
+echo "abtest smoke..."
+if git rev-parse --verify -q HEAD >/dev/null 2>&1; then
+    out=$(scripts/abtest.sh HEAD ./internal/rt '^BenchmarkHash64$' 1 -test.benchtime=1000x)
+    grep -q '^BenchmarkHash64/8B-[0-9]* *ns/op ' <<<"$out" \
+        || { echo "abtest: no median row for BenchmarkHash64: $out" >&2; exit 1; }
+    echo "abtest smoke OK"
+else
+    echo "abtest smoke skipped: not a git checkout"
+fi
 
 # inkbench smoke: the paper-figure reproducer's flag wiring and its EXPLAIN
 # ANALYZE mode have no test of their own, so run the built binary once per

@@ -177,8 +177,8 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # key build and the single-column agglookupfixed statement) and of packed
 # keys (AggTable.FindOrCreateSeed, under AggTable.FindOrCreateBatch or called
 # by the fused key build), a new group's creation (AggTable.insert), the
-# rehash of a worker's table as it grows past its capped Reserve
-# (AggTable.growTo: q13's orders build, aggregated ahead of its join since
+# rehash of a worker's table each time it doubles from its initial 64 slots
+# (AggTable.grow: q13's orders build, aggregated ahead of its join since
 # DESIGN.md §21, reaches ≈ 50 k groups per worker at SF 0.5) and the
 # finalize merge of the workers' tables (AggTableState.MergeInto) —
 # scan_agg_sf1's aggregation path. The join
@@ -189,7 +189,7 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # gathers.
 echo
 echo "CPU share of tracked symbols, join and aggregation path (cum):"
-tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|lookupWords|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed|FindOrCreateWord|insert|growTo)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
+tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|lookupWords|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed|FindOrCreateWord|insert|grow)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
 echo
 echo "top 25 symbols (flat):"
