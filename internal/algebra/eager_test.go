@@ -39,9 +39,11 @@ func eagerJoin(p *storage.Table, build algebra.Node, mode ir.JoinMode, cols ...s
 	return j
 }
 
-// split returns the pre-aggregating GroupBy under the join g reads after
-// EagerAggregate rewrote it, or nil when the rewrite left root alone.
-func split(t *testing.T, root algebra.Node) (upper, pre *algebra.GroupBy) {
+// split returns what the rewrite put over the join g read — the GroupBy that
+// sums the counts, or the Map that names them under a projection — and the
+// pre-aggregating GroupBy under that join; nils when the rewrite left root
+// alone.
+func split(t *testing.T, root algebra.Node) (upper algebra.Node, pre *algebra.GroupBy) {
 	t.Helper()
 	got := algebra.EagerAggregate(root)
 	if got == root {
@@ -51,20 +53,60 @@ func split(t *testing.T, root algebra.Node) (upper, pre *algebra.GroupBy) {
 		t.Fatalf("rewritten tree: %v", err)
 	}
 	for n := got; ; {
+		var in algebra.Node
 		switch x := n.(type) {
 		case *algebra.Project:
 			n = x.In
+			continue
+		case *algebra.Map:
+			in = x.In
 		case *algebra.GroupBy:
-			if j, ok := x.In.(*algebra.HashJoin); ok {
-				if pre, ok := j.Build.(*algebra.GroupBy); ok {
-					return x, pre
-				}
-			}
-			n = x.In
+			in = x.In
 		default:
 			t.Fatalf("rewritten tree has no pre-aggregated join: %T", n)
 		}
+		if j, ok := in.(*algebra.HashJoin); ok {
+			if pre, ok := j.Build.(*algebra.GroupBy); ok {
+				return n, pre
+			}
+		}
+		n = in
 	}
+}
+
+// projected reports whether upper names the counts under a projection, and
+// checks that it names each of aggs once.
+func projected(t *testing.T, upper algebra.Node, aggs ...string) bool {
+	t.Helper()
+	m, ok := upper.(*algebra.Map)
+	if !ok {
+		return false
+	}
+	var names []string
+	for _, ne := range m.Exprs {
+		if c, ok := ne.E.(algebra.ColRef); !ok || c.Name != "__eager_count" {
+			t.Fatalf("projection computes %s := %v, want the count", ne.As, ne.E)
+		}
+		names = append(names, ne.As)
+	}
+	if !slices.Equal(names, aggs) {
+		t.Fatalf("projection names %v, want %v", names, aggs)
+	}
+	return true
+}
+
+// summed reports whether upper sums the counts per group.
+func summed(upper algebra.Node) bool {
+	g, ok := upper.(*algebra.GroupBy)
+	if !ok {
+		return false
+	}
+	for _, a := range g.Aggs {
+		if a.Fn != algebra.AggSum {
+			return false
+		}
+	}
+	return true
 }
 
 func aggFns(aggs []algebra.AggSpec) []algebra.AggFn {
@@ -79,8 +121,9 @@ func sameFns(got []algebra.AggFn, want ...algebra.AggFn) bool { return slices.Eq
 
 // TestEagerAggregateQ13: q13's inner GroupBy counts matched orders per
 // customer over a left outer join; the rewrite counts orders per o_custkey
-// below the join and sums the counts above it, and leaves the bound tree as
-// the binder built it.
+// below the join, and since c_custkey is strictly ascending in customer (each
+// group holds one join row) names that count c_count instead of summing it.
+// The bound tree stays as the binder built it.
 func TestEagerAggregateQ13(t *testing.T) {
 	cat := tpch.Generate(0.001, 42)
 	ordered, err := tpch.Build(cat, "q13")
@@ -99,8 +142,8 @@ func TestEagerAggregateQ13(t *testing.T) {
 	if len(pre.Keys) != 1 || pre.Keys[0] != "o_custkey" || !sameFns(aggFns(pre.Aggs), algebra.AggCount) {
 		t.Fatalf("pre-aggregation %v %v, want count(*) by o_custkey", pre.Keys, pre.Aggs)
 	}
-	if len(upper.Keys) != 1 || upper.Keys[0] != "c_custkey" || !sameFns(aggFns(upper.Aggs), algebra.AggSum) {
-		t.Fatalf("upper aggregation %v %v, want sum by c_custkey", upper.Keys, upper.Aggs)
+	if !projected(t, upper, "c_count") {
+		t.Fatalf("upper node %T, want the count named c_count under a projection", upper)
 	}
 	if after, _ := algebra.Fingerprint(root); after != before {
 		t.Fatal("the rewrite modified the bound tree")
@@ -108,34 +151,80 @@ func TestEagerAggregateQ13(t *testing.T) {
 }
 
 // TestEagerAggregateFires: a left outer join's counted matches split into a
-// count per build key that the upper GroupBy sums, with or without a second
-// probe-side group key; two counts of the matches read one partial. A build
-// side grouped by more than its key still holds a key more than once.
+// count per build key. Where a group key is marked strictly ascending in the
+// probe table (storage.Catalog.Add), every group holds one join row and the
+// count is named under a projection; elsewhere the upper GroupBy sums the
+// counts: a probe table never added to a catalog, a key that repeats once, a
+// key a Map defines, a probe side that is itself a join. Two counts of the
+// matches read one partial. A build side grouped by more than its key still
+// holds a key more than once.
 func TestEagerAggregateFires(t *testing.T) {
 	p, b := eagerTables()
+	marked, _ := eagerTables()
+	repeats, _ := eagerTables()
+	repeats.Col("p_k").I64[2] = 1 // 0 1 1 3: ascending, not strictly
+	cat := storage.NewCatalog()
+	cat.Add(marked)
+	cat.Add(repeats)
 	outer := eagerJoin(p, algebra.NewScan(b), ir.LeftOuterJoin, "b_v")
 	grouped := eagerJoin(p, algebra.NewGroupBy(algebra.NewScan(b), []string{"b_k", "b_v"}, algebra.Count("n")),
 		ir.LeftOuterJoin, "b_v")
-	cases := map[string]algebra.Node{
-		"probe key":                algebra.NewGroupBy(outer, []string{"p_k"}, algebra.CountIf("m", "hits")),
-		"probe key and another":    algebra.NewGroupBy(outer, []string{"p_g", "p_k"}, algebra.CountIf("m", "hits")),
-		"uncollated string key":    algebra.NewGroupBy(outer, []string{"p_k", "p_s"}, algebra.CountIf("m", "hits")),
-		"build grouped beyond key": algebra.NewGroupBy(grouped, []string{"p_k"}, algebra.CountIf("m", "hits")),
+	unique := eagerJoin(marked, algebra.NewScan(b), ir.LeftOuterJoin, "b_v")
+	// Through a filter and a projection, p_k is still the scanned column.
+	uniqueFiltered := eagerJoin(marked, algebra.NewScan(b), ir.LeftOuterJoin, "b_v")
+	uniqueFiltered.Probe = algebra.NewProject(algebra.NewFilter(algebra.NewScan(marked),
+		algebra.Gt(algebra.Col("p_g"), algebra.I64(0))), "p_k", "p_g")
+	repeated := eagerJoin(repeats, algebra.NewScan(b), ir.LeftOuterJoin, "b_v")
+	// p_k is defined by a Map over a scan that does not read the marked p_k.
+	redefined := eagerJoin(marked, algebra.NewScan(b), ir.LeftOuterJoin, "b_v")
+	redefined.Probe = algebra.NewMap(algebra.NewScan(marked, "p_g", "p_s"),
+		algebra.NamedExpr{As: "p_k", E: algebra.Col("p_g")})
+	// The marked table probes an inner join first: its rows repeat per match.
+	joined := eagerJoin(marked, algebra.NewScan(b), ir.LeftOuterJoin, "b_v")
+	joined.Probe = &algebra.HashJoin{
+		Build: algebra.NewProject(algebra.NewScan(b), "b_k"), Probe: algebra.NewScan(marked),
+		BuildKeys: []string{"b_k"}, ProbeKeys: []string{"p_g"}, Mode: ir.InnerJoin,
 	}
-	for name, root := range cases {
-		upper, pre := split(t, root)
+	cases := map[string]struct {
+		root    algebra.Node
+		project []string // the aggregates a projection names; nil: summed
+	}{
+		"probe key":                {algebra.NewGroupBy(outer, []string{"p_k"}, algebra.CountIf("m", "hits")), nil},
+		"probe key and another":    {algebra.NewGroupBy(outer, []string{"p_g", "p_k"}, algebra.CountIf("m", "hits")), nil},
+		"uncollated string key":    {algebra.NewGroupBy(outer, []string{"p_k", "p_s"}, algebra.CountIf("m", "hits")), nil},
+		"build grouped beyond key": {algebra.NewGroupBy(grouped, []string{"p_k"}, algebra.CountIf("m", "hits")), nil},
+		"unique probe key": {algebra.NewGroupBy(unique, []string{"p_k"}, algebra.CountIf("m", "hits")),
+			[]string{"hits"}},
+		"unique probe key and another": {algebra.NewGroupBy(unique, []string{"p_g", "p_k"}, algebra.CountIf("m", "hits")),
+			[]string{"hits"}},
+		"unique key, two counts": {algebra.NewGroupBy(unique, []string{"p_k"},
+			algebra.CountIf("m", "hits"), algebra.CountIf("m", "again")), []string{"hits", "again"}},
+		"unique key under filter and projection": {algebra.NewGroupBy(uniqueFiltered, []string{"p_k"},
+			algebra.CountIf("m", "hits")), []string{"hits"}},
+		"count named like a probe column": {algebra.NewGroupBy(unique, []string{"p_k"}, algebra.CountIf("m", "p_g")), nil},
+		"ascending key that repeats":      {algebra.NewGroupBy(repeated, []string{"p_k"}, algebra.CountIf("m", "hits")), nil},
+		"key a map defines":               {algebra.NewGroupBy(redefined, []string{"p_k"}, algebra.CountIf("m", "hits")), nil},
+		"probe side a join":               {algebra.NewGroupBy(joined, []string{"p_k"}, algebra.CountIf("m", "hits")), nil},
+	}
+	for name, c := range cases {
+		upper, pre := split(t, c.root)
 		if upper == nil {
 			t.Errorf("%s: not rewritten", name)
 			continue
 		}
-		if !slices.Equal(pre.Keys, []string{"b_k"}) || !sameFns(aggFns(pre.Aggs), algebra.AggCount) ||
-			!sameFns(aggFns(upper.Aggs), algebra.AggSum) {
-			t.Errorf("%s: partials %v %v, combined %v", name, pre.Keys, pre.Aggs, upper.Aggs)
+		if !slices.Equal(pre.Keys, []string{"b_k"}) || !sameFns(aggFns(pre.Aggs), algebra.AggCount) {
+			t.Errorf("%s: partials %v %v", name, pre.Keys, pre.Aggs)
+		}
+		if c.project != nil && !projected(t, upper, c.project...) {
+			t.Errorf("%s: %T over the join, want the counts named under a projection", name, upper)
+		}
+		if c.project == nil && !summed(upper) {
+			t.Errorf("%s: %T over the join, want a GroupBy summing the counts", name, upper)
 		}
 	}
 	upper, pre := split(t, algebra.NewGroupBy(outer, []string{"p_k"},
 		algebra.CountIf("m", "hits"), algebra.CountIf("m", "again")))
-	if upper == nil || len(pre.Aggs) != 1 || upper.Aggs[0].Col != upper.Aggs[1].Col {
+	if upper == nil || len(pre.Aggs) != 1 || upper.(*algebra.GroupBy).Aggs[0].Col != upper.(*algebra.GroupBy).Aggs[1].Col {
 		t.Fatal("two counts of the matches do not share one partial")
 	}
 }

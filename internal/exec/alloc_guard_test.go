@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"inkfuse/internal/algebra"
 	"inkfuse/internal/exec"
@@ -190,14 +191,16 @@ var coldBudget = map[string]struct{ bytes, objects uint64 }{
 
 // TestColdExecutionAllocBudget: the miss path of the eight TPC-H SQL shapes
 // at SF 0.01 — lower the bound statement, execute it on the hybrid backend
-// with the default compile latency (at this size no artifact lands before the
+// with a compile latency no query outlasts (no artifact lands before the
 // query ends: it runs on the interpreter, as most never-seen queries of the
-// benchmark do), drop the state. A never-seen query pays for
-// every byte it allocates twice, once to clear it and once to collect it, so
-// the budget pins both bytes and objects.
+// benchmark do, and a compile landing mid-query cannot add the fused
+// programs' frames to one run and not another), drop the state. A never-seen
+// query pays for every byte it allocates twice, once to clear it and once to
+// collect it, so the budget pins both bytes and objects.
 func TestColdExecutionAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cat := tpch.Generate(0.01, 42)
+	never := exec.LatencyModel{Base: time.Hour}
 	names := make([]string, 0, len(tpch.SQL))
 	for name := range tpch.SQL {
 		names = append(names, name)
@@ -219,7 +222,7 @@ func TestColdExecutionAllocBudget(t *testing.T) {
 			if err := stmt.BindArgs(prep.Params(), nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := exec.Execute(prep.Plan(), exec.Options{Backend: exec.BackendHybrid, Artifacts: prep.Artifacts()}); err != nil {
+			if _, err := exec.Execute(prep.Plan(), exec.Options{Backend: exec.BackendHybrid, Latency: &never, Artifacts: prep.Artifacts()}); err != nil {
 				t.Fatal(err)
 			}
 			prep.Artifacts().DropState()
@@ -233,6 +236,7 @@ func TestColdExecutionAllocBudget(t *testing.T) {
 		}
 		cold() // the first run of a shape also builds process-wide one-offs (interned labels, metric children)
 		bytes, objects := cold()
+		t.Logf("%s: %d bytes, %d objects", name, bytes, objects)
 		budget, ok := coldBudget[name]
 		if !ok {
 			t.Errorf("%s: no cold budget recorded (measured %d bytes, %d objects)", name, bytes, objects)

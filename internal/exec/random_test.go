@@ -34,7 +34,9 @@ import (
 // and on eager aggregation (§21): GroupBys keyed by a left outer join's probe
 // keys that count its matches, so lowering counts the build rows per key
 // before the join, over every build shape above, while the oracle runs the
-// join first.
+// join first; and, over a probe table whose key is strictly ascending, names
+// the counts without a second aggregation — next to probe tables whose
+// ascending key repeats once, which must keep it.
 func TestRandomPlansDifferential(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -45,8 +47,9 @@ func TestRandomPlansDifferential(t *testing.T) {
 	// probe path's shapes and not just whatever the seeds happen to draw.
 	seen := map[string]bool{}
 	// A GroupBy directly over a left outer join is rare among randomPlan's
-	// draws, so eager aggregation's shapes get seeds of their own.
-	eagerIters := iters / 3
+	// draws, so eager aggregation's shapes get seeds of their own; the last
+	// third of them probe with an ascending key.
+	eagerIters, ascendingFrom := iters/2, iters/3
 	for i := 0; i < iters+eagerIters; i++ {
 		seed, name, eager := i, fmt.Sprintf("seed%d", i), i >= iters
 		if eager {
@@ -58,7 +61,7 @@ func TestRandomPlansDifferential(t *testing.T) {
 			var node algebra.Node
 			collated := false
 			if eager {
-				node = randomEagerPlan(r)
+				node = randomEagerPlan(r, seed >= ascendingFrom)
 			} else {
 				node, collated = randomPlan(r)
 			}
@@ -73,14 +76,16 @@ func TestRandomPlansDifferential(t *testing.T) {
 					t.Fatalf("lower: %v", err)
 				}
 				// eager: a join table was filled from aggregated groups; a
-				// build pipeline precedes its probes.
+				// build pipeline precedes its probes. A last pipeline that
+				// probes it and aggregates nothing names the counts.
 				eager := false
-				for _, pipe := range plan.Pipelines {
-					probes := 0
+				for pi, pipe := range plan.Pipelines {
+					probes, aggregates := 0, false
 					_, fromGroups := pipe.Source.(*core.AggRead)
 					for _, op := range pipe.Ops {
 						seen[op.PrimitiveID()] = true
 						eager = eager || fromGroups && op.PrimitiveID() == "joininsert"
+						aggregates = aggregates || strings.HasPrefix(op.PrimitiveID(), "agglookup")
 						if strings.HasPrefix(op.PrimitiveID(), "joinprobe_") {
 							probes++
 							if eager {
@@ -89,6 +94,9 @@ func TestRandomPlansDifferential(t *testing.T) {
 						}
 					}
 					seen[fmt.Sprintf("%d probes", probes)] = true
+					if eager && probes > 0 && !aggregates && pi == len(plan.Pipelines)-1 {
+						seen["eager projection"] = true
+					}
 				}
 				if err := core.VerifyPlan(plan); err != nil {
 					t.Fatalf("verify: %v", err)
@@ -122,7 +130,7 @@ func TestRandomPlansDifferential(t *testing.T) {
 		"probecopy_bool", "probecopy_date", "probecopy_f64", "probecopy_i64", "probecopy_str",
 		"pack_key_i64", "pack_key_date", "packstr_key", "unpack_payload_i64", "unpackstr_payload",
 		"codematch", "decode", "agglookupfixed_i32", "pack_key_i32", "pack_payload_i32",
-		"eager joinprobe_leftouter",
+		"eager joinprobe_leftouter", "eager projection",
 	} {
 		if !seen[want] {
 			t.Errorf("no generated plan contains %q: the corpus lost a shape", want)
@@ -468,15 +476,36 @@ func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 }
 
 // randomEagerPlan is eagerGroupBy over a left outer join of a random probe
-// table with any of randomJoin's build shapes.
-func randomEagerPlan(r *rand.Rand) algebra.Node {
+// table with any of randomJoin's build shapes. With ascending, the probe
+// table's t_k runs up from below the build keys' range, strictly or with one
+// row repeated whole (so its group keys repeat too, whichever they are), the
+// table enters a catalog (which marks a strictly ascending t_k), and t_k is a
+// group key.
+func randomEagerPlan(r *rand.Rand, ascending bool) algebra.Node {
 	probe := randomTable(r, "t", 200+r.Intn(2000))
-	codeRandomly(r, probe)
+	if ascending {
+		for i := range probe.Col("t_k").I64 {
+			probe.Col("t_k").I64[i] = int64(i - 20)
+		}
+		if r.Intn(3) == 0 {
+			i := 1 + r.Intn(probe.Rows()-1)
+			for c := range probe.Cols {
+				probe.Cols[c].SetValue(i, probe.Cols[c].Value(i-1))
+			}
+		}
+		storage.NewCatalog().Add(probe)
+	} else {
+		codeRandomly(r, probe)
+	}
 	for {
 		node, joined := randomJoin(r, algebra.NewScan(probe, "t_k", "t_j", "t_f", "t_g", "t_s", "t_c", "t_d", "t_e"),
 			"d", "t", ir.LeftOuterJoin)
 		if j, ok := node.(*algebra.HashJoin); ok {
-			return eagerGroupBy(r, j, joined)
+			g := eagerGroupBy(r, j, joined)
+			if ascending && !slices.Contains(g.Keys, "t_k") {
+				g.Keys = append(g.Keys, "t_k")
+			}
+			return g
 		}
 	}
 }

@@ -15,7 +15,10 @@ type Table struct {
 	// Dicts is parallel to Cols: the dictionary of each dictionary-coded
 	// string column, nil for every other column (EncodeDicts).
 	Dicts []*Dict
-	rows  int
+	// asc is parallel to Cols: whether each integer column's values are
+	// strictly ascending, so unique (markAscending).
+	asc  []bool
+	rows int
 }
 
 // NewTable creates an empty table with the given schema.
@@ -31,13 +34,42 @@ func NewTable(name string, schema types.Schema) *Table {
 func (t *Table) Rows() int { return t.rows }
 
 // SetRows resizes all columns; the generator fills them in place. It drops
-// the table's dictionaries, which describe the rows they were taken from.
+// the table's dictionaries and ascending marks, which describe the rows they
+// were taken from.
 func (t *Table) SetRows(n int) {
 	for _, c := range t.Cols {
 		c.Resize(n)
 	}
 	t.rows = n
-	t.Dicts = nil
+	t.Dicts, t.asc = nil, nil
+}
+
+// Ascending reports whether column i was marked strictly ascending when the
+// table entered a catalog: its values are then unique in the table.
+func (t *Table) Ascending(i int) bool { return i < len(t.asc) && t.asc[i] }
+
+// markAscending marks every Int32 and Int64 column whose values are strictly
+// ascending. Like the dictionaries, the marks are a fact of the loaded data,
+// taken once, not an option; most columns fail on their first rows.
+func (t *Table) markAscending() {
+	t.asc = make([]bool, len(t.Cols))
+	for i, c := range t.Cols {
+		switch c.Kind {
+		case types.Int32:
+			t.asc[i] = strictlyAscending(c.I32[:t.rows])
+		case types.Int64:
+			t.asc[i] = strictlyAscending(c.I64[:t.rows])
+		}
+	}
+}
+
+func strictlyAscending[T int32 | int64](vals []T) bool {
+	for i := 1; i < len(vals); i++ {
+		if vals[i] <= vals[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Col returns the column vector with the given name.
@@ -72,11 +104,13 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// Add registers a table, replaces an existing table with the same name, and
-// codes the table's low-cardinality string columns (EncodeDicts): a table is
-// added once it is loaded.
+// Add registers a table, replaces an existing table with the same name, codes
+// the table's low-cardinality string columns (EncodeDicts) and marks its
+// strictly ascending integer columns (markAscending): a table is added once
+// it is loaded.
 func (c *Catalog) Add(t *Table) {
 	t.EncodeDicts()
+	t.markAscending()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tables[t.Name] = t

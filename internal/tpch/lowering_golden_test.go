@@ -112,9 +112,8 @@ var loweringGoldens = []loweringGolden{
 	{"q6", "p1", "unpack_payload_f64", 7, "201e21fad7d6c97a58187c8b21a2e136423f21fc3b97ccd4bfba978ef8a05940"},
 	{"q13", "p0", "decode notlike (scope) filtercopy_i32 agglookupfixed_i32 aggupdate_count", 15, "82141993b1aea5429ee8e4bb71df5909820ad0c231af697c5c262dfbe88f6878"},
 	{"q13", "p1", "unpack_key_i32 unpack_payload_i64 makerow pack_key_i32 sealkey pack_payload_i64 joininsert", 16, "a8abe4ae6fce28b78268ba9775a46a1552ed5d346c4d8024d89ff64f6214954e"},
-	{"q13", "p2", "makerow pack_key_i32 sealkey joinprobe_leftouter probecopy_i32 unpack_payload_i64 agglookupfixed_i32 aggupdate_sum_i64", 18, "99848422f8f544843a2e6fb2a79e4d45f14a7f98f9f60f85280f88f693b8adb8"},
-	{"q13", "p3", "unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 9, "1fdee24f34b2ed55d66389fc0a68c8e4e6255b87c792ede7d539ce9a1a0eb7f1"},
-	{"q13", "p4", "unpack_key_i64 unpack_payload_i64", 11, "989461af2a9ffcac7612e02c84c2092d5251ca8381c92ad8a6df1ffbcef8f9e7"},
+	{"q13", "p2", "makerow pack_key_i32 sealkey joinprobe_leftouter unpack_payload_i64 agglookupfixed_i64 aggupdate_count", 16, "db6d7fea0fecb11335696f51d7c32f2c857a430567348f34ef554a66d5757837"},
+	{"q13", "p3", "unpack_key_i64 unpack_payload_i64", 11, "a35bc78f0f989d1da4c58c36de729708117338bc89f93d232574a85795b3f301"},
 	{"q14", "p0", "makerow pack_key_i32 sealkey pack_payload_i32 joininsert", 11, "d01c49631d49f20197851f1b340d8c54e41adef66d14b703044eb9eb87a3fd1e"},
 	{"q14", "p1", "cmp_ge_date_ck cmp_lt_date_ck logic_and (scope) filtercopy_i32 filtercopy_f64 filtercopy_f64 makerow pack_key_i32 sealkey joinprobe_inner probecopy_f64 probecopy_f64 unpack_payload_i32 expr_sub_f64_kc expr_mul_f64_cc codematch case_f64_ck makerow sealkey agglookup aggupdate_sum_f64 aggupdate_sum_f64", 59, "cb377589bd13a91dca2aae6e48ccfbaa176ce9231763458a8a73fdd33c0a0ad3"},
 	{"q14", "p2", "unpack_payload_f64 unpack_payload_f64 expr_mul_f64_kc expr_div_f64_cc", 18, "a9d3374a5ee1e082c2c350c64dd5ef9585f8fb3e3cba4c2e37da845e8f1cd1b7"},

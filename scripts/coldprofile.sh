@@ -179,9 +179,10 @@ tracked 'interp\\.\\(\\*Run\\)\\.RunChunk$|vm\\.\\(\\*Program\\)\\.Run$|storage\
 # by the fused key build), a new group's creation (AggTable.insert), the
 # rehash of a worker's table each time it doubles from its initial 64 slots
 # (AggTable.grow: q13's orders build, aggregated ahead of its join since
-# DESIGN.md §21, reaches ≈ 50 k groups per worker at SF 0.5) and the
-# finalize merge of the workers' tables (AggTableState.MergeInto) —
-# scan_agg_sf1's aggregation path. The join
+# DESIGN.md §21, reaches ≈ 50 k groups per worker at SF 0.5; it is q13's
+# one high-cardinality aggregation, since the per-customer counts above the
+# join are projected, not regrouped) and the finalize merge of the workers'
+# tables (AggTableState.MergeInto) — scan_agg_sf1's aggregation path. The join
 # table: a worker's insert (joinShard's insert and nextBlock, under
 # JoinTable.InsertBatch) and the seal (SealTask → joinShard.seal per shard,
 # its per-block loops entryBlock.count / scatter / tag). The probe itself: the bloom pass, the bucket scan (collect →
