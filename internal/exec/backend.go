@@ -184,10 +184,11 @@ var (
 
 // compileStep is the one compile sequence of every backend: it runs the
 // compilation stack over a step's suboperators, verifies the generated IR,
-// closure-compiles it and waits out the simulated machine-code latency. The
-// wait is one timer wake-up (repeated short sleeps starve under a busy
+// waits out the simulated machine-code latency and closure-compiles the IR.
+// The wait is one timer wake-up (repeated short sleeps starve under a busy
 // single-P scheduler) and interruptible: a canceled or expired context aborts
-// it with the typed cancellation error.
+// it with the typed cancellation error, so a job that can never land (its
+// query ended during the wait) never closure-compiles.
 func compileStep(ctx context.Context, name string, st step, lat LatencyModel, faults compileFaults) (*fusedStep, error) {
 	if err := faultinject.Inject(faults.fail); err != nil {
 		return nil, fmt.Errorf("compile %s: %w", name, err)
@@ -199,10 +200,6 @@ func compileStep(ctx context.Context, name string, st step, lat LatencyModel, fa
 	if err := ir.Verify(fn); err != nil {
 		return nil, err
 	}
-	prog, err := vm.Compile(fn)
-	if err != nil {
-		return nil, err
-	}
 	if d := lat.Delay(fn) + faultinject.Delay(faults.delay); d > 0 {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
@@ -211,6 +208,10 @@ func compileStep(ctx context.Context, name string, st step, lat LatencyModel, fa
 		case <-ctx.Done():
 			return nil, ctxCause(ctx.Err())
 		}
+	}
+	prog, err := vm.Compile(fn)
+	if err != nil {
+		return nil, err
 	}
 	return &fusedStep{prog: prog, states: states, size: ir.Size(fn)}, nil
 }

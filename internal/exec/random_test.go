@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -36,7 +37,10 @@ import (
 // before the join, over every build shape above, while the oracle runs the
 // join first; and, over a probe table whose key is strictly ascending, names
 // the counts without a second aggregation — next to probe tables whose
-// ascending key repeats once, which must keep it.
+// ascending key repeats once, which must keep it — and on small GROUP BYs
+// (§17): at most 16 groups or 17 to 40, keyed by one or two dates, under a
+// filter keeping about 15 rows in 16, with float sums that come out
+// differently in any other order, compared bit for bit on one worker.
 func TestRandomPlansDifferential(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -50,26 +54,36 @@ func TestRandomPlansDifferential(t *testing.T) {
 	// draws, so eager aggregation's shapes get seeds of their own; the last
 	// third of them probe with an ascending key.
 	eagerIters, ascendingFrom := iters/2, iters/3
-	for i := 0; i < iters+eagerIters; i++ {
-		seed, name, eager := i, fmt.Sprintf("seed%d", i), i >= iters
-		if eager {
+	// Small GROUP BYs get seeds of their own too, the odd ones over 17 to 40
+	// groups.
+	smallIters := iters / 4
+	for i := 0; i < iters+eagerIters+smallIters; i++ {
+		seed, name, eager, small := i, fmt.Sprintf("seed%d", i), i >= iters && i < iters+eagerIters, i >= iters+eagerIters
+		switch {
+		case eager:
 			seed = i - iters
 			name = fmt.Sprintf("eager%d", seed)
+		case small:
+			seed = i - iters - eagerIters
+			name = fmt.Sprintf("small%d", seed)
 		}
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
 			var node algebra.Node
 			collated := false
-			if eager {
+			switch {
+			case eager:
 				node = randomEagerPlan(r, seed >= ascendingFrom)
-			} else {
+			case small:
+				node = randomSmallGroupBy(r, seed%2 == 1)
+			default:
 				node, collated = randomPlan(r)
 			}
 			want, err := volcano.Run(node)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
-			wantRows := comparableRows(want, collated)
+			wantRows := comparableRows(want, collated, small)
 			for _, backend := range allBackends() {
 				plan, err := algebra.Lower(node, "random")
 				if err != nil {
@@ -102,15 +116,35 @@ func TestRandomPlansDifferential(t *testing.T) {
 					t.Fatalf("verify: %v", err)
 				}
 				lat := LatencyNone
-				res, err := Execute(plan, Options{
+				opts := Options{
 					Backend: backend, Workers: 1 + r.Intn(3),
 					ChunkSize: 1 << (3 + r.Intn(6)), MorselSize: 1 << (6 + r.Intn(6)),
-					Latency: &lat,
-				})
+					Latency: &lat, Trace: small,
+				}
+				if small {
+					// One worker folds every group's rows in row order, as
+					// the oracle does: the sums agree bit for bit.
+					opts.Workers = 1
+				}
+				res, err := Execute(plan, opts)
 				if err != nil {
 					t.Fatalf("%v: %v", backend, err)
 				}
-				gotRows := comparableRows(res.Chunk, collated)
+				if small {
+					groups := "at most 16"
+					if seed%2 == 1 {
+						groups = "17 to 40"
+					}
+					for _, pt := range res.Trace.Pipelines {
+						if strings.Contains(pt.Fused, "grouped update run") {
+							seen["group memo and grouped updates over "+groups+" groups"] = true
+						}
+						if strings.Contains(pt.Fused, "run-copy filter") {
+							seen["run copies"] = true
+						}
+					}
+				}
+				gotRows := comparableRows(res.Chunk, collated, small)
 				if len(gotRows) != len(wantRows) {
 					t.Fatalf("%v: %d rows vs oracle %d", backend, len(gotRows), len(wantRows))
 				}
@@ -131,6 +165,8 @@ func TestRandomPlansDifferential(t *testing.T) {
 		"pack_key_i64", "pack_key_date", "packstr_key", "unpack_payload_i64", "unpackstr_payload",
 		"codematch", "decode", "agglookupfixed_i32", "pack_key_i32", "pack_payload_i32",
 		"eager joinprobe_leftouter", "eager projection",
+		"group memo and grouped updates over at most 16 groups",
+		"group memo and grouped updates over 17 to 40 groups", "run copies",
 	} {
 		if !seen[want] {
 			t.Errorf("no generated plan contains %q: the corpus lost a shape", want)
@@ -138,10 +174,15 @@ func TestRandomPlansDifferential(t *testing.T) {
 	}
 }
 
-// comparableRows renders a result as sorted row strings. A collated key shows
-// whichever original of its group a worker met first, so with collated set the
-// string columns are compared by their lowercase representative.
-func comparableRows(c *storage.Chunk, collated bool) []string {
+// comparableRows renders a result as sorted row strings, floats to six
+// digits or, with exact, to every bit. A collated key shows whichever
+// original of its group a worker met first, so with collated set the string
+// columns are compared by their lowercase representative.
+func comparableRows(c *storage.Chunk, collated, exact bool) []string {
+	format := "%.6v"
+	if exact {
+		format = "%v"
+	}
 	out := make([]string, c.Rows())
 	for i := range out {
 		row := c.Row(i)
@@ -152,7 +193,7 @@ func comparableRows(c *storage.Chunk, collated bool) []string {
 				}
 			}
 		}
-		out[i] = fmt.Sprintf("%.6v", row)
+		out[i] = fmt.Sprintf(format, row)
 	}
 	sort.Strings(out)
 	return out
@@ -473,6 +514,41 @@ func randomPlan(r *rand.Rand) (algebra.Node, bool) {
 		return eagerGroupBy(r, j, last), false
 	}
 	return &algebra.GroupBy{In: node, Keys: keys, Aggs: aggs, NoCase: noCase}, len(noCase) > 0
+}
+
+// randomSmallGroupBy groups a random table by one or two of its dates, drawn
+// from so few values that there are at most 16 groups or, with many, 17 to
+// 40. A filter keeps about 15 rows in 16 and carries the columns above it;
+// the aggregates are sums and counts, sometimes with a max beside them, over
+// floats twelve decades apart.
+func randomSmallGroupBy(r *rand.Rand, many bool) algebra.Node {
+	tbl := randomTable(r, "t", 500+r.Intn(3000))
+	keys := [][]string{{"t_d", "t_e"}, {"t_e", "t_d"}, {"t_d"}}[r.Intn(3)]
+	a, b := 1+r.Intn(16), 1
+	switch {
+	case many && len(keys) == 1:
+		a = 17 + r.Intn(24)
+	case many:
+		a, b = 5+r.Intn(4), 4+r.Intn(2)
+	case len(keys) == 2:
+		a, b = 1+r.Intn(4), 1+r.Intn(4)
+	}
+	base := types.MkDate(1995, 1, 1)
+	for i := 0; i < tbl.Rows(); i++ {
+		tbl.Col("t_d").I32[i] = base + int32(r.Intn(a))
+		tbl.Col("t_e").I32[i] = base + int32(r.Intn(b))
+		tbl.Col("t_f").F64[i] = (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(12)))
+	}
+	var node algebra.Node = algebra.NewScan(tbl, "t_k", "t_j", "t_f", "t_g", "t_d", "t_e")
+	node = algebra.NewFilter(node, algebra.Lt(algebra.Col("t_j"), algebra.I64(47)))
+	node = algebra.NewMap(node, algebra.NamedExpr{As: "m1", E: algebra.Mul(algebra.Col("t_f"),
+		algebra.Sub(algebra.F64(1), algebra.Col("t_g")))})
+	aggs := []algebra.AggSpec{algebra.Sum("t_f", "sf"), algebra.Count("n"), algebra.Sum("m1", "sm"),
+		algebra.Sum("t_k", "sk"), algebra.Avg("t_g", "ag")}
+	if r.Intn(4) == 0 {
+		aggs = append(aggs, algebra.MaxOf("t_f", "hf"))
+	}
+	return algebra.NewGroupBy(node, keys, aggs...)
 }
 
 // randomEagerPlan is eagerGroupBy over a left outer join of a random probe

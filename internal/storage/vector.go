@@ -176,6 +176,41 @@ func (v *Vector) Gather(dst *Vector, sel []int32) {
 	}
 }
 
+// CopyRuns fills dst with the rows of v that runs lists as [lo, hi) pairs,
+// run after run: Gather for a selection of n rows that is a few long runs of
+// consecutive rows, one copy per run. dst must have v's kind; it is resized
+// to n.
+//
+//inkfuse:hotpath
+func (v *Vector) CopyRuns(dst *Vector, runs []int32, n int) {
+	if dst.Kind != v.Kind {
+		panic(fmt.Sprintf("storage: copy kind mismatch %v vs %v", dst.Kind, v.Kind))
+	}
+	dst.Resize(n)
+	switch v.Kind {
+	case types.Bool:
+		copyRuns(dst.B, v.B, runs)
+	case types.Int32, types.Date:
+		copyRuns(dst.I32, v.I32, runs)
+	case types.Int64:
+		copyRuns(dst.I64, v.I64, runs)
+	case types.Float64:
+		copyRuns(dst.F64, v.F64, runs)
+	case types.String:
+		copyRuns(dst.Str, v.Str, runs)
+	case types.Ptr:
+		copyRuns(dst.Ptr, v.Ptr, runs)
+	}
+}
+
+//inkfuse:hotpath
+func copyRuns[T any](dst, src []T, runs []int32) {
+	j := 0
+	for r := 0; r < len(runs); r += 2 {
+		j += copy(dst[j:], src[runs[r]:runs[r+1]])
+	}
+}
+
 // AppendFrom appends rows [lo, hi) of src to v. Kinds must match.
 //
 //inkfuse:hotpath

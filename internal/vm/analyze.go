@@ -164,6 +164,11 @@ type Rewrites struct {
 	Cascades  []int
 	KeyBuilds int // MakeRow…AggLookup runs compiled to one operation
 	KeyProbes int // MakeRow…ProbeStmt runs compiled to one operation
+	// GroupedUpdates counts runs of aggregate updates compiled to one
+	// grouped update (stmt.go), RunCopies filters whose copies may be made
+	// run by run (selector.go).
+	GroupedUpdates int
+	RunCopies      int
 }
 
 func (r Rewrites) String() string {
@@ -177,6 +182,12 @@ func (r Rewrites) String() string {
 	}
 	if r.KeyProbes > 0 {
 		fmt.Fprintf(&b, ", %d fused key probe(s)", r.KeyProbes)
+	}
+	if r.GroupedUpdates > 0 {
+		fmt.Fprintf(&b, ", %d grouped update run(s)", r.GroupedUpdates)
+	}
+	if r.RunCopies > 0 {
+		fmt.Fprintf(&b, ", %d run-copy filter(s)", r.RunCopies)
 	}
 	return b.String()
 }

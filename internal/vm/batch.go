@@ -25,12 +25,15 @@ type tableBatch struct {
 	// execution, and a never-written (all-zero) byte run.
 	cols  []keyCol
 	zeros []byte
+	// memo is lookupWords' group memo, with the ordinals of the last call
+	// (nil until a word-key lookup first runs here).
+	memo *groupMemo
 }
 
 func (tb *tableBatch) retainedBytes() int64 {
 	rows := cap(tb.keys) + cap(tb.seeds)
 	return int64(rows)*24 + int64(cap(tb.hashes)+cap(tb.words))*8 +
-		int64(cap(tb.keybuf)+cap(tb.zeros)) + int64(cap(tb.pend))*4
+		int64(cap(tb.keybuf)+cap(tb.zeros)) + int64(cap(tb.pend))*4 + tb.memo.retainedBytes()
 }
 
 func auxBatch(fr *frame, k int) *tableBatch {

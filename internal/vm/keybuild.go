@@ -119,6 +119,19 @@ func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLook
 	ds := c.bind(look.Dst)
 	aggID := look.StateID
 	ax := c.newAux()
+	// Only a key that fits a word resolves through the group memo
+	// (wordWidth).
+	width := 0
+	for _, f := range fields {
+		if f.kind == types.String {
+			width = 9
+			break
+		}
+		width += f.kind.Width()
+	}
+	if width > 0 && width <= 8 {
+		c.memoLookups[look.Dst.ID] = ax
+	}
 	*blk = append(*blk, func(fr *frame, n int) {
 		st := fr.state[aggID].(*rt.AggTableState)
 		layout := fr.state[layoutID].(*rt.RowLayoutState)
@@ -214,19 +227,140 @@ func wordWidth(cols []keyCol, layout *rt.RowLayoutState) int {
 }
 
 // lookupWords resolves every tuple's word key (wordWidth > 0) against tbl
-// into d, an aggBatchSeg segment at a time: the segment's words are
-// assembled and hashed in one pass, then looked up in a second, so the hash
-// arithmetic does not sit between one lookup's cache misses and the next's.
+// into d. While the table holds at most memoGroups groups as the call begins,
+// the keys resolve through the call's group memo (groupMemo.resolve) until
+// the call meets more groups than that. The rest is resolved an aggBatchSeg
+// segment at a time: the segment's words are assembled and hashed in one
+// pass, then looked up in a second, so the hash arithmetic does not sit
+// between one lookup's cache misses and the next's.
 func lookupWords(tbl *rt.AggTable, tb *tableBatch, cols []keyCol, width int, seed []byte, d [][]byte) {
 	seg := min(len(d), aggBatchSeg)
-	words, hashes := sizedU64(&tb.words, seg), sizedU64(&tb.hashes, seg)
-	for off := 0; off < len(d); off += aggBatchSeg {
+	words := sizedU64(&tb.words, seg)
+	if tb.memo == nil {
+		tb.memo = new(groupMemo)
+	}
+	m := tb.memo
+	m.valid = false
+	done := 0 // rows resolved through the memo
+	if len(tbl.Rows()) <= memoGroups {
+		m.reset(len(d))
+		for done < len(d) && m.valid {
+			dst := d[done:min(done+aggBatchSeg, len(d))]
+			wordKeys(words[:len(dst)], cols, done)
+			done += m.resolve(tbl, words[:len(dst)], width, seed, dst, m.ords[done:])
+		}
+	}
+	hashes := sizedU64(&tb.hashes, seg)
+	for off := done; off < len(d); off += aggBatchSeg {
 		dst := d[off:min(off+aggBatchSeg, len(d))]
 		hashWordKeys(words[:len(dst)], hashes[:len(dst)], cols, width, off)
 		for i := range dst {
 			dst[i] = tbl.FindOrCreateWord(words[i], width, hashes[i], seed)
 		}
 	}
+}
+
+// The group memo (DESIGN.md §10, §17). A GROUP BY over a handful of groups —
+// q1 has four per worker — spends most of a lookup on hashing a key whose
+// group the call met a few rows before. While the worker's table is small, a
+// call resolves its word keys through a direct-mapped memo of memoGroups
+// entries (word → group row), built fresh for the call; a miss hashes the
+// word and asks the table exactly as the path without the memo does, so the
+// table meets every key's first occurrence in row order and comes out byte
+// for byte the same. On the way the memo numbers the call's distinct group
+// rows: the ordinals a run of aggregate updates sorts the call's rows by
+// (groupedUpdates, stmt.go). A call that meets more than memoGroups groups
+// has no ordinals, and resolves its remaining rows without the memo.
+
+// memoGroups is the group memo's size, and the table size up to which it is
+// used.
+const memoGroups = 16
+
+// memoEntry is one word's group row and its ordinal in the call.
+type memoEntry struct {
+	w   uint64
+	row []byte // nil: empty
+	ord uint8
+}
+
+// groupMemo is one call site's memo and the ordinals of its last call.
+type groupMemo struct {
+	entries [memoGroups]memoEntry
+	// groups lists the call's distinct group rows, an ordinal's row at its
+	// index; ords holds every row's ordinal. valid reports that they
+	// describe the whole last call: the memo resolved it and met at most
+	// memoGroups groups.
+	groups [][]byte
+	ords   []uint8
+	valid  bool
+	// idx is groupedUpdates' scratch: the call's row indices sorted by
+	// ordinal.
+	idx []int32
+}
+
+// memoSlot is a word's memo entry: the top bits of a multiplicative hash, far
+// cheaper than HashWord and spreading small codes apart.
+//
+//inkfuse:hotpath
+func memoSlot(w uint64) int { return int((w * 0x9e3779b97f4a7c15) >> 60) }
+
+func (m *groupMemo) retainedBytes() int64 {
+	if m == nil {
+		return 0
+	}
+	return int64(len(m.entries))*40 + int64(cap(m.groups))*24 + int64(cap(m.ords)) + int64(cap(m.idx))*4
+}
+
+// reset readies the memo for a call of n rows.
+func (m *groupMemo) reset(n int) {
+	clear(m.entries[:])
+	m.groups = m.groups[:0]
+	if cap(m.ords) < n {
+		m.ords = make([]uint8, n)
+	}
+	m.ords = m.ords[:n]
+	m.valid = true
+}
+
+// resolve looks up the word keys words into d and their ordinals into ords.
+// It returns how many it resolved: all of them, or up to the one that
+// invalidated the call's ordinals.
+//
+//inkfuse:hotpath
+func (m *groupMemo) resolve(tbl *rt.AggTable, words []uint64, width int, seed []byte, d [][]byte, ords []uint8) int {
+	for i, w := range words {
+		e := &m.entries[memoSlot(w)]
+		if e.row == nil || e.w != w {
+			row := tbl.FindOrCreateWord(w, width, rt.HashWord(w, width), seed)
+			*e = memoEntry{w: w, row: row, ord: m.ordinal(row)}
+			if !m.valid {
+				d[i] = row
+				return i + 1
+			}
+		}
+		d[i], ords[i] = e.row, e.ord
+	}
+	return len(words)
+}
+
+// ordinal returns the call's ordinal of a group row, numbering a row the call
+// has not met yet; a word evicted from its entry and met again finds its
+// row's first ordinal here. A group past memoGroups invalidates the call's
+// ordinals.
+//
+//inkfuse:hotpath
+func (m *groupMemo) ordinal(row []byte) uint8 {
+	for o, g := range m.groups {
+		if &g[0] == &row[0] {
+			return uint8(o)
+		}
+	}
+	if len(m.groups) == memoGroups {
+		m.valid = false
+		return 0
+	}
+	m.groups = append(m.groups, row) //inklint:allow alloc — at most memoGroups rows, into capacity kept across calls
+	return uint8(len(m.groups) - 1)
 }
 
 // keyWord assembles row i's key blob — fixed-width columns, at most 8 bytes
@@ -253,31 +387,60 @@ func keyWord(cols []keyCol, i int) uint64 {
 	return w
 }
 
+// wordKeys assembles the word keys of the tuples from, from+1, … into words.
+// The one-integer-column key — most joins' and GROUP BYs' — and the key of
+// two 4-byte columns — q1's two codes — get loops of their own: keyWord's
+// walk over the columns costs as much per tuple as the hash.
+//
+//inkfuse:hotpath
+func wordKeys(words []uint64, cols []keyCol, from int) {
+	switch {
+	case len(cols) == 1 && cols[0].kind == types.Int64:
+		for i, v := range cols[0].i64[from : from+len(words)] {
+			words[i] = uint64(v)
+		}
+	case len(cols) == 1 && word32(cols[0].kind):
+		for i, v := range cols[0].i32[from : from+len(words)] {
+			words[i] = uint64(uint32(v))
+		}
+	case len(cols) == 2 && word32(cols[0].kind) && word32(cols[1].kind):
+		a, b := cols[0].i32[from:from+len(words)], cols[1].i32[from:from+len(words)]
+		sa, sb := 8*cols[0].off, 8*cols[1].off
+		for i := range words {
+			words[i] = uint64(uint32(a[i]))<<sa | uint64(uint32(b[i]))<<sb
+		}
+	default:
+		for i := range words {
+			words[i] = keyWord(cols, from+i)
+		}
+	}
+}
+
+// word32 reports whether a key column is held in an I32 slice.
+//
+//inkfuse:hotpath
+func word32(k types.Kind) bool { return k == types.Int32 || k == types.Date }
+
 // hashWordKeys assembles the word keys of the tuples from, from+1, … into
-// words and their hashes into hashes. The one-integer-column key — most
-// joins' and GROUP BYs' — gets a loop of its own: keyWord's walk over the
-// columns costs as much per tuple as the hash.
+// words and their hashes into hashes.
 //
 //inkfuse:hotpath
 func hashWordKeys(words, hashes []uint64, cols []keyCol, width, from int) {
-	if len(cols) == 1 {
-		switch col := &cols[0]; col.kind {
-		case types.Int64:
-			for i, v := range col.i64[from : from+len(hashes)] {
-				words[i], hashes[i] = uint64(v), rt.HashWord(uint64(v), 8)
-			}
-			return
-		case types.Int32, types.Date:
-			for i, v := range col.i32[from : from+len(hashes)] {
-				w := uint64(uint32(v))
-				words[i], hashes[i] = w, rt.HashWord(w, 4)
-			}
-			return
+	wordKeys(words, cols, from)
+	// A constant width lets the compiler fold HashWord's width arithmetic.
+	switch width {
+	case 8:
+		for i, w := range words {
+			hashes[i] = rt.HashWord(w, 8)
 		}
-	}
-	for i := range hashes {
-		w := keyWord(cols, from+i)
-		words[i], hashes[i] = w, rt.HashWord(w, width)
+	case 4:
+		for i, w := range words {
+			hashes[i] = rt.HashWord(w, 4)
+		}
+	default:
+		for i, w := range words {
+			hashes[i] = rt.HashWord(w, width)
+		}
 	}
 }
 

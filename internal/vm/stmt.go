@@ -26,6 +26,9 @@ func (c *compiler) block(stmts []ir.Stmt) ([]exec, error) {
 		if end, ok := plan.keyBuilds[i]; ok {
 			err = c.keyBuild(stmts[i:end+1], &blk)
 			i = end
+		} else if end, ax := c.groupedRun(stmts, i); end > i {
+			err = c.groupedUpdates(stmts[i:end], ax, &blk)
+			i = end - 1
 		} else {
 			err = c.stmt(stmts[i], plan, &blk)
 		}
@@ -226,6 +229,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		if !kind.Fixed() {
 			return fmt.Errorf("direct lookup on kind %v", kind)
 		}
+		c.memoLookups[s.Dst.ID] = ax
 		*blk = append(*blk, func(fr *frame, n int) {
 			st := fr.state[id].(*rt.AggTableState)
 			tb := auxBatch(fr, ax)
@@ -244,17 +248,14 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		if err != nil {
 			return err
 		}
-		vs := -1
-		if s.Val != nil {
-			if vs, err = c.expr(s.Val, blk); err != nil {
-				return err
-			}
-		}
-		op, err := aggUpdateOp(s.Fn, gs, vs, s.StateID)
+		u, err := c.compileUpdate(s, blk)
 		if err != nil {
 			return err
 		}
-		*blk = append(*blk, op)
+		*blk = append(*blk, func(fr *frame, n int) {
+			updateSlot(fr, gs, u, n)
+			fr.ctx.Counters.VMOps += int64(n)
+		})
 		return nil
 
 	case ir.JoinInsert:
@@ -370,36 +371,178 @@ func packFixedOp[T any](rs, vs, stateID int, payload bool,
 	}
 }
 
-// aggUpdateOp compiles one aggregate update: per row, fold the value into the
-// slot at the group row's payload offset + the slot's runtime offset. One
-// monomorphic loop per aggregate function, no per-row call.
-func aggUpdateOp(fn ir.AggFunc, gs, vs, stateID int) (exec, error) {
-	if fn > ir.AggMaxI32 {
-		return nil, fmt.Errorf("unknown aggregate %v", fn)
+// slotUpdate is one compiled aggregate update: its function, the register of
+// its value (-1 for count) and the state slot of its offset in the payload.
+type slotUpdate struct {
+	fn          ir.AggFunc
+	vs, stateID int
+}
+
+func (c *compiler) compileUpdate(s ir.AggUpdate, blk *[]exec) (slotUpdate, error) {
+	if s.Fn > ir.AggMaxI32 {
+		return slotUpdate{}, fmt.Errorf("unknown aggregate %v", s.Fn)
 	}
-	return func(fr *frame, n int) {
-		off := fr.state[stateID].(*rt.OffsetState).Off
-		groups := fr.vecs[gs].Ptr[:n]
-		switch fn {
-		case ir.AggSumI64:
-			aggSumI64(groups, off, fr.vecs[vs].I64[:n])
-		case ir.AggSumF64:
-			aggSumF64(groups, off, fr.vecs[vs].F64[:n])
-		case ir.AggCount:
-			aggCount(groups, off)
-		case ir.AggCountIf:
-			aggCountIf(groups, off, fr.vecs[vs].B[:n])
-		case ir.AggMinF64:
-			aggMinF64(groups, off, fr.vecs[vs].F64[:n])
-		case ir.AggMaxF64:
-			aggMaxF64(groups, off, fr.vecs[vs].F64[:n])
-		case ir.AggMinI32:
-			aggMinI32(groups, off, fr.vecs[vs].I32[:n])
-		case ir.AggMaxI32:
-			aggMaxI32(groups, off, fr.vecs[vs].I32[:n])
+	u := slotUpdate{fn: s.Fn, vs: -1, stateID: s.StateID}
+	if s.Val != nil {
+		var err error
+		if u.vs, err = c.expr(s.Val, blk); err != nil {
+			return slotUpdate{}, err
 		}
-		fr.ctx.Counters.VMOps += int64(n)
-	}, nil
+	}
+	return u, nil
+}
+
+// updateSlot runs one aggregate update over n rows: per row, fold the value
+// into the slot at the group row's payload offset + the slot's runtime
+// offset. One monomorphic loop per aggregate function, no per-row call.
+func updateSlot(fr *frame, gs int, u slotUpdate, n int) {
+	off := fr.state[u.stateID].(*rt.OffsetState).Off
+	groups := fr.vecs[gs].Ptr[:n]
+	switch u.fn {
+	case ir.AggSumI64:
+		aggSumI64(groups, off, fr.vecs[u.vs].I64[:n])
+	case ir.AggSumF64:
+		aggSumF64(groups, off, fr.vecs[u.vs].F64[:n])
+	case ir.AggCount:
+		aggCount(groups, off)
+	case ir.AggCountIf:
+		aggCountIf(groups, off, fr.vecs[u.vs].B[:n])
+	case ir.AggMinF64:
+		aggMinF64(groups, off, fr.vecs[u.vs].F64[:n])
+	case ir.AggMaxF64:
+		aggMaxF64(groups, off, fr.vecs[u.vs].F64[:n])
+	case ir.AggMinI32:
+		aggMinI32(groups, off, fr.vecs[u.vs].I32[:n])
+	case ir.AggMaxI32:
+		aggMaxI32(groups, off, fr.vecs[u.vs].I32[:n])
+	}
+}
+
+// Grouped updates (DESIGN.md §17). Statement by statement, each aggregate
+// update of a run folds its slot through a load and a store of the group
+// row per tuple: with a handful of groups, every tuple waits on the store of
+// the one before it. A run of sum and count updates on the group register of
+// a lookup that resolved its keys through the group memo (keybuild.go)
+// compiles to one operation instead: it sorts the call's row indices by
+// group ordinal, stably, and folds each slot of each group in a register over
+// the group's rows, in row order — every slot sees the values it would have
+// seen in the order it would have seen them, so a float sum comes out bit for
+// bit the same. A call the memo did not number (a table past memoGroups
+// groups, a call past memoGroups distinct ones) runs the slots one by one.
+
+// groupedRun returns the end of the run of AggUpdates starting at stmts[at]
+// that compiles to one grouped update, and the aux slot of the memo its
+// group register was resolved through, or at and -1. The run is every
+// consecutive update of that register; a min, max or count_if in it keeps
+// the whole run statement by statement.
+func (c *compiler) groupedRun(stmts []ir.Stmt, at int) (int, int) {
+	first, ok := stmts[at].(ir.AggUpdate)
+	if !ok {
+		return at, -1
+	}
+	ax, ok := c.memoLookups[first.Group.ID]
+	if !ok {
+		return at, -1
+	}
+	if at > 0 {
+		if prev, ok := stmts[at-1].(ir.AggUpdate); ok && prev.Group.ID == first.Group.ID {
+			return at, -1 // the rest of a declined run
+		}
+	}
+	end := at
+	for ; end < len(stmts); end++ {
+		u, ok := stmts[end].(ir.AggUpdate)
+		if !ok || u.Group.ID != first.Group.ID {
+			break
+		}
+		if u.Fn != ir.AggSumI64 && u.Fn != ir.AggSumF64 && u.Fn != ir.AggCount {
+			return at, -1
+		}
+	}
+	return end, ax
+}
+
+// groupedUpdates compiles a run matched by groupedRun.
+func (c *compiler) groupedUpdates(run []ir.Stmt, ax int, blk *[]exec) error {
+	gs, err := c.slot(run[0].(ir.AggUpdate).Group)
+	if err != nil {
+		return err
+	}
+	ups := make([]slotUpdate, len(run))
+	for i, s := range run {
+		if ups[i], err = c.compileUpdate(s.(ir.AggUpdate), blk); err != nil {
+			return err
+		}
+	}
+	c.p.rewrites.GroupedUpdates++
+	*blk = append(*blk, func(fr *frame, n int) {
+		m := auxBatch(fr, ax).memo
+		if m == nil || !m.valid {
+			for _, u := range ups {
+				updateSlot(fr, gs, u, n)
+			}
+		} else {
+			idx, start := m.sortRows()
+			for _, u := range ups {
+				off := fr.state[u.stateID].(*rt.OffsetState).Off
+				for g, row := range m.groups {
+					rows := idx[start[g]:start[g+1]]
+					o := rt.RowPayloadOff(row) + off
+					switch u.fn {
+					case ir.AggSumI64:
+						foldSumI64(row, o, rows, fr.vecs[u.vs].I64)
+					case ir.AggSumF64:
+						foldSumF64(row, o, rows, fr.vecs[u.vs].F64)
+					default: // AggCount
+						rt.PutI64(row, o, rt.GetI64(row, o)+int64(len(rows)))
+					}
+				}
+			}
+		}
+		fr.ctx.Counters.VMOps += int64(len(ups) * n)
+	})
+	return nil
+}
+
+// sortRows sorts the last call's row indices by ordinal, stably: ordinal g's
+// rows are idx[start[g]:start[g+1]], ascending.
+//
+//inkfuse:hotpath
+func (m *groupMemo) sortRows() (idx []int32, start [memoGroups + 1]int32) {
+	for _, o := range m.ords {
+		start[o+1]++
+	}
+	for g := 1; g <= memoGroups; g++ {
+		start[g] += start[g-1]
+	}
+	if cap(m.idx) < len(m.ords) {
+		m.idx = make([]int32, len(m.ords)) //inklint:allow alloc — grows to the call size once, kept across calls
+	}
+	idx = m.idx[:len(m.ords)]
+	pos := start
+	for i, o := range m.ords {
+		idx[pos[o]] = int32(i)
+		pos[o]++
+	}
+	return idx, start
+}
+
+//inkfuse:hotpath
+func foldSumI64(row []byte, o int, rows []int32, v []int64) {
+	acc := rt.GetI64(row, o)
+	for _, i := range rows {
+		acc += v[i]
+	}
+	rt.PutI64(row, o, acc)
+}
+
+//inkfuse:hotpath
+func foldSumF64(row []byte, o int, rows []int32, v []float64) {
+	acc := rt.GetF64(row, o)
+	for _, i := range rows {
+		acc += v[i]
+	}
+	rt.PutF64(row, o, acc)
 }
 
 //inkfuse:hotpath

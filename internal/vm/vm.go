@@ -283,6 +283,8 @@ func Compile(f *ir.Func) (*Program, error) {
 		slotOf: make(map[int]int),
 		uses:   countUses(f),
 		tail:   true,
+		// Filled as lookups compile, read by the updates after them.
+		memoLookups: make(map[int]int),
 	}
 	for _, v := range f.Ins {
 		c.p.insSlots = append(c.p.insSlots, c.bind(v))
@@ -313,6 +315,9 @@ type compiler struct {
 	// last statement of the function body, or of the body of a scope that is
 	// itself in tail position.
 	tail bool
+	// memoLookups maps the group register of a word-key lookup (one that
+	// resolves through the group memo) to the aux slot of its tableBatch.
+	memoLookups map[int]int
 }
 
 // bind allocates (or returns) the slot for an IR variable.

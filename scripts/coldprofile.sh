@@ -192,6 +192,17 @@ echo
 echo "CPU share of tracked symbols, join and aggregation path (cum):"
 tracked 'vm\\.\\(\\*compiler\\)\\.(stmt|probe|keyProbe|keyAggLookup)\\.func[0-9]+$|packFixedOp|rt\\.\\(\\*RowScratch\\)\\.(Prepare|SealKey|AppendKeyString)|vm\\.(packKey|keyWord|hashWordKeys|lookupWords|selectCode)( |$)|rt\\.\\(\\*AggTable\\)\\.(FindOrCreateBatch|FindOrCreateSeed|FindOrCreateWord|insert|grow)( |$)|rt\\.\\(\\*AggTableState\\)\\.MergeInto( |$)|rt\\.(Hash64|HashWord|HashBatch|RowKey)( |$)|rt\\.\\(\\*JoinTable\\)\\.(LookupBatch|Lookup|InsertBatch|SealTask|Touch)( |$)|rt\\.\\(\\*joinShard\\)\\.(insert|nextBlock|seal)( |$)|rt\\.\\(\\*entryBlock\\)\\.(count|scatter|tag)( |$)|rt\\.\\(\\*MatchIter\\)\\.Next|vm\\.\\(\\*probeScope\\)\\.(collect|run)$|storage\\.\\(\\*Vector\\)\\.Gather$|rt\\.GetString'
 
+# The symbols of a small GROUP BY (DESIGN.md §17), scan_agg_sf1's q1: the
+# group memo in front of the worker's table (groupMemo.resolve, its ordinal
+# search on a miss, the key words' assembly wordKeys), the grouped updates
+# (the operation groupedUpdates compiles, its counting sort sortRows and the
+# register folds), the per-slot loops a call without ordinals runs
+# (updateSlot), and a dense filter's copies (the filter's operation, selRuns
+# and Vector.CopyRuns; a sparse one's Vector.Gather is listed above).
+echo
+echo "CPU share of tracked symbols, small GROUP BY path (cum):"
+tracked 'vm\\.\\(\\*groupMemo\\)\\.(resolve|ordinal|sortRows)( |$)|vm\\.(wordKeys|foldSumF64|foldSumI64|updateSlot|selRuns)( |$)|vm\\.\\(\\*compiler\\)\\.(groupedUpdates|filter)\\.func[0-9]+$|storage\\.\\(\\*Vector\\)\\.CopyRuns$'
+
 echo
 echo "top 25 symbols (flat):"
 go tool pprof -top -nodecount=25 "$out/cpu.pb.gz" 2>/dev/null | sed -n '/flat%/,$p'
