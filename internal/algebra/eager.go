@@ -136,14 +136,14 @@ func namesProbeColumn(aggs []AggSpec, probe types.Schema) bool {
 // uniqueInData reports whether n holds each value of one of keys once, as
 // the data shows: below what keeps the keys (keyedInput), it is a Scan of a
 // column its table marked strictly ascending at load
-// (storage.Table.Ascending). Any other node, a join included, answers no.
+// (storage.ColumnFacts). Any other node, a join included, answers no.
 func uniqueInData(n Node, keys []string) bool {
 	s, ok := keyedInput(n, keys).(*Scan)
 	if !ok {
 		return false
 	}
 	for _, k := range keys {
-		if i := s.Table.Schema.IndexOf(k); i >= 0 && s.Table.Ascending(i) {
+		if i := s.Table.Schema.IndexOf(k); i >= 0 && s.Table.Facts[i].Ascending {
 			return true
 		}
 	}

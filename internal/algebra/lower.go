@@ -157,16 +157,14 @@ func (l *lowerer) lowerScan(n *Scan, required []string) error {
 			return fmt.Errorf("algebra: column %q not in scan list of %s", c, n.Table.Name)
 		}
 		// A coded column is read as its codes (lower_dict.go).
-		d := n.Table.Dict(i)
 		k := n.Table.Schema[i].Kind
-		if d != nil {
+		if d := n.Table.Facts[i].Dict; d != nil {
 			k = types.Int32
 			l.dicts[c] = d
 		}
 		iu := core.NewIU(k, c)
 		src.Cols = append(src.Cols, i)
 		src.IUs = append(src.IUs, iu)
-		src.Coded = append(src.Coded, d != nil)
 		l.cols[c] = iu
 	}
 	return nil

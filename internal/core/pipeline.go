@@ -19,20 +19,20 @@ type Source interface {
 }
 
 // TableScan reads columns of a base table, morsel by morsel. A
-// dictionary-coded string column may be read as its Int32 codes instead of
-// its strings (DESIGN.md §20).
+// dictionary-coded string column is read as its Int32 codes instead of its
+// strings (DESIGN.md §20): which columns are coded is a fact of the table
+// (storage.ColumnFacts), not of the plan.
 type TableScan struct {
 	Table *storage.Table
-	Cols  []int  // column indexes into the table
-	IUs   []*IU  // parallel to Cols
-	Coded []bool // parallel to Cols (nil: none): read the column's codes
+	Cols  []int // column indexes into the table
+	IUs   []*IU // parallel to Cols
 }
 
 // Column returns the vector the i-th source IU reads: the table column, or
 // its dictionary codes.
 func (t *TableScan) Column(i int) *storage.Vector {
-	if i < len(t.Coded) && t.Coded[i] {
-		return t.Table.Dict(t.Cols[i]).Codes
+	if d := t.Table.Facts[t.Cols[i]].Dict; d != nil {
+		return d.Codes
 	}
 	return t.Table.Cols[t.Cols[i]]
 }

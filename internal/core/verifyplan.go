@@ -82,16 +82,9 @@ func (v *planVerifier) pipeline(idx int, pipe *Pipeline) error {
 		if len(s.Cols) != len(s.IUs) {
 			return fmt.Errorf("table scan binds %d columns to %d IUs", len(s.Cols), len(s.IUs))
 		}
-		if s.Coded != nil && len(s.Coded) != len(s.Cols) {
-			return fmt.Errorf("table scan marks %d of %d columns coded or not", len(s.Coded), len(s.Cols))
-		}
 		for i := 0; i < len(s.Cols) && s.Table != nil; i++ {
 			if ci := s.Cols[i]; ci < 0 || ci >= len(s.Table.Cols) {
 				return fmt.Errorf("table scan reads column %d of %d", ci, len(s.Table.Cols))
-			}
-			coded := i < len(s.Coded) && s.Coded[i]
-			if coded && s.Table.Dict(s.Cols[i]) == nil {
-				return fmt.Errorf("table scan reads the codes of uncoded column %s", s.IUs[i])
 			}
 			if k := s.Column(i).Kind; s.IUs[i] != nil && s.IUs[i].K != k {
 				return fmt.Errorf("table scan binds a %v column to %s", k, s.IUs[i])

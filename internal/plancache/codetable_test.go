@@ -17,7 +17,7 @@ import (
 // answer as before, on the instance the cache hands back, on every backend.
 func TestCodedPredicateRebind(t *testing.T) {
 	li := cat.MustGet("lineitem")
-	if li.Dict(li.Schema.IndexOf("l_shipmode")) == nil {
+	if li.Facts[li.Schema.IndexOf("l_shipmode")].Dict == nil {
 		t.Fatal("l_shipmode is not dictionary-coded")
 	}
 	total, air := li.Rows(), 0

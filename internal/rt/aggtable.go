@@ -194,9 +194,6 @@ func (t *AggTable) grow() {
 // Groups returns the number of groups in the table.
 func (t *AggTable) Groups() int { return len(t.rows) }
 
-// Resizes returns the number of bucket-array resizes (stats).
-func (t *AggTable) Resizes() int64 { return t.resizes }
-
 // Rows returns the group rows in entry (insertion) order: the table's own
 // list, valid until its next insert or Reset. The aggregate-reading pipeline
 // reads it in place once the build pipeline finished.

@@ -382,7 +382,7 @@ func BenchmarkRowScratchPack(b *testing.B) {
 			PutI64(s.Row(r), 4, int64(r))
 			PutI32(s.Row(r), 12, int32(r))
 			s.SealKey(r)
-			PutF64(s.Row(r), s.PayloadOff(r), float64(r))
+			PutF64(s.Row(r), RowPayloadOff(s.Row(r)), float64(r))
 		}
 	}
 	b.SetBytes(batch * 24)

@@ -1,11 +1,8 @@
 package rt
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -25,11 +22,12 @@ func contains(s *InListState, v string) bool {
 	return hit[0]
 }
 
-// TestInListMatchesMapMembership pins the IN kernel, on both representations,
-// to plain map membership.
+// TestInListMatchesMapMembership pins the IN kernel to plain map membership,
+// at list sizes around 7 members (where a sorted scan once gave way to a
+// hash set) and beyond.
 func TestInListMatchesMapMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sizes := []int{0, 1, 2, 3, 7, inListSmallMax - 1, inListSmallMax, inListSmallMax + 1, 3 * inListSmallMax}
+	sizes := []int{0, 1, 2, 3, 7, 6, 7, 8, 21}
 	for _, size := range sizes {
 		for round := 0; round < 20; round++ {
 			// Members are drawn with replacement (duplicates) and padded with
@@ -45,9 +43,6 @@ func TestInListMatchesMapMembership(t *testing.T) {
 				want[members[i]] = true
 			}
 			s := NewInList(members...)
-			if long := s.set != nil; long != (len(want) > inListSmallMax) {
-				t.Fatalf("%d distinct members: hashed=%v, threshold %d", len(want), long, inListSmallMax)
-			}
 			probes := append([]string{}, inListCorpus...)
 			probes = append(probes, members...)
 			for i := 0; i < 2*size+1; i++ {
@@ -65,12 +60,12 @@ func TestInListMatchesMapMembership(t *testing.T) {
 	}
 }
 
-// TestInListRebind: SetMembers replaces the list, across the threshold in both
-// directions (a cached plan's parameters are rebound between executions).
+// TestInListRebind: SetMembers replaces the list, from short to long and back
+// (a cached plan's parameters are rebound between executions).
 func TestInListRebind(t *testing.T) {
 	s := NewInList("MAIL", "SHIP")
 	var long []string
-	for i := 0; i <= inListSmallMax; i++ {
+	for i := 0; i < 8; i++ {
 		long = append(long, fmt.Sprintf("m%02d", i))
 	}
 	s.SetMembers(long)
@@ -78,19 +73,19 @@ func TestInListRebind(t *testing.T) {
 		t.Fatal("rebinding to a long list kept old members or lost new ones")
 	}
 	s.SetMembers([]string{"RAIL"})
-	if contains(s, "m00") || !contains(s, "RAIL") || s.set != nil {
-		t.Fatal("rebinding to a short list kept the hash set")
+	if contains(s, "m00") || !contains(s, "RAIL") {
+		t.Fatal("rebinding to a short list kept old members or lost new ones")
 	}
 }
 
-// BenchmarkInList times both representations at every list size around the
-// threshold. The column holds 2^18 values drawn at random from twice as many
-// distinct strings as the list has members (TPC-H's p_container vocabulary:
-// 40 strings of 6 to 10 bytes, extended by suffixes), so half the probes hit
-// at every size, and it is long enough that the branch predictor cannot learn
+// BenchmarkInList times the IN kernel at list sizes from 1 to 64 members. The
+// column holds 2^18 values drawn at random from twice as many distinct
+// strings as the list has members (TPC-H's p_container vocabulary: 40
+// strings of 6 to 10 bytes, extended by suffixes), so half the probes hit at
+// every size, and it is long enough that the branch predictor cannot learn
 // the sequence — a loop over one 1 024-row chunk lets it, and then flatters
-// every variant that branches on the data. It is the measurement
-// inListSmallMax is chosen from.
+// every variant that branches on the data. It is the measurement the IN
+// list's one representation was chosen by (EXPERIMENTS.md).
 func BenchmarkInList(b *testing.B) {
 	var domain []string
 	for _, suffix := range []string{"", "S", "ES", "2"} {
@@ -104,36 +99,18 @@ func BenchmarkInList(b *testing.B) {
 	rng.Shuffle(len(domain), func(i, j int) { domain[i], domain[j] = domain[j], domain[i] })
 	dst := make([]bool, 1024)
 	for _, size := range []int{1, 2, 4, 7, 8, 12, 16, 24, 32, 64} {
-		members := domain[:size]
 		vals := make([]string, 1<<18)
 		for i := range vals {
 			vals[i] = domain[rng.Intn(2*size)]
 		}
-		sorted := NewInList(members[:min(size, inListSmallMax)]...)
-		for _, m := range members[min(size, inListSmallMax):] {
-			// Past the threshold the sorted form has to be put together by hand.
-			at, _ := slices.BinarySearchFunc(sorted.small, m, func(a, b string) int {
-				return cmp.Or(cmp.Compare(inListKey(a), inListKey(b)), strings.Compare(a, b))
-			})
-			sorted.small = slices.Insert(sorted.small, at, m)
-			sorted.keys = slices.Insert(sorted.keys, at, inListKey(m))
-		}
-		hashed := &InListState{set: make(map[string]bool)}
-		for _, m := range members {
-			hashed.set[m] = true
-		}
-		for _, rep := range []struct {
-			name string
-			s    *InListState
-		}{{"sorted", sorted}, {"map", hashed}} {
-			b.Run(fmt.Sprintf("%s/members=%d", rep.name, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < len(vals); lo += len(dst) {
-						rep.s.Match(dst, vals[lo:lo+len(dst)])
-					}
+		s := NewInList(domain[:size]...)
+		b.Run(fmt.Sprintf("members=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < len(vals); lo += len(dst) {
+					s.Match(dst, vals[lo:lo+len(dst)])
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
+		})
 	}
 }

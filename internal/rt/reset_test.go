@@ -178,7 +178,7 @@ func TestRowScratchStrideFollowsStrings(t *testing.T) {
 			PutI64(s.Row(i), 4, int64(i))
 			s.AppendKeyString(i, str)
 			s.SealKey(i)
-			PutI64(s.Row(i), s.PayloadOff(i), int64(-i))
+			PutI64(s.Row(i), RowPayloadOff(s.Row(i)), int64(-i))
 		}
 		for i := 0; i < n; i++ {
 			r := s.Row(i)

@@ -183,9 +183,6 @@ func NewLayout(fields []Field) *Layout {
 	return l
 }
 
-// HasVarKey reports whether the key blob contains variable-size fields.
-func (l *Layout) HasVarKey() bool { return l.KeyVarCount > 0 }
-
 // ReadFixed reads fixed field values from packed rows; helpers used by the
 // unpack primitives and the Volcano oracle.
 

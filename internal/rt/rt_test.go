@@ -147,7 +147,7 @@ func TestLayoutOffsets(t *testing.T) {
 	if l.FixedOff[3] != 0 || l.FixedOff[5] != 8 || l.VarIdx[4] != 0 {
 		t.Fatalf("payload offsets wrong: %v %v", l.FixedOff, l.VarIdx)
 	}
-	if !l.HasVarKey() || l.KeyVarCount != 1 || l.PayloadVarCount != 1 {
+	if l.KeyVarCount != 1 || l.PayloadVarCount != 1 {
 		t.Fatal("var counts wrong")
 	}
 }
@@ -160,7 +160,7 @@ func TestRowScratchPackUnpack(t *testing.T) {
 		PutI32(s.Row(i), 4+8, int32(i))
 		s.AppendKeyString(i, fmt.Sprintf("key-%d", i))
 		s.SealKey(i)
-		PutF64(s.Row(i), s.PayloadOff(i)+0, float64(i)*1.5)
+		PutF64(s.Row(i), RowPayloadOff(s.Row(i))+0, float64(i)*1.5)
 		s.AppendPayloadString(i, fmt.Sprintf("pay-%d", i))
 	}
 	for i := 0; i < 3; i++ {

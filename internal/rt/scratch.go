@@ -81,9 +81,6 @@ func (s *RowScratch) SealKey(i int) {
 	s.rows[i] = r
 }
 
-// PayloadOff returns the offset of the fixed payload region of row i.
-func (s *RowScratch) PayloadOff(i int) int { return RowPayloadOff(s.rows[i]) }
-
 // AppendPayloadString appends a length-prefixed payload string to row i.
 func (s *RowScratch) AppendPayloadString(i int, v string) {
 	r := AppendString(s.rows[i], v)

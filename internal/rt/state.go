@@ -1,12 +1,6 @@
 package rt
 
-import (
-	"cmp"
-	"slices"
-	"strings"
-
-	"inkfuse/internal/types"
-)
+import "inkfuse/internal/types"
 
 // Suboperator runtime state objects (paper §IV-C, Fig 8). During query setup
 // the engine allocates one state object per suboperator that needs one and
@@ -183,27 +177,16 @@ type LikeState struct {
 }
 
 // InListState wires the member strings of an IN (...) predicate into the
-// generated code. A short list — the common case: TPC-H's lists have 2 to 8
-// members — is kept sorted by a key of each member's length and three of its
-// bytes, then by its bytes; a lookup compares keys as integers, without
-// branching, and bytes only against the members whose key matches (usually
-// one on a hit, none on a miss). Hashing the probe string costs more than
-// that until the list outgrows inListSmallMax, from where on a hash set
-// answers.
+// generated code: one hash set, whatever the list's length. BenchmarkInList
+// chose it (EXPERIMENTS.md, "One IN-list representation"): on a column that
+// hits half the time it costs 25-29 ns/row at 2 to 64 members, where a
+// branchless scan of the sorted members costs 22 at 2 and 123 at 64, and a
+// binary search 38 to 92. Since dictionary codes, an IN list over a coded
+// column — every one the TPC-H shapes generate — runs as a code table
+// (CodeMatch) and asks Contains once per dictionary entry at lowering.
 type InListState struct {
-	small []string        // sorted by (inListKey, bytes), no duplicates; unused when set != nil
-	keys  []int64         // inListKey of each small member, ascending
-	set   map[string]bool // lists longer than inListSmallMax
+	set map[string]bool
 }
-
-// inListSmallMax is the longest member list answered by comparison instead of
-// by hashing, chosen by BenchmarkInList (2 vCPU Xeon 2.1 GHz; a column of
-// 2^18 random p_container-like strings, half of them members): the sorted
-// scan costs 13 / 16 / 17 / 19 ns/row at 1 / 2 / 4 / 7 members against the
-// map's 18-22 at any size, and has lost at 8 (23 against 20). On such a
-// column a lookup is dominated by the mispredicted branch on its outcome,
-// whatever the structure; the scan saves the hash, not the branch.
-const inListSmallMax = 7
 
 // NewInList builds an InListState from the member strings.
 func NewInList(members ...string) *InListState {
@@ -215,89 +198,22 @@ func NewInList(members ...string) *InListState {
 // SetMembers replaces the member list (duplicates are allowed). Not safe
 // concurrently with lookups: parameters are rebound between executions.
 func (s *InListState) SetMembers(members []string) {
-	small := slices.Clone(members)
-	slices.SortFunc(small, func(a, b string) int {
-		return cmp.Or(cmp.Compare(inListKey(a), inListKey(b)), strings.Compare(a, b))
-	})
-	small = slices.Compact(small)
-	*s = InListState{}
-	if len(small) > inListSmallMax {
-		s.set = make(map[string]bool, len(small))
-		for _, m := range small {
-			s.set[m] = true
-		}
-		return
+	s.set = make(map[string]bool, len(members))
+	for _, m := range members {
+		s.set[m] = true
 	}
-	s.small = small
-	s.keys = make([]int64, len(small))
-	for i, m := range small {
-		s.keys[i] = inListKey(m)
-	}
-}
-
-// inListKey condenses a string into its length and three of its bytes —
-// first, middle, last — in one non-negative integer: cheap to take (no loop
-// over the bytes), and TPC-H's vocabularies ("SM CASE" / "SM PACK",
-// "Brand#12" / "Brand#13") rarely agree on all four.
-//
-//inkfuse:hotpath
-func inListKey(v string) int64 {
-	n := len(v)
-	if n == 0 {
-		return 0
-	}
-	return int64(n)<<24 | int64(v[0])<<16 | int64(v[n/2])<<8 | int64(v[n-1])
-}
-
-// containsSorted looks v up in the sorted member list without branching on
-// the data until the very end. Every member's key is compared arithmetically
-// — an early exit would save a few compares and cost a mispredicted branch
-// per row, and on a column of random values that, not the compares, is the
-// price of a lookup — counting the keys below v's (where its candidates
-// start) and those equal to it (how many there are: members sharing a length
-// and first byte are adjacent). The bytes are compared against the candidates
-// alone, usually one.
-//
-//inkfuse:hotpath
-func containsSorted(keys []int64, members []string, v string) bool {
-	k := inListKey(v)
-	below, equal := 0, 0
-	for _, mk := range keys {
-		below += int((mk - k) >> 63 & 1)
-		x := mk ^ k
-		equal += int((x|-x)>>63&1) ^ 1
-	}
-	for _, m := range members[below : below+equal] {
-		if m == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Contains reports whether v is a member.
-func (s *InListState) Contains(v string) bool {
-	if s.set != nil {
-		return s.set[v]
-	}
-	return containsSorted(s.keys, s.small, v)
-}
+func (s *InListState) Contains(v string) bool { return s.set[v] }
 
 // Match sets dst[i] to whether vals[i] is a member — the IN kernel the
-// primitive and the fused programs share. The representation is chosen once
-// per call, not per row.
+// primitive and the fused programs share.
 //
 //inkfuse:hotpath
 func (s *InListState) Match(dst []bool, vals []string) {
-	vals = vals[:len(dst)]
-	if set := s.set; set != nil {
-		for i, v := range vals {
-			dst[i] = set[v] //inklint:allow map — long IN lists only
-		}
-		return
-	}
-	keys, small := s.keys, s.small
-	for i, v := range vals {
-		dst[i] = containsSorted(keys, small, v)
+	set := s.set
+	for i, v := range vals[:len(dst)] {
+		dst[i] = set[v] //inklint:allow map — the IN list's one representation (BenchmarkInList)
 	}
 }

@@ -38,7 +38,7 @@ func TestAggTableModel(t *testing.T) {
 			t.Fatalf("key %d: %v vs %v", k, got, model[k])
 		}
 	}
-	if tbl.Resizes() == 0 {
+	if tbl.resizes == 0 {
 		t.Fatal("expected bucket resizes with 2000 groups and 64 initial buckets")
 	}
 }

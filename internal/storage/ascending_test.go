@@ -14,7 +14,7 @@ func ascending(t *testing.T, tbl *storage.Table, col string) bool {
 	if i < 0 {
 		t.Fatalf("%s has no column %s", tbl.Name, col)
 	}
-	return tbl.Ascending(i)
+	return tbl.Facts[i].Ascending
 }
 
 // TestCatalogAddMarksAscending: the TPC-H generator's key columns enter the

@@ -20,32 +20,11 @@ const MaxDictValues = 1 << 16
 // Dict is the sorted dictionary of a low-cardinality string column. The
 // column's strings stay as they are; Codes holds, beside them, the code of
 // every row, and code c stands for Values[c]. Values is ascending, so code
-// order is string order. Which columns are coded is a statistic of the loaded
-// data (EncodeDicts), not an option.
+// order is string order. Which columns are coded is a fact of the loaded data
+// (ColumnFacts), not an option.
 type Dict struct {
 	Values []string // the column's distinct values, ascending
 	Codes  *Vector  // Int32: one code per row
-}
-
-// Dict returns column i's dictionary, or nil when the column is not coded.
-func (t *Table) Dict(i int) *Dict {
-	if i >= len(t.Dicts) {
-		return nil
-	}
-	return t.Dicts[i]
-}
-
-// EncodeDicts gives every string column with at most MaxDictValues distinct
-// values a sorted dictionary and the codes of its rows; Catalog.Add calls it,
-// so every loaded table is coded once, after it is filled. A later SetRows
-// drops the dictionaries: codes never describe rows they were not taken from.
-func (t *Table) EncodeDicts() {
-	t.Dicts = make([]*Dict, len(t.Cols))
-	for i, c := range t.Cols {
-		if c.Kind == types.String {
-			t.Dicts[i] = encodeDict(c.Str[:t.rows])
-		}
-	}
 }
 
 // encodeRowsPerWorker is the fewest rows a column is split into parts of:

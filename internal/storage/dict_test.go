@@ -57,16 +57,16 @@ func TestDictSortedAndOrderPreserving(t *testing.T) {
 		vals[i] = words[r.Intn(len(words))]
 	}
 	tbl := stringTable(vals)
-	tbl.EncodeDicts()
-	checkDict(t, tbl.Dict(0), vals)
-	if tbl.Dict(0).Values[0] != "" {
-		t.Fatalf("the empty string must sort first: %q", tbl.Dict(0).Values)
+	tbl.takeFacts()
+	checkDict(t, tbl.Facts[0].Dict, vals)
+	if tbl.Facts[0].Dict.Values[0] != "" {
+		t.Fatalf("the empty string must sort first: %q", tbl.Facts[0].Dict.Values)
 	}
-	if tbl.Dict(1) != nil {
+	if tbl.Facts[1].Dict != nil {
 		t.Fatal("an int64 column got a dictionary")
 	}
 	tbl.SetRows(3)
-	if tbl.Dict(0) != nil {
+	if tbl.Facts[0].Dict != nil {
 		t.Fatal("resizing the table kept codes of other rows")
 	}
 }
@@ -85,10 +85,10 @@ func TestDictThreshold(t *testing.T) {
 	for _, k := range []int{MaxDictValues, MaxDictValues + 1} {
 		vals := distinctVals(k, k+3*encodeRowsPerWorker)
 		tbl := stringTable(vals)
-		tbl.EncodeDicts()
+		tbl.takeFacts()
 		if k <= MaxDictValues {
-			checkDict(t, tbl.Dict(0), vals)
-		} else if tbl.Dict(0) != nil {
+			checkDict(t, tbl.Facts[0].Dict, vals)
+		} else if tbl.Facts[0].Dict != nil {
 			t.Fatalf("%d distinct values got a dictionary", k)
 		}
 	}
@@ -98,16 +98,16 @@ func TestDictThreshold(t *testing.T) {
 		vals[i] = fmt.Sprintf("u%06d", i)
 	}
 	tbl := stringTable(vals)
-	tbl.EncodeDicts()
-	if tbl.Dict(0) != nil {
+	tbl.takeFacts()
+	if tbl.Facts[0].Dict != nil {
 		t.Fatal("parts' union beyond the limit got a dictionary")
 	}
 }
 
 func TestDictEmptyTable(t *testing.T) {
 	tbl := stringTable(nil)
-	tbl.EncodeDicts()
-	d := tbl.Dict(0)
+	tbl.takeFacts()
+	d := tbl.Facts[0].Dict
 	if d == nil || len(d.Values) != 0 || len(d.Codes.I32) != 0 {
 		t.Fatalf("empty column: %+v", d)
 	}
@@ -116,9 +116,9 @@ func TestDictEmptyTable(t *testing.T) {
 func TestDictDeterministic(t *testing.T) {
 	vals := distinctVals(1000, 4*encodeRowsPerWorker)
 	a, b := stringTable(vals), stringTable(vals)
-	a.EncodeDicts()
-	b.EncodeDicts()
-	if !slices.Equal(a.Dict(0).Values, b.Dict(0).Values) || !slices.Equal(a.Dict(0).Codes.I32, b.Dict(0).Codes.I32) {
+	a.takeFacts()
+	b.takeFacts()
+	if !slices.Equal(a.Facts[0].Dict.Values, b.Facts[0].Dict.Values) || !slices.Equal(a.Facts[0].Dict.Codes.I32, b.Facts[0].Dict.Codes.I32) {
 		t.Fatal("two encodings of the same column differ")
 	}
 }
@@ -127,7 +127,7 @@ func TestCatalogAddCodes(t *testing.T) {
 	tbl := stringTable([]string{"b", "a", "b"})
 	cat := NewCatalog()
 	cat.Add(tbl)
-	if d := tbl.Dict(0); d == nil || !slices.Equal(d.Codes.I32, []int32{1, 0, 1}) {
+	if d := tbl.Facts[0].Dict; d == nil || !slices.Equal(d.Codes.I32, []int32{1, 0, 1}) {
 		t.Fatalf("Catalog.Add did not code the table: %+v", d)
 	}
 }
@@ -144,7 +144,7 @@ func BenchmarkDictEncode(b *testing.B) {
 	tbl := stringTable(vals)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.EncodeDicts()
+		tbl.takeFacts()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
 }

@@ -112,7 +112,8 @@ func TestVectorAppendCopy(t *testing.T) {
 		t.Fatalf("append wrong: %v", b.F64)
 	}
 	c := NewVector(types.Float64, 5)
-	c.CopyFrom(a, 0, 2)
+	c.Resize(0)
+	c.AppendFrom(a, 0, 2)
 	if c.Len() != 2 || c.F64[1] != 2 {
 		t.Fatal("copy wrong")
 	}

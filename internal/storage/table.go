@@ -12,18 +12,30 @@ type Table struct {
 	Name   string
 	Schema types.Schema
 	Cols   []*Vector
-	// Dicts is parallel to Cols: the dictionary of each dictionary-coded
-	// string column, nil for every other column (EncodeDicts).
-	Dicts []*Dict
-	// asc is parallel to Cols: whether each integer column's values are
-	// strictly ascending, so unique (markAscending).
-	asc  []bool
-	rows int
+	// Facts is parallel to Cols: what Catalog.Add learned of each column's
+	// rows, the zero record for a column it learned nothing of and for every
+	// column of a table no catalog took in.
+	Facts []ColumnFacts
+	rows  int
+}
+
+// ColumnFacts are the facts of one column's loaded rows that the lowering
+// reads. They are statistics of the data, taken once as the table enters a
+// catalog, never options; SetRows drops them with the rows they describe.
+// The engine answers the same without them (DESIGN.md §20, §21): each one
+// only lets the lowering choose a cheaper plan.
+type ColumnFacts struct {
+	// Dict is the dictionary of a string column with at most MaxDictValues
+	// distinct values; a scan reads such a column as its codes.
+	Dict *Dict
+	// Ascending marks an Int32 or Int64 column whose values are strictly
+	// ascending, so unique in the table.
+	Ascending bool
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema types.Schema) *Table {
-	t := &Table{Name: name, Schema: schema, Cols: make([]*Vector, len(schema))}
+	t := &Table{Name: name, Schema: schema, Cols: make([]*Vector, len(schema)), Facts: make([]ColumnFacts, len(schema))}
 	for i, c := range schema {
 		t.Cols[i] = NewVector(c.Kind, 0)
 	}
@@ -34,31 +46,27 @@ func NewTable(name string, schema types.Schema) *Table {
 func (t *Table) Rows() int { return t.rows }
 
 // SetRows resizes all columns; the generator fills them in place. It drops
-// the table's dictionaries and ascending marks, which describe the rows they
-// were taken from.
+// the table's facts, which describe the rows they were taken from.
 func (t *Table) SetRows(n int) {
 	for _, c := range t.Cols {
 		c.Resize(n)
 	}
 	t.rows = n
-	t.Dicts, t.asc = nil, nil
+	clear(t.Facts)
 }
 
-// Ascending reports whether column i was marked strictly ascending when the
-// table entered a catalog: its values are then unique in the table.
-func (t *Table) Ascending(i int) bool { return i < len(t.asc) && t.asc[i] }
-
-// markAscending marks every Int32 and Int64 column whose values are strictly
-// ascending. Like the dictionaries, the marks are a fact of the loaded data,
-// taken once, not an option; most columns fail on their first rows.
-func (t *Table) markAscending() {
-	t.asc = make([]bool, len(t.Cols))
+// takeFacts takes every column's facts in one pass over the columns: a string
+// column's dictionary (encodeDict), an integer column's ascending mark (most
+// columns fail on their first rows).
+func (t *Table) takeFacts() {
 	for i, c := range t.Cols {
 		switch c.Kind {
+		case types.String:
+			t.Facts[i].Dict = encodeDict(c.Str[:t.rows])
 		case types.Int32:
-			t.asc[i] = strictlyAscending(c.I32[:t.rows])
+			t.Facts[i].Ascending = strictlyAscending(c.I32[:t.rows])
 		case types.Int64:
-			t.asc[i] = strictlyAscending(c.I64[:t.rows])
+			t.Facts[i].Ascending = strictlyAscending(c.I64[:t.rows])
 		}
 	}
 }
@@ -104,13 +112,10 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// Add registers a table, replaces an existing table with the same name, codes
-// the table's low-cardinality string columns (EncodeDicts) and marks its
-// strictly ascending integer columns (markAscending): a table is added once
-// it is loaded.
+// Add registers a table, replaces an existing table with the same name, and
+// takes its columns' facts (takeFacts): a table is added once it is loaded.
 func (c *Catalog) Add(t *Table) {
-	t.EncodeDicts()
-	t.markAscending()
+	t.takeFacts()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tables[t.Name] = t

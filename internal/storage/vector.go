@@ -261,12 +261,6 @@ func (v *Vector) TakeFrom(src *Vector, n int) {
 	}
 }
 
-// CopyFrom overwrites v with rows [lo, hi) of src.
-func (v *Vector) CopyFrom(src *Vector, lo, hi int) {
-	v.Resize(0)
-	v.AppendFrom(src, lo, hi)
-}
-
 // Value returns row i as an any-typed scalar; test and debug helper, never on
 // a hot path.
 func (v *Vector) Value(i int) any {

@@ -243,10 +243,15 @@ func lookupWords(tbl *rt.AggTable, tb *tableBatch, cols []keyCol, width int, see
 	m.valid = false
 	done := 0 // rows resolved through the memo
 	if len(tbl.Rows()) <= memoGroups {
-		m.reset(len(d))
+		m.reset()
 		for done < len(d) && m.valid {
 			dst := d[done:min(done+aggBatchSeg, len(d))]
 			wordKeys(words[:len(dst)], cols, done)
+			n := done + len(dst)
+			if cap(m.ords) < n {
+				m.ords = append(make([]uint8, 0, n), m.ords...)
+			}
+			m.ords = m.ords[:n]
 			done += m.resolve(tbl, words[:len(dst)], width, seed, dst, m.ords[done:])
 		}
 	}
@@ -287,14 +292,15 @@ type memoEntry struct {
 type groupMemo struct {
 	entries [memoGroups]memoEntry
 	// groups lists the call's distinct group rows, an ordinal's row at its
-	// index; ords holds every row's ordinal. valid reports that they
-	// describe the whole last call: the memo resolved it and met at most
-	// memoGroups groups.
+	// index; ords holds the ordinal of every row the memo resolved, grown a
+	// segment at a time, so a call that meets its 17th group early keeps
+	// few. valid reports that they describe the whole last call: the memo
+	// resolved it and met at most memoGroups groups.
 	groups [][]byte
 	ords   []uint8
 	valid  bool
-	// idx is groupedUpdates' scratch: the call's row indices sorted by
-	// ordinal.
+	// idx is groupedUpdates' scratch: one aggBatchSeg segment's row indices
+	// sorted by ordinal.
 	idx []int32
 }
 
@@ -311,14 +317,10 @@ func (m *groupMemo) retainedBytes() int64 {
 	return int64(len(m.entries))*40 + int64(cap(m.groups))*24 + int64(cap(m.ords)) + int64(cap(m.idx))*4
 }
 
-// reset readies the memo for a call of n rows.
-func (m *groupMemo) reset(n int) {
+// reset readies the memo for a call.
+func (m *groupMemo) reset() {
 	clear(m.entries[:])
-	m.groups = m.groups[:0]
-	if cap(m.ords) < n {
-		m.ords = make([]uint8, n)
-	}
-	m.ords = m.ords[:n]
+	m.groups, m.ords = m.groups[:0], m.ords[:0]
 	m.valid = true
 }
 

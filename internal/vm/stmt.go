@@ -482,19 +482,22 @@ func (c *compiler) groupedUpdates(run []ir.Stmt, ax int, blk *[]exec) error {
 				updateSlot(fr, gs, u, n)
 			}
 		} else {
-			idx, start := m.sortRows()
-			for _, u := range ups {
-				off := fr.state[u.stateID].(*rt.OffsetState).Off
-				for g, row := range m.groups {
-					rows := idx[start[g]:start[g+1]]
-					o := rt.RowPayloadOff(row) + off
-					switch u.fn {
-					case ir.AggSumI64:
-						foldSumI64(row, o, rows, fr.vecs[u.vs].I64)
-					case ir.AggSumF64:
-						foldSumF64(row, o, rows, fr.vecs[u.vs].F64)
-					default: // AggCount
-						rt.PutI64(row, o, rt.GetI64(row, o)+int64(len(rows)))
+			// A segment at a time, each group's rows still in row order.
+			for lo := 0; lo < n; lo += aggBatchSeg {
+				idx, start := m.sortRows(lo, min(lo+aggBatchSeg, n))
+				for _, u := range ups {
+					off := fr.state[u.stateID].(*rt.OffsetState).Off
+					for g, row := range m.groups {
+						rows := idx[start[g]:start[g+1]]
+						o := rt.RowPayloadOff(row) + off
+						switch u.fn {
+						case ir.AggSumI64:
+							foldSumI64(row, o, rows, fr.vecs[u.vs].I64)
+						case ir.AggSumF64:
+							foldSumF64(row, o, rows, fr.vecs[u.vs].F64)
+						default: // AggCount
+							rt.PutI64(row, o, rt.GetI64(row, o)+int64(len(rows)))
+						}
 					}
 				}
 			}
@@ -504,24 +507,25 @@ func (c *compiler) groupedUpdates(run []ir.Stmt, ax int, blk *[]exec) error {
 	return nil
 }
 
-// sortRows sorts the last call's row indices by ordinal, stably: ordinal g's
-// rows are idx[start[g]:start[g+1]], ascending.
+// sortRows sorts the last call's row indices lo to hi-1 by ordinal, stably:
+// ordinal g's rows are idx[start[g]:start[g+1]], ascending.
 //
 //inkfuse:hotpath
-func (m *groupMemo) sortRows() (idx []int32, start [memoGroups + 1]int32) {
-	for _, o := range m.ords {
+func (m *groupMemo) sortRows(lo, hi int) (idx []int32, start [memoGroups + 1]int32) {
+	ords := m.ords[lo:hi]
+	for _, o := range ords {
 		start[o+1]++
 	}
 	for g := 1; g <= memoGroups; g++ {
 		start[g] += start[g-1]
 	}
-	if cap(m.idx) < len(m.ords) {
-		m.idx = make([]int32, len(m.ords)) //inklint:allow alloc — grows to the call size once, kept across calls
+	if cap(m.idx) < len(ords) {
+		m.idx = make([]int32, len(ords)) //inklint:allow alloc — grows to one segment at most, kept across calls
 	}
-	idx = m.idx[:len(m.ords)]
+	idx = m.idx[:len(ords)]
 	pos := start
-	for i, o := range m.ords {
-		idx[pos[o]] = int32(i)
+	for i, o := range ords {
+		idx[pos[o]] = int32(lo + i)
 		pos[o]++
 	}
 	return idx, start
