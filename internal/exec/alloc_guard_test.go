@@ -189,61 +189,89 @@ var coldBudget = map[string]struct{ bytes, objects uint64 }{
 	"q6":  {390_000, 1_300},    //   260 KB /   858, §18   260 KB /   858, was  1 061 KB /   772
 }
 
+// fusedColdBudget is coldBudget for the compiling backend with no modelled
+// compile latency: every pipeline is closure-compiled inside the query and
+// runs fused, so the compile and the fused programs' frames fall inside the
+// measurement. One worker slot, so exactly one worker builds each frame
+// (with two, the second builds its frames in some runs and not in others).
+// 1.5 × what it does now (bytes / objects behind each row).
+var fusedColdBudget = map[string]struct{ bytes, objects uint64 }{
+	"q1":  {490_000, 1_430},   //   327 KB /   955
+	"q13": {1_600_000, 1_750}, // 1 064 KB / 1 164
+	"q14": {990_000, 1_760},   //   662 KB / 1 171
+	"q19": {1_140_000, 2_630}, //   760 KB / 1 753
+	"q3":  {1_460_000, 2_700}, //   970 KB / 1 795
+	"q4":  {8_250_000, 1_950}, // 5 499 KB / 1 299
+	"q5":  {1_140_000, 4_100}, //   757 KB / 2 727
+	"q6":  {115_000, 740},     //    76 KB /   490
+}
+
 // TestColdExecutionAllocBudget: the miss path of the eight TPC-H SQL shapes
-// at SF 0.01 — lower the bound statement, execute it on the hybrid backend
-// with a compile latency no query outlasts (no artifact lands before the
-// query ends: it runs on the interpreter, as most never-seen queries of the
-// benchmark do, and a compile landing mid-query cannot add the fused
-// programs' frames to one run and not another), drop the state. A never-seen
-// query pays for every byte it allocates twice, once to clear it and once to
-// collect it, so the budget pins both bytes and objects.
+// at SF 0.01 — lower the bound statement, execute it, drop the state — on two
+// backends. On the hybrid backend with a compile latency no query outlasts
+// (no artifact lands before the query ends: it runs on the interpreter, as
+// most never-seen queries of the benchmark do, and a compile landing
+// mid-query cannot add the fused programs' frames to one run and not
+// another), against coldBudget; on the compiling backend, which compiles
+// every pipeline before running it fused, against fusedColdBudget. A
+// never-seen query pays for every byte it allocates twice, once to clear it
+// and once to collect it, so the budget pins both bytes and objects.
 func TestColdExecutionAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cat := tpch.Generate(0.01, 42)
-	never := exec.LatencyModel{Base: time.Hour}
+	never, none := exec.LatencyModel{Base: time.Hour}, exec.LatencyNone
 	names := make([]string, 0, len(tpch.SQL))
 	for name := range tpch.SQL {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		stmt, err := sql.Compile(cat, tpch.SQL[name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold := func() (bytes, objects uint64) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			plan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
+	for _, mode := range []struct {
+		backend exec.Backend
+		latency *exec.LatencyModel
+		budgets map[string]struct{ bytes, objects uint64 }
+	}{
+		{exec.BackendHybrid, &never, coldBudget},
+		{exec.BackendCompiling, &none, fusedColdBudget},
+	} {
+		for _, name := range names {
+			stmt, err := sql.Compile(cat, tpch.SQL[name])
 			if err != nil {
 				t.Fatal(err)
 			}
-			prep := plancache.NewPrepared(stmt.Fingerprint, plan, params)
-			if err := stmt.BindArgs(prep.Params(), nil); err != nil {
-				t.Fatal(err)
+			cold := func() (bytes, objects uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				plan, params, err := algebra.LowerWithParams(stmt.Root, stmt.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prep := plancache.NewPrepared(stmt.Fingerprint, plan, params)
+				if err := stmt.BindArgs(prep.Params(), nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := exec.Execute(prep.Plan(), exec.Options{Backend: mode.backend, Workers: 1, Latency: mode.latency, Artifacts: prep.Artifacts()}); err != nil {
+					t.Fatal(err)
+				}
+				prep.Artifacts().DropState()
+				runtime.ReadMemStats(&after)
+				// The compile jobs outlive the query in its artifact set; the
+				// instance is dropped here, so they are canceled, and end
+				// outside this measurement and the next.
+				prep.Artifacts().CancelJobs()
+				prep.Artifacts().WaitJobs()
+				return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 			}
-			if _, err := exec.Execute(prep.Plan(), exec.Options{Backend: exec.BackendHybrid, Latency: &never, Artifacts: prep.Artifacts()}); err != nil {
-				t.Fatal(err)
+			cold() // the first run of a shape also builds process-wide one-offs (interned labels, metric children)
+			bytes, objects := cold()
+			t.Logf("%v %s: %d bytes, %d objects", mode.backend, name, bytes, objects)
+			budget, ok := mode.budgets[name]
+			if !ok {
+				t.Errorf("%v %s: no cold budget recorded (measured %d bytes, %d objects)", mode.backend, name, bytes, objects)
+				continue
 			}
-			prep.Artifacts().DropState()
-			runtime.ReadMemStats(&after)
-			// The compile jobs outlive the query in its artifact set; the
-			// instance is dropped here, so they are canceled, and end outside
-			// this measurement and the next.
-			prep.Artifacts().CancelJobs()
-			prep.Artifacts().WaitJobs()
-			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
-		}
-		cold() // the first run of a shape also builds process-wide one-offs (interned labels, metric children)
-		bytes, objects := cold()
-		t.Logf("%s: %d bytes, %d objects", name, bytes, objects)
-		budget, ok := coldBudget[name]
-		if !ok {
-			t.Errorf("%s: no cold budget recorded (measured %d bytes, %d objects)", name, bytes, objects)
-			continue
-		}
-		if bytes > budget.bytes || objects > budget.objects {
-			t.Errorf("%s: a cold execution allocated %d bytes in %d objects, budget %d / %d", name, bytes, objects, budget.bytes, budget.objects)
+			if bytes > budget.bytes || objects > budget.objects {
+				t.Errorf("%v %s: a cold execution allocated %d bytes in %d objects, budget %d / %d", mode.backend, name, bytes, objects, budget.bytes, budget.objects)
+			}
 		}
 	}
 }
