@@ -43,25 +43,11 @@ func auxBatch(fr *frame, k int) *tableBatch {
 	return fr.aux[k].(*tableBatch)
 }
 
-func sizedRows(s *[][]byte, n int) [][]byte {
+// sized returns *s resized to n elements, reallocated only when its capacity
+// is short; the contents are whatever the buffer last held.
+func sized[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([][]byte, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func sizedU64(s *[]uint64, n int) []uint64 {
-	if cap(*s) < n {
-		*s = make([]uint64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func sizedBytes(s *[]byte, n int) []byte {
-	if cap(*s) < n {
-		*s = make([]byte, n)
+		*s = make([]T, n)
 	}
 	*s = (*s)[:n]
 	return *s

@@ -18,7 +18,6 @@ func getI32(v *storage.Vector) []int32   { return v.I32 }
 func getI64(v *storage.Vector) []int64   { return v.I64 }
 func getF64(v *storage.Vector) []float64 { return v.F64 }
 func getStr(v *storage.Vector) []string  { return v.Str }
-func getPtr(v *storage.Vector) [][]byte  { return v.Ptr }
 
 // Runtime-constant accessors (paper §IV-C: constants are resolved from state
 // at execution time so primitives stay enumerable).

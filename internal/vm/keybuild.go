@@ -2,7 +2,6 @@ package vm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"inkfuse/internal/ir"
@@ -44,12 +43,14 @@ import (
 // bucket, which compares key bytes only where the table's keys are not words
 // of the probe key's width (DESIGN.md §10).
 
-// keyField is one packed key column: its register and, for a fixed-width
-// field, the state slot of its offset inside the key blob.
+// keyField is one key column: its value, the state slot of its offset inside
+// the key blob (-1 for a string, and for a raw column at offset 0) and, once
+// compiled, its register.
 type keyField struct {
-	slot    int
+	val     ir.Expr
 	kind    types.Kind
 	stateID int
+	slot    int
 }
 
 // keyCol is a keyField bound to one execution: the offset read from state and
@@ -64,37 +65,24 @@ type keyCol struct {
 	str  []string
 }
 
-// keyBuild compiles the run stmts (as matched by keyBuildRun).
-func (c *compiler) keyBuild(stmts []ir.Stmt, blk *[]exec) error {
-	layoutID := stmts[0].(ir.MakeRow).StateID
-	var fields []keyField
-	for _, s := range stmts[1 : len(stmts)-2] {
-		var val ir.Expr
-		var stateID int
-		switch s := s.(type) {
-		case ir.PackFixed:
-			val, stateID = s.Val, s.StateID
-			if !val.Kind().Fixed() {
-				return fmt.Errorf("pack fixed of kind %v", val.Kind())
-			}
-		case ir.PackStr:
-			val, stateID = s.Val, s.StateID
-			if val.Kind() != types.String {
-				return fmt.Errorf("pack string of kind %v", val.Kind())
-			}
-		}
-		vs, err := c.expr(val, blk)
-		if err != nil {
+// keyBuild compiles a key run the pre-pass parsed; sc is the plan of a
+// probe's scope.
+func (c *compiler) keyBuild(k *keyRun, sc *scopePlan, blk *[]exec) error {
+	fields := k.fields
+	for i := range fields {
+		var err error
+		if fields[i].slot, err = c.expr(fields[i].val, blk); err != nil {
 			return err
 		}
-		fields = append(fields, keyField{slot: vs, kind: val.Kind(), stateID: stateID})
 	}
-	if probe, ok := stmts[len(stmts)-1].(ir.ProbeStmt); ok {
-		c.p.rewrites.KeyProbes++
-		return c.keyProbe(layoutID, fields, probe, blk)
+	switch look := k.look.(type) {
+	case ir.ProbeStmt:
+		return c.keyProbe(k, fields, look, sc, blk)
+	case ir.AggLookup:
+		c.keyAggLookup(k, fields, look.Dst, look.StateID, blk)
+	case ir.AggLookupFixed:
+		c.keyAggLookup(k, fields, look.Dst, look.StateID, blk)
 	}
-	c.p.rewrites.KeyBuilds++
-	c.keyAggLookup(layoutID, fields, stmts[len(stmts)-1].(ir.AggLookup), blk)
 	return nil
 }
 
@@ -105,7 +93,7 @@ func bindKeyCols(fr *frame, tb *tableBatch, fields []keyField) []keyCol {
 	for _, f := range fields {
 		v := fr.vecs[f.slot]
 		col := keyCol{kind: f.kind, b: v.B, i32: v.I32, i64: v.I64, f64: v.F64, str: v.Str}
-		if f.kind != types.String {
+		if f.stateID >= 0 {
 			col.off = fr.state[f.stateID].(*rt.OffsetState).Off
 		}
 		cols = append(cols, col)
@@ -114,43 +102,37 @@ func bindKeyCols(fr *frame, tb *tableBatch, fields []keyField) []keyCol {
 	return cols
 }
 
-// keyAggLookup emits the fused key build ending in look.
-func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLookup, blk *[]exec) {
-	ds := c.bind(look.Dst)
-	aggID := look.StateID
-	ax := c.newAux()
-	// Only a key that fits a word resolves through the group memo
-	// (wordWidth).
-	width := 0
-	for _, f := range fields {
-		if f.kind == types.String {
-			width = 9
-			break
-		}
-		width += f.kind.Width()
-	}
-	if width > 0 && width <= 8 {
-		c.memoLookups[look.Dst.ID] = ax
-	}
+// keyAggLookup emits the fused key build ending in the lookup of group
+// register dst in aggregation state aggID. A raw column (AggLookupFixed) is
+// a word key of its own width at offset 0, with no layout and no seed.
+func (c *compiler) keyAggLookup(k *keyRun, fields []keyField, dst ir.Var, aggID int, blk *[]exec) {
+	ds := c.bind(dst)
+	layoutID, ax := k.layoutID, k.ax
 	*blk = append(*blk, func(fr *frame, n int) {
 		st := fr.state[aggID].(*rt.AggTableState)
-		layout := fr.state[layoutID].(*rt.RowLayoutState)
 		tb := auxBatch(fr, ax)
 		cols := bindKeyCols(fr, tb, fields)
-		// Never written, so all zero: the key's fixed-width prefix before the
-		// field writes fill it, and the payload region a sealed row seeds new
-		// groups with (none for a key-only layout).
-		zeros := sizedBytes(&tb.zeros, max(layout.KeyFixed, layout.PayloadFixed))
-		prefix := zeros[:layout.KeyFixed]
-		var seed []byte
-		if layout.PayloadFixed > 0 {
-			seed = zeros[:layout.PayloadFixed]
+		var width int
+		var prefix, seed []byte
+		if layoutID < 0 {
+			width = cols[0].kind.Width()
+		} else {
+			layout := fr.state[layoutID].(*rt.RowLayoutState)
+			// Never written, so all zero: the key's fixed-width prefix before
+			// the field writes fill it, and the payload region a sealed row
+			// seeds new groups with (none for a key-only layout).
+			zeros := sized(&tb.zeros, max(layout.KeyFixed, layout.PayloadFixed))
+			prefix = zeros[:layout.KeyFixed]
+			if layout.PayloadFixed > 0 {
+				seed = zeros[:layout.PayloadFixed]
+			}
+			width = wordWidth(cols, layout)
 		}
 		dv := fr.vecs[ds]
 		dv.Resize(n)
 		d := dv.Ptr[:n]
 		tbl := fr.ctx.AggTable(st)
-		if width := wordWidth(cols, layout); width > 0 {
+		if width > 0 {
 			lookupWords(tbl, tb, cols, width, seed, d)
 		} else {
 			buf := tb.keybuf
@@ -166,21 +148,21 @@ func (c *compiler) keyAggLookup(layoutID int, fields []keyField, look ir.AggLook
 }
 
 // keyProbe emits the fused key probe ending in s.
-func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk *[]exec) error {
-	ps, err := c.probeScope(s)
+func (c *compiler) keyProbe(k *keyRun, fields []keyField, s ir.ProbeStmt, sc *scopePlan, blk *[]exec) error {
+	ps, err := c.probeScope(s, sc)
 	if err != nil {
 		return err
 	}
-	ax := c.newAux()
+	layoutID, ax := k.layoutID, k.ax
 	*blk = append(*blk, func(fr *frame, n int) {
 		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Table
 		layout := fr.state[layoutID].(*rt.RowLayoutState)
 		tb := auxBatch(fr, ax)
 		cols := bindKeyCols(fr, tb, fields)
-		prefix := sizedBytes(&tb.zeros, layout.KeyFixed)
+		prefix := sized(&tb.zeros, layout.KeyFixed)
 		width := wordWidth(cols, layout)
-		hashes := sizedU64(&tb.hashes, n)
-		words := sizedU64(&tb.words, n)
+		hashes := sized(&tb.hashes, n)
+		words := sized(&tb.words, n)
 		buf := tb.keybuf[:0]
 		if width > 0 {
 			hashWordKeys(words, hashes, cols, width, 0)
@@ -193,7 +175,7 @@ func (c *compiler) keyProbe(layoutID int, fields []keyField, s ir.ProbeStmt, blk
 		cand, skips := tbl.LookupBatch(hashes, tb.pend[:0])
 		tb.pend = cand
 		// Only the survivors' key bytes are kept, for the bucket scan.
-		keys := sizedRows(&tb.keys, n)
+		keys := sized(&tb.keys, n)
 		buf = buf[:0]
 		for _, ci := range cand {
 			start := len(buf)
@@ -235,7 +217,7 @@ func wordWidth(cols []keyCol, layout *rt.RowLayoutState) int {
 // between one lookup's cache misses and the next's.
 func lookupWords(tbl *rt.AggTable, tb *tableBatch, cols []keyCol, width int, seed []byte, d [][]byte) {
 	seg := min(len(d), aggBatchSeg)
-	words := sizedU64(&tb.words, seg)
+	words := sized(&tb.words, seg)
 	if tb.memo == nil {
 		tb.memo = new(groupMemo)
 	}
@@ -255,7 +237,7 @@ func lookupWords(tbl *rt.AggTable, tb *tableBatch, cols []keyCol, width int, see
 			done += m.resolve(tbl, words[:len(dst)], width, seed, dst, m.ords[done:])
 		}
 	}
-	hashes := sizedU64(&tb.hashes, seg)
+	hashes := sized(&tb.hashes, seg)
 	for off := done; off < len(d); off += aggBatchSeg {
 		dst := d[off:min(off+aggBatchSeg, len(d))]
 		hashWordKeys(words[:len(dst)], hashes[:len(dst)], cols, width, off)

@@ -149,67 +149,53 @@ func selectCode(in, out []int32, codes []int32, tbl []bool) int {
 	return j
 }
 
-// selectors compiles a filter condition into its selector list, appending to
-// blk whatever has to be materialized first (operands that are expressions,
-// conjuncts that are not comparisons). plan.absorbed names the temporaries
-// whose definitions are compiled here, in place of their Assign.
-func (c *compiler) selectors(e ir.Expr, plan blockPlan, blk *[]exec, sels []selector) ([]selector, error) {
-	if ref, ok := e.(ir.VarRef); ok {
-		if def, ok := plan.absorbed[ref.V.ID]; ok {
-			e = def
-		}
-	}
-	switch x := e.(type) {
-	case ir.LogicExpr:
-		if x.Op == ir.And {
-			sels, err := c.selectors(x.L, plan, blk, sels)
-			if err != nil {
-				return nil, err
-			}
-			return c.selectors(x.R, plan, blk, sels)
-		}
-	case ir.CmpExpr:
+// selectors compiles a filter's cascade (analyze.go) into its selector
+// list, appending to blk whatever has to be materialized first (operands
+// that are expressions, conjuncts that are not comparisons).
+func (c *compiler) selectors(cascade []ir.Expr, blk *[]exec) ([]selector, error) {
+	sels := make([]selector, 0, len(cascade))
+	for _, e := range cascade {
 		var sel selector
 		var err error
-		switch k := x.L.Kind(); k {
-		case types.Int32, types.Date:
-			sel, err = cmpSelector(c, blk, x, getI32, constI32)
-		case types.Int64:
-			sel, err = cmpSelector(c, blk, x, getI64, constI64)
-		case types.Float64:
-			sel, err = cmpSelector(c, blk, x, getF64, constF64)
-		case types.String:
-			sel, err = cmpSelector(c, blk, x, getStr, constStr)
+		switch x := e.(type) {
+		case ir.CmpExpr:
+			switch k := x.L.Kind(); k {
+			case types.Int32, types.Date:
+				sel, err = cmpSelector(c, blk, x, getI32, constI32)
+			case types.Int64:
+				sel, err = cmpSelector(c, blk, x, getI64, constI64)
+			case types.Float64:
+				sel, err = cmpSelector(c, blk, x, getF64, constF64)
+			case types.String:
+				sel, err = cmpSelector(c, blk, x, getStr, constStr)
+			default:
+				err = fmt.Errorf("compare on kind %v", k)
+			}
+		case ir.CodeMatch:
+			var cs int
+			cs, err = c.expr(x.C, blk)
+			id := x.StateID
+			sel = func(fr *frame, in, out []int32) int {
+				fr.ctx.Counters.VMOps += int64(len(in))
+				return selectCode(in, out, fr.vecs[cs].I32, fr.state[id].(*rt.CodeTableState).T)
+			}
 		default:
-			err = fmt.Errorf("compare on kind %v", k)
+			// Anything else is a bool register: the trivial selector.
+			var bs int
+			if bs, err = c.expr(e, blk); err == nil && c.p.slotKinds[bs] != types.Bool {
+				err = fmt.Errorf("filter on %v condition", c.p.slotKinds[bs])
+			}
+			sel = func(fr *frame, in, out []int32) int {
+				fr.ctx.Counters.VMOps += int64(len(in))
+				return selectBool(in, out, fr.vecs[bs].B)
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		return append(sels, sel), nil
-	case ir.CodeMatch:
-		cs, err := c.expr(x.C, blk)
-		if err != nil {
-			return nil, err
-		}
-		id := x.StateID
-		return append(sels, func(fr *frame, in, out []int32) int {
-			fr.ctx.Counters.VMOps += int64(len(in))
-			return selectCode(in, out, fr.vecs[cs].I32, fr.state[id].(*rt.CodeTableState).T)
-		}), nil
+		sels = append(sels, sel)
 	}
-	// Anything else is a bool register: the trivial selector.
-	bs, err := c.expr(e, blk)
-	if err != nil {
-		return nil, err
-	}
-	if c.p.slotKinds[bs] != types.Bool {
-		return nil, fmt.Errorf("filter on %v condition", c.p.slotKinds[bs])
-	}
-	return append(sels, func(fr *frame, in, out []int32) int {
-		fr.ctx.Counters.VMOps += int64(len(in))
-		return selectBool(in, out, fr.vecs[bs].B)
-	}), nil
+	return sels, nil
 }
 
 func cmpSelector[T ordered](c *compiler, blk *[]exec, x ir.CmpExpr,
@@ -236,30 +222,23 @@ func cmpSelector[T ordered](c *compiler, blk *[]exec, x ir.CmpExpr,
 //
 // A dense selection — one keeping at least 7/8 of the scope, like q1's 98 %
 // — is a few long runs of consecutive rows: a filter with two copies or more
-// finds the runs once and copies every column run by run
-// (storage.Vector.CopyRuns) instead of element by element. A sparser one is
-// gathered.
-func (c *compiler) filter(s ir.FilterStmt, plan blockPlan, blk *[]exec) error {
-	sels, err := c.selectors(ir.Ref(s.Cond), plan, blk, nil)
+// (the plan's runCopies) finds the runs once and copies every column run by
+// run (storage.Vector.CopyRuns) instead of element by element. A sparser one
+// is gathered.
+func (c *compiler) filter(s ir.FilterStmt, sc *scopePlan, blk *[]exec) error {
+	sels, err := c.selectors(sc.cascade, blk)
 	if err != nil {
 		return err
 	}
-	if _, fused := plan.absorbed[s.Cond.ID]; fused {
-		c.p.rewrites.Cascades = append(c.p.rewrites.Cascades, len(sels))
-	}
-	c.p.rewrites.Closures += len(sels)
 	pairs, err := c.gathers(s.Copies)
 	if err != nil {
 		return err
 	}
-	runCopies := len(pairs) >= 2
-	if runCopies {
-		c.p.rewrites.RunCopies++
-	}
-	body, err := c.block(s.Body)
+	body, err := c.block(s.Body, sc.body)
 	if err != nil {
 		return err
 	}
+	runCopies := sc.runCopies
 	selAux, runAux := c.newAux(), c.newAux()
 	*blk = append(*blk, func(fr *frame, n int) {
 		bp := auxSlice[int32](fr, selAux)

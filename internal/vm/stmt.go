@@ -10,33 +10,27 @@ import (
 	"inkfuse/internal/types"
 )
 
-// block compiles a statement list. The pre-pass (analyze.go) names the
-// statements that compile together with their single consumer; everything
-// else compiles one statement at a time.
-func (c *compiler) block(stmts []ir.Stmt) ([]exec, error) {
-	plan := c.planBlock(stmts)
+// block compiles a statement list as the pre-pass planned it (analyze.go):
+// a run compiles to one operation at its head, an absorbed Assign to
+// nothing, every other statement by itself.
+func (c *compiler) block(stmts []ir.Stmt, plan blockPlan) ([]exec, error) {
 	var blk []exec
-	// Only the last statement of a block in tail position is itself in tail
-	// position (a scope's body inherits its statement's).
-	tail := c.tail
-	defer func() { c.tail = tail }()
 	for i := 0; i < len(stmts); i++ {
+		sp := &plan[i]
 		var err error
-		c.tail = tail && i == len(stmts)-1
-		if end, ok := plan.keyBuilds[i]; ok {
-			err = c.keyBuild(stmts[i:end+1], &blk)
-			i = end
-		} else if end, ax := c.groupedRun(stmts, i); end > i {
-			err = c.groupedUpdates(stmts[i:end], ax, &blk)
-			i = end - 1
-		} else {
-			err = c.stmt(stmts[i], plan, &blk)
+		switch sp.form {
+		case keyHead:
+			err = c.keyBuild(sp.key, sp.scope, &blk)
+		case groupedHead:
+			err = c.groupedUpdates(stmts[i:sp.end], sp.key.ax, &blk)
+		case plain:
+			err = c.stmt(stmts[i], sp, &blk)
 		}
 		if err != nil {
 			return nil, err
 		}
+		i = max(i, sp.end-1)
 	}
-	c.p.rewrites.Stmts += len(stmts)
 	c.p.rewrites.Closures += len(blk)
 	return blk, nil
 }
@@ -44,13 +38,9 @@ func (c *compiler) block(stmts []ir.Stmt) ([]exec, error) {
 // stmt compiles one IR statement into closures appended to blk.
 //
 //inklint:dispatch ir.Stmt
-func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
+func (c *compiler) stmt(s ir.Stmt, sp *stmtPlan, blk *[]exec) error {
 	switch s := s.(type) {
 	case ir.Assign:
-		if _, ok := plan.absorbed[s.Dst.ID]; ok {
-			// Evaluated by the block's filter, as a selector of its cascade.
-			return nil
-		}
 		slot, err := c.expr(s.E, blk)
 		if err != nil {
 			return err
@@ -84,7 +74,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		return nil
 
 	case ir.FilterStmt:
-		return c.filter(s, plan, blk)
+		return c.filter(s, sp.scope, blk)
 
 	case ir.MakeRow:
 		ds := c.bind(s.Dst)
@@ -133,8 +123,8 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		return nil
 
 	case ir.PackStr:
-		rs, err := c.slot(s.Row)
-		if err != nil {
+		// The rows are addressed through the scratch, not the row register.
+		if _, err := c.slot(s.Row); err != nil {
 			return err
 		}
 		vs, err := c.expr(s.Val, blk)
@@ -162,7 +152,6 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			for i := range d {
 				d[i] = sc.Row(i)
 			}
-			_ = fr.vecs[rs] // rows were addressed through the scratch
 			fr.ctx.Counters.VMOps += int64(n)
 		})
 		return nil
@@ -199,8 +188,8 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			st := fr.state[id].(*rt.AggTableState)
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
-			keys := sizedRows(&tb.keys, n)
-			seeds := sizedRows(&tb.seeds, n)
+			keys := sized(&tb.keys, n)
+			seeds := sized(&tb.seeds, n)
 			for i, r := range rows {
 				key := rt.RowKey(r)
 				keys[i] = key
@@ -217,31 +206,8 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		})
 		return nil
 
-	case ir.AggLookupFixed:
-		ks, err := c.slot(s.Key)
-		if err != nil {
-			return err
-		}
-		ds := c.bind(s.Dst)
-		id := s.StateID
-		ax := c.newAux()
-		kind := s.Key.K
-		if !kind.Fixed() {
-			return fmt.Errorf("direct lookup on kind %v", kind)
-		}
-		c.memoLookups[s.Dst.ID] = ax
-		*blk = append(*blk, func(fr *frame, n int) {
-			st := fr.state[id].(*rt.AggTableState)
-			tb := auxBatch(fr, ax)
-			v := fr.vecs[ks]
-			tb.cols = append(tb.cols[:0], keyCol{kind: kind, b: v.B, i32: v.I32, i64: v.I64, f64: v.F64})
-			dv := fr.vecs[ds]
-			dv.Resize(n)
-			lookupWords(fr.ctx.AggTable(st), tb, tb.cols, kind.Width(), nil, dv.Ptr[:n])
-			fr.ctx.Counters.VMOps += int64(n)
-			fr.ctx.Counters.HTProbes += int64(n)
-		})
-		return nil
+	case ir.AggLookupFixed: // the plan compiles every one as a key run
+		return fmt.Errorf("direct lookup outside a key run")
 
 	case ir.AggUpdate:
 		gs, err := c.slot(s.Group)
@@ -269,8 +235,8 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			tbl := fr.ctx.JoinTable(fr.state[id].(*rt.JoinTableState))
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
-			keys := sizedRows(&tb.keys, n)
-			pays := sizedRows(&tb.seeds, n)
+			keys := sized(&tb.keys, n)
+			pays := sized(&tb.seeds, n)
 			for i, r := range rows {
 				key := rt.RowKey(r)
 				keys[i] = key
@@ -294,7 +260,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 			tbl := fr.state[id].(*rt.JoinTableState).Table
 			tb := auxBatch(fr, ax)
 			rows := fr.vecs[rs].Ptr[:n]
-			keys := sizedRows(&tb.keys, n)
+			keys := sized(&tb.keys, n)
 			for i, r := range rows {
 				keys[i] = rt.RowKey(r)
 			}
@@ -312,16 +278,17 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 		return nil
 
 	case ir.ProbeStmt:
-		return c.probe(s, blk)
+		return c.probe(s, sp.scope, blk)
 
 	case ir.EmitStmt:
 		// The sink. Appending copies every emitted register into the tuple
 		// buffer; a register this program owns and is done with is handed over
 		// instead (storage.Chunk.TakeFromVectors — into an empty buffer, which
 		// a primitive's always is and a fused program's accumulating one is
-		// once). Done with: nothing executes after this emit. Owns: not an
-		// input, whose array is the caller's (a view of a base-table column,
-		// another tuple buffer), and not listed a second time.
+		// once). Done with: the plan marks the emit handover, nothing executes
+		// after it. Owns: not an input, whose array is the caller's (a view of
+		// a base-table column, another tuple buffer), and not listed a second
+		// time.
 		slots := make([]int, len(s.Cols))
 		own := make([]bool, len(s.Cols))
 		for i, v := range s.Cols {
@@ -330,7 +297,7 @@ func (c *compiler) stmt(s ir.Stmt, plan blockPlan, blk *[]exec) error {
 				return err
 			}
 			slots[i] = sl
-			own[i] = c.tail && !slices.Contains(c.p.insSlots, sl) && !slices.Contains(slots[:i], sl)
+			own[i] = sp.handover && !slices.Contains(c.p.insSlots, sl) && !slices.Contains(slots[:i], sl)
 		}
 		vecAux := c.newAux()
 		*blk = append(*blk, func(fr *frame, n int) {
@@ -430,39 +397,8 @@ func updateSlot(fr *frame, gs int, u slotUpdate, n int) {
 // bit the same. A call the memo did not number (a table past memoGroups
 // groups, a call past memoGroups distinct ones) runs the slots one by one.
 
-// groupedRun returns the end of the run of AggUpdates starting at stmts[at]
-// that compiles to one grouped update, and the aux slot of the memo its
-// group register was resolved through, or at and -1. The run is every
-// consecutive update of that register; a min, max or count_if in it keeps
-// the whole run statement by statement.
-func (c *compiler) groupedRun(stmts []ir.Stmt, at int) (int, int) {
-	first, ok := stmts[at].(ir.AggUpdate)
-	if !ok {
-		return at, -1
-	}
-	ax, ok := c.memoLookups[first.Group.ID]
-	if !ok {
-		return at, -1
-	}
-	if at > 0 {
-		if prev, ok := stmts[at-1].(ir.AggUpdate); ok && prev.Group.ID == first.Group.ID {
-			return at, -1 // the rest of a declined run
-		}
-	}
-	end := at
-	for ; end < len(stmts); end++ {
-		u, ok := stmts[end].(ir.AggUpdate)
-		if !ok || u.Group.ID != first.Group.ID {
-			break
-		}
-		if u.Fn != ir.AggSumI64 && u.Fn != ir.AggSumF64 && u.Fn != ir.AggCount {
-			return at, -1
-		}
-	}
-	return end, ax
-}
-
-// groupedUpdates compiles a run matched by groupedRun.
+// groupedUpdates compiles a grouped-update run (analyze.go) whose group
+// register the lookup with its memo in aux slot ax resolved.
 func (c *compiler) groupedUpdates(run []ir.Stmt, ax int, blk *[]exec) error {
 	gs, err := c.slot(run[0].(ir.AggUpdate).Group)
 	if err != nil {
@@ -474,7 +410,6 @@ func (c *compiler) groupedUpdates(run []ir.Stmt, ax int, blk *[]exec) error {
 			return err
 		}
 	}
-	c.p.rewrites.GroupedUpdates++
 	*blk = append(*blk, func(fr *frame, n int) {
 		m := auxBatch(fr, ax).memo
 		if m == nil || !m.valid {
@@ -653,7 +588,7 @@ type probeScope struct {
 	body                []exec
 }
 
-func (c *compiler) probeScope(s ir.ProbeStmt) (*probeScope, error) {
+func (c *compiler) probeScope(s ir.ProbeStmt, sc *scopePlan) (*probeScope, error) {
 	ps := &probeScope{stateID: s.StateID, mode: s.Mode, build: -1, matched: -1}
 	var err error
 	if ps.copies, err = c.gathers(s.Copies); err != nil {
@@ -666,7 +601,7 @@ func (c *compiler) probeScope(s ir.ProbeStmt) (*probeScope, error) {
 	if s.Mode == ir.LeftOuterJoin {
 		ps.matched = c.bind(s.Matched)
 	}
-	if ps.body, err = c.block(s.Body); err != nil {
+	if ps.body, err = c.block(s.Body, sc.body); err != nil {
 		return nil, err
 	}
 	return ps, nil
@@ -705,12 +640,12 @@ func (ps *probeScope) run(fr *frame, tbl *rt.JoinTable, n int, cand []int32, blo
 	runBlock(ps.body, fr, out)
 }
 
-func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
+func (c *compiler) probe(s ir.ProbeStmt, sc *scopePlan, blk *[]exec) error {
 	prs, err := c.slot(s.ProbeRow)
 	if err != nil {
 		return err
 	}
-	ps, err := c.probeScope(s)
+	ps, err := c.probeScope(s, sc)
 	if err != nil {
 		return err
 	}
@@ -718,7 +653,7 @@ func (c *compiler) probe(s ir.ProbeStmt, blk *[]exec) error {
 	*blk = append(*blk, func(fr *frame, n int) {
 		tbl := fr.state[ps.stateID].(*rt.JoinTableState).Table
 		tb := auxBatch(fr, batchAux)
-		keys := sizedRows(&tb.keys, n)
+		keys := sized(&tb.keys, n)
 		for i, pr := range fr.vecs[prs].Ptr[:n] {
 			keys[i] = rt.RowKey(pr)
 		}

@@ -282,14 +282,11 @@ func Compile(f *ir.Func) (*Program, error) {
 		p:      &Program{Fn: f},
 		slotOf: make(map[int]int),
 		uses:   countUses(f),
-		tail:   true,
-		// Filled as lookups compile, read by the updates after them.
-		memoLookups: make(map[int]int),
 	}
 	for _, v := range f.Ins {
 		c.p.insSlots = append(c.p.insSlots, c.bind(v))
 	}
-	body, err := c.block(f.Body)
+	body, err := c.block(f.Body, c.plan(f.Body, true))
 	if err != nil {
 		return nil, fmt.Errorf("vm: compiling %s: %w", f.Name, err)
 	}
@@ -311,13 +308,6 @@ type compiler struct {
 	p      *Program
 	slotOf map[int]int // ir var ID -> slot
 	uses   map[int]int // ir var ID -> reads of it in the function
-	// tail is true while compiling a statement nothing executes after: the
-	// last statement of the function body, or of the body of a scope that is
-	// itself in tail position.
-	tail bool
-	// memoLookups maps the group register of a word-key lookup (one that
-	// resolves through the group memo) to the aux slot of its tableBatch.
-	memoLookups map[int]int
 }
 
 // bind allocates (or returns) the slot for an IR variable.
