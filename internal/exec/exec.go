@@ -374,6 +374,14 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, res *Result) (r
 		// task per slot, so ctxs[slot] / outs[slot] / pb.src[slot] /
 		// pt.Workers[slot] keep their single-writer discipline even though
 		// different pool workers serve the slot over the pipeline's lifetime.
+		// A trace reads the slots' counters before and after the round, so
+		// the runner's accounting reaches it without touching the morsel loop.
+		var marks []stats.Counters
+		if pt != nil {
+			for _, c := range ctxs {
+				marks = append(marks, c.Counters)
+			}
+		}
 		runErr := adm.Run(ctx, len(morsels), func(slot, i int) error {
 			if qs.stopped() {
 				return errQueryStopped
@@ -383,20 +391,14 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, res *Result) (r
 			if outs != nil {
 				out = outs[slot]
 			}
-			// Trace recording works by deltas over the slot's own counters,
-			// so the runner's per-morsel accounting is captured without
-			// touching hot paths. The morsel is always timed: the duration
-			// feeds the process-wide latency histogram even when tracing is
-			// off.
-			if pt != nil {
-				pt.Workers[slot].BeginMorsel(&wctx.Counters)
-			}
+			// The morsel is always timed: the duration feeds the
+			// process-wide latency histogram even when tracing is off.
 			t0 := time.Now()
 			err := runMorselSafe(plan.Name, pipe.Name, opts.Backend, r, slot, i, wctx, binder, morsels[i], pb.src[slot], out)
 			elapsed := time.Since(t0)
 			morselHist.ObserveDuration(elapsed)
 			if pt != nil {
-				pt.Workers[slot].EndMorsel(&wctx.Counters, elapsed)
+				pt.Workers[slot].EndMorsel(elapsed)
 			}
 			if err != nil {
 				qs.fail(err)
@@ -406,6 +408,9 @@ func execute(ctx context.Context, plan *core.Plan, opts Options, res *Result) (r
 		})
 		if runErr != nil && !errors.Is(runErr, errQueryStopped) {
 			qs.fail(schedError(runErr))
+		}
+		for slot := range marks {
+			pt.Workers[slot].Counters.AddDelta(&ctxs[slot].Counters, &marks[slot])
 		}
 
 		counters, degraded := r.finish(pt, start)

@@ -143,8 +143,9 @@ func (c *Counters) Add(o *Counters) { c.AddDelta(o, &zero) }
 // AddDelta merges what happened between two readings of one accumulating
 // Counters (since, then now) into c: sums grow by the difference; a high-water
 // mark counts only if it rose in between (one that did not says nothing about
-// the interval). The executor takes the readings around a morsel, so a trace
-// attributes counters to pipelines and workers without touching hot paths.
+// the interval). The executor takes the readings around a pipeline's morsels,
+// so a trace attributes counters to pipelines and workers without touching
+// hot paths.
 func (c *Counters) AddDelta(now, since *Counters) {
 	for i := range Schema {
 		r := &Schema[i]

@@ -101,23 +101,17 @@ type Worker struct {
 	// for the compiling and ROF backends every morsel is JIT, the pure
 	// vectorized backend reports neither), hash-table behaviour.
 	Counters stats.Counters
-	// mark is the slot's accumulating counters when the running morsel began.
-	mark stats.Counters
 	// EWMA is the hybrid routing-decision series (capped at MaxEWMASamples).
 	EWMA        []EWMASample
 	EWMADropped int
 }
 
-// BeginMorsel reads the worker slot's accumulating counters before a morsel.
-func (w *Worker) BeginMorsel(c *stats.Counters) { w.mark = *c }
-
-// EndMorsel attributes what the slot's counters gained since BeginMorsel, and
-// the morsel's run time, to the worker — so the runner's per-morsel accounting
-// reaches the trace without touching hot paths.
-func (w *Worker) EndMorsel(c *stats.Counters, busy time.Duration) {
+// EndMorsel adds a morsel's run time to the worker. Its counters reach the
+// worker once per pipeline, as the difference of the slot's counters before
+// and after the pipeline's morsels (stats.Counters.AddDelta).
+func (w *Worker) EndMorsel(busy time.Duration) {
 	w.Busy += busy
 	w.Morsels++
-	w.Counters.AddDelta(c, &w.mark)
 }
 
 // EWMASample is one measured morsel of the hybrid backend's throughput

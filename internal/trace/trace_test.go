@@ -35,18 +35,23 @@ func TestTotalsAndQuantiles(t *testing.T) {
 	}
 }
 
-// TestMorselDeltas: a worker's counters are what its slot's accumulating
-// counters gained over its own morsels, whatever other pipelines left there.
+// TestMorselDeltas: EndMorsel adds a morsel's run time and count, nothing
+// else; a worker's counters are what its slot's accumulating counters gained
+// over the pipeline's morsels, whatever other pipelines left there.
 func TestMorselDeltas(t *testing.T) {
 	q := NewQuery(&stats.QueryRecord{Name: "q", Backend: "hybrid", Workers: 1, Begin: time.Now()})
 	w := &q.StartPipeline("p1", 0, 0).Workers[0]
 	slot := stats.Counters{Tuples: 500, HTInserts: 3, MemPeakBytes: 155} // an earlier pipeline's work
+	mark := slot
 	for i := 0; i < 2; i++ {
-		w.BeginMorsel(&slot)
 		slot.Tuples += 100
 		slot.HTBloomSkips += 7
-		w.EndMorsel(&slot, time.Millisecond)
+		w.EndMorsel(time.Millisecond)
 	}
+	if w.Counters != (stats.Counters{}) {
+		t.Fatalf("EndMorsel recorded counters: %+v", w.Counters)
+	}
+	w.Counters.AddDelta(&slot, &mark)
 	if want := (stats.Counters{Tuples: 200, HTBloomSkips: 14}); w.Counters != want || w.Morsels != 2 || w.Busy != 2*time.Millisecond {
 		t.Fatalf("worker = %d morsels, busy %v, %+v; want 2, 2ms, %+v", w.Morsels, w.Busy, w.Counters, want)
 	}
