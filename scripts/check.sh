@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verify: format, build, vet, race-test the whole module.
-# Recorded in ROADMAP.md; run before every commit.
+# Recorded in ROADMAP.md; run before every commit. The last line it prints on
+# success is its own wall time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SECONDS=0
 
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
@@ -313,3 +315,5 @@ trap - EXIT
 grep -q 'engine drained' /tmp/inkserve-conc.log \
     || { echo "concurrent smoke: drain log line missing" >&2; cat /tmp/inkserve-conc.log >&2; exit 1; }
 echo "inkserve concurrent-load smoke OK"
+
+echo "check.sh OK: wall time $((SECONDS / 60)) m $((SECONDS % 60)) s"

@@ -6,6 +6,7 @@
 # workload lacks.
 #
 #   scripts/traffic.sh <workload> [seconds]     # default 5 s timed window
+#   scripts/traffic.sh all [seconds]            # every workload of BENCHMARK.json
 #
 # It builds as bench/run.sh does, into bench/out/ with the toolchain's caches
 # there, then rebuilds bench/out/inkserve with -cover -coverpkg=inkfuse/...
@@ -14,13 +15,19 @@
 # rebuilds the plain inkserve, so scripts/coldprofile.sh and bench/run.sh
 # never meet the instrumented one. It edits nothing under bench/ but
 # bench/out/, and writes the counters under $TRAFFIC_OUT (default: a fresh
-# directory under $TMPDIR). To merge workloads, run it once per workload with
-# the same TRAFFIC_OUT and read the last run's totals.
+# directory under $TMPDIR). `all` runs the workloads BENCHMARK.json names one
+# after the other into that one directory and prints their merged census;
+# runs with the same TRAFFIC_OUT merge the same way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload=${1:?usage: scripts/traffic.sh <workload> [seconds]}
+workload=${1:?usage: scripts/traffic.sh <workload|all> [seconds]}
 secs=${2:-5}
+workloads=$workload
+if [ "$workload" = all ]; then
+    # The names inside BENCHMARK.json's "workloads" list.
+    workloads=$(sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json | xargs)
+fi
 out=${TRAFFIC_OUT:-$(mktemp -d "${TMPDIR:-/tmp}/traffic.XXXXXX")}
 mkdir -p "$out/counters"
 
@@ -34,11 +41,13 @@ echo off >"$XDG_CONFIG_HOME/go/telemetry/mode"
 trap '(cd bench && go build -o "$bench_out/inkserve" inkfuse/cmd/inkserve)' EXIT
 (cd bench && go build -cover -coverpkg=inkfuse/... -o "$bench_out/inkserve" inkfuse/cmd/inkserve)
 
-echo "env workload=$workload seconds=$secs cpus=$(nproc) go=$(go env GOVERSION) commit=$(git rev-parse --short HEAD 2>/dev/null || echo none) out=$out"
-GOCOVERDIR="$out/counters" "$bench_out/bench" --workload "$workload" --seconds "$secs" --trace 0 \
-    >"$out/bench.out" 2>"$out/bench.err" \
-    || { echo "traffic: the benchmark failed; see $out/bench.err" >&2; exit 1; }
-tail -1 "$out/bench.out"
+echo "env workloads=${workloads// /,} seconds=$secs cpus=$(nproc) go=$(go env GOVERSION) commit=$(git rev-parse --short HEAD 2>/dev/null || echo none) out=$out"
+for w in $workloads; do
+    GOCOVERDIR="$out/counters" "$bench_out/bench" --workload "$w" --seconds "$secs" --trace 0 \
+        >"$out/bench-$w.out" 2>"$out/bench-$w.err" \
+        || { echo "traffic: the benchmark failed; see $out/bench-$w.err" >&2; exit 1; }
+    tail -1 "$out/bench-$w.out"
+done
 
 echo
 echo "statements run, by package:"
